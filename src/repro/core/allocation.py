@@ -18,10 +18,12 @@ Two implementations are provided:
 * :func:`allocate_packet` — the production version with the
   first-incomplete-block pointer optimisation the paper sketches
   (complexity O(m + packets·symbols_per_packet), independent of how many
-  leading blocks are already complete);
+  leading blocks are already complete), which derives every round-constant
+  input (EDTs, live k̃_b, per-flow gains) once per invocation;
 * :func:`allocate_packet_reference` — a literal transcription of the
-  pseudocode that rescans blocks from b₁ every iteration. A property test
-  asserts both produce identical vectors.
+  pseudocode that rescans blocks from b₁ every iteration and recomputes
+  each quantity from its single-item form. Property tests assert both
+  produce identical vectors.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ def _fill_packet(
     margin: float,
     mss: int,
     symbol_wire_size: int,
-    advance_pointer: bool,
 ) -> Tuple[List[Tuple[int, int]], int, int]:
     """Inner double-loop of Algorithm 1 (lines 3-12) for one virtual packet.
 
@@ -134,7 +135,7 @@ def _fill_packet(
             vector.append((block.block_id, assigned))
             assigned_total += assigned
         if k_tilde_virtual[index] >= threshold:
-            if advance_pointer and index == new_start:
+            if index == new_start:
                 new_start = index + 1
             index += 1
         else:
@@ -142,7 +143,52 @@ def _fill_packet(
     return vector, assigned_total, new_start
 
 
-def _allocate(
+def expected_symbols(
+    blocks: Sequence[PendingBlock],
+    loss_rate_of: Callable[[int], float],
+    margin: float,
+) -> Tuple[List[float], int]:
+    """Eq. (8) for every pending block in one pass over ``in_flight``.
+
+    Returns ``(k̃ per block, residual demand)``. ``loss_rate_of`` is asked
+    once per subflow id; the summation order is that of
+    :meth:`PendingBlock.k_tilde`, so the floats are identical. The demand
+    (whole symbols still short of k̂ + margin, summed over blocks) bounds
+    the virtual loop.
+    """
+    k_tildes: List[float] = []
+    delivery: Dict[int, float] = {}
+    demand = 0
+    for block in blocks:
+        expected = float(block.k_bar)
+        for subflow_id, count in block.in_flight.items():
+            if count:
+                keep = delivery.get(subflow_id)
+                if keep is None:
+                    keep = delivery[subflow_id] = 1.0 - loss_rate_of(subflow_id)
+                expected += count * keep
+        k_tildes.append(expected)
+        short = block.k + margin - expected
+        if short > -1.0:
+            demand += int(short) + 1
+    return k_tildes, demand
+
+
+def _estimates_by_id(
+    pending_subflow_id: int,
+    estimates: Sequence[PathEstimate],
+    mss: int,
+    symbol_wire_size: int,
+) -> Dict[int, PathEstimate]:
+    estimate_by_id = {estimate.subflow_id: estimate for estimate in estimates}
+    if pending_subflow_id not in estimate_by_id:
+        raise ValueError(f"pending subflow {pending_subflow_id} not in estimates")
+    if symbol_wire_size > mss:
+        raise ValueError("a single symbol must fit within the MSS")
+    return estimate_by_id
+
+
+def allocate_packet(
     pending_subflow_id: int,
     estimates: Sequence[PathEstimate],
     blocks: Sequence[PendingBlock],
@@ -150,36 +196,27 @@ def _allocate(
     mss: int,
     symbol_wire_size: int,
     margin: float,
-    optimised: bool,
-    max_iterations: Optional[int] = None,
 ) -> AllocationResult:
-    estimate_by_id = {estimate.subflow_id: estimate for estimate in estimates}
-    if pending_subflow_id not in estimate_by_id:
-        raise ValueError(f"pending subflow {pending_subflow_id} not in estimates")
-    if symbol_wire_size > mss:
-        raise ValueError("a single symbol must fit within the MSS")
+    """Algorithm 1 with the first-incomplete-block pointer optimisation.
 
+    Everything that is constant within one invocation — EDTs, live k̃_b,
+    per-flow gains — is derived once up front; the loop only moves EATs.
+    """
+    estimate_by_id = _estimates_by_id(
+        pending_subflow_id, estimates, mss, symbol_wire_size
+    )
     edts = edt_for_flows(estimates)
-    eats = eat_table(estimates)
-    virtual_queue: Dict[int, int] = {estimate.subflow_id: 0 for estimate in estimates}
-
-    # Live k̃ per block (Eq. 8), copied into virtual state for this call.
-    k_tilde_virtual = [block.k_tilde(loss_rate_of) for block in blocks]
+    eats = eat_table(estimates, edts)
+    virtual_queue = dict.fromkeys(eats, 0)
+    k_tilde_virtual, demand = expected_symbols(blocks, loss_rate_of, margin)
     gains = {
-        estimate.subflow_id: max(1.0 - loss_rate_of(estimate.subflow_id), 1e-3)
-        for estimate in estimates
+        subflow_id: max(1.0 - loss_rate_of(subflow_id), 1e-3) for subflow_id in eats
     }
 
     result = AllocationResult()
     start_index = 0
     # Generous safety bound: total residual demand plus one pass per flow.
-    if max_iterations is None:
-        total_demand = sum(
-            max(0, int(block.k + margin - kt) + 1)
-            for block, kt in zip(blocks, k_tilde_virtual)
-        )
-        max_iterations = total_demand + len(estimates) + 16
-
+    max_iterations = demand + len(estimates) + 16
     while True:
         result.iterations += 1
         if result.iterations > max_iterations:
@@ -187,16 +224,18 @@ def _allocate(
                 f"virtual allocation did not converge after {max_iterations} "
                 f"iterations (pending subflow {pending_subflow_id})"
             )
-        chosen_id = min(eats, key=lambda subflow_id: (eats[subflow_id], subflow_id))
+        # Minimum EAT, ties to the lower id.
+        chosen_id, best = None, 0.0
+        for subflow_id, value in eats.items():
+            if (
+                chosen_id is None
+                or value < best
+                or (value == best and subflow_id < chosen_id)
+            ):
+                chosen_id, best = subflow_id, value
         vector, assigned, start_index = _fill_packet(
-            blocks=blocks,
-            k_tilde_virtual=k_tilde_virtual,
-            start_index=start_index if optimised else 0,
-            gain=gains[chosen_id],
-            margin=margin,
-            mss=mss,
-            symbol_wire_size=symbol_wire_size,
-            advance_pointer=optimised,
+            blocks, k_tilde_virtual, start_index, gains[chosen_id],
+            margin, mss, symbol_wire_size,
         )
         if assigned == 0:
             # No block needs symbols any more (all δ̂-complete virtually):
@@ -211,28 +250,6 @@ def _allocate(
         eats[chosen_id] = eat(
             estimate_by_id[chosen_id], edts[chosen_id], virtual_queue[chosen_id]
         )
-
-
-def allocate_packet(
-    pending_subflow_id: int,
-    estimates: Sequence[PathEstimate],
-    blocks: Sequence[PendingBlock],
-    loss_rate_of: Callable[[int], float],
-    mss: int,
-    symbol_wire_size: int,
-    margin: float,
-) -> AllocationResult:
-    """Algorithm 1 with the first-incomplete-block pointer optimisation."""
-    return _allocate(
-        pending_subflow_id,
-        estimates,
-        blocks,
-        loss_rate_of,
-        mss,
-        symbol_wire_size,
-        margin,
-        optimised=True,
-    )
 
 
 def allocate_packet_greedy(
@@ -252,16 +269,9 @@ def allocate_packet_greedy(
     deliver them sooner.
     """
     gain = max(1.0 - loss_rate_of(pending_subflow_id), 1e-3)
-    k_tilde_virtual = [block.k_tilde(loss_rate_of) for block in blocks]
+    k_tilde_virtual, __ = expected_symbols(blocks, loss_rate_of, margin)
     vector, assigned, __ = _fill_packet(
-        blocks=blocks,
-        k_tilde_virtual=k_tilde_virtual,
-        start_index=0,
-        gain=gain,
-        margin=margin,
-        mss=mss,
-        symbol_wire_size=symbol_wire_size,
-        advance_pointer=False,
+        blocks, k_tilde_virtual, 0, gain, margin, mss, symbol_wire_size
     )
     result = AllocationResult(iterations=1)
     if assigned:
@@ -278,14 +288,40 @@ def allocate_packet_reference(
     symbol_wire_size: int,
     margin: float,
 ) -> AllocationResult:
-    """Literal Algorithm 1: rescans the block list from b₁ every iteration."""
-    return _allocate(
-        pending_subflow_id,
-        estimates,
-        blocks,
-        loss_rate_of,
-        mss,
-        symbol_wire_size,
-        margin,
-        optimised=False,
+    """Literal Algorithm 1, the oracle :func:`allocate_packet` is tested
+    against: every quantity comes from its public single-item form, and
+    the block list is rescanned from b₁ every iteration."""
+    estimate_by_id = _estimates_by_id(
+        pending_subflow_id, estimates, mss, symbol_wire_size
     )
+    edts = edt_for_flows(estimates)
+    eats = eat_table(estimates)
+    virtual_queue = dict.fromkeys(eats, 0)
+    k_tilde_virtual = [block.k_tilde(loss_rate_of) for block in blocks]
+    result = AllocationResult()
+    max_iterations = len(estimates) + 16 + sum(
+        max(0, int(block.k + margin - kt) + 1)
+        for block, kt in zip(blocks, k_tilde_virtual)
+    )
+    while True:
+        result.iterations += 1
+        if result.iterations > max_iterations:
+            raise AllocationError(
+                f"reference allocation did not converge after {max_iterations} "
+                f"iterations (pending subflow {pending_subflow_id})"
+            )
+        chosen_id = min(eats, key=lambda subflow_id: (eats[subflow_id], subflow_id))
+        gain = max(1.0 - loss_rate_of(chosen_id), 1e-3)
+        vector, assigned, __ = _fill_packet(
+            blocks, k_tilde_virtual, 0, gain, margin, mss, symbol_wire_size
+        )
+        if assigned == 0:
+            return result
+        if chosen_id == pending_subflow_id:
+            result.vector = vector
+            return result
+        result.virtual_packets[chosen_id] = result.virtual_packets.get(chosen_id, 0) + 1
+        virtual_queue[chosen_id] += 1
+        eats[chosen_id] = eat(
+            estimate_by_id[chosen_id], edts[chosen_id], virtual_queue[chosen_id]
+        )

@@ -133,6 +133,8 @@ class BlockManager:
         self._trace = trace
         self._clock = clock
         self._pending: List[PendingBlock] = []
+        # block_id -> block for everything in _pending, kept in step with it.
+        self._by_id: Dict[int, PendingBlock] = {}
         # Nonzero when restoring from a recovery checkpoint: block ids
         # below the cursor were confirmed delivered in a previous epoch
         # (the source must be rewound to the matching stream offset).
@@ -147,10 +149,7 @@ class BlockManager:
         return self._pending
 
     def block_by_id(self, block_id: int) -> Optional[PendingBlock]:
-        for block in self._pending:
-            if block.block_id == block_id:
-                return block
-        return None
+        return self._by_id.get(block_id)
 
     def replenish(self) -> None:
         """Pull new blocks from the source up to the pending limit."""
@@ -159,6 +158,7 @@ class BlockManager:
             if block is None:
                 return
             self._pending.append(block)
+            self._by_id[block.block_id] = block
 
     def _create_block(self) -> Optional[PendingBlock]:
         pulled: Union[int, bytes, None] = self.source.pull(self.config.block_bytes)
@@ -215,12 +215,12 @@ class BlockManager:
 
     def mark_decoded(self, block_id: int) -> Optional[PendingBlock]:
         """Receiver confirmed decode; retire the block from the pending set."""
-        for index, block in enumerate(self._pending):
-            if block.block_id == block_id:
-                block.decoded = True
-                self.blocks_completed += 1
-                return self._pending.pop(index)
-        return None
+        block = self._by_id.pop(block_id, None)
+        if block is not None:
+            block.decoded = True
+            self.blocks_completed += 1
+            self._pending.remove(block)
+        return block
 
     def update_k_bar(self, block_id: int, k_bar: int, epoch: int = 0) -> None:
         """Fold a k̄ report from an ACK into sender state.
@@ -232,7 +232,7 @@ class BlockManager:
         allocator starts feeding replacement symbols again. Reports from
         older epochs are stale and ignored.
         """
-        block = self.block_by_id(block_id)
+        block = self._by_id.get(block_id)
         if block is None:
             return
         if epoch > block.quarantine_epoch:

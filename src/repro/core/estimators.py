@@ -16,7 +16,7 @@ These are the quantities Algorithm 1 ranks subflows by:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,16 @@ def eat(
     return max(edt + waiting_packets * rt - estimate.tau, 0.0)
 
 
-def eat_table(estimates: Sequence[PathEstimate]) -> Dict[int, float]:
-    """Initial EAT per subflow (no virtual assignments yet)."""
-    edts = edt_for_flows(estimates)
+def eat_table(
+    estimates: Sequence[PathEstimate], edts: Optional[Dict[int, float]] = None
+) -> Dict[int, float]:
+    """Initial EAT per subflow (no virtual assignments yet).
+
+    A caller that already holds ``edt_for_flows(estimates)`` passes it as
+    ``edts`` so one allocation round derives the EDTs once.
+    """
+    if edts is None:
+        edts = edt_for_flows(estimates)
     return {
         estimate.subflow_id: eat(estimate, edts[estimate.subflow_id])
         for estimate in estimates
@@ -102,14 +109,5 @@ def eat_table(estimates: Sequence[PathEstimate]) -> Dict[int, float]:
 
 def rank_paths_by_sedt(estimates: Sequence[PathEstimate]) -> List[int]:
     """Subflow ids ordered best-first by SEDT (Theorem 2's quality order)."""
-    return sorted(
-        (estimate.subflow_id for estimate in estimates),
-        key=lambda subflow_id: (
-            next(
-                sedt(e.rtt, e.loss, e.rto)
-                for e in estimates
-                if e.subflow_id == subflow_id
-            ),
-            subflow_id,
-        ),
-    )
+    ranked = sorted((sedt(e.rtt, e.loss, e.rto), e.subflow_id) for e in estimates)
+    return [subflow_id for __, subflow_id in ranked]

@@ -206,10 +206,9 @@ class FmtcpReceiver:
                     self.symbols_redundant += 1
                 self.symbols_received += 1
         else:
-            for __ in range(group.count):
-                if not decoder.add_symbol():
-                    self.symbols_redundant += 1
-                self.symbols_received += 1
+            # Symbol-less groups only exist in statistical mode (rank model).
+            self.symbols_redundant += group.count - decoder.add_symbols(group.count)
+            self.symbols_received += group.count
         if getattr(decoder, "poisoned", False):
             # A contradictory GF(2) row proved a corrupted symbol sits in
             # (or just hit) the basis. The culprit is unidentifiable, so

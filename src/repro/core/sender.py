@@ -12,7 +12,7 @@ no inter-path coordination.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import (
     AllocationRequest,
@@ -136,20 +136,39 @@ class FmtcpSender(SubflowOwner):
         estimate = max(aged, self.config.loss_estimate_floor)
         return min(estimate, _MAX_LOSS)
 
-    def path_estimates(self, include_suspect: bool = False) -> List[PathEstimate]:
-        """Snapshots for the allocator.
+    def loss_snapshot(self) -> Dict[int, float]:
+        """``loss_rate_of`` of every attached subflow, evaluated once.
+
+        The estimate depends only on subflow state and ``sim.now``, neither
+        of which moves within one transmission opportunity, so a round
+        reads this instead of re-deriving the aged estimate per use.
+        """
+        return {
+            subflow.subflow_id: self.loss_rate_of(subflow.subflow_id)
+            for subflow in self.subflows
+        }
+
+    def path_estimates(
+        self,
+        include_suspect: bool = False,
+        losses: Optional[Dict[int, float]] = None,
+    ) -> List[PathEstimate]:
+        """Snapshots for the allocator (``losses``: this round's
+        :meth:`loss_snapshot`, taken here when the caller holds none).
 
         Potentially-failed subflows are excluded by default: until one of
         their probes is acknowledged, Algorithm 1 must not count on them
         to deliver symbols (their stale RTT would otherwise keep winning
         EAT comparisons while everything they carry evaporates).
         """
+        if losses is None:
+            losses = self.loss_snapshot()
         return [
             PathEstimate(
                 subflow_id=subflow.subflow_id,
                 rtt=subflow.srtt,
                 rto=subflow.rto_value,
-                loss=self.loss_rate_of(subflow.subflow_id),
+                loss=losses[subflow.subflow_id],
                 window_space=subflow.window_space,
                 tau=subflow.tau,
             )
@@ -265,11 +284,15 @@ class FmtcpSender(SubflowOwner):
                 vector=[(pending[0].block_id, self.config.symbols_per_packet)]
             )
             return self._build_packet(subflow, result)
+        # One loss snapshot serves the whole round. A removed subflow's id
+        # can linger in per-block accounting; it reads as maximally lossy,
+        # as loss_rate_of would answer.
+        losses = self.loss_snapshot()
         request = AllocationRequest(
             pending_subflow_id=subflow.subflow_id,
-            estimates=self.path_estimates(),
+            estimates=self.path_estimates(losses=losses),
             blocks=pending,
-            loss_rate_of=self.loss_rate_of,
+            loss_rate_of=lambda subflow_id: losses.get(subflow_id, _MAX_LOSS),
             mss=self.config.mss,
             symbol_wire_size=self.config.symbol_wire_size,
             margin=self.margin,

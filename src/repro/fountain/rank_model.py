@@ -85,5 +85,29 @@ class RankEvolutionModel:
         self._rank += 1
         return True
 
+    def add_symbols(self, count: int) -> int:
+        """``count`` fresh symbols at once; returns how many raised the rank.
+
+        Draws exactly the random values ``count`` calls of
+        :meth:`add_symbol` would, in the same order, so the two are
+        interchangeable mid-stream.
+        """
+        rank = self._rank
+        k = self.k
+        denominator = self._denominator
+        draw = self._rng.random
+        remaining = count
+        while remaining and rank < k:
+            remaining -= 1
+            p_dependent = (2.0**rank - 1.0) / denominator
+            if p_dependent > 0.0 and draw() < p_dependent:
+                continue
+            rank += 1
+        independent = rank - self._rank
+        self._rank = rank
+        self.symbols_received += count
+        self.symbols_redundant += count - independent
+        return independent
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankEvolutionModel k={self.k} rank={self._rank}>"

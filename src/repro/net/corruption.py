@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from typing import Any, Optional, Tuple
 
-from repro.net.integrity import payload_digest, seal
+from repro.net.integrity import payload_digest, seal, stamp
 from repro.net.packet import Packet
 
 #: Damage effects a corruption model can apply.
@@ -78,6 +78,9 @@ class CorruptedPayload:
 
 def _mutate_packet(packet: Packet, effect: str, rng: random.Random, evade_crc: float):
     """One damaged copy/wrap of ``packet`` (never the original object)."""
+    # A deferred seal becomes the pristine packet's real CRC here, before
+    # any copy is made, so the damaged copy carries a checksum it can fail.
+    stamp(packet)
     if effect == "bitflip" and evade_crc > 0.0 and rng.random() < evade_crc:
         mutate = getattr(packet.payload, "integrity_mutate", None)
         mutated = mutate(rng) if mutate is not None else None

@@ -9,13 +9,15 @@ canonical byte rendering of the payload obtained through the duck-typed
 one covering exactly its immutable wire-relevant fields).
 
 ``seal`` stamps :attr:`Packet.checksum`; ``verify`` recomputes and
-compares. The corruption models in :mod:`repro.net.corruption` attack
-the invariant from the other side: *detectable* corruption changes the
-payload (so the digest changes and the stale checksum no longer
-matches), while *CRC-evading* corruption mutates the payload and then
-re-seals — modelling a checksum collision — so that only end-to-end
-defenses (MPTCP's DSS checksum, FMTCP's block CRC and GF(2)
-inconsistency detection) can catch it.
+compares. The transports use ``seal_deferred``, which promises the same
+checksum but computes it only if a corruption model is about to damage
+the packet (``stamp``), so a clean link hashes nothing. The corruption
+models in :mod:`repro.net.corruption` attack the invariant from the
+other side: *detectable* corruption changes the payload (so the digest
+changes and the stale checksum no longer matches), while *CRC-evading*
+corruption mutates the payload and then re-seals — modelling a checksum
+collision — so that only end-to-end defenses (MPTCP's DSS checksum,
+FMTCP's block CRC and GF(2) inconsistency detection) can catch it.
 
 An unsealed packet (``checksum is None``) always verifies: integrity is
 opt-in per transport, and raw packets built by unit tests keep working.
@@ -32,6 +34,10 @@ from typing import Any
 from repro.net.packet import Packet
 
 _HEADER = struct.Struct(">I")
+
+#: ``Packet.checksum`` of a packet sealed by :func:`seal_deferred`. A CRC32
+#: is never negative, so the marker cannot collide with a stamped value.
+DEFERRED = -1
 
 
 def payload_digest(payload: Any) -> bytes:
@@ -94,13 +100,35 @@ def seal(packet: Packet) -> Packet:
     return packet
 
 
+def seal_deferred(packet: Packet) -> Packet:
+    """Mark the packet sealed without hashing it; returns the packet.
+
+    The transports seal with this. A packet's wire fields never change
+    after it is sent except in :mod:`repro.net.corruption`, which calls
+    :func:`stamp` on the still-pristine packet before it clones or damages
+    it — so the CRC a deferred seal stands for is computed exactly when
+    some copy could fail it, and a clean link computes none.
+    """
+    packet.checksum = DEFERRED
+    return packet
+
+
+def stamp(packet: Packet) -> None:
+    """Replace a deferred seal by the real CRC of the packet as it is now."""
+    if packet.checksum == DEFERRED:
+        packet.checksum = packet_checksum(packet)
+
+
 def verify(packet: Packet) -> bool:
     """True iff the packet is unsealed or its checksum still matches.
 
-    ``getattr`` rather than attribute access: handlers are fed duck-typed
-    packet stand-ins in unit tests, and anything without a ``checksum``
-    field is by definition unsealed.
+    A deferred seal that was never stamped means nothing has damaged the
+    packet, so it matches by construction. ``getattr`` rather than
+    attribute access: handlers are fed duck-typed packet stand-ins in unit
+    tests, and anything without a ``checksum`` field is by definition
+    unsealed.
     """
-    if getattr(packet, "checksum", None) is None:
+    checksum = getattr(packet, "checksum", None)
+    if checksum is None or checksum == DEFERRED:
         return True
-    return packet.checksum == packet_checksum(packet)
+    return checksum == packet_checksum(packet)

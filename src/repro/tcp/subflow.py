@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.net.integrity import payload_digest, seal, verify
+from repro.net.integrity import payload_digest, seal_deferred, verify
 from repro.net.packet import Packet
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
@@ -243,10 +243,11 @@ class Subflow:
     @property
     def tau(self) -> float:
         """Time since the oldest unacknowledged packet was sent (τ_f)."""
-        if not self._outstanding:
-            return 0.0
-        oldest = min(info.sent_at for info in self._outstanding.values())
-        return self.sim.now - oldest
+        # _outstanding keeps insertion order, which is send order, and ACKs
+        # and losses only delete: its first entry is always the oldest.
+        for info in self._outstanding.values():
+            return self.sim.now - info.sent_at
+        return 0.0
 
     @property
     def next_seq(self) -> int:
@@ -353,7 +354,7 @@ class Subflow:
             payload=SubflowSegment(seq, payload),
             flow_label=f"sf{self.subflow_id}",
         )
-        seal(packet)
+        seal_deferred(packet)
         packet.sent_at = self.sim.now
         self.last_transmit_at = self.sim.now
         self.packets_sent += 1
@@ -626,7 +627,7 @@ class SubflowSink:
             payload=SubflowAck(segment.seq, feedback),
             flow_label=f"ack{self.subflow_id}",
         )
-        self.path.send_reverse(seal(ack_packet))
+        self.path.send_reverse(seal_deferred(ack_packet))
 
     def close(self) -> None:
         self.dst_node.unbind(self._dst_port)

@@ -11,6 +11,7 @@ from repro.core.allocation import (
     allocate_packet,
     allocate_packet_greedy,
     allocate_packet_reference,
+    expected_symbols,
 )
 from repro.core.blocks import PendingBlock
 from repro.core.estimators import PathEstimate
@@ -232,35 +233,83 @@ def test_greedy_respects_r1():
 
 
 # ----------------------------------------------------------------------
-# Optimised vs reference equivalence (property).
+# Production allocator vs the literal Algorithm 1 oracle (differential).
 # ----------------------------------------------------------------------
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_property_optimised_matches_reference(data):
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**31)))
-    n_flows = rng.randint(1, 4)
-    n_blocks = rng.randint(0, 10)
-    spec = [
-        {
-            "rtt": rng.uniform(0.01, 1.0),
-            "rto": rng.uniform(1.0, 3.0) * 0.5,
-            "loss": rng.uniform(0.0, 0.5),
-            "window_space": rng.randint(0, 6),
-            "tau": rng.uniform(0.0, 0.3),
-        }
-        for __ in range(n_flows)
-    ]
-    estimates = make_estimates(spec)
-    blocks = make_blocks(n_blocks, k=rng.choice([8, 32, 64]))
-    for block in blocks:
-        block.k_bar = rng.randint(0, block.k)
-        for subflow_id in range(n_flows):
-            if rng.random() < 0.5:
-                block.record_sent(subflow_id, rng.randint(0, 20), now=0.0)
-    pending = rng.randrange(n_flows)
-    fast = allocate(pending, estimates, blocks, fn=allocate_packet)
-    reference = allocate(pending, estimates, blocks, fn=allocate_packet_reference)
+@st.composite
+def allocation_rounds(draw):
+    """One allocation round: estimates, blocks with live in-flight state
+    (zero counts and ids of since-removed subflows included), a loss map
+    covering every id, and the pending subflow."""
+    n_flows = draw(st.integers(min_value=1, max_value=4))
+    estimates = make_estimates(
+        [
+            {
+                "rtt": draw(st.floats(min_value=0.01, max_value=1.0)),
+                "rto": draw(st.floats(min_value=0.2, max_value=3.0)),
+                "loss": draw(st.floats(min_value=0.0, max_value=0.6)),
+                "window_space": draw(st.integers(min_value=0, max_value=6)),
+                "tau": draw(st.floats(min_value=0.0, max_value=0.3)),
+            }
+            for __ in range(n_flows)
+        ]
+    )
+    # Ids n_flows and n_flows + 1 stand for subflows removed at runtime:
+    # absent from the estimates, still present in per-block accounting.
+    flow_ids = st.integers(min_value=0, max_value=n_flows + 1)
+    losses = {estimate.subflow_id: estimate.loss for estimate in estimates}
+    losses[n_flows] = losses[n_flows + 1] = 0.95
+    blocks = []
+    for block_id in range(draw(st.integers(min_value=0, max_value=10))):
+        k = draw(st.sampled_from([1, 8, 32, 64]))
+        block = PendingBlock(block_id=block_id, k=k, data_bytes=k * 32)
+        block.k_bar = draw(st.integers(min_value=0, max_value=k + 12))
+        block.in_flight = draw(
+            st.dictionaries(flow_ids, st.integers(min_value=0, max_value=40))
+        )
+        blocks.append(block)
+    pending = draw(st.integers(min_value=0, max_value=n_flows - 1))
+    return pending, estimates, blocks, losses
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_=allocation_rounds())
+def test_property_optimised_matches_reference(round_):
+    pending, estimates, blocks, losses = round_
+    fast, reference = (
+        fn(
+            pending_subflow_id=pending,
+            estimates=estimates,
+            blocks=blocks,
+            loss_rate_of=losses.__getitem__,
+            mss=MSS,
+            symbol_wire_size=WIRE,
+            margin=MARGIN,
+        )
+        for fn in (allocate_packet, allocate_packet_reference)
+    )
     assert fast.vector == reference.vector
+    assert fast.virtual_packets == reference.virtual_packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_=allocation_rounds())
+def test_batched_k_tilde_is_bit_identical_to_the_single_block_form(round_):
+    """Same summation order, so ``==`` on the floats, not ``approx`` — and
+    the loss callable is consulted once per subflow id, not per use."""
+    __, __, blocks, losses = round_
+    asked = []
+
+    def loss_rate_of(subflow_id):
+        asked.append(subflow_id)
+        return losses[subflow_id]
+
+    k_tildes, demand = expected_symbols(blocks, loss_rate_of, MARGIN)
+    assert len(asked) == len(set(asked))
+    assert k_tildes == [block.k_tilde(losses.__getitem__) for block in blocks]
+    assert demand == sum(
+        max(0, int(block.k + MARGIN - k_tilde) + 1)
+        for block, k_tilde in zip(blocks, k_tildes)
+    )
 
 
 @settings(max_examples=40, deadline=None)

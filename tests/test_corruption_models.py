@@ -7,13 +7,14 @@ import random
 import pytest
 
 from repro.net.corruption import (
+    CORRUPTION_EFFECTS,
     BernoulliCorruption,
     CorruptedPayload,
     GilbertElliottCorruption,
     NoCorruption,
     corrupt_packet,
 )
-from repro.net.integrity import seal, verify
+from repro.net.integrity import seal, seal_deferred, verify
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -197,3 +198,65 @@ def test_link_without_model_leaves_packets_alone():
     sim.run(until=1.0)
     assert link.packets_corrupted == 0
     assert received == [packet]
+
+
+# ----------------------------------------------------------------------
+# Deferred sealing: what the transports use must be indistinguishable
+# from an eager CRC wherever a corruption model can look.
+# ----------------------------------------------------------------------
+def _gated_models():
+    yield lambda **kw: BernoulliCorruption(0.5, **kw)
+    yield lambda **kw: GilbertElliottCorruption(
+        p_gb=0.3, p_bg=0.3, corrupt_good=0.1, corrupt_bad=0.8, **kw
+    )
+
+
+@pytest.mark.parametrize("make_model", _gated_models(), ids=["bernoulli", "ge"])
+@pytest.mark.parametrize("evade_crc", [0.0, 1.0])
+@pytest.mark.parametrize("effect", CORRUPTION_EFFECTS)
+def test_deferred_seal_matches_eager_seal(effect, evade_crc, make_model):
+    eager_model = make_model(effect=effect, evade_crc=evade_crc)
+    deferred_model = make_model(effect=effect, evade_crc=evade_crc)
+    eager_rng, deferred_rng = random.Random(11), random.Random(11)
+    damaged = 0
+    for index in range(200):
+        # Even packets carry an int, which cannot deep-mutate: evasion
+        # downgrades to detectable corruption on them.
+        payload = _MutablePayload(b"secret-%d" % index) if index % 2 else index
+        eager = seal(Packet(100, "a", "b", 1, 2, payload=payload))
+        deferred = seal_deferred(Packet(100, "a", "b", 1, 2, payload=payload))
+        assert verify(deferred)
+        eager_out = eager_model.apply(eager, 0.0, eager_rng)
+        deferred_out = deferred_model.apply(deferred, 0.0, deferred_rng)
+        assert eager_rng.getstate() == deferred_rng.getstate()
+        assert (eager_out is None) == (deferred_out is None)
+        # Whatever happened, the sender's own packet is still clean.
+        assert verify(deferred) and deferred.payload is payload
+        if eager_out is None:
+            continue
+        damaged += 1
+        assert len(eager_out) == len(deferred_out)
+        for eager_packet, deferred_packet in zip(eager_out, deferred_out):
+            assert verify(eager_packet) == verify(deferred_packet)
+            assert eager_packet.size == deferred_packet.size
+            assert type(eager_packet.payload) is type(deferred_packet.payload)
+        if effect == "duplicate":
+            assert deferred_out[0] is deferred  # the pristine copy
+        elif effect == "truncate" or evade_crc == 0.0 or index % 2 == 0:
+            assert not verify(deferred_out[0])
+    assert damaged > 20
+
+
+def test_deferred_seal_hashes_nothing_until_damage(monkeypatch):
+    from repro.net import integrity
+
+    calls = []
+    real = integrity.packet_checksum
+    monkeypatch.setattr(
+        integrity, "packet_checksum", lambda packet: calls.append(packet) or real(packet)
+    )
+    packet = seal_deferred(Packet(100, "a", "b", 1, 2, payload=b"data"))
+    assert verify(packet) and verify(packet.clone()) and calls == []
+    (damaged,) = corrupt_packet(packet, "bitflip", random.Random(1))
+    assert calls == [packet]  # stamped while still pristine, before cloning
+    assert not verify(damaged) and verify(packet)

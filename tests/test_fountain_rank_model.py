@@ -145,3 +145,26 @@ def test_model_matches_real_decoder_dependence_rate_at_partial_rank():
 
     p_dep = (2.0**r - 1.0) / (2.0**k - 1.0)
     assert dependent / probes == pytest.approx(p_dep, rel=0.1)
+
+
+# ----------------------------------------------------------------------
+# Batched form.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_add_symbols_equals_repeated_add_symbol(k):
+    """Same rank, same counters and the same RNG position after every
+    batch, including batches that straddle and follow completion."""
+    for seed in range(20):
+        one, many = random.Random(seed), random.Random(seed)
+        single = RankEvolutionModel(k, rng=one)
+        batched = RankEvolutionModel(k, rng=many)
+        sizes = random.Random(seed + 1000)
+        while batched.symbols_received < 2 * k + 8:
+            count = sizes.randint(0, k // 2 + 3)
+            independent = sum(single.add_symbol() for __ in range(count))
+            assert batched.add_symbols(count) == independent
+            assert batched.independent_symbols == single.independent_symbols
+            assert batched.symbols_received == single.symbols_received
+            assert batched.symbols_redundant == single.symbols_redundant
+            assert batched.is_complete == single.is_complete
+            assert many.random() == one.random()

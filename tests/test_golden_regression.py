@@ -313,3 +313,87 @@ def test_trace_knobs_default_off():
 
     for harness in (run_chaos, run_corruption):
         assert "trace_spec" not in inspect.signature(harness).parameters
+
+
+def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch):
+    """Transports seal without hashing; the CRC is computed only for a
+    packet a corruption model is about to damage. So a clean-network
+    transfer computes zero packet CRCs yet delivers the bytes and reports
+    the ``corruption_stats()`` an eagerly sealing build does, and the
+    ``bit_rot`` (one flip in five evades the CRC) and ``truncation_storm``
+    presets — whose ``corrupt`` fault attaches its model at t = 8 s, with
+    whole windows already in flight — count exactly what the eagerly
+    sealing parent commit counted for this seed."""
+    import random
+
+    from repro.core.config import FmtcpConfig
+    from repro.core.connection import FmtcpConnection
+    from repro.faults import CORRUPTION_SCENARIOS
+    from repro.faults.corruption import run_corruption
+    from repro.net import integrity
+    from repro.net.topology import PathConfig, build_two_path_network
+    from repro.sim.rng import RngStreams
+    from repro.tcp import subflow as subflow_module
+    from repro.workloads.sources import RandomPayloadSource
+
+    crcs = []
+    real_checksum = integrity.packet_checksum
+    monkeypatch.setattr(
+        integrity,
+        "packet_checksum",
+        lambda packet: crcs.append(packet.uid) or real_checksum(packet),
+    )
+
+    def clean_transfer():
+        del crcs[:]
+        configs = [PathConfig(bandwidth_bps=4e6, delay_s=0.02) for __ in range(2)]
+        network, paths = build_two_path_network(configs, rng=RngStreams(5))
+        delivered = []
+        source = RandomPayloadSource(40 * 8192, rng=random.Random(5))
+        connection = FmtcpConnection(
+            network.sim, paths, source, config=FmtcpConfig(coding="real"),
+            rng=RngStreams(5), sink=lambda block_id, data: delivered.append(data),
+        )
+        connection.start()
+        network.sim.run(until=10.0)
+        stats = connection.corruption_stats()
+        packets = sum(sf.packets_sent for sf in connection.subflows)
+        connection.close()
+        assert b"".join(delivered) == bytes(source.transcript)
+        assert len(delivered) == 40 and packets > 200
+        return delivered, stats, network.sim.events_processed, len(crcs)
+
+    deferred = clean_transfer()
+    with monkeypatch.context() as eager_build:
+        eager_build.setattr(subflow_module, "seal_deferred", integrity.seal)
+        eager = clean_transfer()
+    assert deferred[:3] == eager[:3]
+    assert not any(deferred[1].values())
+    assert deferred[3] == 0 and eager[3] > 400  # data + ACK, seal + verify
+
+    # Measured on the parent commit (eager seal in Subflow/SubflowSink).
+    parent = {
+        ("bit_rot", "fmtcp"): (7, {
+            "packets_discarded_corrupt": 3, "packets_rejected": 0,
+            "acks_discarded_corrupt": 3, "blocks_quarantined": 1,
+            "symbols_evicted": 256,
+        }),
+        ("bit_rot", "mptcp"): (5, {
+            "packets_discarded_corrupt": 1, "packets_rejected": 1,
+            "acks_discarded_corrupt": 3, "chunks_discarded_checksum": 1,
+        }),
+        ("truncation_storm", "fmtcp"): (15, {
+            "packets_discarded_corrupt": 11, "packets_rejected": 0,
+            "acks_discarded_corrupt": 4, "blocks_quarantined": 0,
+            "symbols_evicted": 0,
+        }),
+        ("truncation_storm", "mptcp"): (11, {
+            "packets_discarded_corrupt": 8, "packets_rejected": 0,
+            "acks_discarded_corrupt": 3, "chunks_discarded_checksum": 0,
+        }),
+    }
+    for (name, protocol), (corrupted, stats) in parent.items():
+        report = run_corruption(protocol, CORRUPTION_SCENARIOS[name](), seed=3)
+        assert report.ok, report.violations
+        assert report.packets_corrupted == corrupted, (name, protocol)
+        assert report.corruption_stats == stats, (name, protocol)

@@ -120,3 +120,38 @@ def test_custom_initial_ssthresh():
     cc.on_ack()
     cc.on_ack()  # cwnd 4 -> leaves slow start
     assert not cc.in_slow_start()
+
+
+def test_tau_equals_scan_after_reordered_acks_dupack_losses_and_rto():
+    """τ reads the head of ``_outstanding``; it must agree with a scan for
+    the minimum ``sent_at`` however the window got its holes."""
+    network, subflow, owner, __ = build(supply=60, delay=0.5, resend_lost=True)
+    sim = network.sim
+
+    def scanned_tau():
+        sent = [info.sent_at for info in subflow._outstanding.values()]
+        return sim.now - min(sent) if sent else 0.0
+
+    def ack(seq):
+        subflow._on_ack_packet(type("P", (), {"payload": SubflowAck(seq, None)})())
+        assert subflow.tau == scanned_tau()
+
+    subflow.cc.cwnd = 6.0
+    subflow.pump()  # seqs 0-5 leave at t=0
+    sim.run(until=0.1)
+    ack(3)  # out of order: the window refills at t=0.1 behind older packets
+    assert subflow.tau == pytest.approx(0.1)
+    sim.run(until=0.2)
+    ack(5)
+    ack(4)  # third ACK above 0, 1 and 2: dup-ACK losses, resent at t=0.2
+    assert subflow.packets_lost_dupack == 3
+    assert subflow.tau == pytest.approx(0.1)  # oldest is now the t=0.1 refill
+    sim.run(until=0.3)
+    subflow._on_rto()  # gives up on the whole window and refills it at t=0.3
+    assert subflow.packets_lost_timeout > 0
+    assert subflow.tau == scanned_tau() == 0.0
+    # From here the real ACK clock runs; check at every step to the end.
+    while subflow.in_flight and sim.now < 120.0:
+        sim.run(until=sim.now + 0.05)
+        assert subflow.tau == scanned_tau()
+    assert subflow.in_flight == 0 and subflow.tau == 0.0
