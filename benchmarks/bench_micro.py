@@ -49,6 +49,19 @@ def test_decode_throughput_full_block(benchmark):
     assert recovered == data
 
 
+def test_solve_only_full_block(benchmark):
+    """Back-substitution alone (the table kernel), apart from the row
+    inserts that dominate the full decode above."""
+    data = bytes(range(256)) * (K * PART // 256)
+    encoder = BlockEncoder(data, k=K, part_size=PART, rng=random.Random(1))
+    decoder = BlockDecoder(k=K, part_size=PART, data_length=len(data))
+    while not decoder.is_complete:
+        decoder.add_symbol(encoder.next_symbol())
+
+    recovered = benchmark(decoder.decode)
+    assert recovered == data
+
+
 def test_rank_model_throughput(benchmark):
     def absorb_block():
         model = RankEvolutionModel(K, rng=random.Random(2))

@@ -29,7 +29,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.blocks import PendingBlock
 from repro.core.estimators import PathEstimate, eat, eat_table, edt_for_flows
@@ -143,23 +143,35 @@ def _fill_packet(
     return vector, assigned_total, new_start
 
 
+class ExpectedSymbols(NamedTuple):
+    """One round's :func:`expected_symbols`."""
+
+    # k̃_b per pending block (Eq. 8), in block order.
+    k_tildes: List[float]
+    # Whole symbols still short of k̂ + margin, summed over blocks: bounds
+    # the virtual loop.
+    demand: int
+    # Index of the first block with k̃ < k̂ + margin — the first one
+    # ``_fill_packet`` would assign to — or ``len(blocks)`` when rule R1
+    # leaves nothing to send.
+    first_short: int
+
+
 def expected_symbols(
     blocks: Sequence[PendingBlock],
     loss_rate_of: Callable[[int], float],
     margin: float,
-) -> Tuple[List[float], int]:
+) -> ExpectedSymbols:
     """Eq. (8) for every pending block in one pass over ``in_flight``.
 
-    Returns ``(k̃ per block, residual demand)``. ``loss_rate_of`` is asked
-    once per subflow id; the summation order is that of
-    :meth:`PendingBlock.k_tilde`, so the floats are identical. The demand
-    (whole symbols still short of k̂ + margin, summed over blocks) bounds
-    the virtual loop.
+    ``loss_rate_of`` is asked once per subflow id; the summation order is
+    that of :meth:`PendingBlock.k_tilde`, so the floats are identical.
     """
     k_tildes: List[float] = []
     delivery: Dict[int, float] = {}
     demand = 0
-    for block in blocks:
+    first_short = len(blocks)
+    for index, block in enumerate(blocks):
         expected = float(block.k_bar)
         for subflow_id, count in block.in_flight.items():
             if count:
@@ -171,7 +183,9 @@ def expected_symbols(
         short = block.k + margin - expected
         if short > -1.0:
             demand += int(short) + 1
-    return k_tildes, demand
+            if short > 0.0 and index < first_short:
+                first_short = index
+    return ExpectedSymbols(k_tildes, demand, first_short)
 
 
 def _estimates_by_id(
@@ -196,11 +210,15 @@ def allocate_packet(
     mss: int,
     symbol_wire_size: int,
     margin: float,
+    expected: Optional[ExpectedSymbols] = None,
 ) -> AllocationResult:
     """Algorithm 1 with the first-incomplete-block pointer optimisation.
 
     Everything that is constant within one invocation — EDTs, live k̃_b,
     per-flow gains — is derived once up front; the loop only moves EATs.
+    ``expected`` is this round's :func:`expected_symbols` when the caller
+    has already taken it (its k̃ list is consumed); the first-incomplete
+    pointer starts at its first short block.
     """
     estimate_by_id = _estimates_by_id(
         pending_subflow_id, estimates, mss, symbol_wire_size
@@ -208,13 +226,14 @@ def allocate_packet(
     edts = edt_for_flows(estimates)
     eats = eat_table(estimates, edts)
     virtual_queue = dict.fromkeys(eats, 0)
-    k_tilde_virtual, demand = expected_symbols(blocks, loss_rate_of, margin)
+    if expected is None:
+        expected = expected_symbols(blocks, loss_rate_of, margin)
+    k_tilde_virtual, demand, start_index = expected
     gains = {
         subflow_id: max(1.0 - loss_rate_of(subflow_id), 1e-3) for subflow_id in eats
     }
 
     result = AllocationResult()
-    start_index = 0
     # Generous safety bound: total residual demand plus one pass per flow.
     max_iterations = demand + len(estimates) + 16
     while True:
@@ -269,9 +288,9 @@ def allocate_packet_greedy(
     deliver them sooner.
     """
     gain = max(1.0 - loss_rate_of(pending_subflow_id), 1e-3)
-    k_tilde_virtual, __ = expected_symbols(blocks, loss_rate_of, margin)
+    k_tilde_virtual, __, first_short = expected_symbols(blocks, loss_rate_of, margin)
     vector, assigned, __ = _fill_packet(
-        blocks, k_tilde_virtual, 0, gain, margin, mss, symbol_wire_size
+        blocks, k_tilde_virtual, first_short, gain, margin, mss, symbol_wire_size
     )
     result = AllocationResult(iterations=1)
     if assigned:

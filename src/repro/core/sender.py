@@ -20,6 +20,7 @@ from repro.core.allocation import (
     DecisionHook,
     allocate_packet,
     allocate_packet_greedy,
+    expected_symbols,
 )
 from repro.core.blocks import BlockManager
 from repro.core.config import FmtcpConfig
@@ -288,25 +289,45 @@ class FmtcpSender(SubflowOwner):
         # can linger in per-block accounting; it reads as maximally lossy,
         # as loss_rate_of would answer.
         losses = self.loss_snapshot()
-        request = AllocationRequest(
-            pending_subflow_id=subflow.subflow_id,
-            estimates=self.path_estimates(losses=losses),
-            blocks=pending,
-            loss_rate_of=lambda subflow_id: losses.get(subflow_id, _MAX_LOSS),
-            mss=self.config.mss,
-            symbol_wire_size=self.config.symbol_wire_size,
-            margin=self.margin,
-            now=self.sim.now,
-        )
-        if self.decision_hook is not None:
-            self.decisions_delegated += 1
-            result: AllocationResult = self.decision_hook(request)
-        else:
-            result = request.run(
-                allocate_packet
-                if self.config.allocation == "eat"
-                else allocate_packet_greedy
+
+        def loss_rate_of(subflow_id: int) -> float:
+            return losses.get(subflow_id, _MAX_LOSS)
+
+        if self.decision_hook is None and self.config.allocation == "eat":
+            # Rule R1 first: when no block is short of k̂ + margin nobody
+            # sends, and the paths need not be ranked to find that out.
+            expected = expected_symbols(pending, loss_rate_of, self.margin)
+            if expected.first_short == len(pending):
+                self.allocation_iterations += 1
+                return None
+            result = allocate_packet(
+                pending_subflow_id=subflow.subflow_id,
+                estimates=self.path_estimates(losses=losses),
+                blocks=pending,
+                loss_rate_of=loss_rate_of,
+                mss=self.config.mss,
+                symbol_wire_size=self.config.symbol_wire_size,
+                margin=self.margin,
+                expected=expected,
             )
+        else:
+            # A policy may change the margin or the losses, so it gets the
+            # whole request and k̃ is derived from what it passes on.
+            request = AllocationRequest(
+                pending_subflow_id=subflow.subflow_id,
+                estimates=self.path_estimates(losses=losses),
+                blocks=pending,
+                loss_rate_of=loss_rate_of,
+                mss=self.config.mss,
+                symbol_wire_size=self.config.symbol_wire_size,
+                margin=self.margin,
+                now=self.sim.now,
+            )
+            if self.decision_hook is not None:
+                self.decisions_delegated += 1
+                result = self.decision_hook(request)
+            else:
+                result = request.run(allocate_packet_greedy)
         self.allocation_iterations += result.iterations
         if result.is_empty():
             return None

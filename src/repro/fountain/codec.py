@@ -7,14 +7,21 @@ incremental Gaussian elimination (:mod:`repro.fountain.gf2`) once it holds
 ``k`` linearly independent symbols — Eq. (2) gives the failure probability
 ``2^(k - n)`` after ``n ≥ k`` received symbols.
 
-Parts are manipulated as big integers so that XOR-combining a symbol is a
-single operation regardless of symbol size.
+Parts are manipulated as big integers, so one XOR covers a whole part
+whatever the symbol size; which parts to XOR is read off the coefficient
+row four bits at a time from the encoder's table of part combinations
+(layout in :mod:`repro.fountain.gf2`). The table is built on the first
+encoded symbol: 11 new integers per four parts, ≈ 50 KB and ≈ 0.12 ms for
+k = 256 parts of 32 bytes, after which a symbol costs ≈ 4.4 µs instead of
+the ≈ 22 µs of a bit-at-a-time walk (``docs/performance.md``, PR 13).
 """
 
 from __future__ import annotations
 
 import random
 from typing import List, Optional
+
+from repro.fountain.gf2 import Gf2Eliminator, XorTable, xor_select, xor_table
 
 
 class Symbol:
@@ -88,17 +95,17 @@ class BlockEncoder:
         self.part_size = part_size
         self.data_length = len(data)
         self._parts = split_into_parts(data, k, part_size)
+        self._table: Optional[XorTable] = None
         self._rng = rng or random.Random()
         self.symbols_emitted = 0
 
     def _combine(self, coeff: int) -> int:
-        data = 0
-        remaining = coeff
-        while remaining:
-            bit = remaining.bit_length() - 1
-            data ^= self._parts[bit]
-            remaining &= ~(1 << bit)
-        return data
+        table = self._table
+        if table is None:
+            # Built on first use: a block that only ever emits its
+            # systematic parts, or none at all, never pays for it.
+            table = self._table = xor_table(self._parts)
+        return xor_select(table, coeff, (self.k + 7) // 8)
 
     def next_symbol(self) -> Symbol:
         """Draw a uniformly random non-zero coefficient row and emit a symbol."""
@@ -140,12 +147,11 @@ class BlockDecoder:
     """Recovers one block from a stream of symbols."""
 
     def __init__(self, k: int, part_size: int, data_length: Optional[int] = None):
-        from repro.fountain.gf2 import Gf2Eliminator
-
         self.k = k
         self.part_size = part_size
         self.data_length = data_length if data_length is not None else k * part_size
         self._eliminator = Gf2Eliminator(k)
+        self._data_limit = 1 << (8 * part_size)
         self.symbols_received = 0
         self.symbols_redundant = 0
 
@@ -170,6 +176,10 @@ class BlockDecoder:
         Redundant (linearly dependent) symbols are dropped, mirroring the
         receiver behaviour described in Section III-B.
         """
+        if not 0 <= symbol.data < self._data_limit:
+            raise ValueError(
+                f"symbol data does not fit a part of {self.part_size} bytes"
+            )
         self.symbols_received += 1
         independent = self._eliminator.add_row(symbol.coeff, symbol.data)
         if not independent:
@@ -178,8 +188,6 @@ class BlockDecoder:
 
     def decode(self) -> bytes:
         """Return the original block bytes (requires :attr:`is_complete`)."""
-        from repro.fountain.codec import join_parts
-
         parts = self._eliminator.solve()
         return join_parts(parts, self.part_size, self.data_length)
 

@@ -3,14 +3,16 @@
 The engine executes callbacks at simulated timestamps. Determinism is a
 hard requirement for the reproduction (every figure must be regenerable
 bit-for-bit from a seed), so ties in time are broken by a monotonically
-increasing insertion sequence number rather than by object identity.
+increasing insertion sequence number rather than by object identity. The
+heap holds ``(time, seq, event)`` tuples so that ordering is compared in
+C; ``seq`` is unique, so a comparison never reaches the event.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -38,11 +40,6 @@ class Event:
         """Mark the event so the scheduler skips it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq} fn={self.fn!r}{state}>"
@@ -59,7 +56,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -116,8 +113,8 @@ class Simulator:
                 f"cannot schedule in the past: {time!r} < now={self._now!r}"
             )
         event = Event(time, self._seq, fn, args)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def stop(self) -> None:
@@ -144,7 +141,7 @@ class Simulator:
         run_started_wall = time.perf_counter() if profiling_run else 0.0
         try:
             while self._heap and not self._stopped:
-                event = self._heap[0]
+                event = self._heap[0][2]
                 if event.cancelled:
                     heapq.heappop(self._heap)
                     continue
@@ -185,7 +182,7 @@ class Simulator:
         transports call this occasionally to bound memory.
         """
         before = len(self._heap)
-        live = [event for event in self._heap if not event.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(live)
         self._heap = live
         return before - len(live)

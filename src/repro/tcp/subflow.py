@@ -418,11 +418,14 @@ class Subflow:
 
     def _detect_dupack_losses(self, acked_seq: int) -> None:
         newly_lost = []
+        # _outstanding is in send order, so in ascending seq: nothing past
+        # the first later-sent packet can have been overtaken by this ACK.
         for seq, info in self._outstanding.items():
-            if seq < acked_seq:
-                info.higher_acks += 1
-                if info.higher_acks >= self.dup_ack_threshold:
-                    newly_lost.append(seq)
+            if seq > acked_seq:
+                break
+            info.higher_acks += 1
+            if info.higher_acks >= self.dup_ack_threshold:
+                newly_lost.append(seq)
         for seq in newly_lost:
             self._declare_lost(seq, "dupack")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import (
+    _fill_packet,
     allocate_packet,
     allocate_packet_greedy,
     allocate_packet_reference,
@@ -303,13 +304,48 @@ def test_batched_k_tilde_is_bit_identical_to_the_single_block_form(round_):
         asked.append(subflow_id)
         return losses[subflow_id]
 
-    k_tildes, demand = expected_symbols(blocks, loss_rate_of, MARGIN)
+    k_tildes, demand, __ = expected_symbols(blocks, loss_rate_of, MARGIN)
     assert len(asked) == len(set(asked))
     assert k_tildes == [block.k_tilde(losses.__getitem__) for block in blocks]
     assert demand == sum(
         max(0, int(block.k + MARGIN - k_tilde) + 1)
         for block, k_tilde in zip(blocks, k_tildes)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_=allocation_rounds())
+def test_first_short_index_is_where_fill_packet_starts(round_):
+    """The index ``next_payload`` settles rule R1 on is exactly the first
+    block ``_fill_packet`` would assign to from b₁ (``len(blocks)``: none),
+    and handing the round's table to the allocator changes nothing."""
+    pending, estimates, blocks, losses = round_
+    k_tildes, __, first_short = expected_symbols(blocks, losses.__getitem__, MARGIN)
+    vector, __, __ = _fill_packet(blocks, list(k_tildes), 0, 1.0, MARGIN, MSS, WIRE)
+    # allocation_rounds numbers its blocks by index.
+    assert first_short == (vector[0][0] if vector else len(blocks))
+    round_kwargs = dict(
+        pending_subflow_id=pending,
+        estimates=estimates,
+        blocks=blocks,
+        loss_rate_of=losses.__getitem__,
+        mss=MSS,
+        symbol_wire_size=WIRE,
+        margin=MARGIN,
+    )
+    assert allocate_packet(
+        **round_kwargs,
+        expected=expected_symbols(blocks, losses.__getitem__, MARGIN),
+    ) == allocate_packet(**round_kwargs)
+
+
+def test_first_short_index_at_the_exact_threshold():
+    """k̃ == k̂ + margin is complete (``_fill_packet`` assigns on ``<``)."""
+    blocks = make_blocks(3, k=8)
+    blocks[0].k_bar, blocks[1].k_bar, blocks[2].k_bar = 11, 10, 9
+    assert expected_symbols(blocks, lambda __: 0.0, 2.0) == ([11.0, 10.0, 9.0], 3, 2)
+    blocks[2].k_bar = 10
+    assert expected_symbols(blocks, lambda __: 0.0, 2.0)[2] == len(blocks)
 
 
 @settings(max_examples=40, deadline=None)

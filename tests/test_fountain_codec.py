@@ -105,6 +105,18 @@ def test_decoder_reports_k_bar_and_redundancy():
     assert decoder.symbols_received == 2
 
 
+def test_symbol_wider_than_a_part_is_rejected_on_arrival():
+    """Not later, as an ``OverflowError`` from inside ``decode()``."""
+    decoder = BlockDecoder(k=2, part_size=2)
+    for data in (1 << 16, -1):
+        with pytest.raises(ValueError, match="does not fit a part of 2 bytes"):
+            decoder.add_symbol(Symbol(0b01, data))
+    assert decoder.symbols_received == 0 and decoder.independent_symbols == 0
+    assert decoder.add_symbol(Symbol(0b01, (1 << 16) - 1))
+    assert decoder.add_symbol(Symbol(0b10, 0))
+    assert decoder.decode() == b"\xff\xff\x00\x00"
+
+
 def test_decode_before_complete_raises():
     decoder = BlockDecoder(k=4, part_size=4)
     with pytest.raises(ValueError):
@@ -146,6 +158,37 @@ def test_property_erasures_only_delay_decoding(seed):
             continue  # erased in transit
         decoder.add_symbol(symbol)
     assert decoder.decode() == data
+
+
+def test_full_rank_probability_matches_the_closed_form():
+    """ROADMAP 4a, first slice: the real codec against theory. After n
+    uniformly random rows a k-column GF(2) matrix has full rank with
+    probability ∏_{i<k} (1 − 2^(i−n)) (MacKay; "Random Linear Fountain Code
+    with Improved Decoding Success Probability", PAPERS.md). The encoder
+    redraws the all-zero row, which moves that by at most n·2^−k."""
+    k, extra, trials = 16, 6, 4000
+    rng = random.Random(20120618)
+    complete_after = [0] * (extra + 1)
+    for __ in range(trials):
+        encoder = BlockEncoder(rng.randbytes(2 * k), k=k, part_size=2, rng=rng)
+        decoder = BlockDecoder(k=k, part_size=2)
+        for __ in range(k - 1):
+            decoder.add_symbol(encoder.next_symbol())
+        for surplus in range(extra + 1):
+            decoder.add_symbol(encoder.next_symbol())
+            complete_after[surplus] += decoder.is_complete
+    for surplus, count in enumerate(complete_after):
+        n = k + surplus
+        theory = 1.0
+        for i in range(k):
+            theory *= 1.0 - 2.0 ** (i - n)
+        sigma = (theory * (1.0 - theory) / trials) ** 0.5
+        assert abs(count / trials - theory) <= 4 * sigma + n * 2.0**-k, (
+            f"k+{surplus}: measured {count / trials:.4f}, closed form {theory:.4f}"
+        )
+    # Eq. (2)'s reading of the same numbers: failure roughly halves per symbol.
+    assert complete_after == sorted(complete_after)
+    assert 0.25 < complete_after[0] / trials < 0.33  # 0.2888 at n = k
 
 
 def test_expected_overhead_is_small():

@@ -84,6 +84,17 @@ def test_coefficient_out_of_range_rejected():
         eliminator.add_row(-1, 0)
 
 
+def test_would_be_independent_rejects_what_add_row_rejects():
+    eliminator = Gf2Eliminator(4)
+    for coeff in (1 << 10, 1 << 4, -3):
+        with pytest.raises(ValueError, match="out of range for k=4"):
+            eliminator.would_be_independent(coeff)
+        with pytest.raises(ValueError, match="out of range for k=4"):
+            eliminator.add_row(coeff, 0)
+    assert eliminator.would_be_independent(0b1111)
+    assert eliminator.rows_seen == 0
+
+
 def test_k_validation():
     with pytest.raises(ValueError):
         Gf2Eliminator(0)
