@@ -1,9 +1,10 @@
-"""Micro-benchmarks — coding throughput and allocation cost.
+"""Micro-benchmarks — coding throughput, allocation cost, event loop.
 
-These are true pytest-benchmark measurements (multiple rounds) of the two
+These are true pytest-benchmark measurements (multiple rounds) of the
 hot paths: the GF(2) codec that bounds FMTCP's CPU cost (Section III-B's
-"coding complexity" constraint on k̂) and Algorithm 1's per-packet
-allocation cost.
+"coding complexity" constraint on k̂), Algorithm 1's per-packet
+allocation cost, and the two ``sim`` mechanisms every packet of either
+protocol crosses — the heap loop and the RTO timer restart.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from repro.core.blocks import PendingBlock
 from repro.core.estimators import PathEstimate
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.rank_model import RankEvolutionModel
+from repro.sim.engine import Simulator
+from repro.sim.timers import Timer
 
 K = 256
 PART = 32
@@ -135,3 +138,37 @@ def test_allocation_cost_scales(benchmark):
 
     result = benchmark(allocate)
     assert result.iterations >= 1
+
+
+EVENTS = 20_000
+
+
+def test_event_loop_throughput(benchmark):
+    """schedule + run of no-op events: the floor under every packet hop."""
+
+    def schedule_and_run():
+        sim = Simulator()
+        noop = int  # a C callable: the time measured is the engine's own
+        for index in range(EVENTS):
+            sim.schedule(index * 1e-3, noop)
+        sim.run()
+        return sim.events_processed
+
+    assert benchmark(schedule_and_run) == EVENTS
+
+
+def test_timer_restart_churn(benchmark):
+    """An ACK-clocked RTO timer: restarted to a later deadline by each of
+    EVENTS "ACKs" 1 ms apart, never expiring until they stop."""
+
+    def ack_clocked():
+        sim = Simulator()
+        expired = []
+        timer = Timer(sim, lambda: expired.append(sim.now))
+        for index in range(EVENTS):
+            sim.schedule(index * 1e-3, timer.restart, 0.2)
+        sim.run()
+        return expired
+
+    expired = benchmark(ack_clocked)
+    assert len(expired) == 1 and abs(expired[0] - ((EVENTS - 1) * 1e-3 + 0.2)) < 1e-9

@@ -27,13 +27,15 @@ class GoodputMeter:
         trace.subscribe("conn.delivered", self._on_delivered)
 
     def _on_delivered(self, record: TraceRecord) -> None:
-        size = record["bytes"]
+        size = record.fields["bytes"]
+        time = record.time
         self.total_bytes += size
-        self._bins[int(record.time / self.bin_width_s)] = (
-            self._bins.get(int(record.time / self.bin_width_s), 0) + size
-        )
-        self.first_delivery = min(self.first_delivery, record.time)
-        self.last_delivery = max(self.last_delivery, record.time)
+        index = int(time / self.bin_width_s)
+        self._bins[index] = self._bins.get(index, 0) + size
+        if time < self.first_delivery:
+            self.first_delivery = time
+        if time > self.last_delivery:
+            self.last_delivery = time
 
     def goodput_bps(self, duration_s: float) -> float:
         """Average goodput in bits/s over an experiment of ``duration_s``."""

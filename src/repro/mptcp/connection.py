@@ -113,11 +113,15 @@ def _dss_checksum(dsn: int, size: int, payload_bytes: Optional[bytes]) -> int:
 class Chunk:
     """One connection-level data unit (rides in exactly one packet).
 
-    ``dss_checksum`` is stamped at creation, covering the data-sequence
-    header and payload — MPTCP's connection-level integrity check. It
-    travels with the chunk, so a payload mutated in flight (even one that
-    re-seals the link CRC) no longer matches and is discarded by
-    :meth:`MptcpConnection._receiver_on_segment`.
+    ``dss_checksum`` covers the data-sequence header and payload —
+    MPTCP's connection-level integrity check. Like the link CRC
+    (``integrity.seal_deferred``) it is promised at creation and computed
+    only when some copy could fail it: a chunk's wire fields change only in
+    :meth:`integrity_mutate`, which stamps the pristine chunk's checksum
+    into the damaged copy. That copy (even in a packet that re-seals the
+    link CRC) no longer matches and is discarded by
+    :meth:`MptcpConnection._receiver_on_segment`; an unstamped chunk
+    (``None``) is undamaged by construction and is not re-hashed.
     """
 
     __slots__ = (
@@ -135,7 +139,7 @@ class Chunk:
         self.payload_bytes = payload_bytes
         self.first_sent_at = sent_at
         self.timeouts = 0
-        self.dss_checksum = _dss_checksum(dsn, size, payload_bytes)
+        self.dss_checksum: Optional[int] = None
 
     def integrity_digest(self) -> bytes:
         # Only immutable wire fields: first_sent_at/timeouts are sender
@@ -154,7 +158,10 @@ class Chunk:
         index = rng.randrange(len(data))
         data[index] ^= 1 << rng.randrange(8)
         mutated = Chunk(self.dsn, self.size, bytes(data), self.first_sent_at)
-        mutated.dss_checksum = self.dss_checksum
+        checksum = self.dss_checksum
+        if checksum is None:  # pristine; a damaged copy keeps the original's
+            checksum = _dss_checksum(self.dsn, self.size, self.payload_bytes)
+        mutated.dss_checksum = checksum
         return mutated
 
 
@@ -570,19 +577,22 @@ class MptcpConnection(SubflowOwner):
         else:
             size = int(pulled)
             payload_bytes = None
-        chunk = Chunk(self._next_dsn, size, payload_bytes, self.sim.now)
-        self._chunk_registry[chunk.dsn] = (subflow.subflow_id, chunk)
+        now = self.sim.now
+        dsn = self._next_dsn
+        chunk = Chunk(dsn, size, payload_bytes, now)
+        self._chunk_registry[dsn] = (subflow.subflow_id, chunk)
         self._last_chunk = chunk
-        self._next_dsn += 1
-        self._chunk_sizes[chunk.dsn] = size
-        block_id = self._block_of_offset(self._pulled_stream_bytes)
+        self._next_dsn = dsn + 1
+        self._chunk_sizes[dsn] = size
+        block_id = self._pulled_stream_bytes // self.config.block_bytes
         self._pulled_stream_bytes += size
-        self._block_first_tx.setdefault(block_id, self.sim.now)
-        if self.trace is not None and self.trace.has_subscribers("span.chunk_tx"):
-            self.trace.emit(
-                self.sim.now,
+        self._block_first_tx.setdefault(block_id, now)
+        trace = self.trace
+        if trace is not None and trace.has_subscribers("span.chunk_tx"):
+            trace.emit(
+                now,
                 "span.chunk_tx",
-                dsn=chunk.dsn,
+                dsn=dsn,
                 block=block_id,
                 subflow=subflow.subflow_id,
                 size=size,
@@ -703,9 +713,6 @@ class MptcpConnection(SubflowOwner):
     # Block accounting (paper Section V: stream partitioned into blocks
     # of the same length as FMTCP's, delay measured per block).
     # ------------------------------------------------------------------
-    def _block_of_offset(self, offset: int) -> int:
-        return offset // self.config.block_bytes
-
     def _emit_completed_blocks(self) -> None:
         while self._acked_bytes >= (self._completed_blocks + 1) * self.config.block_bytes:
             block_id = self._completed_blocks
@@ -728,7 +735,9 @@ class MptcpConnection(SubflowOwner):
     # ------------------------------------------------------------------
     def _receiver_on_segment(self, subflow_id: int, segment):
         chunk: Chunk = segment.payload
-        if chunk.dss_checksum != _dss_checksum(chunk.dsn, chunk.size, chunk.payload_bytes):
+        if chunk.dss_checksum is not None and chunk.dss_checksum != _dss_checksum(
+            chunk.dsn, chunk.size, chunk.payload_bytes
+        ):
             # Connection-level integrity failure (the corruption evaded the
             # link CRC). Returning False withholds the subflow ACK, so the
             # sender retransmits the chunk through the normal loss path.
@@ -763,8 +772,9 @@ class MptcpConnection(SubflowOwner):
                     limit=self.recv_window.limit,
                 )
             return False
-        if self.trace is not None and self.trace.has_subscribers("span.chunk_rx"):
-            self.trace.emit(
+        trace = self.trace
+        if trace is not None and trace.has_subscribers("span.chunk_rx"):
+            trace.emit(
                 self.sim.now,
                 "span.chunk_rx",
                 dsn=chunk.dsn,
@@ -790,8 +800,9 @@ class MptcpConnection(SubflowOwner):
             self.recv_window.on_drained(1)
         if self.sink is not None:
             self.sink(delivered)
-        if self.trace is not None and self.trace.has_subscribers("conn.delivered"):
-            self.trace.emit(
+        trace = self.trace
+        if trace is not None and trace.has_subscribers("conn.delivered"):
+            trace.emit(
                 self.sim.now,
                 "conn.delivered",
                 bytes=delivered.size,

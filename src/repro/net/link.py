@@ -174,7 +174,10 @@ class Link:
     def _start_transmission(self, packet: Packet) -> None:
         self._busy = True
         self.packets_sent += 1
-        self.sim.schedule(self.transmission_time(packet), self._finish_transmission, packet)
+        sim = self.sim
+        sim.schedule_at(
+            sim.now + self.transmission_time(packet), self._finish_transmission, packet
+        )
 
     def _finish_transmission(self, packet: Packet) -> None:
         # The wire is free again; pull the next queued packet, if any.
@@ -186,32 +189,30 @@ class Link:
         if self._down:
             self._drop_down(packet)
             return
-        if self.loss_model.should_drop(self.sim.now, self.rng):
+        sim = self.sim
+        now = sim.now
+        if self.loss_model.should_drop(now, self.rng):
             self.packets_dropped_loss += 1
             if self.trace is not None and self.trace.has_subscribers(
                 "link.drop_loss"
             ):
-                self.trace.emit(
-                    self.sim.now, "link.drop_loss", link=self.name, packet=packet
-                )
+                self.trace.emit(now, "link.drop_loss", link=self.name, packet=packet)
             return
         delay = self.delay_s
         if self.reordering_model is not None:
-            delay += self.reordering_model.extra_delay(self.sim.now, self.rng)
+            delay += self.reordering_model.extra_delay(now, self.rng)
         if self.corruption_model is not None:
-            damaged = self.corruption_model.apply(packet, self.sim.now, self.rng)
+            damaged = self.corruption_model.apply(packet, now, self.rng)
             if damaged is not None:
                 self.packets_corrupted += 1
                 if self.trace is not None and self.trace.has_subscribers(
                     "link.corrupt"
                 ):
-                    self.trace.emit(
-                        self.sim.now, "link.corrupt", link=self.name, packet=packet
-                    )
+                    self.trace.emit(now, "link.corrupt", link=self.name, packet=packet)
                 for replacement in damaged:
-                    self.sim.schedule(delay, self._deliver, replacement)
+                    sim.schedule_at(now + delay, self._deliver, replacement)
                 return
-        self.sim.schedule(delay, self._deliver, packet)
+        sim.schedule_at(now + delay, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.packets_delivered += 1

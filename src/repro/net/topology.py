@@ -94,16 +94,15 @@ class Path:
             survive *= 1.0 - link.loss_model.rate_at(now)
         return 1.0 - survive
 
-    def _send(self, packet: Packet, links: Tuple[Link, ...]) -> None:
-        packet.route = links
+    def send_forward(self, packet: Packet) -> None:
+        packet.route = links = self.forward_links
         packet.route_index = 1
         links[0].send(packet)
 
-    def send_forward(self, packet: Packet) -> None:
-        self._send(packet, self.forward_links)
-
     def send_reverse(self, packet: Packet) -> None:
-        self._send(packet, self.reverse_links)
+        packet.route = links = self.reverse_links
+        packet.route_index = 1
+        links[0].send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

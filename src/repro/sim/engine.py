@@ -102,19 +102,21 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self._now:  # NaN compares False both ways: reject it too
             raise SimulationError(
-                f"cannot schedule in the past: {time!r} < now={self._now!r}"
+                f"cannot schedule at {time!r}: not a time at or after "
+                f"now={self._now!r}"
             )
-        event = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._seq = seq + 1
         return event
 
     def stop(self) -> None:
@@ -139,28 +141,31 @@ class Simulator:
         executed = 0
         profiling_run = self._profiler is not None
         run_started_wall = time.perf_counter() if profiling_run else 0.0
+        # drain_cancelled compacts this list in place, so the local stays valid.
+        heap = self._heap
+        heappop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
-                event = self._heap[0][2]
+            while heap and not self._stopped:
+                when, __, event = heap[0]
                 if event.cancelled:
-                    heapq.heappop(self._heap)
+                    heappop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and when > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = event.time
+                heappop(heap)
+                self._now = when
                 profiler = self._profiler
                 if profiler is None:
                     event.fn(*event.args)
                 else:
-                    heap_depth = len(self._heap)
+                    heap_depth = len(heap)
                     started = time.perf_counter()
                     event.fn(*event.args)
                     profiler.on_event(
                         event.fn,
                         time.perf_counter() - started,
                         heap_depth,
-                        event.time,
+                        when,
                     )
                 self._processed += 1
                 executed += 1
@@ -178,11 +183,12 @@ class Simulator:
     def drain_cancelled(self) -> int:
         """Compact the heap by dropping cancelled events; returns the count.
 
-        Long simulations with many restarted timers accumulate tombstones;
-        transports call this occasionally to bound memory.
+        Long simulations with many cancelled events accumulate tombstones;
+        callers use this to bound memory and to check that a closed
+        connection left nothing queued. Safe from inside a callback: the
+        heap list is compacted in place, which the run loop relies on.
         """
         before = len(self._heap)
-        live = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(live)
-        self._heap = live
-        return before - len(live)
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        heapq.heapify(self._heap)
+        return before - len(self._heap)

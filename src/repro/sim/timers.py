@@ -5,6 +5,14 @@ events means juggling cancellation handles everywhere. :class:`Timer`
 wraps the pattern: ``start`` (or ``restart``) arms it, ``stop`` disarms it,
 and the callback only fires if the timer is still armed.
 
+Restarting is the per-ACK case, and it nearly always moves the deadline
+*later*, so it leaves the heap alone: the queued event stays where it is,
+only the deadline moves, and when that event comes up before the deadline
+it re-queues itself for the deadline. Only a deadline that moves *earlier*
+(an RTO whose back-off was just reset) cancels and re-pushes. A timer
+re-armed this way to deadline D therefore runs after any event that was
+queued for exactly D before the superseded event came up.
+
 :class:`PeriodicTimer` adds drift-free repetition for clock-aligned
 replay (the trace player): the k-th tick fires at exactly
 ``epoch + k * period`` via absolute scheduling, so accumulated float
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class Timer:
@@ -30,24 +38,31 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self.name = name
+        # The one queued event (fires at or before the deadline), if any.
         self._event: Optional[Event] = None
         self._expiry: Optional[float] = None
 
     @property
     def armed(self) -> bool:
         """Whether the timer is currently counting down."""
-        return self._event is not None and not self._event.cancelled
+        return self._expiry is not None
 
     @property
     def expiry(self) -> Optional[float]:
         """Absolute expiry time if armed, else ``None``."""
-        return self._expiry if self.armed else None
+        return self._expiry
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now, replacing any pending one."""
-        self.stop()
-        self._expiry = self._sim.now + delay
-        self._event = self._sim.schedule(delay, self._fire)
+        if not delay >= 0:  # NaN too; no Simulator.schedule below to catch it
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        self._expiry = expiry = self._sim.now + delay
+        event = self._event
+        if event is not None:
+            if event.time <= expiry:
+                return  # _fire re-queues for the new deadline when it comes up
+            event.cancel()
+        self._event = self._sim.schedule_at(expiry, self._fire)
 
     # ``restart`` reads better at call sites that are semantically restarts.
     restart = start
@@ -60,7 +75,11 @@ class Timer:
         self._expiry = None
 
     def _fire(self) -> None:
-        if self._event is None or self._event.cancelled:
+        # Reached only through the live queued event: stop() and an earlier
+        # deadline cancel it, and the run loop skips cancelled events.
+        expiry = self._expiry
+        if expiry > self._sim.now:
+            self._event = self._sim.schedule_at(expiry, self._fire)
             return
         self._event = None
         self._expiry = None

@@ -9,8 +9,7 @@ depends on which metrics an experiment collects.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 # Hard cap on records queued by re-entrant emits (a subscriber emitting
 # from inside a dispatch). Generous — a healthy run never queues more
@@ -19,13 +18,22 @@ from typing import Any, Callable, Deque, Dict, List
 DEFAULT_MAX_PENDING = 65536
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One trace entry: a timestamp, a kind, and free-form fields."""
+    """One trace entry: a timestamp, a kind, and free-form fields.
 
-    time: float
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    A plain slotted class (one is built per emitted record); subscribers
+    treat records as read-only.
+    """
+
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str, fields: Optional[Dict[str, Any]] = None):
+        self.time = time
+        self.kind = kind
+        self.fields: Dict[str, Any] = {} if fields is None else fields
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TraceRecord({self.time!r}, {self.kind!r}, {self.fields!r})"
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
@@ -80,7 +88,7 @@ class TraceBus:
         targeted = self._subscribers.get(kind)
         if not targeted and not self._wildcard:
             return
-        record = TraceRecord(time=time, kind=kind, fields=fields)
+        record = TraceRecord(time, kind, fields)
         if self._dispatching:
             if len(self._pending) >= self.max_pending:
                 self.records_dropped += 1
@@ -106,4 +114,4 @@ class TraceBus:
 
     def has_subscribers(self, kind: str) -> bool:
         """True if emitting ``kind`` would reach anyone (lets hot paths skip work)."""
-        return bool(self._subscribers.get(kind)) or bool(self._wildcard)
+        return bool(self._subscribers.get(kind) or self._wildcard)

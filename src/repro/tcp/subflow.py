@@ -172,6 +172,7 @@ class Subflow:
         self.src_port = self.src_node.allocate_port()
         self.dst_port = self.dst_node.allocate_port()
         self.src_node.bind(self.src_port, self._on_ack_packet)
+        self._flow_label = f"sf{subflow_id}"
 
         self._next_seq = 0
         self._outstanding: Dict[int, SubflowPacketInfo] = {}
@@ -322,8 +323,9 @@ class Subflow:
         """
         if self._closed or self._join_event is not None:
             return
-        while self.cc.can_send(self.in_flight):
-            if self.potentially_failed and self.in_flight >= 1:
+        outstanding = self._outstanding
+        while self.cc.can_send(len(outstanding)):
+            if outstanding and self.potentially_failed:
                 return
             supplied = self.owner.next_payload(self)
             if supplied is None:
@@ -341,10 +343,10 @@ class Subflow:
     def _transmit(self, payload: Any, size: int) -> None:
         if size <= 0 or size > self.mss:
             raise ValueError(f"payload size {size} outside (0, mss={self.mss}]")
+        now = self.sim.now
         seq = self._next_seq
-        self._next_seq += 1
-        info = SubflowPacketInfo(seq, payload, size, self.sim.now)
-        self._outstanding[seq] = info
+        self._next_seq = seq + 1
+        self._outstanding[seq] = SubflowPacketInfo(seq, payload, size, now)
         packet = Packet(
             size=size + HEADER_BYTES,
             src=self.src_node.name,
@@ -352,19 +354,18 @@ class Subflow:
             src_port=self.src_port,
             dst_port=self.dst_port,
             payload=SubflowSegment(seq, payload),
-            flow_label=f"sf{self.subflow_id}",
+            flow_label=self._flow_label,
         )
         seal_deferred(packet)
-        packet.sent_at = self.sim.now
-        self.last_transmit_at = self.sim.now
+        packet.sent_at = now
+        self.last_transmit_at = now
         self.packets_sent += 1
         self.bytes_sent += packet.size
         if not self._timer.armed:
             self._timer.start(self.rto.rto)
-        if self.trace is not None and self.trace.has_subscribers("subflow.send"):
-            self.trace.emit(
-                self.sim.now, "subflow.send", subflow=self.subflow_id, seq=seq, size=size
-            )
+        trace = self.trace
+        if trace is not None and trace.has_subscribers("subflow.send"):
+            trace.emit(now, "subflow.send", subflow=self.subflow_id, seq=seq, size=size)
         self.path.send_forward(packet)
 
     # ------------------------------------------------------------------
@@ -390,9 +391,10 @@ class Subflow:
         self.consecutive_timeouts = 0
         info = self._outstanding.pop(seq, None)
         if info is not None:
+            now = self.sim.now
             self.packets_acked += 1
-            self.last_ack_at = self.sim.now
-            self.rto.on_measurement(self.sim.now - info.sent_at)
+            self.last_ack_at = now
+            self.rto.on_measurement(now - info.sent_at)
             self._observe_loss_outcome(lost=False)
             self.cc.on_ack(1)
             self.owner.on_payload_delivered(self, info)
@@ -589,6 +591,7 @@ class SubflowSink:
         self.dst_node = path.dst_node
         self.src_node = path.src_node
         self.dst_node.bind(self._dst_port, self._on_data_packet)
+        self._flow_label = f"ack{self.subflow_id}"
         self.packets_received = 0
         self.packets_discarded_corrupt = 0
         self.packets_rejected = 0
@@ -628,7 +631,7 @@ class SubflowSink:
             src_port=self._dst_port,
             dst_port=self._src_port,
             payload=SubflowAck(segment.seq, feedback),
-            flow_label=f"ack{self.subflow_id}",
+            flow_label=self._flow_label,
         )
         self.path.send_reverse(seal_deferred(ack_packet))
 

@@ -319,11 +319,13 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
     """Transports seal without hashing; the CRC is computed only for a
     packet a corruption model is about to damage. So a clean-network
     transfer computes zero packet CRCs yet delivers the bytes and reports
-    the ``corruption_stats()`` an eagerly sealing build does, and the
-    ``bit_rot`` (one flip in five evades the CRC) and ``truncation_storm``
-    presets — whose ``corrupt`` fault attaches its model at t = 8 s, with
-    whole windows already in flight — count exactly what the eagerly
-    sealing parent commit counted for this seed."""
+    the ``corruption_stats()`` an eagerly sealing build does, and every
+    corruption preset — ``bit_rot`` and ``duplicate_mutation`` let one flip
+    in five evade the CRC; each ``corrupt`` fault attaches its model at
+    t = 8 s, with whole windows already in flight — counts exactly what
+    the eagerly sealing commit counted for this seed. The MPTCP rows also
+    pin the DSS checksum, deferred the same way (stamped in
+    ``Chunk.integrity_mutate``): they were measured with the eager stamp."""
     import random
 
     from repro.core.config import FmtcpConfig
@@ -371,7 +373,8 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
     assert not any(deferred[1].values())
     assert deferred[3] == 0 and eager[3] > 400  # data + ACK, seal + verify
 
-    # Measured on the parent commit (eager seal in Subflow/SubflowSink).
+    # Measured with the eager forms: seal in Subflow/SubflowSink (before PR 12),
+    # DSS stamp in Chunk.__init__ (before PR 14).
     parent = {
         ("bit_rot", "fmtcp"): (7, {
             "packets_discarded_corrupt": 3, "packets_rejected": 0,
@@ -391,9 +394,119 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
             "packets_discarded_corrupt": 8, "packets_rejected": 0,
             "acks_discarded_corrupt": 3, "chunks_discarded_checksum": 0,
         }),
+        ("corruption_burst", "fmtcp"): (8, {
+            "packets_discarded_corrupt": 4, "packets_rejected": 0,
+            "acks_discarded_corrupt": 4, "blocks_quarantined": 0,
+            "symbols_evicted": 0,
+        }),
+        ("corruption_burst", "mptcp"): (8, {
+            "packets_discarded_corrupt": 4, "packets_rejected": 0,
+            "acks_discarded_corrupt": 4, "chunks_discarded_checksum": 0,
+        }),
+        ("duplicate_mutation", "fmtcp"): (8, {
+            "packets_discarded_corrupt": 3, "packets_rejected": 0,
+            "acks_discarded_corrupt": 4, "blocks_quarantined": 1,
+            "symbols_evicted": 55,
+        }),
+        ("duplicate_mutation", "mptcp"): (5, {
+            "packets_discarded_corrupt": 1, "packets_rejected": 1,
+            "acks_discarded_corrupt": 3, "chunks_discarded_checksum": 1,
+        }),
     }
+    assert {name for name, __ in parent} == set(CORRUPTION_SCENARIOS)
     for (name, protocol), (corrupted, stats) in parent.items():
         report = run_corruption(protocol, CORRUPTION_SCENARIOS[name](), seed=3)
         assert report.ok, report.violations
         assert report.packets_corrupted == corrupted, (name, protocol)
         assert report.corruption_stats == stats, (name, protocol)
+
+
+_RTO_HEAVY = {
+    # protocol: (MetricsSuite.summary, per subflow [sent, acked, lost_timeout,
+    # lost_dupack, cwnd, srtt]) — measured at commit 352171a, where every
+    # ACK cancelled and re-pushed the RTO event.
+    "mptcp": (
+        {
+            "goodput_mbps": 0.16898933333333335,
+            "goodput_mbytes_per_s": 0.02112366666666667,
+            "total_mbytes": 12.6742,
+            "blocks": 1546.0,
+            "mean_block_delay_ms": 4536.068239957655,
+            "jitter_ms": 377.39841787610663,
+            "delay_p95_ms": 6796.799999998832,
+            "delay_max_ms": 10353.037397947162,
+        },
+        [
+            [5259, 5207, 0, 0, 119.94427117544359, 2.3751614271123036],
+            [4042, 3848, 59, 132, 7.229742427839504, 0.7790675169991348],
+        ],
+    ),
+    "fmtcp": (
+        {
+            "goodput_mbps": 0.1539003733333333,
+            "goodput_mbytes_per_s": 0.019237546666666664,
+            "total_mbytes": 11.542528,
+            "blocks": 1412.0,
+            "mean_block_delay_ms": 6618.243678285203,
+            "jitter_ms": 1485.7950740290828,
+            "delay_p95_ms": 9453.360000000215,
+            "delay_max_ms": 14088.63999999744,
+        },
+        [
+            [5755, 5683, 0, 6, 80.75599268046213, 5.985681922916601],
+            [4480, 4269, 52, 149, 10.55166870834903, 0.7176835606194673],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(_RTO_HEAVY))
+def test_rto_heavy_gprs_transfer_is_unchanged_by_the_lazy_timer(protocol):
+    """The golden anchors are Table I cases with a handful of RTOs; the
+    lazy ``Timer`` restart lives on the RTO path. A 600 s GPRS-trace
+    transfer (bursty fades on path 1, ≥ 50 timeouts, back-off and back-off
+    reset) must reproduce the cancel-and-push build's numbers exactly."""
+    from repro.core.connection import FmtcpConnection
+    from repro.metrics.collectors import MetricsSuite
+    from repro.mptcp.connection import MptcpConnection
+    from repro.net.topology import PathConfig, build_two_path_network
+    from repro.sim.rng import RngStreams
+    from repro.sim.trace import TraceBus
+    from repro.traces.generators import gprs_trace
+    from repro.traces.player import TracePlayer
+    from repro.workloads.sources import BulkSource
+
+    seed, duration_s = 9, 600.0
+    bus = TraceBus()
+    configs = [
+        PathConfig(bandwidth_bps=1e5, delay_s=0.03, loss_rate=0.0),
+        PathConfig(bandwidth_bps=6e5, delay_s=0.03, loss_rate=0.0),
+    ]
+    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=bus)
+    sim = network.sim
+    metrics = MetricsSuite(bus)
+    if protocol == "fmtcp":
+        connection = FmtcpConnection(
+            sim, paths, BulkSource(), trace=bus, rng=RngStreams(seed)
+        )
+    else:
+        connection = MptcpConnection(sim, paths, BulkSource(), trace=bus)
+    player = TracePlayer(
+        sim, paths[1].forward_links, gprs_trace(seed=seed, duration_s=duration_s),
+        bus=bus,
+    )
+    player.start()
+    connection.start()
+    sim.run(until=duration_s)
+    summary, subflows = _RTO_HEAVY[protocol]
+    assert metrics.summary(duration_s) == summary
+    assert [
+        [
+            sf.packets_sent, sf.packets_acked, sf.packets_lost_timeout,
+            sf.packets_lost_dupack, sf.cc.cwnd, sf.srtt,
+        ]
+        for sf in connection.subflows
+    ] == subflows
+    assert sum(sf.packets_lost_timeout for sf in connection.subflows) >= 50
+    player.stop()
+    connection.close()

@@ -201,3 +201,48 @@ def test_run_to_exhaustion_leaves_clock_at_last_event(sim):
 def test_event_repr_mentions_time(sim):
     event = sim.schedule(1.5, lambda: None)
     assert "1.5" in repr(event)
+
+
+def test_nan_delay_rejected(sim):
+    """`nan < 0` is False, so a sign check alone would queue the event and
+    later set the clock itself to NaN."""
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_nan_schedule_at_rejected(sim):
+    order = []
+    sim.schedule(1.0, order.append, "a")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), order.append, "nan")
+    sim.schedule(2.0, order.append, "b")
+    sim.run()
+    assert order == ["a", "b"]
+    assert sim.now == 2.0
+
+
+def test_drain_cancelled_inside_a_callback_keeps_later_events(sim):
+    """The run loop holds the heap list across callbacks, so compaction
+    must happen in place: events queued before and after the drain still
+    fire, in order."""
+    order = []
+    dead = [sim.schedule(5.0, order.append, "dead") for __ in range(10)]
+
+    def drain():
+        for event in dead:
+            event.cancel()
+        order.append(("drained", sim.drain_cancelled()))
+        sim.schedule(1.0, order.append, "scheduled after the drain")
+
+    sim.schedule(3.0, order.append, "queued before the drain")
+    sim.schedule(1.0, drain)
+    sim.schedule(4.0, order.append, "last")
+    sim.run()
+    assert order == [
+        ("drained", 10),
+        "scheduled after the drain",
+        "queued before the drain",
+        "last",
+    ]
+    assert sim.pending_events == 0
