@@ -26,7 +26,6 @@ from repro.faults import (
     MOBILITY_SCENARIOS,
     SCENARIOS,
     FaultScenario,
-    measure_churn_response,
     measure_fault_response,
 )
 from repro.metrics.stats import mean
@@ -115,7 +114,7 @@ def _measure_churn():
         per_protocol = {}
         for protocol in ("fmtcp", "mptcp"):
             runs = [
-                measure_churn_response(
+                measure_fault_response(
                     protocol, scenario, seed=seed, base_loss=BASE_LOSS
                 )
                 for seed in SEEDS

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis import coding as coding_analysis
 from repro.analysis import allocation as allocation_analysis
@@ -272,284 +273,270 @@ def cmd_replicate(args: argparse.Namespace) -> None:
         )
 
 
-def _print_fault_scenarios() -> None:
-    from repro.faults import (
-        CORRUPTION_SCENARIOS,
-        CRASH_KINDS,
-        EXHAUSTION_SCENARIOS,
-        MOBILITY_SCENARIOS,
-        RECOVERY_SCENARIOS,
-        SCENARIOS,
-        TRACE_SCENARIOS,
+@dataclass(frozen=True)
+class _FaultGroup:
+    """One row of the ``repro faults`` table: how a scenario group is
+    listed, run, summarised and benchmarked. ``cmd_faults`` looks the row
+    up by ``scenario.route()`` and asks nothing else about the group."""
+
+    header: str  # listing header
+    presets: Dict[str, Callable[[], Any]]
+    describe: Callable[[Any], str]  # a preset's line in the listing
+    run: Callable[..., Any]  # the run_* entry point
+    progress: Callable[[Any], str]  # the group's counters in a report
+    bench: Optional[Callable[..., None]] = None  # None = no open-ended probe
+    own_length: bool = False  # the scenario fixes its own run length
+
+
+def _window(label: str, settle: bool = False) -> Callable[[Any], str]:
+    def describe(scenario) -> str:
+        end = f"{scenario.settle_time:.1f}" if settle else f"{scenario.heal_time:.0f}"
+        return (
+            f"{len(scenario.events)} events, "
+            f"{label} {scenario.fault_start:.0f}-{end}s"
+        )
+
+    return describe
+
+
+def _describe_crashes(scenario) -> str:
+    kinds = [event.kind for event in scenario.events]
+    crashes = kinds.count("crash_sender") + kinds.count("crash_receiver")
+    return (
+        f"{crashes} crash(es) / {kinds.count('restart')} restart(s), "
+        f"window {scenario.fault_start:.0f}-{scenario.heal_time:.0f}s"
     )
 
-    print("Preset fault scenarios (also accepts random:SEED and trace:FILE.csv):")
-    for name in sorted(SCENARIOS):
-        scenario = SCENARIOS[name]()
-        print(
-            f"  {name:>23}: {len(scenario.events)} events, "
-            f"faults {scenario.fault_start:.0f}-{scenario.heal_time:.0f}s"
-        )
-    print("Mobility presets (subflow lifecycle churn):")
-    for name in sorted(MOBILITY_SCENARIOS):
-        scenario = MOBILITY_SCENARIOS[name]()
-        print(
-            f"  {name:>23}: {len(scenario.events)} events, "
-            f"churn {scenario.fault_start:.0f}-{scenario.settle_time:.1f}s"
-        )
-    print("Corruption presets (data integrity, byte-verified delivery):")
-    for name in sorted(CORRUPTION_SCENARIOS):
-        scenario = CORRUPTION_SCENARIOS[name]()
-        print(
-            f"  {name:>23}: {len(scenario.events)} events, "
-            f"corruption {scenario.fault_start:.0f}-{scenario.heal_time:.0f}s"
-        )
-    print("Exhaustion presets (receiver memory budget, flow control on):")
-    for name in sorted(EXHAUSTION_SCENARIOS):
-        scenario = EXHAUSTION_SCENARIOS[name]()
-        print(
-            f"  {name:>23}: {scenario.recv_budget_bytes // 1024} KiB budget — "
-            f"{scenario.description}"
-        )
-    print("Recovery presets (endpoint crash/restart, byte-verified delivery):")
-    for name in sorted(RECOVERY_SCENARIOS):
-        scenario = RECOVERY_SCENARIOS[name]()
-        crashes = sum(1 for e in scenario.events if e.kind in CRASH_KINDS[:2])
-        restarts = sum(1 for e in scenario.events if e.kind == "restart")
-        window = (
-            f"{scenario.events[0].time:.0f}-{scenario.events[-1].time:.0f}s"
-            if scenario.events
-            else "-"
-        )
-        print(
-            f"  {name:>23}: {crashes} crash(es) / {restarts} restart(s), "
-            f"window {window}"
-        )
-    print("Trace presets (replayed channel dynamics, byte-verified delivery):")
-    for name in sorted(TRACE_SCENARIOS):
-        scenario = TRACE_SCENARIOS[name]()
-        print(
-            f"  {name:>23}: {len(scenario.events)} events, "
-            f"replay {scenario.fault_start:.0f}-{scenario.heal_time:.0f}s"
-        )
+
+def _outcome(report) -> str:
+    if report.completion_time_s is not None:
+        return f"completed at {report.completion_time_s:.1f}s"
+    progress = f"({report.delivered_bytes}/{report.expected_bytes} B)"
+    if report.watchdog_failed and report.fail_reason is None:  # the stall ladder
+        return f"clean failure at escalation {report.watchdog_escalation} {progress}"
+    return f"incomplete {progress}"
 
 
-def _run_exhaustion_preset(args, scenarios, run_exhaustion) -> Optional[int]:
-    scenario = scenarios[args.scenario]()
-    protocols = ("fmtcp", "mptcp") if args.protocol == "both" else (args.protocol,)
-    print(
-        f"Exhaustion scenario {scenario.name}: "
-        f"{scenario.recv_budget_bytes // 1024} KiB receive budget, "
-        f"{scenario.total_bytes} B transfer, {scenario.duration_s:.0f}s run, "
-        f"seed {args.seed}"
+def _progress_corruption(report) -> str:
+    stats = report.corruption_stats
+    discarded = sum(
+        count
+        for name, count in stats.items()
+        if name not in ("symbols_evicted", "blocks_quarantined")
     )
-    for protocol in protocols:
-        report = run_exhaustion(
-            protocol,
-            scenario,
-            seed=args.seed,
-            flight_dump_dir=args.flight_dir,
-        )
-        status = "OK" if report.ok else "VIOLATIONS"
-        if report.completion_time_s is not None:
-            outcome = f"completed at {report.completion_time_s:.1f}s"
-        elif report.watchdog_failed:
-            outcome = (
-                f"clean failure at escalation {report.watchdog_escalation} "
-                f"({report.delivered_bytes}/{report.expected_bytes} B)"
-            )
-        else:
-            outcome = f"incomplete ({report.delivered_bytes}/{report.expected_bytes} B)"
-        print(
-            f"  {protocol:>6}: {status} — {outcome}, peak occupancy "
-            f"{report.peak_occupancy}/{report.budget_units} units, "
-            f"{report.flow.get('flow_pauses', 0)} pauses, "
-            f"{report.flow.get('window_probes', 0)} window probes"
-        )
-        for violation in report.violations:
-            print(f"          ! {violation}")
-        if report.flight_dump_path is not None:
-            print(f"          flight recorder dump: {report.flight_dump_path}")
-        if report.watchdog_dump_path is not None:
-            print(f"          watchdog post-mortem: {report.watchdog_dump_path}")
-    return None
+    return (
+        f"{report.packets_corrupted} packets corrupted, {discarded} discarded, "
+        f"{stats.get('blocks_quarantined', 0)} blocks quarantined"
+    )
+
+
+def _progress_recovery(report) -> str:
+    text = (
+        f"{report.crashes} crashes / {report.resumes} resumes / "
+        f"{report.attempts} attempts"
+    )
+    if report.recovery_state == "failed":
+        text += f", clean fail: {report.fail_reason}"
+    return text
+
+
+def _print_table(title: str, columns, rows) -> None:
+    """``columns`` are ``(heading, width)`` pairs; ``rows`` lists of cells."""
+    widths = [width for __, width in columns]
+    print(title)
+    print(_fmt_row([heading for heading, __ in columns], widths))
+    for row in rows:
+        print(_fmt_row(row, widths))
+
+
+def _bench_goodput_response(protocols, scenario, seed, duration) -> None:
+    from repro.faults import measure_fault_response
+
+    benches = [
+        measure_fault_response(protocol, scenario, seed=seed, duration_s=duration)
+        for protocol in protocols
+    ]
+    _print_table(
+        "Goodput response (open-ended transfer):",
+        (("proto", 8), ("pre(MB/s)", 10), ("dur(MB/s)", 10), ("post(MB/s)", 10),
+         ("retain", 10), ("recov(s)", 10)),
+        [
+            [
+                bench.protocol,
+                f"{bench.pre_mbps:.3f}",
+                f"{bench.during_mbps:.3f}",
+                f"{bench.post_mbps:.3f}",
+                f"{bench.retention:.2f}",
+                "never" if bench.recovery_s is None else f"{bench.recovery_s:.1f}",
+            ]
+            for bench in benches
+        ],
+    )
+
+
+def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
+    from repro.faults import measure_recovery
+
+    def seconds(value) -> str:
+        return f"{value:.1f}" if value else "never"
+
+    rows = [measure_recovery(protocol, scenario, seed=seed) for protocol in protocols]
+    _print_table(
+        "Recovery response (crash run vs clean baseline):",
+        (("proto", 8), ("clean(s)", 10), ("crash(s)", 10), ("retain", 8),
+         ("outage(s)", 10), ("ckpt(B)", 10)),
+        [
+            [
+                row["protocol"],
+                seconds(row["baseline_completion_s"]),
+                seconds(row["crashed_completion_s"]),
+                f"{row['goodput_retention']:.2f}",
+                f"{row['max_outage_s']:.2f}",
+                str(row["checkpoint_bytes"]),
+            ]
+            for row in rows
+        ],
+    )
+
+
+def _fault_groups() -> Dict[str, _FaultGroup]:
+    """The ``repro faults`` table, keyed by routing group, in listing order."""
+    from repro import faults
+
+    return {
+        "chaos": _FaultGroup(
+            "Preset fault scenarios (also accepts random:SEED and trace:FILE.csv):",
+            faults.SCENARIOS,
+            _window("faults"),
+            faults.run_chaos,
+            lambda report: f"{report.bytes_at_heal}/{report.expected_bytes} B by heal",
+            _bench_goodput_response,
+        ),
+        "churn": _FaultGroup(
+            "Mobility presets (subflow lifecycle churn):",
+            faults.MOBILITY_SCENARIOS,
+            _window("churn", settle=True),
+            faults.run_churn,
+            lambda report: (
+                f"{report.path_downs} downs / {report.path_ups} ups / "
+                f"{report.handovers} handovers"
+            ),
+            _bench_goodput_response,
+        ),
+        "corruption": _FaultGroup(
+            "Corruption presets (data integrity, byte-verified delivery):",
+            faults.CORRUPTION_SCENARIOS,
+            _window("corruption"),
+            faults.run_corruption,
+            _progress_corruption,
+            _bench_goodput_response,
+        ),
+        "exhaustion": _FaultGroup(
+            "Exhaustion presets (receiver memory budget, flow control on):",
+            faults.EXHAUSTION_SCENARIOS,
+            lambda scenario: (
+                f"{scenario.recv_budget_bytes // 1024} KiB budget — "
+                f"{scenario.description}"
+            ),
+            faults.run_exhaustion,
+            lambda report: (
+                f"peak occupancy {report.peak_occupancy}/{report.budget_units} "
+                f"units, {report.flow.get('flow_pauses', 0)} pauses, "
+                f"{report.flow.get('window_probes', 0)} window probes"
+            ),
+            own_length=True,
+        ),
+        "recovery": _FaultGroup(
+            "Recovery presets (endpoint crash/restart, byte-verified delivery):",
+            faults.RECOVERY_SCENARIOS,
+            _describe_crashes,
+            faults.run_recovery,
+            _progress_recovery,
+            _bench_recovery_response,
+        ),
+        "traces": _FaultGroup(
+            "Trace presets (replayed channel dynamics, byte-verified delivery):",
+            faults.TRACE_SCENARIOS,
+            _window("replay"),
+            faults.run_traces,
+            lambda report: (
+                f"{report.trace_ticks} trace ticks, peak occupancy "
+                f"{report.peak_occupancy}/{report.budget_units} units"
+            ),
+            _bench_goodput_response,
+        ),
+    }
+
+
+def _print_fault_scenarios(groups: Dict[str, _FaultGroup]) -> None:
+    for group in groups.values():
+        print(group.header)
+        for name in sorted(group.presets):
+            print(f"  {name:>23}: {group.describe(group.presets[name]())}")
 
 
 def cmd_faults(args: argparse.Namespace) -> Optional[int]:
-    from repro.faults import (
-        measure_churn_response,
-        measure_fault_response,
-        resolve_scenario,
-        run_chaos,
-        run_churn,
-        run_corruption,
-    )
+    from repro.faults import resolve_scenario
 
+    groups = _fault_groups()
     if args.scenario == "list":
-        _print_fault_scenarios()
+        _print_fault_scenarios(groups)
         return None
-    from repro.faults import EXHAUSTION_SCENARIOS, run_exhaustion
-
-    if args.scenario in EXHAUSTION_SCENARIOS:
-        return _run_exhaustion_preset(args, EXHAUSTION_SCENARIOS, run_exhaustion)
     try:
-        scenario = resolve_scenario(args.scenario)
+        # Exhaustion presets route by name (they are not fault timelines);
+        # everything else by what its events need checked.
+        exhaustion = groups["exhaustion"].presets.get(args.scenario)
+        scenario = exhaustion() if exhaustion else resolve_scenario(args.scenario)
+        route = scenario.route()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        _print_fault_scenarios()
+        _print_fault_scenarios(groups)
+        return 2
+    group = groups[route]
+    refused = None
+    if args.bench and group.bench is None:
+        refused = f"--bench: the {route} presets have no open-ended probe"
+    elif args.duration is not None and group.own_length:
+        refused = f"--duration: the {route} presets fix their own run length"
+    if refused:
+        print(f"error: {refused}", file=sys.stderr)
         return 2
     protocols = ("fmtcp", "mptcp") if args.protocol == "both" else (args.protocol,)
-    # Always leave room to recover after the last fault heals / settles.
-    settle = max(scenario.heal_time, scenario.settle_time)
-    duration = max(args.duration or 40.0, settle + 4.0)
-    print(
-        f"Scenario {scenario.name}: {len(scenario.events)} events, "
-        f"faults {scenario.fault_start:.1f}-{settle:.1f}s, "
-        f"{duration:.0f}s run, seed {args.seed}"
-    )
-    for protocol in protocols:
-        if scenario.has_endpoint_faults:
-            from repro.faults import run_recovery
-
-            report = run_recovery(
-                protocol,
-                scenario,
-                seed=args.seed,
-                duration_s=duration,
-                flight_dump_dir=args.flight_dir,
-            )
-            progress = (
-                f"{report.crashes} crashes / {report.resumes} resumes / "
-                f"{report.attempts} attempts"
-            )
-            if report.recovery_state == "failed":
-                progress += f", clean fail: {report.fail_reason}"
-        elif scenario.has_trace:
-            from repro.faults import run_traces
-
-            report = run_traces(
-                protocol,
-                scenario,
-                seed=args.seed,
-                duration_s=duration,
-                flight_dump_dir=args.flight_dir,
-            )
-            progress = (
-                f"{report.trace_ticks} trace ticks, peak occupancy "
-                f"{report.peak_occupancy}/{report.budget_units} units"
-            )
-            if report.watchdog_failed:
-                progress += f", clean fail at escalation {report.watchdog_escalation}"
-        elif scenario.has_corruption:
-            report = run_corruption(
-                protocol,
-                scenario,
-                seed=args.seed,
-                duration_s=duration,
-                flight_dump_dir=args.flight_dir,
-            )
-            stats = report.corruption_stats
-            discarded = sum(
-                count
-                for name, count in stats.items()
-                if name not in ("symbols_evicted", "blocks_quarantined")
-            )
-            progress = (
-                f"{report.packets_corrupted} packets corrupted, "
-                f"{discarded} discarded, "
-                f"{stats.get('blocks_quarantined', 0)} blocks quarantined"
-            )
-        elif scenario.has_churn:
-            report = run_churn(
-                protocol,
-                scenario,
-                seed=args.seed,
-                duration_s=duration,
-                flight_dump_dir=args.flight_dir,
-            )
-            progress = (
-                f"{report.path_downs} downs / {report.path_ups} ups / "
-                f"{report.handovers} handovers"
-            )
-        else:
-            report = run_chaos(
-                protocol,
-                scenario,
-                seed=args.seed,
-                duration_s=duration,
-                flight_dump_dir=args.flight_dir,
-            )
-            progress = f"{report.bytes_at_heal}/{report.expected_bytes} B by heal"
-        status = "OK" if report.ok else "VIOLATIONS"
-        completed = (
-            f"completed at {report.completion_time_s:.1f}s"
-            if report.completion_time_s is not None
-            else f"incomplete ({report.delivered_bytes}/{report.expected_bytes} B)"
+    sizing = {}
+    if group.own_length:
+        duration = scenario.duration_s
+        print(
+            f"Exhaustion scenario {scenario.name}: "
+            f"{scenario.recv_budget_bytes // 1024} KiB receive budget, "
+            f"{scenario.total_bytes} B transfer, {duration:.0f}s run, "
+            f"seed {args.seed}"
         )
-        print(f"  {protocol:>6}: {status} — {completed}, {progress}")
+    else:
+        # Always leave room to recover after the last fault heals / settles.
+        settle = scenario.settle_time
+        duration = sizing["duration_s"] = max(args.duration or 40.0, settle + 4.0)
+        print(
+            f"Scenario {scenario.name}: {len(scenario.events)} events, "
+            f"faults {scenario.fault_start:.1f}-{settle:.1f}s, "
+            f"{duration:.0f}s run, seed {args.seed}"
+        )
+    for protocol in protocols:
+        report = group.run(
+            protocol, scenario, seed=args.seed, flight_dump_dir=args.flight_dir, **sizing
+        )
+        status = "OK" if report.ok else "VIOLATIONS"
+        print(
+            f"  {protocol:>6}: {status} — {_outcome(report)}, {group.progress(report)}"
+        )
         for violation in report.violations:
             print(f"          ! {violation}")
         if report.flight_dump_path is not None:
             print(f"          flight recorder dump: {report.flight_dump_path}")
             print(f"          profiler report:      {report.profile_dump_path}")
-    if args.bench and scenario.has_endpoint_faults:
-        from repro.faults import measure_recovery
-
-        print("Recovery response (crash run vs clean baseline):")
-        widths = [8, 10, 10, 8, 10, 10]
-        print(
-            _fmt_row(
-                ["proto", "clean(s)", "crash(s)", "retain", "outage(s)", "ckpt(B)"],
-                widths,
-            )
-        )
-        for protocol in protocols:
-            row = measure_recovery(protocol, scenario, seed=args.seed)
-            print(
-                _fmt_row(
-                    [
-                        protocol,
-                        f"{row['baseline_completion_s']:.1f}"
-                        if row["baseline_completion_s"]
-                        else "never",
-                        f"{row['crashed_completion_s']:.1f}"
-                        if row["crashed_completion_s"]
-                        else "never",
-                        f"{row['goodput_retention']:.2f}",
-                        f"{row['max_outage_s']:.2f}",
-                        str(row["checkpoint_bytes"]),
-                    ],
-                    widths,
-                )
-            )
-        return None
+        if report.watchdog_dump_path is not None:
+            print(f"          watchdog post-mortem: {report.watchdog_dump_path}")
     if args.bench:
-        print("Goodput response (open-ended transfer):")
-        widths = [8, 10, 10, 10, 10, 10]
-        print(
-            _fmt_row(
-                ["proto", "pre(MB/s)", "dur(MB/s)", "post(MB/s)", "retain", "recov(s)"],
-                widths,
-            )
-        )
-        measure = (
-            measure_churn_response if scenario.has_churn else measure_fault_response
-        )
-        for protocol in protocols:
-            bench = measure(protocol, scenario, seed=args.seed, duration_s=duration)
-            print(
-                _fmt_row(
-                    [
-                        protocol,
-                        f"{bench.pre_mbps:.3f}",
-                        f"{bench.during_mbps:.3f}",
-                        f"{bench.post_mbps:.3f}",
-                        f"{bench.retention:.2f}",
-                        "never" if bench.recovery_s is None else f"{bench.recovery_s:.1f}",
-                    ],
-                    widths,
-                )
-            )
+        group.bench(protocols, scenario, args.seed, duration)
     return None
 
 

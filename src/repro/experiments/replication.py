@@ -99,18 +99,3 @@ def run_replicated(
     for key in metric_keys:
         result.metrics[key] = summarise([run.summary[key] for run in result.runs])
     return result
-
-
-def compare_replicated(
-    path_config_factory,
-    duration_s: float,
-    seeds: Sequence[int] = (1, 2, 3),
-    metric: str = "goodput_mbytes_per_s",
-) -> Dict[str, ReplicatedResult]:
-    """Both protocols on the same configuration and seed set."""
-    return {
-        protocol: run_replicated(
-            protocol, path_config_factory, duration_s, seeds=seeds
-        )
-        for protocol in ("fmtcp", "mptcp")
-    }

@@ -9,40 +9,23 @@ through a scenario and checks the invariants a robust transport must
 keep, and the benchmark probe (:func:`measure_fault_response`) that
 quantifies goodput retention and recovery time.
 
-Data *corruption* scenarios (``corrupt``/``corrupt_ge`` events) get
-their own harness, :func:`run_corruption`, which sends real random
-payloads and additionally verifies the delivered stream byte-for-byte
-against the source transcript. Channel *trace* scenarios (``trace``
-events replaying recorded/generated time series, see
-:mod:`repro.traces`) route to :func:`run_traces`, which adds bounded-
-memory and watchdog-interplay checks on top of byte verification.
+Every ``run_*`` here is a declaration over the one soak kernel
+(:mod:`repro.soak`) and returns its :class:`SoakReport`; which harness
+can check a timeline is :meth:`FaultScenario.route`'s decision
+(:data:`repro.faults.scenario.ROUTES`), and each ``run_*`` rejects a
+scenario routed elsewhere. Data *corruption* scenarios get :func:`run_corruption` (real
+payload, byte-verified), channel *trace* scenarios :func:`run_traces`
+(plus bounded memory and watchdog interplay), endpoint crashes
+:func:`run_recovery`, subflow lifecycle :func:`run_churn`.
 """
 
 from repro.faults.chaos import (
-    PROTOCOLS,
-    ChaosReport,
     FaultBenchResult,
     measure_fault_response,
     run_chaos,
 )
-from repro.faults.churn import (
-    ChurnReport,
-    PathChurnController,
-    measure_churn_response,
-    run_churn,
-)
-from repro.faults.corruption import (
-    CorruptionReport,
-    measure_corruption_goodput,
-    run_corruption,
-)
-from repro.robustness.exhaustion import (
-    EXHAUSTION_SCENARIOS,
-    ExhaustionReport,
-    ExhaustionScenario,
-    measure_bufferblock,
-    run_exhaustion,
-)
+from repro.faults.churn import PathChurnController, run_churn
+from repro.faults.corruption import measure_corruption_goodput, run_corruption
 from repro.faults.scenario import (
     CHURN_KINDS,
     CORRUPTION_KINDS,
@@ -60,14 +43,24 @@ from repro.faults.scenario import (
     resolve_scenario,
     trace_replay_scenario,
 )
+from repro.robustness.exhaustion import (
+    EXHAUSTION_SCENARIOS,
+    ExhaustionScenario,
+    measure_bufferblock,
+    run_exhaustion,
+)
+from repro.soak import PROTOCOLS, SoakReport
+from repro.traces.harness import measure_trace_goodput, run_traces
 
-# Endpoint crash/recovery and trace replay ride the same scenario
-# registry, but their harnesses import repro.faults.chaos — an eager
-# import here would be circular whenever `repro.recovery` (or
-# `repro.traces`) is imported first. Re-export lazily (PEP 562) so the
-# packages can load in any order.
-_RECOVERY_EXPORTS = ("RecoveryReport", "measure_recovery", "run_recovery")
-_TRACE_EXPORTS = ("TraceReport", "measure_trace_goodput", "run_traces")
+# One cycle genuinely remains: repro.recovery.harness needs this
+# package's PathChurnController and FaultScenario (a crash can land
+# mid-handover; measure_recovery builds an empty baseline timeline), and
+# importing any repro.recovery submodule first runs repro/recovery/
+# __init__.py, which imports that harness. An eager import here would
+# therefore find repro.recovery.harness half-initialised whenever
+# `repro.recovery` is imported before `repro.faults`. Re-export lazily
+# (PEP 562) so the two packages load in either order.
+_RECOVERY_EXPORTS = ("measure_recovery", "run_recovery")
 
 
 def __getattr__(name):
@@ -75,11 +68,8 @@ def __getattr__(name):
         from repro.recovery import harness
 
         return getattr(harness, name)
-    if name in _TRACE_EXPORTS:
-        from repro.traces import harness
-
-        return getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CHURN_KINDS",
@@ -94,20 +84,14 @@ __all__ = [
     "TRACE_KINDS",
     "TRACE_SCENARIOS",
     "PROTOCOLS",
-    "ChaosReport",
-    "ChurnReport",
-    "CorruptionReport",
-    "ExhaustionReport",
     "ExhaustionScenario",
     "FaultBenchResult",
     "FaultEvent",
     "FaultInjector",
     "FaultScenario",
     "PathChurnController",
-    "RecoveryReport",
-    "TraceReport",
+    "SoakReport",
     "measure_bufferblock",
-    "measure_churn_response",
     "measure_corruption_goodput",
     "measure_fault_response",
     "measure_recovery",

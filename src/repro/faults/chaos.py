@@ -1,94 +1,41 @@
-"""Chaos-soak harness: run a protocol through a fault timeline and check
-invariants that must hold no matter what the network did.
+"""Chaos-soak harness: run a protocol through a link-fault timeline and
+check invariants that must hold no matter what the network did.
 
 Two entry points:
 
-* :func:`run_chaos` — a *finite* transfer under a fault scenario, with
-  the four robustness invariants checked afterwards:
-
-  1. **exactly-once, in-order delivery** — the application-facing sink
-     saw every unit exactly once, in sequence, and the byte totals match;
-  2. **no wedged RTO timers** — any subflow with packets outstanding has
-     a pending retransmission timer (checked at heal time and at the
-     end), so nothing can stall forever;
-  3. **event-queue drain** — once the transfer completes and the
-     connection is closed, the simulator's heap compacts to empty: no
-     leaked timers keep the simulation alive;
-  4. **post-fault goodput recovery** — delivery makes progress after the
-     last fault heals (and the transfer finishes despite everything).
+* :func:`run_chaos` — a *finite* transfer under a fault scenario, the
+  :data:`CHAOS` harness of the soak kernel (:mod:`repro.soak`): exactly-
+  once in-order delivery, no wedged RTO timers (at heal time and at the
+  end), post-fault goodput recovery and completion, and — like every
+  harness — an event queue that drains after close.
 
 * :func:`measure_fault_response` — an *open-ended* transfer for the
   benchmark: per-phase goodput (before / during / after the faults),
-  goodput retention, and time-to-recover after the last fault heals.
+  goodput retention, and time-to-recover after the last fault settles.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
+from repro import soak
+from repro.faults.churn import wire_churn
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
 from repro.metrics.stats import mean
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
 from repro.workloads.sources import BulkSource
 
-PROTOCOLS = ("fmtcp", "mptcp")
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one :func:`run_chaos` run."""
-
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    bytes_at_heal: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    profile_dump_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _build_connection(protocol, sim, paths, source, seed, trace, sink):
-    if protocol == "fmtcp":
-        return FmtcpConnection(
-            sim, paths, source, config=FmtcpConfig(),
-            trace=trace, rng=RngStreams(seed), sink=sink,
-        )
-    if protocol == "mptcp":
-        return MptcpConnection(
-            sim, paths, source, config=MptcpConfig(), trace=trace, sink=sink
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def _check_timers(connection, label: str, violations: List[str]) -> None:
-    """Invariant 2: outstanding data without a pending RTO timer = wedged."""
-    for subflow in connection.subflows:
-        if subflow.in_flight > 0 and not subflow.timer_armed:
-            violations.append(
-                f"wedged timer {label}: subflow {subflow.subflow_id} has "
-                f"{subflow.in_flight} packets in flight and no RTO pending"
-            )
+CHAOS = soak.Harness(
+    "chaos",
+    soak.bulk_source,
+    steps=(soak.arm_timeline, soak.heal_probe),
+    invariants=(
+        soak.exactly_once_in_order,
+        soak.no_wedged_timers,
+        soak.completes_after_heal,
+    ),
+)
 
 
 def run_chaos(
@@ -102,161 +49,27 @@ def run_chaos(
     total_bytes: int = 2_000_000,
     flight_dump_dir: Optional[str] = None,
     flight_capacity: int = 4096,
-) -> ChaosReport:
+) -> soak.SoakReport:
     """Run one finite transfer through ``scenario`` and check invariants.
 
     The default sizing is deliberate: at 2 x 0.6 Mb/s a 2 MB transfer
     needs ~13 s clean, so it is still mid-flight throughout the preset
     fault window ([8, 18) s) and must *survive* the faults — yet finishes
     with ample slack before ``duration_s`` once the network heals.
-
-    With ``flight_dump_dir`` set, a flight recorder (and the sim
-    profiler) rides along and — only if an invariant is violated — the
-    last ``flight_capacity`` trace records plus a profiler report are
-    written there for post-mortem analysis with ``repro trace``.
     """
-    if scenario.has_churn:
-        raise ValueError(
-            f"scenario {scenario.name!r} has subflow-lifecycle events; "
-            "use repro.faults.churn.run_churn"
-        )
-    if scenario.has_corruption:
-        raise ValueError(
-            f"scenario {scenario.name!r} has corruption events; use "
-            "repro.faults.corruption.run_corruption (it verifies delivered "
-            "bytes, which this harness cannot)"
-        )
-    if scenario.has_trace:
-        raise ValueError(
-            f"scenario {scenario.name!r} replays channel traces; use "
-            "repro.traces.harness.run_traces (it verifies delivered bytes "
-            "and bounded memory, which this harness cannot)"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=base_loss)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    delivered_ids: List[int] = []
-    if protocol == "fmtcp":
-        # Round to whole blocks so completion accounting is exact.
-        block_bytes = FmtcpConfig().block_bytes
-        expected_units = max(1, total_bytes // block_bytes)
-        expected_bytes = expected_units * block_bytes
-        sink = lambda block_id, data: delivered_ids.append(block_id)  # noqa: E731
-    else:
-        mss = MptcpConfig().mss
-        expected_units = total_bytes // mss + (1 if total_bytes % mss else 0)
-        expected_bytes = total_bytes
-        sink = lambda chunk: delivered_ids.append(chunk.dsn)  # noqa: E731
-
-    source = BulkSource(total_bytes=expected_bytes)
-    connection = _build_connection(protocol, sim, paths, source, seed, trace, sink)
-    scenario.apply(sim, paths, trace=trace)
-
-    report = ChaosReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+    return soak.run_soak(
+        CHAOS,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=duration_s,
-        expected_bytes=expected_bytes,
+        path_configs=soak.uniform_paths(
+            scenario.n_paths, bandwidth_bps, delay_s, base_loss
+        ),
+        total_bytes=total_bytes,
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
     )
-
-    def _at_heal() -> None:
-        report.bytes_at_heal = connection.delivered_bytes
-        _check_timers(connection, "at heal", report.violations)
-
-    if scenario.events:
-        # Scheduled after the injector's own heal event (same time, later
-        # insertion sequence), so it sees the healed network.
-        sim.schedule_at(scenario.heal_time, _at_heal)
-
-    def _watch_completion() -> None:
-        if connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            return
-        sim.schedule(0.25, _watch_completion)
-
-    sim.schedule(0.25, _watch_completion)
-    connection.start()
-    sim.run(until=duration_s)
-
-    report.delivered_bytes = connection.delivered_bytes
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-
-    # Invariant 1: exactly-once, in-order delivery.
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} units, "
-            f"first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 2 again, at the very end.
-    _check_timers(connection, "at end", report.violations)
-
-    # Invariant 4: progress after the last fault healed.
-    if not report.completed:
-        report.violations.append(
-            f"transfer incomplete: {report.delivered_bytes}/{expected_bytes} "
-            f"bytes after {duration_s:.0f}s"
-        )
-        if report.delivered_bytes <= report.bytes_at_heal:
-            report.violations.append(
-                "no goodput recovery: nothing delivered after the last fault "
-                f"healed at t={scenario.heal_time:.1f}s"
-            )
-
-    # Invariant 3: the event queue drains once the transfer is done.
-    connection.close()
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            slug = scenario.name.replace(":", "-").replace("/", "-")
-            stem = f"flight_{protocol}_{slug}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-                report.profile_dump_path = profile_path
-        flight.close()
-        sim.set_profiler(None)
-    return report
 
 
 @dataclass
@@ -272,18 +85,6 @@ class FaultBenchResult:
     retention: float  # during / pre
     recovery_s: Optional[float]  # None = never reached 80 % of pre
 
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario_name,
-            "duration_s": self.duration_s,
-            "pre_mbps": round(self.pre_mbps, 4),
-            "during_mbps": round(self.during_mbps, 4),
-            "post_mbps": round(self.post_mbps, 4),
-            "retention": round(self.retention, 4),
-            "recovery_s": None if self.recovery_s is None else round(self.recovery_s, 2),
-        }
-
 
 def measure_fault_response(
     protocol: str,
@@ -295,43 +96,53 @@ def measure_fault_response(
     base_loss: float = 0.01,
     recovery_fraction: float = 0.8,
 ) -> FaultBenchResult:
-    """Goodput retention and recovery time for an open-ended transfer."""
-    if duration_s <= scenario.heal_time:
+    """Goodput retention and recovery time for an open-ended transfer.
+
+    Phases: *pre* is [1 s, first event) — the first second of slow-start
+    is skipped when judging the baseline — *during* is [first event,
+    settle), including handover blackouts, and *post* runs from settle
+    to the end. A lifecycle scenario gets its churn controller. For a
+    permanent removal (no re-add) the during window is empty and
+    retention reads 0 by convention; *post* then shows the surviving-path
+    capacity, and ``recovery_s`` stays ``None`` whenever the survivors
+    cannot reach ``recovery_fraction`` of the multi-path baseline — a
+    real capacity loss, not a bug.
+    """
+    settle = scenario.settle_time
+    if duration_s <= settle:
         raise ValueError(
-            f"duration {duration_s}s leaves no recovery window after "
-            f"heal at {scenario.heal_time}s"
+            f"duration {duration_s}s leaves no recovery window after the "
+            f"last event settles at {settle}s"
         )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=base_loss)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    metrics = MetricsSuite(trace, bin_width_s=1.0)
-    connection = _build_connection(
-        protocol, network.sim, paths, BulkSource(), seed, trace, sink=None
+    trace, network, paths = soak.build_topology(
+        soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s, base_loss), seed
     )
-    scenario.apply(network.sim, paths, trace=trace)
+    sim = network.sim
+    metrics = MetricsSuite(trace, bin_width_s=1.0)
+    connection = soak.build_connection(
+        protocol, sim, [paths[index] for index in scenario.active_paths],
+        BulkSource(), seed, trace,
+    )
+    controller = None
+    if scenario.has_churn:
+        controller = wire_churn(sim, network, paths, connection, scenario, trace)
+    scenario.apply(sim, paths, trace=trace, lifecycle=controller)
     connection.start()
-    network.sim.run(until=duration_s)
+    sim.run(until=duration_s)
 
     series = metrics.goodput.series(duration_s)  # (midpoint, MB/s) per 1 s bin
     fault_start = scenario.fault_start
-    heal = scenario.heal_time
 
     def phase_mean(lo: float, hi: float) -> float:
         rates = [rate for t, rate in series if lo <= t < hi]
         return mean(rates) if rates else 0.0
 
-    # Skip the first second of slow-start when judging the baseline.
     pre = phase_mean(1.0, fault_start)
-    during = phase_mean(fault_start, heal)
-    post = phase_mean(heal, duration_s)
+    during = phase_mean(fault_start, settle)
     recovery: Optional[float] = None
-    threshold = recovery_fraction * pre
     for t, rate in series:
-        if t >= heal and rate >= threshold:
-            recovery = t - heal
+        if t >= settle and rate >= recovery_fraction * pre:
+            recovery = t - settle
             break
     connection.close()
     return FaultBenchResult(
@@ -340,7 +151,7 @@ def measure_fault_response(
         duration_s=duration_s,
         pre_mbps=pre,
         during_mbps=during,
-        post_mbps=post,
+        post_mbps=phase_mean(settle, duration_s),
         retention=during / pre if pre > 0 else 0.0,
         recovery_s=recovery,
     )

@@ -5,43 +5,32 @@ backoff); this module is the *recovery* path: subflows are actually torn
 down when their path disappears and new ones are attached — with a join
 handshake — when a path comes up, as on a WiFi→LTE handover.
 
-Three pieces:
-
 * :class:`PathChurnController` — the lifecycle handler a
   :class:`~repro.faults.scenario.FaultInjector` delegates ``path_down`` /
   ``path_up`` / ``handover`` events to. It drives both layers in sync:
   the links (via :meth:`Network.detach_path` / re-raising them) and the
   transport (``Connection.remove_subflow`` / ``add_subflow``).
-* :func:`run_churn` — the chaos-soak harness for mobility scenarios,
-  with churn-specific invariants: no data loss or reordering across a
-  removal, completion on the surviving path after a permanent
-  ``path_down``, and goodput back within a bounded window of a
-  ``path_up``.
-* :func:`measure_churn_response` — the benchmark probe (open-ended
-  transfer, per-phase goodput) mirroring
-  :func:`~repro.faults.chaos.measure_fault_response`.
+  :func:`wire_churn` attaches one to a fresh run.
+* :func:`run_churn` — the :data:`CHURN` harness of the soak kernel
+  (:mod:`repro.soak`) for mobility scenarios, with the churn-specific
+  invariants :func:`survivors_complete` and :func:`bounded_readd`.
+
+The open-ended benchmark probe for churn scenarios is
+:func:`repro.faults.chaos.measure_fault_response`, which wires the
+controller itself when the scenario has lifecycle events.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
-from repro.core.config import FmtcpConfig
-from repro.faults.chaos import FaultBenchResult, _build_connection, _check_timers
+from repro import soak
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
 from repro.metrics.stats import mean
-from repro.mptcp.connection import MptcpConfig
-from repro.net.topology import Network, Path, PathConfig, build_two_path_network
+from repro.net.topology import Network, Path
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
-from repro.workloads.sources import BulkSource
 
 
 class PathChurnController:
@@ -170,31 +159,114 @@ class PathChurnController:
             self.sim.schedule(break_s, self.path_up, to_path)
 
 
-@dataclass
-class ChurnReport:
-    """Outcome of one :func:`run_churn` run."""
+def wire_churn(sim, network, paths, connection, scenario, trace) -> PathChurnController:
+    """Take the paths the transfer does not start on administratively
+    down (until a ``path_up`` / ``handover`` brings them online) and
+    return the controller the scenario's lifecycle events drive."""
+    for index, path in enumerate(paths):
+        if index not in scenario.active_paths:
+            network.detach_path(path)
+    return PathChurnController(
+        sim, paths, connection, network=network,
+        active_paths=scenario.active_paths, trace=trace,
+    )
 
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    pre_churn_mbps: float = 0.0
-    recovered_at_s: Optional[float] = None
-    path_downs: int = 0
-    path_ups: int = 0
-    handovers: int = 0
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    profile_dump_path: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+def churn_controller(run: soak.Run) -> None:
+    """Step: the lifecycle handler, when the scenario has lifecycle
+    events, and its ``downs / ups / handovers`` counters in the report."""
+    if not run.scenario.has_churn:
+        return
+    controller = run.controller = wire_churn(
+        run.sim, run.network, run.paths, run.connection, run.scenario, run.trace
+    )
+
+    def collect() -> None:
+        run.report.path_downs = controller.path_downs
+        run.report.path_ups = controller.path_ups
+        run.report.handovers = controller.handovers
+
+    run.collectors.append(collect)
+
+
+def _readds(scenario) -> bool:
+    """Whether any event brings a path (back) up."""
+    return any(event.kind in ("path_up", "handover") for event in scenario.events)
+
+
+def readd_meter(run: soak.Run) -> None:
+    """Step: per-second goodput, from which the report records the pre-
+    churn steady state and when goodput was back to
+    ``recovery_fraction`` of it after the last re-add settled."""
+    scenario, report = run.scenario, run.report
+    metrics = MetricsSuite(run.trace, bin_width_s=1.0)
+
+    def collect() -> None:
+        if not _readds(scenario):
+            return
+        series = metrics.goodput.series(report.duration_s)
+        report.pre_churn_mbps = mean(
+            [rate for t, rate in series if 1.0 <= t < scenario.fault_start] or [0.0]
+        )
+        threshold = run.options["recovery_fraction"] * report.pre_churn_mbps
+        report.recovered_at_s = next(
+            (
+                t
+                for t, rate in series
+                if t >= scenario.settle_time and rate >= threshold
+            ),
+            None,
+        )
+
+    run.collectors.append(collect)
+
+
+def survivors_complete(run: soak.Run) -> Iterator[str]:
+    """Completion on the surviving paths: a permanent ``path_down``
+    degrades capacity, never correctness."""
+    report = run.report
+    if not report.completed:
+        yield (
+            f"transfer incomplete on surviving paths: "
+            f"{report.delivered_bytes}/{report.expected_bytes} bytes "
+            f"after {report.duration_s:.0f}s"
+        )
+
+
+def bounded_readd(run: soak.Run) -> Iterator[str]:
+    """Bounded re-add recovery: within ``recovery_window_s`` of the last
+    ``path_up`` (or handover settle), goodput is back to
+    ``recovery_fraction`` of the pre-churn steady state, unless the
+    transfer already finished."""
+    scenario, report = run.scenario, run.report
+    if not _readds(scenario):
+        return
+    deadline = scenario.settle_time + run.options["recovery_window_s"]
+    finished = (
+        report.completion_time_s is not None and report.completion_time_s <= deadline
+    )
+    recovered = report.recovered_at_s is not None and report.recovered_at_s <= deadline
+    if not (finished or recovered):
+        pre = report.pre_churn_mbps
+        yield (
+            f"no goodput recovery within {run.options['recovery_window_s']:.0f}s "
+            f"of the last path_up (settle t={scenario.settle_time:.1f}s): pre-churn "
+            f"{pre:.3f} MB/s, threshold "
+            f"{run.options['recovery_fraction'] * pre:.3f} MB/s"
+        )
+
+
+CHURN = soak.Harness(
+    "churn",
+    soak.bulk_source,
+    steps=(readd_meter, churn_controller, soak.arm_timeline),
+    invariants=(
+        soak.exactly_once_in_order,
+        soak.no_wedged_timers,
+        survivors_complete,
+        bounded_readd,
+    ),
+)
 
 
 def run_churn(
@@ -210,274 +282,27 @@ def run_churn(
     flight_capacity: int = 4096,
     recovery_window_s: float = 5.0,
     recovery_fraction: float = 0.8,
-) -> ChurnReport:
+) -> soak.SoakReport:
     """One finite transfer through a mobility scenario, invariants checked.
 
     Same sizing rationale as :func:`~repro.faults.chaos.run_chaos` (the
-    transfer is mid-flight through the whole churn window), plus the
-    churn invariants:
-
-    1. **exactly-once, in-order delivery** — removing the subflow that
-       carried data must not corrupt or duplicate the decoded stream;
-    2. **no wedged RTO timers** on the surviving subflows at the end;
-    3. **completion on the surviving paths** — a permanent ``path_down``
-       degrades capacity, never correctness;
-    4. **bounded re-add recovery** — within ``recovery_window_s`` of the
-       last ``path_up`` (or handover settle), goodput is back to
-       ``recovery_fraction`` of the pre-churn steady state, unless the
-       transfer already finished;
-    5. **event-queue drain** after completion and close (a removed
-       subflow must not leak timers).
+    transfer is mid-flight through the whole churn window). The transfer
+    starts on ``scenario.active_paths`` only; a removed subflow must not
+    corrupt or duplicate the decoded stream, nor leak timers.
     """
-    if not scenario.has_churn:
-        raise ValueError(
-            f"scenario {scenario.name!r} has no lifecycle events; "
-            "use repro.faults.chaos.run_chaos for plain link faults"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=base_loss)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-    metrics = MetricsSuite(trace, bin_width_s=1.0)
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    delivered_ids: List[int] = []
-    if protocol == "fmtcp":
-        block_bytes = FmtcpConfig().block_bytes
-        expected_units = max(1, total_bytes // block_bytes)
-        expected_bytes = expected_units * block_bytes
-        sink = lambda block_id, data: delivered_ids.append(block_id)  # noqa: E731
-    else:
-        mss = MptcpConfig().mss
-        expected_units = total_bytes // mss + (1 if total_bytes % mss else 0)
-        expected_bytes = total_bytes
-        sink = lambda chunk: delivered_ids.append(chunk.dsn)  # noqa: E731
-
-    source = BulkSource(total_bytes=expected_bytes)
-    active_paths = [paths[index] for index in scenario.active_paths]
-    connection = _build_connection(
-        protocol, sim, active_paths, source, seed, trace, sink
-    )
-    # Paths the transfer does not start on are administratively down until
-    # a path_up / handover brings them online.
-    for index, path in enumerate(paths):
-        if index not in scenario.active_paths:
-            network.detach_path(path)
-    controller = PathChurnController(
-        sim,
-        paths,
-        connection,
-        network=network,
-        active_paths=scenario.active_paths,
-        trace=trace,
-    )
-    scenario.apply(sim, paths, trace=trace, lifecycle=controller)
-
-    report = ChurnReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+    return soak.run_soak(
+        CHURN,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=duration_s,
-        expected_bytes=expected_bytes,
-    )
-
-    def _watch_completion() -> None:
-        if connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            return
-        sim.schedule(0.25, _watch_completion)
-
-    sim.schedule(0.25, _watch_completion)
-    connection.start()
-    sim.run(until=duration_s)
-
-    report.delivered_bytes = connection.delivered_bytes
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-    report.path_downs = controller.path_downs
-    report.path_ups = controller.path_ups
-    report.handovers = controller.handovers
-
-    # Invariant 1: exactly-once, in-order delivery across every removal.
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} units, "
-            f"first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 2: no wedged timers on the survivors.
-    _check_timers(connection, "at end", report.violations)
-
-    # Invariant 3: completion despite permanent path loss.
-    if not report.completed:
-        report.violations.append(
-            f"transfer incomplete on surviving paths: "
-            f"{report.delivered_bytes}/{expected_bytes} bytes "
-            f"after {duration_s:.0f}s"
-        )
-
-    # Invariant 4: goodput recovers within the window of the last re-add.
-    has_readd = any(e.kind in ("path_up", "handover") for e in scenario.events)
-    if has_readd:
-        settle = scenario.settle_time
-        series = metrics.goodput.series(duration_s)
-        pre = mean(
-            [rate for t, rate in series if 1.0 <= t < scenario.fault_start] or [0.0]
-        )
-        report.pre_churn_mbps = pre
-        threshold = recovery_fraction * pre
-        for t, rate in series:
-            if t >= settle and rate >= threshold:
-                report.recovered_at_s = t
-                break
-        finished_inside_window = (
-            report.completion_time_s is not None
-            and report.completion_time_s <= settle + recovery_window_s
-        )
-        recovered_inside_window = (
-            report.recovered_at_s is not None
-            and report.recovered_at_s <= settle + recovery_window_s
-        )
-        if not (finished_inside_window or recovered_inside_window):
-            report.violations.append(
-                f"no goodput recovery within {recovery_window_s:.0f}s of the "
-                f"last path_up (settle t={settle:.1f}s): pre-churn "
-                f"{pre:.3f} MB/s, threshold {threshold:.3f} MB/s"
-            )
-
-    # Invariant 5: the event queue drains once the transfer is done.
-    connection.close()
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            slug = scenario.name.replace(":", "-").replace("/", "-")
-            stem = f"flight_{protocol}_{slug}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-                report.profile_dump_path = profile_path
-        flight.close()
-        sim.set_profiler(None)
-    return report
-
-
-def measure_churn_response(
-    protocol: str,
-    scenario: FaultScenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    bandwidth_bps: float = 4e6,
-    delay_s: float = 0.03,
-    base_loss: float = 0.01,
-    recovery_fraction: float = 0.8,
-) -> FaultBenchResult:
-    """Per-phase goodput of an open-ended transfer through churn.
-
-    Phases: *pre* is [1 s, first event), *during* is [first event, settle)
-    — the churn window including handover blackouts — and *post* runs
-    from settle to the end. For a permanent removal (no re-add) the
-    during window is empty and retention reads 0 by convention; *post*
-    then shows the surviving-path capacity, and ``recovery_s`` stays
-    ``None`` whenever the survivors cannot reach ``recovery_fraction`` of
-    the multi-path baseline — a real capacity loss, not a bug.
-    """
-    if not scenario.has_churn:
-        raise ValueError(
-            f"scenario {scenario.name!r} has no lifecycle events; "
-            "use measure_fault_response for plain link faults"
-        )
-    if duration_s <= scenario.settle_time:
-        raise ValueError(
-            f"duration {duration_s}s leaves no window after the last "
-            f"lifecycle event settles at {scenario.settle_time}s"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=base_loss)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-    metrics = MetricsSuite(trace, bin_width_s=1.0)
-    active_paths = [paths[index] for index in scenario.active_paths]
-    connection = _build_connection(
-        protocol, sim, active_paths, BulkSource(), seed, trace, sink=None
-    )
-    for index, path in enumerate(paths):
-        if index not in scenario.active_paths:
-            network.detach_path(path)
-    controller = PathChurnController(
-        sim,
-        paths,
-        connection,
-        network=network,
+        path_configs=soak.uniform_paths(
+            scenario.n_paths, bandwidth_bps, delay_s, base_loss
+        ),
+        total_bytes=total_bytes,
         active_paths=scenario.active_paths,
-        trace=trace,
-    )
-    scenario.apply(sim, paths, trace=trace, lifecycle=controller)
-    connection.start()
-    sim.run(until=duration_s)
-
-    series = metrics.goodput.series(duration_s)
-    fault_start = scenario.fault_start
-    settle = scenario.settle_time
-
-    def phase_mean(lo: float, hi: float) -> float:
-        rates = [rate for t, rate in series if lo <= t < hi]
-        return mean(rates) if rates else 0.0
-
-    pre = phase_mean(1.0, fault_start)
-    during = phase_mean(fault_start, settle)
-    post = phase_mean(settle, duration_s)
-    recovery: Optional[float] = None
-    threshold = recovery_fraction * pre
-    for t, rate in series:
-        if t >= settle and rate >= threshold:
-            recovery = t - settle
-            break
-    connection.close()
-    return FaultBenchResult(
-        protocol=protocol,
-        scenario_name=scenario.name,
-        duration_s=duration_s,
-        pre_mbps=pre,
-        during_mbps=during,
-        post_mbps=post,
-        retention=during / pre if pre > 0 else 0.0,
-        recovery_s=recovery,
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
+        recovery_window_s=recovery_window_s,
+        recovery_fraction=recovery_fraction,
     )

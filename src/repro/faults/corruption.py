@@ -3,19 +3,14 @@ scenarios, with *byte-level* delivery verification.
 
 :func:`run_chaos` can prove a transfer completed; it cannot prove the
 delivered bytes are the *sent* bytes, because its workload is synthetic.
-This harness drives real random payloads end-to-end
+:func:`run_corruption` — the :data:`CORRUPTION` harness of the soak
+kernel (:mod:`repro.soak`) — drives real random payloads end-to-end
 (:class:`~repro.workloads.sources.RandomPayloadSource` keeps a
 transcript; FMTCP runs with ``coding="real"`` so actual block bytes are
 fountain-coded, mutated on the wire and decoded) and checks, on top of
-the chaos invariants:
-
-5. **zero corrupted bytes delivered** — the receiver's reassembled
-   stream is byte-identical to the source transcript, even when
-   mutations evade the link CRC and must be caught by the DSS checksum,
-   the block CRC or GF(2) inconsistency;
-6. **the integrity layer actually fired** — when links corrupted
-   packets, at least one defense (discard / checksum reject /
-   quarantine) accounts for them, so a run can't pass vacuously.
+the chaos invariants, :func:`~repro.soak.byte_identical` — even when
+mutations evade the link CRC and must be caught by the DSS checksum, the
+block CRC or GF(2) inconsistency — and :func:`defense_fired`.
 
 :func:`measure_corruption_goodput` is the benchmark probe: steady-state
 goodput of an open-ended transfer at a fixed per-link corruption rate.
@@ -23,73 +18,39 @@ goodput of an open-ended transfer at a fixed per-link corruption rate.
 
 from __future__ import annotations
 
-import json
-import os
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Iterator, Optional
 
+from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.faults.chaos import _check_timers
 from repro.faults.scenario import FaultScenario
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
 from repro.net.corruption import BernoulliCorruption
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
-from repro.workloads.sources import BulkSource, RandomPayloadSource
+from repro.workloads.sources import BulkSource
 
 
-@dataclass
-class CorruptionReport:
-    """Outcome of one :func:`run_corruption` run."""
-
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    bytes_at_heal: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    packets_corrupted: int = 0
-    corruption_stats: Dict[str, int] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    profile_dump_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _make_connection(protocol, config, sim, paths, source, seed, trace, sink):
-    """Like chaos's builder, but with an explicit (real-coding) config."""
-    if protocol == "fmtcp":
-        from repro.core.connection import FmtcpConnection
-
-        return FmtcpConnection(
-            sim, paths, source, config=config or FmtcpConfig(),
-            trace=trace, rng=RngStreams(seed), sink=sink,
+def defense_fired(run: soak.Run) -> Iterator[str]:
+    """The integrity layer actually fired: when links corrupted packets,
+    at least one defense (discard / checksum reject / quarantine)
+    accounts for them, so a run cannot pass vacuously."""
+    report = run.report
+    if report.packets_corrupted > 0 and not any(report.corruption_stats.values()):
+        yield (
+            f"{report.packets_corrupted} packets corrupted on the wire but "
+            "no integrity defense fired (discard/reject/quarantine all zero)"
         )
-    if protocol == "mptcp":
-        return MptcpConnection(
-            sim, paths, source, config=config or MptcpConfig(),
-            trace=trace, sink=sink,
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _links_corrupted(paths) -> int:
-    return sum(
-        link.packets_corrupted
-        for path in paths
-        for link in (*path.forward_links, *path.reverse_links)
-    )
+CORRUPTION = soak.Harness(
+    "corruption",
+    soak.random_payload,
+    steps=(soak.arm_timeline, soak.heal_probe),
+    invariants=(
+        soak.exactly_once_in_order,
+        soak.byte_identical,
+        soak.no_wedged_timers,
+        soak.completes_after_heal,
+        defense_fired,
+    ),
+)
 
 
 def run_corruption(
@@ -103,7 +64,7 @@ def run_corruption(
     total_bytes: int = 327_680,
     flight_dump_dir: Optional[str] = None,
     flight_capacity: int = 4096,
-) -> CorruptionReport:
+) -> soak.SoakReport:
     """Run one finite *real-payload* transfer through ``scenario``.
 
     Sizing mirrors :func:`run_chaos` but smaller: real fountain coding
@@ -113,190 +74,21 @@ def run_corruption(
     corruption window ([8, 18) s) and must survive it, yet finishes
     well before ``duration_s`` once the links heal.
     """
-    if not scenario.has_corruption:
-        raise ValueError(
-            f"scenario {scenario.name!r} has no corruption events; use "
-            "repro.faults.chaos.run_chaos (or run_churn for lifecycle "
-            "scenarios) instead"
-        )
-    if scenario.has_churn:
-        raise ValueError(
-            f"scenario {scenario.name!r} mixes corruption with subflow-"
-            "lifecycle events; split it across run_corruption/run_churn"
-        )
-    if scenario.has_trace:
-        raise ValueError(
-            f"scenario {scenario.name!r} mixes corruption with trace "
-            "replay; split it across run_corruption/run_traces"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=base_loss)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    delivered_ids: List[int] = []
-    delivered_data: List[bytes] = []
-    if protocol == "fmtcp":
-        # Real coding so actual bytes flow; round to whole blocks so the
-        # transcript and the reassembled stream cover the same span.
-        config = FmtcpConfig(coding="real")
-        block_bytes = config.block_bytes
-        expected_units = max(1, total_bytes // block_bytes)
-        expected_bytes = expected_units * block_bytes
-
-        def sink(block_id: int, data: Optional[bytes]) -> None:
-            delivered_ids.append(block_id)
-            delivered_data.append(data or b"")
-
-    elif protocol == "mptcp":
-        config = MptcpConfig()
-        mss = config.mss
-        expected_units = total_bytes // mss + (1 if total_bytes % mss else 0)
-        expected_bytes = total_bytes
-
-        def sink(chunk) -> None:
-            delivered_ids.append(chunk.dsn)
-            delivered_data.append(chunk.payload_bytes or b"")
-
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    source = RandomPayloadSource(expected_bytes, rng=random.Random(seed))
-    connection = _make_connection(
-        protocol, config, sim, paths, source, seed, trace, sink
-    )
-    scenario.apply(sim, paths, trace=trace)
-
-    report = CorruptionReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+    return soak.run_soak(
+        CORRUPTION,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=duration_s,
-        expected_bytes=expected_bytes,
+        path_configs=soak.uniform_paths(
+            scenario.n_paths, bandwidth_bps, delay_s, base_loss
+        ),
+        total_bytes=total_bytes,
+        # Real coding so actual bytes flow through the fountain codec.
+        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
     )
-
-    def _at_heal() -> None:
-        report.bytes_at_heal = connection.delivered_bytes
-        _check_timers(connection, "at heal", report.violations)
-
-    if scenario.events:
-        sim.schedule_at(scenario.heal_time, _at_heal)
-
-    def _watch_completion() -> None:
-        if connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            return
-        sim.schedule(0.25, _watch_completion)
-
-    sim.schedule(0.25, _watch_completion)
-    connection.start()
-    sim.run(until=duration_s)
-
-    report.delivered_bytes = connection.delivered_bytes
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-    report.packets_corrupted = _links_corrupted(paths)
-    report.corruption_stats = connection.corruption_stats()
-
-    # Invariant 1: exactly-once, in-order delivery.
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} units, "
-            f"first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 5: zero corrupted bytes delivered. Compare the prefix
-    # actually delivered even on incomplete runs — a wrong byte is a
-    # violation whether or not the transfer finished.
-    reassembled = b"".join(delivered_data)
-    transcript = bytes(source.transcript)
-    if reassembled != transcript[: len(reassembled)]:
-        first_bad = next(
-            (
-                i
-                for i, (got, want) in enumerate(zip(reassembled, transcript))
-                if got != want
-            ),
-            min(len(reassembled), len(transcript)),
-        )
-        report.violations.append(
-            f"corrupted bytes delivered: reassembled stream diverges from "
-            f"the source transcript at offset {first_bad}"
-        )
-
-    # Invariant 2 again, at the very end.
-    _check_timers(connection, "at end", report.violations)
-
-    # Invariant 4: progress after the links healed.
-    if not report.completed:
-        report.violations.append(
-            f"transfer incomplete: {report.delivered_bytes}/{expected_bytes} "
-            f"bytes after {duration_s:.0f}s"
-        )
-        if report.delivered_bytes <= report.bytes_at_heal:
-            report.violations.append(
-                "no goodput recovery: nothing delivered after corruption "
-                f"healed at t={scenario.heal_time:.1f}s"
-            )
-
-    # Invariant 6: corrupted packets must be accounted for by a defense.
-    if report.packets_corrupted > 0 and not any(report.corruption_stats.values()):
-        report.violations.append(
-            f"{report.packets_corrupted} packets corrupted on the wire but "
-            "no integrity defense fired (discard/reject/quarantine all zero)"
-        )
-
-    # Invariant 3: the event queue drains once the transfer is done.
-    connection.close()
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            slug = scenario.name.replace(":", "-").replace("/", "-")
-            stem = f"flight_{protocol}_{slug}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                    "corruption_stats": report.corruption_stats,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-                report.profile_dump_path = profile_path
-        flight.close()
-        sim.set_profiler(None)
-    return report
 
 
 def measure_corruption_goodput(
@@ -312,14 +104,11 @@ def measure_corruption_goodput(
     """Steady-state goodput (Mb/s) with every forward link corrupting at
     ``rate`` for the whole run. ``rate=0`` leaves the links pristine (no
     model installed, so the clean baseline draws no extra randomness)."""
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=0.0)
-        for __ in range(2)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    connection = _make_connection(
-        protocol, None, network.sim, paths, BulkSource(), seed, trace, sink=None
+    trace, network, paths = soak.build_topology(
+        soak.uniform_paths(2, bandwidth_bps, delay_s), seed
+    )
+    connection = soak.build_connection(
+        protocol, network.sim, paths, BulkSource(), seed, trace
     )
     if rate > 0.0:
         for path in paths:

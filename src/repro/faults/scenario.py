@@ -22,6 +22,14 @@ queue     waiting-packet capacity (an ``int``), or ``None`` to
           restore the baseline capacity
 ========  ==========================================================
 
+plus the subflow-lifecycle, corruption, endpoint-crash and trace-replay
+kinds documented at :data:`CHURN_KINDS`, :data:`CORRUPTION_KINDS`,
+:data:`CRASH_KINDS` and :data:`TRACE_KINDS`. Everything this module
+knows about a kind — which harness group it belongs to, how its value
+is validated, when it restores, which link setting it occupies and how
+it is applied — is one row of :data:`FAULT_TABLE`; adding a kind is
+adding a row.
+
 Every scenario heals: by construction the latest event of each fault
 restores its baseline, so :attr:`FaultScenario.heal_time` marks the
 moment after which the network is clean again — the anchor for the
@@ -35,7 +43,7 @@ the timeline across runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.corruption import (
@@ -49,50 +57,17 @@ from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
+from repro.traces.generators import resolve_trace
+from repro.traces.player import TracePlayer
 
-#: Subflow-lifecycle event kinds (mobility): unlike link faults, which the
-#: transport merely *suffers*, these are visible path management — the
-#: endpoint tears the subflow down / builds a new one. They need a
-#: lifecycle handler (see :class:`FaultInjector`), typically
-#: :class:`repro.faults.churn.PathChurnController`.
-CHURN_KINDS = ("path_down", "path_up", "handover")
 
-#: Data-corruption event kinds: install a
-#: :class:`~repro.net.corruption.CorruptionModel` on the path's links.
-#: ``corrupt`` takes ``rate`` or ``(rate[, effect[, evade_crc]])``
-#: (a :class:`BernoulliCorruption`); ``corrupt_ge`` takes
-#: ``(p_gb, p_bg, corrupt_bad[, effect[, evade_crc]])`` (a bursty
-#: :class:`GilbertElliottCorruption`). ``None`` restores the baseline.
-CORRUPTION_KINDS = ("corrupt", "corrupt_ge")
-
-#: Endpoint crash/recovery event kinds: unlike every other kind, these
-#: mutate an *endpoint*, not the network. ``crash_sender`` and
-#: ``crash_receiver`` kill the respective endpoint (losing all volatile
-#: state — only its last durable checkpoint survives); ``restart`` brings
-#: a crashed endpoint back up (value ``None`` = whichever is down, or
-#: ``"sender"`` / ``"receiver"``). They need an endpoints handler (see
-#: :class:`repro.recovery.manager.RecoveryManager`); the ``path`` field is
-#: ignored (conventionally 0).
-CRASH_KINDS = ("crash_sender", "crash_receiver", "restart")
-
-#: Trace-replay event kinds: arm a :class:`~repro.traces.player.TracePlayer`
-#: replaying a recorded/generated channel time series onto the path's
-#: links. The value is a trace spec — a
-#: :class:`~repro.traces.model.LinkTrace`, a bundled asset name, a
-#: ``"family:seed"`` generator spec or a CSV path (see
-#: :func:`repro.traces.resolve_trace`) — or ``None`` to stop playback and
-#: restore the baseline.
-TRACE_KINDS = ("trace",)
-
-FAULT_KINDS = (
-    "down",
-    "up",
-    "bandwidth",
-    "delay",
-    "loss",
-    "reorder",
-    "queue",
-) + CHURN_KINDS + CORRUPTION_KINDS + CRASH_KINDS + TRACE_KINDS
+def _effect_and_evasion(kind: str, value: Any, rest: Sequence[Any]):
+    """The optional ``[, effect[, evade_crc]]`` tail of a corruption value."""
+    effect = rest[0] if len(rest) >= 1 else "bitflip"
+    evade_crc = float(rest[1]) if len(rest) >= 2 else 0.0
+    if len(rest) > 2 or effect not in CORRUPTION_EFFECTS:
+        raise ValueError(f"bad {kind} value {value!r}")
+    return effect, evade_crc
 
 
 def _make_bernoulli_corruption(value: Any) -> BernoulliCorruption:
@@ -106,10 +81,7 @@ def _make_bernoulli_corruption(value: Any) -> BernoulliCorruption:
             f"corrupt value must be rate or (rate[, effect[, evade_crc]]), "
             f"got {value!r}"
         ) from None
-    effect = rest[0] if len(rest) >= 1 else "bitflip"
-    evade_crc = float(rest[1]) if len(rest) >= 2 else 0.0
-    if len(rest) > 2 or effect not in CORRUPTION_EFFECTS:
-        raise ValueError(f"bad corrupt value {value!r}")
+    effect, evade_crc = _effect_and_evasion("corrupt", value, rest)
     return BernoulliCorruption(float(rate), effect=effect, evade_crc=evade_crc)
 
 
@@ -122,17 +94,324 @@ def _make_ge_corruption(value: Any) -> GilbertElliottCorruption:
             f"corrupt_ge value must be (p_gb, p_bg, corrupt_bad"
             f"[, effect[, evade_crc]]), got {value!r}"
         ) from None
-    effect = rest[0] if len(rest) >= 1 else "bitflip"
-    evade_crc = float(rest[1]) if len(rest) >= 2 else 0.0
-    if len(rest) > 2 or effect not in CORRUPTION_EFFECTS:
-        raise ValueError(f"bad corrupt_ge value {value!r}")
+    effect, evade_crc = _effect_and_evasion("corrupt_ge", value, rest)
     return GilbertElliottCorruption(
-        float(p_gb),
-        float(p_bg),
-        corrupt_bad=float(corrupt_bad),
-        effect=effect,
-        evade_crc=evade_crc,
+        float(p_gb), float(p_bg), corrupt_bad=float(corrupt_bad),
+        effect=effect, evade_crc=evade_crc,
     )
+
+
+# ----------------------------------------------------------------------
+# Value checks (``check`` column). Run at FaultEvent construction, so a
+# bad value is caught at scenario-build time instead of deep inside the
+# event loop, where it would either explode or silently produce nonsense
+# serialisation times (NaN/inf).
+# ----------------------------------------------------------------------
+def _unchecked(event: "FaultEvent") -> None:
+    pass
+
+
+def _no_value(event: "FaultEvent") -> None:
+    if event.value is not None:
+        raise ValueError(f"{event.kind} takes no value, got {event.value!r}")
+
+
+def _check_bandwidth(event: "FaultEvent") -> None:
+    factor = float(event.value)
+    if not math.isfinite(factor) or factor <= 0:
+        raise ValueError(
+            f"bandwidth factor must be finite and positive, got {event.value!r}"
+        )
+
+
+def _check_delay(event: "FaultEvent") -> None:
+    factor = float(event.value)
+    if not math.isfinite(factor) or factor < 0:
+        raise ValueError(
+            f"delay factor must be finite and non-negative, got {event.value!r}"
+        )
+
+
+def _check_loss(event: "FaultEvent") -> None:
+    if event.value is not None and not 0.0 <= float(event.value) < 1.0:
+        raise ValueError(f"loss rate must be in [0, 1), got {event.value!r}")
+
+
+def _check_queue(event: "FaultEvent") -> None:
+    if event.value is not None and int(event.value) < 1:
+        raise ValueError(f"queue capacity must be >= 1, got {event.value!r}")
+
+
+def _check_handover(event: "FaultEvent") -> None:
+    try:
+        to_path, break_s = event.value
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"handover value must be a (to_path, break_s) pair, got {event.value!r}"
+        ) from None
+    if int(to_path) < 0 or float(break_s) < 0:
+        raise ValueError(
+            f"handover needs to_path >= 0 and break_s >= 0, got {event.value!r}"
+        )
+
+
+def _check_restart(event: "FaultEvent") -> None:
+    if event.value not in (None, "sender", "receiver"):
+        raise ValueError(
+            f"restart value must be None, 'sender' or 'receiver', got {event.value!r}"
+        )
+
+
+def _or_none(build: Callable[[Any], Any]) -> Callable[["FaultEvent"], None]:
+    """``None`` restores; anything else must build (CSV errors surface early)."""
+
+    def check(event: "FaultEvent") -> None:
+        if event.value is not None:
+            build(event.value)
+
+    return check
+
+
+# ----------------------------------------------------------------------
+# Restore predicates (``restores`` column): whether the event returns its
+# link setting to baseline.
+# ----------------------------------------------------------------------
+def _never(event: "FaultEvent") -> bool:
+    return False
+
+
+def _always(event: "FaultEvent") -> bool:
+    return True
+
+
+def _unit_factor(event: "FaultEvent") -> bool:
+    return float(event.value) == 1.0
+
+
+def _none_value(event: "FaultEvent") -> bool:
+    return event.value is None
+
+
+# ----------------------------------------------------------------------
+# Appliers (``apply`` column): ``apply(injector, event)``.
+# ----------------------------------------------------------------------
+def _on_links(mutate: Callable[[Any, "_LinkBaseline", Any], None]):
+    """Lift ``mutate(link, baseline, value)`` over every link the event names."""
+
+    def apply(injector: "FaultInjector", event: "FaultEvent") -> None:
+        for link in injector._links_of(event):
+            mutate(link, injector._baselines[id(link)], event.value)
+
+    return apply
+
+
+def _install(model: str, build: Callable[[Any], Any]):
+    """Set the link's ``model`` (loss / reordering / corruption): the
+    baseline's for ``None``, else a fresh ``build(value)`` per link —
+    each link's realisation draws from its own rng stream, and a
+    Gilbert-Elliott chain is stateful."""
+
+    def mutate(link, baseline, value) -> None:
+        getattr(link, f"set_{model}")(
+            getattr(baseline, model) if value is None else build(value)
+        )
+
+    return mutate
+
+
+def _set_queue(link, baseline, value) -> None:
+    link.queue.capacity = baseline.queue_capacity if value is None else int(value)
+
+
+def _handover(injector: "FaultInjector", event: "FaultEvent") -> None:
+    to_path, break_s = event.value
+    injector.lifecycle.handover(event.path, int(to_path), float(break_s))
+
+
+def _replay(injector: "FaultInjector", event: "FaultEvent") -> None:
+    key = (event.path, event.direction)
+    existing = injector._players.pop(key, None)
+    if existing is not None:
+        existing.stop(restore=True)
+    if event.value is not None:
+        player = TracePlayer(
+            injector.sim,
+            injector._links_of(event),
+            resolve_trace(event.value),
+            bus=injector.trace,
+        )
+        player.start()
+        injector._players[key] = player
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One row of :data:`FAULT_TABLE`."""
+
+    #: The harness family the kind belongs to (see :data:`ROUTES`).
+    group: str
+    #: Validates ``FaultEvent.value``; raises ``ValueError``.
+    check: Callable[["FaultEvent"], None]
+    #: Whether the event returns its link setting to baseline.
+    restores: Callable[["FaultEvent"], bool]
+    #: The link setting the kind writes, for overlap diagnosis; kinds that
+    #: share a slot clobber each other. ``None`` = not a link mutation.
+    slot: Optional[str]
+    apply: Callable[["FaultInjector", "FaultEvent"], None]
+
+
+FAULT_TABLE: Dict[str, FaultKind] = {
+    # Plain link faults: the transport merely *suffers* them.
+    "down": FaultKind(
+        "chaos", _unchecked, _never, "down",
+        _on_links(lambda link, baseline, value: link.set_down(True)),
+    ),
+    "up": FaultKind(
+        "chaos", _unchecked, _always, "down",
+        _on_links(lambda link, baseline, value: link.set_down(False)),
+    ),
+    "bandwidth": FaultKind(
+        "chaos", _check_bandwidth, _unit_factor, "bandwidth",
+        _on_links(
+            lambda link, baseline, value: link.set_bandwidth(
+                baseline.bandwidth_bps * float(value)
+            )
+        ),
+    ),
+    "delay": FaultKind(
+        "chaos", _check_delay, _unit_factor, "delay",
+        _on_links(
+            lambda link, baseline, value: link.set_delay(
+                baseline.delay_s * float(value)
+            )
+        ),
+    ),
+    "loss": FaultKind(
+        "chaos", _check_loss, _none_value, "loss",
+        _on_links(_install("loss_model", lambda rate: BernoulliLoss(float(rate)))),
+    ),
+    "reorder": FaultKind(
+        "chaos", _unchecked, _none_value, "reorder",
+        _on_links(
+            _install(
+                "reordering_model",
+                lambda value: UniformReordering(value[0], max_extra_s=value[1]),
+            )
+        ),
+    ),
+    "queue": FaultKind(
+        "chaos", _check_queue, _none_value, "queue", _on_links(_set_queue)
+    ),
+    # Subflow lifecycle: delegated to the injector's ``lifecycle`` handler.
+    "path_down": FaultKind(
+        "churn", _no_value, _never, None,
+        lambda injector, event: injector.lifecycle.path_down(event.path),
+    ),
+    "path_up": FaultKind(
+        "churn", _no_value, _never, None,
+        lambda injector, event: injector.lifecycle.path_up(event.path),
+    ),
+    "handover": FaultKind("churn", _check_handover, _never, None, _handover),
+    # Data corruption: both kinds write the link's one corruption_model
+    # slot, so cross-kind clobbering is still an overlap worth diagnosing.
+    "corrupt": FaultKind(
+        "corruption", _or_none(_make_bernoulli_corruption), _none_value, "corrupt",
+        _on_links(_install("corruption_model", _make_bernoulli_corruption)),
+    ),
+    "corrupt_ge": FaultKind(
+        "corruption", _or_none(_make_ge_corruption), _none_value, "corrupt",
+        _on_links(_install("corruption_model", _make_ge_corruption)),
+    ),
+    # Endpoint crashes: delegated to the injector's ``endpoints`` handler.
+    "crash_sender": FaultKind(
+        "recovery", _no_value, _never, None,
+        lambda injector, event: injector.endpoints.crash_sender(),
+    ),
+    "crash_receiver": FaultKind(
+        "recovery", _no_value, _never, None,
+        lambda injector, event: injector.endpoints.crash_receiver(),
+    ),
+    "restart": FaultKind(
+        "recovery", _check_restart, _never, None,
+        lambda injector, event: injector.endpoints.restart(event.value),
+    ),
+    "trace": FaultKind(
+        "traces", _or_none(resolve_trace), _none_value, "trace", _replay
+    ),
+}
+
+FAULT_KINDS = tuple(FAULT_TABLE)
+
+
+def _kinds_of(group: str) -> Tuple[str, ...]:
+    return tuple(kind for kind, row in FAULT_TABLE.items() if row.group == group)
+
+
+#: Subflow-lifecycle event kinds (mobility): unlike link faults, which the
+#: transport merely *suffers*, these are visible path management — the
+#: endpoint tears the subflow down / builds a new one. ``handover`` takes
+#: ``(to_path, break_s)``, the others no value. They need a lifecycle
+#: handler (see :class:`FaultInjector`), typically
+#: :class:`repro.faults.churn.PathChurnController`.
+CHURN_KINDS = _kinds_of("churn")
+
+#: Data-corruption event kinds: install a
+#: :class:`~repro.net.corruption.CorruptionModel` on the path's links.
+#: ``corrupt`` takes ``rate`` or ``(rate[, effect[, evade_crc]])``
+#: (a :class:`BernoulliCorruption`); ``corrupt_ge`` takes
+#: ``(p_gb, p_bg, corrupt_bad[, effect[, evade_crc]])`` (a bursty
+#: :class:`GilbertElliottCorruption`). ``None`` restores the baseline.
+CORRUPTION_KINDS = _kinds_of("corruption")
+
+#: Endpoint crash/recovery event kinds: unlike every other kind, these
+#: mutate an *endpoint*, not the network. ``crash_sender`` and
+#: ``crash_receiver`` kill the respective endpoint (losing all volatile
+#: state — only its last durable checkpoint survives); ``restart`` brings
+#: a crashed endpoint back up (value ``None`` = whichever is down, or
+#: ``"sender"`` / ``"receiver"``). They need an endpoints handler (see
+#: :class:`repro.recovery.manager.RecoveryManager`); the ``path`` field is
+#: ignored (conventionally 0).
+CRASH_KINDS = _kinds_of("recovery")
+
+#: Trace-replay event kinds: arm a :class:`~repro.traces.player.TracePlayer`
+#: replaying a recorded/generated channel time series onto the path's
+#: links. The value is a trace spec — a
+#: :class:`~repro.traces.model.LinkTrace`, a bundled asset name, a
+#: ``"family:seed"`` generator spec or a CSV path (see
+#: :func:`repro.traces.resolve_trace`) — or ``None`` to stop playback and
+#: restore the baseline.
+TRACE_KINDS = _kinds_of("traces")
+
+#: Routing, stated once. A timeline belongs to the first group below that
+#: it contains (an empty one, or one of plain link faults, to ``chaos``):
+#: ``run_<group>`` is the harness whose invariants can check it. Each row
+#: is ``(groups it may also carry, its events, what its harness adds)`` —
+#: a mix outside the first column has no harness and is rejected. The
+#: exhaustion presets are not timelines; they route by preset name (an
+#: :class:`~repro.robustness.exhaustion.ExhaustionScenario`).
+ROUTES: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
+    "recovery": (
+        ("traces", "corruption", "churn", "chaos"),
+        "endpoint crash/restart events",
+        "resumes crashed endpoints from their checkpoints",
+    ),
+    "traces": (
+        ("corruption", "chaos"),
+        "trace events",
+        "replays channel traces and verifies delivered bytes and bounded memory",
+    ),
+    "corruption": (
+        ("chaos",),
+        "corruption events",
+        "verifies delivered bytes against the source transcript",
+    ),
+    "churn": (
+        ("chaos",),
+        "subflow-lifecycle events",
+        "drives the subflow lifecycle and checks the survivors",
+    ),
+    "chaos": ((), "link faults", "checks plain link faults"),
+}
 
 
 @dataclass(frozen=True)
@@ -148,67 +427,17 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"event time must be non-negative, got {self.time}")
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in FAULT_TABLE:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.path < 0:
             raise ValueError(f"path index must be non-negative, got {self.path}")
         if self.direction not in ("forward", "reverse", "both"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind == "handover":
-            try:
-                to_path, break_s = self.value
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "handover value must be a (to_path, break_s) pair, "
-                    f"got {self.value!r}"
-                ) from None
-            if int(to_path) < 0 or float(break_s) < 0:
-                raise ValueError(
-                    f"handover needs to_path >= 0 and break_s >= 0, got {self.value!r}"
-                )
-        elif self.kind in ("path_down", "path_up") and self.value is not None:
-            raise ValueError(f"{self.kind} takes no value, got {self.value!r}")
-        elif self.kind in ("crash_sender", "crash_receiver") and self.value is not None:
-            raise ValueError(f"{self.kind} takes no value, got {self.value!r}")
-        elif self.kind == "restart" and self.value not in (None, "sender", "receiver"):
-            raise ValueError(
-                f"restart value must be None, 'sender' or 'receiver', "
-                f"got {self.value!r}"
-            )
-        elif self.kind == "corrupt" and self.value is not None:
-            _make_bernoulli_corruption(self.value)  # validates, result unused
-        elif self.kind == "corrupt_ge" and self.value is not None:
-            _make_ge_corruption(self.value)  # validates, result unused
-        elif self.kind == "trace" and self.value is not None:
-            from repro.traces.generators import resolve_trace
+        FAULT_TABLE[self.kind].check(self)
 
-            resolve_trace(self.value)  # validates (and surfaces CSV errors early)
-        elif self.kind == "bandwidth":
-            # Caught here, at scenario-build time, instead of deep inside
-            # the event loop where a bad factor would either explode or
-            # silently produce nonsense serialisation times (NaN/inf).
-            factor = float(self.value)
-            if not math.isfinite(factor) or factor <= 0:
-                raise ValueError(
-                    f"bandwidth factor must be finite and positive, "
-                    f"got {self.value!r}"
-                )
-        elif self.kind == "delay":
-            factor = float(self.value)
-            if not math.isfinite(factor) or factor < 0:
-                raise ValueError(
-                    f"delay factor must be finite and non-negative, "
-                    f"got {self.value!r}"
-                )
-        elif self.kind == "loss" and self.value is not None:
-            rate = float(self.value)
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"loss rate must be in [0, 1), got {self.value!r}")
-        elif self.kind == "queue" and self.value is not None:
-            if int(self.value) < 1:
-                raise ValueError(
-                    f"queue capacity must be >= 1, got {self.value!r}"
-                )
+
+def _has(group: str, doc: str) -> property:
+    return property(lambda self: group in self.groups, doc=doc)
 
 
 class FaultScenario:
@@ -251,6 +480,8 @@ class FaultScenario:
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda event: event.time)
         )
+        #: The :data:`FAULT_TABLE` groups of the events present.
+        self.groups = frozenset(FAULT_TABLE[event.kind].group for event in self.events)
 
     @property
     def fault_start(self) -> float:
@@ -262,30 +493,17 @@ class FaultScenario:
         """When the last event has applied and the network is clean again."""
         return self.events[-1].time if self.events else 0.0
 
-    @property
-    def has_churn(self) -> bool:
-        """Whether any event manages subflow lifecycle (needs a handler)."""
-        return any(event.kind in CHURN_KINDS for event in self.events)
-
-    @property
-    def has_corruption(self) -> bool:
-        """Whether any event installs a corruption model (routes the
-        scenario to :func:`repro.faults.corruption.run_corruption`)."""
-        return any(event.kind in CORRUPTION_KINDS for event in self.events)
-
-    @property
-    def has_endpoint_faults(self) -> bool:
-        """Whether any event crashes/restarts an endpoint (needs an
-        endpoints handler; routes the scenario to
-        :func:`repro.recovery.harness.run_recovery`)."""
-        return any(event.kind in CRASH_KINDS for event in self.events)
-
-    @property
-    def has_trace(self) -> bool:
-        """Whether any event replays a channel trace (routes the scenario
-        to :func:`repro.traces.harness.run_traces`, whose invariants cover
-        byte-identity and bounded memory under bandwidth collapse)."""
-        return any(event.kind in TRACE_KINDS for event in self.events)
+    has_churn = _has(
+        "churn", "Whether any event manages subflow lifecycle (needs a handler)."
+    )
+    has_corruption = _has(
+        "corruption", "Whether any event installs a corruption model."
+    )
+    has_endpoint_faults = _has(
+        "recovery",
+        "Whether any event crashes/restarts an endpoint (needs an endpoints handler).",
+    )
+    has_trace = _has("traces", "Whether any event replays a channel trace.")
 
     @property
     def settle_time(self) -> float:
@@ -301,6 +519,34 @@ class FaultScenario:
                 end += float(event.value[1])
             settle = max(settle, end)
         return settle
+
+    def route(self, harness: Optional[str] = None) -> str:
+        """The harness group whose invariants can check this timeline
+        (see :data:`ROUTES`); raises ``ValueError`` for a mix none can.
+
+        With ``harness`` given, also raise unless that is the group — a
+        scenario run under the wrong invariants passes vacuously. One
+        exception: ``recovery`` takes an empty timeline as its clean
+        baseline (``measure_recovery`` compares against it).
+        """
+        target = next((group for group in ROUTES if group in self.groups), "chaos")
+        carries, events, adds = ROUTES[target]
+        for group in ROUTES:
+            if group in self.groups and group != target and group not in carries:
+                raise ValueError(
+                    f"scenario {self.name!r} mixes {events} with "
+                    f"{ROUTES[group][1]}; no harness checks both — split it"
+                )
+        if harness in (None, target) or (harness == "recovery" and not self.events):
+            return target
+        if harness in self.groups or harness not in ROUTES or harness == "chaos":
+            problem = f"has {events}, which run_{harness} cannot check"
+        else:
+            problem = f"has no {ROUTES[harness][1]}"
+        raise ValueError(
+            f"scenario {self.name!r} {problem}; it routes to run_{target}, "
+            f"which {adds}"
+        )
 
     def apply(
         self,
@@ -320,32 +566,15 @@ class FaultScenario:
     # ------------------------------------------------------------------
     @classmethod
     def named(cls, name: str) -> "FaultScenario":
-        """Build one of the preset scenarios (:data:`SCENARIOS` link
+        """Build one of the :data:`PRESETS` (:data:`SCENARIOS` link
         faults, :data:`MOBILITY_SCENARIOS` subflow churn,
         :data:`CORRUPTION_SCENARIOS` data corruption,
         :data:`RECOVERY_SCENARIOS` endpoint crashes or
         :data:`TRACE_SCENARIOS` replayed channel dynamics)."""
-        factory = (
-            SCENARIOS.get(name)
-            or MOBILITY_SCENARIOS.get(name)
-            or CORRUPTION_SCENARIOS.get(name)
-            or RECOVERY_SCENARIOS.get(name)
-            or TRACE_SCENARIOS.get(name)
-        )
-        if factory is None:
-            known = ", ".join(
-                sorted(
-                    {
-                        **SCENARIOS,
-                        **MOBILITY_SCENARIOS,
-                        **CORRUPTION_SCENARIOS,
-                        **RECOVERY_SCENARIOS,
-                        **TRACE_SCENARIOS,
-                    }
-                )
-            )
-            raise ValueError(f"unknown scenario {name!r} (known: {known})") from None
-        return factory()
+        if name not in PRESETS:
+            known = ", ".join(sorted(PRESETS))
+            raise ValueError(f"unknown scenario {name!r} (known: {known})")
+        return PRESETS[name][1]()
 
     @classmethod
     def random(
@@ -369,39 +598,12 @@ class FaultScenario:
         rng = RngStreams(seed).get("faults:timeline")
         events: List[FaultEvent] = []
         for __ in range(rng.randint(min_faults, max_faults)):
-            kind = rng.choice(
-                ("down", "bandwidth", "delay", "loss", "reorder", "queue")
-            )
+            kind, draw_value, restore_kind, restore_value = rng.choice(_RANDOM_FAULTS)
             path = rng.randrange(n_paths)
             start = rng.uniform(*fault_window)
             end = min(start + rng.uniform(0.5, 4.0), heal_time)
-            if kind == "down":
-                events.append(FaultEvent(start, "down", path))
-                events.append(FaultEvent(end, "up", path))
-            elif kind == "bandwidth":
-                events.append(
-                    FaultEvent(start, "bandwidth", path, rng.uniform(0.02, 0.3))
-                )
-                events.append(FaultEvent(end, "bandwidth", path, 1.0))
-            elif kind == "delay":
-                events.append(FaultEvent(start, "delay", path, rng.uniform(3.0, 10.0)))
-                events.append(FaultEvent(end, "delay", path, 1.0))
-            elif kind == "loss":
-                events.append(FaultEvent(start, "loss", path, rng.uniform(0.2, 0.9)))
-                events.append(FaultEvent(end, "loss", path, None))
-            elif kind == "reorder":
-                events.append(
-                    FaultEvent(
-                        start,
-                        "reorder",
-                        path,
-                        (rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.2)),
-                    )
-                )
-                events.append(FaultEvent(end, "reorder", path, None))
-            else:  # queue
-                events.append(FaultEvent(start, "queue", path, rng.randint(1, 3)))
-                events.append(FaultEvent(end, "queue", path, None))
+            events.append(FaultEvent(start, kind, path, draw_value(rng)))
+            events.append(FaultEvent(end, restore_kind, path, restore_value))
         return cls(f"random:{seed}", events, n_paths=n_paths)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -409,6 +611,23 @@ class FaultScenario:
             f"<FaultScenario {self.name!r} events={len(self.events)} "
             f"heal={self.heal_time:.1f}s>"
         )
+
+
+#: The random generator's pool — plain link faults only — as ``(kind,
+#: draw the fault value, restoring kind, restoring value)``.
+_RANDOM_FAULTS = (
+    ("down", lambda rng: None, "up", None),
+    ("bandwidth", lambda rng: rng.uniform(0.02, 0.3), "bandwidth", 1.0),
+    ("delay", lambda rng: rng.uniform(3.0, 10.0), "delay", 1.0),
+    ("loss", lambda rng: rng.uniform(0.2, 0.9), "loss", None),
+    (
+        "reorder",
+        lambda rng: (rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.2)),
+        "reorder",
+        None,
+    ),
+    ("queue", lambda rng: rng.randint(1, 3), "queue", None),
+)
 
 
 @dataclass
@@ -439,11 +658,12 @@ class FaultInjector:
     ``crash_sender()``, ``crash_receiver()`` and ``restart(which)``
     methods (see :class:`repro.recovery.manager.RecoveryManager`).
 
-    Overlap diagnosis: two non-restoring faults of the same kind on the
-    same link apply last-writer-wins by design — legal, but a frequent
-    scenario-authoring mistake. The injector records each such pair in
-    :attr:`overlaps` and emits a ``fault.overlap`` trace record so the
-    timeline shows where a fault silently clobbered an earlier one.
+    Overlap diagnosis: two non-restoring faults on the same link setting
+    (a :class:`FaultKind` ``slot``) apply last-writer-wins by design —
+    legal, but a frequent scenario-authoring mistake. The injector
+    records each such pair in :attr:`overlaps` and emits a
+    ``fault.overlap`` trace record so the timeline shows where a fault
+    silently clobbered an earlier one.
     """
 
     def __init__(
@@ -506,31 +726,12 @@ class FaultInjector:
             return path.reverse_links
         return (*path.forward_links, *path.reverse_links)
 
-    @staticmethod
-    def _is_restore(event: FaultEvent) -> bool:
-        """Whether the event returns its link setting to baseline."""
-        if event.kind == "up":
-            return True
-        if event.kind in ("bandwidth", "delay"):
-            return float(event.value) == 1.0
-        if event.kind in ("loss", "reorder", "queue", "corrupt", "corrupt_ge", "trace"):
-            return event.value is None
-        return False  # "down" always degrades
-
-    def _note_overlap(self, event: FaultEvent) -> None:
-        """Record last-writer-wins collisions of same-kind link faults."""
-        if event.kind in ("down", "up"):
-            base_kind = "down"
-        elif event.kind in CORRUPTION_KINDS:
-            # Both kinds write the same link slot (corruption_model), so
-            # cross-kind clobbering is still an overlap worth diagnosing.
-            base_kind = "corrupt"
-        else:
-            base_kind = event.kind
-        restoring = self._is_restore(event)
+    def _note_overlap(self, event: FaultEvent, row: FaultKind) -> None:
+        """Record last-writer-wins collisions on one link setting."""
+        restoring = row.restores(event)
         clobbered: List[FaultEvent] = []
         for link in self._links_of(event):
-            key = (id(link), base_kind)
+            key = (id(link), row.slot)
             if restoring:
                 self._active_faults.pop(key, None)
                 continue
@@ -559,24 +760,11 @@ class FaultInjector:
             player.stop(restore=restore)
         self._players.clear()
 
-    def _apply_trace(self, event: FaultEvent) -> None:
-        self._note_overlap(event)
-        key = (event.path, event.direction)
-        existing = self._players.pop(key, None)
-        if existing is not None:
-            existing.stop(restore=True)
-        if event.value is not None:
-            from repro.traces.generators import resolve_trace
-            from repro.traces.player import TracePlayer
-
-            player = TracePlayer(
-                self.sim,
-                self._links_of(event),
-                resolve_trace(event.value),
-                bus=self.trace,
-            )
-            player.start()
-            self._players[key] = player
+    def _apply(self, event: FaultEvent) -> None:
+        row = FAULT_TABLE[event.kind]
+        if row.slot is not None:
+            self._note_overlap(event, row)
+        row.apply(self, event)
         self.applied.append(event)
         if self.trace is not None:
             self.trace.emit(
@@ -584,108 +772,18 @@ class FaultInjector:
                 "fault.apply",
                 fault=event.kind,
                 path=event.path,
+                # A LinkTrace value is named, not dumped.
                 value=getattr(event.value, "name", event.value),
             )
 
-    def _apply(self, event: FaultEvent) -> None:
-        if event.kind in TRACE_KINDS:
-            self._apply_trace(event)
-            return
-        if event.kind in CRASH_KINDS:
-            if event.kind == "crash_sender":
-                self.endpoints.crash_sender()
-            elif event.kind == "crash_receiver":
-                self.endpoints.crash_receiver()
-            else:
-                self.endpoints.restart(event.value)
-            self.applied.append(event)
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    "fault.apply",
-                    fault=event.kind,
-                    path=event.path,
-                    value=event.value,
-                )
-            return
-        if event.kind in CHURN_KINDS:
-            if event.kind == "path_down":
-                self.lifecycle.path_down(event.path)
-            elif event.kind == "path_up":
-                self.lifecycle.path_up(event.path)
-            else:
-                to_path, break_s = event.value
-                self.lifecycle.handover(event.path, int(to_path), float(break_s))
-            self.applied.append(event)
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    "fault.apply",
-                    fault=event.kind,
-                    path=event.path,
-                    value=event.value,
-                )
-            return
-        self._note_overlap(event)
-        for link in self._links_of(event):
-            baseline = self._baselines[id(link)]
-            if event.kind == "down":
-                link.set_down(True)
-            elif event.kind == "up":
-                link.set_down(False)
-            elif event.kind == "bandwidth":
-                link.set_bandwidth(baseline.bandwidth_bps * float(event.value))
-            elif event.kind == "delay":
-                link.set_delay(baseline.delay_s * float(event.value))
-            elif event.kind == "loss":
-                if event.value is None:
-                    link.set_loss_model(baseline.loss_model)
-                else:
-                    link.set_loss_model(BernoulliLoss(float(event.value)))
-            elif event.kind == "reorder":
-                if event.value is None:
-                    link.set_reordering_model(baseline.reordering_model)
-                else:
-                    probability, max_extra_s = event.value
-                    link.set_reordering_model(
-                        UniformReordering(probability, max_extra_s=max_extra_s)
-                    )
-            elif event.kind == "corrupt":
-                if event.value is None:
-                    link.set_corruption_model(baseline.corruption_model)
-                else:
-                    # Fresh model per link: each link's realisation draws
-                    # from its own rng stream.
-                    link.set_corruption_model(
-                        _make_bernoulli_corruption(event.value)
-                    )
-            elif event.kind == "corrupt_ge":
-                if event.value is None:
-                    link.set_corruption_model(baseline.corruption_model)
-                else:
-                    # Per-link instance: the GE chain is stateful.
-                    link.set_corruption_model(_make_ge_corruption(event.value))
-            else:  # queue
-                capacity = (
-                    baseline.queue_capacity if event.value is None else int(event.value)
-                )
-                link.queue.capacity = capacity
-        self.applied.append(event)
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now,
-                "fault.apply",
-                fault=event.kind,
-                path=event.path,
-                value=event.value,
-            )
-
 
 # ----------------------------------------------------------------------
-# Preset scenarios. Faults hit path 1 during [8, 18) s (path 0 stays
+# Presets, one block per routing group; :data:`PRESETS` below registers
+# them.
+#
+# Link-fault presets. Faults hit path 1 during [8, 18) s (path 0 stays
 # clean), leaving [0, 8) as the pre-fault baseline window and everything
 # after 18 s for recovery measurement.
-# ----------------------------------------------------------------------
 def _link_flap() -> FaultScenario:
     events = []
     for start, end in ((8.0, 10.0), (12.0, 14.0), (16.0, 18.0)):
@@ -739,23 +837,9 @@ def _queue_saturation() -> FaultScenario:
     )
 
 
-SCENARIOS: Dict[str, Callable[[], FaultScenario]] = {
-    "link_flap": _link_flap,
-    "path_death": _path_death,
-    "bandwidth_collapse": _bandwidth_collapse,
-    "delay_spike": _delay_spike,
-    "loss_burst": _loss_burst,
-    "reorder_storm": _reorder_storm,
-    "queue_saturation": _queue_saturation,
-}
-
-
-# ----------------------------------------------------------------------
-# Mobility presets: subflow-lifecycle timelines. Kept in their own
-# registry because they cannot run through the plain link-fault harness
-# (run_chaos) — they need a lifecycle handler and the churn invariants of
-# repro.faults.churn.run_churn.
-# ----------------------------------------------------------------------
+# Mobility presets: subflow-lifecycle timelines. They cannot run through
+# the plain link-fault harness — they need a lifecycle handler and the
+# churn invariants of repro.faults.churn.run_churn.
 def _wifi_to_lte_handover() -> FaultScenario:
     # Path 0 is the "WiFi" association the transfer starts on; path 1
     # ("LTE") exists but is unused until the handover at t=8 s, which
@@ -786,19 +870,10 @@ def _single_path_degradation() -> FaultScenario:
     )
 
 
-MOBILITY_SCENARIOS: Dict[str, Callable[[], FaultScenario]] = {
-    "wifi_to_lte_handover": _wifi_to_lte_handover,
-    "flaky_path_churn": _flaky_path_churn,
-    "single_path_degradation": _single_path_degradation,
-}
-
-
-# ----------------------------------------------------------------------
 # Corruption presets: data-integrity timelines, same shape as the link
-# presets (path 1 corrupts during [8, 18) s, path 0 stays clean). Their
-# own registry because the plain harness has no byte-level delivery
-# verification — they route to repro.faults.corruption.run_corruption.
-# ----------------------------------------------------------------------
+# presets (path 1 corrupts during [8, 18) s, path 0 stays clean). The
+# plain harness has no byte-level delivery verification — they route to
+# repro.faults.corruption.run_corruption.
 def _bit_rot() -> FaultScenario:
     # Steady 5 % bit-flip corruption; one flip in five re-seals the link
     # CRC (a collision), exercising the end-to-end DSS / block-CRC /
@@ -848,21 +923,10 @@ def _duplicate_mutation() -> FaultScenario:
     )
 
 
-CORRUPTION_SCENARIOS: Dict[str, Callable[[], FaultScenario]] = {
-    "bit_rot": _bit_rot,
-    "corruption_burst": _corruption_burst,
-    "truncation_storm": _truncation_storm,
-    "duplicate_mutation": _duplicate_mutation,
-}
-
-
-# ----------------------------------------------------------------------
 # Recovery presets: endpoint crash/restart timelines, same anchor shape
 # as the link presets (first crash at t=8 s, leaving [0, 8) as a clean
-# baseline window). Their own registry because they need an endpoints
-# handler and the checkpoint/reconnect machinery of
-# repro.recovery.harness.run_recovery.
-# ----------------------------------------------------------------------
+# baseline window). They need an endpoints handler and the
+# checkpoint/reconnect machinery of repro.recovery.harness.run_recovery.
 def _receiver_crash() -> FaultScenario:
     # The receiver dies at t=8 s and its host comes back at t=11 s. The
     # sender must notice the half-open connection (RTOs into the void),
@@ -929,24 +993,13 @@ def _reconnect_exhaustion() -> FaultScenario:
     )
 
 
-RECOVERY_SCENARIOS: Dict[str, Callable[[], FaultScenario]] = {
-    "receiver_crash": _receiver_crash,
-    "sender_crash": _sender_crash,
-    "crash_storm": _crash_storm,
-    "crash_during_handover": _crash_during_handover,
-    "reconnect_exhaustion": _reconnect_exhaustion,
-}
-
-
-# ----------------------------------------------------------------------
 # Trace presets: replayed channel dynamics. The trace rides path 1
 # during [2, 18) s (path 0 stays clean) — traces carry *absolute*
 # bandwidth/delay/loss regimes, not multiplicative factors, so the
 # window starts early to leave the 16 s generator defaults room before
-# the explicit restore at t=18 s. Their own registry because traces need
-# byte-level delivery verification plus the flow-control/watchdog
-# interplay checks of repro.traces.harness.run_traces.
-# ----------------------------------------------------------------------
+# the explicit restore at t=18 s. They need byte-level delivery
+# verification plus the flow-control/watchdog interplay checks of
+# repro.traces.harness.run_traces.
 def trace_replay_scenario(
     spec,
     name: Optional[str] = None,
@@ -994,13 +1047,49 @@ def _wifi_replay() -> FaultScenario:
     return trace_replay_scenario("wifi_walk", name="wifi_replay")
 
 
-TRACE_SCENARIOS: Dict[str, Callable[[], FaultScenario]] = {
-    "gprs_bursty": _gprs_bursty,
-    "leo_handover": _leo_handover,
-    "dc_incast": _dc_incast,
-    "cellular_replay": _cellular_replay,
-    "wifi_replay": _wifi_replay,
+#: The one preset registry, name -> (group, factory): ``FaultScenario.named``
+#: and the per-group ``*_SCENARIOS`` views all read it. A preset's group is
+#: the one :meth:`FaultScenario.route` computes for its timeline (pinned
+#: by tests/test_faults_scenario.py).
+PRESETS: Dict[str, Tuple[str, Callable[[], FaultScenario]]] = {
+    factory.__name__.lstrip("_"): (group, factory)
+    for group, factories in (
+        (
+            "chaos",
+            (_link_flap, _path_death, _bandwidth_collapse, _delay_spike,
+             _loss_burst, _reorder_storm, _queue_saturation),
+        ),
+        (
+            "churn",
+            (_wifi_to_lte_handover, _flaky_path_churn, _single_path_degradation),
+        ),
+        (
+            "corruption",
+            (_bit_rot, _corruption_burst, _truncation_storm, _duplicate_mutation),
+        ),
+        (
+            "recovery",
+            (_receiver_crash, _sender_crash, _crash_storm, _crash_during_handover,
+             _reconnect_exhaustion),
+        ),
+        (
+            "traces",
+            (_gprs_bursty, _leo_handover, _dc_incast, _cellular_replay, _wifi_replay),
+        ),
+    )
+    for factory in factories
 }
+
+
+def _presets(group: str) -> Dict[str, Callable[[], FaultScenario]]:
+    return {name: factory for name, (g, factory) in PRESETS.items() if g == group}
+
+
+SCENARIOS = _presets("chaos")
+MOBILITY_SCENARIOS = _presets("churn")
+CORRUPTION_SCENARIOS = _presets("corruption")
+RECOVERY_SCENARIOS = _presets("recovery")
+TRACE_SCENARIOS = _presets("traces")
 
 
 def resolve_scenario(spec: str) -> FaultScenario:

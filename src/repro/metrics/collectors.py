@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.metrics.stats import mean, mean_absolute_difference, percentile, stdev
+from repro.metrics.stats import mean, mean_absolute_difference, percentile
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus, TraceRecord
 
@@ -88,9 +88,6 @@ class BlockDelayCollector:
     def jitter_s(self) -> float:
         """Mean absolute consecutive-delay difference (Fig. 6 metric)."""
         return mean_absolute_difference(self.delays_in_sequence())
-
-    def delay_stdev_s(self) -> float:
-        return stdev(self.delays_in_sequence())
 
     def delay_percentile_s(self, q: float) -> float:
         return percentile(self.delays_in_sequence(), q)

@@ -16,21 +16,14 @@ from repro.recovery.checkpoint import (
     snapshot_receiver,
     snapshot_sender,
 )
-from repro.recovery.harness import (
-    PROTOCOLS,
-    RecoveryReport,
-    measure_recovery,
-    run_recovery,
-)
+from repro.recovery.harness import measure_recovery, run_recovery
 from repro.recovery.manager import ReconnectPolicy, RecoveryManager
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "PROTOCOLS",
     "ReceiverCheckpoint",
     "ReconnectPolicy",
     "RecoveryManager",
-    "RecoveryReport",
     "ResumeState",
     "SenderCheckpoint",
     "measure_recovery",

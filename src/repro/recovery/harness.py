@@ -1,6 +1,7 @@
 """Crash-recovery soak harness and its benchmark probe.
 
-:func:`run_recovery` drives one finite transfer with **real payload**
+:func:`run_recovery` — the :data:`RECOVERY` harness of the soak kernel
+(:mod:`repro.soak`) — drives one finite transfer with **real payload**
 through an endpoint crash/restart timeline
 (:data:`~repro.faults.scenario.RECOVERY_SCENARIOS`), a
 :class:`~repro.recovery.manager.RecoveryManager` handling the crashes
@@ -8,28 +9,15 @@ and a :class:`~repro.robustness.watchdog.Watchdog` guaranteeing clean
 failure. The source is wrapped in a
 :class:`~repro.workloads.sources.ReplayableSource` so every recovery
 epoch can re-pull committed stream bytes, and the delivered payload is
-compared byte-for-byte against the source transcript. Invariants:
-
-1. **byte-identical delivery** — the concatenated delivered payload is
-   a prefix of (and, on completion, equal to) the source transcript,
-   no matter how many crashes interrupted the transfer;
-2. **exactly-once, in-order delivery** — re-sent units from stale
-   sender checkpoints are deduplicated, never double-delivered;
-3. **bounded recovery** — every resolvable outage resumes within
-   ``recovery_bound_s`` of the endpoint restart, and half-open
-   detection stays within the policy's ``max_detect_s``;
-4. **completion / clean failure where promised** — scenarios whose
-   crashes all restart must complete; a never-restarted endpoint must
-   end in a watchdog-declared clean failure (with diagnosis), and must
-   *not* quietly succeed;
-5. **epoch accounting** — one resume per recovery epoch, attempts at
-   least covering resumes, every applied crash accounted;
-6. **no wedged timers / event-queue drain** — as in the other soak
-   harnesses, including the manager's own timers.
+compared byte-for-byte against the source transcript
+(:func:`~repro.soak.byte_identical`) no matter how many crashes
+interrupted the transfer. The harness's own invariants are
+:func:`bounded_recovery`, :func:`epoch_accounting` and
+:func:`no_wedged_timers_on_live_epoch`.
 
 Seeded determinism across restart epochs is asserted by the soak test
 (two runs of the same seed must produce identical
-:meth:`RecoveryReport.fingerprint` values).
+:meth:`~repro.soak.SoakReport.fingerprint` values).
 
 :func:`measure_recovery` is the benchmark probe behind
 ``benchmarks/bench_recovery.py``: the same transfer with and without
@@ -40,78 +28,24 @@ checkpoint-size asymmetry (FMTCP O(1) frontier vs MPTCP chunk map).
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
+from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.faults.chaos import _check_timers
-from repro.faults.churn import PathChurnController
+from repro.faults.churn import churn_controller
 from repro.faults.scenario import FaultScenario
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
 from repro.recovery.manager import ReconnectPolicy, RecoveryManager
-from repro.robustness.watchdog import Watchdog, WatchdogConfig
+from repro.robustness.watchdog import WatchdogConfig
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
 from repro.workloads.sources import RandomPayloadSource, ReplayableSource
 
-PROTOCOLS = ("fmtcp", "mptcp")
 
-
-@dataclass
-class RecoveryReport:
-    """Outcome of one :func:`run_recovery` run."""
-
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    expected_units: int
-    expect_complete: bool
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    payload_crc32: int = 0
-    crashes: int = 0
-    resumes: int = 0
-    attempts: int = 0
-    epochs: int = 0
-    recovery_state: str = "running"
-    outages: List[Dict[str, Any]] = field(default_factory=list)
-    max_outage_s: float = 0.0
-    checkpoint_bytes: int = 0
-    watchdog_failed: bool = False
-    watchdog_escalation: int = 0
-    fail_reason: Optional[str] = None
-    diagnosis: Optional[Dict[str, Any]] = None
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    profile_dump_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """Determinism probe: two same-seed runs must match exactly."""
-        return {
-            "payload_crc32": self.payload_crc32,
-            "delivered_bytes": self.delivered_bytes,
-            "delivered_units": self.delivered_units,
-            "completion_time_s": self.completion_time_s,
-            "crashes": self.crashes,
-            "resumes": self.resumes,
-            "attempts": self.attempts,
-            "recovery_state": self.recovery_state,
-        }
+def replayable_payload(expected_bytes: int, seed: int) -> ReplayableSource:
+    """Real payload end to end — the byte-identity invariant needs actual
+    data through the fountain encoder / DSS checksum machinery — that a
+    recovery epoch can rewind to its sender checkpoint."""
+    rng = RngStreams(seed).get("recovery:payload")
+    return ReplayableSource(RandomPayloadSource(expected_bytes, rng=rng))
 
 
 def _expected_completion(scenario: FaultScenario) -> bool:
@@ -123,6 +57,128 @@ def _expected_completion(scenario: FaultScenario) -> bool:
         elif event.kind == "restart":
             down = 0  # restart(None) revives every down endpoint
     return down == 0
+
+
+def recovery_manager(run: soak.Run) -> None:
+    """Step: the watchdog and the :class:`RecoveryManager` whose epoch
+    builder rebuilds the connection through the kernel's one builder."""
+    report, scenario, source = run.report, run.scenario, run.source
+
+    def rebuild(epoch: int, resume) -> Any:
+        # Rewind the replayable source to the sender checkpoint (clamped —
+        # a post-completion crash may checkpoint a frontier byte-offset
+        # past the final short unit) and rebuild on whatever path set is
+        # active *now*.
+        source.rewind(min(resume.sender_byte_offset, source.granted_bytes))
+        if run.controller is not None:
+            active = sorted(run.controller._subflow_of_path)
+        else:
+            active = list(scenario.active_paths)
+        run.connection = soak.build_connection(
+            report.protocol, run.sim, [run.paths[index] for index in active],
+            source, report.seed, run.trace, config=run.config, sink=run.sink,
+            epoch=epoch, resume=resume,
+        )
+        if run.controller is not None:
+            run.controller.rebind(run.connection, active)
+        return run.connection
+
+    soak.ride_watchdog(run, run.options["watchdog_config"])
+    manager = run.manager = RecoveryManager(
+        run.sim,
+        run.connection,
+        rebuild,
+        RngStreams(report.seed),
+        policy=run.options["policy"],
+        trace=run.trace,
+        watchdog=run.watchdog,
+        hello_rtt_s=run.options["hello_rtt_s"],
+    )
+
+    def collect() -> None:
+        stats = manager.stats()
+        report.crashes = manager.crashes
+        report.resumes = manager.resumes
+        report.attempts = manager.attempts_total
+        report.epochs = manager.epoch
+        report.recovery_state = manager.state
+        report.outages = stats["outages"]
+        report.max_outage_s = max(
+            (outage.get("outage_s", 0.0) for outage in report.outages), default=0.0
+        )
+        report.checkpoint_bytes = stats["checkpoint_bytes"]
+
+    run.starters.append(manager.start)
+    run.collectors.append(collect)
+    run.closers.append(manager.close)  # the manager's own timers must drain too
+
+
+def bounded_recovery(run: soak.Run) -> Iterator[str]:
+    """Every resolvable outage resumes within ``recovery_bound_s`` of the
+    endpoint restart, and half-open detection stays within the policy's
+    ``max_detect_s``."""
+    bound = run.options["recovery_bound_s"]
+    ceiling = run.options["policy"].max_detect_s
+    for outage in run.report.outages:
+        resume_at = outage.get("resume_at")
+        if resume_at is not None:
+            since = outage.get("restart_at", outage["crash_at"])
+            if resume_at - since > bound:
+                yield (
+                    f"recovery exceeded bound: {outage['kind']} at "
+                    f"t={outage['crash_at']:.1f}s resumed "
+                    f"{resume_at - since:.2f}s after restart (bound {bound:.1f}s)"
+                )
+        detect_s = outage.get("detect_s")
+        if detect_s is not None and detect_s > ceiling + 0.5:
+            yield (
+                f"half-open detection took {detect_s:.2f}s, past the "
+                f"{ceiling:.1f}s policy ceiling"
+            )
+
+
+def epoch_accounting(run: soak.Run) -> Iterator[str]:
+    """One resume per recovery epoch, attempts at least covering resumes,
+    every applied crash either resumed or terminally failed."""
+    report = run.report
+    if report.epochs != report.resumes:
+        yield f"epoch/resume mismatch: epoch {report.epochs}, resumes {report.resumes}"
+    if report.expect_complete and report.resumes != report.crashes:
+        yield (
+            f"unresolved outage: {report.crashes} crashes but only "
+            f"{report.resumes} resumes in a fully-restarted timeline"
+        )
+    if run.scenario.has_endpoint_faults and report.crashes == 0:
+        yield "scenario has crash events but none were applied"
+    if report.attempts < report.resumes:
+        yield (
+            f"attempt accounting broken: {report.attempts} attempts "
+            f"for {report.resumes} resumes"
+        )
+
+
+def no_wedged_timers_on_live_epoch(run: soak.Run) -> Iterator[str]:
+    """Only a live epoch owes armed timers — after a terminal give-up the
+    manager has deliberately torn the connection down (timers cancelled,
+    in-flight abandoned), which is the clean-fail contract, not a wedge."""
+    if run.report.recovery_state == "running":
+        yield from soak.wedged_timers(run.connection, "at end")
+
+
+RECOVERY = soak.Harness(
+    "recovery",
+    replayable_payload,
+    steps=(churn_controller, recovery_manager, soak.arm_timeline),
+    invariants=(
+        soak.byte_identical,
+        soak.exactly_once_in_order,
+        bounded_recovery,
+        soak.outcome_as_promised,
+        soak.completes_or_fails_cleanly,
+        epoch_accounting,
+        no_wedged_timers_on_live_epoch,
+    ),
+)
 
 
 def run_recovery(
@@ -138,7 +194,7 @@ def run_recovery(
     policy: Optional[ReconnectPolicy] = None,
     watchdog_config: Optional[WatchdogConfig] = None,
     recovery_bound_s: float = 8.0,
-) -> RecoveryReport:
+) -> soak.SoakReport:
     """One finite real-payload transfer through a crash timeline.
 
     Sizing rationale: at two clean 250 kbps paths the transfer is
@@ -148,331 +204,31 @@ def run_recovery(
     outage window (~3.5 s), so the stall ladder only fires on genuine
     wedges — the manager escalates budget exhaustion itself through
     :meth:`~repro.robustness.watchdog.Watchdog.fail`.
+
+    Default detection ceiling: at soak bandwidths the bottleneck queue
+    inflates RTOs to seconds, so the consecutive-RTO ladder can lag a
+    heartbeat-style timeout; 2.5 s keeps detection inside the presets'
+    crash->restart spacing. Fresh (post-handover) subflows still detect
+    faster via the RTO ladder.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if scenario.events and not scenario.has_endpoint_faults:
-        raise ValueError(
-            f"scenario {scenario.name!r} has no endpoint crash/restart "
-            "events; use the chaos/churn/corruption harnesses instead "
-            "(an empty scenario is allowed as a clean baseline)"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=0.0)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    # Real payload end to end: the byte-identity invariant needs actual
-    # data through the fountain encoder / DSS checksum machinery.
-    fmtcp_config = FmtcpConfig(coding="real")
-    mptcp_config = MptcpConfig()
-    if protocol == "fmtcp":
-        block_bytes = fmtcp_config.block_bytes
-        expected_units = max(1, total_bytes // block_bytes)
-        expected_bytes = expected_units * block_bytes
-    else:
-        mss = mptcp_config.mss
-        expected_units = total_bytes // mss + (1 if total_bytes % mss else 0)
-        expected_bytes = total_bytes
-
-    delivered_ids: List[int] = []
-    delivered_payload: List[bytes] = []
-    if protocol == "fmtcp":
-        def sink(block_id, data):
-            delivered_ids.append(block_id)
-            delivered_payload.append(data or b"")
-    else:
-        def sink(chunk):
-            delivered_ids.append(chunk.dsn)
-            delivered_payload.append(chunk.payload_bytes or b"")
-
-    source = ReplayableSource(
-        RandomPayloadSource(
-            expected_bytes, rng=RngStreams(seed).get("recovery:payload")
-        )
-    )
-
-    # The epoch builder: every resume rewinds the replayable source to
-    # the sender checkpoint (clamped — a post-completion crash may
-    # checkpoint a frontier byte-offset past the final short unit) and
-    # rebuilds the connection on whatever path set is active *now*.
-    controller: Optional[PathChurnController] = None
-
-    def active_indices() -> List[int]:
-        if controller is not None:
-            return sorted(controller._subflow_of_path)
-        return list(scenario.active_paths)
-
-    def build(epoch: int, resume) -> Any:
-        if resume is not None:
-            source.rewind(min(resume.sender_byte_offset, source.granted_bytes))
-        active = active_indices()
-        epoch_rng = RngStreams(seed).for_epoch(epoch)
-        if protocol == "fmtcp":
-            connection = FmtcpConnection(
-                sim,
-                [paths[index] for index in active],
-                source,
-                config=fmtcp_config,
-                trace=trace,
-                rng=epoch_rng,
-                sink=sink,
-                resume=resume,
-            )
-        else:
-            connection = MptcpConnection(
-                sim,
-                [paths[index] for index in active],
-                source,
-                config=mptcp_config,
-                trace=trace,
-                sink=sink,
-                resume=resume,
-            )
-        if controller is not None:
-            controller.rebind(connection, active)
-        return connection
-
-    connection = build(0, None)
-    if scenario.has_churn:
-        for index, path in enumerate(paths):
-            if index not in scenario.active_paths:
-                network.detach_path(path)
-        controller = PathChurnController(
-            sim,
-            paths,
-            connection,
-            network=network,
-            active_paths=scenario.active_paths,
-            trace=trace,
-        )
-
-    watchdog = Watchdog(
-        sim,
-        connection,
-        config=watchdog_config or WatchdogConfig(min_stall_s=6.0),
-        trace=trace,
-        samplers=(),
-        flight=flight,
-        dump_dir=flight_dump_dir,
-        label=f"{protocol}_{scenario.name}_seed{seed}",
-    )
-    # Default detection ceiling: at soak bandwidths the bottleneck queue
-    # inflates RTOs to seconds, so the consecutive-RTO ladder can lag a
-    # heartbeat-style timeout; 2.5 s keeps detection inside the presets'
-    # crash->restart spacing. Fresh (post-handover) subflows still detect
-    # faster via the RTO ladder.
-    effective_policy = policy or ReconnectPolicy(max_detect_s=2.5)
-    manager = RecoveryManager(
-        sim,
-        connection,
-        build,
-        RngStreams(seed),
-        policy=effective_policy,
-        trace=trace,
-        watchdog=watchdog,
-        hello_rtt_s=2.0 * delay_s,
-    )
-    scenario.apply(sim, paths, trace=trace, lifecycle=controller, endpoints=manager)
-
-    report = RecoveryReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+    return soak.run_soak(
+        RECOVERY,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=duration_s,
-        expected_bytes=expected_bytes,
-        expected_units=expected_units,
+        path_configs=soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s),
+        total_bytes=total_bytes,
+        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
+        active_paths=scenario.active_paths,
         expect_complete=_expected_completion(scenario),
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
+        policy=policy or ReconnectPolicy(max_detect_s=2.5),
+        watchdog_config=watchdog_config or WatchdogConfig(min_stall_s=6.0),
+        recovery_bound_s=recovery_bound_s,
+        hello_rtt_s=2.0 * delay_s,
     )
-
-    def _watch() -> None:
-        if manager.connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            # A finished transfer makes no further progress; that is not
-            # a stall, so the watchdog retires with the transfer.
-            watchdog.stop()
-            return
-        if watchdog.failed:
-            return  # terminal: the diagnosis is already frozen
-        sim.schedule(0.25, _watch)
-
-    sim.schedule(0.25, _watch)
-    watchdog.start()
-    manager.start()
-    connection.start()
-    sim.run(until=duration_s)
-
-    connection = manager.connection  # the latest epoch's connection
-    stats = manager.stats()
-    report.delivered_bytes = int(connection.delivered_bytes)
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-    report.crashes = manager.crashes
-    report.resumes = manager.resumes
-    report.attempts = manager.attempts_total
-    report.epochs = manager.epoch
-    report.recovery_state = manager.state
-    report.outages = stats["outages"]
-    report.max_outage_s = max(
-        (outage.get("outage_s", 0.0) for outage in report.outages), default=0.0
-    )
-    report.checkpoint_bytes = stats["checkpoint_bytes"]
-    report.watchdog_failed = watchdog.failed
-    report.watchdog_escalation = watchdog.escalation
-    report.fail_reason = watchdog.fail_reason
-    report.diagnosis = watchdog.diagnosis
-
-    payload = b"".join(delivered_payload)
-    report.payload_crc32 = zlib.crc32(payload)
-    transcript = bytes(source.transcript or b"")
-
-    # Invariant 1: byte-identical delivery despite K crashes.
-    if payload != transcript[: len(payload)]:
-        divergence = next(
-            (
-                index
-                for index, (got, want) in enumerate(zip(payload, transcript))
-                if got != want
-            ),
-            min(len(payload), len(transcript)),
-        )
-        report.violations.append(
-            f"delivered payload diverges from source transcript at byte "
-            f"{divergence} (delivered {len(payload)}, transcript "
-            f"{len(transcript)})"
-        )
-    if report.completed and len(payload) != expected_bytes:
-        report.violations.append(
-            f"completed but payload length {len(payload)} != expected "
-            f"{expected_bytes}"
-        )
-
-    # Invariant 2: exactly-once, in-order delivery (stale-checkpoint
-    # re-sends must be deduplicated, crash-lost units re-delivered once).
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} "
-            f"units, first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 3: bounded recovery per outage.
-    effective_policy = manager.policy
-    for outage in report.outages:
-        resume_at = outage.get("resume_at")
-        if resume_at is not None:
-            since = outage.get("restart_at", outage["crash_at"])
-            if resume_at - since > recovery_bound_s:
-                report.violations.append(
-                    f"recovery exceeded bound: {outage['kind']} at "
-                    f"t={outage['crash_at']:.1f}s resumed "
-                    f"{resume_at - since:.2f}s after restart "
-                    f"(bound {recovery_bound_s:.1f}s)"
-                )
-        detect_s = outage.get("detect_s")
-        if detect_s is not None and detect_s > effective_policy.max_detect_s + 0.5:
-            report.violations.append(
-                f"half-open detection took {detect_s:.2f}s, past the "
-                f"{effective_policy.max_detect_s:.1f}s policy ceiling"
-            )
-
-    # Invariant 4: completion where promised, clean failure where not.
-    if report.expect_complete and not report.completed:
-        report.violations.append(
-            f"expected completion: {report.delivered_bytes}/{expected_bytes} "
-            f"bytes after {duration_s:.0f}s (state {manager.state})"
-        )
-    if not report.expect_complete and report.completed:
-        report.violations.append(
-            "expected a clean failure but the transfer completed "
-            "(scenario no longer exercises reconnect exhaustion)"
-        )
-    if not report.completed and not watchdog.failed:
-        report.violations.append(
-            f"deadlock: transfer neither completed nor failed cleanly "
-            f"(state {manager.state}, escalation {watchdog.escalation})"
-        )
-    if watchdog.failed and watchdog.diagnosis is None:
-        report.violations.append("watchdog failed without a diagnosis")
-
-    # Invariant 5: epoch accounting — one resume per recovery epoch,
-    # every applied crash either resumed or terminally failed.
-    if manager.epoch != manager.resumes:
-        report.violations.append(
-            f"epoch/resume mismatch: epoch {manager.epoch}, "
-            f"resumes {manager.resumes}"
-        )
-    if report.expect_complete and manager.resumes != manager.crashes:
-        report.violations.append(
-            f"unresolved outage: {manager.crashes} crashes but only "
-            f"{manager.resumes} resumes in a fully-restarted timeline"
-        )
-    if scenario.has_endpoint_faults and manager.crashes == 0:
-        report.violations.append(
-            "scenario has crash events but none were applied"
-        )
-    if manager.attempts_total < manager.resumes:
-        report.violations.append(
-            f"attempt accounting broken: {manager.attempts_total} attempts "
-            f"for {manager.resumes} resumes"
-        )
-
-    # Invariant 6: timers + event-queue drain (incl. manager timers).
-    # Only a live epoch owes armed timers — after a terminal give-up the
-    # manager has deliberately torn the connection down (timers
-    # cancelled, in-flight abandoned), which is the clean-fail contract,
-    # not a wedge.
-    if manager.state == "running":
-        _check_timers(connection, "at end", report.violations)
-    watchdog.stop()
-    manager.close()
-    connection.close()
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            stem = f"recovery_{protocol}_{scenario.name}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-                report.profile_dump_path = profile_path
-        flight.close()
-        sim.set_profiler(None)
-    return report
 
 
 # ----------------------------------------------------------------------

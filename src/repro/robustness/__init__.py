@@ -20,7 +20,6 @@ from repro.robustness.watchdog import Watchdog, WatchdogConfig
 _EXHAUSTION_SYMBOLS = (
     "BUFFERBLOCK_PATHS",
     "EXHAUSTION_SCENARIOS",
-    "ExhaustionReport",
     "ExhaustionScenario",
     "measure_bufferblock",
     "run_exhaustion",

@@ -6,22 +6,13 @@ this one attacks the *endpoint*: a tiny receive buffer, an application
 that stops reading, a path mix engineered for receive-buffer blocking.
 Each :class:`ExhaustionScenario` fixes a receiver memory budget (bytes,
 converted to blocks or chunks per protocol) and an application drain
-model, then :func:`run_exhaustion` drives one finite transfer with flow
-control on, a :class:`~repro.robustness.budget.MemoryBudget` accountant
-riding the run and a :class:`~repro.robustness.watchdog.Watchdog`
-guaranteeing a stalled run degrades and fails cleanly instead of
-hanging. Invariants checked afterwards:
-
-1. **bounded memory** — peak receiver occupancy never exceeds the
-   budgeted unit count (the flow-control licence actually held);
-2. **exactly-once, in-order delivery** — same as the chaos harness;
-3. **no deadlock** — the transfer either completes or the watchdog
-   declares a clean failure *with a structured diagnosis*; hanging
-   forever in between is a violation;
-4. **completion where promised** — scenarios marked ``expect_complete``
-   must finish despite the tiny budget (and unrecoverable ones must
-   *not* quietly succeed, which would mean the scenario tests nothing);
-5. **no wedged timers / event-queue drain** — as in the chaos harness.
+model, then :func:`run_exhaustion` — the :data:`EXHAUSTION` harness of
+the soak kernel (:mod:`repro.soak`) — drives one finite transfer with
+flow control on, a :class:`~repro.robustness.budget.MemoryBudget`
+accountant riding the run and a
+:class:`~repro.robustness.watchdog.Watchdog` guaranteeing a stalled run
+degrades and fails cleanly instead of hanging (the kernel's
+:func:`~repro.soak.guard` step).
 
 :func:`measure_bufferblock` is the open-ended companion used by
 ``benchmarks/bench_bufferblock.py``: goodput as a function of the
@@ -31,25 +22,15 @@ receive-buffer-blocking story in one sweep.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
+from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.robustness.budget import MemoryBudget
-from repro.robustness.watchdog import Watchdog, WatchdogConfig
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
-from repro.telemetry.samplers import attach_samplers
+from repro.mptcp.connection import MptcpConfig
+from repro.net.topology import PathConfig
+from repro.robustness.watchdog import WatchdogConfig
 from repro.workloads.sources import BulkSource
-
-PROTOCOLS = ("fmtcp", "mptcp")
 
 
 @dataclass(frozen=True)
@@ -74,34 +55,30 @@ class ExhaustionScenario:
     duration_s: float
     expect_complete: bool = True
 
-    def budget_units(self, protocol: str) -> int:
-        """The byte budget expressed in the protocol's receive units."""
+    def config_for(self, protocol: str):
+        """The stack's config with flow control on under this budget."""
+        units = soak.receive_units(protocol, self.recv_budget_bytes)
         if protocol == "fmtcp":
-            return max(2, self.recv_budget_bytes // FmtcpConfig().block_bytes)
-        if protocol == "mptcp":
-            return max(2, self.recv_budget_bytes // MptcpConfig().mss)
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    def fmtcp_config(self) -> FmtcpConfig:
-        return FmtcpConfig(
-            flow_control=True,
-            recv_window_blocks=self.budget_units("fmtcp"),
-            recv_drain_rate_bps=self.drain_rate_bps,
-        )
-
-    def mptcp_config(self) -> MptcpConfig:
+            return FmtcpConfig(
+                flow_control=True,
+                recv_window_blocks=units,
+                recv_drain_rate_bps=self.drain_rate_bps,
+            )
         return MptcpConfig(
             flow_control=True,
-            recv_buffer_chunks=self.budget_units("mptcp"),
+            recv_buffer_chunks=units,
             recv_drain_rate_bps=self.drain_rate_bps,
         )
 
-    def config_for(self, protocol: str):
-        if protocol == "fmtcp":
-            return self.fmtcp_config()
-        if protocol == "mptcp":
-            return self.mptcp_config()
-        raise ValueError(f"unknown protocol {protocol!r}")
+    def route(self, harness: Optional[str] = None) -> str:
+        """Exhaustion presets route by what they are, not by events (see
+        :data:`repro.faults.scenario.ROUTES`)."""
+        if harness not in (None, "exhaustion"):
+            raise ValueError(
+                f"scenario {self.name!r} is an exhaustion preset, which "
+                f"run_{harness} cannot check; it routes to run_exhaustion"
+            )
+        return "exhaustion"
 
 
 def tiny_receive_buffer() -> ExhaustionScenario:
@@ -162,55 +139,18 @@ EXHAUSTION_SCENARIOS = {
 }
 
 
-@dataclass
-class ExhaustionReport:
-    """Outcome of one :func:`run_exhaustion` run."""
-
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    budget_units: int
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    peak_occupancy: int = 0
-    memory_peaks: Dict[str, float] = field(default_factory=dict)
-    flow: Dict[str, Any] = field(default_factory=dict)
-    watchdog_failed: bool = False
-    watchdog_escalation: int = 0
-    diagnosis: Optional[Dict[str, Any]] = None
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    watchdog_dump_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _build_connection(protocol, scenario, sim, paths, source, seed, trace, sink):
-    config = scenario.config_for(protocol)
-    if protocol == "fmtcp":
-        return FmtcpConnection(
-            sim, paths, source, config=config,
-            trace=trace, rng=RngStreams(seed), sink=sink,
-        )
-    return MptcpConnection(
-        sim, paths, source, config=config, trace=trace, sink=sink
-    )
-
-
-def _check_timers(connection, label: str, violations: List[str]) -> None:
-    """Outstanding data without a pending RTO timer = wedged."""
-    for subflow in connection.subflows:
-        if subflow.in_flight > 0 and not subflow.timer_armed:
-            violations.append(
-                f"wedged timer {label}: subflow {subflow.subflow_id} has "
-                f"{subflow.in_flight} packets in flight and no RTO pending"
-            )
+EXHAUSTION = soak.Harness(
+    "exhaustion",
+    soak.bulk_source,
+    steps=(soak.guard,),
+    invariants=(
+        soak.bounded_memory,
+        soak.exactly_once_in_order,
+        soak.completes_or_fails_cleanly,
+        soak.outcome_as_promised,
+        soak.no_wedged_timers,
+    ),
+)
 
 
 def run_exhaustion(
@@ -221,172 +161,26 @@ def run_exhaustion(
     flight_capacity: int = 4096,
     watchdog_config: Optional[WatchdogConfig] = None,
     telemetry_period_s: float = 0.1,
-) -> ExhaustionReport:
+) -> soak.SoakReport:
     """Run one finite transfer against ``scenario`` and check invariants."""
-    trace = TraceBus()
-    configs = [PathConfig(**params) for params in scenario.path_params]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    delivered_ids: List[int] = []
-    if protocol == "fmtcp":
-        block_bytes = scenario.fmtcp_config().block_bytes
-        expected_units = max(1, scenario.total_bytes // block_bytes)
-        expected_bytes = expected_units * block_bytes
-        sink = lambda block_id, data: delivered_ids.append(block_id)  # noqa: E731
-    elif protocol == "mptcp":
-        mss = scenario.mptcp_config().mss
-        expected_units = scenario.total_bytes // mss + (
-            1 if scenario.total_bytes % mss else 0
-        )
-        expected_bytes = scenario.total_bytes
-        sink = lambda chunk: delivered_ids.append(chunk.dsn)  # noqa: E731
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    source = BulkSource(total_bytes=expected_bytes)
-    connection = _build_connection(
-        protocol, scenario, sim, paths, source, seed, trace, sink
-    )
-    samplers = attach_samplers(
-        sim, connection, trace, period_s=telemetry_period_s
-    )
-    budget = MemoryBudget(
-        limits={"recv_occupancy": scenario.budget_units(protocol)}
-    )
-    watchdog = Watchdog(
-        sim,
-        connection,
-        config=watchdog_config,
-        trace=trace,
-        samplers=samplers,
-        flight=flight,
-        dump_dir=flight_dump_dir,
-        label=f"{protocol}_{scenario.name}_seed{seed}",
-    )
-
-    report = ExhaustionReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+    # Admitted here as well as by the kernel: the sizing below reads
+    # fields only an ExhaustionScenario has.
+    soak.admit(EXHAUSTION, protocol, scenario)
+    return soak.run_soak(
+        EXHAUSTION,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=scenario.duration_s,
-        expected_bytes=expected_bytes,
-        budget_units=scenario.budget_units(protocol),
+        path_configs=[PathConfig(**params) for params in scenario.path_params],
+        total_bytes=scenario.total_bytes,
+        config=scenario.config_for(protocol),
+        expect_complete=scenario.expect_complete,
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
+        watchdog_config=watchdog_config,
+        telemetry_period_s=telemetry_period_s,
     )
-
-    def _watch() -> None:
-        budget.observe(connection.memory_stats())
-        if connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            # A finished transfer makes no further progress; that is not
-            # a stall, so the watchdog retires with the transfer.
-            watchdog.stop()
-            return  # done observing; let the queue drain
-        if watchdog.failed:
-            return  # terminal: the diagnosis is already frozen
-        sim.schedule(0.25, _watch)
-
-    sim.schedule(0.25, _watch)
-    watchdog.start()
-    connection.start()
-    sim.run(until=scenario.duration_s)
-
-    budget.observe(connection.memory_stats())
-    report.delivered_bytes = connection.delivered_bytes
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-    report.peak_occupancy = int(budget.peak("recv_occupancy"))
-    report.memory_peaks = budget.summary()
-    report.flow = connection.flow_stats()
-    report.watchdog_failed = watchdog.failed
-    report.watchdog_escalation = watchdog.escalation
-    report.diagnosis = watchdog.diagnosis
-    report.watchdog_dump_path = watchdog.dump_path
-
-    # Invariant 1: peak occupancy within the budgeted unit count.
-    report.violations.extend(budget.violations())
-
-    # Invariant 2: exactly-once, in-order delivery.
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} "
-            f"units, first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 3: no deadlock — either done, or failed *with* diagnosis.
-    if not report.completed and not watchdog.failed:
-        report.violations.append(
-            f"deadlock: transfer neither completed nor failed cleanly "
-            f"({report.delivered_bytes}/{expected_bytes} bytes after "
-            f"{scenario.duration_s:.0f}s, watchdog escalation "
-            f"{watchdog.escalation})"
-        )
-    if watchdog.failed and watchdog.diagnosis is None:
-        report.violations.append("watchdog failed without a diagnosis")
-
-    # Invariant 4: completion where the scenario promises it (and a
-    # clean failure where it promises *that* — an "unrecoverable"
-    # scenario that completes is not exercising anything).
-    if scenario.expect_complete and not report.completed:
-        report.violations.append(
-            f"expected completion: {report.delivered_bytes}/{expected_bytes} "
-            f"bytes delivered within the {scenario.recv_budget_bytes}B budget"
-        )
-    if not scenario.expect_complete and report.completed:
-        report.violations.append(
-            "expected a clean failure but the transfer completed "
-            "(scenario no longer exercises exhaustion)"
-        )
-
-    # Invariant 5: timers + event-queue drain.
-    _check_timers(connection, "at end", report.violations)
-    watchdog.stop()
-    for sampler in samplers:
-        sampler.stop()
-    connection.close()
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            stem = f"exhaustion_{protocol}_{scenario.name}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-        flight.close()
-        sim.set_profiler(None)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +220,7 @@ def _bufferblock_config(protocol: str, budget_bytes: int):
     if protocol == "mptcp":
         return MptcpConfig(
             flow_control=True,
-            recv_buffer_chunks=max(2, budget_bytes // MptcpConfig().mss),
+            recv_buffer_chunks=soak.receive_units("mptcp", budget_bytes),
         )
     raise ValueError(f"unknown protocol {protocol!r}")
 
@@ -444,23 +238,16 @@ def measure_bufferblock(
     and MPTCP face the same byte allowance.
     """
     config = _bufferblock_config(protocol, budget_bytes)
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bw, delay_s=delay, loss_rate=loss)
-        for bw, delay, loss in BUFFERBLOCK_PATHS
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            network.sim, paths, BulkSource(), config=config,
-            trace=trace, rng=RngStreams(seed),
-        )
-        budget_units = config.recv_window_blocks
-    else:
-        connection = MptcpConnection(
-            network.sim, paths, BulkSource(), config=config, trace=trace
-        )
-        budget_units = config.recv_buffer_chunks
+    trace, network, paths = soak.build_topology(
+        [
+            PathConfig(bandwidth_bps=bw, delay_s=delay, loss_rate=loss)
+            for bw, delay, loss in BUFFERBLOCK_PATHS
+        ],
+        seed,
+    )
+    connection = soak.build_connection(
+        protocol, network.sim, paths, BulkSource(), seed, trace, config=config
+    )
     connection.start()
     network.sim.run(until=duration_s)
     delivered = connection.delivered_bytes
@@ -469,7 +256,7 @@ def measure_bufferblock(
     return {
         "protocol": protocol,
         "budget_bytes": budget_bytes,
-        "budget_units": budget_units,
+        "budget_units": soak.window_units(protocol, config),
         "peak_occupancy": peak,
         "goodput_mbytes_per_s": round(delivered / duration_s / 1e6, 4),
     }

@@ -221,11 +221,6 @@ class Subflow:
         return len(self._outstanding)
 
     @property
-    def bytes_in_flight(self) -> int:
-        """Payload bytes outstanding (flow-control invariant checks)."""
-        return sum(info.size for info in self._outstanding.values())
-
-    @property
     def window_space(self) -> int:
         """Packets the congestion window still allows (w_f in the paper)."""
         return max(0, self.cc.window - self.in_flight)

@@ -23,11 +23,7 @@ from repro.traces.generators import (
     resolve_trace,
     wifi_trace,
 )
-from repro.traces.harness import (
-    TraceReport,
-    measure_trace_goodput,
-    run_traces,
-)
+from repro.traces.harness import measure_trace_goodput, run_traces
 from repro.traces.model import (
     CSV_HEADER,
     END_POLICIES,
@@ -47,7 +43,6 @@ __all__ = [
     "LinkTrace",
     "TraceFormatError",
     "TracePlayer",
-    "TraceReport",
     "TraceSample",
     "attach_players",
     "cellular_trace",

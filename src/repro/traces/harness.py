@@ -8,24 +8,12 @@ transfer runs with flow control on and real payload bytes flowing
 (FMTCP with ``coding="real"``), because a trace's deep-fade minutes are
 exactly where receive-buffer pressure and scheduler failover interact.
 
-Invariants checked by :func:`run_traces` on every run:
-
-1. **byte-identical delivery** — the reassembled stream equals the
-   source transcript prefix (corruption-harness contract);
-2. **exactly-once, in-order delivery**;
-3. **bounded memory under bandwidth collapse** — peak receiver
-   occupancy stays within the flow-control budget even while the trace
-   crushes one path's bandwidth (a
-   :class:`~repro.robustness.budget.MemoryBudget` rides the run);
-4. **watchdog interplay** — the
-   :class:`~repro.robustness.watchdog.Watchdog` must not clean-fail a
-   transfer that completes, and an incomplete run must end in a clean
-   diagnosed failure, never a silent hang;
-5. **post-heal progress / completion** — presets restore the channel at
-   ``scenario.heal_time``; the transfer must finish afterwards;
-6. **the trace actually played** — at least one trace tick mutated the
-   links (a run that never replays anything passes vacuously);
-7. **no wedged timers, event queue drains** after completion and close.
+:func:`run_traces` is the :data:`TRACES` harness of the soak kernel
+(:mod:`repro.soak`): the corruption harness's byte identity, the
+exhaustion harness's bounded memory and watchdog interplay, the chaos
+harness's post-heal completion (presets restore the channel at
+``scenario.heal_time``), plus its own :func:`trace_played` and
+:func:`no_false_clean_fail`.
 
 :func:`measure_trace_goodput` is the benchmark probe: steady-state
 goodput of an open-ended transfer with a trace riding path 1 for the
@@ -35,72 +23,68 @@ FMTCP-vs-MPTCP goodput heatmap across trace families.
 
 from __future__ import annotations
 
-import json
-import os
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Iterator, Optional
 
+from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.faults.chaos import _check_timers
-from repro.faults.scenario import FaultScenario
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.robustness.budget import MemoryBudget
-from repro.robustness.watchdog import Watchdog, WatchdogConfig
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.profiler import SimProfiler
-from repro.telemetry.samplers import attach_samplers
+from repro.mptcp.connection import MptcpConfig
+from repro.robustness.watchdog import WatchdogConfig
 from repro.traces.generators import resolve_trace
+from repro.traces.model import LinkTrace
 from repro.traces.player import TracePlayer
-from repro.workloads.sources import BulkSource, RandomPayloadSource
+from repro.workloads.sources import BulkSource
 
 
-@dataclass
-class TraceReport:
-    """Outcome of one :func:`run_traces` run."""
+def count_trace_ticks(run: soak.Run) -> None:
+    """Step: count ``trace.sample`` records. Declared before
+    :func:`~repro.soak.arm_timeline` so the player's ``has_subscribers``
+    guard sees a listener."""
+    def on_tick(record) -> None:
+        run.report.trace_ticks += 1
 
-    protocol: str
-    scenario_name: str
-    seed: int
-    duration_s: float
-    expected_bytes: int
-    budget_units: int
-    delivered_bytes: int = 0
-    delivered_units: int = 0
-    bytes_at_heal: int = 0
-    completed: bool = False
-    completion_time_s: Optional[float] = None
-    trace_ticks: int = 0
-    peak_occupancy: int = 0
-    memory_peaks: Dict[str, float] = field(default_factory=dict)
-    watchdog_failed: bool = False
-    watchdog_escalation: int = 0
-    diagnosis: Optional[Dict[str, Any]] = None
-    violations: List[str] = field(default_factory=list)
-    flight_dump_path: Optional[str] = None
-    profile_dump_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    run.trace.subscribe("trace.sample", on_tick)
+    run.closers.append(lambda: run.trace.unsubscribe("trace.sample", on_tick))
 
 
-def _budget_units(protocol: str, recv_budget_bytes: int) -> int:
-    """The byte budget in the protocol's receive units (exhaustion rule)."""
-    if protocol == "fmtcp":
-        return max(2, recv_budget_bytes // FmtcpConfig().block_bytes)
-    if protocol == "mptcp":
-        return max(2, recv_budget_bytes // MptcpConfig().mss)
-    raise ValueError(f"unknown protocol {protocol!r}")
+def trace_played(run: soak.Run) -> Iterator[str]:
+    """The trace actually played: at least one tick mutated the links (a
+    run that never replays anything passes vacuously)."""
+    if run.report.trace_ticks == 0:
+        yield "trace never applied a sample: the scenario exercises nothing"
+
+
+def no_false_clean_fail(run: soak.Run) -> Iterator[str]:
+    """Watchdog interplay: it must not clean-fail a transfer that
+    completes (the other half — no silent hang — is
+    :func:`~repro.soak.completes_or_fails_cleanly`)."""
+    report = run.report
+    if report.completed and report.watchdog_failed:
+        yield (
+            "watchdog clean-failed a transfer that completed "
+            f"(escalation {report.watchdog_escalation})"
+        )
+
+
+TRACES = soak.Harness(
+    "traces",
+    soak.random_payload,
+    steps=(count_trace_ticks, soak.arm_timeline, soak.guard, soak.heal_probe),
+    invariants=(
+        soak.bounded_memory,
+        soak.exactly_once_in_order,
+        soak.byte_identical,
+        trace_played,
+        no_false_clean_fail,
+        soak.completes_or_fails_cleanly,
+        soak.completes_after_heal,
+        soak.no_wedged_timers,
+    ),
+)
 
 
 def run_traces(
     protocol: str,
-    scenario: FaultScenario,
+    scenario,
     seed: int = 1,
     duration_s: float = 40.0,
     bandwidth_bps: float = 2e5,
@@ -111,8 +95,9 @@ def run_traces(
     flight_capacity: int = 4096,
     watchdog_config: Optional[WatchdogConfig] = None,
     telemetry_period_s: float = 0.1,
-) -> TraceReport:
-    """Run one finite real-payload transfer through a trace scenario.
+) -> soak.SoakReport:
+    """Run one finite real-payload transfer through a trace scenario (a
+    :class:`~repro.faults.scenario.FaultScenario` with ``trace`` events).
 
     Sizing: traces carry *absolute* regimes (GPRS bottoms out near
     30 kb/s; the WiFi ladder tops out above the baseline, so a replay
@@ -122,244 +107,25 @@ def run_traces(
     trace does to path 1, yet finishes well before ``duration_s`` once
     the restore event heals the channel.
     """
-    if not scenario.has_trace:
-        raise ValueError(
-            f"scenario {scenario.name!r} has no trace events; use "
-            "repro.faults.chaos.run_chaos (or the corruption/churn/"
-            "recovery harnesses) instead"
-        )
-    if scenario.has_churn or scenario.has_endpoint_faults:
-        raise ValueError(
-            f"scenario {scenario.name!r} mixes trace replay with subflow-"
-            "lifecycle or crash events; split it across harnesses"
-        )
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=0.0)
-        for __ in range(scenario.n_paths)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    sim = network.sim
-
-    flight: Optional[FlightRecorder] = None
-    profiler: Optional[SimProfiler] = None
-    if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
-        profiler = SimProfiler()
-        sim.set_profiler(profiler)
-
-    delivered_ids: List[int] = []
-    delivered_data: List[bytes] = []
-    budget_units = _budget_units(protocol, recv_budget_bytes)
+    units = soak.receive_units(protocol, recv_budget_bytes)
     if protocol == "fmtcp":
-        config = FmtcpConfig(
-            coding="real", flow_control=True, recv_window_blocks=budget_units
-        )
-        expected_units = max(1, total_bytes // config.block_bytes)
-        expected_bytes = expected_units * config.block_bytes
-
-        def sink(block_id: int, data: Optional[bytes]) -> None:
-            delivered_ids.append(block_id)
-            delivered_data.append(data or b"")
-
-    elif protocol == "mptcp":
-        config = MptcpConfig(flow_control=True, recv_buffer_chunks=budget_units)
-        expected_units = total_bytes // config.mss + (
-            1 if total_bytes % config.mss else 0
-        )
-        expected_bytes = total_bytes
-
-        def sink(chunk) -> None:
-            delivered_ids.append(chunk.dsn)
-            delivered_data.append(chunk.payload_bytes or b"")
-
+        config = FmtcpConfig(coding="real", flow_control=True, recv_window_blocks=units)
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    source = RandomPayloadSource(expected_bytes, rng=random.Random(seed))
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            sim, paths, source, config=config,
-            trace=trace, rng=RngStreams(seed), sink=sink,
-        )
-    else:
-        connection = MptcpConnection(
-            sim, paths, source, config=config, trace=trace, sink=sink
-        )
-
-    report = TraceReport(
-        protocol=protocol,
-        scenario_name=scenario.name,
+        config = MptcpConfig(flow_control=True, recv_buffer_chunks=units)
+    return soak.run_soak(
+        TRACES,
+        protocol,
+        scenario,
         seed=seed,
         duration_s=duration_s,
-        expected_bytes=expected_bytes,
-        budget_units=budget_units,
+        path_configs=soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s),
+        total_bytes=total_bytes,
+        config=config,
+        flight_dump_dir=flight_dump_dir,
+        flight_capacity=flight_capacity,
+        watchdog_config=watchdog_config,
+        telemetry_period_s=telemetry_period_s,
     )
-
-    # Invariant 6 needs proof the replay ran; subscribe before arming so
-    # the player's has_subscribers guard sees a listener.
-    def _count_tick(record) -> None:
-        report.trace_ticks += 1
-
-    trace.subscribe("trace.sample", _count_tick)
-
-    injector = scenario.apply(sim, paths, trace=trace)
-    samplers = attach_samplers(sim, connection, trace, period_s=telemetry_period_s)
-    budget = MemoryBudget(limits={"recv_occupancy": budget_units})
-    watchdog = Watchdog(
-        sim,
-        connection,
-        config=watchdog_config,
-        trace=trace,
-        samplers=samplers,
-        flight=flight,
-        dump_dir=flight_dump_dir,
-        label=f"{protocol}_{scenario.name}_seed{seed}",
-    )
-
-    def _at_heal() -> None:
-        report.bytes_at_heal = connection.delivered_bytes
-        _check_timers(connection, "at heal", report.violations)
-
-    if scenario.events:
-        sim.schedule_at(scenario.heal_time, _at_heal)
-
-    def _watch() -> None:
-        budget.observe(connection.memory_stats())
-        if connection.delivered_bytes >= expected_bytes:
-            if report.completion_time_s is None:
-                report.completion_time_s = sim.now
-            # A finished transfer makes no further progress; retire the
-            # watchdog with it instead of letting it diagnose a "stall".
-            watchdog.stop()
-            return
-        if watchdog.failed:
-            return  # terminal: the diagnosis is already frozen
-        sim.schedule(0.25, _watch)
-
-    sim.schedule(0.25, _watch)
-    watchdog.start()
-    connection.start()
-    sim.run(until=duration_s)
-
-    budget.observe(connection.memory_stats())
-    report.delivered_bytes = connection.delivered_bytes
-    report.delivered_units = len(delivered_ids)
-    report.completed = report.delivered_bytes >= expected_bytes
-    report.peak_occupancy = int(budget.peak("recv_occupancy"))
-    report.memory_peaks = budget.summary()
-    report.watchdog_failed = watchdog.failed
-    report.watchdog_escalation = watchdog.escalation
-    report.diagnosis = watchdog.diagnosis
-
-    # Invariant 3: bounded memory while the trace crushed the channel.
-    report.violations.extend(budget.violations())
-
-    # Invariant 2: exactly-once, in-order delivery.
-    if delivered_ids != list(range(len(delivered_ids))):
-        report.violations.append(
-            f"delivery not exactly-once/in-order: got {len(delivered_ids)} "
-            f"units, first disorder near index "
-            f"{next((i for i, v in enumerate(delivered_ids) if v != i), -1)}"
-        )
-    if report.completed and report.delivered_units != expected_units:
-        report.violations.append(
-            f"unit count mismatch: delivered {report.delivered_units}, "
-            f"expected {expected_units}"
-        )
-
-    # Invariant 1: byte-identical delivery, checked on the delivered
-    # prefix even for incomplete runs.
-    reassembled = b"".join(delivered_data)
-    transcript = bytes(source.transcript)
-    if reassembled != transcript[: len(reassembled)]:
-        first_bad = next(
-            (
-                i
-                for i, (got, want) in enumerate(zip(reassembled, transcript))
-                if got != want
-            ),
-            min(len(reassembled), len(transcript)),
-        )
-        report.violations.append(
-            f"corrupted bytes delivered: reassembled stream diverges from "
-            f"the source transcript at offset {first_bad}"
-        )
-
-    # Invariant 6: the replay must actually have mutated the links.
-    if report.trace_ticks == 0:
-        report.violations.append(
-            "trace never applied a sample: the scenario exercises nothing"
-        )
-
-    # Invariant 4: watchdog interplay — no false clean-fail, no hang.
-    if report.completed and report.watchdog_failed:
-        report.violations.append(
-            "watchdog clean-failed a transfer that completed "
-            f"(escalation {report.watchdog_escalation})"
-        )
-    if not report.completed and not report.watchdog_failed:
-        report.violations.append(
-            f"deadlock: transfer neither completed nor failed cleanly "
-            f"({report.delivered_bytes}/{expected_bytes} bytes after "
-            f"{duration_s:.0f}s, watchdog escalation {watchdog.escalation})"
-        )
-    if report.watchdog_failed and report.diagnosis is None:
-        report.violations.append("watchdog failed without a diagnosis")
-
-    # Invariant 5: completion after the restore event healed the channel.
-    if not report.completed:
-        report.violations.append(
-            f"transfer incomplete: {report.delivered_bytes}/{expected_bytes} "
-            f"bytes after {duration_s:.0f}s"
-        )
-        if report.delivered_bytes <= report.bytes_at_heal:
-            report.violations.append(
-                "no goodput recovery: nothing delivered after the trace "
-                f"restored at t={scenario.heal_time:.1f}s"
-            )
-
-    # Invariant 7: timers sane, event queue drains.
-    _check_timers(connection, "at end", report.violations)
-    watchdog.stop()
-    for sampler in samplers:
-        sampler.stop()
-    injector.stop_players()
-    connection.close()
-    trace.unsubscribe("trace.sample", _count_tick)
-    sim.drain_cancelled()
-    if report.completed and sim.pending_events != 0:
-        report.violations.append(
-            f"event queue did not drain: {sim.pending_events} live events "
-            "after completion and close"
-        )
-
-    if flight is not None:
-        if report.violations:
-            os.makedirs(flight_dump_dir, exist_ok=True)
-            slug = scenario.name.replace(":", "-").replace("/", "-")
-            stem = f"traces_{protocol}_{slug}_seed{seed}"
-            dump_path = os.path.join(flight_dump_dir, stem + ".jsonl")
-            flight.dump(
-                dump_path,
-                meta={
-                    "protocol": protocol,
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "violations": report.violations,
-                    "trace_ticks": report.trace_ticks,
-                    "memory_peaks": report.memory_peaks,
-                },
-            )
-            report.flight_dump_path = dump_path
-            if profiler is not None:
-                profile_path = os.path.join(flight_dump_dir, stem + ".profile.json")
-                with open(profile_path, "w") as handle:
-                    json.dump(profiler.report(), handle, indent=2)
-                report.profile_dump_path = profile_path
-        flight.close()
-        sim.set_profiler(None)
-    return report
 
 
 def measure_trace_goodput(
@@ -374,28 +140,16 @@ def measure_trace_goodput(
     forward links for the whole run (path 0 stays at the clean baseline).
     A ``None``/empty spec leaves both paths pristine — the no-trace
     baseline draws no extra randomness."""
-    trace = TraceBus()
-    configs = [
-        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=0.0)
-        for __ in range(2)
-    ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
+    trace, network, paths = soak.build_topology(
+        soak.uniform_paths(2, bandwidth_bps, delay_s), seed
+    )
     sim = network.sim
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            sim, paths, BulkSource(), trace=trace, rng=RngStreams(seed)
-        )
-    elif protocol == "mptcp":
-        connection = MptcpConnection(sim, paths, BulkSource(), trace=trace)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    connection = soak.build_connection(protocol, sim, paths, BulkSource(), seed, trace)
     player: Optional[TracePlayer] = None
     if trace_spec:
         # "loop" so short traces keep shaping the channel all run long.
         replay = resolve_trace(trace_spec)
         if replay.end_policy != "loop":
-            from repro.traces.model import LinkTrace
-
             replay = LinkTrace(
                 replay.name, replay.samples, end_policy="loop",
                 interpolate=replay.interpolate,

@@ -124,11 +124,6 @@ class LinkTrace:
         """Time of the last sample (0.0 for a single-sample trace)."""
         return self.samples[-1].time_s
 
-    @property
-    def start_s(self) -> float:
-        """Time of the first sample."""
-        return self.samples[0].time_s
-
     def ended(self, t: float) -> bool:
         """Whether trace time ``t`` is past the last sample (policy territory)."""
         return t > self.duration_s

@@ -123,8 +123,3 @@ class VbrVideoSource:
         if index >= len(self._emit_log):
             return None
         return self._emit_log[index][1]
-
-    def mean_frame_bytes(self) -> float:
-        if not self.frame_sizes:
-            return 0.0
-        return sum(self.frame_sizes) / len(self.frame_sizes)

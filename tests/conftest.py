@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.net.topology import Network, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
+
+
+def soak_seeds() -> range:
+    """Seeds every multi-seed soak iterates: 1..30, or seed 1 alone when
+    ``REPRO_FAST`` is set (CI's quick chaos-soak job; the extended job
+    and the default tier-1 run use all 30)."""
+    return range(1, 2) if os.environ.get("REPRO_FAST") else range(1, 31)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ here reproduces exactly from the seed named in the assertion message.
 Set ``REPRO_FLIGHT_DIR`` to a directory to get a flight-recorder dump
 (last trace records before the violation) plus a sim-profiler report for
 every failing run — CI does this and uploads them as artifacts.
+``REPRO_FAST=1`` runs a single seed (``tests.conftest.soak_seeds``).
 """
 
 import os
@@ -21,8 +22,9 @@ import os
 import pytest
 
 from repro.faults import SCENARIOS, FaultEvent, FaultScenario, run_chaos
+from tests.conftest import soak_seeds
 
-CHAOS_SEEDS = range(1, 31)
+CHAOS_SEEDS = soak_seeds()
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 

@@ -15,7 +15,7 @@ Every run must satisfy the churn invariants checked by
 Seeded and fully deterministic: a failure reproduces exactly from the
 seed named in the assertion message. Set ``REPRO_FLIGHT_DIR`` for a
 flight-recorder dump + profiler report of every failing run (CI uploads
-them as artifacts).
+them as artifacts); ``REPRO_FAST=1`` runs a single seed per preset.
 """
 
 import os
@@ -23,8 +23,9 @@ import os
 import pytest
 
 from repro.faults import MOBILITY_SCENARIOS, FaultScenario, run_chaos, run_churn
+from tests.conftest import soak_seeds
 
-CHURN_SEEDS = range(1, 31)
+CHURN_SEEDS = soak_seeds()
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 

@@ -271,3 +271,49 @@ def test_policy_compare_command(capsys):
     out = capsys.readouterr().out
     assert "Table I case 4" in out
     assert "paper-eat" in out and "roundrobin" in out
+
+
+def test_faults_exhaustion_preset_command(capsys):
+    assert main(
+        ["faults", "--scenario", "tiny_receive_buffer", "--protocol", "fmtcp"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "Exhaustion scenario tiny_receive_buffer: 32 KiB receive budget" in out
+    assert "30s run" in out
+    assert "OK — completed at" in out and "peak occupancy" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["faults", "--scenario", "tiny_receive_buffer", "--bench"], "--bench"),
+        (["--duration", "5", "faults", "--scenario", "tiny_receive_buffer"], "--duration"),
+    ],
+)
+def test_faults_rejects_a_flag_the_routed_harness_cannot_honour(argv, flag, capsys):
+    """Exhaustion presets fix their own run length and have no open-ended
+    probe; the flags used to be silently ignored (a 30 s run, no table)."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "exhaustion presets" in captured.err
+    assert "Exhaustion scenario" not in captured.out  # nothing ran
+
+
+def test_faults_listing_prints_what_the_hand_written_listing_printed(capsys):
+    """tests/fixtures/faults_list.txt is the listing of commit 1c0b514,
+    when every group had its own copy of the loop."""
+    from pathlib import Path
+
+    assert main(["faults", "--scenario", "list"]) == 0
+    expected = Path(__file__).parent / "fixtures" / "faults_list.txt"
+    assert capsys.readouterr().out == expected.read_text()
+
+
+def test_faults_recovery_bench_table(capsys):
+    assert main(
+        ["faults", "--scenario", "receiver_crash", "--protocol", "fmtcp", "--bench"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "1 crashes / 1 resumes" in out
+    assert "Recovery response (crash run vs clean baseline):" in out
+    assert "ckpt(B)" in out

@@ -26,8 +26,9 @@ from repro.faults import (
     run_churn,
     run_corruption,
 )
+from tests.conftest import soak_seeds
 
-SOAK_SEEDS = (1,) if os.environ.get("REPRO_FAST") else tuple(range(1, 31))
+SOAK_SEEDS = soak_seeds()
 SOAK_PRESETS = ("bit_rot", "corruption_burst", "truncation_storm")
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 

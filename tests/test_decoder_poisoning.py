@@ -24,8 +24,9 @@ from repro.core.receiver import FmtcpReceiver
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.gf2 import Gf2Eliminator
 from repro.sim.engine import Simulator
+from tests.conftest import soak_seeds
 
-SEEDS = range(1, 31)
+SEEDS = soak_seeds()
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,8 @@ Every run must satisfy the bounded-operation invariants checked by
 Seeded and fully deterministic: a failure reproduces exactly from the
 seed named in the assertion message. Set ``REPRO_FLIGHT_DIR`` for a
 flight-recorder dump (plus the watchdog post-mortem) of every failing
-run — CI uploads them as artifacts.
+run — CI uploads them as artifacts; ``REPRO_FAST=1`` runs a single
+seed per preset.
 """
 
 import os
@@ -23,8 +24,9 @@ import os
 import pytest
 
 from repro.robustness import EXHAUSTION_SCENARIOS, run_exhaustion
+from tests.conftest import soak_seeds
 
-SOAK_SEEDS = range(1, 31)
+SOAK_SEEDS = soak_seeds()
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 

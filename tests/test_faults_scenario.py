@@ -623,3 +623,103 @@ def test_event_ordering_is_deterministic(raw_events):
         outcomes.append((list(injector.applied), _link_state(paths)))
     assert outcomes[0][0] == list(scenario.events)
     assert outcomes[0] == outcomes[1]
+
+
+# ----------------------------------------------------------------------
+# The fault-kind table and the preset registry: everything else derives.
+# ----------------------------------------------------------------------
+def test_every_fault_kind_has_one_table_row_and_the_views_are_its_columns():
+    from repro.faults import CORRUPTION_KINDS, CRASH_KINDS, FAULT_KINDS, TRACE_KINDS
+    from repro.faults.scenario import FAULT_TABLE, ROUTES
+
+    assert FAULT_KINDS == tuple(FAULT_TABLE)
+    assert len(set(FAULT_KINDS)) == len(FAULT_KINDS) == 16
+    by_group = {
+        group: tuple(kind for kind in FAULT_KINDS if FAULT_TABLE[kind].group == group)
+        for group in ROUTES
+    }
+    assert CHURN_KINDS == by_group["churn"] == ("path_down", "path_up", "handover")
+    assert CORRUPTION_KINDS == by_group["corruption"] == ("corrupt", "corrupt_ge")
+    assert CRASH_KINDS == by_group["recovery"]
+    assert CRASH_KINDS == ("crash_sender", "crash_receiver", "restart")
+    assert TRACE_KINDS == by_group["traces"] == ("trace",)
+    assert sum(len(kinds) for kinds in by_group.values()) == 16
+    # Link mutations name the setting they write; delegated kinds do not.
+    for kind, row in FAULT_TABLE.items():
+        assert (row.slot is None) == (row.group in ("churn", "recovery")), kind
+
+
+@pytest.mark.parametrize(
+    "kind, value, group",
+    [
+        ("down", None, "chaos"),
+        ("path_down", None, "churn"),
+        ("corrupt_ge", (0.02, 0.25, 0.5), "corruption"),
+        ("crash_sender", None, "recovery"),
+        ("trace", "leo:1", "traces"),
+    ],
+)
+def test_has_predicates_and_route_read_the_group_column(kind, value, group):
+    scenario = FaultScenario("one", [FaultEvent(1.0, kind, 0, value)])
+    assert scenario.groups == {group}
+    assert scenario.route() == group
+    assert {
+        "churn": scenario.has_churn,
+        "corruption": scenario.has_corruption,
+        "recovery": scenario.has_endpoint_faults,
+        "traces": scenario.has_trace,
+    } == {name: name == group for name in ("churn", "corruption", "recovery", "traces")}
+
+
+def test_restore_column_matches_each_kinds_documented_restore_value():
+    from repro.faults.scenario import FAULT_TABLE
+
+    def restores(kind, value):
+        return FAULT_TABLE[kind].restores(FaultEvent(1.0, kind, 0, value))
+
+    assert restores("up", None) and not restores("down", None)
+    for kind in ("bandwidth", "delay"):
+        assert restores(kind, 1.0) and not restores(kind, 0.5)
+    for kind, fault in (
+        ("loss", 0.3), ("reorder", (0.2, 0.1)), ("queue", 2), ("corrupt", 0.1),
+        ("corrupt_ge", (0.02, 0.25, 0.5)), ("trace", "gprs:1"),
+    ):
+        assert restores(kind, None) and not restores(kind, fault)
+
+
+def test_bad_values_of_the_delegated_kinds_still_raise_at_construction():
+    for kind in ("crash_sender", "crash_receiver"):
+        with pytest.raises(ValueError, match="takes no value"):
+            FaultEvent(1.0, kind, 0, "now")
+    with pytest.raises(ValueError, match="restart value"):
+        FaultEvent(1.0, "restart", 0, "both")
+    FaultEvent(1.0, "restart", 0, "sender")
+    with pytest.raises(ValueError, match="corrupt value"):
+        FaultEvent(1.0, "corrupt", 0, object())
+    with pytest.raises(ValueError, match="bad corrupt value"):
+        FaultEvent(1.0, "corrupt", 0, (0.1, "melt"))
+    with pytest.raises(ValueError, match="corrupt_ge value"):
+        FaultEvent(1.0, "corrupt_ge", 0, 0.1)
+    with pytest.raises(ValueError, match="bad corrupt_ge value"):
+        FaultEvent(1.0, "corrupt_ge", 0, (0.02, 0.25, 0.5, "bitflip", 0.1, "extra"))
+
+
+def test_one_preset_registry_behind_named_and_the_group_views():
+    from repro.faults import CORRUPTION_SCENARIOS, RECOVERY_SCENARIOS, TRACE_SCENARIOS
+    from repro.faults.scenario import PRESETS
+
+    views = {
+        "chaos": SCENARIOS,
+        "churn": MOBILITY_SCENARIOS,
+        "corruption": CORRUPTION_SCENARIOS,
+        "recovery": RECOVERY_SCENARIOS,
+        "traces": TRACE_SCENARIOS,
+    }
+    assert len(PRESETS) == 24 == sum(len(view) for view in views.values())
+    for name, (group, factory) in PRESETS.items():
+        assert views[group][name] is factory
+        scenario = FaultScenario.named(name)
+        assert scenario.name == name
+        assert scenario.route() == group  # the registry's group is the route
+    with pytest.raises(ValueError, match="known: bandwidth_collapse, bit_rot, "):
+        FaultScenario.named("nope")

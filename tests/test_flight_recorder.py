@@ -3,6 +3,8 @@ harness writing post-mortems on invariant violations."""
 
 import json
 
+import pytest
+
 from repro.faults import FaultScenario, resolve_scenario, run_chaos
 from repro.sim.tracefile import read_trace_file
 from repro.telemetry import FlightRecorder
@@ -107,3 +109,74 @@ def test_chaos_sanitizes_scenario_name_in_dump_path(tmp_path):
     )
     assert not report.ok
     assert ":" not in report.flight_dump_path.rsplit("/", 1)[-1]
+
+
+def _violating_runs():
+    """One run per harness that cannot finish, under a scenario name that
+    needs sanitising (``:`` and ``/``)."""
+    import dataclasses
+
+    from repro.faults import (
+        EXHAUSTION_SCENARIOS,
+        FaultEvent,
+        run_churn,
+        run_corruption,
+        run_exhaustion,
+        run_recovery,
+        run_traces,
+        trace_replay_scenario,
+    )
+
+    handover = [FaultEvent(2.0, "handover", 0, (1, 0.3))]
+    corrupt = [FaultEvent(1.0, "corrupt", 1, 0.05), FaultEvent(4.0, "corrupt", 1, None)]
+    short = dict(seed=4, duration_s=5.0)
+    return {
+        "chaos": (run_chaos, FaultScenario.random(5), short),
+        "churn": (
+            run_churn,
+            FaultScenario("mobility:wifi/lte", handover, active_paths=(0,)),
+            short,
+        ),
+        "corruption": (run_corruption, FaultScenario("rot:bit/flip", corrupt), short),
+        "exhaustion": (
+            run_exhaustion,
+            dataclasses.replace(
+                EXHAUSTION_SCENARIOS["tiny_receive_buffer"](),
+                name="tiny:buffer/32k",
+                duration_s=2.0,
+            ),
+            dict(seed=4),
+        ),
+        # measure_recovery's clean-baseline naming convention.
+        "recovery": (run_recovery, FaultScenario("baseline:receiver_crash", []), short),
+        "traces": (run_traces, trace_replay_scenario("gprs:1"), short),
+    }
+
+
+@pytest.mark.parametrize(
+    "harness", ["chaos", "churn", "corruption", "exhaustion", "recovery", "traces"]
+)
+def test_every_harness_writes_the_same_post_mortem(harness, tmp_path):
+    """One dump function: flight ring + profiler report, both paths on
+    the report, ``:``/``/`` slugged out of the file names."""
+    runner, scenario, kwargs = _violating_runs()[harness]
+    report = runner("mptcp", scenario, flight_dump_dir=str(tmp_path), **kwargs)
+    assert not report.ok
+    for path in (report.flight_dump_path, report.profile_dump_path):
+        assert path is not None
+        name = path.rsplit("/", 1)[-1]
+        assert name.startswith(f"{harness}_mptcp_")
+        assert ":" not in name and name.count("/") == 0
+    header = read_trace_file(report.flight_dump_path)[0]
+    assert header["kind"] == "flight.meta"
+    assert header["harness"] == harness
+    assert header["scenario"] == scenario.name
+    assert header["seed"] == 4
+    assert header["violations"] == report.violations
+    with open(report.profile_dump_path) as handle:
+        assert json.load(handle)["events"] > 0
+    written = {p.name for p in tmp_path.iterdir() if not p.name.startswith("watchdog_")}
+    assert written == {
+        path.rsplit("/", 1)[-1]
+        for path in (report.flight_dump_path, report.profile_dump_path)
+    }

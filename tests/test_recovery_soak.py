@@ -26,8 +26,9 @@ import pytest
 
 from repro.faults import RECOVERY_SCENARIOS, FaultScenario
 from repro.recovery import run_recovery
+from tests.conftest import soak_seeds
 
-SOAK_SEEDS = (1,) if os.environ.get("REPRO_FAST") else tuple(range(1, 31))
+SOAK_SEEDS = soak_seeds()
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 

@@ -10,8 +10,9 @@ import pytest
 from repro.experiments.runner import run_transfer
 from repro.telemetry import TelemetryConfig
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
+from tests.conftest import soak_seeds
 
-SEEDS = range(1, 31)
+SEEDS = soak_seeds()
 # Case 2 (100ms/5%) keeps both loss recovery and reordering in play.
 CASE = next(c for c in TABLE1_CASES if c.case_id == 2)
 DURATION_S = 1.5 if os.environ.get("REPRO_FAST") else 2.5

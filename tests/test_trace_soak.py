@@ -23,11 +23,12 @@ import os
 
 import pytest
 
-from repro.faults import TRACE_SCENARIOS, FaultScenario, run_traces
+from repro.faults import TRACE_SCENARIOS, FaultScenario, SoakReport, run_traces
 from repro.faults.scenario import trace_replay_scenario
-from repro.traces import TraceReport, gprs_trace
+from repro.traces import gprs_trace
+from tests.conftest import soak_seeds
 
-SOAK_SEEDS = (1,) if os.environ.get("REPRO_FAST") else tuple(range(1, 31))
+SOAK_SEEDS = soak_seeds()
 FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 
@@ -55,7 +56,7 @@ def test_trace_soak_presets(protocol, name):
 
 def test_trace_report_shape():
     report = run_traces("fmtcp", TRACE_SCENARIOS["gprs_bursty"]())
-    assert isinstance(report, TraceReport)
+    assert isinstance(report, SoakReport)
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "gprs_bursty"
     assert report.completed and report.completion_time_s is not None
