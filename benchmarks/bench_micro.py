@@ -3,8 +3,10 @@
 These are true pytest-benchmark measurements (multiple rounds) of the
 hot paths: the GF(2) codec that bounds FMTCP's CPU cost (Section III-B's
 "coding complexity" constraint on k̂), Algorithm 1's per-packet
-allocation cost, and the two ``sim`` mechanisms every packet of either
-protocol crosses — the heap loop and the RTO timer restart.
+allocation cost — the bare allocator and the three kinds of round the
+sender's round state makes of it — the two ``sim`` mechanisms every
+packet of either protocol crosses (the heap loop and the RTO timer
+restart), and the trace lookup behind every ``TracePlayer`` tick.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ import math
 import random
 
 from repro.core.allocation import allocate_packet
-from repro.core.blocks import PendingBlock
+from repro.core.blocks import BlockManager, PendingBlock
+from repro.core.config import FmtcpConfig
 from repro.core.estimators import PathEstimate
+from repro.core.sender import FmtcpSender
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.rank_model import RankEvolutionModel
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
+from repro.traces.model import LinkTrace, TraceSample
+from repro.workloads.sources import BulkSource
 
 K = 256
 PART = 32
@@ -138,6 +144,112 @@ def test_allocation_cost_scales(benchmark):
 
     result = benchmark(allocate)
     assert result.iterations >= 1
+
+
+class _BenchSubflow:
+    """The Subflow surface an allocation round reads, held still."""
+
+    potentially_failed = False
+    is_joining = False
+    in_flight = 1  # something outstanding: no idle-path probe
+    last_transmit_at = 0.0
+    last_ack_at = None
+    tau = 0.0
+
+    def __init__(self, subflow_id, srtt, loss, window_space):
+        self.subflow_id = subflow_id
+        self.srtt = srtt
+        self.rto_value = 2.0 * srtt
+        self.loss = loss
+        self.window_space = window_space
+
+    def aged_loss_estimate(self, half_life_s):
+        return self.loss
+
+
+def _round_sender(short_symbols):
+    """A sender at 16 pending blocks x 2 subflows (fast clean, slow lossy)
+    whose last ``len(short_symbols)`` blocks are that many symbols short
+    of k̂ + margin and whose other blocks are complete."""
+    config = FmtcpConfig()
+    sender = FmtcpSender(Simulator(), config, BlockManager(config, BulkSource()))
+    fast = _BenchSubflow(0, srtt=0.2, loss=0.0, window_space=8)
+    slow = _BenchSubflow(1, srtt=0.3, loss=0.15, window_space=4)
+    sender.attach_subflows([fast, slow])
+    sender.blocks.replenish()
+    pending = sender.blocks.pending_blocks
+    assert len(pending) == 16
+    complete = math.ceil(config.completeness_margin) + 1
+    for block in pending:
+        block.k_bar = block.k + complete
+    for block, short in zip(pending[-len(short_symbols):], short_symbols):
+        block.k_bar -= complete + short
+    return sender, fast, slow
+
+
+def test_allocation_round_first_of_an_instant(benchmark):
+    """An input changed: loss snapshot, the k̃ table, the path table and
+    one Algorithm 1 run — which gives the slow subflow nothing, because
+    the fast one (virtually) covers the few symbols still short."""
+    sender, __, slow = _round_sender(short_symbols=[20])
+
+    def first_round():
+        sender.margin = sender.margin  # a margin write drops the round state
+        return sender.next_payload(slow)
+
+    assert benchmark(first_round) is None
+    assert sender.packets_built == 0
+
+
+def test_allocation_round_repeated_in_the_same_instant(benchmark):
+    """Nothing changed since the slow subflow was declined: O(1)."""
+    sender, __, slow = _round_sender(short_symbols=[20])
+    assert sender.next_payload(slow) is None
+
+    def repeat_round():
+        return sender.next_payload(slow)
+
+    assert benchmark(repeat_round) is None
+
+
+def test_allocation_round_after_a_send(benchmark):
+    """The round state is carried across a packet: the round re-ranks the
+    paths and fills a packet, and only the blocks in it get a new k̃."""
+
+    def opened_round():
+        sender, fast, __ = _round_sender(short_symbols=[200] * 8)
+        assert sender.next_payload(fast) is not None
+        return (sender, fast), {}
+
+    def round_after_a_send(sender, fast):
+        return sender.next_payload(fast)
+
+    supplied = benchmark.pedantic(
+        round_after_a_send, setup=opened_round, rounds=300, iterations=1
+    )
+    config = FmtcpConfig()
+    assert supplied[1] == config.symbols_per_packet * config.symbol_wire_size
+
+
+TRACE_SAMPLES = 8_000
+
+
+def test_trace_sample_at_lookup(benchmark):
+    """One replay's worth of ``TracePlayer`` ticks against a trace of
+    8 000 samples (10 ticks a second, as ``mptcp_gprs`` replays)."""
+    trace = LinkTrace(
+        "bench",
+        [
+            TraceSample(index * 0.1, bandwidth_bps=1e5 + index, loss_rate=0.01)
+            for index in range(TRACE_SAMPLES)
+        ],
+    )
+    ticks = [index * 0.1 + 0.05 for index in range(TRACE_SAMPLES + 1)]
+
+    def replay():
+        return sum(trace.sample_at(t).bandwidth_bps for t in ticks)
+
+    assert benchmark(replay) > 0
 
 
 EVENTS = 20_000

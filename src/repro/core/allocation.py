@@ -126,15 +126,17 @@ def _fill_packet(
     while index < len(blocks) and space >= symbol_wire_size:
         block = blocks[index]
         threshold = block.k + margin
+        k_tilde = k_tilde_virtual[index]
         assigned = 0
-        while k_tilde_virtual[index] < threshold and space >= symbol_wire_size:
+        while k_tilde < threshold and space >= symbol_wire_size:
             assigned += 1
             space -= symbol_wire_size
-            k_tilde_virtual[index] += gain
+            k_tilde += gain
         if assigned:
+            k_tilde_virtual[index] = k_tilde
             vector.append((block.block_id, assigned))
             assigned_total += assigned
-        if k_tilde_virtual[index] >= threshold:
+        if k_tilde >= threshold:
             if index == new_start:
                 new_start = index + 1
             index += 1
@@ -215,60 +217,64 @@ def allocate_packet(
     """Algorithm 1 with the first-incomplete-block pointer optimisation.
 
     Everything that is constant within one invocation — EDTs, live k̃_b,
-    per-flow gains — is derived once up front; the loop only moves EATs.
+    per-flow gains — is derived once up front into one path table (a row
+    per estimate, in ``estimates`` order); the loop only moves EATs.
     ``expected`` is this round's :func:`expected_symbols` when the caller
-    has already taken it (its k̃ list is consumed); the first-incomplete
-    pointer starts at its first short block.
+    already holds it (anything with its three fields; it is read, not
+    consumed); the first-incomplete pointer starts at its first short
+    block.
     """
-    estimate_by_id = _estimates_by_id(
-        pending_subflow_id, estimates, mss, symbol_wire_size
-    )
     edts = edt_for_flows(estimates)
-    eats = eat_table(estimates, edts)
-    virtual_queue = dict.fromkeys(eats, 0)
+    ids: List[int] = []
+    eats: List[float] = []
+    gains: List[float] = []
+    for estimate in estimates:
+        subflow_id = estimate.subflow_id
+        ids.append(subflow_id)
+        eats.append(eat(estimate, edts[subflow_id]))
+        gains.append(max(1.0 - loss_rate_of(subflow_id), 1e-3))
+    if pending_subflow_id not in ids:
+        raise ValueError(f"pending subflow {pending_subflow_id} not in estimates")
+    if symbol_wire_size > mss:
+        raise ValueError("a single symbol must fit within the MSS")
+    queued = [0] * len(ids)
     if expected is None:
         expected = expected_symbols(blocks, loss_rate_of, margin)
-    k_tilde_virtual, demand, start_index = expected
-    gains = {
-        subflow_id: max(1.0 - loss_rate_of(subflow_id), 1e-3) for subflow_id in eats
-    }
+    k_tilde_virtual = list(expected.k_tildes)
+    start_index = expected.first_short
 
-    result = AllocationResult()
+    iterations = 0
+    virtual_packets: Dict[int, int] = {}
     # Generous safety bound: total residual demand plus one pass per flow.
-    max_iterations = demand + len(estimates) + 16
+    max_iterations = expected.demand + len(ids) + 16
     while True:
-        result.iterations += 1
-        if result.iterations > max_iterations:
+        iterations += 1
+        if iterations > max_iterations:
             raise AllocationError(
                 f"virtual allocation did not converge after {max_iterations} "
                 f"iterations (pending subflow {pending_subflow_id})"
             )
         # Minimum EAT, ties to the lower id.
-        chosen_id, best = None, 0.0
-        for subflow_id, value in eats.items():
-            if (
-                chosen_id is None
-                or value < best
-                or (value == best and subflow_id < chosen_id)
-            ):
-                chosen_id, best = subflow_id, value
+        chosen, best = 0, eats[0]
+        for row in range(1, len(ids)):
+            value = eats[row]
+            if value < best or (value == best and ids[row] < ids[chosen]):
+                chosen, best = row, value
         vector, assigned, start_index = _fill_packet(
-            blocks, k_tilde_virtual, start_index, gains[chosen_id],
+            blocks, k_tilde_virtual, start_index, gains[chosen],
             margin, mss, symbol_wire_size,
         )
-        if assigned == 0:
-            # No block needs symbols any more (all δ̂-complete virtually):
-            # rule R1 says nobody — including the pending flow — sends.
-            return result
-        if chosen_id == pending_subflow_id:
-            result.vector = vector
-            return result
+        chosen_id = ids[chosen]
+        if assigned == 0 or chosen_id == pending_subflow_id:
+            # The pending flow's own packet — or nothing was assigned: no
+            # block needs symbols any more (all δ̂-complete virtually) and
+            # rule R1 says nobody, the pending flow included, sends (the
+            # vector is empty).
+            return AllocationResult(vector, iterations, virtual_packets)
         # Virtual packet: bump the chosen flow's EAT and keep going.
-        result.virtual_packets[chosen_id] = result.virtual_packets.get(chosen_id, 0) + 1
-        virtual_queue[chosen_id] += 1
-        eats[chosen_id] = eat(
-            estimate_by_id[chosen_id], edts[chosen_id], virtual_queue[chosen_id]
-        )
+        virtual_packets[chosen_id] = virtual_packets.get(chosen_id, 0) + 1
+        queued[chosen] += 1
+        eats[chosen] = eat(estimates[chosen], edts[chosen_id], queued[chosen])
 
 
 def allocate_packet_greedy(

@@ -151,14 +151,18 @@ class BlockManager:
     def block_by_id(self, block_id: int) -> Optional[PendingBlock]:
         return self._by_id.get(block_id)
 
-    def replenish(self) -> None:
-        """Pull new blocks from the source up to the pending limit."""
+    def replenish(self) -> int:
+        """Pull new blocks from the source up to the pending limit;
+        returns how many joined the pending list."""
+        added = 0
         while len(self._pending) < self.config.max_pending_blocks:
             block = self._create_block()
             if block is None:
-                return
+                break
             self._pending.append(block)
             self._by_id[block.block_id] = block
+            added += 1
+        return added
 
     def _create_block(self) -> Optional[PendingBlock]:
         pulled: Union[int, bytes, None] = self.source.pull(self.config.block_bytes)

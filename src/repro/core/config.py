@@ -134,6 +134,32 @@ class FmtcpConfig:
             raise ValueError("symbols_per_block must be >= 1")
         if self.symbol_size < 1:
             raise ValueError("symbol_size must be >= 1")
+        if self.symbol_header_bytes < 0:
+            raise ValueError(
+                f"symbol_header_bytes must be >= 0, got {self.symbol_header_bytes}"
+            )
+        if self.max_pending_blocks < 1:
+            raise ValueError(
+                f"max_pending_blocks must be >= 1, got {self.max_pending_blocks} "
+                "(with no pending block the transfer sends nothing)"
+            )
+        # Each range is tested as `not (inside it)`, which NaN fails too.
+        if not 0.0 <= self.loss_estimate_floor < 1.0:
+            raise ValueError(
+                f"loss_estimate_floor must be in [0, 1), got {self.loss_estimate_floor}"
+            )
+        if self.probe_interval_s is not None and not self.probe_interval_s > 0:
+            raise ValueError(
+                f"probe_interval_s must be positive or None, got {self.probe_interval_s}"
+            )
+        if (
+            self.loss_estimate_half_life_s is not None
+            and not self.loss_estimate_half_life_s > 0
+        ):
+            raise ValueError(
+                "loss_estimate_half_life_s must be positive or None, got "
+                f"{self.loss_estimate_half_life_s}"
+            )
         if not 0.0 < self.delta_hat < 1.0:
             raise ValueError("delta_hat must be in (0, 1)")
         if self.coding not in ("statistical", "real"):

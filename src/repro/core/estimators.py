@@ -15,14 +15,10 @@ These are the quantities Algorithm 1 ranks subflows by:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class PathEstimate:
-    """A snapshot of one subflow's quality parameters."""
-
+class _PathEstimateFields(NamedTuple):
     subflow_id: int
     rtt: float
     rto: float
@@ -30,11 +26,35 @@ class PathEstimate:
     window_space: int
     tau: float
 
-    def __post_init__(self) -> None:
-        if self.rtt < 0 or self.rto < 0:
+
+class PathEstimate(_PathEstimateFields):
+    """A snapshot of one subflow's quality parameters.
+
+    An immutable record, built once per subflow per allocation round: a
+    tuple with named fields whose every constructor (``_make`` and
+    ``_replace`` included) range-checks ``rtt``, ``rto`` and ``loss``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        subflow_id: int,
+        rtt: float,
+        rto: float,
+        loss: float,
+        window_space: int,
+        tau: float,
+    ) -> "PathEstimate":
+        if rtt < 0 or rto < 0:
             raise ValueError("rtt and rto must be non-negative")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1), got {self.loss}")
+        if not 0.0 <= loss < 1.0:
+            raise ValueError(f"loss must be in [0, 1), got {loss}")
+        return tuple.__new__(cls, (subflow_id, rtt, rto, loss, window_space, tau))
+
+    @classmethod
+    def _make(cls, iterable) -> "PathEstimate":
+        return cls(*iterable)
 
 
 def expected_rt(rtt: float, loss: float, rto: float) -> float:
@@ -56,17 +76,22 @@ def edt_for_flows(estimates: Sequence[PathEstimate]) -> Dict[int, float]:
     """
     if not estimates:
         raise ValueError("need at least one path estimate")
-    sedts = {e.subflow_id: sedt(e.rtt, e.loss, e.rto) for e in estimates}
-    best_id = min(sedts, key=lambda subflow_id: (sedts[subflow_id], subflow_id))
-    best_sedt = sedts[best_id]
+    # Minimum SEDT, ties to the lower id.
+    best_id, best_sedt = None, 0.0
+    for subflow_id, rtt, rto, loss, __, __ in estimates:
+        value = sedt(rtt, loss, rto)
+        if (
+            best_id is None
+            or value < best_sedt
+            or (value == best_sedt and subflow_id < best_id)
+        ):
+            best_id, best_sedt = subflow_id, value
     edts: Dict[int, float] = {}
-    for estimate in estimates:
-        if estimate.subflow_id == best_id:
-            edts[estimate.subflow_id] = best_sedt
+    for subflow_id, rtt, rto, loss, __, __ in estimates:
+        if subflow_id == best_id:
+            edts[subflow_id] = best_sedt
         else:
-            edts[estimate.subflow_id] = (1.0 - estimate.loss) * estimate.rtt / 2.0 + (
-                estimate.loss * (estimate.rto + best_sedt)
-            )
+            edts[subflow_id] = (1.0 - loss) * rtt / 2.0 + loss * (rto + best_sedt)
     return edts
 
 
@@ -91,16 +116,9 @@ def eat(
     return max(edt + waiting_packets * rt - estimate.tau, 0.0)
 
 
-def eat_table(
-    estimates: Sequence[PathEstimate], edts: Optional[Dict[int, float]] = None
-) -> Dict[int, float]:
-    """Initial EAT per subflow (no virtual assignments yet).
-
-    A caller that already holds ``edt_for_flows(estimates)`` passes it as
-    ``edts`` so one allocation round derives the EDTs once.
-    """
-    if edts is None:
-        edts = edt_for_flows(estimates)
+def eat_table(estimates: Sequence[PathEstimate]) -> Dict[int, float]:
+    """Initial EAT per subflow (no virtual assignments yet)."""
+    edts = edt_for_flows(estimates)
     return {
         estimate.subflow_id: eat(estimate, edts[estimate.subflow_id])
         for estimate in estimates

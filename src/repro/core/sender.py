@@ -22,7 +22,7 @@ from repro.core.allocation import (
     allocate_packet_greedy,
     expected_symbols,
 )
-from repro.core.blocks import BlockManager
+from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
 from repro.core.estimators import PathEstimate
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload, SymbolGroup
@@ -34,6 +34,81 @@ from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 # Estimated loss rates are clamped below 1 so expected-gain and EDT/RT
 # formulas stay finite even while an estimator transiently reads ~100 %.
 _MAX_LOSS = 0.95
+
+
+class _RoundState:
+    """What the allocation rounds of one simulator instant share.
+
+    One ``sim.now`` fixes every time-dependent input (τ_f, the aged loss
+    estimate, the probe interval), so between two input changes at that
+    instant the loss snapshot and the k̃ table of the first round serve
+    every later one. The sender drops the state on each input change
+    (see ``FmtcpSender._round``); a packet it builds is not one — it
+    touches only the blocks in its vector, and :meth:`note_sent`
+    re-derives exactly those. Reads as an ``ExpectedSymbols`` for
+    :func:`allocate_packet`.
+    """
+
+    __slots__ = (
+        "now", "blocks", "margin", "losses", "loss_rate_of",
+        "k_tildes", "demand", "first_short", "declined",
+    )
+
+    def __init__(
+        self,
+        now: float,
+        blocks: List[PendingBlock],
+        margin: float,
+        losses: Dict[int, float],
+    ):
+        self.now = now
+        # The block list the k̃ table is parallel to: the manager's live
+        # pending list, or this instant's flow-admissible copy of it.
+        self.blocks = blocks
+        self.margin = margin
+        self.losses = losses
+        # A removed subflow's id can linger in per-block accounting; it
+        # reads as maximally lossy, as FmtcpSender.loss_rate_of answers.
+        self.loss_rate_of = lambda subflow_id: losses.get(subflow_id, _MAX_LOSS)
+        self.k_tildes, self.demand, self.first_short = expected_symbols(
+            blocks, self.loss_rate_of, margin
+        )
+        # Subflows Algorithm 1 gave nothing since the last packet left.
+        self.declined: set = set()
+
+    def note_sent(self, block: PendingBlock) -> None:
+        """``block`` has new in-flight symbols: re-derive its k̃ (in
+        :meth:`PendingBlock.k_tilde`'s summation order, which is
+        ``expected_symbols``'s), its share of the demand and the first
+        short index. Every subflow's window or τ may have moved with the
+        packet, so earlier declines no longer stand."""
+        self.declined.clear()
+        blocks = self.blocks
+        try:
+            index = blocks.index(block)
+        except ValueError:  # A window probe outside the admissible list.
+            return
+        k_tildes = self.k_tildes
+        threshold = block.k + self.margin
+        short = threshold - k_tildes[index]
+        if short > -1.0:
+            self.demand -= int(short) + 1
+        k_tildes[index] = k_tilde = block.k_tilde(self.loss_rate_of)
+        short = threshold - k_tilde
+        if short > -1.0:
+            self.demand += int(short) + 1
+        if short > 0.0:
+            if index < self.first_short:
+                self.first_short = index
+        elif index == self.first_short:
+            margin = self.margin
+            index += 1
+            while (
+                index < len(blocks)
+                and blocks[index].k + margin - k_tildes[index] <= 0.0
+            ):
+                index += 1
+            self.first_short = index
 
 
 class FmtcpSender(SubflowOwner):
@@ -66,9 +141,15 @@ class FmtcpSender(SubflowOwner):
         # Adaptive completeness margin state (extension; see FmtcpConfig).
         # A checkpointed margin carries the adapted scheduler state
         # across a restart instead of re-learning it from scratch.
-        self.margin = (
+        self._margin = (
             resume_margin if resume_margin is not None else config.completeness_margin
         )
+        # The production path's round state (``decision_hook is None``,
+        # ``allocation == "eat"``), valid for one ``sim.now`` and dropped
+        # (set to None) by every change of an allocation input: each
+        # SubflowOwner callback, attach_subflows, set_decision_hook, a
+        # write to ``margin``, a change of the pending block list.
+        self._round: Optional[_RoundState] = None
         self._miss_count = 0
         self._window_completed = 0
         # Pluggable decision layer (repro.policy): when set, every regular
@@ -104,7 +185,6 @@ class FmtcpSender(SubflowOwner):
         self.packets_built = 0
         self.symbols_sent = 0
         self.symbols_lost = 0
-        self.allocation_iterations = 0
         self.decisions_delegated = 0
         self.probes_sent = 0
         self.failover_probes_sent = 0
@@ -119,10 +199,23 @@ class FmtcpSender(SubflowOwner):
         """
         self.subflows = list(subflows)
         self._subflow_by_id = {subflow.subflow_id: subflow for subflow in subflows}
+        self._round = None
 
     def set_decision_hook(self, hook: Optional[DecisionHook]) -> None:
         """Install (``None``: remove) a pluggable allocation decision."""
         self.decision_hook = hook
+        self._round = None
+
+    @property
+    def margin(self) -> float:
+        """Head-room beyond k̂ a block needs to count as δ̂-complete:
+        log₂(1/δ̂), moved by the adaptive controller and the watchdog."""
+        return self._margin
+
+    @margin.setter
+    def margin(self, value: float) -> None:
+        self._margin = value
+        self._round = None
 
     # ------------------------------------------------------------------
     # Path-quality snapshots for the allocator.
@@ -164,19 +257,24 @@ class FmtcpSender(SubflowOwner):
         """
         if losses is None:
             losses = self.loss_snapshot()
-        return [
-            PathEstimate(
-                subflow_id=subflow.subflow_id,
-                rtt=subflow.srtt,
-                rto=subflow.rto_value,
-                loss=losses[subflow.subflow_id],
-                window_space=subflow.window_space,
-                tau=subflow.tau,
+        estimates = []
+        for subflow in self.subflows:
+            if subflow.is_joining or (
+                not include_suspect and subflow.potentially_failed
+            ):
+                continue
+            subflow_id = subflow.subflow_id
+            estimates.append(
+                PathEstimate(
+                    subflow_id,
+                    subflow.srtt,
+                    subflow.rto_value,
+                    losses[subflow_id],
+                    subflow.window_space,
+                    subflow.tau,
+                )
             )
-            for subflow in self.subflows
-            if not subflow.is_joining
-            and (include_suspect or not subflow.potentially_failed)
-        ]
+        return estimates
 
     # ------------------------------------------------------------------
     # SubflowOwner: supply packets.
@@ -237,7 +335,8 @@ class FmtcpSender(SubflowOwner):
         return self._flow_blocked()
 
     def next_payload(self, subflow: Subflow) -> Optional[Tuple[Any, int]]:
-        self.blocks.replenish()
+        if self.blocks.replenish():
+            self._round = None
         pending = self.blocks.pending_blocks
         if not pending:
             return None
@@ -285,53 +384,69 @@ class FmtcpSender(SubflowOwner):
                 vector=[(pending[0].block_id, self.config.symbols_per_packet)]
             )
             return self._build_packet(subflow, result)
-        # One loss snapshot serves the whole round. A removed subflow's id
-        # can linger in per-block accounting; it reads as maximally lossy,
-        # as loss_rate_of would answer.
-        losses = self.loss_snapshot()
-
-        def loss_rate_of(subflow_id: int) -> float:
-            return losses.get(subflow_id, _MAX_LOSS)
-
         if self.decision_hook is None and self.config.allocation == "eat":
-            # Rule R1 first: when no block is short of k̂ + margin nobody
-            # sends, and the paths need not be ranked to find that out.
-            expected = expected_symbols(pending, loss_rate_of, self.margin)
-            if expected.first_short == len(pending):
-                self.allocation_iterations += 1
-                return None
-            result = allocate_packet(
-                pending_subflow_id=subflow.subflow_id,
-                estimates=self.path_estimates(losses=losses),
-                blocks=pending,
-                loss_rate_of=loss_rate_of,
-                mss=self.config.mss,
-                symbol_wire_size=self.config.symbol_wire_size,
-                margin=self.margin,
-                expected=expected,
-            )
+            result = self._eat_round(subflow, pending)
+            return None if result is None else self._build_packet(subflow, result)
+        # A policy may change the margin or the losses, so it gets the
+        # whole request, built from scratch, and k̃ is derived from what it
+        # passes on. A removed subflow's id can linger in per-block
+        # accounting; it reads as maximally lossy, as loss_rate_of answers.
+        losses = self.loss_snapshot()
+        request = AllocationRequest(
+            pending_subflow_id=subflow.subflow_id,
+            estimates=self.path_estimates(losses=losses),
+            blocks=pending,
+            loss_rate_of=lambda subflow_id: losses.get(subflow_id, _MAX_LOSS),
+            mss=self.config.mss,
+            symbol_wire_size=self.config.symbol_wire_size,
+            margin=self._margin,
+            now=self.sim.now,
+        )
+        if self.decision_hook is not None:
+            self.decisions_delegated += 1
+            result = self.decision_hook(request)
         else:
-            # A policy may change the margin or the losses, so it gets the
-            # whole request and k̃ is derived from what it passes on.
-            request = AllocationRequest(
-                pending_subflow_id=subflow.subflow_id,
-                estimates=self.path_estimates(losses=losses),
-                blocks=pending,
-                loss_rate_of=loss_rate_of,
-                mss=self.config.mss,
-                symbol_wire_size=self.config.symbol_wire_size,
-                margin=self.margin,
-                now=self.sim.now,
-            )
-            if self.decision_hook is not None:
-                self.decisions_delegated += 1
-                result = self.decision_hook(request)
-            else:
-                result = request.run(allocate_packet_greedy)
-        self.allocation_iterations += result.iterations
+            result = request.run(allocate_packet_greedy)
         if result.is_empty():
             return None
         return self._build_packet(subflow, result)
+
+    def _eat_round(
+        self, subflow: Subflow, pending: List[PendingBlock]
+    ) -> Optional[AllocationResult]:
+        """Algorithm 1 for ``subflow`` over this instant's round state:
+        the packet to build, or ``None`` when it is not to send."""
+        now = self.sim.now
+        state = self._round
+        if (
+            state is None
+            or state.now != now
+            or (self.flow_gate is not None and state.blocks != pending)
+        ):
+            state = self._round = _RoundState(
+                now, pending, self._margin, self.loss_snapshot()
+            )
+        # Rule R1 first: when no block is short of k̂ + margin nobody
+        # sends, and the paths need not be ranked to find that out.
+        if state.first_short == len(pending):
+            return None
+        subflow_id = subflow.subflow_id
+        if subflow_id in state.declined:
+            return None
+        result = allocate_packet(
+            pending_subflow_id=subflow_id,
+            estimates=self.path_estimates(losses=state.losses),
+            blocks=pending,
+            loss_rate_of=state.loss_rate_of,
+            mss=self.config.mss,
+            symbol_wire_size=self.config.symbol_wire_size,
+            margin=self._margin,
+            expected=state,
+        )
+        if not result.vector:
+            state.declined.add(subflow_id)
+            return None
+        return result
 
     def _build_packet(
         self, subflow: Subflow, result: AllocationResult
@@ -341,6 +456,7 @@ class FmtcpSender(SubflowOwner):
         span_live = self.trace is not None and self.trace.has_subscribers(
             "span.symbols_tx"
         )
+        state = self._round
         for block_id, count in result.vector:
             block = self.blocks.block_by_id(block_id)
             if block is None:  # Decoded since allocation ran; skip quietly.
@@ -368,6 +484,8 @@ class FmtcpSender(SubflowOwner):
                     first=block.first_tx_at is None,
                 )
             block.record_sent(subflow.subflow_id, count, self.sim.now)
+            if state is not None:
+                state.note_sent(block)
             size += count * self.config.symbol_wire_size
             self.symbols_sent += count
         if not groups:
@@ -383,6 +501,7 @@ class FmtcpSender(SubflowOwner):
             block = self.blocks.block_by_id(group.block_id)
             if block is not None:
                 block.record_resolved(subflow.subflow_id, group.count)
+        self._round = None
 
     def on_payload_delivered(self, subflow: Subflow, info: SubflowPacketInfo) -> None:
         self._resolve_groups(subflow, info.payload)
@@ -441,23 +560,29 @@ class FmtcpSender(SubflowOwner):
         # demand to the live subflows (path_estimates now excludes the
         # suspect one, so the allocator routes around it).
         self.suspect_events += 1
+        self._round = None
         self.pump_all()
 
     def on_subflow_recovered(self, subflow: Subflow) -> None:
         # An acknowledged probe readmits the path to the allocator; its
         # loss estimate still carries the quarantine pessimism, which the
         # probe-chaining mechanism pays down one EWMA sample per RTT.
+        self._round = None
         self.pump_all()
 
     def on_subflow_ready(self, subflow: Subflow) -> None:
         # A joined subflow enters path_estimates from this instant; pump
         # everything so the allocator can start handing it symbols.
+        self._round = None
         self.pump_all()
 
     # ------------------------------------------------------------------
     # SubflowOwner: receiver feedback (k̄ reports + decode confirmations).
     # ------------------------------------------------------------------
     def on_ack_feedback(self, subflow: Subflow, feedback: FmtcpFeedback) -> None:
+        # k̄ reports, decode confirmations and the gate's licence all feed
+        # the allocator.
+        self._round = None
         if self.flow_gate is not None and feedback.advertised_window is not None:
             self.flow_gate.advertise(
                 feedback.decoded_in_order, feedback.advertised_window

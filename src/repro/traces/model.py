@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -116,6 +117,7 @@ class LinkTrace:
                 )
         self.name = name
         self.samples: Tuple[TraceSample, ...] = tuple(samples)
+        self._times = tuple(sample.time_s for sample in self.samples)
         self.end_policy = end_policy
         self.interpolate = interpolate
 
@@ -145,31 +147,32 @@ class LinkTrace:
             t = t % self.duration_s
         if t <= self.samples[0].time_s:
             return self.samples[0]
-        # Find the sample pair bracketing t (samples are few; linear scan
-        # is dominated by the player's per-tick link mutations anyway).
-        for previous, sample in zip(self.samples, self.samples[1:]):
-            if t < sample.time_s:
-                if not self.interpolate:
-                    return previous
-                frac = (t - previous.time_s) / (sample.time_s - previous.time_s)
-                bandwidth = (
-                    None
-                    if previous.bandwidth_bps is None or sample.bandwidth_bps is None
-                    else _lerp(previous.bandwidth_bps, sample.bandwidth_bps, frac)
-                )
-                delay = (
-                    None
-                    if previous.delay_s is None or sample.delay_s is None
-                    else _lerp(previous.delay_s, sample.delay_s, frac)
-                )
-                # Loss always steps: it is a regime probability.
-                return TraceSample(
-                    time_s=t,
-                    bandwidth_bps=bandwidth,
-                    delay_s=delay,
-                    loss_rate=previous.loss_rate,
-                )
-        return self.samples[-1]
+        # The sample pair bracketing t: the first sample later than t and
+        # the one before it.
+        index = bisect_right(self._times, t)
+        if index == len(self.samples):
+            return self.samples[-1]
+        previous, sample = self.samples[index - 1], self.samples[index]
+        if not self.interpolate:
+            return previous
+        frac = (t - previous.time_s) / (sample.time_s - previous.time_s)
+        bandwidth = (
+            None
+            if previous.bandwidth_bps is None or sample.bandwidth_bps is None
+            else _lerp(previous.bandwidth_bps, sample.bandwidth_bps, frac)
+        )
+        delay = (
+            None
+            if previous.delay_s is None or sample.delay_s is None
+            else _lerp(previous.delay_s, sample.delay_s, frac)
+        )
+        # Loss always steps: it is a regime probability.
+        return TraceSample(
+            time_s=t,
+            bandwidth_bps=bandwidth,
+            delay_s=delay,
+            loss_rate=previous.loss_rate,
+        )
 
     # ------------------------------------------------------------------
     # CSV round-trip.

@@ -37,6 +37,37 @@ def test_config_validation():
         FmtcpConfig(symbol_size=2000, mss=1400)
 
 
+@pytest.mark.parametrize(
+    "field, bad_values",
+    [
+        # Was a ZeroDivisionError inside Subflow.aged_loss_estimate mid-transfer.
+        ("loss_estimate_half_life_s", [0.0, -1.0, math.nan]),
+        ("probe_interval_s", [0.0, -0.5, math.nan]),
+        # Was a transfer that silently sent nothing.
+        ("max_pending_blocks", [0, -3]),
+        ("loss_estimate_floor", [-0.01, 1.0, 1.5, math.nan]),
+        ("symbol_header_bytes", [-1]),
+    ],
+)
+def test_config_rejects_the_inputs_an_allocation_round_keys_on(field, bad_values):
+    for value in bad_values:
+        with pytest.raises(ValueError, match=field):
+            FmtcpConfig(**{field: value})
+
+
+def test_config_accepts_the_boundary_values_of_those_inputs():
+    config = FmtcpConfig(
+        loss_estimate_half_life_s=1e-3,
+        probe_interval_s=1e-3,
+        max_pending_blocks=1,
+        loss_estimate_floor=0.0,
+        symbol_header_bytes=0,
+    )
+    assert config.symbol_wire_size == config.symbol_size
+    assert FmtcpConfig(loss_estimate_half_life_s=None, probe_interval_s=None)
+    assert FmtcpConfig(loss_estimate_floor=0.99).loss_estimate_floor == 0.99
+
+
 # ----------------------------------------------------------------------
 # PendingBlock: Eq. (8) and Definitions 2-4.
 # ----------------------------------------------------------------------

@@ -147,6 +147,32 @@ def test_path_estimate_validation():
         estimate(loss=1.0)
     with pytest.raises(ValueError):
         estimate(rtt=-0.1)
+    with pytest.raises(ValueError):
+        estimate(rto=-0.1)
+    with pytest.raises(ValueError):
+        estimate(loss=-0.01)
+
+
+def test_path_estimate_is_an_immutable_record_on_every_construction_path():
+    flow = estimate(subflow_id=3, loss=0.1)
+    with pytest.raises(AttributeError):
+        flow.loss = 0.2
+    assert flow._replace(loss=0.2).loss == 0.2 and flow.loss == 0.1
+    with pytest.raises(ValueError):
+        flow._replace(loss=1.0)
+    with pytest.raises(ValueError):
+        PathEstimate._make((3, -1.0, 0.4, 0.1, 1, 0.0))
+    assert flow == estimate(subflow_id=3, loss=0.1)
+
+
+def test_edt_best_flow_ties_go_to_the_lower_id_in_any_order():
+    twins = [estimate(2, loss=0.1), estimate(1, loss=0.1), estimate(5, loss=0.3)]
+    for flows in (twins, twins[::-1]):
+        edts = edt_for_flows(flows)
+        best = sedt(0.2, 0.1, 0.4)
+        assert edts[1] == best  # the best flow's EDT is its SEDT, exactly
+        assert edts[2] == 0.9 * 0.2 / 2.0 + 0.1 * (0.4 + best)
+        assert edts[5] == 0.7 * 0.2 / 2.0 + 0.3 * (0.4 + best)
 
 
 @settings(max_examples=60, deadline=None)

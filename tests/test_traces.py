@@ -204,6 +204,65 @@ def test_sample_before_first_uses_first():
     assert trace.sample_at(0.0).bandwidth_bps == 700.0
 
 
+def _sample_at_by_linear_scan(trace: LinkTrace, t: float):
+    """Oracle for :meth:`LinkTrace.sample_at`: the end-policy prologue,
+    then a scan for the first sample later than ``t`` (the form the
+    bisect replaced)."""
+    samples = trace.samples
+    duration = samples[-1].time_s
+    if t > duration:
+        if trace.end_policy == "clear":
+            return None
+        if trace.end_policy == "hold" or duration == 0.0:
+            return samples[-1]
+        t = t % duration
+    if t <= samples[0].time_s:
+        return samples[0]
+    for previous, sample in zip(samples, samples[1:]):
+        if t < sample.time_s:
+            if not trace.interpolate:
+                return previous
+            frac = (t - previous.time_s) / (sample.time_s - previous.time_s)
+
+            def lerp(a, b):
+                return None if a is None or b is None else a + (b - a) * frac
+
+            return TraceSample(
+                time_s=t,
+                bandwidth_bps=lerp(previous.bandwidth_bps, sample.bandwidth_bps),
+                delay_s=lerp(previous.delay_s, sample.delay_s),
+                loss_rate=previous.loss_rate,
+            )
+    return samples[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    times=_times,
+    data=st.data(),
+    end_policy=st.sampled_from(["hold", "loop", "clear"]),
+    interpolate=st.booleans(),
+)
+def test_sample_at_matches_a_linear_scan(times, data, end_policy, interpolate):
+    """Every policy, interpolation on and off, and the boundary times: on
+    a sample, before the first, past the last, between two."""
+    samples = [
+        TraceSample(
+            time_s, data.draw(_bandwidth), data.draw(_delay), data.draw(_loss)
+        )
+        for time_s in times
+    ]
+    trace = LinkTrace("t", samples, end_policy=end_policy, interpolate=interpolate)
+    probes = list(times)
+    probes += [times[0] / 2.0, times[-1] + 1.0, times[-1] * 2.5 + 0.125]
+    probes += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+    probes += data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=3e4), max_size=5)
+    )
+    for t in probes:
+        assert trace.sample_at(t) == _sample_at_by_linear_scan(trace, t)
+
+
 # ----------------------------------------------------------------------
 # Generators + resolve.
 # ----------------------------------------------------------------------
