@@ -14,10 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.tcp.multipath import MultipathConfig
+
 
 @dataclass
-class FmtcpConfig:
-    """Tunables of the FMTCP sender/receiver pair."""
+class FmtcpConfig(MultipathConfig):
+    """Tunables of the FMTCP sender/receiver pair (the subflow, failover
+    and flow-control fields are :class:`MultipathConfig`'s)."""
 
     # Block geometry (paper Section III-B chooses k̂ to balance coding
     # complexity, MSS fit and buffer size).
@@ -27,7 +30,6 @@ class FmtcpConfig:
     # header (block id, PRNG seed, base symbol id) is amortised across the
     # group, so the marginal cost per symbol is small.
     symbol_header_bytes: int = 2
-    mss: int = 1400
 
     # δ̂: maximum acceptable decoding failure probability (Definition 4).
     delta_hat: float = 1e-3
@@ -58,12 +60,6 @@ class FmtcpConfig:
     # until the receiver's decode confirmation arrives — the inefficient
     # stop-and-wait behaviour the paper's prediction mechanism replaces.
     allocation: str = "eat"
-
-    # Subflow machinery.
-    congestion: str = "reno"
-    initial_cwnd: float = 2.0
-    dup_ack_threshold: int = 3
-    min_rto: float = 0.2
 
     # Loss-estimator floor: EDT/RT computations assume some residual loss
     # so a momentarily clean path is not treated as perfectly reliable.
@@ -102,34 +98,14 @@ class FmtcpConfig:
     # healed path re-earns trust in seconds, one EWMA sample per RTT.
     probe_chain_threshold: float = 0.2
 
-    # Dead-path failover: after this many consecutive RTO firings with no
-    # intervening ACK, a subflow is declared potentially failed — the EAT
-    # allocator stops assigning symbols to it and the subflow drops to
-    # one-probe-per-backed-off-RTO until a probe is acknowledged. None
-    # disables detection (pre-failover behaviour).
-    failover_rto_threshold: Optional[int] = 3
-
-    # End-to-end flow control (repro.robustness extension, off by
-    # default): the receiver advertises a block-granular window on every
-    # ACK and the sender may only *open* blocks below the licensed limit,
-    # so receiver occupancy (active decoders + decoded-waiting + app
-    # backlog) never exceeds recv_window_blocks.
-    flow_control: bool = False
+    # Receive window of the shared flow control, in blocks: receiver
+    # occupancy (active decoders + decoded-waiting + app backlog) never
+    # exceeds it, because the sender may only *open* blocks below the
+    # licensed limit.
     recv_window_blocks: int = 32
-    # Application drain model: None = the app consumes instantly (the
-    # pre-flow-control behaviour); a rate in bytes/s models a slow
-    # reader; 0.0 models an app that stopped reading entirely.
-    recv_drain_rate_bps: Optional[float] = None
-    # Backpressure hysteresis (fractions of recv_window_blocks): pause
-    # opening new blocks when the receiver-held backlog crosses high,
-    # resume once it falls back to low.
-    flow_high_watermark: float = 0.75
-    flow_low_watermark: float = 0.5
-    # Zero-window probing: initial interval and exponential-backoff cap.
-    zero_window_probe_s: float = 0.5
-    zero_window_probe_max_s: float = 4.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.symbols_per_block < 1:
             raise ValueError("symbols_per_block must be >= 1")
         if self.symbol_size < 1:
@@ -174,22 +150,8 @@ class FmtcpConfig:
             raise ValueError('LT coding requires coding="real"')
         if self.code == "lt" and self.systematic:
             raise ValueError("systematic mode applies to the RLC code only")
-        if self.failover_rto_threshold is not None and self.failover_rto_threshold < 1:
-            raise ValueError("failover_rto_threshold must be >= 1 or None")
         if self.recv_window_blocks < 1:
             raise ValueError("recv_window_blocks must be >= 1")
-        if self.recv_drain_rate_bps is not None and self.recv_drain_rate_bps < 0:
-            raise ValueError("recv_drain_rate_bps must be >= 0 or None")
-        if not 0.0 < self.flow_low_watermark <= self.flow_high_watermark <= 1.0:
-            raise ValueError(
-                "flow watermarks must satisfy 0 < low <= high <= 1"
-            )
-        if self.zero_window_probe_s <= 0:
-            raise ValueError("zero_window_probe_s must be positive")
-        if self.zero_window_probe_max_s < self.zero_window_probe_s:
-            raise ValueError(
-                "zero_window_probe_max_s must be >= zero_window_probe_s"
-            )
         if self.symbol_wire_size > self.mss:
             raise ValueError(
                 f"one symbol ({self.symbol_wire_size}B on the wire) must fit "

@@ -17,13 +17,14 @@ from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import LiaGroup, make_controller
-from repro.tcp.rto import RtoEstimator
-from repro.tcp.subflow import Subflow, SubflowSink
+from repro.tcp.multipath import MultipathConnection
+from repro.tcp.subflow import Subflow, SubflowPacketInfo
 
 
-class FmtcpConnection:
+class FmtcpConnection(MultipathConnection):
     """One FMTCP transfer across a set of network paths."""
+
+    _removed_field = "abandoned"
 
     def __init__(
         self,
@@ -36,11 +37,7 @@ class FmtcpConnection:
         sink: Optional[Callable[[int, Optional[bytes]], None]] = None,
         resume=None,
     ):
-        if not paths:
-            raise ValueError("need at least one path")
-        self.sim = sim
-        self.config = config or FmtcpConfig()
-        self.trace = trace
+        config = config or FmtcpConfig()
         rng = rng or RngStreams(0)
 
         # ``resume`` (duck-typed; see repro.recovery.checkpoint.ResumeState)
@@ -54,7 +51,7 @@ class FmtcpConnection:
         receiver_bytes = int(resume.receiver_bytes) if resume is not None else 0
 
         self.block_manager = BlockManager(
-            self.config,
+            config,
             source,
             rng=rng.get("fmtcp:encoder"),
             trace=trace,
@@ -63,7 +60,7 @@ class FmtcpConnection:
         )
         self.sender = FmtcpSender(
             sim,
-            self.config,
+            config,
             self.block_manager,
             trace=trace,
             resume_frontier=sender_frontier,
@@ -71,120 +68,42 @@ class FmtcpConnection:
         )
         self.receiver = FmtcpReceiver(
             sim,
-            self.config,
+            config,
             trace=trace,
             rng=rng.get("fmtcp:rank"),
             sink=sink,
             resume_frontier=receiver_frontier,
             resume_bytes=receiver_bytes,
         )
-
-        self.subflows: List[Subflow] = []
-        self._sinks: List[SubflowSink] = []
-        self._sink_by_id: dict = {}
-        self._next_subflow_id = 0
-        self._lia_group = LiaGroup() if self.config.congestion == "lia" else None
-        for path in paths:
-            self._attach(path, join_delay_s=None)
-        self.sender.attach_subflows(self.subflows)
-
-    def _attach(self, path: Path, join_delay_s: Optional[float]) -> Subflow:
-        """Build one subflow + its receiver sink (no sender re-enumeration)."""
-        subflow_id = self._next_subflow_id
-        self._next_subflow_id += 1
-        controller = make_controller(
-            self.config.congestion,
-            lia_group=self._lia_group,
-            rtt_provider=(lambda: 0.0),  # rebound to the subflow below
-            initial_cwnd=self.config.initial_cwnd,
-        )
-        subflow = Subflow(
-            sim=self.sim,
-            path=path,
+        super().__init__(
+            sim,
+            paths,
+            config,
+            trace,
             owner=self.sender,
-            subflow_id=subflow_id,
-            congestion=controller,
-            rto=RtoEstimator(min_rto=self.config.min_rto),
-            mss=self.config.mss,
-            dup_ack_threshold=self.config.dup_ack_threshold,
-            trace=self.trace,
-            failed_rto_threshold=self.config.failover_rto_threshold,
-            join_delay_s=join_delay_s,
-        )
-        if hasattr(controller, "rtt_provider"):
-            controller.rtt_provider = lambda sf=subflow: sf.srtt
-        self.subflows.append(subflow)
-        sink = SubflowSink(
-            sim=self.sim,
-            path=path,
-            subflow=subflow,
             on_segment=self.receiver.on_segment,
             feedback_provider=lambda sf_id, segment: self.receiver.feedback(),
-            trace=self.trace,
         )
-        self._sinks.append(sink)
-        self._sink_by_id[subflow_id] = sink
-        return subflow
 
     # ------------------------------------------------------------------
-    # Runtime subflow lifecycle.
+    # Skeleton hooks: what FMTCP does when the subflow set changes.
     # ------------------------------------------------------------------
-    def add_subflow(
-        self, path: Path, join_delay_s: Optional[float] = None
-    ) -> Subflow:
-        """Attach a new path mid-transfer (mobility: a path came up).
-
-        The subflow starts in JOINING for ``join_delay_s`` (default: one
-        RTT of the path, modelling the MP_JOIN handshake) and enters the
-        EAT allocator only once ACTIVE. Returns the new subflow.
-        """
-        if join_delay_s is None:
-            join_delay_s = 2.0 * path.one_way_delay_s
-        subflow = self._attach(path, join_delay_s=join_delay_s)
+    def _subflow_attached(self, subflow: Subflow) -> None:
+        # The EAT allocator re-enumerates the path set; a JOINING subflow
+        # enters it only once ACTIVE.
         self.sender.attach_subflows(self.subflows)
-        if self.trace is not None and self.trace.has_subscribers("conn.subflow_added"):
-            self.trace.emit(
-                self.sim.now,
-                "conn.subflow_added",
-                subflow=subflow.subflow_id,
-                path=path.name,
-                handshake_s=join_delay_s,
-            )
-        return subflow
 
-    def remove_subflow(self, subflow_id: int) -> int:
-        """Detach a subflow mid-transfer (mobility: its path went away).
+    def _settle_removed(self, subflow: Subflow, infos: List[SubflowPacketInfo]) -> int:
+        """Write the removed subflow's in-flight symbols off.
 
-        The subflow is shut down cleanly (timers cancelled, port unbound),
-        its in-flight symbols are written off — which lowers k̃ for the
-        affected blocks and re-opens their demand — and the EAT allocator
-        re-enumerates the survivors. Nothing is retransmitted: fresh
-        fountain symbols flow to whichever path is expected to arrive
-        first. Returns the number of in-flight packets written off.
+        That lowers k̃ for the affected blocks and re-opens their demand,
+        and the EAT allocator re-enumerates the survivors. Nothing is
+        retransmitted: fresh fountain symbols flow to whichever path is
+        expected to arrive first. Returns the packets written off.
         """
-        subflow = self.sender._subflow_by_id.get(subflow_id)
-        if subflow is None or subflow not in self.subflows:
-            raise ValueError(f"unknown subflow id {subflow_id}")
-        sink = self._sink_by_id.pop(subflow_id)
-        infos = subflow.shutdown()
-        sink.close()
-        if self._lia_group is not None:
-            self._lia_group.unregister(subflow.cc)
-        self.subflows.remove(subflow)
-        self._sinks.remove(sink)
         for info in infos:
             self.sender.release_abandoned(subflow, info)
         self.sender.attach_subflows(self.subflows)
-        if self.trace is not None and self.trace.has_subscribers(
-            "conn.subflow_removed"
-        ):
-            self.trace.emit(
-                self.sim.now,
-                "conn.subflow_removed",
-                subflow=subflow_id,
-                abandoned=len(infos),
-            )
-        self.sender.pump_all()
         return len(infos)
 
     # ------------------------------------------------------------------
@@ -193,32 +112,14 @@ class FmtcpConnection:
     def start(self) -> None:
         self.pump()
 
-    def pump(self) -> None:
-        self.sender.pump_all()
-
     def close(self) -> None:
         self.sender.close()
         self.receiver.close()
-        for subflow in self.subflows:
-            subflow.close()
-        for sink in self._sinks:
-            sink.close()
+        super().close()
 
     def sever_receiver(self) -> int:
-        """Kill the receiver endpoint only, leaving the sender running.
-
-        Models a receiver crash: the receiver's timers stop and its ports
-        unbind, so data segments are silently dropped by the network node
-        and no feedback flows back. The sender keeps transmitting into the
-        void until its RTO ladder marks every subflow potentially-failed —
-        the half-open window the recovery manager's detector watches for.
-        Port unbinding is idempotent, so a later ``close()`` on the whole
-        connection is safe. Returns the number of sinks closed.
-        """
         self.receiver.close()
-        for sink in self._sinks:
-            sink.close()
-        return len(self._sinks)
+        return super().sever_receiver()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -234,13 +135,7 @@ class FmtcpConnection:
     def corruption_stats(self) -> dict:
         """Integrity-layer counters, aggregated for telemetry and soaks."""
         return {
-            "packets_discarded_corrupt": sum(
-                sink.packets_discarded_corrupt for sink in self._sinks
-            ),
-            "packets_rejected": sum(sink.packets_rejected for sink in self._sinks),
-            "acks_discarded_corrupt": sum(
-                sf.acks_discarded_corrupt for sf in self.subflows
-            ),
+            **super().corruption_stats(),
             "blocks_quarantined": self.receiver.blocks_quarantined,
             "symbols_evicted": self.receiver.symbols_evicted,
         }
@@ -265,28 +160,19 @@ class FmtcpConnection:
         }
         return stats
 
-    def flow_stats(self) -> dict:
-        """Flow-control counters (zeros when the knob is off)."""
-        gate = self.sender.flow_gate
-        window = self.receiver.window
-        return {
-            "enabled": gate is not None,
-            "flow_pauses": gate.pauses if gate is not None else 0,
-            "flow_limit": gate.limit if gate is not None else None,
-            "flow_paused": gate.paused if gate is not None else False,
-            "window_probes": self.sender.window_probes,
-            "zero_window_advertises": (
-                window.zero_window_advertises if window is not None else 0
-            ),
-            "window_discards": self.receiver.symbols_window_discarded,
-            "drained_units": self.receiver.drained_blocks,
-        }
+    def _flow_counters(self):
+        receiver = self.receiver
+        return (
+            self.sender.flow_gate,
+            receiver.window,
+            self.sender.window_probes,
+            receiver.symbols_window_discarded,
+            receiver.drained_blocks,
+        )
 
     def redundancy_ratio(self) -> float:
         """Symbols sent per symbol strictly needed (coding + loss overhead)."""
-        needed = sum(
-            self.config.symbols_per_block for __ in range(self.receiver.blocks_decoded)
-        )
+        needed = self.receiver.blocks_decoded * self.config.symbols_per_block
         if needed == 0:
             return 0.0
         return self.sender.symbols_sent / needed

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import FmtcpConfig
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload
 from repro.fountain.codec import BlockDecoder
 from repro.fountain.lt import LtDecoder
 from repro.fountain.rank_model import RankEvolutionModel
-from repro.robustness.flowcontrol import ReceiveWindow
+from repro.robustness.flowcontrol import AppDrain, ReceiveWindow
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
@@ -140,12 +139,8 @@ class FmtcpReceiver:
             # definition (delivery *is* the durable commit), so the
             # licensed limit restarts at frontier + capacity.
             self.window.on_drained(resume_frontier)
-        self._drain_rate: Optional[float] = (
-            config.recv_drain_rate_bps if config.flow_control else None
-        )
-        # (block_id, block_bytes, data) decoded in order, awaiting the app.
-        self._app_queue: Deque[Tuple[int, int, Optional[bytes]]] = deque()
-        self._drain_event = None
+        # Blocks decoded in order, awaiting the app.
+        self._drain = AppDrain.modelled_by(sim, config, self._deliver_to_app)
         self.drained_blocks = int(resume_frontier)
         self.symbols_window_discarded = 0
         self.peak_buffered_blocks = 0
@@ -300,18 +295,18 @@ class FmtcpReceiver:
     def _deliver_in_order(self) -> None:
         while self._deliver_next in self._decoded_waiting:
             block_bytes, data = self._decoded_waiting.pop(self._deliver_next)
-            if self._drain_rate is not None:
+            if self._drain is not None:
                 # A modelled application reads at a finite rate: the
                 # block stays in the app queue (still occupying the
                 # receive window) until the drain timer consumes it.
-                self._app_queue.append((self._deliver_next, block_bytes, data))
+                self._drain.push(block_bytes, self._deliver_next, block_bytes, data)
             else:
                 self._deliver_to_app(self._deliver_next, block_bytes, data)
             self._deliver_next += 1
         if self._decode_frontier < self._deliver_next:
             self._decode_frontier = self._deliver_next
-        if self._drain_rate is not None:
-            self._schedule_drain()
+        if self._drain is not None:
+            self._drain.schedule()
 
     def _deliver_to_app(
         self, block_id: int, block_bytes: int, data: Optional[bytes]
@@ -330,23 +325,6 @@ class FmtcpReceiver:
                 bytes=block_bytes,
                 block_id=block_id,
             )
-
-    def _schedule_drain(self) -> None:
-        """Arm the app-drain timer for the queue head (rate 0 = never)."""
-        if self._drain_event is not None or not self._app_queue or not self._drain_rate:
-            return
-        __, block_bytes, __ = self._app_queue[0]
-        self._drain_event = self.sim.schedule(
-            block_bytes / self._drain_rate, self._drain_tick
-        )
-
-    def _drain_tick(self) -> None:
-        self._drain_event = None
-        if not self._app_queue:
-            return
-        block_id, block_bytes, data = self._app_queue.popleft()
-        self._deliver_to_app(block_id, block_bytes, data)
-        self._schedule_drain()
 
     def _is_decoded(self, block_id: int) -> bool:
         return block_id < self._deliver_next or block_id in self._decoded_waiting
@@ -414,7 +392,7 @@ class FmtcpReceiver:
     def buffered_blocks(self) -> int:
         """Blocks currently occupying the receive buffer (all stages:
         active decoders, decoded-out-of-order, and the app-drain queue)."""
-        return len(self._active) + len(self._decoded_waiting) + len(self._app_queue)
+        return len(self._active) + len(self._decoded_waiting) + self.app_queue_blocks
 
     @property
     def active_blocks(self) -> int:
@@ -426,7 +404,7 @@ class FmtcpReceiver:
 
     @property
     def app_queue_blocks(self) -> int:
-        return len(self._app_queue)
+        return self._drain.queued if self._drain is not None else 0
 
     @property
     def delivered_blocks(self) -> int:
@@ -434,9 +412,8 @@ class FmtcpReceiver:
 
     def close(self) -> None:
         """Cancel the app-drain timer (event-queue drain invariant)."""
-        if self._drain_event is not None:
-            self._drain_event.cancel()
-            self._drain_event = None
+        if self._drain is not None:
+            self._drain.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,7 +26,7 @@ from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
 from repro.core.estimators import PathEstimate
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload, SymbolGroup
-from repro.robustness.flowcontrol import WindowGate, ZeroWindowProber
+from repro.robustness.flowcontrol import ProbedGate, WindowGate
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
@@ -158,28 +158,20 @@ class FmtcpSender(SubflowOwner):
         # delegated — they bypass the allocator today and keep doing so.
         self.decision_hook: Optional[DecisionHook] = None
         # End-to-end flow control (off unless config.flow_control): the
-        # gate licenses which block ids may be *opened*; the prober keeps
+        # gate licenses which block ids may be *opened*; its prober keeps
         # a closed window from deadlocking the transfer.
+        self._flow: Optional[ProbedGate] = None
         self.flow_gate: Optional[WindowGate] = None
-        self._zw_prober: Optional[ZeroWindowProber] = None
         if config.flow_control:
-            self.flow_gate = WindowGate(
-                config.recv_window_blocks,
-                high_watermark=config.flow_high_watermark,
-                low_watermark=config.flow_low_watermark,
+            self._flow = ProbedGate(
+                sim, config, config.recv_window_blocks, self._flow_blocked, self.pump_all
             )
-            self._zw_prober = ZeroWindowProber(
-                sim,
-                self._zero_window_probe,
-                initial_s=config.zero_window_probe_s,
-                max_s=config.zero_window_probe_max_s,
-            )
+            self.flow_gate = self._flow.gate
             if resume_frontier:
                 # Seed the licence at the restored frontier so the gate
                 # admits the blocks being re-opened; the first real ACK's
                 # advertisement only ever raises it (monotone max).
                 self.flow_gate.advertise(resume_frontier, config.recv_window_blocks)
-        self._window_probe_due = False
         self.window_probes = 0
         # Statistics.
         self.packets_built = 0
@@ -320,19 +312,8 @@ class FmtcpSender(SubflowOwner):
 
     def _flow_blocked(self) -> bool:
         """True when data is pending but the gate licenses none of it."""
-        if self.flow_gate is None:
-            return False
         pending = self.blocks.pending_blocks
         return bool(pending) and not self._flow_admissible(pending)
-
-    def _zero_window_probe(self) -> bool:
-        """Prober callback: one symbol to elicit a fresh window ACK."""
-        if not self._flow_blocked():
-            return False
-        self._window_probe_due = True
-        self.pump_all()
-        self._window_probe_due = False
-        return self._flow_blocked()
 
     def next_payload(self, subflow: Subflow) -> Optional[Tuple[Any, int]]:
         if self.blocks.replenish():
@@ -340,12 +321,13 @@ class FmtcpSender(SubflowOwner):
         pending = self.blocks.pending_blocks
         if not pending:
             return None
-        if self._window_probe_due:
+        flow = self._flow
+        if flow is not None and flow.probe_due:
             # Zero-window probe: one symbol of the oldest pending block.
             # If the receiver's window is truly closed the symbol may be
             # discarded, but the packet is ACKed either way — and that
             # ACK carries the fresh advertisement that reopens the gate.
-            self._window_probe_due = False
+            flow.probe_due = False
             self.window_probes += 1
             self.probes_sent += 1
             probe = AllocationResult(vector=[(pending[0].block_id, 1)])
@@ -611,13 +593,8 @@ class FmtcpSender(SubflowOwner):
                 for block_id in self._decoded_out_of_order_seen
                 if block_id >= self._decoded_frontier_seen
             }
-        if self._zw_prober is not None:
-            # Arm (or reset) probing from feedback state: while blocked,
-            # probes are the only traffic that can reopen the window.
-            if self._flow_blocked():
-                self._zw_prober.arm()
-            else:
-                self._zw_prober.disarm()
+        if self._flow is not None:
+            self._flow.sync()
         self.pump_all()
 
     def _observe_prediction_misses(self) -> None:
@@ -670,8 +647,8 @@ class FmtcpSender(SubflowOwner):
 
     def close(self) -> None:
         """Stop the zero-window prober (event-queue drain invariant)."""
-        if self._zw_prober is not None:
-            self._zw_prober.disarm()
+        if self._flow is not None:
+            self._flow.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -195,14 +195,7 @@ def run_transfer(
         path_configs=list(path_configs),
         summary=metrics.summary(duration_s),
         block_delays=metrics.block_delay.delays_in_sequence(),
-        subflow_stats=[
-            _subflow_stats(subflow)
-            for subflow in (
-                connection.subflows
-                if hasattr(connection, "subflows")
-                else [connection.subflow]
-            )
-        ],
+        subflow_stats=[_subflow_stats(subflow) for subflow in connection.subflows],
     )
     if collect_series:
         result.goodput_series = metrics.goodput.series(duration_s)

@@ -25,8 +25,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import RenoController
-from repro.tcp.rto import RtoEstimator
+from repro.tcp.multipath import build_subflow
 from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
 
 
@@ -141,28 +140,18 @@ class FixedRateConnection(SubflowOwner):
         self.subflows: List[Subflow] = []
         self._sinks: List[SubflowSink] = []
         for index, path in enumerate(paths):
-            subflow = Subflow(
-                sim=sim,
-                path=path,
-                owner=self,
-                subflow_id=index,
-                congestion=RenoController(initial_cwnd=self.config.initial_cwnd),
-                rto=RtoEstimator(min_rto=self.config.min_rto),
-                mss=self.config.mss,
-                dup_ack_threshold=self.config.dup_ack_threshold,
+            subflow, sink = build_subflow(
+                sim,
+                path,
+                self,
+                index,
+                self.config,
+                self._receiver_on_segment,
+                self._receiver_feedback,
                 trace=trace,
             )
             self.subflows.append(subflow)
-            self._sinks.append(
-                SubflowSink(
-                    sim=sim,
-                    path=path,
-                    subflow=subflow,
-                    on_segment=self._receiver_on_segment,
-                    feedback_provider=self._receiver_feedback,
-                    trace=trace,
-                )
-            )
+            self._sinks.append(sink)
 
         # ---- sender state ----
         self._pending: List[_FixedBlock] = []

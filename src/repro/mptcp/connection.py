@@ -25,40 +25,36 @@ import zlib
 
 from repro.net.integrity import payload_digest
 from repro.net.topology import Path
-from repro.robustness.flowcontrol import ReceiveWindow, WindowGate, ZeroWindowProber
+from repro.robustness.flowcontrol import AppDrain, ProbedGate, ReceiveWindow, WindowGate
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import LiaGroup, make_controller
-from repro.tcp.rto import RtoEstimator
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
+from repro.tcp.multipath import MultipathConfig, MultipathConnection
+from repro.tcp.stream import StreamBlockDelay
+from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 from repro.mptcp.recv_buffer import ReorderBuffer
 from repro.mptcp.scheduler import make_scheduler
 
 
 @dataclass
-class MptcpConfig:
-    """Tunables of the baseline (defaults follow DESIGN.md §3)."""
+class MptcpConfig(MultipathConfig):
+    """Tunables of the baseline (defaults follow DESIGN.md §3; the
+    subflow, failover and flow-control fields are
+    :class:`MultipathConfig`'s)."""
 
-    mss: int = 1400
+    # The reorder buffer's capacity, which is also the receive window of
+    # the shared flow control, in chunks. With an instantly draining
+    # application the licensed limit equals the local credit rule
+    # (capacity minus unacknowledged chunks), so flow control changes
+    # nothing until a drain model is set.
     recv_buffer_chunks: int = 64
     block_bytes: int = 8192
-    congestion: str = "reno"
     # "minrtt", "roundrobin", or a ready SubflowScheduler instance (the
     # repro.policy decision layer threads WeightedScheduler through here).
     scheduler: Any = "minrtt"
-    initial_cwnd: float = 2.0
-    dup_ack_threshold: int = 3
-    min_rto: float = 0.2
     # After this many timeouts of one chunk, reinject it on the currently
     # best other subflow (production-MPTCP rescue behaviour; off by default
     # to match the paper's baseline).
     reinject_after_timeouts: Optional[int] = None
-    # Dead-path failover: after this many consecutive RTO firings with no
-    # intervening ACK, the subflow is declared potentially failed — its
-    # unacked chunks are reinjected onto live subflows, it stops pulling
-    # fresh data, and it probes with duplicates of the head-of-line chunk
-    # at the backed-off RTO pace until an ACK arrives. None disables.
-    failover_rto_threshold: Optional[int] = 3
     # Opportunistic retransmission and penalisation (Raiciu et al.,
     # NSDI'12): when the connection is receive-window limited, reinject
     # the head-of-line chunk on the best other subflow and halve the
@@ -66,42 +62,13 @@ class MptcpConfig:
     # predates it); the scheduler ablation measures how much of FMTCP's
     # advantage survives this stronger baseline.
     opportunistic_retransmission: bool = False
-    # End-to-end flow control (repro.robustness extension, off by
-    # default): advertise a monotone chunk-granular window reflecting the
-    # *application's* drain progress (not just reorder-buffer slack) and
-    # gate fresh-chunk creation on the licensed limit. With an instantly
-    # draining application the licensed limit equals the local credit
-    # rule above, so behaviour is unchanged until a drain model is set.
-    flow_control: bool = False
-    # Application drain model: None = instant consumption (the
-    # pre-flow-control behaviour); bytes/s models a slow reader; 0.0
-    # models an application that stopped reading entirely.
-    recv_drain_rate_bps: Optional[float] = None
-    # Backpressure hysteresis (fractions of recv_buffer_chunks).
-    flow_high_watermark: float = 0.75
-    flow_low_watermark: float = 0.5
-    # Zero-window probing: initial interval and exponential-backoff cap.
-    zero_window_probe_s: float = 0.5
-    zero_window_probe_max_s: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.failover_rto_threshold is not None and self.failover_rto_threshold < 1:
-            raise ValueError(
-                f"failover_rto_threshold must be >= 1 or None, "
-                f"got {self.failover_rto_threshold}"
-            )
+        super().__post_init__()
         if self.recv_buffer_chunks < 1:
             raise ValueError("recv_buffer_chunks must be >= 1")
-        if self.recv_drain_rate_bps is not None and self.recv_drain_rate_bps < 0:
-            raise ValueError("recv_drain_rate_bps must be >= 0 or None")
-        if not 0.0 < self.flow_low_watermark <= self.flow_high_watermark <= 1.0:
-            raise ValueError("flow watermarks must satisfy 0 < low <= high <= 1")
-        if self.zero_window_probe_s <= 0:
-            raise ValueError("zero_window_probe_s must be positive")
-        if self.zero_window_probe_max_s < self.zero_window_probe_s:
-            raise ValueError(
-                "zero_window_probe_max_s must be >= zero_window_probe_s"
-            )
+        if self.block_bytes < 1:
+            raise ValueError(f"block_bytes must be >= 1, got {self.block_bytes}")
 
 
 def _dss_checksum(dsn: int, size: int, payload_bytes: Optional[bytes]) -> int:
@@ -181,8 +148,10 @@ class MptcpFeedback:
 PullResult = Union[int, bytes, None]
 
 
-class MptcpConnection(SubflowOwner):
+class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
     """Sender + receiver pair of the baseline protocol."""
+
+    _removed_field = "reinjected"
 
     def __init__(
         self,
@@ -194,24 +163,20 @@ class MptcpConnection(SubflowOwner):
         sink: Optional[Callable[[Chunk], None]] = None,
         resume=None,
     ):
-        if not paths:
-            raise ValueError("need at least one path")
-        self.sim = sim
-        self.config = config or MptcpConfig()
+        config = config or MptcpConfig()
         self.source = source
-        self.trace = trace
         self.sink = sink
-        self.scheduler = make_scheduler(self.config.scheduler)
-
-        self.subflows: List[Subflow] = []
-        self._sinks: List[SubflowSink] = []
-        self._subflow_by_id: Dict[int, Subflow] = {}
-        self._sink_by_id: Dict[int, SubflowSink] = {}
-        self._next_subflow_id = 0
+        self.scheduler = make_scheduler(config.scheduler)
         self._retx_queues: Dict[int, Deque[Chunk]] = {}
-        self._lia_group = LiaGroup() if self.config.congestion == "lia" else None
-        for path in paths:
-            self._attach(path, join_delay_s=None)
+        super().__init__(
+            sim,
+            paths,
+            config,
+            trace,
+            owner=self,
+            on_segment=self._receiver_on_segment,
+            feedback_provider=self._receiver_feedback,
+        )
 
         # ---- sender state ----
         self._next_dsn = 0
@@ -245,31 +210,18 @@ class MptcpConnection(SubflowOwner):
         self.chunks_discarded_checksum = 0
 
         # ---- end-to-end flow control (off unless config.flow_control) ----
-        flow = self.config.flow_control
-        self.recv_window: Optional[ReceiveWindow] = (
-            ReceiveWindow(self.config.recv_buffer_chunks) if flow else None
-        )
+        self.recv_window: Optional[ReceiveWindow] = None
+        self._flow: Optional[ProbedGate] = None
         self.flow_gate: Optional[WindowGate] = None
-        self._zw_prober: Optional[ZeroWindowProber] = None
-        if flow:
-            self.flow_gate = WindowGate(
-                self.config.recv_buffer_chunks,
-                high_watermark=self.config.flow_high_watermark,
-                low_watermark=self.config.flow_low_watermark,
+        if config.flow_control:
+            self.recv_window = ReceiveWindow(config.recv_buffer_chunks)
+            self._flow = ProbedGate(
+                sim, config, config.recv_buffer_chunks, self._flow_blocked, self.pump
             )
-            self._zw_prober = ZeroWindowProber(
-                sim,
-                self._zero_window_probe,
-                initial_s=self.config.zero_window_probe_s,
-                max_s=self.config.zero_window_probe_max_s,
-            )
-        self._drain_rate: Optional[float] = (
-            self.config.recv_drain_rate_bps if flow else None
-        )
-        self._app_queue: Deque[Chunk] = deque()
-        self._drain_event = None
+            self.flow_gate = self._flow.gate
+        # In-order chunks awaiting a finite-rate application.
+        self._drain = AppDrain.modelled_by(sim, config, self._deliver_chunk)
         self._last_chunk: Optional[Chunk] = None
-        self._window_probe_due = False
         self.drained_chunks = 0
         self.chunks_window_discarded = 0
         self.window_probes = 0
@@ -313,46 +265,6 @@ class MptcpConnection(SubflowOwner):
         if self.flow_gate is not None and sender_frontier:
             self.flow_gate.advertise(sender_frontier, self.config.recv_buffer_chunks)
 
-    def _attach(self, path: Path, join_delay_s: Optional[float]) -> Subflow:
-        """Build one subflow + its receiver sink and register both."""
-        subflow_id = self._next_subflow_id
-        self._next_subflow_id += 1
-        controller = make_controller(
-            self.config.congestion,
-            lia_group=self._lia_group,
-            rtt_provider=(lambda: 0.0),  # rebound to the subflow below
-            initial_cwnd=self.config.initial_cwnd,
-        )
-        subflow = Subflow(
-            sim=self.sim,
-            path=path,
-            owner=self,
-            subflow_id=subflow_id,
-            congestion=controller,
-            rto=RtoEstimator(min_rto=self.config.min_rto),
-            mss=self.config.mss,
-            dup_ack_threshold=self.config.dup_ack_threshold,
-            trace=self.trace,
-            failed_rto_threshold=self.config.failover_rto_threshold,
-            join_delay_s=join_delay_s,
-        )
-        if hasattr(controller, "rtt_provider"):
-            controller.rtt_provider = lambda sf=subflow: sf.srtt
-        self.subflows.append(subflow)
-        self._subflow_by_id[subflow_id] = subflow
-        self._retx_queues[subflow_id] = deque()
-        sink = SubflowSink(
-            sim=self.sim,
-            path=path,
-            subflow=subflow,
-            on_segment=self._receiver_on_segment,
-            feedback_provider=self._receiver_feedback,
-            trace=self.trace,
-        )
-        self._sinks.append(sink)
-        self._sink_by_id[subflow_id] = sink
-        return subflow
-
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
@@ -360,67 +272,26 @@ class MptcpConnection(SubflowOwner):
         """Begin transmitting (call once the simulation is assembled)."""
         self.pump()
 
-    def pump(self) -> None:
-        """Offer transmission opportunities to every subflow."""
-        for subflow in self.subflows:
-            subflow.pump()
-
     def close(self) -> None:
-        if self._zw_prober is not None:
-            self._zw_prober.disarm()
-        if self._drain_event is not None:
-            self._drain_event.cancel()
-            self._drain_event = None
-        for subflow in self.subflows:
-            subflow.close()
-        for sink in self._sinks:
-            sink.close()
+        if self._flow is not None:
+            self._flow.close()
+        if self._drain is not None:
+            self._drain.close()
+        super().close()
 
     def sever_receiver(self) -> int:
-        """Kill the receiver endpoint only, leaving the sender running.
-
-        Models a receiver crash: the drain timer stops and the receiver's
-        ports unbind, so data segments drop silently and no data ACKs flow
-        back. The sender retransmits into the void until its RTO ladder
-        marks every subflow potentially-failed — the half-open window the
-        recovery manager's detector watches for. Port unbinding is
-        idempotent, so a later full ``close()`` remains safe. Returns the
-        number of sinks closed.
-        """
-        if self._drain_event is not None:
-            self._drain_event.cancel()
-            self._drain_event = None
-        for sink in self._sinks:
-            sink.close()
-        return len(self._sinks)
+        if self._drain is not None:
+            self._drain.close()
+        return super().sever_receiver()
 
     # ------------------------------------------------------------------
-    # Runtime subflow lifecycle.
+    # Skeleton hooks: what MPTCP does when the subflow set changes.
     # ------------------------------------------------------------------
-    def add_subflow(
-        self, path: Path, join_delay_s: Optional[float] = None
-    ) -> Subflow:
-        """Attach a new path mid-transfer (MP_JOIN).
+    def _subflow_attached(self, subflow: Subflow) -> None:
+        self._retx_queues[subflow.subflow_id] = deque()
 
-        The subflow spends ``join_delay_s`` (default: one RTT of the path)
-        in JOINING — it pulls no data and reserves no waterfall credit —
-        then goes ACTIVE and enters the scheduler's preference order.
-        """
-        if join_delay_s is None:
-            join_delay_s = 2.0 * path.one_way_delay_s
-        subflow = self._attach(path, join_delay_s=join_delay_s)
-        if self.trace is not None and self.trace.has_subscribers("conn.subflow_added"):
-            self.trace.emit(
-                self.sim.now,
-                "conn.subflow_added",
-                subflow=subflow.subflow_id,
-                path=path.name,
-                handshake_s=join_delay_s,
-            )
-        return subflow
-
-    def remove_subflow(self, subflow_id: int) -> int:
-        """Detach a subflow mid-transfer and reinject everything it owed.
+    def _settle_removed(self, subflow: Subflow, infos: List[SubflowPacketInfo]) -> int:
+        """Reinject everything the removed subflow owed.
 
         Unlike FMTCP — where abandoned symbols are simply written off and
         fresh ones generated — MPTCP owes the receiver these exact bytes:
@@ -432,17 +303,7 @@ class MptcpConnection(SubflowOwner):
         rebalance automatically because both iterate the live subflow
         list. Returns the number of chunks reinjected/orphaned.
         """
-        subflow = self._subflow_by_id.pop(subflow_id, None)
-        if subflow is None:
-            raise ValueError(f"unknown subflow id {subflow_id}")
-        sink = self._sink_by_id.pop(subflow_id)
-        infos = subflow.shutdown()
-        sink.close()
-        if self._lia_group is not None:
-            self._lia_group.unregister(subflow.cc)
-        self.subflows.remove(subflow)
-        self._sinks.remove(sink)
-        queue = self._retx_queues.pop(subflow_id)
+        queue = self._retx_queues.pop(subflow.subflow_id)
 
         # Collect unacked chunks, deduplicating (a chunk declared lost sits
         # in the retx queue while a later copy may also be in flight).
@@ -465,16 +326,6 @@ class MptcpConnection(SubflowOwner):
                 self._orphan_chunks.append(chunk)
         if owed:
             self.chunks_reinjected += len(owed)
-        if self.trace is not None and self.trace.has_subscribers(
-            "conn.subflow_removed"
-        ):
-            self.trace.emit(
-                self.sim.now,
-                "conn.subflow_removed",
-                subflow=subflow_id,
-                reinjected=len(owed),
-            )
-        self.pump()
         return len(owed)
 
     # ------------------------------------------------------------------
@@ -532,11 +383,12 @@ class MptcpConnection(SubflowOwner):
                 )
             return chunk, chunk.size
 
-        if self._window_probe_due:
+        flow = self._flow
+        if flow is not None and flow.probe_due:
             # Zero-window probe: a *duplicate* chunk the receiver absorbs
             # (and ACKs) even with a closed window; the ACK's feedback
             # carries the fresh advertisement that reopens the gate.
-            self._window_probe_due = False
+            flow.probe_due = False
             probe = self._probe_chunk()
             if probe is not None:
                 self.window_probes += 1
@@ -623,17 +475,13 @@ class MptcpConnection(SubflowOwner):
         self._retx_queues[subflow.subflow_id].append(chunk)
 
     def on_ack_feedback(self, subflow: Subflow, feedback: MptcpFeedback) -> None:
-        if self.flow_gate is not None:
+        if self._flow is not None:
             # Fold the advertisement in even on duplicate data ACKs —
             # zero-window probe responses are exactly that.
             was_blocked = self._flow_blocked()
             self.flow_gate.advertise(feedback.data_ack, feedback.advertised_window)
-            if self._flow_blocked():
-                self._zw_prober.arm()
-            else:
-                self._zw_prober.disarm()
-                if was_blocked:
-                    self.pump()
+            if not self._flow.sync() and was_blocked:
+                self.pump()
         if feedback.data_ack <= self._data_acked:
             return
         for dsn in range(self._data_acked, feedback.data_ack):
@@ -710,27 +558,6 @@ class MptcpConnection(SubflowOwner):
         return min(live or candidates, key=lambda s: (s.srtt, s.subflow_id))
 
     # ------------------------------------------------------------------
-    # Block accounting (paper Section V: stream partitioned into blocks
-    # of the same length as FMTCP's, delay measured per block).
-    # ------------------------------------------------------------------
-    def _emit_completed_blocks(self) -> None:
-        while self._acked_bytes >= (self._completed_blocks + 1) * self.config.block_bytes:
-            block_id = self._completed_blocks
-            started = self._block_first_tx.pop(block_id, None)
-            if (
-                started is not None
-                and self.trace is not None
-                and self.trace.has_subscribers("conn.block_done")
-            ):
-                self.trace.emit(
-                    self.sim.now,
-                    "conn.block_done",
-                    block_id=block_id,
-                    delay=self.sim.now - started,
-                )
-            self._completed_blocks += 1
-
-    # ------------------------------------------------------------------
     # Receiver side.
     # ------------------------------------------------------------------
     def _receiver_on_segment(self, subflow_id: int, segment):
@@ -780,16 +607,17 @@ class MptcpConnection(SubflowOwner):
                 dsn=chunk.dsn,
                 subflow=subflow_id,
             )
+        drain = self._drain
         for __, delivered in self._reorder.insert(chunk.dsn, chunk):
-            if self._drain_rate is not None:
+            if drain is not None:
                 # A modelled application reads at a finite rate: the
                 # chunk keeps occupying the receive window until the
                 # drain timer consumes it.
-                self._app_queue.append(delivered)
+                drain.push(delivered.size, delivered)
             else:
                 self._deliver_chunk(delivered)
-        if self._drain_rate is not None:
-            self._schedule_drain()
+        if drain is not None:
+            drain.schedule()
 
     def _deliver_chunk(self, delivered: Chunk) -> None:
         """Hand one in-order chunk to the application (= drain it)."""
@@ -809,24 +637,9 @@ class MptcpConnection(SubflowOwner):
                 dsn=delivered.dsn,
             )
 
-    def _schedule_drain(self) -> None:
-        """Arm the app-drain timer for the queue head (rate 0 = never)."""
-        if self._drain_event is not None or not self._app_queue or not self._drain_rate:
-            return
-        self._drain_event = self.sim.schedule(
-            self._app_queue[0].size / self._drain_rate, self._drain_tick
-        )
-
-    def _drain_tick(self) -> None:
-        self._drain_event = None
-        if not self._app_queue:
-            return
-        self._deliver_chunk(self._app_queue.popleft())
-        self._schedule_drain()
-
     def _receiver_feedback(self, subflow_id: int, segment) -> MptcpFeedback:
         if self.recv_window is not None:
-            occupancy = self._reorder.occupancy + len(self._app_queue)
+            occupancy = self._reorder.occupancy + self.app_queue_chunks
             return MptcpFeedback(
                 data_ack=self._reorder.next_expected,
                 advertised_window=self.recv_window.advertise(
@@ -843,7 +656,7 @@ class MptcpConnection(SubflowOwner):
     # ------------------------------------------------------------------
     def _flow_blocked(self) -> bool:
         """True when the licensed window admits no fresh chunk."""
-        return self.flow_gate is not None and self.flow_gate.blocked(self._next_dsn)
+        return self.flow_gate.blocked(self._next_dsn)
 
     def _probe_chunk(self) -> Optional[Chunk]:
         """A duplicate chunk the receiver will absorb and ACK regardless."""
@@ -852,21 +665,17 @@ class MptcpConnection(SubflowOwner):
             return entry[1]
         return self._last_chunk
 
-    def _zero_window_probe(self) -> bool:
-        """Prober callback: one duplicate to elicit a fresh window ACK."""
-        if not self._flow_blocked():
-            return False
-        self._window_probe_due = True
-        self.pump()
-        self._window_probe_due = False
-        return self._flow_blocked()
-
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
     @property
     def data_acked(self) -> int:
         return self._data_acked
+
+    @property
+    def app_queue_chunks(self) -> int:
+        """In-order chunks the modelled application has not read yet."""
+        return self._drain.queued if self._drain is not None else 0
 
     def memory_stats(self) -> Dict[str, int]:
         """Live buffer occupancy per category (units: chunks/packets).
@@ -876,7 +685,7 @@ class MptcpConnection(SubflowOwner):
         exhaustion harness budgets against; ``recv_peak_occupancy``
         tracks its high-water mark so spikes between samples cannot hide.
         """
-        occupancy = self._reorder.occupancy + len(self._app_queue)
+        occupancy = self._reorder.occupancy + self.app_queue_chunks
         if self.recv_window is not None:
             self.recv_window.observe_occupancy(occupancy)
             peak = self.recv_window.peak_occupancy
@@ -886,28 +695,20 @@ class MptcpConnection(SubflowOwner):
             "recv_occupancy": occupancy,
             "recv_peak_occupancy": peak,
             "recv_reorder_chunks": self._reorder.occupancy,
-            "recv_app_queue_chunks": len(self._app_queue),
+            "recv_app_queue_chunks": self.app_queue_chunks,
             "send_retx_queued": sum(len(q) for q in self._retx_queues.values()),
             "send_in_flight_packets": sum(sf.in_flight for sf in self.subflows),
             "send_registry_chunks": len(self._chunk_registry),
         }
 
-    def flow_stats(self) -> Dict[str, object]:
-        """Flow-control counters (zeros when the knob is off)."""
-        gate = self.flow_gate
-        window = self.recv_window
-        return {
-            "enabled": gate is not None,
-            "flow_pauses": gate.pauses if gate is not None else 0,
-            "flow_limit": gate.limit if gate is not None else None,
-            "flow_paused": gate.paused if gate is not None else False,
-            "window_probes": self.window_probes,
-            "zero_window_advertises": (
-                window.zero_window_advertises if window is not None else 0
-            ),
-            "window_discards": self.chunks_window_discarded,
-            "drained_units": self.drained_chunks,
-        }
+    def _flow_counters(self):
+        return (
+            self.flow_gate,
+            self.recv_window,
+            self.window_probes,
+            self.chunks_window_discarded,
+            self.drained_chunks,
+        )
 
     @property
     def reorder_buffer(self) -> ReorderBuffer:
@@ -916,13 +717,7 @@ class MptcpConnection(SubflowOwner):
     def corruption_stats(self) -> Dict[str, int]:
         """Integrity-layer counters, aggregated for telemetry and soaks."""
         return {
-            "packets_discarded_corrupt": sum(
-                sink.packets_discarded_corrupt for sink in self._sinks
-            ),
-            "packets_rejected": sum(sink.packets_rejected for sink in self._sinks),
-            "acks_discarded_corrupt": sum(
-                sf.acks_discarded_corrupt for sf in self.subflows
-            ),
+            **super().corruption_stats(),
             "chunks_discarded_checksum": self.chunks_discarded_checksum,
         }
 

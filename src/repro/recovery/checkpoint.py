@@ -189,14 +189,14 @@ def snapshot_receiver(connection) -> ReceiverCheckpoint:
     """
     if _protocol_of(connection) == "fmtcp":
         receiver = connection.receiver
-        queued = len(receiver._app_queue)
-        frontier = int(receiver._deliver_next) - queued
+        frontier = int(receiver.delivered_blocks) - receiver.app_queue_blocks
         delivered_bytes = int(receiver.delivered_bytes)
         return ReceiverCheckpoint(
             protocol="fmtcp", frontier=frontier, delivered_bytes=delivered_bytes
         )
-    queued = len(connection._app_queue)
-    frontier = int(connection._reorder.next_expected) - queued
+    frontier = (
+        int(connection.reorder_buffer.next_expected) - connection.app_queue_chunks
+    )
     return ReceiverCheckpoint(
         protocol="mptcp",
         frontier=frontier,

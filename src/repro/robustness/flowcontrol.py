@@ -18,7 +18,8 @@ which is why the knob-off golden traces stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional, Tuple
 
 
 class ReceiveWindow:
@@ -194,3 +195,123 @@ class ZeroWindowProber:
             self._event = self._sim.schedule(self._interval, self._tick)
         else:
             self._interval = self.initial_s
+
+
+class ProbedGate:
+    """The sender half both stacks run: a :class:`WindowGate`, the
+    :class:`ZeroWindowProber` that keeps a closed gate from deadlocking
+    the transfer, and the handshake between them.
+
+    The protocol supplies ``blocked()`` (data is pending but the gate
+    licenses none of it) and ``pump()`` (offer every subflow a
+    transmission opportunity). A probe is *due* only during the pump the
+    prober triggers: the protocol's ``next_payload`` sees
+    :attr:`probe_due`, clears it and sends what its receiver ACKs even
+    with a closed window (FMTCP one symbol, MPTCP a duplicate chunk) —
+    that ACK carries the fresh advertisement that reopens the gate.
+    """
+
+    def __init__(
+        self,
+        sim: Any,
+        config: Any,
+        capacity: int,
+        blocked: Callable[[], bool],
+        pump: Callable[[], None],
+    ):
+        self.gate = WindowGate(
+            capacity,
+            high_watermark=config.flow_high_watermark,
+            low_watermark=config.flow_low_watermark,
+        )
+        self._blocked = blocked
+        self._pump = pump
+        self._prober = ZeroWindowProber(
+            sim,
+            self._fire,
+            initial_s=config.zero_window_probe_s,
+            max_s=config.zero_window_probe_max_s,
+        )
+        self.probe_due = False
+
+    def _fire(self) -> bool:
+        """Prober callback: one probe to elicit a fresh window ACK."""
+        if not self._blocked():
+            return False
+        self.probe_due = True
+        self._pump()
+        self.probe_due = False
+        return self._blocked()
+
+    def sync(self) -> bool:
+        """Arm (or reset) probing after feedback moved the gate: while
+        blocked, probes are the only traffic that can reopen the window.
+        Returns whether the sender is blocked now."""
+        blocked = self._blocked()
+        if blocked:
+            self._prober.arm()
+        else:
+            self._prober.disarm()
+        return blocked
+
+    def close(self) -> None:
+        """Stop the prober (event-queue drain invariant)."""
+        self._prober.disarm()
+
+
+class AppDrain:
+    """The receiver half both stacks run: an application that reads at a
+    finite rate.
+
+    In-order units queue here — still occupying the receive window —
+    until a timer paced at ``rate_bps`` hands each to ``deliver``. A
+    rate of 0.0 models an application that stopped reading: the queue
+    only grows.
+    """
+
+    def __init__(self, sim: Any, rate_bps: float, deliver: Callable[..., None]):
+        self._sim = sim
+        self._rate_bps = rate_bps
+        self._deliver = deliver
+        self._queue: Deque[Tuple[int, tuple]] = deque()
+        self._event: Optional[Any] = None
+
+    @classmethod
+    def modelled_by(
+        cls, sim: Any, config: Any, deliver: Callable[..., None]
+    ) -> Optional["AppDrain"]:
+        """The drain ``config`` asks for; ``None`` when the application
+        consumes instantly (flow control off, or no drain rate set)."""
+        if not config.flow_control or config.recv_drain_rate_bps is None:
+            return None
+        return cls(sim, config.recv_drain_rate_bps, deliver)
+
+    @property
+    def queued(self) -> int:
+        """Units the application has not read yet."""
+        return len(self._queue)
+
+    def push(self, size_bytes: int, *unit: Any) -> None:
+        """Queue one unit; ``deliver(*unit)`` runs when the app reads it."""
+        self._queue.append((size_bytes, unit))
+
+    def schedule(self) -> None:
+        """Arm the timer for the queue head (rate 0 = never)."""
+        if self._event is not None or not self._queue or not self._rate_bps:
+            return
+        self._event = self._sim.schedule(
+            self._queue[0][0] / self._rate_bps, self._tick
+        )
+
+    def _tick(self) -> None:
+        self._event = None
+        if not self._queue:
+            return
+        self._deliver(*self._queue.popleft()[1])
+        self.schedule()
+
+    def close(self) -> None:
+        """Cancel the timer (event-queue drain invariant)."""
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None

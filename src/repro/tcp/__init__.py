@@ -7,6 +7,9 @@
   loss-detecting packet channel over one network path. Retransmission
   *policy* is delegated to the owning connection: MPTCP re-sends the lost
   chunk, FMTCP sends fresh fountain symbols instead.
+* :mod:`repro.tcp.multipath` — the transport skeleton: the config base,
+  the one subflow builder and the subflow lifecycle both multipath
+  protocols inherit.
 """
 
 from repro.tcp.congestion import (

@@ -18,9 +18,8 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple, Union
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import RenoController
-from repro.tcp.rto import RtoEstimator
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
+from repro.tcp.multipath import build_subflow
+from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 
 
 @dataclass
@@ -52,7 +51,34 @@ class _StreamFeedback:
         self.cumulative_ack = cumulative_ack
 
 
-class TcpConnection(SubflowOwner):
+class StreamBlockDelay:
+    """Block accounting of a byte-stream transport (paper Section V: the
+    stream is partitioned into blocks of the same length as FMTCP's and
+    delay is measured per block, first transmission to full
+    acknowledgement). Shared by :class:`TcpConnection` and the MPTCP
+    baseline, which keep the counters it reads: ``_acked_bytes``,
+    ``_completed_blocks`` and ``_block_first_tx`` (block id -> time its
+    first byte was sent)."""
+
+    def _emit_completed_blocks(self) -> None:
+        while self._acked_bytes >= (self._completed_blocks + 1) * self.config.block_bytes:
+            block_id = self._completed_blocks
+            started = self._block_first_tx.pop(block_id, None)
+            if (
+                started is not None
+                and self.trace is not None
+                and self.trace.has_subscribers("conn.block_done")
+            ):
+                self.trace.emit(
+                    self.sim.now,
+                    "conn.block_done",
+                    block_id=block_id,
+                    delay=self.sim.now - started,
+                )
+            self._completed_blocks += 1
+
+
+class TcpConnection(StreamBlockDelay, SubflowOwner):
     """Reliable, in-order byte stream over one path."""
 
     def __init__(
@@ -70,25 +96,17 @@ class TcpConnection(SubflowOwner):
         self.trace = trace
         self.sink = sink
 
-        self.subflow = Subflow(
-            sim=sim,
-            path=path,
-            owner=self,
-            subflow_id=0,
-            congestion=RenoController(initial_cwnd=self.config.initial_cwnd),
-            rto=RtoEstimator(min_rto=self.config.min_rto),
-            mss=self.config.mss,
-            dup_ack_threshold=self.config.dup_ack_threshold,
+        self.subflow, self._sink_endpoint = build_subflow(
+            sim,
+            path,
+            self,
+            0,
+            self.config,
+            self._receiver_on_segment,
+            self._receiver_feedback,
             trace=trace,
         )
-        self._sink_endpoint = SubflowSink(
-            sim=sim,
-            path=path,
-            subflow=self.subflow,
-            on_segment=self._receiver_on_segment,
-            feedback_provider=self._receiver_feedback,
-            trace=trace,
-        )
+        self.subflows = [self.subflow]
 
         # Sender state.
         self._next_seq = 0
@@ -160,23 +178,6 @@ class TcpConnection(SubflowOwner):
         self._cumulative_acked = feedback.cumulative_ack
         self._emit_completed_blocks()
         self.pump()
-
-    def _emit_completed_blocks(self) -> None:
-        while self._acked_bytes >= (self._completed_blocks + 1) * self.config.block_bytes:
-            block_id = self._completed_blocks
-            started = self._block_first_tx.pop(block_id, None)
-            if (
-                started is not None
-                and self.trace is not None
-                and self.trace.has_subscribers("conn.block_done")
-            ):
-                self.trace.emit(
-                    self.sim.now,
-                    "conn.block_done",
-                    block_id=block_id,
-                    delay=self.sim.now - started,
-                )
-            self._completed_blocks += 1
 
     # ------------------------------------------------------------------
     # Receiver side.

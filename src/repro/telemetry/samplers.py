@@ -269,15 +269,12 @@ def attach_samplers(
     """Instrument any transport connection; returns the started samplers.
 
     Duck-typed over the shared connection surface: anything with
-    ``subflows`` (or a single ``subflow``) gets a :class:`SubflowSampler`;
+    ``subflows`` gets a :class:`SubflowSampler`;
     an FMTCP-style ``sender``/``receiver`` pair additionally gets EAT
     sampling and a :class:`DecoderSampler`.
     """
     samplers: List[PeriodicSampler] = []
     subflows = getattr(connection, "subflows", None)
-    if subflows is None:
-        single = getattr(connection, "subflow", None)
-        subflows = [single] if single is not None else []
     eat_provider = None
     sender = getattr(connection, "sender", None)
     if sender is not None and hasattr(sender, "path_estimates"):

@@ -1,11 +1,13 @@
 """Unit tests for FMTCP configuration and sender-side block state."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
+from repro.mptcp.connection import MptcpConfig
 from repro.workloads.sources import BulkSource
 
 
@@ -66,6 +68,115 @@ def test_config_accepts_the_boundary_values_of_those_inputs():
     assert config.symbol_wire_size == config.symbol_size
     assert FmtcpConfig(loss_estimate_half_life_s=None, probe_interval_s=None)
     assert FmtcpConfig(loss_estimate_floor=0.99).loss_estimate_floor == 0.99
+
+
+# ----------------------------------------------------------------------
+# The fields both protocols' configs take from one base
+# (repro.tcp.multipath.MultipathConfig): validated once, for both.
+# ----------------------------------------------------------------------
+BOTH_CONFIGS = pytest.mark.parametrize("config_class", [FmtcpConfig, MptcpConfig])
+
+
+@BOTH_CONFIGS
+@pytest.mark.parametrize(
+    "field, bad_values",
+    [
+        # MptcpConfig(mss=0) ran a 3 s transfer that delivered 0 bytes.
+        ("mss", [0, -1400]),
+        # min_rto=nan ran to completion on both stacks.
+        ("min_rto", [0.0, -0.2, math.nan]),
+        ("initial_cwnd", [0.0, -2.0, math.nan]),
+        ("dup_ack_threshold", [0, -3]),
+        # Was rejected only once a connection was built.
+        ("congestion", ["cubic", "", None]),
+        ("failover_rto_threshold", [0, -1]),
+    ],
+)
+def test_shared_fields_are_rejected_with_field_and_value(config_class, field, bad_values):
+    for value in bad_values:
+        with pytest.raises(ValueError, match=field) as raised:
+            config_class(**{field: value})
+        assert repr(value) in str(raised.value) or str(value) in str(raised.value)
+
+
+@BOTH_CONFIGS
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"recv_drain_rate_bps": -1.0},
+        {"flow_low_watermark": 0.0},
+        {"flow_low_watermark": 0.9, "flow_high_watermark": 0.8},
+        {"flow_high_watermark": 1.5},
+        {"zero_window_probe_s": 0.0},
+        {"zero_window_probe_s": 2.0, "zero_window_probe_max_s": 1.0},
+    ],
+)
+def test_shared_flow_control_fields_are_rejected(config_class, overrides):
+    with pytest.raises(ValueError):
+        config_class(**overrides)
+
+
+@BOTH_CONFIGS
+def test_shared_fields_accept_their_boundary_values(config_class):
+    config = config_class(
+        mss=34, min_rto=1e-3, initial_cwnd=0.5, dup_ack_threshold=1,
+        congestion="lia", failover_rto_threshold=None, recv_drain_rate_bps=0.0,
+        flow_low_watermark=1.0, flow_high_watermark=1.0,
+        zero_window_probe_s=1.0, zero_window_probe_max_s=1.0,
+    )
+    assert config.congestion == "lia" and config.mss == 34
+
+
+def test_mptcp_block_bytes_is_rejected_at_the_boundary():
+    # Was a ZeroDivisionError inside next_payload, mid-run.
+    for value in (0, -8192):
+        with pytest.raises(ValueError, match="block_bytes"):
+            MptcpConfig(block_bytes=value)
+    assert MptcpConfig(block_bytes=1).block_bytes == 1
+
+
+SHARED_DEFAULTS = {
+    "mss": 1400, "congestion": "reno", "initial_cwnd": 2.0,
+    "dup_ack_threshold": 3, "min_rto": 0.2, "failover_rto_threshold": 3,
+    "flow_control": False, "recv_drain_rate_bps": None,
+    "flow_high_watermark": 0.75, "flow_low_watermark": 0.5,
+    "zero_window_probe_s": 0.5, "zero_window_probe_max_s": 4.0,
+}
+
+
+@pytest.mark.parametrize(
+    "config_class, own_defaults",
+    [
+        (
+            FmtcpConfig,
+            {
+                "symbols_per_block": 256, "symbol_size": 32,
+                "symbol_header_bytes": 2, "delta_hat": 1e-3,
+                "max_pending_blocks": 16, "coding": "statistical",
+                "systematic": False, "code": "rlc", "allocation": "eat",
+                "loss_estimate_floor": 0.0, "probe_interval_s": 1.0,
+                "loss_estimate_half_life_s": None, "adaptive_margin": False,
+                "adaptive_margin_target_miss": 0.02, "adaptive_margin_window": 50,
+                "adaptive_margin_floor": 3.0, "adaptive_margin_ceiling": 30.0,
+                "probe_chain_threshold": 0.2, "recv_window_blocks": 32,
+            },
+        ),
+        (
+            MptcpConfig,
+            {
+                "recv_buffer_chunks": 64, "block_bytes": 8192,
+                "scheduler": "minrtt", "reinject_after_timeouts": None,
+                "opportunistic_retransmission": False,
+            },
+        ),
+    ],
+)
+def test_config_surface_is_the_pre_skeleton_one(config_class, own_defaults):
+    """Moving twelve fields into a base added, renamed and re-defaulted
+    nothing: 31 FMTCP and 17 MPTCP fields, as before the skeleton."""
+    fields = {f.name: f.default for f in dataclasses.fields(config_class)}
+    assert fields == {**SHARED_DEFAULTS, **own_defaults}
+    assert len(fields) == {FmtcpConfig: 31, MptcpConfig: 17}[config_class]
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ Keeps README/DESIGN/EXPERIMENTS honest as the codebase evolves — every
 example, benchmark and CLI command mentioned must actually exist.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -14,6 +15,17 @@ REPO = Path(__file__).resolve().parent.parent
 
 def read(name: str) -> str:
     return (REPO / name).read_text()
+
+
+def load_script(relative: str):
+    """Import a script that lives outside ``src`` and ``testpaths``."""
+    path = REPO / relative
+    if not path.is_file():
+        pytest.skip(f"{relative} is not in this checkout")
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_readme_examples_exist():
@@ -92,3 +104,30 @@ def test_bundled_trace_assets_in_package_data():
         assert (data_dir / f"{name}.csv").is_file(), name
     pyproject = read("pyproject.toml")
     assert "traces/data/*.csv" in pyproject
+
+
+def test_benchmark_boundary_table_resolves():
+    """``benchmarks/perf/tracer.py`` looks each traced name up with
+    ``vars(owner)[attr]``: a method a refactor moves into a base class
+    (say ``MptcpConnection.start``) still works everywhere except the
+    traced benchmark pass, which is outside ``testpaths``. Installing the
+    tracer resolves every entry, so this is where such a move fails."""
+    tracer = load_script("benchmarks/perf/tracer.py").LayerTracer()
+    tracer.install()
+    tracer.uninstall()
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # Comments, blank lines and docstrings never count.
+        ('"""Module doc."""\n\n# note\nX = 1  # trailing\n', 1),
+        # A docstring is the *leading* string of a module, class or
+        # function; any other string is code, on every line it spans.
+        ('def f():\n    """Doc\n    two."""\n    s = """a\n    b"""\n    return s\n', 4),
+        # One statement over several physical lines is several code lines.
+        ("class C:\n    'doc'\n    y = f(\n        1,\n    )\n", 4),
+    ],
+)
+def test_code_line_counting_rule(source, expected):
+    assert load_script("benchmarks/codelines.py").code_lines(source) == expected

@@ -360,3 +360,119 @@ def test_removing_hol_blocking_subflow_unblocks_recv_buffer():
     assert connection.reorder_buffer.occupancy == 0
     assert connection.delivered_bytes == 2_000_000
     assert delivered == list(range(len(delivered)))
+
+
+# ----------------------------------------------------------------------
+# The lifecycle contract both protocols inherit from one skeleton
+# (repro.tcp.multipath): what a shared implementation must keep apart.
+# ----------------------------------------------------------------------
+def lia_connection(protocol):
+    network, paths = build_network()
+    connection, __ = build_connection(
+        protocol, paths, network, TraceBus(),
+        fmtcp_config=FmtcpConfig(congestion="lia"),
+        mptcp_config=MptcpConfig(congestion="lia"),
+    )
+    return network, paths, connection
+
+
+def lia_members(connection):
+    return connection._lia_group._members
+
+
+@pytest.mark.parametrize("bad_delay", [-1.0, float("nan")])
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+def test_rejected_add_subflow_leaks_no_state(protocol, bad_delay):
+    """A bad join delay used to raise from inside Subflow.__init__, after
+    the id counter advanced and the new controller joined the LIA group:
+    the ghost's RTT of 0 blew alpha() up and the coupled increase
+    silently degenerated to uncoupled Reno."""
+    network, paths, connection = lia_connection(protocol)
+    connection.start()
+    network.sim.run(until=0.5)
+    group = connection._lia_group
+    before = (len(connection.subflows), list(lia_members(connection)), group.alpha())
+    with pytest.raises(ValueError, match="join_delay_s"):
+        connection.add_subflow(paths[1], join_delay_s=bad_delay)
+    assert (
+        len(connection.subflows), list(lia_members(connection)), group.alpha()
+    ) == before
+    # The next valid join gets the id the rejected one would have had.
+    assert connection.add_subflow(paths[1], join_delay_s=0.0).subflow_id == 2
+    connection.close()
+
+
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+def test_lia_group_tracks_exactly_the_live_subflows(protocol):
+    __, paths, connection = lia_connection(protocol)
+    connection.remove_subflow(0)
+    connection.add_subflow(paths[0], join_delay_s=0.0)
+    assert lia_members(connection) == [s.cc for s in connection.subflows]
+    assert [s.subflow_id for s in connection.subflows] == [1, 2]
+    connection.close()
+
+
+@pytest.mark.parametrize(
+    "protocol, field", [("fmtcp", "abandoned"), ("mptcp", "reinjected")]
+)
+def test_subflow_removed_record_keeps_each_protocols_field(protocol, field):
+    """FMTCP *abandons* symbols, MPTCP *reinjects* chunks: one shared
+    remove_subflow must not unify the two words."""
+    trace = TraceBus()
+    removed = []
+    trace.subscribe("conn.subflow_removed", removed.append)
+    network, paths = build_network(trace=trace)
+    connection, __ = build_connection(protocol, paths, network, trace)
+    connection.start()
+    network.sim.run(until=0.5)
+    settled = connection.remove_subflow(1)
+    assert settled > 0
+    (record,) = removed
+    assert record["subflow"] == 1 and record[field] == settled
+    other = "reinjected" if field == "abandoned" else "abandoned"
+    with pytest.raises(KeyError):
+        record[other]
+    connection.close()
+
+
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+def test_close_after_sever_receiver_is_idempotent_and_leaves_no_timer(protocol):
+    network, paths = build_network()
+    flow = dict(flow_control=True, recv_drain_rate_bps=50_000.0)
+    connection, __ = build_connection(
+        protocol, paths, network, TraceBus(),
+        fmtcp_config=FmtcpConfig(recv_window_blocks=4, **flow),
+        mptcp_config=MptcpConfig(recv_buffer_chunks=16, **flow),
+    )
+    connection.start()
+    network.sim.run(until=2.0)
+    # The slow reader has paused the sender: both timers the shared
+    # flow-control halves own (prober, app drain) are live right now.
+    stats = connection.flow_stats()
+    assert stats["flow_paused"] and stats["window_probes"] > 0
+    assert connection.memory_stats()["recv_occupancy"] > 0
+    assert connection.sever_receiver() == 2
+    connection.close()
+    connection.close()
+    network.sim.run(until=10.0)  # packets still on the wire die unbound
+    network.sim.drain_cancelled()
+    assert network.sim.pending_events == 0
+
+
+def test_single_path_builders_keep_plain_reno_and_no_failover():
+    """TcpConnection and FixedRateConnection take the shared subflow
+    builder but none of the multipath policy."""
+    from repro.fixedrate.connection import FixedRateConnection
+    from repro.tcp.congestion import RenoController
+    from repro.tcp.stream import TcpConnection
+
+    network, paths = build_network()
+    tcp = TcpConnection(network.sim, paths[0], BulkSource(total_bytes=10_000))
+    fixed = FixedRateConnection(network.sim, paths, BulkSource(total_bytes=10_000))
+    assert tcp.subflows == [tcp.subflow]
+    for subflow in (*tcp.subflows, *fixed.subflows):
+        assert type(subflow.cc) is RenoController
+        assert subflow.failed_rto_threshold is None
+        assert subflow.state == "active" and subflow.owner in (tcp, fixed)
+    assert [s.subflow_id for s in fixed.subflows] == [0, 1]
+    assert not hasattr(tcp, "add_subflow") and not hasattr(fixed, "add_subflow")
