@@ -1,6 +1,6 @@
 """Crash-recovery response: goodput retention and recovery latency.
 
-Runs the endpoint-crash presets through :func:`repro.faults.measure_recovery`
+Runs the endpoint-crash presets through :func:`repro.recovery.measure_recovery`
 — each crashed transfer against its clean same-seed baseline — and
 reports goodput retention (clean completion time / crashed completion
 time), outage decomposition (half-open detection, reconnect handshake)
@@ -20,8 +20,9 @@ import os
 
 from benchmarks.conftest import RESULTS_DIR, bench_duration
 from benchmarks.trajectory import RECOVERY_LEDGER_PATH, append_row
-from repro.faults import RECOVERY_SCENARIOS, measure_recovery
+from repro.faults import RECOVERY_SCENARIOS
 from repro.metrics.stats import mean
+from repro.recovery import measure_recovery
 
 PRESETS = ("receiver_crash", "sender_crash", "crash_storm")
 SEEDS = (1,) if os.environ.get("REPRO_FAST") else (1, 2, 3)

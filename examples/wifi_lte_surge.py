@@ -11,6 +11,7 @@ Run:  python examples/wifi_lte_surge.py
 """
 
 from repro import run_transfer, surge_path_configs
+from repro.experiments.reporting import sparkline
 from repro.metrics.stats import mean, stdev
 
 SURGE_LOSS = 0.30
@@ -25,18 +26,6 @@ def phase_of(t: float) -> str:
     if t < SURGE_END_S:
         return "during"
     return "after"
-
-
-def sparkline(series, lo: float = 0.0, hi: float = None) -> str:
-    """Render a goodput time series as a unicode sparkline."""
-    marks = "▁▂▃▄▅▆▇█"
-    values = [value for __, value in series]
-    hi = hi if hi is not None else (max(values) or 1.0)
-    cells = []
-    for value in values:
-        level = 0 if hi <= lo else int((value - lo) / (hi - lo) * (len(marks) - 1))
-        cells.append(marks[min(max(level, 0), len(marks) - 1)])
-    return "".join(cells)
 
 
 def main() -> None:
@@ -61,7 +50,8 @@ def main() -> None:
         value for result in results.values() for __, value in result.goodput_series
     )
     for protocol, result in results.items():
-        print(f"{protocol:>6}: {sparkline(result.goodput_series, hi=peak)}")
+        rates = [value for __, value in result.goodput_series]
+        print(f"{protocol:>6}: {sparkline(rates, hi=peak)}")
     print(f"{'':>8}^t=0{'':<24}surge begins{'':<20}surge ends\n")
 
     print(f"{'phase':<10}{'FMTCP MB/s (±σ)':>20}{'MPTCP MB/s (±σ)':>20}")

@@ -375,7 +375,7 @@ def _bench_goodput_response(protocols, scenario, seed, duration) -> None:
 
 
 def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
-    from repro.faults import measure_recovery
+    from repro.recovery import measure_recovery
 
     def seconds(value) -> str:
         return f"{value:.1f}" if value else "never"
@@ -402,6 +402,7 @@ def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
 def _fault_groups() -> Dict[str, _FaultGroup]:
     """The ``repro faults`` table, keyed by routing group, in listing order."""
     from repro import faults
+    from repro.recovery import run_recovery
 
     return {
         "chaos": _FaultGroup(
@@ -450,7 +451,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             "Recovery presets (endpoint crash/restart, byte-verified delivery):",
             faults.RECOVERY_SCENARIOS,
             _describe_crashes,
-            faults.run_recovery,
+            run_recovery,
             _progress_recovery,
             _bench_recovery_response,
         ),

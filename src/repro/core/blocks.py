@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.config import FmtcpConfig
 from repro.fountain.codec import BlockEncoder, SystematicBlockEncoder
-from repro.fountain.lt import LtEncoder
 from repro.fountain.rank_model import decoding_failure_probability
 
 
@@ -37,7 +36,6 @@ class PendingBlock:
         "first_tx_at",
         "decoded",
         "symbols_generated",
-        "missed",
         "block_crc",
         "quarantine_epoch",
     )
@@ -65,9 +63,6 @@ class PendingBlock:
         self.first_tx_at: Optional[float] = None
         self.decoded = False
         self.symbols_generated = 0
-        # Set when the block went quiescent short of k̂ — a δ̂ prediction
-        # miss that the adaptive-margin controller counts.
-        self.missed = False
 
     def in_flight_total(self) -> int:
         return sum(self.in_flight.values())
@@ -183,20 +178,15 @@ class BlockManager:
             if payload is None:
                 payload = bytes(data_bytes)
             block_crc = zlib.crc32(payload)
-            if self.config.code == "lt":
-                encoder = LtEncoder(
-                    payload, k=k, part_size=self.config.symbol_size, rng=self._rng
-                )
-            else:
-                encoder_class = (
-                    SystematicBlockEncoder if self.config.systematic else BlockEncoder
-                )
-                encoder = encoder_class(
-                    payload,
-                    k=k,
-                    part_size=self.config.symbol_size,
-                    rng=self._rng,
-                )
+            encoder_class = (
+                SystematicBlockEncoder if self.config.systematic else BlockEncoder
+            )
+            encoder = encoder_class(
+                payload,
+                k=k,
+                part_size=self.config.symbol_size,
+                rng=self._rng,
+            )
         block = PendingBlock(
             block_id=self._next_block_id,
             k=k,

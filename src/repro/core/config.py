@@ -48,12 +48,6 @@ class FmtcpConfig(MultipathConfig):
     # statistical rank model assumes uniformly random coefficient rows.
     systematic: bool = False
 
-    # Which fountain code encodes blocks: "rlc" is the paper's dense
-    # random-linear code; "lt" swaps in LT coding with the robust Soliton
-    # distribution (sparse symbols, linear-time peeling decode, a few
-    # percent more overhead). "lt" requires coding="real".
-    code: str = "rlc"
-
     # "eat" runs Algorithm 1 (the paper's allocator); "greedy" is the
     # Section IV-B strawman; "stopwait" mimics HMTP (related work [21]):
     # every subflow keeps sending symbols of the *first* undecoded block
@@ -61,42 +55,12 @@ class FmtcpConfig(MultipathConfig):
     # stop-and-wait behaviour the paper's prediction mechanism replaces.
     allocation: str = "eat"
 
-    # Loss-estimator floor: EDT/RT computations assume some residual loss
-    # so a momentarily clean path is not treated as perfectly reliable.
-    loss_estimate_floor: float = 0.0
-
-    # Idle-path probing. The EAT allocator stops scheduling symbols on a
-    # path it estimates as terrible — but the loss estimate can only
-    # improve by *sending*, so a path that died and recovered would stay
-    # quarantined forever. A subflow idle longer than this (with window
-    # space and nothing outstanding) is given one greedily-filled packet
-    # of fresh symbols as a probe. None disables probing.
-    probe_interval_s: Optional[float] = 1.0
-
     # Estimator aging: halve a subflow's loss estimate for every this many
     # seconds without an observed loss. Disabled by default — time-based
     # forgiveness makes the allocator oscillate between trusting and
-    # distrusting a persistently lossy path; probe *chains* (below) are
-    # the default rehabilitation mechanism instead.
+    # distrusting a persistently lossy path; probe *chains* (the sender's
+    # idle-path probing) are the default rehabilitation mechanism instead.
     loss_estimate_half_life_s: Optional[float] = None
-
-    # Adaptive completeness margin (extension, off by default): instead of
-    # a fixed log2(1/δ̂), the sender tunes its head-room from observed
-    # prediction misses — blocks that went quiescent (nothing in flight)
-    # while still short of k̂ and needed a feedback-driven top-up. Miss
-    # rates above the target raise the margin; a miss-free window lowers
-    # it toward the floor.
-    adaptive_margin: bool = False
-    adaptive_margin_target_miss: float = 0.02
-    adaptive_margin_window: int = 50
-    adaptive_margin_floor: float = 3.0
-    adaptive_margin_ceiling: float = 30.0
-
-    # Probe chaining: when a probe on a quarantined path (aged loss
-    # estimate above this threshold) is acknowledged, the next probe may
-    # follow immediately instead of waiting out probe_interval_s — so a
-    # healed path re-earns trust in seconds, one EWMA sample per RTT.
-    probe_chain_threshold: float = 0.2
 
     # Receive window of the shared flow control, in blocks: receiver
     # occupancy (active decoders + decoded-waiting + app backlog) never
@@ -120,14 +84,6 @@ class FmtcpConfig(MultipathConfig):
                 "(with no pending block the transfer sends nothing)"
             )
         # Each range is tested as `not (inside it)`, which NaN fails too.
-        if not 0.0 <= self.loss_estimate_floor < 1.0:
-            raise ValueError(
-                f"loss_estimate_floor must be in [0, 1), got {self.loss_estimate_floor}"
-            )
-        if self.probe_interval_s is not None and not self.probe_interval_s > 0:
-            raise ValueError(
-                f"probe_interval_s must be positive or None, got {self.probe_interval_s}"
-            )
         if (
             self.loss_estimate_half_life_s is not None
             and not self.loss_estimate_half_life_s > 0
@@ -144,12 +100,6 @@ class FmtcpConfig(MultipathConfig):
             raise ValueError(f"unknown allocation mode {self.allocation!r}")
         if self.systematic and self.coding != "real":
             raise ValueError('systematic encoding requires coding="real"')
-        if self.code not in ("rlc", "lt"):
-            raise ValueError(f"unknown fountain code {self.code!r}")
-        if self.code == "lt" and self.coding != "real":
-            raise ValueError('LT coding requires coding="real"')
-        if self.code == "lt" and self.systematic:
-            raise ValueError("systematic mode applies to the RLC code only")
         if self.recv_window_blocks < 1:
             raise ValueError("recv_window_blocks must be >= 1")
         if self.symbol_wire_size > self.mss:

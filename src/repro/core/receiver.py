@@ -16,53 +16,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.core.config import FmtcpConfig
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload
 from repro.fountain.codec import BlockDecoder
-from repro.fountain.lt import LtDecoder
 from repro.fountain.rank_model import RankEvolutionModel
 from repro.robustness.flowcontrol import AppDrain, ReceiveWindow
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
-class LtDecoderAdapter:
-    """Adapts :class:`~repro.fountain.lt.LtDecoder` to the receiver's
-    decoder interface (``independent_symbols``/``is_complete``/``decode``).
 
-    ``independent_symbols`` reports recovered source parts — a lower bound
-    on rank — so the sender's δ̂-completeness gate is conservative under LT
-    coding and the feedback loop supplies the tail; the GE fallback is
-    tried periodically so dense residuals do not stall peeling.
-    """
-
-    GE_ATTEMPT_EVERY = 16
-
-    def __init__(self, k: int, part_size: int, data_length: int):
-        self._inner = LtDecoder(k=k, part_size=part_size, data_length=data_length)
-        self.k = k
-        self.symbols_received = 0
-
-    @property
-    def independent_symbols(self) -> int:
-        return self._inner.recovered_parts
-
-    @property
-    def is_complete(self) -> bool:
-        return self._inner.is_complete
-
-    def add_symbol(self, symbol) -> bool:
-        before = self._inner.recovered_parts
-        self._inner.add_symbol(symbol)
-        self.symbols_received += 1
-        if (
-            not self._inner.is_complete
-            and self.symbols_received % self.GE_ATTEMPT_EVERY == 0
-        ):
-            self._inner.try_ge_completion()
-        return self._inner.recovered_parts > before
-
-    def decode(self) -> bytes:
-        return self._inner.decode()
-
-
-Decoder = Union[BlockDecoder, RankEvolutionModel, LtDecoderAdapter]
+Decoder = Union[BlockDecoder, RankEvolutionModel]
 
 
 class _ActiveBlock:
@@ -215,12 +175,6 @@ class FmtcpReceiver:
 
     def _make_decoder(self, group) -> Decoder:
         if self.config.coding == "real":
-            if self.config.code == "lt":
-                return LtDecoderAdapter(
-                    k=group.block_k,
-                    part_size=self.config.symbol_size,
-                    data_length=group.block_bytes,
-                )
             return BlockDecoder(
                 k=group.block_k,
                 part_size=self.config.symbol_size,
@@ -257,7 +211,7 @@ class FmtcpReceiver:
 
     def _finish_block(self, block_id: int, active: _ActiveBlock) -> None:
         data = None
-        if isinstance(active.decoder, (BlockDecoder, LtDecoderAdapter)):
+        if isinstance(active.decoder, BlockDecoder):
             data = active.decoder.decode()
             if active.block_crc is not None and zlib.crc32(data) != active.block_crc:
                 # The GF(2) system stayed consistent but decoded to the
@@ -272,18 +226,14 @@ class FmtcpReceiver:
         self.decode_times[block_id] = self.sim.now
         if self.trace is not None and self.trace.has_subscribers("fmtcp.block_decoded"):
             decoder = active.decoder
-            received = getattr(decoder, "symbols_received", None)
-            k = getattr(decoder, "k", None)
             self.trace.emit(
                 self.sim.now,
                 "fmtcp.block_decoded",
                 block_id=block_id,
                 wait=self.sim.now - active.first_symbol_at,
-                k=k,
-                received=received,
-                overhead=(
-                    received - k if received is not None and k is not None else None
-                ),
+                k=decoder.k,
+                received=decoder.symbols_received,
+                overhead=decoder.symbols_received - decoder.k,
             )
         self._decoded_waiting[block_id] = (active.block_bytes, data)
         while self._decode_frontier in self._decoded_waiting or (
@@ -372,9 +322,9 @@ class FmtcpReceiver:
         for block_id in sorted(self._active):
             active = self._active[block_id]
             decoder = active.decoder
-            k = int(getattr(decoder, "k", 0))
+            k = decoder.k
             rank = int(decoder.independent_symbols)
-            received = int(getattr(decoder, "symbols_received", 0))
+            received = decoder.symbols_received
             stats.append(
                 {
                     "block_id": block_id,

@@ -35,6 +35,18 @@ from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 # formulas stay finite even while an estimator transiently reads ~100 %.
 _MAX_LOSS = 0.95
 
+# Idle-path probing. The EAT allocator stops scheduling symbols on a path
+# it estimates as terrible — but the loss estimate can only improve by
+# *sending*, so a path that died and recovered would stay quarantined
+# forever. A subflow idle this long (with window space and nothing
+# outstanding) is given one greedily-filled packet of fresh symbols.
+_PROBE_INTERVAL_S = 1.0
+# Probe chaining: when a probe on a quarantined path (aged loss estimate
+# above this) is acknowledged, the next probe may follow immediately
+# instead of waiting out the interval — so a healed path re-earns trust in
+# seconds, one EWMA sample per RTT.
+_PROBE_CHAIN_THRESHOLD = 0.2
+
 
 class _RoundState:
     """What the allocation rounds of one simulator instant share.
@@ -138,9 +150,7 @@ class FmtcpSender(SubflowOwner):
         # any blocks re-sent in between.
         self._decoded_frontier_seen = int(resume_frontier)
         self._decoded_out_of_order_seen: set = set()
-        # Adaptive completeness margin state (extension; see FmtcpConfig).
-        # A checkpointed margin carries the adapted scheduler state
-        # across a restart instead of re-learning it from scratch.
+        # A checkpointed margin carries a watchdog boost across a restart.
         self._margin = (
             resume_margin if resume_margin is not None else config.completeness_margin
         )
@@ -150,8 +160,6 @@ class FmtcpSender(SubflowOwner):
         # SubflowOwner callback, attach_subflows, set_decision_hook, a
         # write to ``margin``, a change of the pending block list.
         self._round: Optional[_RoundState] = None
-        self._miss_count = 0
-        self._window_completed = 0
         # Pluggable decision layer (repro.policy): when set, every regular
         # transmission opportunity is delegated to the hook instead of the
         # configured allocator. Probe and stop-and-wait paths are not
@@ -164,7 +172,7 @@ class FmtcpSender(SubflowOwner):
         self.flow_gate: Optional[WindowGate] = None
         if config.flow_control:
             self._flow = ProbedGate(
-                sim, config, config.recv_window_blocks, self._flow_blocked, self.pump_all
+                sim, config.recv_window_blocks, self._flow_blocked, self.pump_all
             )
             self.flow_gate = self._flow.gate
             if resume_frontier:
@@ -201,7 +209,7 @@ class FmtcpSender(SubflowOwner):
     @property
     def margin(self) -> float:
         """Head-room beyond k̂ a block needs to count as δ̂-complete:
-        log₂(1/δ̂), moved by the adaptive controller and the watchdog."""
+        log₂(1/δ̂), raised by the watchdog's boost."""
         return self._margin
 
     @margin.setter
@@ -219,8 +227,7 @@ class FmtcpSender(SubflowOwner):
             # one allocation round; treat it as maximally lossy.
             return _MAX_LOSS
         aged = subflow.aged_loss_estimate(self.config.loss_estimate_half_life_s)
-        estimate = max(aged, self.config.loss_estimate_floor)
-        return min(estimate, _MAX_LOSS)
+        return min(aged, _MAX_LOSS)
 
     def loss_snapshot(self) -> Dict[int, float]:
         """``loss_rate_of`` of every attached subflow, evaluated once.
@@ -272,23 +279,21 @@ class FmtcpSender(SubflowOwner):
     # SubflowOwner: supply packets.
     # ------------------------------------------------------------------
     def _should_probe(self, subflow: Subflow) -> bool:
-        """Idle-path probing (see FmtcpConfig.probe_interval_s).
+        """Idle-path probing (see ``_PROBE_INTERVAL_S``).
 
-        Two triggers: the periodic one (idle for probe_interval_s), and
-        the chain — a just-acknowledged probe on a still-distrusted path
+        Two triggers: the periodic one (idle for the interval), and the
+        chain — a just-acknowledged probe on a still-distrusted path
         licenses the next probe immediately, so a healed path re-earns
         trust at one EWMA sample per RTT rather than per interval.
         """
-        interval = self.config.probe_interval_s
-        if interval is None or subflow.in_flight > 0:
+        if subflow.in_flight > 0:
             return False
-        if self.sim.now - subflow.last_transmit_at >= interval:
+        if self.sim.now - subflow.last_transmit_at >= _PROBE_INTERVAL_S:
             return True
         return (
             subflow.last_ack_at is not None
             and self.sim.now - subflow.last_ack_at < 1e-3
-            and self.loss_rate_of(subflow.subflow_id)
-            > self.config.probe_chain_threshold
+            and self.loss_rate_of(subflow.subflow_id) > _PROBE_CHAIN_THRESHOLD
         )
 
     def _flow_admissible(self, pending) -> list:
@@ -578,8 +583,6 @@ class FmtcpSender(SubflowOwner):
         for block_id, epoch in quarantine.items():
             if block_id not in feedback.k_bar:
                 self.blocks.update_k_bar(block_id, 0, epoch)
-        if self.config.adaptive_margin:
-            self._observe_prediction_misses()
         while self._decoded_frontier_seen < feedback.decoded_in_order:
             self._confirm_decoded(self._decoded_frontier_seen)
             self._decoded_frontier_seen += 1
@@ -597,38 +600,10 @@ class FmtcpSender(SubflowOwner):
             self._flow.sync()
         self.pump_all()
 
-    def _observe_prediction_misses(self) -> None:
-        """Count blocks that went quiescent while still short of k̂."""
-        for block in self.blocks.pending_blocks:
-            if (
-                not block.missed
-                and block.in_flight_total() == 0
-                and block.symbols_generated >= block.k
-                and block.k_bar < block.k
-            ):
-                block.missed = True
-                self._miss_count += 1
-
-    def _adapt_margin(self, block) -> None:
-        """Per-window controller: raise head-room when misses exceed the
-        target rate, relax it after a miss-free window."""
-        self._window_completed += 1
-        if self._window_completed < self.config.adaptive_margin_window:
-            return
-        miss_rate = self._miss_count / self._window_completed
-        if miss_rate > self.config.adaptive_margin_target_miss:
-            self.margin = min(self.margin + 1.0, self.config.adaptive_margin_ceiling)
-        elif self._miss_count == 0:
-            self.margin = max(self.margin - 0.5, self.config.adaptive_margin_floor)
-        self._miss_count = 0
-        self._window_completed = 0
-
     def _confirm_decoded(self, block_id: int) -> None:
         block = self.blocks.mark_decoded(block_id)
         if block is None:
             return
-        if self.config.adaptive_margin:
-            self._adapt_margin(block)
         if (
             self.trace is not None
             and block.first_tx_at is not None

@@ -15,8 +15,9 @@ can check a timeline is :meth:`FaultScenario.route`'s decision
 (:data:`repro.faults.scenario.ROUTES`), and each ``run_*`` rejects a
 scenario routed elsewhere. Data *corruption* scenarios get :func:`run_corruption` (real
 payload, byte-verified), channel *trace* scenarios :func:`run_traces`
-(plus bounded memory and watchdog interplay), endpoint crashes
-:func:`run_recovery`, subflow lifecycle :func:`run_churn`.
+(plus bounded memory and watchdog interplay), subflow lifecycle
+:func:`run_churn`; endpoint crashes are :func:`repro.recovery.run_recovery`
+(that package builds on this one, so it is not re-exported here).
 """
 
 from repro.faults.chaos import (
@@ -52,25 +53,6 @@ from repro.robustness.exhaustion import (
 from repro.soak import PROTOCOLS, SoakReport
 from repro.traces.harness import measure_trace_goodput, run_traces
 
-# One cycle genuinely remains: repro.recovery.harness needs this
-# package's PathChurnController and FaultScenario (a crash can land
-# mid-handover; measure_recovery builds an empty baseline timeline), and
-# importing any repro.recovery submodule first runs repro/recovery/
-# __init__.py, which imports that harness. An eager import here would
-# therefore find repro.recovery.harness half-initialised whenever
-# `repro.recovery` is imported before `repro.faults`. Re-export lazily
-# (PEP 562) so the two packages load in either order.
-_RECOVERY_EXPORTS = ("measure_recovery", "run_recovery")
-
-
-def __getattr__(name):
-    if name in _RECOVERY_EXPORTS:
-        from repro.recovery import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CHURN_KINDS",
     "CORRUPTION_KINDS",
@@ -94,14 +76,12 @@ __all__ = [
     "measure_bufferblock",
     "measure_corruption_goodput",
     "measure_fault_response",
-    "measure_recovery",
     "measure_trace_goodput",
     "resolve_scenario",
     "run_chaos",
     "run_churn",
     "run_corruption",
     "run_exhaustion",
-    "run_recovery",
     "run_traces",
     "trace_replay_scenario",
 ]

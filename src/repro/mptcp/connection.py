@@ -216,7 +216,7 @@ class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
         if config.flow_control:
             self.recv_window = ReceiveWindow(config.recv_buffer_chunks)
             self._flow = ProbedGate(
-                sim, config, config.recv_buffer_chunks, self._flow_blocked, self.pump
+                sim, config.recv_buffer_chunks, self._flow_blocked, self.pump
             )
             self.flow_gate = self._flow.gate
         # In-order chunks awaiting a finite-rate application.

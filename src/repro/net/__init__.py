@@ -26,11 +26,10 @@ from repro.net.loss import (
     record_loss_trace,
 )
 from repro.net.link import Link
-from repro.net.monitors import QueueMonitor, UtilisationMonitor
 from repro.net.reorder import NoReordering, ReorderingModel, UniformReordering
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, RedQueue
+from repro.net.queues import DropTailQueue
 from repro.net.topology import Network, Path, PathConfig, build_two_path_network
 
 __all__ = [
@@ -48,17 +47,14 @@ __all__ = [
     "NoCorruption",
     "NoLoss",
     "NoReordering",
-    "QueueMonitor",
     "ReorderingModel",
     "UniformReordering",
     "Node",
     "Packet",
-    "RedQueue",
     "ReplayLoss",
     "Path",
     "PathConfig",
     "ScheduledLoss",
-    "UtilisationMonitor",
     "build_two_path_network",
     "corrupt_packet",
     "packet_checksum",

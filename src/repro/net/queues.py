@@ -1,14 +1,7 @@
-"""Link queues.
-
-Drop-tail is ns-2's default and what the reproduction uses;
-:class:`RedQueue` (Random Early Detection) is provided as the classic
-alternative AQM so congestion-control behaviour can be studied without
-bufferbloat-driven standing queues.
-"""
+"""Link queues: drop-tail, ns-2's default and what the paper's paths use."""
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Deque, Optional
 
@@ -58,75 +51,3 @@ class DropTailQueue:
 
     def clear(self) -> None:
         self._queue.clear()
-
-
-class RedQueue(DropTailQueue):
-    """Random Early Detection (Floyd & Jacobson 1993), packet-counted.
-
-    Maintains an EWMA of queue occupancy; between ``min_threshold`` and
-    ``max_threshold`` packets are dropped with probability ramping to
-    ``max_probability`` (spread out by the standard count mechanism);
-    above ``max_threshold`` every arrival is dropped. Falls back to tail
-    drop at the hard ``capacity``.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 100,
-        min_threshold: int = 5,
-        max_threshold: int = 15,
-        max_probability: float = 0.1,
-        weight: float = 0.002,
-        rng: Optional[random.Random] = None,
-    ):
-        super().__init__(capacity)
-        if not 0 <= min_threshold < max_threshold <= capacity:
-            raise ValueError(
-                "require 0 <= min_threshold < max_threshold <= capacity"
-            )
-        if not 0.0 < max_probability <= 1.0:
-            raise ValueError("max_probability must be in (0, 1]")
-        if not 0.0 < weight <= 1.0:
-            raise ValueError("weight must be in (0, 1]")
-        self.min_threshold = min_threshold
-        self.max_threshold = max_threshold
-        self.max_probability = max_probability
-        self.weight = weight
-        self._rng = rng or random.Random(0)
-        self.average_queue = 0.0
-        self._count_since_drop = -1
-        self.early_drops = 0
-
-    def _update_average(self) -> None:
-        self.average_queue = (
-            (1.0 - self.weight) * self.average_queue + self.weight * len(self._queue)
-        )
-
-    def _early_drop(self) -> bool:
-        if self.average_queue < self.min_threshold:
-            self._count_since_drop = -1
-            return False
-        if self.average_queue >= self.max_threshold:
-            self._count_since_drop = 0
-            return True
-        self._count_since_drop += 1
-        fraction = (self.average_queue - self.min_threshold) / (
-            self.max_threshold - self.min_threshold
-        )
-        base_probability = self.max_probability * fraction
-        denominator = 1.0 - self._count_since_drop * base_probability
-        probability = (
-            base_probability / denominator if denominator > 0 else 1.0
-        )
-        if self._rng.random() < probability:
-            self._count_since_drop = 0
-            return True
-        return False
-
-    def try_enqueue(self, packet: Packet) -> bool:
-        self._update_average()
-        if self._early_drop():
-            self.drops += 1
-            self.early_drops += 1
-            return False
-        return super().try_enqueue(packet)

@@ -9,9 +9,8 @@ with independently configurable bandwidth, one-way delay and loss.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
@@ -36,14 +35,8 @@ class PathConfig:
     loss_rate: float = 0.0
     loss_model: Optional[LossModel] = None
     queue_capacity: int = 100
-    lossy_reverse: bool = False
-    # Optional factory for the forward-direction queue (e.g. a RedQueue);
-    # None means a DropTailQueue of queue_capacity.
-    queue_factory: Optional[Callable[[], DropTailQueue]] = None
 
     def make_queue(self) -> DropTailQueue:
-        if self.queue_factory is not None:
-            return self.queue_factory()
         return DropTailQueue(self.queue_capacity)
 
     def make_loss_model(self) -> LossModel:
@@ -183,29 +176,6 @@ class Network:
     def link_between(self, src: str, dst: str) -> Link:
         return self._adjacency[src][dst]
 
-    def shortest_route(self, src: str, dst: str) -> List[str]:
-        """BFS hop-count route, for building paths in arbitrary topologies."""
-        if src == dst:
-            return [src]
-        parents: Dict[str, str] = {}
-        frontier = deque([src])
-        seen = {src}
-        while frontier:
-            here = frontier.popleft()
-            for neighbour in self._adjacency[here]:
-                if neighbour in seen:
-                    continue
-                parents[neighbour] = here
-                if neighbour == dst:
-                    route = [dst]
-                    while route[-1] != src:
-                        route.append(parents[route[-1]])
-                    route.reverse()
-                    return route
-                seen.add(neighbour)
-                frontier.append(neighbour)
-        raise ValueError(f"no route from {src!r} to {dst!r}")
-
     def attach_path(
         self, index: int, config: PathConfig, src: str = "src", dst: str = "dst"
     ) -> Path:
@@ -219,15 +189,13 @@ class Network:
         only, so a path's loss realisation is identical whether it existed
         from t=0 or appeared later.
         """
-        loss_forward = config.make_loss_model()
-        loss_reverse = config.make_loss_model() if config.lossy_reverse else NoLoss()
         forward = Link(
             sim=self.sim,
             name=f"{src}->{dst}#{index}",
             dst_node=self.nodes[dst],
             bandwidth_bps=config.bandwidth_bps,
             delay_s=config.delay_s,
-            loss_model=loss_forward,
+            loss_model=config.make_loss_model(),
             queue=config.make_queue(),
             rng=self.rng.get(f"loss:path{index}:fwd"),
             trace=self.trace,
@@ -238,8 +206,8 @@ class Network:
             dst_node=self.nodes[src],
             bandwidth_bps=config.bandwidth_bps,
             delay_s=config.delay_s,
-            loss_model=loss_reverse,
-            queue=DropTailQueue(config.queue_capacity),
+            loss_model=NoLoss(),
+            queue=config.make_queue(),
             rng=self.rng.get(f"loss:path{index}:rev"),
             trace=self.trace,
         )
@@ -352,10 +320,6 @@ def build_two_path_network(
     paths: List[Path] = []
     for index, config in enumerate(path_configs):
         if with_edge_routers:
-            loss_forward = config.make_loss_model()
-            loss_reverse = (
-                config.make_loss_model() if config.lossy_reverse else NoLoss()
-            )
             router = f"r{index}"
             network.add_node(router)
             network.add_duplex_link(
@@ -366,8 +330,8 @@ def build_two_path_network(
                 "dst",
                 bandwidth_bps=config.bandwidth_bps,
                 delay_s=config.delay_s,
-                loss_forward=loss_forward,
-                loss_reverse=loss_reverse,
+                loss_forward=config.make_loss_model(),
+                loss_reverse=NoLoss(),
                 queue_capacity=config.queue_capacity,
             )
             paths.append(network.make_path(f"path{index}", ["src", router, "dst"]))

@@ -5,8 +5,9 @@ blocks, in-flight symbols, the reorder buffer, partially decoded
 matrices. What survives is whatever the endpoint last made durable:
 
 * the **sender** checkpoints periodically (its decoded frontier, the
-  matching stream byte offset and, for FMTCP, the adaptive completeness
-  margin; for MPTCP, the chunk map of unacked chunk sizes);
+  matching stream byte offset and, for FMTCP, the completeness margin —
+  a watchdog boost survives the restart; for MPTCP, the chunk map of
+  unacked chunk sizes);
 * the **receiver** is implicitly checkpointed by delivery itself —
   handing a unit to the application *is* the durable commit, so its
   delivered frontier at crash time is exact, while anything still in
@@ -52,7 +53,7 @@ class SenderCheckpoint:
     ``frontier`` is in protocol units (FMTCP blocks / MPTCP chunks) and
     ``byte_offset`` the matching application-stream offset — the point
     the replayable source must rewind to at restore. ``margin`` is
-    FMTCP's adaptive completeness margin (None for MPTCP); ``chunk_map``
+    FMTCP's current completeness margin (None for MPTCP); ``chunk_map``
     is MPTCP's unacked (dsn, size) map (empty for FMTCP).
     """
 
@@ -173,7 +174,7 @@ def snapshot_sender(connection) -> SenderCheckpoint:
         )
     return SenderCheckpoint(
         protocol="mptcp",
-        frontier=int(connection._data_acked),
+        frontier=int(connection.data_acked),
         byte_offset=int(connection._acked_bytes),
         chunk_map=tuple(sorted(connection._chunk_sizes.items())),
     )

@@ -214,24 +214,15 @@ class ProbedGate:
     def __init__(
         self,
         sim: Any,
-        config: Any,
         capacity: int,
         blocked: Callable[[], bool],
         pump: Callable[[], None],
     ):
-        self.gate = WindowGate(
-            capacity,
-            high_watermark=config.flow_high_watermark,
-            low_watermark=config.flow_low_watermark,
-        )
+        # Watermarks and probe intervals are the two classes' own defaults.
+        self.gate = WindowGate(capacity)
         self._blocked = blocked
         self._pump = pump
-        self._prober = ZeroWindowProber(
-            sim,
-            self._fire,
-            initial_s=config.zero_window_probe_s,
-            max_s=config.zero_window_probe_max_s,
-        )
+        self._prober = ZeroWindowProber(sim, self._fire)
         self.probe_due = False
 
     def _fire(self) -> bool:

@@ -1,14 +1,14 @@
 """No-progress watchdog with graceful degradation.
 
 Watches one connection's goodput (``delivered_bytes``). When nothing is
-delivered for a stall window (``stall_rtts`` × the slowest subflow's
+delivered for a stall window (``_STALL_RTTS`` × the slowest subflow's
 SRTT, floored at ``min_stall_s``), it escalates one rung per further
 stall window instead of letting the transfer hang:
 
 1. **shed telemetry** — stop the periodic samplers riding the run, so a
    resource-starved simulation sheds its own observation cost first;
 2. **raise redundancy** — bump an FMTCP sender's completeness margin by
-   ``margin_boost`` (more in-flight head-room per block) and pump; a
+   ``_MARGIN_BOOST`` (more in-flight head-room per block) and pump; a
    stack with no margin passes through this rung as a no-op;
 3. **fail cleanly** — declare the transfer failed with a structured
    diagnosis (subflow, window and memory state), emit ``watchdog.failed``
@@ -26,20 +26,21 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 
+# How often delivered_bytes is compared with its last reading.
+_CHECK_PERIOD_S = 0.25
+# Stall threshold: max(min_stall_s, _STALL_RTTS * max subflow SRTT).
+_STALL_RTTS = 8.0
+# Rung 2: added to an FMTCP sender's completeness margin.
+_MARGIN_BOOST = 8.0
+
+
 @dataclass
 class WatchdogConfig:
-    """Tunables for stall detection and the escalation ladder."""
+    """The stall-window floor (the rest of the ladder is fixed)."""
 
-    check_period_s: float = 0.25
-    # Stall threshold: max(min_stall_s, stall_rtts * max subflow SRTT).
-    stall_rtts: float = 8.0
     min_stall_s: float = 1.0
-    # Rung 2: added to an FMTCP sender's completeness margin.
-    margin_boost: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.check_period_s <= 0:
-            raise ValueError("check_period_s must be positive")
         if self.min_stall_s <= 0:
             raise ValueError("min_stall_s must be positive")
 
@@ -87,7 +88,7 @@ class Watchdog:
             return
         self._last_progress_bytes = int(self.connection.delivered_bytes)
         self._last_progress_at = self.sim.now
-        self._event = self.sim.schedule(self.config.check_period_s, self._tick)
+        self._event = self.sim.schedule(_CHECK_PERIOD_S, self._tick)
 
     def stop(self) -> None:
         if self._event is not None:
@@ -103,7 +104,7 @@ class Watchdog:
             for subflow in getattr(self.connection, "subflows", [])
             if subflow.srtt > 0
         ]
-        rtt_based = self.config.stall_rtts * max(srtts, default=0.0)
+        rtt_based = _STALL_RTTS * max(srtts, default=0.0)
         return max(self.config.min_stall_s, rtt_based)
 
     def _tick(self) -> None:
@@ -118,7 +119,7 @@ class Watchdog:
             # Each rung gets a full stall window before the next one.
             self._last_progress_at = self.sim.now
         if not self.failed:
-            self._event = self.sim.schedule(self.config.check_period_s, self._tick)
+            self._event = self.sim.schedule(_CHECK_PERIOD_S, self._tick)
 
     # ------------------------------------------------------------------
     # Escalation ladder.
@@ -146,7 +147,7 @@ class Watchdog:
         sender = getattr(self.connection, "sender", None)
         margin = getattr(sender, "margin", None)
         if margin is not None:
-            sender.margin = margin + self.config.margin_boost
+            sender.margin = margin + _MARGIN_BOOST
             self.margin_boosts += 1
             self._emit("watchdog.margin_boost", margin=sender.margin)
             sender.pump_all()

@@ -64,14 +64,6 @@ class MultipathConfig:
     # pre-flow-control behaviour); a rate in bytes/s models a slow
     # reader; 0.0 models an app that stopped reading entirely.
     recv_drain_rate_bps: Optional[float] = None
-    # Backpressure hysteresis (fractions of the receive window): pause
-    # introducing new units when the receiver-held backlog crosses high,
-    # resume once it falls back to low.
-    flow_high_watermark: float = 0.75
-    flow_low_watermark: float = 0.5
-    # Zero-window probing: initial interval and exponential-backoff cap.
-    zero_window_probe_s: float = 0.5
-    zero_window_probe_max_s: float = 4.0
 
     def __post_init__(self) -> None:
         # Each range is tested as `not (inside it)`, which NaN fails too.
@@ -96,14 +88,6 @@ class MultipathConfig:
             )
         if self.recv_drain_rate_bps is not None and self.recv_drain_rate_bps < 0:
             raise ValueError("recv_drain_rate_bps must be >= 0 or None")
-        if not 0.0 < self.flow_low_watermark <= self.flow_high_watermark <= 1.0:
-            raise ValueError("flow watermarks must satisfy 0 < low <= high <= 1")
-        if self.zero_window_probe_s <= 0:
-            raise ValueError("zero_window_probe_s must be positive")
-        if self.zero_window_probe_max_s < self.zero_window_probe_s:
-            raise ValueError(
-                "zero_window_probe_max_s must be >= zero_window_probe_s"
-            )
 
 
 def build_subflow(

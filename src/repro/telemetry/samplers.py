@@ -27,9 +27,9 @@ from repro.telemetry.registry import MetricsRegistry
 class PeriodicSampler:
     """Base class: a restartable sampling loop with clean shutdown.
 
-    Subclasses implement :meth:`sample`. Unlike the legacy monitors in
-    ``repro.net.monitors``, the pending event is cancelled on ``stop()``
-    so no tombstone timers outlive the component being observed.
+    Subclasses implement :meth:`sample`. The pending event is cancelled
+    on ``stop()`` so no tombstone timers outlive the component being
+    observed.
     """
 
     def __init__(self, sim: Simulator, period_s: float):

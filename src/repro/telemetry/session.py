@@ -16,7 +16,7 @@ that simply does not exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
@@ -32,18 +32,16 @@ from repro.telemetry.spans import SpanCollector
 class TelemetryConfig:
     """What to observe during a run.
 
-    ``trace_path`` streams records to JSONL via
-    :class:`~repro.sim.tracefile.TraceFileWriter` (``trace_kinds`` limits
-    which; ``None`` means everything). ``profile_sim`` attaches the
-    engine profiler. ``flight_capacity`` > 0 keeps a flight-recorder ring
-    available for dumping on failures. ``spans`` attaches a live
+    ``trace_path`` streams every record to JSONL via
+    :class:`~repro.sim.tracefile.TraceFileWriter`. ``profile_sim`` attaches
+    the engine profiler. ``flight_capacity`` > 0 keeps a flight-recorder
+    ring available for dumping on failures. ``spans`` attaches a live
     :class:`~repro.telemetry.spans.SpanCollector` whose per-stage delay
     decomposition lands in ``TelemetryReport.spans``.
     """
 
     sample_period_s: float = 0.1
     trace_path: Optional[str] = None
-    trace_kinds: Optional[Tuple[str, ...]] = None
     profile_sim: bool = False
     flight_capacity: int = 0
     spans: bool = False
@@ -113,9 +111,7 @@ class TelemetrySession:
         self._finished = False
 
         if self.config.trace_path is not None:
-            self.writer = TraceFileWriter(
-                trace, self.config.trace_path, kinds=self.config.trace_kinds
-            )
+            self.writer = TraceFileWriter(trace, self.config.trace_path)
         if self.config.profile_sim:
             self.profiler = SimProfiler()
             sim.set_profiler(self.profiler)

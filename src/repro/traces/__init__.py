@@ -33,7 +33,7 @@ from repro.traces.model import (
     load_trace_csv,
     parse_trace_csv,
 )
-from repro.traces.player import TracePlayer, attach_players
+from repro.traces.player import TracePlayer
 
 __all__ = [
     "BUNDLED_TRACES",
@@ -44,7 +44,6 @@ __all__ = [
     "TraceFormatError",
     "TracePlayer",
     "TraceSample",
-    "attach_players",
     "cellular_trace",
     "gprs_trace",
     "incast_trace",

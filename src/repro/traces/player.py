@@ -22,7 +22,7 @@ drawing from its own RNG stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.net.loss import BernoulliLoss
 from repro.sim.engine import Simulator
@@ -152,18 +152,3 @@ class TracePlayer:
             f"<TracePlayer {self.trace.name!r} over {len(self.links)} "
             f"link(s) {state}>"
         )
-
-
-def attach_players(
-    sim: Simulator,
-    links_by_group: Sequence[Sequence],
-    trace: LinkTrace,
-    step_s: float = 0.1,
-    bus: Optional[TraceBus] = None,
-) -> List[TracePlayer]:
-    """One player per link group (e.g. per path), all sharing one trace."""
-    return [
-        TracePlayer(sim, links, trace, step_s=step_s, bus=bus)
-        for links in links_by_group
-        if links
-    ]

@@ -8,19 +8,16 @@ from repro.workloads.scenarios import (
     table1_path_configs,
 )
 from repro.workloads.sources import BulkSource, CbrSource, RandomPayloadSource
-from repro.workloads.presets import PRESETS, paths_for
 from repro.workloads.video import VbrVideoSource
 
 __all__ = [
     "BulkSource",
-    "PRESETS",
     "CbrSource",
     "RandomPayloadSource",
     "SUBFLOW1_CONFIG",
     "TABLE1_CASES",
     "TestCase",
     "VbrVideoSource",
-    "paths_for",
     "surge_path_configs",
     "table1_path_configs",
 ]

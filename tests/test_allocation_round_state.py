@@ -32,9 +32,9 @@ from repro.faults import (
     run_churn,
     run_corruption,
     run_exhaustion,
-    run_recovery,
     run_traces,
 )
+from repro.recovery import run_recovery
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 
 
@@ -139,18 +139,12 @@ def test_shadow_agrees_on_table1(shadow, case_id):
     _assert_exercised(shadow)
 
 
-def test_shadow_agrees_with_aging_and_adaptive_margin_on(shadow):
-    """The time-dependent loss estimate and a margin the sender itself
-    moves: both are round-state inputs."""
-    config = FmtcpConfig(
-        loss_estimate_half_life_s=0.5,
-        adaptive_margin=True,
-        adaptive_margin_window=5,
-        adaptive_margin_target_miss=0.0,
-    )
+def test_shadow_agrees_with_aging_on(shadow):
+    """The time-dependent loss estimate is a round-state input (a moved
+    margin is the ``slow_drain_receiver`` case below: the watchdog boost)."""
+    config = FmtcpConfig(loss_estimate_half_life_s=0.5)
     result = _table1(4, duration_s=10.0, config=config)
     assert result.summary["blocks"] > 0
-    assert shadow["margin_writes"] > 1
     _assert_exercised(shadow)
 
 

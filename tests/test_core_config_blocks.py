@@ -8,6 +8,10 @@ import pytest
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
 from repro.mptcp.connection import MptcpConfig
+from repro.net.topology import PathConfig
+from repro.robustness.watchdog import WatchdogConfig
+from repro.tcp.multipath import MultipathConfig
+from repro.telemetry.session import TelemetryConfig
 from repro.workloads.sources import BulkSource
 
 
@@ -44,10 +48,8 @@ def test_config_validation():
     [
         # Was a ZeroDivisionError inside Subflow.aged_loss_estimate mid-transfer.
         ("loss_estimate_half_life_s", [0.0, -1.0, math.nan]),
-        ("probe_interval_s", [0.0, -0.5, math.nan]),
         # Was a transfer that silently sent nothing.
         ("max_pending_blocks", [0, -3]),
-        ("loss_estimate_floor", [-0.01, 1.0, 1.5, math.nan]),
         ("symbol_header_bytes", [-1]),
     ],
 )
@@ -60,14 +62,11 @@ def test_config_rejects_the_inputs_an_allocation_round_keys_on(field, bad_values
 def test_config_accepts_the_boundary_values_of_those_inputs():
     config = FmtcpConfig(
         loss_estimate_half_life_s=1e-3,
-        probe_interval_s=1e-3,
         max_pending_blocks=1,
-        loss_estimate_floor=0.0,
         symbol_header_bytes=0,
     )
     assert config.symbol_wire_size == config.symbol_size
-    assert FmtcpConfig(loss_estimate_half_life_s=None, probe_interval_s=None)
-    assert FmtcpConfig(loss_estimate_floor=0.99).loss_estimate_floor == 0.99
+    assert FmtcpConfig(loss_estimate_half_life_s=None)
 
 
 # ----------------------------------------------------------------------
@@ -100,17 +99,7 @@ def test_shared_fields_are_rejected_with_field_and_value(config_class, field, ba
 
 
 @BOTH_CONFIGS
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"recv_drain_rate_bps": -1.0},
-        {"flow_low_watermark": 0.0},
-        {"flow_low_watermark": 0.9, "flow_high_watermark": 0.8},
-        {"flow_high_watermark": 1.5},
-        {"zero_window_probe_s": 0.0},
-        {"zero_window_probe_s": 2.0, "zero_window_probe_max_s": 1.0},
-    ],
-)
+@pytest.mark.parametrize("overrides", [{"recv_drain_rate_bps": -1.0}])
 def test_shared_flow_control_fields_are_rejected(config_class, overrides):
     with pytest.raises(ValueError):
         config_class(**overrides)
@@ -121,8 +110,6 @@ def test_shared_fields_accept_their_boundary_values(config_class):
     config = config_class(
         mss=34, min_rto=1e-3, initial_cwnd=0.5, dup_ack_threshold=1,
         congestion="lia", failover_rto_threshold=None, recv_drain_rate_bps=0.0,
-        flow_low_watermark=1.0, flow_high_watermark=1.0,
-        zero_window_probe_s=1.0, zero_window_probe_max_s=1.0,
     )
     assert config.congestion == "lia" and config.mss == 34
 
@@ -139,8 +126,6 @@ SHARED_DEFAULTS = {
     "mss": 1400, "congestion": "reno", "initial_cwnd": 2.0,
     "dup_ack_threshold": 3, "min_rto": 0.2, "failover_rto_threshold": 3,
     "flow_control": False, "recv_drain_rate_bps": None,
-    "flow_high_watermark": 0.75, "flow_low_watermark": 0.5,
-    "zero_window_probe_s": 0.5, "zero_window_probe_max_s": 4.0,
 }
 
 
@@ -153,12 +138,8 @@ SHARED_DEFAULTS = {
                 "symbols_per_block": 256, "symbol_size": 32,
                 "symbol_header_bytes": 2, "delta_hat": 1e-3,
                 "max_pending_blocks": 16, "coding": "statistical",
-                "systematic": False, "code": "rlc", "allocation": "eat",
-                "loss_estimate_floor": 0.0, "probe_interval_s": 1.0,
-                "loss_estimate_half_life_s": None, "adaptive_margin": False,
-                "adaptive_margin_target_miss": 0.02, "adaptive_margin_window": 50,
-                "adaptive_margin_floor": 3.0, "adaptive_margin_ceiling": 30.0,
-                "probe_chain_threshold": 0.2, "recv_window_blocks": 32,
+                "systematic": False, "allocation": "eat",
+                "loss_estimate_half_life_s": None, "recv_window_blocks": 32,
             },
         ),
         (
@@ -169,14 +150,35 @@ SHARED_DEFAULTS = {
                 "opportunistic_retransmission": False,
             },
         ),
+        (
+            PathConfig,
+            {
+                "bandwidth_bps": 4e6, "delay_s": 0.100, "loss_rate": 0.0,
+                "loss_model": None, "queue_capacity": 100,
+            },
+        ),
+        (WatchdogConfig, {"min_stall_s": 1.0}),
+        (
+            TelemetryConfig,
+            {
+                "sample_period_s": 0.1, "trace_path": None, "profile_sim": False,
+                "flight_capacity": 0, "spans": False,
+            },
+        ),
     ],
 )
 def test_config_surface_is_the_pre_skeleton_one(config_class, own_defaults):
-    """Moving twelve fields into a base added, renamed and re-defaulted
-    nothing: 31 FMTCP and 17 MPTCP fields, as before the skeleton."""
+    """Every settable value, by name and default: the pre-skeleton surface
+    minus the nineteen fields the PR 18 traffic census found nothing set
+    (ROADMAP item 6). A knob added back — or a new one — fails here and in
+    ``test_repo_consistency.py::test_every_config_field_has_traffic``."""
+    shared = SHARED_DEFAULTS if issubclass(config_class, MultipathConfig) else {}
     fields = {f.name: f.default for f in dataclasses.fields(config_class)}
-    assert fields == {**SHARED_DEFAULTS, **own_defaults}
-    assert len(fields) == {FmtcpConfig: 31, MptcpConfig: 17}[config_class]
+    assert fields == {**shared, **own_defaults}
+    assert len(fields) == {
+        FmtcpConfig: 18, MptcpConfig: 13, PathConfig: 5,
+        WatchdogConfig: 1, TelemetryConfig: 5,
+    }[config_class]
 
 
 # ----------------------------------------------------------------------

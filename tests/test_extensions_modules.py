@@ -1,5 +1,5 @@
-"""Tests for the extension modules: systematic coding, RED queues,
-fairness, replication, reporting and trace export."""
+"""Tests for the extension modules: systematic coding, fairness,
+replication, reporting and trace export."""
 
 import random
 
@@ -20,8 +20,6 @@ from repro.experiments.reporting import (
     sparkline,
 )
 from repro.fountain.codec import BlockDecoder, SystematicBlockEncoder
-from repro.net.packet import Packet
-from repro.net.queues import RedQueue
 from repro.net.topology import PathConfig, build_shared_bottleneck_network
 from repro.sim.trace import TraceBus
 from repro.sim.tracefile import TraceFileWriter, read_trace_file
@@ -81,75 +79,6 @@ def test_systematic_fmtcp_end_to_end():
 def test_systematic_requires_real_coding():
     with pytest.raises(ValueError):
         FmtcpConfig(systematic=True, coding="statistical")
-
-
-# ----------------------------------------------------------------------
-# RED queue.
-# ----------------------------------------------------------------------
-def make_packet():
-    return Packet(size=1000, src="a", dst="b", src_port=1, dst_port=2)
-
-
-def test_red_accepts_below_min_threshold():
-    queue = RedQueue(capacity=50, min_threshold=5, max_threshold=15)
-    for __ in range(4):
-        assert queue.try_enqueue(make_packet())
-    assert queue.early_drops == 0
-
-
-def test_red_drops_probabilistically_between_thresholds():
-    queue = RedQueue(
-        capacity=200, min_threshold=5, max_threshold=15,
-        max_probability=0.5, weight=1.0, rng=random.Random(0),
-    )
-    outcomes = []
-    for __ in range(200):
-        outcomes.append(queue.try_enqueue(make_packet()))
-        if len(queue) > 10:
-            queue.dequeue()  # hold occupancy in the RED band
-    assert queue.early_drops > 0
-    assert any(outcomes)
-
-
-def test_red_force_drops_above_max_threshold():
-    queue = RedQueue(
-        capacity=100, min_threshold=2, max_threshold=5, weight=1.0,
-        rng=random.Random(0),
-    )
-    drops_before = queue.drops
-    for __ in range(30):
-        queue.try_enqueue(make_packet())
-    # Average sits above max_threshold quickly -> every arrival dropped.
-    assert queue.drops > drops_before
-    assert len(queue) <= 7
-
-
-def test_red_average_tracks_occupancy():
-    queue = RedQueue(capacity=100, min_threshold=20, max_threshold=60, weight=0.5)
-    for __ in range(10):
-        queue.try_enqueue(make_packet())
-    assert 0.0 < queue.average_queue <= 10.0
-
-
-def test_red_validation():
-    with pytest.raises(ValueError):
-        RedQueue(capacity=10, min_threshold=8, max_threshold=8)
-    with pytest.raises(ValueError):
-        RedQueue(max_probability=0.0)
-    with pytest.raises(ValueError):
-        RedQueue(weight=2.0)
-
-
-def test_red_usable_as_path_queue():
-    config = PathConfig(
-        bandwidth_bps=8e6,
-        delay_s=0.01,
-        queue_factory=lambda: RedQueue(capacity=50),
-    )
-    from repro.net.topology import build_two_path_network
-
-    network, paths = build_two_path_network([config])
-    assert isinstance(paths[0].forward_links[0].queue, RedQueue)
 
 
 # ----------------------------------------------------------------------

@@ -122,10 +122,10 @@ def _violating_runs():
         run_churn,
         run_corruption,
         run_exhaustion,
-        run_recovery,
         run_traces,
         trace_replay_scenario,
     )
+    from repro.recovery import run_recovery
 
     handover = [FaultEvent(2.0, "handover", 0, (1, 0.3))]
     corrupt = [FaultEvent(1.0, "corrupt", 1, 0.05), FaultEvent(4.0, "corrupt", 1, None)]

@@ -20,27 +20,6 @@ def test_add_link_requires_existing_nodes():
         network.add_link("a", "missing", 1e6, 0.01)
 
 
-def test_shortest_route_bfs():
-    network = Network()
-    for name in "abcd":
-        network.add_node(name)
-    network.add_duplex_link("a", "b", 1e6, 0.01)
-    network.add_duplex_link("b", "c", 1e6, 0.01)
-    network.add_duplex_link("c", "d", 1e6, 0.01)
-    network.add_duplex_link("a", "d", 1e6, 0.01)  # shortcut
-    assert network.shortest_route("a", "d") == ["a", "d"]
-    assert network.shortest_route("a", "c") in (["a", "b", "c"], ["a", "d", "c"])
-    assert network.shortest_route("a", "a") == ["a"]
-
-
-def test_shortest_route_unreachable():
-    network = Network()
-    network.add_node("a")
-    network.add_node("b")
-    with pytest.raises(ValueError):
-        network.shortest_route("a", "b")
-
-
 def test_make_path_multi_hop_delivery():
     network = Network()
     for name in ("src", "r", "dst"):
@@ -126,9 +105,3 @@ def test_path_config_reverse_lossless_by_default():
     network, paths = build_two_path_network([config])
     assert paths[0].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.3)
     assert paths[0].reverse_links[0].loss_model.rate_at(0.0) == 0.0
-
-
-def test_path_config_lossy_reverse():
-    config = PathConfig(loss_rate=0.3, lossy_reverse=True)
-    network, paths = build_two_path_network([config])
-    assert paths[0].reverse_links[0].loss_model.rate_at(0.0) == pytest.approx(0.3)

@@ -4,7 +4,10 @@ Keeps README/DESIGN/EXPERIMENTS honest as the codebase evolves — every
 example, benchmark and CLI command mentioned must actually exist.
 """
 
+import ast
+import dataclasses
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -131,3 +134,79 @@ def test_benchmark_boundary_table_resolves():
 )
 def test_code_line_counting_rule(source, expected):
     assert load_script("benchmarks/codelines.py").code_lines(source) == expected
+
+
+# ----------------------------------------------------------------------
+# The traffic census (ROADMAP item 6): a config field is set by something
+# that runs, or it is not a field.
+# ----------------------------------------------------------------------
+#: Fields nothing outside ``tests/`` sets, kept for the reason given. An
+#: entry that gains traffic must leave (the test says so), so the list
+#: only shrinks.
+UNSET_FIELDS_KEPT = {
+    "systematic": (
+        "benchmarks/perf/tracer.py resolves SystematicBlockEncoder.next_symbol "
+        "with vars(owner)[attr]; needs a benchmark-only PR first"
+    ),
+    "loss_estimate_half_life_s": (
+        "benchmarks/perf/tracer.py resolves Subflow.aged_loss_estimate the "
+        "same way; needs a benchmark-only PR first"
+    ),
+    "failover_rto_threshold": (
+        "open ROADMAP item 4 names it as an input of the paper_era baseline"
+    ),
+    "dup_ack_threshold": (
+        "pass-through to Subflow, which has callers of its own; left for "
+        "the next census"
+    ),
+}
+
+
+def _keywords_passed_by_file() -> dict:
+    """File → every keyword-argument name a call in it passes, for the
+    files under ``benchmarks/``, ``examples/`` and ``src/``."""
+    return {
+        path: {
+            keyword.arg
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            for keyword in node.keywords
+        }
+        for root in ("benchmarks", "examples", "src")
+        for path in (REPO / root).rglob("*.py")
+    }
+
+
+def test_every_config_field_has_traffic():
+    """A benchmark, example, experiment, harness or CLI verb passes each
+    config field by keyword, or the field is listed above with the reason
+    it stays. Its own module, its own tests, a re-export and a docs line
+    are not traffic; a knob with one value in use is a constant."""
+    from repro.core.config import FmtcpConfig
+    from repro.mptcp.connection import MptcpConfig
+    from repro.net.topology import PathConfig
+    from repro.robustness.watchdog import WatchdogConfig
+    from repro.telemetry.session import TelemetryConfig
+
+    assert all(reason.strip() for reason in UNSET_FIELDS_KEPT.values())
+    passed_by_file = _keywords_passed_by_file()
+    unset = set()
+    for config_class in (
+        FmtcpConfig, MptcpConfig, PathConfig, WatchdogConfig, TelemetryConfig
+    ):
+        for field in dataclasses.fields(config_class):
+            owner = next(
+                cls for cls in config_class.__mro__
+                if field.name in vars(cls).get("__annotations__", ())
+            )
+            defining_module = Path(inspect.getsourcefile(owner))
+            if not any(
+                field.name in passed
+                for path, passed in passed_by_file.items()
+                if path != defining_module
+            ):
+                unset.add(field.name)
+    assert unset == set(UNSET_FIELDS_KEPT), (
+        f"no traffic and no recorded reason: {sorted(unset - set(UNSET_FIELDS_KEPT))}; "
+        f"listed but set or gone: {sorted(set(UNSET_FIELDS_KEPT) - unset)}"
+    )

@@ -50,17 +50,11 @@ def make_sender(config=None, subflows=None, trace=None):
 
 
 # ----------------------------------------------------------------------
-# Loss-rate clamping and floors.
+# Loss-rate clamping.
 # ----------------------------------------------------------------------
 def test_loss_rate_clamped_below_one():
     sender, __ = make_sender(subflows=[FakeSubflow(0, loss=0.999)])
     assert sender.loss_rate_of(0) == pytest.approx(0.95)
-
-
-def test_loss_rate_floor_applied():
-    config = FmtcpConfig(loss_estimate_floor=0.02)
-    sender, __ = make_sender(config=config, subflows=[FakeSubflow(0, loss=0.0)])
-    assert sender.loss_rate_of(0) == pytest.approx(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -94,15 +88,6 @@ def test_probe_chain_fires_right_after_ack_on_distrusted_path():
     subflow.loss_rate_estimate = 0.5  # and the path is still distrusted
     assert sender._should_probe(subflow)
     subflow.loss_rate_estimate = 0.05  # trusted path: no chain needed
-    assert not sender._should_probe(subflow)
-
-
-def test_probe_disabled_by_config():
-    config = FmtcpConfig(probe_interval_s=None)
-    sender, sim = make_sender(config=config)
-    subflow = sender.subflows[0]
-    sim.schedule(10.0, lambda: None)
-    sim.run()
     assert not sender._should_probe(subflow)
 
 

@@ -19,12 +19,12 @@ from repro.faults import (
     run_churn,
     run_corruption,
     run_exhaustion,
-    run_recovery,
     run_traces,
 )
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
+from repro.recovery import run_recovery
 from repro.recovery.harness import RECOVERY
 from repro.robustness.exhaustion import EXHAUSTION
 from repro.traces.harness import TRACES
@@ -157,6 +157,13 @@ def test_every_harness_checks_at_least_what_it_checked_before():
 # ----------------------------------------------------------------------
 # Import order and one-way-to-do-it structure.
 # ----------------------------------------------------------------------
+def _fresh_interpreter(code: str) -> None:
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, cwd="/", timeout=60,
+        env={"PYTHONPATH": str(REPO / "src")},
+    )
+
+
 @pytest.mark.parametrize(
     "first",
     ["repro.faults", "repro.recovery", "repro.traces", "repro.robustness", "repro.soak",
@@ -167,12 +174,21 @@ def test_packages_import_in_any_order(first):
     code = (
         f"import {first}\n"
         "import repro.faults, repro.recovery, repro.traces, repro.robustness, repro.soak\n"
-        "from repro.faults import run_recovery, run_traces, measure_recovery\n"
+        "from repro.faults import run_traces\n"
+        "from repro.recovery import run_recovery, measure_recovery\n"
         "from repro.robustness import run_exhaustion\n"
     )
-    subprocess.run(
-        [sys.executable, "-c", code], check=True, cwd="/", timeout=60,
-        env={"PYTHONPATH": str(REPO / "src")},
+    _fresh_interpreter(code)
+
+
+def test_faults_does_not_import_recovery():
+    """The recovery harness builds on ``repro.faults``, never the other
+    way round (the parametrised case above loads them in both orders)."""
+    _fresh_interpreter(
+        "import sys, repro.faults\n"
+        "loaded = [name for name in sys.modules if name.startswith('repro.recovery')]\n"
+        "assert not loaded, loaded\n"
+        "assert not hasattr(repro.faults, 'run_recovery')\n"
     )
 
 

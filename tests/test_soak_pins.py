@@ -30,9 +30,9 @@ from repro.faults import (
     run_churn,
     run_corruption,
     run_exhaustion,
-    run_recovery,
     run_traces,
 )
+from repro.recovery import run_recovery
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "soak_pins.json")
 DUMP_PATHS = ("flight_dump_path", "profile_dump_path", "watchdog_dump_path")

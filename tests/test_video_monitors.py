@@ -1,15 +1,15 @@
-"""Tests for the VBR video source and the link/queue monitors."""
+"""Tests for the VBR video source, and for what a saturating flow does
+to a link's queue and utilisation."""
 
 import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
 from repro.metrics.collectors import MetricsSuite
-from repro.net.monitors import QueueMonitor, UtilisationMonitor
-from repro.net.queues import RedQueue
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceBus
 from repro.workloads.sources import BulkSource
 from repro.workloads.video import VbrVideoSource
@@ -116,18 +116,12 @@ def test_vbr_streams_over_fmtcp():
 
 
 # ----------------------------------------------------------------------
-# Monitors.
+# Link state under a saturating flow (sampled with a plain PeriodicTimer).
 # ----------------------------------------------------------------------
-def saturated_link_network(queue_factory=None):
+def saturated_link_network():
     trace = TraceBus()
     network, paths = build_two_path_network(
-        [
-            PathConfig(
-                bandwidth_bps=4e6,
-                delay_s=0.05,
-                queue_factory=queue_factory,
-            )
-        ],
+        [PathConfig(bandwidth_bps=4e6, delay_s=0.05)],
         rng=RngStreams(7),
         trace=trace,
     )
@@ -135,89 +129,36 @@ def saturated_link_network(queue_factory=None):
         network.sim, paths, BulkSource(), config=FmtcpConfig(), trace=trace,
         rng=RngStreams(7),
     )
-    return network, paths, connection
+    return network, paths[0].forward_links[0], connection
 
 
-def test_queue_monitor_sees_bufferbloat_under_droptail():
-    network, paths, connection = saturated_link_network()
-    monitor = QueueMonitor(network.sim, paths[0].forward_links[0], period_s=0.1)
-    monitor.start()
+def test_reno_keeps_a_standing_droptail_queue():
+    network, link, connection = saturated_link_network()
+    depths = []
+    PeriodicTimer(
+        network.sim, 0.1, lambda __: depths.append(len(link.queue))
+    ).start(fire_now=False)
     connection.start()
     network.sim.run(until=20.0)
     # Reno fills the drop-tail queue: a standing queue tens deep.
-    assert monitor.mean_depth() > 20
-    assert monitor.max_depth() <= 100
+    assert sum(depths) / len(depths) > 20
+    assert max(depths) <= link.queue.capacity == 100
 
 
-def test_red_keeps_queue_short():
-    network, paths, connection = saturated_link_network(
-        queue_factory=lambda: RedQueue(
-            capacity=100, min_threshold=5, max_threshold=20, max_probability=0.2
-        )
-    )
-    monitor = QueueMonitor(network.sim, paths[0].forward_links[0], period_s=0.1)
-    monitor.start()
-    connection.start()
-    network.sim.run(until=20.0)
-    assert monitor.mean_depth() < 20
-
-
-def test_utilisation_monitor_full_link():
-    network, paths, connection = saturated_link_network()
-    monitor = UtilisationMonitor(network.sim, paths[0].forward_links[0], period_s=1.0)
-    monitor.start()
+def test_saturating_fmtcp_flow_keeps_the_link_utilised():
+    network, link, connection = saturated_link_network()
+    delivered = []
+    PeriodicTimer(
+        network.sim, 1.0, lambda __: delivered.append(link.bytes_delivered)
+    ).start()
     connection.start()
     network.sim.run(until=10.0)
-    assert monitor.mean_utilisation() > 0.85
-    assert all(value <= 1.05 for __, value in monitor.samples)
-
-
-def test_monitor_stop_halts_sampling():
-    network, paths, connection = saturated_link_network()
-    monitor = QueueMonitor(network.sim, paths[0].forward_links[0], period_s=0.1)
-    monitor.start()
-    connection.start()
-    network.sim.run(until=1.0)
-    count = len(monitor.samples)
-    monitor.stop()
-    network.sim.run(until=2.0)
-    assert len(monitor.samples) == count
-
-
-@pytest.mark.parametrize("monitor_cls", [QueueMonitor, UtilisationMonitor])
-def test_monitor_stop_cancels_pending_event(monitor_cls):
-    """stop() must cancel the in-flight sample event so a stopped monitor
-    does not keep the event heap alive (chaos-soak asserts
-    pending_events == 0 after teardown)."""
-    network, paths, __ = saturated_link_network()
-    sim = network.sim
-    monitor = monitor_cls(sim, paths[0].forward_links[0], period_s=0.1)
-    monitor.start()
-    assert sim.pending_events == 1
-    monitor.stop()
-    sim.drain_cancelled()
-    assert sim.pending_events == 0
-    # start/stop mid-run behaves the same.
-    monitor.start()
-    sim.run(until=0.35)
-    monitor.stop()
-    sim.drain_cancelled()
-    assert sim.pending_events == 0
-
-
-def test_monitor_start_is_idempotent():
-    network, paths, __ = saturated_link_network()
-    monitor = QueueMonitor(network.sim, paths[0].forward_links[0], period_s=0.1)
-    monitor.start()
-    monitor.start()
-    assert network.sim.pending_events == 1
-    monitor.stop()
-
-
-def test_monitor_validation():
-    sim = Simulator()
-    network, paths, __ = saturated_link_network()
-    with pytest.raises(ValueError):
-        QueueMonitor(sim, paths[0].forward_links[0], period_s=0.0)
-    with pytest.raises(ValueError):
-        UtilisationMonitor(sim, paths[0].forward_links[0], period_s=-1.0)
+    # Utilisation per second against the configured bandwidth: 1.0 means
+    # the wire was busy for the whole second.
+    per_second = [
+        (after - before) * 8.0 / link.bandwidth_bps
+        for before, after in zip(delivered, delivered[1:])
+    ]
+    assert len(per_second) == 10
+    assert sum(per_second) / len(per_second) > 0.85
+    assert all(value <= 1.05 for value in per_second)
