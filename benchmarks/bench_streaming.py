@@ -13,13 +13,13 @@ from __future__ import annotations
 from benchmarks.conftest import bench_duration
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
+from repro.experiments.runner import default_mptcp_config
 from repro.fixedrate.connection import FixedRateConfig, FixedRateConnection
 from repro.metrics.latency import AppLatencyCollector
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
+from repro.mptcp.connection import MptcpConnection, conventional_tcp
 from repro.net.topology import build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.tcp.stream import TcpConfig, TcpConnection
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 from repro.workloads.video import VbrVideoSource
 
@@ -42,17 +42,15 @@ def stream_over(protocol, duration, seed=9):
         )
     elif protocol == "mptcp":
         connection = MptcpConnection(
-            network.sim, paths, source, config=MptcpConfig(recv_buffer_chunks=93),
-            trace=trace,
+            network.sim, paths, source,
+            config=default_mptcp_config(FmtcpConfig()), trace=trace,
         )
     elif protocol == "fixedrate":
         connection = FixedRateConnection(
             network.sim, paths, source, config=FixedRateConfig(), trace=trace
         )
     else:
-        connection = TcpConnection(
-            network.sim, paths[0], source, config=TcpConfig(), trace=trace
-        )
+        connection = conventional_tcp(network.sim, paths[0], source, trace=trace)
     source.attach(connection)
     connection.start()
     network.sim.run(until=duration)

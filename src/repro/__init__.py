@@ -31,10 +31,9 @@ from repro.core.connection import FmtcpConnection
 from repro.experiments.runner import ExperimentResult, run_transfer
 from repro.fixedrate.connection import FixedRateConfig, FixedRateConnection
 from repro.fountain.codec import BlockDecoder, BlockEncoder, Symbol
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
+from repro.mptcp.connection import MptcpConfig, MptcpConnection, conventional_tcp
 from repro.net.topology import Network, Path, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
-from repro.tcp.stream import TcpConfig, TcpConnection
 from repro.workloads.scenarios import (
     TABLE1_CASES,
     TestCase,
@@ -62,12 +61,11 @@ __all__ = [
     "PathConfig",
     "Simulator",
     "Symbol",
-    "TcpConfig",
-    "TcpConnection",
     "TABLE1_CASES",
     "TestCase",
     "__version__",
     "build_two_path_network",
+    "conventional_tcp",
     "run_transfer",
     "surge_path_configs",
     "table1_path_configs",

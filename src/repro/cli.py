@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -856,12 +857,24 @@ class _MenuParser(argparse.ArgumentParser):
         super().error(message)
 
 
+def _run_length(text: str) -> float:
+    """argparse ``type=`` of ``--duration``: finite seconds, > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"run length must be finite and > 0 seconds, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FMTCP (ICDCS 2012) reproduction — regenerate paper experiments",
     )
-    parser.add_argument("--duration", type=float, default=None, help="run length (s)")
+    parser.add_argument(
+        "--duration", type=_run_length, default=None, help="run length (s)"
+    )
     parser.add_argument(
         "--bandwidth", type=float, default=DEFAULT_BANDWIDTH_BPS, help="per-path bw (bps)"
     )

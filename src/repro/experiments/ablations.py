@@ -14,11 +14,15 @@ Table I scenario so the contribution of that piece is measurable.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.config import FmtcpConfig
-from repro.experiments.runner import ExperimentResult, run_transfer
-from repro.mptcp.connection import MptcpConfig
+from repro.experiments.runner import (
+    ExperimentResult,
+    default_mptcp_config,
+    run_transfer,
+)
 from repro.workloads.scenarios import (
     DEFAULT_BANDWIDTH_BPS,
     TABLE1_CASES,
@@ -159,25 +163,12 @@ def ablate_mptcp_scheduler(
 ) -> Dict[str, ExperimentResult]:
     """MPTCP baseline: min-RTT vs round-robin vs rescue reinjection."""
     case = _case(case_id)
-    fmtcp_defaults = FmtcpConfig()
-    buffer_chunks = max(
-        16, fmtcp_defaults.block_bytes * fmtcp_defaults.max_pending_blocks // 1400
-    )
+    matched = default_mptcp_config(FmtcpConfig())  # scheduler: "minrtt"
     variants = {
-        "minrtt": MptcpConfig(recv_buffer_chunks=buffer_chunks, scheduler="minrtt"),
-        "roundrobin": MptcpConfig(
-            recv_buffer_chunks=buffer_chunks, scheduler="roundrobin"
-        ),
-        "minrtt+reinject": MptcpConfig(
-            recv_buffer_chunks=buffer_chunks,
-            scheduler="minrtt",
-            reinject_after_timeouts=1,
-        ),
-        "minrtt+orp": MptcpConfig(
-            recv_buffer_chunks=buffer_chunks,
-            scheduler="minrtt",
-            opportunistic_retransmission=True,
-        ),
+        "minrtt": matched,
+        "roundrobin": replace(matched, scheduler="roundrobin"),
+        "minrtt+reinject": replace(matched, reinject_after_timeouts=1),
+        "minrtt+orp": replace(matched, opportunistic_retransmission=True),
     }
     return {
         name: run_transfer(

@@ -7,8 +7,8 @@ single-subflow connection, i.e. plain TCP) in a drop-tail dumbbell
 against N plain TCP flows and measures per-flow goodput shares and
 Jain's fairness index.
 
-Plain TCP is :class:`~repro.tcp.stream.TcpConnection` — a reliable,
-Reno-controlled single-path stream.
+Plain TCP is :func:`~repro.mptcp.connection.conventional_tcp` — the
+MPTCP baseline over one path: a reliable, Reno-controlled stream.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
-from repro.tcp.stream import TcpConfig, TcpConnection
+from repro.mptcp.connection import conventional_tcp
 from repro.net.topology import build_shared_bottleneck_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -91,12 +91,12 @@ def run_fairness(
             rng=RngStreams(seed).fork("fmtcp"),
         )
     else:
-        connections["under_test"] = TcpConnection(
-            network.sim, paths[0], BulkSource(), config=TcpConfig()
+        connections["under_test"] = conventional_tcp(
+            network.sim, paths[0], BulkSource()
         )
     for index in range(n_competitors):
-        connections[f"tcp{index}"] = TcpConnection(
-            network.sim, paths[index + 1], BulkSource(), config=TcpConfig()
+        connections[f"tcp{index}"] = conventional_tcp(
+            network.sim, paths[index + 1], BulkSource()
         )
 
     for connection in connections.values():

@@ -157,15 +157,9 @@ def run_figure4(
     paper does not state its buffer sizes (DESIGN.md §3).
     """
     from repro.core.config import FmtcpConfig
-    from repro.mptcp.connection import MptcpConfig
 
+    # run_transfer sizes the baseline's receive buffer to match.
     fmtcp_config = FmtcpConfig(max_pending_blocks=max_pending_blocks)
-    buffer_chunks = max(
-        16, fmtcp_config.block_bytes * max_pending_blocks // fmtcp_config.mss
-    )
-    mptcp_config = MptcpConfig(
-        block_bytes=fmtcp_config.block_bytes, recv_buffer_chunks=buffer_chunks
-    )
     results = {}
     for protocol in ("fmtcp", "mptcp"):
         # Loss schedules keep internal state; rebuild configs per run.
@@ -182,7 +176,6 @@ def run_figure4(
             bin_width_s=bin_width_s,
             collect_series=True,
             fmtcp_config=fmtcp_config,
-            mptcp_config=mptcp_config,
         )
     return results
 

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FmtcpConfig
 from repro.experiments.runner import run_transfer
-from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
 from repro.workloads.scenarios import DEFAULT_BANDWIDTH_BPS
 
@@ -69,13 +68,8 @@ def run_heatmap(
     result = HeatmapResult(loss_rates=loss_rates, pending_blocks=pending_blocks)
     for loss in loss_rates:
         for blocks in pending_blocks:
+            # run_transfer matches the baseline's receive buffer to this.
             fmtcp_config = FmtcpConfig(max_pending_blocks=blocks)
-            mptcp_config = MptcpConfig(
-                block_bytes=fmtcp_config.block_bytes,
-                recv_buffer_chunks=max(
-                    16, fmtcp_config.block_bytes * blocks // fmtcp_config.mss
-                ),
-            )
 
             def configs():
                 return [
@@ -93,7 +87,7 @@ def run_heatmap(
             )
             mptcp = run_transfer(
                 "mptcp", configs(), duration_s=duration_s, seed=seed,
-                fmtcp_config=fmtcp_config, mptcp_config=mptcp_config,
+                fmtcp_config=fmtcp_config,
             )
             denominator = mptcp.summary["goodput_mbytes_per_s"] or 1e-9
             result.ratios[(loss, blocks)] = (

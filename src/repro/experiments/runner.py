@@ -8,6 +8,7 @@ and return the three paper metrics plus protocol-internal statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -15,12 +16,11 @@ from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
 from repro.fixedrate.connection import FixedRateConfig, FixedRateConnection
 from repro.metrics.collectors import MetricsSuite
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
+from repro.mptcp.connection import MptcpConfig, MptcpConnection, conventional_tcp
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.tcp.stream import TcpConfig, TcpConnection
 from repro.telemetry.session import TelemetryConfig, TelemetryReport, TelemetrySession
 from repro.workloads.sources import BulkSource
 
@@ -108,6 +108,8 @@ def run_transfer(
             f"policy= applies to the fmtcp decision layer, not {protocol!r} "
             "(for mptcp, pass a SubflowScheduler via MptcpConfig.scheduler)"
         )
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     sim = Simulator()
     rng = RngStreams(seed)
     trace = TraceBus()
@@ -149,7 +151,6 @@ def run_transfer(
     elif protocol == "tcp":
         # Conventional single-path TCP on the *best* path (lowest loss,
         # then lowest delay) — the paper's Section I comparator.
-        fmtcp_defaults = fmtcp_config or default_fmtcp_config()
         best = min(
             range(len(paths)),
             key=lambda i: (
@@ -157,20 +158,11 @@ def run_transfer(
                 path_configs[i].delay_s,
             ),
         )
-        connection = TcpConnection(
-            sim=sim,
-            path=paths[best],
-            source=source,
-            config=TcpConfig(
-                mss=fmtcp_defaults.mss,
-                block_bytes=fmtcp_defaults.block_bytes,
-                recv_buffer_chunks=max(
-                    16,
-                    fmtcp_defaults.block_bytes
-                    * fmtcp_defaults.max_pending_blocks
-                    // fmtcp_defaults.mss,
-                ),
-            ),
+        connection = conventional_tcp(
+            sim,
+            paths[best],
+            source,
+            config=default_mptcp_config(fmtcp_config or default_fmtcp_config()),
             trace=trace,
         )
     else:
@@ -199,11 +191,7 @@ def run_transfer(
     )
     if collect_series:
         result.goodput_series = metrics.goodput.series(duration_s)
-    if protocol == "tcp":
-        result.extras = {
-            "chunks_retransmitted": connection.chunks_retransmitted,
-        }
-    elif protocol == "fixedrate":
+    if protocol == "fixedrate":
         result.extras = {
             "symbols_sent": connection.symbols_sent,
             "symbols_retransmitted": connection.symbols_retransmitted,

@@ -9,7 +9,7 @@ blocking that makes a bad path the bottleneck of the whole connection
 (the phenomenon FMTCP is designed to remove).
 """
 
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
+from repro.mptcp.connection import MptcpConfig, MptcpConnection, conventional_tcp
 from repro.mptcp.recv_buffer import ReorderBuffer
 from repro.mptcp.scheduler import (
     MinRttScheduler,
@@ -25,5 +25,6 @@ __all__ = [
     "ReorderBuffer",
     "RoundRobinScheduler",
     "SubflowScheduler",
+    "conventional_tcp",
     "make_scheduler",
 ]

@@ -5,7 +5,8 @@ per packet, ``mss`` payload bytes) are sequenced by data sequence number
 (DSN), striped over subflows, retransmitted on the *same* subflow when
 lost (TCP semantics), and reassembled in DSN order through a bounded
 :class:`~repro.mptcp.recv_buffer.ReorderBuffer` whose capacity throttles
-the sender (flow control).
+the sender (flow control). Over one path with dead-path detection off
+this is conventional TCP (:func:`conventional_tcp`).
 
 Emitted trace records (shared vocabulary with FMTCP so metrics are
 protocol-agnostic):
@@ -18,7 +19,7 @@ protocol-agnostic):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import zlib
@@ -29,7 +30,6 @@ from repro.robustness.flowcontrol import AppDrain, ProbedGate, ReceiveWindow, Wi
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.tcp.multipath import MultipathConfig, MultipathConnection
-from repro.tcp.stream import StreamBlockDelay
 from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 from repro.mptcp.recv_buffer import ReorderBuffer
 from repro.mptcp.scheduler import make_scheduler
@@ -148,7 +148,7 @@ class MptcpFeedback:
 PullResult = Union[int, bytes, None]
 
 
-class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
+class MptcpConnection(MultipathConnection, SubflowOwner):
     """Sender + receiver pair of the baseline protocol."""
 
     _removed_field = "reinjected"
@@ -186,6 +186,7 @@ class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
         # take them; drained (ahead of fresh data) by whichever subflow
         # next has a transmission opportunity.
         self._orphan_chunks: Deque[Chunk] = deque()
+        # Block id -> time its first byte was sent.
         self._block_first_tx: Dict[int, float] = {}
         self._pulled_stream_bytes = 0
         self._completed_blocks = 0
@@ -492,6 +493,27 @@ class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
         # Credit may have opened for every subflow, not just the ACKed one.
         self.pump()
 
+    def _emit_completed_blocks(self) -> None:
+        """Block accounting of the byte stream (paper Section V: the
+        stream is partitioned into blocks of the same length as FMTCP's
+        and delay is measured per block, first transmission to full
+        acknowledgement)."""
+        while self._acked_bytes >= (self._completed_blocks + 1) * self.config.block_bytes:
+            block_id = self._completed_blocks
+            started = self._block_first_tx.pop(block_id, None)
+            if (
+                started is not None
+                and self.trace is not None
+                and self.trace.has_subscribers("conn.block_done")
+            ):
+                self.trace.emit(
+                    self.sim.now,
+                    "conn.block_done",
+                    block_id=block_id,
+                    delay=self.sim.now - started,
+                )
+            self._completed_blocks += 1
+
     def _opportunistic_retransmit(self, subflow: Subflow):
         """NSDI'12 ORP: when rwnd-limited, re-send the head-of-line chunk
         on this (non-blocking) subflow and penalise the blocker."""
@@ -726,3 +748,23 @@ class MptcpConnection(MultipathConnection, StreamBlockDelay, SubflowOwner):
             f"<MptcpConnection subflows={len(self.subflows)} "
             f"dsn={self._next_dsn} acked={self._data_acked}>"
         )
+
+
+def conventional_tcp(
+    sim: Simulator,
+    path: Path,
+    source,
+    config: Optional[MptcpConfig] = None,
+    trace: Optional[TraceBus] = None,
+    sink: Optional[Callable[[Chunk], None]] = None,
+) -> MptcpConnection:
+    """Conventional TCP — the paper's Section I comparator — is the
+    baseline over one path with dead-path detection off.
+
+    One path has nothing to fail over to, so a suspect verdict could only
+    stop it pulling fresh data. That is stated here rather than inferred
+    from ``len(paths)`` inside the connection: a mobility run starts on
+    one path and adds another, and there failover must stay armed.
+    """
+    config = replace(config or MptcpConfig(), failover_rto_threshold=None)
+    return MptcpConnection(sim, [path], source, config=config, trace=trace, sink=sink)

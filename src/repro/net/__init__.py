@@ -21,9 +21,7 @@ from repro.net.loss import (
     GilbertElliottLoss,
     LossModel,
     NoLoss,
-    ReplayLoss,
     ScheduledLoss,
-    record_loss_trace,
 )
 from repro.net.link import Link
 from repro.net.reorder import NoReordering, ReorderingModel, UniformReordering
@@ -51,7 +49,6 @@ __all__ = [
     "UniformReordering",
     "Node",
     "Packet",
-    "ReplayLoss",
     "Path",
     "PathConfig",
     "ScheduledLoss",
@@ -59,7 +56,6 @@ __all__ = [
     "corrupt_packet",
     "packet_checksum",
     "payload_digest",
-    "record_loss_trace",
     "seal",
     "verify",
 ]

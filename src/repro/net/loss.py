@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class LossModel:
@@ -92,52 +92,6 @@ class ScheduledLoss(LossModel):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         segments = list(zip(self._starts, self._rates))
         return f"ScheduledLoss({segments})"
-
-
-class ReplayLoss(LossModel):
-    """Replays a recorded per-packet drop sequence.
-
-    Lets experiments reuse an exact loss realisation — e.g. captured from
-    a Gilbert-Elliott run via :func:`record_loss_trace`, or derived from a
-    real packet trace — so two protocols face *identical* channel
-    adversity rather than merely identically-distributed adversity.
-    """
-
-    def __init__(self, outcomes: Sequence[bool], repeat: bool = False):
-        if not outcomes:
-            raise ValueError("need at least one recorded outcome")
-        self._outcomes = list(bool(outcome) for outcome in outcomes)
-        self.repeat = repeat
-        self._index = 0
-        self.exhausted = False
-
-    def rate_at(self, now: float) -> float:
-        return sum(self._outcomes) / len(self._outcomes)
-
-    def should_drop(self, now: float, rng: random.Random) -> bool:
-        if self._index >= len(self._outcomes):
-            if not self.repeat:
-                self.exhausted = True
-                return False
-            self._index = 0
-        outcome = self._outcomes[self._index]
-        self._index += 1
-        return outcome
-
-    def reset(self) -> None:
-        """Rewind to the start of the recording."""
-        self._index = 0
-        self.exhausted = False
-
-
-def record_loss_trace(
-    model: LossModel, packets: int, rng: Optional[random.Random] = None
-) -> List[bool]:
-    """Sample ``packets`` drop outcomes from any model into a replayable list."""
-    if packets < 1:
-        raise ValueError("packets must be >= 1")
-    rng = rng if rng is not None else random.Random(0)
-    return [model.should_drop(0.0, rng) for __ in range(packets)]
 
 
 class GilbertElliottLoss(LossModel):

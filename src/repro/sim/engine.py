@@ -93,13 +93,6 @@ class Simulator:
         """
         self._profiler = profiler
 
-    def enable_profiling(self):
-        """Attach a fresh :class:`~repro.telemetry.profiler.SimProfiler`."""
-        from repro.telemetry.profiler import SimProfiler
-
-        self._profiler = SimProfiler()
-        return self._profiler
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
@@ -136,6 +129,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() re-entered")
+        if until is not None and until != until:
+            # `when > nan` is never true: a backlogged source would run forever.
+            raise SimulationError(f"until must be a time, got {until!r}")
         self._running = True
         self._stopped = False
         executed = 0

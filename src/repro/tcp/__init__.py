@@ -19,7 +19,6 @@ from repro.tcp.congestion import (
     RenoController,
 )
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.stream import TcpConfig, TcpConnection
 from repro.tcp.subflow import (
     Subflow,
     SubflowAck,
@@ -35,8 +34,6 @@ __all__ = [
     "RenoController",
     "RtoEstimator",
     "Subflow",
-    "TcpConfig",
-    "TcpConnection",
     "SubflowAck",
     "SubflowOwner",
     "SubflowPacketInfo",

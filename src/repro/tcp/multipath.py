@@ -7,7 +7,7 @@ how a loss is repaired. Everything else lives here, once:
 * :class:`MultipathConfig` — the subflow, failover and flow-control fields
   both ``FmtcpConfig`` and ``MptcpConfig`` expose, with their validation.
 * :func:`build_subflow` — the only place a :class:`Subflow` and its
-  :class:`SubflowSink` are constructed; all four transports call it.
+  :class:`SubflowSink` are constructed; every transport calls it.
 * :class:`MultipathConnection` — subflow lifecycle (build, join, remove,
   close), the LIA group and the link-level / flow-control stats surface.
 
@@ -106,8 +106,9 @@ def build_subflow(
     """One subflow over ``path`` and the sink that ACKs it.
 
     ``config`` supplies ``mss``, ``initial_cwnd``, ``dup_ack_threshold``
-    and ``min_rto`` (every transport's config has them). The defaults are
-    the single-path ones: plain Reno, no dead-path detection, born ACTIVE.
+    and ``min_rto`` (every transport's config has them). The defaults —
+    what the fixed-rate baseline takes — are plain Reno, no dead-path
+    detection, born ACTIVE.
     """
     subflow = Subflow(
         sim=sim,

@@ -24,6 +24,18 @@ def test_parser_global_options():
     assert args.seed == 9
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-3"])
+def test_duration_must_be_finite_and_positive(value, capsys):
+    """A NaN run length never returns on a backlogged source and a
+    negative one prints an all-empty table: refused at the parser."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["--duration", value, "fig7"])
+    assert excinfo.value.code == 2
+    assert f"--duration: run length must be finite and > 0 seconds, got {value!r}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_table1_output(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out

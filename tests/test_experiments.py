@@ -21,6 +21,7 @@ from repro.experiments.figures import (
 from repro.experiments.runner import default_mptcp_config, run_transfer
 from repro.net.topology import PathConfig
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
+from repro.workloads.sources import BulkSource
 
 FAST = 4.0  # seconds of simulated time for smoke runs
 PATHS = lambda: table1_path_configs(TABLE1_CASES[2])  # noqa: E731
@@ -46,6 +47,17 @@ def test_run_transfer_mptcp_smoke():
 def test_run_transfer_unknown_protocol():
     with pytest.raises(ValueError):
         run_transfer("sctp", PATHS(), duration_s=FAST)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -3.0])
+def test_run_transfer_rejects_a_run_length_not_finite_and_positive(duration):
+    """NaN and inf never return on a backlogged source and a negative
+    length yields an all-empty result (the source is finite so that a
+    regression fails rather than hangs)."""
+    with pytest.raises(ValueError, match="duration_s"):
+        run_transfer(
+            "mptcp", PATHS(), duration_s=duration, source=BulkSource(10_000)
+        )
 
 
 def test_run_transfer_deterministic_per_seed():

@@ -1,8 +1,6 @@
 """Tests for the second-wave additions: the conventional-TCP comparator
-in the harness, the HMTP-like stop-and-wait mode, the loss×buffer
-heatmap, and trace-replay loss."""
-
-import random
+in the harness, the HMTP-like stop-and-wait mode and the loss×buffer
+heatmap."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.core.config import FmtcpConfig
 from repro.experiments.ablations import ablate_allocation
 from repro.experiments.heatmap import HeatmapResult, run_heatmap
 from repro.experiments.runner import run_transfer
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, ReplayLoss, record_loss_trace
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 
 
@@ -116,69 +113,3 @@ def test_heatmap_glyph_buckets():
     assert result.glyph(1.05) == "≈ "
     assert result.glyph(1.2) == "+ "
     assert result.glyph(3.0) == "##"
-
-
-# ----------------------------------------------------------------------
-# Replay loss.
-# ----------------------------------------------------------------------
-def test_replay_loss_replays_exact_sequence():
-    model = ReplayLoss([True, False, True])
-    rng = random.Random(0)
-    assert [model.should_drop(0.0, rng) for __ in range(3)] == [True, False, True]
-    assert not model.should_drop(0.0, rng)  # exhausted -> pass-through
-    assert model.exhausted
-
-
-def test_replay_loss_repeat_mode():
-    model = ReplayLoss([True, False], repeat=True)
-    rng = random.Random(0)
-    outcomes = [model.should_drop(0.0, rng) for __ in range(6)]
-    assert outcomes == [True, False] * 3
-    assert not model.exhausted
-
-
-def test_replay_loss_reset_and_rate():
-    model = ReplayLoss([True, True, False, False])
-    assert model.rate_at(0.0) == pytest.approx(0.5)
-    rng = random.Random(0)
-    model.should_drop(0.0, rng)
-    model.reset()
-    assert model.should_drop(0.0, rng) is True
-
-
-def test_record_loss_trace_from_models():
-    trace = record_loss_trace(BernoulliLoss(0.3), 5000, rng=random.Random(1))
-    assert len(trace) == 5000
-    assert 0.25 < sum(trace) / len(trace) < 0.35
-    bursty = record_loss_trace(
-        GilbertElliottLoss(p_gb=0.05, p_bg=0.2, loss_bad=0.8), 1000,
-        rng=random.Random(2),
-    )
-    replay = ReplayLoss(bursty)
-    rng = random.Random(9)  # rng irrelevant: replay is deterministic
-    assert [replay.should_drop(0.0, rng) for __ in range(1000)] == bursty
-
-
-def test_replay_gives_identical_adversity_to_both_protocols():
-    """With the same recorded trace on subflow 2, both protocols face the
-    exact same drops — loss counts at the link must match."""
-    from repro.net.topology import PathConfig
-
-    trace = record_loss_trace(BernoulliLoss(0.15), 100_000, rng=random.Random(3))
-
-    def configs():
-        return [
-            PathConfig(bandwidth_bps=4e6, delay_s=0.05, loss_rate=0.0),
-            PathConfig(bandwidth_bps=4e6, delay_s=0.05, loss_model=ReplayLoss(trace)),
-        ]
-
-    for protocol in ("fmtcp", "mptcp"):
-        result = run_transfer(protocol, configs(), duration_s=8.0, seed=1)
-        assert result.summary["total_mbytes"] > 0
-
-
-def test_replay_validation():
-    with pytest.raises(ValueError):
-        ReplayLoss([])
-    with pytest.raises(ValueError):
-        record_loss_trace(BernoulliLoss(0.1), 0)

@@ -152,9 +152,6 @@ UNSET_FIELDS_KEPT = {
         "benchmarks/perf/tracer.py resolves Subflow.aged_loss_estimate the "
         "same way; needs a benchmark-only PR first"
     ),
-    "failover_rto_threshold": (
-        "open ROADMAP item 4 names it as an input of the paper_era baseline"
-    ),
     "dup_ack_threshold": (
         "pass-through to Subflow, which has callers of its own; left for "
         "the next census"

@@ -222,6 +222,19 @@ def test_nan_schedule_at_rejected(sim):
     assert sim.now == 2.0
 
 
+def test_nan_until_rejected(sim):
+    """`when > nan` is never true, so a NaN bound would run a backlogged
+    source forever (one finite event here, so a regression fails instead
+    of hanging the suite)."""
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0
+    sim.run(until=2.0)  # the refused call did not leave the loop marked running
+    assert fired == ["a"]
+
+
 def test_drain_cancelled_inside_a_callback_keeps_later_events(sim):
     """The run loop holds the heap list across callbacks, so compaction
     must happen in place: events queued before and after the drain still

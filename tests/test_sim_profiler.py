@@ -4,6 +4,12 @@ from repro.sim.engine import Simulator
 from repro.telemetry import SimProfiler, callback_label
 
 
+def _profile(sim):
+    profiler = SimProfiler()
+    sim.set_profiler(profiler)
+    return profiler
+
+
 def _busy(sim, depth=0):
     if depth < 3:
         sim.schedule(0.1, _busy, sim, depth + 1)
@@ -22,7 +28,7 @@ class _Component:
 
 def test_profiler_counts_and_attributes_events():
     sim = Simulator()
-    profiler = sim.enable_profiling()
+    profiler = _profile(sim)
     component = _Component(sim)
     sim.schedule(0.0, _busy, sim)
     sim.schedule(0.0, component.tick)
@@ -40,7 +46,7 @@ def test_profiler_counts_and_attributes_events():
 
 def test_profiler_sim_wall_ratio_and_heap_depth():
     sim = Simulator()
-    profiler = sim.enable_profiling()
+    profiler = _profile(sim)
     for index in range(20):
         sim.schedule(0.1 * index, lambda: None)
     sim.run(until=5.0)
@@ -53,7 +59,7 @@ def test_profiler_sim_wall_ratio_and_heap_depth():
 
 def test_detached_profiler_stops_accumulating():
     sim = Simulator()
-    profiler = sim.enable_profiling()
+    profiler = _profile(sim)
     sim.schedule(0.0, lambda: None)
     sim.run(until=1.0)
     count = profiler.events
@@ -68,7 +74,7 @@ def test_profiler_does_not_change_simulation_outcome():
     def run(profiled):
         sim = Simulator()
         if profiled:
-            sim.enable_profiling()
+            _profile(sim)
         order = []
         sim.schedule(0.2, order.append, "b")
         sim.schedule(0.1, order.append, "a")
@@ -93,7 +99,7 @@ def test_profiler_accumulates_across_runs():
 
 def test_render_is_printable():
     sim = Simulator()
-    profiler = sim.enable_profiling()
+    profiler = _profile(sim)
     sim.schedule(0.0, lambda: None)
     sim.run(until=1.0)
     lines = profiler.render()

@@ -460,19 +460,22 @@ def test_close_after_sever_receiver_is_idempotent_and_leaves_no_timer(protocol):
 
 
 def test_single_path_builders_keep_plain_reno_and_no_failover():
-    """TcpConnection and FixedRateConnection take the shared subflow
-    builder but none of the multipath policy."""
+    """Conventional TCP is the baseline over one path with failover off —
+    a configuration of the skeleton, so a path added to it is simply
+    MPTCP. FixedRateConnection takes the shared subflow builder but none
+    of the multipath policy."""
     from repro.fixedrate.connection import FixedRateConnection
+    from repro.mptcp.connection import MptcpConnection, conventional_tcp
     from repro.tcp.congestion import RenoController
-    from repro.tcp.stream import TcpConnection
 
     network, paths = build_network()
-    tcp = TcpConnection(network.sim, paths[0], BulkSource(total_bytes=10_000))
+    tcp = conventional_tcp(network.sim, paths[0], BulkSource(total_bytes=10_000))
     fixed = FixedRateConnection(network.sim, paths, BulkSource(total_bytes=10_000))
-    assert tcp.subflows == [tcp.subflow]
+    assert type(tcp) is MptcpConnection and len(tcp.subflows) == 1
+    assert tcp.config.failover_rto_threshold is None
     for subflow in (*tcp.subflows, *fixed.subflows):
         assert type(subflow.cc) is RenoController
         assert subflow.failed_rto_threshold is None
         assert subflow.state == "active" and subflow.owner in (tcp, fixed)
     assert [s.subflow_id for s in fixed.subflows] == [0, 1]
-    assert not hasattr(tcp, "add_subflow") and not hasattr(fixed, "add_subflow")
+    assert not hasattr(fixed, "add_subflow")
