@@ -24,7 +24,7 @@ from repro.fountain.rank_model import RankEvolutionModel
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.traces.model import LinkTrace, TraceSample
-from repro.workloads.sources import BulkSource
+from repro.workloads.sources import BulkSource, RandomPayloadSource
 
 K = 256
 PART = 32
@@ -88,13 +88,23 @@ def test_gf2_insert_cost_is_linear_in_k(benchmark):
     from repro.fountain.gf2 import Gf2Eliminator
 
     def build_full_rank():
-        eliminator = Gf2Eliminator(K)
+        eliminator = Gf2Eliminator(K, payload_bits=64)
         while not eliminator.is_full_rank:
             eliminator.add_row(rng.getrandbits(K), rng.getrandbits(64))
         return eliminator.rows_seen
 
     rows = benchmark(build_full_rank)
     assert rows >= K
+
+
+def test_payload_source_pull(benchmark):
+    """One grant of a whole block (K * PART = 8 192 bytes) of seeded random
+    payload: what ``fmtcp_realcodec`` pays per block before encoding it."""
+
+    def pull_block():
+        return RandomPayloadSource(K * PART, rng=random.Random(5)).pull(K * PART)
+
+    assert len(benchmark(pull_block)) == K * PART
 
 
 def test_lt_decode_throughput(benchmark):

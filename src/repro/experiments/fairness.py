@@ -13,6 +13,7 @@ MPTCP baseline over one path: a reliable, Reno-controlled stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -73,6 +74,8 @@ def run_fairness(
     """One FMTCP (or plain-TCP) flow vs ``n_competitors`` plain TCP flows."""
     if protocol_under_test not in ("fmtcp", "tcp"):
         raise ValueError("protocol_under_test must be 'fmtcp' or 'tcp'")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     network, paths = build_shared_bottleneck_network(
         n_endpoints=n_competitors + 1,
         bottleneck_bps=bottleneck_bps,

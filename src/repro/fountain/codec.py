@@ -12,8 +12,13 @@ whatever the symbol size; which parts to XOR is read off the coefficient
 row four bits at a time from the encoder's table of part combinations
 (layout in :mod:`repro.fountain.gf2`). The table is built on the first
 encoded symbol: 11 new integers per four parts, ≈ 50 KB and ≈ 0.12 ms for
-k = 256 parts of 32 bytes, after which a symbol costs ≈ 4.4 µs instead of
-the ≈ 22 µs of a bit-at-a-time walk (``docs/performance.md``, PR 13).
+k = 256 parts of 32 bytes, after which a symbol costs ≈ 3.6 µs instead of
+the ≈ 22 µs of a bit-at-a-time walk (``docs/performance.md``, PR 13; 4.4 µs
+on that day's host). The decoder hands a symbol's row and data to the
+eliminator, which checks the data's width and keeps the two fused in one
+integer: ``BlockDecoder.add_symbol`` ≈ 3.8 µs on a decode's average row
+(5.6 µs with separate coefficient and payload lists) and ``decode`` ≈
+0.7 ms per block (``docs/performance.md``, PR 24).
 """
 
 from __future__ import annotations
@@ -150,8 +155,7 @@ class BlockDecoder:
         self.k = k
         self.part_size = part_size
         self.data_length = data_length if data_length is not None else k * part_size
-        self._eliminator = Gf2Eliminator(k)
-        self._data_limit = 1 << (8 * part_size)
+        self._eliminator = Gf2Eliminator(k, payload_bits=8 * part_size)
         self.symbols_received = 0
         self.symbols_redundant = 0
 
@@ -174,14 +178,11 @@ class BlockDecoder:
         """Absorb a symbol; True iff it increased the decoder's rank.
 
         Redundant (linearly dependent) symbols are dropped, mirroring the
-        receiver behaviour described in Section III-B.
+        receiver behaviour described in Section III-B. Data wider than a
+        part (or negative) is a :class:`ValueError` and counts nowhere.
         """
-        if not 0 <= symbol.data < self._data_limit:
-            raise ValueError(
-                f"symbol data does not fit a part of {self.part_size} bytes"
-            )
-        self.symbols_received += 1
         independent = self._eliminator.add_row(symbol.coeff, symbol.data)
+        self.symbols_received += 1
         if not independent:
             self.symbols_redundant += 1
         return independent

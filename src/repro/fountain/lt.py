@@ -163,7 +163,7 @@ class LtDecoder:
             return self.is_complete
         missing = sorted(set(range(self.k)) - set(self._recovered))
         position = {part: bit for bit, part in enumerate(missing)}
-        eliminator = Gf2Eliminator(len(missing))
+        eliminator = Gf2Eliminator(len(missing), payload_bits=8 * self.part_size)
         for entry in self._pending:
             if entry is None:
                 continue

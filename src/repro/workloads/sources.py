@@ -3,7 +3,8 @@
 A source answers ``pull(max_bytes)`` with how much data it can hand the
 transport right now: an ``int`` (synthetic bytes — the default, nothing is
 materialised), a ``bytes`` object (real payload, for end-to-end
-correctness tests), or ``0``/``None`` (app-limited / finished).
+correctness tests), or ``0``/``None`` (app-limited / finished). Asking for
+0 bytes is legal ("nothing now"); a negative request is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class BulkSource:
         return self.total_bytes is not None and self.pulled_bytes >= self.total_bytes
 
     def pull(self, max_bytes: int) -> PullResult:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if self.total_bytes is None:
             self.pulled_bytes += max_bytes
             return max_bytes
@@ -61,11 +64,18 @@ class RandomPayloadSource:
         return self.pulled_bytes >= self.total_bytes
 
     def pull(self, max_bytes: int) -> PullResult:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         remaining = self.total_bytes - self.pulled_bytes
         if remaining <= 0:
             return None
         granted = min(max_bytes, remaining)
-        payload = bytes(self._rng.getrandbits(8) for __ in range(granted))
+        # One draw per grant, byte for byte what getrandbits(8) per byte
+        # gives: that is the top byte of one 32-bit Mersenne output, and
+        # getrandbits(32 * n) lays n outputs down least significant first
+        # (tests/test_workloads.py holds an interpreter to it).
+        words = self._rng.getrandbits(32 * granted)
+        payload = words.to_bytes(4 * granted, "little")[3::4]
         self.pulled_bytes += granted
         self.transcript.extend(payload)
         return payload
@@ -110,6 +120,8 @@ class ReplayableSource:
         )
 
     def pull(self, max_bytes: int) -> PullResult:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if self._position < self.granted_bytes:
             take = min(max_bytes, self.granted_bytes - self._position)
             start = self._position
@@ -204,6 +216,8 @@ class CbrSource:
         return self.total_bytes is not None and self.pulled_bytes >= self.total_bytes
 
     def pull(self, max_bytes: int) -> PullResult:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         available = self._accrued() - self.pulled_bytes
         if available <= 0:
             return 0

@@ -108,6 +108,8 @@ class VbrVideoSource:
         )
 
     def pull(self, max_bytes: int) -> PullResult:
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if self._buffered_bytes <= 0:
             return 0
         granted = min(max_bytes, self._buffered_bytes)

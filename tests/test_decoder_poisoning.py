@@ -33,7 +33,7 @@ SEEDS = soak_seeds()
 # GF(2) inconsistency accounting.
 # ----------------------------------------------------------------------
 def test_gf2_consistent_dependent_row_is_not_flagged():
-    eliminator = Gf2Eliminator(2)
+    eliminator = Gf2Eliminator(2, payload_bits=8)
     eliminator.add_row(0b01, 1)
     eliminator.add_row(0b10, 2)
     eliminator.add_row(0b11, 3)  # = row1 XOR row2: residual 0
@@ -43,7 +43,7 @@ def test_gf2_consistent_dependent_row_is_not_flagged():
 
 
 def test_gf2_contradictory_row_proves_corruption():
-    eliminator = Gf2Eliminator(2)
+    eliminator = Gf2Eliminator(2, payload_bits=8)
     eliminator.add_row(0b01, 1)
     eliminator.add_row(0b10, 2)
     eliminator.add_row(0b11, 4)  # should be 3: residual != 0

@@ -118,6 +118,14 @@ def test_fairness_validation():
         run_fairness(protocol_under_test="sctp")
 
 
+@pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), 0, -3])
+def test_fairness_rejects_a_duration_that_is_not_finite_and_positive(duration_s):
+    """Before anything is built: ``inf`` would never return on backlogged
+    sources, ``0`` divided by zero and ``-3`` reported rates of ``-0.0``."""
+    with pytest.raises(ValueError, match="duration_s must be finite and > 0, got"):
+        run_fairness(duration_s=duration_s)
+
+
 # ----------------------------------------------------------------------
 # Replication.
 # ----------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_symbol_wider_than_a_part_is_rejected_on_arrival():
     """Not later, as an ``OverflowError`` from inside ``decode()``."""
     decoder = BlockDecoder(k=2, part_size=2)
     for data in (1 << 16, -1):
-        with pytest.raises(ValueError, match="does not fit a part of 2 bytes"):
+        with pytest.raises(ValueError, match="does not fit 16 bits"):
             decoder.add_symbol(Symbol(0b01, data))
     assert decoder.symbols_received == 0 and decoder.independent_symbols == 0
     assert decoder.add_symbol(Symbol(0b01, (1 << 16) - 1))

@@ -16,7 +16,7 @@ def test_rank_starts_at_zero():
 
 
 def test_unit_vectors_are_independent():
-    eliminator = Gf2Eliminator(4)
+    eliminator = Gf2Eliminator(4, payload_bits=8)
     for bit in range(4):
         assert eliminator.add_row(1 << bit, payload=bit + 100)
     assert eliminator.is_full_rank
@@ -24,7 +24,7 @@ def test_unit_vectors_are_independent():
 
 
 def test_duplicate_row_is_dependent():
-    eliminator = Gf2Eliminator(4)
+    eliminator = Gf2Eliminator(4, payload_bits=8)
     assert eliminator.add_row(0b1010, payload=1)
     assert not eliminator.add_row(0b1010, payload=1)
     assert eliminator.rank == 1
@@ -32,7 +32,7 @@ def test_duplicate_row_is_dependent():
 
 
 def test_xor_combination_is_dependent():
-    eliminator = Gf2Eliminator(4)
+    eliminator = Gf2Eliminator(4, payload_bits=8)
     eliminator.add_row(0b0011, 1)
     eliminator.add_row(0b0101, 2)
     assert not eliminator.add_row(0b0110, 1 ^ 2)  # sum of the two
@@ -45,7 +45,7 @@ def test_zero_row_is_dependent():
 
 
 def test_solve_before_full_rank_raises():
-    eliminator = Gf2Eliminator(3)
+    eliminator = Gf2Eliminator(3, payload_bits=8)
     eliminator.add_row(0b001, 5)
     with pytest.raises(ValueError):
         eliminator.solve()
@@ -62,14 +62,14 @@ def test_solve_recovers_payloads_from_dense_rows():
                 value ^= parts[bit]
         return value
 
-    eliminator = Gf2Eliminator(3)
+    eliminator = Gf2Eliminator(3, payload_bits=8)
     for coeff in (0b111, 0b011, 0b101):
         eliminator.add_row(coeff, encode(coeff))
     assert eliminator.solve() == parts
 
 
 def test_would_be_independent_does_not_mutate():
-    eliminator = Gf2Eliminator(4)
+    eliminator = Gf2Eliminator(4, payload_bits=8)
     eliminator.add_row(0b0011, 1)
     assert eliminator.would_be_independent(0b0100)
     assert not eliminator.would_be_independent(0b0011)
@@ -119,7 +119,7 @@ def test_property_random_rows_recover_random_parts(k, seed):
             remaining &= ~(1 << bit)
         return value
 
-    eliminator = Gf2Eliminator(k)
+    eliminator = Gf2Eliminator(k, payload_bits=32)
     attempts = 0
     while not eliminator.is_full_rank:
         attempts += 1
@@ -137,7 +137,7 @@ def test_property_random_rows_recover_random_parts(k, seed):
 )
 def test_property_rank_never_exceeds_k_and_is_monotone(k, seed):
     rng = random.Random(seed)
-    eliminator = Gf2Eliminator(k)
+    eliminator = Gf2Eliminator(k, payload_bits=8)
     previous = 0
     for __ in range(5 * k):
         eliminator.add_row(rng.getrandbits(k), rng.getrandbits(8))

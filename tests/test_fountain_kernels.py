@@ -7,11 +7,16 @@ as the oracles: XOR is associative, so every symbol, every counter and
 every solved payload must be ``==``, for any k (not a multiple of four, not
 a multiple of eight, one), any part size, short final blocks, and row
 orders that produce dependent and contradictory rows.
+
+So does the row insert the eliminator had while a basis row was two
+integers in two lists (``TwoListEliminator``): the fused row
+``coeff << payload_bits | payload`` must split back into the same pairs.
 """
 
 import random
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +90,33 @@ class BitLoopEliminator:
         return [unit_payloads[bit] for bit in range(self.k)]
 
 
+class TwoListEliminator:
+    """The row insert as it was before a basis row became one integer:
+    coefficients and payloads in two lists indexed by pivot bit, two reads
+    and two XORs per elimination step."""
+
+    def __init__(self, k: int):
+        self.coeffs = [0] * k
+        self.payloads = [0] * k
+        self.rank = self.dependent_rows = self.inconsistent_rows = 0
+
+    def add_row(self, coeff: int, payload: int) -> bool:
+        while coeff:
+            pivot_bit = coeff.bit_length() - 1
+            existing = self.coeffs[pivot_bit]
+            if not existing:
+                self.coeffs[pivot_bit] = coeff
+                self.payloads[pivot_bit] = payload
+                self.rank += 1
+                return True
+            coeff ^= existing
+            payload ^= self.payloads[pivot_bit]
+        self.dependent_rows += 1
+        if payload != 0:
+            self.inconsistent_rows += 1
+        return False
+
+
 def random_block(rng: random.Random, k: int, part_size: int) -> bytes:
     """Anything from empty to full: most blocks end short of k * part_size."""
     return rng.randbytes(rng.randint(0, k * part_size))
@@ -141,7 +173,7 @@ def test_eliminator_matches_the_bit_loop(k, seed, order, poison_rate):
             coeffs.append(rng.getrandbits(k))
     if order != "arrival":
         coeffs.sort(reverse=order == "descending")
-    fast, literal = Gf2Eliminator(k), BitLoopEliminator(k)
+    fast, literal = Gf2Eliminator(k, payload_bits), BitLoopEliminator(k)
     for coeff in coeffs:
         payload = combine_bit_by_bit(parts, coeff)
         if rng.random() < poison_rate:
@@ -160,6 +192,56 @@ def test_eliminator_matches_the_bit_loop(k, seed, order, poison_rate):
         assert solved == fast.solve()  # solving leaves the basis as it was
         if poison_rate == 0.0:
             assert solved == parts and not fast.inconsistent
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=K_VALUES,
+    payload_bits=st.sampled_from([0, 1, 7, 8, 256, 1000]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    poison_rate=st.sampled_from([0.0, 0.0, 0.05, 0.3]),
+)
+def test_fused_rows_match_the_two_list_eliminator(k, payload_bits, seed, poison_rate):
+    rng = random.Random(seed)
+    parts = [rng.getrandbits(payload_bits) for __ in range(k)]
+    fused, two_lists = Gf2Eliminator(k, payload_bits), TwoListEliminator(k)
+    assert fused.basis() == [(0, 0)] * k
+    coeffs: List[int] = []
+    for __ in range(k + 12):
+        if coeffs and rng.random() < 0.15:
+            coeff = rng.choice(coeffs) ^ rng.choice(coeffs)
+        else:
+            coeff = rng.getrandbits(k)
+        coeffs.append(coeff)
+        payload = combine_bit_by_bit(parts, coeff)
+        if payload_bits and rng.random() < poison_rate:
+            payload ^= 1 << rng.randrange(payload_bits)
+        assert fused.add_row(coeff, payload) == two_lists.add_row(coeff, payload)
+        assert (fused.rank, fused.dependent_rows, fused.inconsistent_rows) == (
+            two_lists.rank, two_lists.dependent_rows, two_lists.inconsistent_rows
+        )
+    assert fused.basis() == list(zip(two_lists.coeffs, two_lists.payloads))
+    if fused.is_full_rank:
+        literal = BitLoopEliminator(k)
+        literal.pivots = dict(enumerate(fused.basis()))
+        assert fused.solve() == literal.solve()
+        if poison_rate == 0.0 or payload_bits == 0:
+            assert fused.solve() == parts
+
+
+@pytest.mark.parametrize("payload_bits", [0, 1, 7, 8, 256, 1000])
+def test_payload_outside_the_declared_width_is_rejected(payload_bits):
+    """By ``add_row`` itself — one bit too wide would otherwise land in
+    the coefficient half of the fused row."""
+    eliminator = Gf2Eliminator(5, payload_bits)
+    for payload in (1 << payload_bits, -1):
+        with pytest.raises(ValueError, match=f"does not fit {payload_bits} bits"):
+            eliminator.add_row(0b00101, payload)
+    assert (eliminator.rows_seen, eliminator.rank) == (0, 0)
+    assert eliminator.add_row(0b00101, (1 << payload_bits) - 1)
+    assert eliminator.basis()[2] == (0b00101, (1 << payload_bits) - 1)
+    with pytest.raises(ValueError, match="payload_bits must be >= 0"):
+        Gf2Eliminator(5, -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.fountain.codec import BlockDecoder, BlockEncoder
+from repro.fountain.gf2 import Gf2Eliminator
 from repro.fountain.rank_model import (
     RankEvolutionModel,
     decoding_failure_probability,
@@ -168,3 +169,120 @@ def test_add_symbols_equals_repeated_add_symbol(k):
             assert batched.symbols_redundant == single.symbols_redundant
             assert batched.is_complete == single.is_complete
             assert many.random() == one.random()
+
+
+# ----------------------------------------------------------------------
+# ROADMAP ``oracles`` (a): the rank model at the production k̂ = 256.
+# ----------------------------------------------------------------------
+K_HAT, SURPLUS, BLOCKS = 256, 10, 400
+
+
+def closed_form_full_rank(k: int, n: int) -> float:
+    """P(n uniformly random k-bit rows span GF(2)^k) = ∏_{i<k}(1 − 2^(i−n))."""
+    probability = 1.0
+    for i in range(k):
+        probability *= 1.0 - 2.0 ** (i - n)
+    return probability
+
+
+def real_eliminator(rng):
+    """``take(count)`` feeds a fresh rank-only eliminator that many
+    ``getrandbits`` rows and says whether it has reached full rank."""
+    eliminator = Gf2Eliminator(K_HAT)
+
+    def take(count):
+        for __ in range(count):
+            eliminator.add_row(rng.getrandbits(K_HAT))
+        return eliminator.is_full_rank
+
+    return take
+
+
+def rank_model(rng, model_class=RankEvolutionModel):
+    """The same for a fresh rank model."""
+    model = model_class(K_HAT, rng=rng)
+
+    def take(count):
+        model.add_symbols(count)
+        return model.is_complete
+
+    return take
+
+
+def full_rank_counts(new_block, rng) -> list:
+    """Of ``BLOCKS`` blocks, how many are complete after k̂ + j symbols,
+    j = 0 … ``SURPLUS``."""
+    complete_after = [0] * (SURPLUS + 1)
+    for __ in range(BLOCKS):
+        take = new_block(rng)
+        take(K_HAT - 1)
+        for surplus in range(SURPLUS + 1):
+            complete_after[surplus] += take(1)
+    return complete_after
+
+
+@pytest.fixture(scope="module")
+def real_counts():
+    return full_rank_counts(real_eliminator, random.Random(2012))
+
+
+def assert_same_curve(measured, other, other_is_exact):
+    """Every point within four binomial standard deviations (of the
+    difference, when ``other`` is a second sample of ``BLOCKS``), plus the
+    1 / BLOCKS a count cannot resolve."""
+    for surplus, count in enumerate(measured):
+        theory = closed_form_full_rank(K_HAT, K_HAT + surplus)
+        sigma = (theory * (1.0 - theory) / BLOCKS) ** 0.5
+        if other_is_exact:
+            reference = other[surplus]
+        else:
+            reference, sigma = other[surplus] / BLOCKS, sigma * 2.0**0.5
+        assert abs(count / BLOCKS - reference) <= 4.0 * sigma + 1.0 / BLOCKS, (
+            f"k̂+{surplus}: {count / BLOCKS:.4f} against {reference:.4f}"
+        )
+
+
+def test_rank_model_matches_the_real_eliminator_at_production_k(real_counts):
+    """P(full rank after k̂ + j symbols), j = 0 … 10, at k̂ = 256 — the
+    block every figure runs — three ways: the real eliminator on
+    ``getrandbits(256)`` rows, ``RankEvolutionModel.add_symbols``, and the
+    closed form (0.2888, 0.5776, 0.7701, 0.8801, … 0.9990). 400 blocks a
+    side, fixed seeds, each pair inside four binomial σ.
+
+    What it settles (ROADMAP ``oracles`` a): the exact failure probability
+    1 − ∏(1 − 2^(i−n)) sits *below* Eq. (2)'s 2^(k̂−n) by a factor 0.711 at
+    n = k̂, 0.845, 0.920, 0.959 at k̂ + 1 … 3 and > 0.99 from k̂ + 6: Eq. (2)
+    overstates what the sender must send by log2(1 / 0.711) = 0.49 of one
+    symbol at most. There is no headroom in the predictor at k̂ = 256, and
+    a construction with a better success probability ("Random Linear
+    Fountain Code with Improved Decoding Success Probability", PAPERS.md)
+    could save at most the plain code's mean overhead of 1.6 symbols in
+    256 (0.6 %). It stays parked.
+    """
+    model = full_rank_counts(rank_model, random.Random(618))
+    exact = [closed_form_full_rank(K_HAT, K_HAT + j) for j in range(SURPLUS + 1)]
+    assert_same_curve(real_counts, exact, other_is_exact=True)
+    assert_same_curve(model, exact, other_is_exact=True)
+    assert_same_curve(real_counts, model, other_is_exact=False)
+    assert exact[0] == pytest.approx(0.2888, abs=1e-4)
+    for j, probability in enumerate(exact):
+        eq2 = decoding_failure_probability(K_HAT, K_HAT + j)
+        assert 0.711 < (1.0 - probability) / eq2 <= 1.0
+
+
+def test_a_model_that_never_draws_a_dependent_row_fails_the_comparison(real_counts):
+    """The seeded defect: ranks that always rise put every block at full
+    rank on symbol k̂, where 71 % of real blocks are not."""
+
+    class NeverDependent(RankEvolutionModel):
+        def add_symbols(self, count):
+            independent = min(count, self.k - self._rank)
+            self._rank += independent
+            return independent
+
+    broken = full_rank_counts(
+        lambda rng: rank_model(rng, NeverDependent), random.Random(618)
+    )
+    assert broken == [BLOCKS] * (SURPLUS + 1)
+    with pytest.raises(AssertionError, match=r"k̂\+0: 0\.\d+ against 1\.0000"):
+        assert_same_curve(real_counts, broken, other_is_exact=False)

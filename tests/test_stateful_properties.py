@@ -86,7 +86,7 @@ class Gf2Machine(RuleBasedStateMachine):
     def setup(self, k, seed):
         self.k = k
         self.rng = random.Random(seed)
-        self.eliminator = Gf2Eliminator(k)
+        self.eliminator = Gf2Eliminator(k, payload_bits=16)
         self.parts = [self.rng.getrandbits(16) for __ in range(k)]
         self.rows = []
 

@@ -1,5 +1,7 @@
 """Tests for traffic sources and scenario catalogues."""
 
+import random
+
 import pytest
 
 from repro.net.loss import ScheduledLoss
@@ -10,7 +12,47 @@ from repro.workloads.scenarios import (
     surge_path_configs,
     table1_path_configs,
 )
-from repro.workloads.sources import BulkSource, CbrSource, RandomPayloadSource
+from repro.workloads.sources import (
+    BulkSource,
+    CbrSource,
+    RandomPayloadSource,
+    ReplayableSource,
+)
+from repro.workloads.video import VbrVideoSource
+
+
+def _source_with_data_ready(kind):
+    """A source of each kind at a moment when a pull would grant bytes."""
+    sim = Simulator()
+    if kind == "cbr":
+        source = CbrSource(sim, rate_bps=8e5)
+    elif kind == "vbr":
+        source = VbrVideoSource(sim, seed=1)
+        source.attach(None)
+    else:
+        return {
+            "bulk": lambda: BulkSource(),
+            "bulk_finite": lambda: BulkSource(100),
+            "random_payload": lambda: RandomPayloadSource(100),
+            "replayable": lambda: ReplayableSource(BulkSource()),
+        }[kind]()
+    sim.run(until=0.5)
+    return source
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["bulk", "bulk_finite", "random_payload", "replayable", "cbr", "vbr"],
+)
+def test_every_source_rejects_a_negative_request(kind):
+    """Not absorbed: a negative grant ran ``pulled_bytes`` backwards."""
+    source = _source_with_data_ready(kind)
+    with pytest.raises(ValueError, match=r"max_bytes must be >= 0, got -5"):
+        source.pull(-5)
+    assert not source.pull(0)  # "nothing now" stays legal
+    assert getattr(source, "pulled_bytes", 0) == 0
+    granted = source.pull(10)
+    assert (len(granted) if isinstance(granted, bytes) else granted) == 10
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +97,20 @@ def test_random_payload_transcript_matches_grants():
 def test_random_payload_returns_bytes():
     source = RandomPayloadSource(total_bytes=10)
     assert isinstance(source.pull(10), bytes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 250, 8192])
+def test_random_payload_is_the_per_byte_generator(n):
+    """``pull`` draws a grant with one ``getrandbits(32 * n)`` and keeps
+    the top byte of each word. That equals one ``getrandbits(8)`` per byte,
+    and leaves the generator where that would, only because of how CPython
+    packs Mersenne outputs; an interpreter that packs them differently
+    must fail here, not silently change every seeded payload."""
+    source = RandomPayloadSource(2 * n, rng=random.Random(n))
+    reference = random.Random(n)
+    for __ in range(2):
+        assert source.pull(n) == bytes(reference.getrandbits(8) for __ in range(n))
+    assert source._rng.random() == reference.random()
 
 
 # ----------------------------------------------------------------------
