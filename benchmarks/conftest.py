@@ -7,7 +7,8 @@ echoed in pytest's terminal summary (so they survive output capture).
 Durations: paper runs are 300 s; benchmarks default to 60 s per run
 (shapes are stable well before that). Override with
 ``REPRO_BENCH_DURATION`` seconds, or set ``REPRO_FAST=1`` for 15 s smoke
-runs.
+runs. The catalogued paper artefacts (``bench_experiments.py``) take
+their full and fast run lengths from their catalog entry instead.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ def bench_duration() -> float:
     if os.environ.get("REPRO_FAST"):
         return 15.0
     return 60.0
-
-
-def surge_duration() -> float:
-    """Fig. 4 needs its 50 s / 200 s schedule; scale it down in fast mode."""
-    if os.environ.get("REPRO_FAST"):
-        return 90.0
-    return 300.0
 
 
 @pytest.fixture

@@ -10,6 +10,9 @@
 
 from __future__ import annotations
 
+import random
+from typing import Optional
+
 from repro.core.estimators import sedt  # noqa: F401  (re-export)
 
 
@@ -49,6 +52,26 @@ def fmtcp_beats_mptcp_condition(p1: float, p2: float) -> float:
     if p2 == 0.0:
         return float("inf")
     return 1.0 + 2.0 * (1.0 - p1) / (p2 * (1.0 + p1))
+
+
+def simulate_sedt(
+    rtt: float,
+    loss: float,
+    rto: float,
+    trials: int = 50_000,
+    rng: Optional[random.Random] = None,
+) -> float:
+    """Monte-Carlo twin of Eq. (13): mean single-path delivery time when
+    every loss costs one ``rto`` and the surviving copy half an RTT."""
+    _check(rtt, loss, 0.0)
+    rng = rng or random.Random(0)
+    total = 0.0
+    for __ in range(trials):
+        elapsed = 0.0
+        while rng.random() < loss:
+            elapsed += rto  # timeout, send again
+        total += elapsed + rtt / 2.0
+    return total / trials
 
 
 def _check(r1: float, p1: float, p2: float) -> None:

@@ -6,7 +6,12 @@ Examples::
     python -m repro fig4 --surge 0.35    # the loss-surge time series
     python -m repro fig7                 # per-block delay, test case 4
     python -m repro analysis             # Section III-B / IV-C numbers
-    python -m repro all --fast           # everything, short runs
+    python -m repro --duration 10 all    # every catalogued experiment, short runs
+    python -m repro report --check       # EXPERIMENTS.md quotes the ledgers?
+
+Every experiment verb reads its entries from
+:mod:`repro.experiments.catalog`, the same declarations the benchmark
+ledgers and EXPERIMENTS.md are generated from.
 """
 
 from __future__ import annotations
@@ -17,20 +22,9 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.analysis import coding as coding_analysis
-from repro.analysis import allocation as allocation_analysis
-from repro.experiments import figures
-from repro.experiments import paper_data
-from repro.experiments.fairness import run_fairness
+from repro.experiments import catalog
 from repro.experiments.replication import run_replicated
-from repro.experiments.reporting import (
-    bar_chart,
-    rows_to_csv,
-    series_plot,
-    series_to_csv,
-    write_csv,
-)
-from repro.metrics.stats import mean
+from repro.experiments.reporting import write_csv
 from repro.workloads.scenarios import (
     DEFAULT_BANDWIDTH_BPS,
     TABLE1_CASES,
@@ -42,219 +36,76 @@ def _fmt_row(values: List[str], widths: List[int]) -> str:
     return "  ".join(value.rjust(width) for value, width in zip(values, widths))
 
 
-def cmd_table1(args: argparse.Namespace) -> None:
-    print("Table I — path parameters of subflow 2 (subflow 1: 100 ms, 0 %):")
-    widths = [6, 10, 10]
-    print(_fmt_row(["case", "delay(ms)", "loss(%)"], widths))
-    for case in TABLE1_CASES:
+def _experiments(args: argparse.Namespace) -> List[catalog.Experiment]:
+    """The catalog entries a verb prints; ``fig4`` and ``fairness`` build
+    theirs from their own flag."""
+    if args.command == "fig4":
+        return [catalog.figure4(args.surge)]
+    if args.command == "fairness":
+        return [catalog.fairness(args.competitors)]
+    if args.command == "all":
+        return list(catalog.CATALOG)
+    return catalog.experiments_of(args.command)
+
+
+def cmd_experiment(args: argparse.Namespace) -> Optional[int]:
+    """Run a verb's catalog entries at the requested scale and print each
+    one's table (at full scale: its ledger), chart and failed shape checks."""
+    experiments = _experiments(args)
+    if args.csv and len(experiments) != 1:
         print(
-            _fmt_row(
-                [str(case.case_id), f"{case.delay_s * 1e3:.0f}", f"{case.loss_rate * 1e2:.0f}"],
-                widths,
-            )
+            f"error: --csv: {args.command} prints {len(experiments)} tables, "
+            "--csv exports one",
+            file=sys.stderr,
         )
+        return 2
+    for experiment in experiments:
+        scale = experiment.scale(args.duration, args.bandwidth, args.seed)
+        result = experiment.run(scale)
+        print(f"{experiment.title}:")
+        for line in experiment.render(result, scale):
+            print(line)
+        if experiment.chart:
+            print()
+            for line in experiment.chart(result):
+                print(line)
+        failed = experiment.failed_checks(result, scale)
+        held = len(experiment.shape_checks) - len(failed)
+        print(f"shape: {held}/{len(experiment.shape_checks)} checks hold at this scale")
+        for description in failed:
+            print(f"  not reproduced: {description}")
+        if args.csv:
+            write_csv(args.csv, experiment.to_csv(result))
+            print(f"wrote {args.csv}")
+        print()
+    return None
 
 
-def cmd_fig3(args: argparse.Namespace) -> None:
-    rows = figures.run_figure3(args.duration, args.bandwidth, args.seed)
-    if args.csv:
-        write_csv(args.csv, rows_to_csv(rows))
-        print(f"wrote {args.csv}")
-    print(f"Figure 3 — total goodput over {args.duration or figures.default_duration_s()}s (MB):")
-    widths = [6, 10, 8, 12, 12, 7]
-    print(_fmt_row(["case", "delay(ms)", "loss(%)", "FMTCP(MB)", "MPTCP(MB)", "ratio"], widths))
-    for row in rows:
-        print(
-            _fmt_row(
-                [
-                    str(row["case"]),
-                    f"{row['delay_ms']:.0f}",
-                    f"{row['loss_pct']:.0f}",
-                    f"{row['fmtcp_goodput_mb']:.2f}",
-                    f"{row['mptcp_goodput_mb']:.2f}",
-                    f"{row['ratio']:.2f}",
-                ],
-                widths,
-            )
-        )
-    chart_rows = []
-    for row in rows:
-        chart_rows.append((f"case{row['case']} FMTCP", row["fmtcp_goodput_mb"]))
-        chart_rows.append((f"case{row['case']} MPTCP", row["mptcp_goodput_mb"]))
-    print()
-    for line in bar_chart(chart_rows, unit=" MB"):
-        print(line)
-
-
-def cmd_fig4(args: argparse.Namespace) -> None:
-    duration = args.duration or 300.0
-    results = figures.run_figure4(
-        args.surge, duration_s=duration, bandwidth_bps=args.bandwidth, seed=args.seed
-    )
-    print(
-        f"Figure 4 — goodput rate (MB/s), loss surge to {args.surge:.0%} "
-        f"at t=50s, back to 1% at t=200s:"
-    )
-    print(_fmt_row(["t(s)", "FMTCP", "MPTCP"], [8, 8, 8]))
-    fmtcp_series = results["fmtcp"].goodput_series
-    mptcp_series = results["mptcp"].goodput_series
-    for (t, fmtcp_rate), (__, mptcp_rate) in zip(fmtcp_series, mptcp_series):
-        print(_fmt_row([f"{t:.0f}", f"{fmtcp_rate:.3f}", f"{mptcp_rate:.3f}"], [8, 8, 8]))
-    print()
-    for line in series_plot({"fmtcp": fmtcp_series, "mptcp": mptcp_series}):
-        print(line)
-    if args.csv:
-        write_csv(args.csv, series_to_csv({"fmtcp": fmtcp_series, "mptcp": mptcp_series}))
-        print(f"wrote {args.csv}")
-
-
-def cmd_fig5(args: argparse.Namespace) -> None:
-    rows = figures.run_figure5(args.duration, args.bandwidth, args.seed)
-    print("Figure 5 — mean block delivery delay (ms):")
-    widths = [6, 10, 8, 12, 12]
-    print(_fmt_row(["case", "delay(ms)", "loss(%)", "FMTCP(ms)", "MPTCP(ms)"], widths))
-    for row in rows:
-        print(
-            _fmt_row(
-                [
-                    str(row["case"]),
-                    f"{row['delay_ms']:.0f}",
-                    f"{row['loss_pct']:.0f}",
-                    f"{row['fmtcp_block_delay_ms']:.1f}",
-                    f"{row['mptcp_block_delay_ms']:.1f}",
-                ],
-                widths,
-            )
-        )
-
-
-def cmd_fig6(args: argparse.Namespace) -> None:
-    rows = figures.run_figure6(args.duration, args.bandwidth, args.seed)
-    print("Figure 6 — mean block jitter (ms):")
-    widths = [6, 10, 8, 12, 12]
-    print(_fmt_row(["case", "delay(ms)", "loss(%)", "FMTCP(ms)", "MPTCP(ms)"], widths))
-    for row in rows:
-        print(
-            _fmt_row(
-                [
-                    str(row["case"]),
-                    f"{row['delay_ms']:.0f}",
-                    f"{row['loss_pct']:.0f}",
-                    f"{row['fmtcp_jitter_ms']:.1f}",
-                    f"{row['mptcp_jitter_ms']:.1f}",
-                ],
-                widths,
-            )
-        )
-
-
-def cmd_fig7(args: argparse.Namespace) -> None:
-    series = figures.run_figure7(args.duration, args.bandwidth, args.seed)
-    print("Figure 7 — per-block delivery delay, Table I case 4 (100 ms / 15 %):")
-    for protocol in ("fmtcp", "mptcp"):
-        delays_ms = [delay * 1e3 for delay in series[protocol]]
-        if not delays_ms:
-            print(f"  {protocol}: no blocks completed")
-            continue
-        print(
-            f"  {protocol}: {len(delays_ms)} blocks, mean {mean(delays_ms):.1f} ms, "
-            f"max {max(delays_ms):.1f} ms (max/mean "
-            f"{max(delays_ms) / mean(delays_ms):.1f}x)"
-        )
-    print(f"  paper: MPTCP max/mean ≈ {paper_data.FIG7_MPTCP_MAX_OVER_MEAN:.0f}x, FMTCP stable")
-
-
-def cmd_analysis(args: argparse.Namespace) -> None:
-    print("Section III-B — fixed-rate vs fountain (A=100 packets, k̂=256):")
-    for p1, p2 in ((0.05, 0.10), (0.05, 0.15), (0.10, 0.20)):
-        bound = coding_analysis.chernoff_no_retransmission_bound(100, p1, p2)
-        empirical = coding_analysis.simulate_fixed_rate_delivery(100, p1, p2, trials=2000)
-        print(
-            f"  p1={p1:.2f} p2={p2:.2f}: P(no retx) Chernoff bound {bound:.4f}, "
-            f"empirical {empirical:.4f}"
-        )
-    for p in (0.0, 0.1, 0.2):
-        bound = coding_analysis.fountain_expected_symbols_bound(256, p)
-        exact = coding_analysis.fountain_expected_symbols_exact(256, p)
-        empirical = coding_analysis.simulate_fountain_delivery(256, p, trials=200)
-        print(
-            f"  fountain p={p:.1f}: E[symbols] bound {bound:.1f}, exact {exact:.1f}, "
-            f"empirical {empirical:.1f}"
-        )
-    print("Section IV-C — allocation scheme (r1=1, p1=0.01):")
-    for p2, m in ((0.10, 2.0), (0.15, 3.0), (0.25, 5.0)):
-        bound = allocation_analysis.theorem3_ratio_bound(0.01, p2, m)
-        threshold = allocation_analysis.fmtcp_beats_mptcp_condition(0.01, p2)
-        print(
-            f"  p2={p2:.2f} m={m:.1f}: FMTCP ratio bound {bound:.2f} vs MPTCP {m:.2f} "
-            f"(FMTCP wins once m > {threshold:.2f})"
-        )
-
-
-def cmd_report(args: argparse.Namespace) -> None:
+def cmd_report(args: argparse.Namespace) -> Optional[int]:
     from pathlib import Path
 
     from repro.experiments.report import write_report
 
-    output = write_report(output_path=Path(args.output))
-    print(f"wrote {output}")
-
-
-def cmd_heatmap(args: argparse.Namespace) -> None:
-    from repro.experiments.heatmap import run_heatmap
-
-    duration = args.duration or 30.0
-    print("FMTCP advantage map: subflow-2 loss x receive-buffer budget")
-    result = run_heatmap(duration_s=duration, seed=args.seed)
-    for line in result.render():
-        print(line)
-
-
-def cmd_sensitivity(args: argparse.Namespace) -> None:
-    from repro.experiments.sensitivity import sweep_bandwidth, sweep_delay_asymmetry, sweep_loss
-
-    duration = args.duration or 30.0
-    for title, sweep in (
-        ("subflow-2 loss sweep", sweep_loss),
-        ("per-path bandwidth sweep", sweep_bandwidth),
-        ("subflow-2 delay sweep", sweep_delay_asymmetry),
-    ):
-        print(title + ":")
-        for point in sweep(duration_s=duration, seed=args.seed):
-            fmtcp = point.results["fmtcp"].summary["goodput_mbytes_per_s"]
-            mptcp = point.results["mptcp"].summary["goodput_mbytes_per_s"]
-            print(
-                f"  {point.label:>14}: FMTCP {fmtcp:.3f} MB/s, MPTCP {mptcp:.3f} MB/s, "
-                f"ratio {point.advantage:.2f}"
-            )
-        print()
-
-
-def cmd_fairness(args: argparse.Namespace) -> None:
-    duration = args.duration or 30.0
-    print(
-        f"TCP-friendliness: 1 flow under test vs {args.competitors} plain TCP "
-        f"flows on a 10 Mbit/s bottleneck, {duration:.0f}s"
-    )
-    for protocol in ("tcp", "fmtcp"):
-        result = run_fairness(
-            protocol_under_test=protocol,
-            n_competitors=args.competitors,
-            duration_s=duration,
-            seed=args.seed,
-        )
-        rates = ", ".join(
-            f"{name}={rate:.2f}" for name, rate in sorted(result.rates_mbps.items())
-        )
-        print(
-            f"  {protocol:>6}: Jain {result.jain:.3f}, share of fair "
-            f"{result.test_flow_share:.2f}  ({rates} Mbit/s)"
-        )
+    try:
+        stale = write_report(Path(args.results), Path(args.output), check=args.check)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if not args.check:
+        print(f"wrote {args.output}")
+        return None
+    for name in stale:
+        print(f"{args.output}: the {name} block differs from {args.results}/{name}.txt")
+    if stale:
+        print("regenerate with: python -m repro report", file=sys.stderr)
+        return 1
+    print(f"{args.output} quotes every ledger it names verbatim")
+    return None
 
 
 def cmd_replicate(args: argparse.Namespace) -> None:
     duration = args.duration or 30.0
-    case = next(c for c in TABLE1_CASES if c.case_id == args.case)
+    case = TABLE1_CASES[args.case - 1]
     seeds = tuple(range(1, args.seeds + 1))
     print(
         f"Replicated comparison on Table I case {case.case_id} "
@@ -686,7 +537,7 @@ def cmd_trace_record(args: argparse.Namespace) -> None:
     from repro.experiments.runner import run_transfer
     from repro.telemetry import TelemetryConfig
 
-    case = next(c for c in TABLE1_CASES if c.case_id == args.case)
+    case = TABLE1_CASES[args.case - 1]
     duration = args.duration or 30.0
     config = TelemetryConfig(
         sample_period_s=args.sample_period,
@@ -828,17 +679,6 @@ def cmd_trace_critical_path(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
-def cmd_all(args: argparse.Namespace) -> None:
-    for command in (cmd_table1, cmd_fig3, cmd_fig5, cmd_fig6, cmd_fig7, cmd_analysis):
-        command(args)
-        print()
-    args.surge = 0.25
-    cmd_fig4(args)
-    print()
-    args.surge = 0.35
-    cmd_fig4(args)
-
-
 class _MenuParser(argparse.ArgumentParser):
     """ArgumentParser that prints a subcommand menu on unknown choices.
 
@@ -867,6 +707,32 @@ def _run_length(text: str) -> float:
     return value
 
 
+def _table1_case(text: str) -> int:
+    """argparse ``type=`` of ``--case``: a Table I case id."""
+    value = int(text)
+    if not 1 <= value <= len(TABLE1_CASES):
+        raise argparse.ArgumentTypeError(
+            f"Table I has cases 1-{len(TABLE1_CASES)}, got {text!r}"
+        )
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """argparse ``type=`` of a count (``--seeds``, ``--competitors``): >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _surge_loss(text: str) -> float:
+    """argparse ``type=`` of ``--surge``: a loss rate in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"loss rate must be in [0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -881,31 +747,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--csv", type=str, default=None, help="export rows to CSV")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_MenuParser)
-    sub.add_parser("table1", help="print Table I").set_defaults(fn=cmd_table1)
-    sub.add_parser("fig3", help="goodput sweep").set_defaults(fn=cmd_fig3)
-    fig4 = sub.add_parser("fig4", help="loss-surge time series")
-    fig4.add_argument("--surge", type=float, default=0.25)
-    fig4.set_defaults(fn=cmd_fig4)
-    sub.add_parser("fig5", help="block delay sweep").set_defaults(fn=cmd_fig5)
-    sub.add_parser("fig6", help="block jitter sweep").set_defaults(fn=cmd_fig6)
-    sub.add_parser("fig7", help="per-block delay series").set_defaults(fn=cmd_fig7)
-    sub.add_parser("analysis", help="closed-form results").set_defaults(fn=cmd_analysis)
-    fairness = sub.add_parser("fairness", help="shared-bottleneck TCP-friendliness")
-    fairness.add_argument("--competitors", type=int, default=3)
-    fairness.set_defaults(fn=cmd_fairness)
+    for verb, help_text in catalog.VERBS.items():
+        command = sub.add_parser(verb, help=help_text)
+        command.set_defaults(fn=cmd_experiment)
+        if verb == "fig4":
+            command.add_argument(
+                "--surge", type=_surge_loss, default=0.25, help="subflow-2 loss in the surge"
+            )
+        elif verb == "fairness":
+            command.add_argument(
+                "--competitors", type=_at_least_one, default=3, help="plain TCP flows"
+            )
     replicate = sub.add_parser("replicate", help="multi-seed mean ± CI comparison")
-    replicate.add_argument("--case", type=int, default=4)
-    replicate.add_argument("--seeds", type=int, default=3)
+    replicate.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
+    replicate.add_argument("--seeds", type=_at_least_one, default=3)
     replicate.set_defaults(fn=cmd_replicate)
-    sub.add_parser("heatmap", help="loss x buffer advantage map").set_defaults(
-        fn=cmd_heatmap
+    report = sub.add_parser(
+        "report", help="copy the benchmark ledgers into EXPERIMENTS.md's marked blocks"
     )
-    report = sub.add_parser("report", help="assemble RESULTS.md from saved benches")
-    report.add_argument("--output", type=str, default="RESULTS.md")
+    report.add_argument("--output", type=str, default="EXPERIMENTS.md")
+    report.add_argument("--results", type=str, default="benchmarks/results")
+    report.add_argument(
+        "--check", action="store_true", help="exit 1 if a block differs, write nothing"
+    )
     report.set_defaults(fn=cmd_report)
-    sub.add_parser("sensitivity", help="loss/bandwidth/delay sweeps").set_defaults(
-        fn=cmd_sensitivity
-    )
     faults = sub.add_parser("faults", help="fault injection: chaos run + recovery")
     faults.add_argument(
         "--scenario",
@@ -935,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     policy_list.set_defaults(fn=cmd_policy_list)
 
     def _policy_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--case", type=int, default=4, help="Table I case id")
-        p.add_argument("--seeds", type=int, default=3, help="number of seeds")
+        p.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
+        p.add_argument("--seeds", type=_at_least_one, default=3, help="number of seeds")
         p.add_argument("--epoch", type=float, default=0.25, help="decision epoch (s)")
         p.add_argument(
             "--workers", type=int, default=None, help="process pool size"
@@ -977,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = trace_sub.add_parser(
         "record", help="run one Table I transfer with telemetry -> JSONL"
     )
-    record.add_argument("--case", type=int, default=4, help="Table I case id")
+    record.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
     record.add_argument(
         "--protocol",
         choices=("fmtcp", "mptcp", "tcp", "fixedrate"),
@@ -1031,9 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=5, help="how many slowest blocks to show"
     )
     critical_p.set_defaults(fn=cmd_trace_critical_path)
-    everything = sub.add_parser("all", help="run every experiment")
-    everything.add_argument("--surge", type=float, default=0.25)
-    everything.set_defaults(fn=cmd_all)
+    sub.add_parser("all", help="run every catalogued experiment").set_defaults(
+        fn=cmd_experiment
+    )
     return parser
 
 

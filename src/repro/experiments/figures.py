@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult, run_transfer
+from repro.metrics.stats import mean
+from repro.net.packet import Packet
+from repro.net.topology import build_two_path_network
+from repro.sim.rng import RngStreams
 from repro.workloads.scenarios import (
     DEFAULT_BANDWIDTH_BPS,
     TABLE1_CASES,
@@ -109,6 +113,44 @@ def run_table1_suite(
 # ----------------------------------------------------------------------
 # Figure runners. Each returns rows ready for printing/plotting.
 # ----------------------------------------------------------------------
+def run_table1_paths(
+    bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
+    seed: int = 1,
+    probes: int = 5000,
+) -> List[Dict[str, float]]:
+    """Table I: drive ``probes`` 100-byte packets, one per 2 ms, over each
+    case's subflow-2 path and measure the loss and one-way delay it
+    realises — the substrate check under every other experiment."""
+    rows = []
+    for case in TABLE1_CASES:
+        network, paths = build_two_path_network(
+            table1_path_configs(case, bandwidth_bps), rng=RngStreams(seed)
+        )
+        path, sim = paths[1], network.sim  # subflow 2 carries the case
+        arrivals: List[float] = []
+        network.nodes["dst"].bind(50, lambda packet: arrivals.append(sim.now - packet.sent_at))
+
+        def send_probe(index: int) -> None:
+            packet = Packet(size=100, src="src", dst="dst", src_port=49, dst_port=50)
+            packet.sent_at = sim.now
+            path.send_forward(packet)
+            if index + 1 < probes:
+                sim.schedule(0.002, send_probe, index + 1)
+
+        send_probe(0)
+        sim.run()
+        rows.append(
+            {
+                "case": case.case_id,
+                "delay_ms": case.delay_s * 1e3,
+                "loss_pct": case.loss_rate * 1e2,
+                "measured_delay_ms": mean(arrivals) * 1e3,
+                "measured_loss_pct": (1.0 - len(arrivals) / probes) * 1e2,
+            }
+        )
+    return rows
+
+
 def run_figure3(
     duration_s: Optional[float] = None,
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,

@@ -1,47 +1,33 @@
-"""Assemble a markdown report from saved benchmark results.
+"""EXPERIMENTS.md's measured tables, copied from the benchmark ledgers.
 
-The benchmark harness writes one plain-text block per experiment into
-``benchmarks/results/``; this module stitches them into a single
-``RESULTS.md`` with a stable section order and a generation header —
-the file a user attaches to a reproduction write-up. Exposed as
-``python -m repro report``.
+Each catalogued experiment (:mod:`repro.experiments.catalog`) writes its
+rendered table to ``benchmarks/results/<ledger>.txt``. EXPERIMENTS.md
+quotes a ledger between two markers, and only there::
+
+    <!-- ledger: fig3_goodput -->
+    ```text
+    ...the ledger, byte for byte...
+    ```
+    <!-- /ledger -->
+
+:func:`write_report` rewrites every marked block from the ledgers and
+leaves the prose around them alone; with ``check=True`` it writes nothing
+and names the blocks that differ. Exposed as ``python -m repro report``
+(``--check``), which a tier-1 test and CI run, so a typed number cannot
+drift from the ledger it claims to quote.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Dict, List, Optional
 
-#: Section ordering and human titles; anything not listed is appended
-#: alphabetically under "Other results".
-SECTION_ORDER = [
-    ("table1_path_fidelity", "Table I — path fidelity"),
-    ("motivation_tcp_vs_multipath", "Section I motivation — TCP vs multipath"),
-    ("fig3_goodput", "Figure 3 — total goodput"),
-    ("fig4_surge_25", "Figure 4(a) — 25 % loss surge"),
-    ("fig4_surge_35", "Figure 4(b) — 35 % loss surge"),
-    ("fig5_block_delay", "Figure 5 — block delivery delay"),
-    ("fig6_jitter", "Figure 6 — block jitter"),
-    ("fig7_block_delay_series", "Figure 7 — per-block delay series"),
-    ("analysis_fixed_rate", "Section III-B — fixed-rate analysis"),
-    ("analysis_fountain_overhead", "Section III-B — fountain overhead"),
-    ("analysis_sedt", "Section IV-C — SEDT"),
-    ("analysis_theorem2", "Section IV-C — Theorem 2"),
-    ("analysis_theorem3", "Section IV-C — Theorem 3"),
-    ("fairness_shared_bottleneck", "Extension — TCP-friendliness"),
-    ("fixedrate_p_hat_sweep", "Extension — fixed-rate p̂ sweep"),
-    ("fixedrate_blackout", "Extension — fixed-rate blackout stall"),
-    ("heatmap_loss_buffer", "Extension — loss × buffer heatmap"),
-    ("sensitivity_loss", "Extension — loss sensitivity"),
-    ("sensitivity_bandwidth", "Extension — bandwidth sensitivity"),
-    ("sensitivity_delay", "Extension — delay-asymmetry sensitivity"),
-    ("ablation_allocation", "Ablation — allocation policies"),
-    ("ablation_delta_hat", "Ablation — δ̂ margin"),
-    ("ablation_block_size", "Ablation — block geometry"),
-    ("ablation_buffer_size", "Ablation — receive buffer"),
-    ("ablation_congestion", "Ablation — congestion coupling"),
-    ("ablation_mptcp_scheduler", "Ablation — MPTCP scheduler"),
-]
+#: One marked block; ``name`` is the ledger's file stem.
+MARKED_BLOCK = re.compile(
+    r"(?P<open><!-- ledger: (?P<name>[a-z0-9_]+) -->\n)(?P<body>.*?)(?P<close><!-- /ledger -->)",
+    re.DOTALL,
+)
 
 
 def collect_results(results_dir: Path) -> Dict[str, str]:
@@ -54,43 +40,55 @@ def collect_results(results_dir: Path) -> Dict[str, str]:
     return results
 
 
-def build_report(results: Dict[str, str], header: Optional[str] = None) -> str:
-    """Render the results into one markdown document."""
-    lines: List[str] = ["# Reproduction results", ""]
-    if header:
-        lines += [header, ""]
-    lines += [
-        "Generated from `benchmarks/results/` (written by "
-        "`pytest benchmarks/ --benchmark-only`). Paper-vs-measured context "
-        "and known deviations are documented in EXPERIMENTS.md.",
-        "",
-    ]
-    seen = set()
-    for name, title in SECTION_ORDER:
+def quote(ledger: str) -> str:
+    """A marked block's body for one ledger's text."""
+    return f"```text\n{ledger}\n```\n"
+
+
+def quoted_ledgers(document: str) -> Dict[str, str]:
+    """Ledger name -> the body of its marked block in ``document``."""
+    return {match["name"]: match["body"] for match in MARKED_BLOCK.finditer(document)}
+
+
+def fill_ledgers(document: str, results: Dict[str, str]) -> str:
+    """``document`` with every marked block replaced by its ledger."""
+
+    def fill(match: "re.Match[str]") -> str:
+        name = match["name"]
         if name not in results:
-            continue
-        seen.add(name)
-        lines += [f"## {title}", "", "```", results[name], "```", ""]
-    leftovers = sorted(set(results) - seen)
-    if leftovers:
-        lines += ["## Other results", ""]
-        for name in leftovers:
-            lines += [f"### {name}", "", "```", results[name], "```", ""]
-    return "\n".join(lines).rstrip() + "\n"
+            raise ValueError(f"a marked block quotes ledger {name!r}, which has no results file")
+        return match["open"] + quote(results[name]) + match["close"]
+
+    return MARKED_BLOCK.sub(fill, document)
+
+
+def stale_ledgers(document: str, results: Dict[str, str]) -> List[str]:
+    """Names of the marked blocks that do not quote their ledger verbatim."""
+    return [
+        name
+        for name, body in quoted_ledgers(document).items()
+        if name not in results or body != quote(results[name])
+    ]
 
 
 def write_report(
     results_dir: Optional[Path] = None,
     output_path: Optional[Path] = None,
-) -> Path:
-    """Generate RESULTS.md next to the results directory; returns its path."""
+    check: bool = False,
+) -> List[str]:
+    """Refresh the marked blocks of ``output_path`` (EXPERIMENTS.md) from
+    ``results_dir``; return the names of the blocks that were stale. With
+    ``check`` nothing is written."""
     results_dir = results_dir or Path("benchmarks/results")
-    output_path = output_path or Path("RESULTS.md")
+    output_path = output_path or Path("EXPERIMENTS.md")
     results = collect_results(results_dir)
     if not results:
         raise FileNotFoundError(
             f"no saved results in {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only` first"
+            "`pytest benchmarks/bench_experiments.py` first"
         )
-    output_path.write_text(build_report(results))
-    return output_path
+    document = output_path.read_text()
+    stale = stale_ledgers(document, results)
+    if not check:
+        output_path.write_text(fill_ledgers(document, results))
+    return stale

@@ -36,6 +36,32 @@ def test_duration_must_be_finite_and_positive(value, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["replicate", "--case", "9"], "--case: Table I has cases 1-8, got '9'"),
+        (["trace", "record", "--case", "0"], "--case: Table I has cases 1-8, got '0'"),
+        (["policy", "compare", "--case", "9"], "--case: Table I has cases 1-8, got '9'"),
+        (["replicate", "--seeds", "0"], "--seeds: must be at least 1, got '0'"),
+        (["policy", "rollout", "--seeds", "-2"], "--seeds: must be at least 1, got '-2'"),
+        (["fairness", "--competitors", "0"], "--competitors: must be at least 1, got '0'"),
+        (["fig4", "--surge", "1.5"], "--surge: loss rate must be in [0, 1), got '1.5'"),
+        (["fig4", "--surge", "nan"], "--surge: loss rate must be in [0, 1), got 'nan'"),
+    ],
+)
+def test_a_count_or_case_out_of_range_exits_2_naming_it(argv, message, capsys):
+    """Each of these died in a StopIteration or ValueError traceback."""
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_csv_needs_a_verb_that_prints_one_table(tmp_path, capsys):
+    target = tmp_path / "analysis.csv"
+    assert main(["--csv", str(target), "analysis"]) == 2
+    assert "--csv: analysis prints 5 tables" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_table1_output(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
