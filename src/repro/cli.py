@@ -393,146 +393,6 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
-def _print_policy_menu() -> None:
-    from repro.policy import POLICIES
-
-    print("Policies (repro policy rollout/compare --policy NAME):")
-    for name in sorted(POLICIES):
-        doc = (POLICIES[name].__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:>20}: {doc}")
-
-
-def cmd_policy_list(args: argparse.Namespace) -> None:
-    _print_policy_menu()
-
-
-def _parse_seeds(args: argparse.Namespace) -> List[int]:
-    return list(range(args.seed, args.seed + args.seeds))
-
-
-def cmd_policy_rollout(args: argparse.Namespace) -> Optional[int]:
-    from repro.policy import (
-        POLICIES,
-        RolloutJob,
-        run_rollouts,
-        summarize_rollouts,
-        write_trajectories,
-    )
-
-    if not args.policy:
-        args.policy = ["paper-eat"]
-    for name in args.policy:
-        if name not in POLICIES:
-            available = ", ".join(sorted(POLICIES))
-            print(
-                f"error: unknown policy {name!r} (available: {available})",
-                file=sys.stderr,
-            )
-            _print_policy_menu()
-            return 2
-    seeds = _parse_seeds(args)
-    duration = args.duration or 15.0
-    jobs = [
-        RolloutJob(
-            policy=name,
-            seed=seed,
-            case_id=args.case,
-            duration_s=duration,
-            epoch_s=args.epoch,
-        )
-        for name in args.policy
-        for seed in seeds
-    ]
-    results = run_rollouts(jobs, workers=args.workers)
-    if args.out:
-        lines = write_trajectories(results, args.out)
-        print(f"wrote {lines} trajectory lines to {args.out}")
-    per_policy = len(seeds)
-    widths = [20, 6, 12, 12, 12, 10]
-    print(
-        _fmt_row(
-            ["policy", "seeds", "good(MB)", "reward", "delay(ms)", "blocks"],
-            widths,
-        )
-    )
-    for index, name in enumerate(args.policy):
-        report = summarize_rollouts(
-            results[index * per_policy : (index + 1) * per_policy]
-        )
-        print(
-            _fmt_row(
-                [
-                    report.policy,
-                    str(len(report.seeds)),
-                    f"{report.goodput_mbytes_mean:.3f}",
-                    f"{report.total_reward_mean:.3f}",
-                    f"{report.mean_block_delay_ms:.1f}",
-                    f"{report.blocks_done_mean:.0f}",
-                ],
-                widths,
-            )
-        )
-    return None
-
-
-def cmd_policy_compare(args: argparse.Namespace) -> Optional[int]:
-    from repro.policy import POLICIES, compare_policies
-
-    names = args.policy or sorted(POLICIES)
-    for name in names:
-        if name not in POLICIES:
-            available = ", ".join(sorted(POLICIES))
-            print(
-                f"error: unknown policy {name!r} (available: {available})",
-                file=sys.stderr,
-            )
-            _print_policy_menu()
-            return 2
-    duration = args.duration or 15.0
-    reports = compare_policies(
-        names,
-        seeds=_parse_seeds(args),
-        case_id=args.case,
-        duration_s=duration,
-        epoch_s=args.epoch,
-        workers=args.workers,
-    )
-    print(
-        f"Table I case {args.case}, {duration:.0f}s x {args.seeds} seeds "
-        f"(epoch {args.epoch}s):"
-    )
-    widths = [20, 12, 12, 12, 12, 10]
-    print(
-        _fmt_row(
-            ["policy", "good(MB)", "min", "max", "delay(ms)", "blocks"],
-            widths,
-        )
-    )
-    for report in sorted(
-        reports, key=lambda r: r.goodput_mbytes_mean, reverse=True
-    ):
-        print(
-            _fmt_row(
-                [
-                    report.policy,
-                    f"{report.goodput_mbytes_mean:.3f}",
-                    f"{report.goodput_mbytes_min:.3f}",
-                    f"{report.goodput_mbytes_max:.3f}",
-                    f"{report.mean_block_delay_ms:.1f}",
-                    f"{report.blocks_done_mean:.0f}",
-                ],
-                widths,
-            )
-        )
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump([report.to_dict() for report in reports], handle, indent=2)
-        print(f"wrote {args.json}")
-    return None
-
-
 def cmd_trace_record(args: argparse.Namespace) -> None:
     from repro.experiments.runner import run_transfer
     from repro.telemetry import TelemetryConfig
@@ -682,9 +542,9 @@ def cmd_trace_critical_path(args: argparse.Namespace) -> Optional[int]:
 class _MenuParser(argparse.ArgumentParser):
     """ArgumentParser that prints a subcommand menu on unknown choices.
 
-    Matches the ``repro faults``/``repro policy`` convention: unknown
-    subcommands exit 2 after a helpful listing instead of a bare usage
-    string. Parsers without a ``menu`` keep stock argparse behaviour.
+    Matches the ``repro faults`` convention: unknown subcommands exit 2
+    after a helpful listing instead of a bare usage string. Parsers
+    without a ``menu`` keep stock argparse behaviour.
     """
 
     menu = None
@@ -707,6 +567,14 @@ def _run_length(text: str) -> float:
     return value
 
 
+def _instant(text: str) -> float:
+    """argparse ``type=`` of ``--start`` / ``--end``: finite seconds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"time must be finite seconds, got {text!r}")
+    return value
+
+
 def _table1_case(text: str) -> int:
     """argparse ``type=`` of ``--case``: a Table I case id."""
     value = int(text)
@@ -718,7 +586,8 @@ def _table1_case(text: str) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    """argparse ``type=`` of a count (``--seeds``, ``--competitors``): >= 1."""
+    """argparse ``type=`` of a count (``--seeds``, ``--competitors``,
+    ``--limit``): >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
@@ -791,50 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump flight-recorder + profiler post-mortems here on violations",
     )
     faults.set_defaults(fn=cmd_faults)
-    policy = sub.add_parser(
-        "policy", help="pluggable scheduling policies: rollouts + comparisons"
-    )
-    policy.set_defaults(fn=lambda args: policy.print_help())
-    policy_sub = policy.add_subparsers(dest="policy_command")
-    policy_list = policy_sub.add_parser("list", help="show registered policies")
-    policy_list.set_defaults(fn=cmd_policy_list)
-
-    def _policy_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
-        p.add_argument("--seeds", type=_at_least_one, default=3, help="number of seeds")
-        p.add_argument("--epoch", type=float, default=0.25, help="decision epoch (s)")
-        p.add_argument(
-            "--workers", type=int, default=None, help="process pool size"
-        )
-
-    rollout_p = policy_sub.add_parser(
-        "rollout", help="run seeded episodes, optionally dump JSONL trajectories"
-    )
-    rollout_p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        help="policy name (repeatable); see 'repro policy list'",
-    )
-    rollout_p.add_argument(
-        "--out", type=str, default=None, help="write (obs, action, reward) JSONL here"
-    )
-    _policy_common(rollout_p)
-    rollout_p.set_defaults(fn=cmd_policy_rollout)
-    compare_p = policy_sub.add_parser(
-        "compare", help="same-seed goodput/delay comparison across policies"
-    )
-    compare_p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        help="policy name (repeatable); default: all registered",
-    )
-    compare_p.add_argument(
-        "--json", type=str, default=None, help="write PolicyReport list here"
-    )
-    _policy_common(compare_p)
-    compare_p.set_defaults(fn=cmd_policy_compare)
     trace = sub.add_parser("trace", help="record and analyse JSONL telemetry traces")
     trace.menu = _print_trace_menu
     trace.set_defaults(fn=lambda args: trace.print_help())
@@ -874,9 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_p.add_argument(
         "--kind", action="append", help="only these kinds (repeatable)"
     )
-    timeline_p.add_argument("--start", type=float, default=None, help="window start (s)")
-    timeline_p.add_argument("--end", type=float, default=None, help="window end (s)")
-    timeline_p.add_argument("--limit", type=int, default=40, help="show last N records")
+    timeline_p.add_argument("--start", type=_instant, default=None, help="window start (s)")
+    timeline_p.add_argument("--end", type=_instant, default=None, help="window end (s)")
+    timeline_p.add_argument(
+        "--limit", type=_at_least_one, default=40, help="show last N records"
+    )
     timeline_p.set_defaults(fn=cmd_trace_timeline)
     export_p = trace_sub.add_parser("export-csv", help="flatten records to CSV")
     export_p.add_argument("file")

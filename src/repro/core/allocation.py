@@ -40,51 +40,6 @@ class AllocationError(RuntimeError):
 
 
 @dataclass
-class AllocationRequest:
-    """Everything one allocation decision may consult.
-
-    The sender builds one of these per transmission opportunity. With no
-    decision hook installed it runs the configured allocator on it
-    directly; with a hook (``repro.policy``) the request is handed to the
-    policy, which may run Algorithm 1 verbatim (:class:`PaperEATPolicy`),
-    rescale the redundancy margin, reshape the per-path loss assumptions,
-    or decline the opportunity outright by returning an empty result.
-    """
-
-    pending_subflow_id: int
-    estimates: Sequence[PathEstimate]
-    blocks: Sequence[PendingBlock]
-    loss_rate_of: Callable[[int], float]
-    mss: int
-    symbol_wire_size: int
-    margin: float
-    now: float = 0.0
-
-    @property
-    def symbols_per_packet(self) -> int:
-        """Eq. (9)'s MSS constraint for this request's wire geometry."""
-        return max(1, self.mss // self.symbol_wire_size)
-
-    def run(self, allocator: Optional[Callable[..., "AllocationResult"]] = None) -> "AllocationResult":
-        """Execute ``allocator`` (default: Algorithm 1) on this request."""
-        if allocator is None:
-            allocator = allocate_packet
-        return allocator(
-            pending_subflow_id=self.pending_subflow_id,
-            estimates=self.estimates,
-            blocks=self.blocks,
-            loss_rate_of=self.loss_rate_of,
-            mss=self.mss,
-            symbol_wire_size=self.symbol_wire_size,
-            margin=self.margin,
-        )
-
-
-#: A pluggable allocation decision: request in, description vector out.
-DecisionHook = Callable[[AllocationRequest], "AllocationResult"]
-
-
-@dataclass
 class AllocationResult:
     """Outcome of one Algorithm 1 invocation for the pending subflow."""
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import (
-    AllocationRequest,
     AllocationResult,
-    DecisionHook,
     allocate_packet,
     allocate_packet_greedy,
     expected_symbols,
@@ -154,17 +152,12 @@ class FmtcpSender(SubflowOwner):
         self._margin = (
             resume_margin if resume_margin is not None else config.completeness_margin
         )
-        # The production path's round state (``decision_hook is None``,
-        # ``allocation == "eat"``), valid for one ``sim.now`` and dropped
-        # (set to None) by every change of an allocation input: each
-        # SubflowOwner callback, attach_subflows, set_decision_hook, a
-        # write to ``margin``, a change of the pending block list.
+        # The production path's round state (``allocation == "eat"``),
+        # valid for one ``sim.now`` and dropped (set to None) by every
+        # change of an allocation input: each SubflowOwner callback,
+        # attach_subflows, a write to ``margin``, a change of the pending
+        # block list.
         self._round: Optional[_RoundState] = None
-        # Pluggable decision layer (repro.policy): when set, every regular
-        # transmission opportunity is delegated to the hook instead of the
-        # configured allocator. Probe and stop-and-wait paths are not
-        # delegated — they bypass the allocator today and keep doing so.
-        self.decision_hook: Optional[DecisionHook] = None
         # End-to-end flow control (off unless config.flow_control): the
         # gate licenses which block ids may be *opened*; its prober keeps
         # a closed window from deadlocking the transfer.
@@ -185,7 +178,6 @@ class FmtcpSender(SubflowOwner):
         self.packets_built = 0
         self.symbols_sent = 0
         self.symbols_lost = 0
-        self.decisions_delegated = 0
         self.probes_sent = 0
         self.failover_probes_sent = 0
         self.suspect_events = 0
@@ -199,11 +191,6 @@ class FmtcpSender(SubflowOwner):
         """
         self.subflows = list(subflows)
         self._subflow_by_id = {subflow.subflow_id: subflow for subflow in subflows}
-        self._round = None
-
-    def set_decision_hook(self, hook: Optional[DecisionHook]) -> None:
-        """Install (``None``: remove) a pluggable allocation decision."""
-        self.decision_hook = hook
         self._round = None
 
     @property
@@ -371,15 +358,13 @@ class FmtcpSender(SubflowOwner):
                 vector=[(pending[0].block_id, self.config.symbols_per_packet)]
             )
             return self._build_packet(subflow, result)
-        if self.decision_hook is None and self.config.allocation == "eat":
+        if self.config.allocation == "eat":
             result = self._eat_round(subflow, pending)
             return None if result is None else self._build_packet(subflow, result)
-        # A policy may change the margin or the losses, so it gets the
-        # whole request, built from scratch, and k̃ is derived from what it
-        # passes on. A removed subflow's id can linger in per-block
-        # accounting; it reads as maximally lossy, as loss_rate_of answers.
+        # A removed subflow's id can linger in per-block accounting; it
+        # reads as maximally lossy, as loss_rate_of answers.
         losses = self.loss_snapshot()
-        request = AllocationRequest(
+        result = allocate_packet_greedy(
             pending_subflow_id=subflow.subflow_id,
             estimates=self.path_estimates(losses=losses),
             blocks=pending,
@@ -387,13 +372,7 @@ class FmtcpSender(SubflowOwner):
             mss=self.config.mss,
             symbol_wire_size=self.config.symbol_wire_size,
             margin=self._margin,
-            now=self.sim.now,
         )
-        if self.decision_hook is not None:
-            self.decisions_delegated += 1
-            result = self.decision_hook(request)
-        else:
-            result = request.run(allocate_packet_greedy)
         if result.is_empty():
             return None
         return self._build_packet(subflow, result)

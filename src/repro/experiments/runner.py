@@ -86,7 +86,6 @@ def run_transfer(
     bin_width_s: float = 1.0,
     collect_series: bool = False,
     telemetry: Optional[TelemetryConfig] = None,
-    policy=None,
 ) -> ExperimentResult:
     """Simulate one transfer and return its measurements.
 
@@ -95,19 +94,9 @@ def run_transfer(
     file, sim profiler) for the duration of the run; the resulting
     :class:`~repro.telemetry.session.TelemetryReport` lands on
     ``result.telemetry``. Without it nothing is instrumented.
-
-    ``policy`` (FMTCP only) routes every allocation decision through a
-    :class:`repro.policy.Policy` — an instance or a registered name — via
-    the sender's decision hook. ``PaperEATPolicy`` reproduces the default
-    behaviour byte-identically; see ``docs/policies.md``.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if policy is not None and protocol != "fmtcp":
-        raise ValueError(
-            f"policy= applies to the fmtcp decision layer, not {protocol!r} "
-            "(for mptcp, pass a SubflowScheduler via MptcpConfig.scheduler)"
-        )
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     sim = Simulator()
@@ -126,13 +115,6 @@ def run_transfer(
         connection = FmtcpConnection(
             sim=sim, paths=paths, source=source, config=config, trace=trace, rng=rng
         )
-        if policy is not None:
-            if isinstance(policy, str):
-                from repro.policy.policies import make_policy
-
-                policy = make_policy(policy)
-            policy.reset(seed)
-            connection.sender.set_decision_hook(policy.decide)
     elif protocol == "fixedrate":
         fmtcp_defaults = fmtcp_config or default_fmtcp_config()
         connection = FixedRateConnection(
@@ -205,7 +187,6 @@ def run_transfer(
             "symbols_redundant": connection.receiver.symbols_redundant,
             "blocks_decoded": connection.receiver.blocks_decoded,
             "redundancy_ratio": connection.redundancy_ratio(),
-            "decisions_delegated": connection.sender.decisions_delegated,
         }
     else:
         result.extras = {

@@ -48,9 +48,8 @@ class MptcpConfig(MultipathConfig):
     # nothing until a drain model is set.
     recv_buffer_chunks: int = 64
     block_bytes: int = 8192
-    # "minrtt", "roundrobin", or a ready SubflowScheduler instance (the
-    # repro.policy decision layer threads WeightedScheduler through here).
-    scheduler: Any = "minrtt"
+    # "minrtt" or "roundrobin" (repro.mptcp.scheduler).
+    scheduler: str = "minrtt"
     # After this many timeouts of one chunk, reinject it on the currently
     # best other subflow (production-MPTCP rescue behaviour; off by default
     # to match the paper's baseline).
@@ -69,6 +68,8 @@ class MptcpConfig(MultipathConfig):
             raise ValueError("recv_buffer_chunks must be >= 1")
         if self.block_bytes < 1:
             raise ValueError(f"block_bytes must be >= 1, got {self.block_bytes}")
+        if self.scheduler not in ("minrtt", "roundrobin"):
+            raise ValueError(f"unknown scheduler kind {self.scheduler!r}")
 
 
 def _dss_checksum(dsn: int, size: int, payload_bytes: Optional[bytes]) -> int:

@@ -9,7 +9,7 @@ for ablations.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Union
+from typing import List, Sequence
 
 from repro.tcp.subflow import Subflow
 
@@ -50,34 +50,8 @@ class RoundRobinScheduler(SubflowScheduler):
         return ordered[pivot:] + ordered[:pivot]
 
 
-class WeightedScheduler(SubflowScheduler):
-    """Order subflows by descending caller-supplied weight.
-
-    The pluggable half of the decision layer on the MPTCP side: a policy
-    (``repro.policy``) supplies ``weight_of`` and thereby controls which
-    subflow gets first claim on scarce connection-level send credit. Ties
-    (and the degenerate constant-weight case) fall back to subflow id.
-    """
-
-    def __init__(self, weight_of: Callable[[Subflow], float]):
-        self.weight_of = weight_of
-
-    def preference_order(self, subflows: Sequence[Subflow]) -> List[Subflow]:
-        return sorted(
-            subflows,
-            key=lambda subflow: (-self.weight_of(subflow), subflow.subflow_id),
-        )
-
-
-def make_scheduler(kind: Union[str, SubflowScheduler]) -> SubflowScheduler:
-    """Factory (``kind`` in {"minrtt", "roundrobin"} or a ready instance).
-
-    Accepting an instance lets callers thread arbitrary policy-driven
-    schedulers (e.g. :class:`WeightedScheduler`) through ``MptcpConfig``
-    without widening the string vocabulary.
-    """
-    if isinstance(kind, SubflowScheduler):
-        return kind
+def make_scheduler(kind: str) -> SubflowScheduler:
+    """Factory (``kind`` in {"minrtt", "roundrobin"})."""
     if kind == "minrtt":
         return MinRttScheduler()
     if kind == "roundrobin":

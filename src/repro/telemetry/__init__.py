@@ -24,7 +24,6 @@ from repro.telemetry.samplers import (
     SubflowSampler,
     attach_samplers,
     fmtcp_eat_provider,
-    subflow_state_fields,
 )
 from repro.telemetry.session import TelemetryConfig, TelemetryReport, TelemetrySession
 from repro.telemetry.spans import (
@@ -61,7 +60,6 @@ __all__ = [
     "ConnectionSampler",
     "attach_samplers",
     "fmtcp_eat_provider",
-    "subflow_state_fields",
     "TelemetryConfig",
     "TelemetryReport",
     "TelemetrySession",

@@ -68,29 +68,6 @@ class PeriodicSampler:
 EatProvider = Callable[[], Dict[int, float]]
 
 
-def subflow_state_fields(subflow, eat: Optional[float] = None) -> Dict:
-    """One subflow's sampled transport state, as a flat field dict.
-
-    Single source of truth for what a "subflow sample" is: the
-    :class:`SubflowSampler` emits exactly these fields per period, and
-    the ``repro.policy`` observation builder reads the same ones — so
-    the documented observation vector can never drift from the recorded
-    ``telemetry.subflow`` series.
-    """
-    return {
-        "subflow": subflow.subflow_id,
-        "cwnd": subflow.cc.cwnd,
-        "ssthresh": subflow.cc.ssthresh,
-        "srtt": subflow.srtt,
-        "rto": subflow.rto_value,
-        "in_flight": subflow.in_flight,
-        "window_space": subflow.window_space,
-        "loss_est": subflow.loss_rate_estimate,
-        "suspect": bool(subflow.potentially_failed),
-        "eat": eat,
-    }
-
-
 def fmtcp_eat_provider(sender) -> EatProvider:
     """EAT table (Eq. 11) snapshots from a live FMTCP sender.
 
@@ -137,10 +114,22 @@ class SubflowSampler(PeriodicSampler):
         if self.eat_provider is not None:
             eats = self.eat_provider()
         for subflow in self.subflows:
-            fields = subflow_state_fields(subflow, eats.get(subflow.subflow_id))
-            suspect = fields["suspect"]
-            eat = fields["eat"]
-            self.trace.emit(self.sim.now, "telemetry.subflow", **fields)
+            suspect = bool(subflow.potentially_failed)
+            eat = eats.get(subflow.subflow_id)
+            self.trace.emit(
+                self.sim.now,
+                "telemetry.subflow",
+                subflow=subflow.subflow_id,
+                cwnd=subflow.cc.cwnd,
+                ssthresh=subflow.cc.ssthresh,
+                srtt=subflow.srtt,
+                rto=subflow.rto_value,
+                in_flight=subflow.in_flight,
+                window_space=subflow.window_space,
+                loss_est=subflow.loss_rate_estimate,
+                suspect=suspect,
+                eat=eat,
+            )
             if self.registry is not None:
                 prefix = f"subflow{subflow.subflow_id}"
                 self.registry.gauge(f"{prefix}.cwnd").set(subflow.cc.cwnd)

@@ -9,8 +9,7 @@ def test_parser_knows_all_commands():
     parser = build_parser()
     for command in (
         "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "analysis",
-        "fairness", "replicate", "heatmap", "sensitivity", "faults",
-        "policy", "all",
+        "fairness", "replicate", "heatmap", "sensitivity", "faults", "all",
     ):
         args = parser.parse_args(
             [command] if command != "fig4" else [command, "--surge", "0.2"]
@@ -41,16 +40,35 @@ def test_duration_must_be_finite_and_positive(value, capsys):
     [
         (["replicate", "--case", "9"], "--case: Table I has cases 1-8, got '9'"),
         (["trace", "record", "--case", "0"], "--case: Table I has cases 1-8, got '0'"),
-        (["policy", "compare", "--case", "9"], "--case: Table I has cases 1-8, got '9'"),
+        (["replicate", "--case", "0"], "--case: Table I has cases 1-8, got '0'"),
         (["replicate", "--seeds", "0"], "--seeds: must be at least 1, got '0'"),
-        (["policy", "rollout", "--seeds", "-2"], "--seeds: must be at least 1, got '-2'"),
+        (["replicate", "--seeds", "-2"], "--seeds: must be at least 1, got '-2'"),
         (["fairness", "--competitors", "0"], "--competitors: must be at least 1, got '0'"),
         (["fig4", "--surge", "1.5"], "--surge: loss rate must be in [0, 1), got '1.5'"),
         (["fig4", "--surge", "nan"], "--surge: loss rate must be in [0, 1), got 'nan'"),
+        (
+            ["trace", "timeline", "t.jsonl", "--limit", "-3"],
+            "--limit: must be at least 1, got '-3'",
+        ),
+        (
+            ["trace", "timeline", "t.jsonl", "--limit", "0"],
+            "--limit: must be at least 1, got '0'",
+        ),
+        (
+            ["trace", "timeline", "t.jsonl", "--start", "nan"],
+            "--start: time must be finite seconds, got 'nan'",
+        ),
+        (
+            ["trace", "timeline", "t.jsonl", "--end", "nan"],
+            "--end: time must be finite seconds, got 'nan'",
+        ),
     ],
 )
 def test_a_count_or_case_out_of_range_exits_2_naming_it(argv, message, capsys):
-    """Each of these died in a StopIteration or ValueError traceback."""
+    """Each of these died in a StopIteration or ValueError traceback, or
+    was silently absorbed (``--limit -3`` dropped the *first* three
+    records, ``--limit 0`` printed all of them, a NaN window bound was
+    ignored)."""
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 
@@ -101,6 +119,13 @@ def test_analysis_output(capsys):
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig99"])
+
+
+def test_the_retired_policy_verb_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["policy"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'policy'" in capsys.readouterr().err
 
 
 def test_fairness_command(capsys):
@@ -260,55 +285,6 @@ def test_faults_unreadable_trace_csv_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "cannot read trace file" in captured.err
     assert "Trace presets" in captured.out
-
-
-def test_policy_list_command(capsys):
-    assert main(["policy", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("paper-eat", "roundrobin", "weighted-rtt", "egreedy-redundancy"):
-        assert name in out
-
-
-def test_policy_bare_prints_help(capsys):
-    assert main(["policy"]) == 0
-    out = capsys.readouterr().out
-    assert "rollout" in out and "compare" in out and "list" in out
-
-
-def test_policy_unknown_name_exits_2_with_menu(capsys):
-    for command in ("rollout", "compare"):
-        assert main(["policy", command, "--policy", "nonsense"]) == 2
-        captured = capsys.readouterr()
-        assert "unknown policy 'nonsense'" in captured.err
-        # The user gets the policy menu instead of a traceback.
-        assert "paper-eat" in captured.out
-        assert "egreedy-redundancy" in captured.out
-
-
-def test_policy_rollout_command(tmp_path, capsys):
-    out_file = tmp_path / "traj.jsonl"
-    assert main(
-        ["--duration", "2", "policy", "rollout", "--policy", "paper-eat",
-         "--seeds", "1", "--out", str(out_file), "--workers", "1"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "paper-eat" in out and "good(MB)" in out
-    lines = out_file.read_text().splitlines()
-    assert len(lines) == 8  # 2 s / 0.25 s epochs
-    import json as _json
-
-    record = _json.loads(lines[0])
-    assert record["policy"] == "paper-eat" and record["obs_version"] >= 1
-
-
-def test_policy_compare_command(capsys):
-    assert main(
-        ["--duration", "2", "policy", "compare", "--policy", "paper-eat",
-         "--policy", "roundrobin", "--seeds", "2", "--workers", "1"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "Table I case 4" in out
-    assert "paper-eat" in out and "roundrobin" in out
 
 
 def test_faults_exhaustion_preset_command(capsys):

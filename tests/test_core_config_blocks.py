@@ -122,6 +122,15 @@ def test_mptcp_block_bytes_is_rejected_at_the_boundary():
     assert MptcpConfig(block_bytes=1).block_bytes == 1
 
 
+def test_mptcp_scheduler_is_rejected_at_the_boundary():
+    # Was accepted, and failed only once a connection was built.
+    for value in ("blest", "", None):
+        with pytest.raises(ValueError, match="scheduler") as raised:
+            MptcpConfig(scheduler=value)
+        assert repr(value) in str(raised.value)
+    assert MptcpConfig(scheduler="roundrobin").scheduler == "roundrobin"
+
+
 SHARED_DEFAULTS = {
     "mss": 1400, "congestion": "reno", "initial_cwnd": 2.0,
     "dup_ack_threshold": 3, "min_rto": 0.2, "failover_rto_threshold": 3,

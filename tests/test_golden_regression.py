@@ -200,52 +200,6 @@ def test_golden_file_is_byte_identical_when_regenerated():
     assert regenerated == GOLDEN_PATH.read_text()
 
 
-def test_policy_knobs_default_off():
-    """The decision-hook machinery must be invisible unless asked for:
-    senders are born without a hook and plain runs delegate nothing."""
-    import inspect
-
-    from repro.experiments.runner import run_transfer
-    from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
-
-    assert (
-        inspect.signature(run_transfer).parameters["policy"].default is None
-    )
-    case = next(c for c in TABLE1_CASES if c.case_id == 1)
-    result = run_transfer(
-        "fmtcp", table1_path_configs(case), duration_s=2.0, seed=1
-    )
-    assert result.extras["decisions_delegated"] == 0
-
-
-def test_paper_eat_policy_matches_golden_byte_identically():
-    """Algorithm 1 routed through the decision hook reproduces every
-    FMTCP golden anchor *exactly* (==, not approx): the hook is free."""
-    for protocol, case_id, duration_s, seed in ANCHORS:
-        if protocol != "fmtcp":
-            continue
-        from repro.experiments.runner import run_transfer
-        from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
-
-        case = next(c for c in TABLE1_CASES if c.case_id == case_id)
-        result = run_transfer(
-            "fmtcp",
-            table1_path_configs(case),
-            duration_s=duration_s,
-            seed=seed,
-            policy="paper-eat",
-        )
-        key = f"{protocol}/case{case_id}/{duration_s:g}s/seed{seed}"
-        measured = {
-            "total_mbytes": result.summary["total_mbytes"],
-            "blocks": result.summary["blocks"],
-            "mean_block_delay_ms": result.summary["mean_block_delay_ms"],
-        }
-        for metric, expected in GOLDEN[key].items():
-            assert measured[metric] == expected, f"{key}:{metric} drifted"
-        assert result.extras["decisions_delegated"] > 0
-
-
 def test_recovery_knobs_default_off():
     """The crash-recovery machinery must be invisible unless asked for:
     connections are born at epoch/frontier zero with no resume state, the

@@ -76,8 +76,8 @@ TestReorderBufferStateful.settings = settings(
 
 
 class Gf2Machine(RuleBasedStateMachine):
-    """The eliminator's rank must always equal numpy-free brute-force rank
-    of everything inserted, and solve() must invert the encoding."""
+    """The eliminator's rank must always equal the brute-force rank of
+    everything inserted, and solve() must invert the encoding."""
 
     @initialize(
         k=st.integers(min_value=1, max_value=10),
