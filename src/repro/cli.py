@@ -134,7 +134,7 @@ class _FaultGroup:
     header: str  # listing header
     presets: Dict[str, Callable[[], Any]]
     describe: Callable[[Any], str]  # a preset's line in the listing
-    run: Callable[..., Any]  # the run_* entry point
+    harness: Any  # the repro.soak.Harness the group's scenarios run under
     progress: Callable[[Any], str]  # the group's counters in a report
     bench: Optional[Callable[..., None]] = None  # None = no open-ended probe
     own_length: bool = False  # the scenario fixes its own run length
@@ -232,7 +232,10 @@ def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
     def seconds(value) -> str:
         return f"{value:.1f}" if value else "never"
 
-    rows = [measure_recovery(protocol, scenario, seed=seed) for protocol in protocols]
+    rows = [
+        measure_recovery(protocol, scenario, seed=seed, duration_s=duration)
+        for protocol in protocols
+    ]
     _print_table(
         "Recovery response (crash run vs clean baseline):",
         (("proto", 8), ("clean(s)", 10), ("crash(s)", 10), ("retain", 8),
@@ -254,14 +257,19 @@ def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
 def _fault_groups() -> Dict[str, _FaultGroup]:
     """The ``repro faults`` table, keyed by routing group, in listing order."""
     from repro import faults
-    from repro.recovery import run_recovery
+    from repro.faults.chaos import CHAOS
+    from repro.faults.churn import CHURN
+    from repro.faults.corruption import CORRUPTION
+    from repro.recovery.harness import RECOVERY
+    from repro.robustness.exhaustion import EXHAUSTION
+    from repro.traces.harness import TRACES
 
     return {
         "chaos": _FaultGroup(
             "Preset fault scenarios (also accepts random:SEED and trace:FILE.csv):",
             faults.SCENARIOS,
             _window("faults"),
-            faults.run_chaos,
+            CHAOS,
             lambda report: f"{report.bytes_at_heal}/{report.expected_bytes} B by heal",
             _bench_goodput_response,
         ),
@@ -269,7 +277,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             "Mobility presets (subflow lifecycle churn):",
             faults.MOBILITY_SCENARIOS,
             _window("churn", settle=True),
-            faults.run_churn,
+            CHURN,
             lambda report: (
                 f"{report.path_downs} downs / {report.path_ups} ups / "
                 f"{report.handovers} handovers"
@@ -280,7 +288,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             "Corruption presets (data integrity, byte-verified delivery):",
             faults.CORRUPTION_SCENARIOS,
             _window("corruption"),
-            faults.run_corruption,
+            CORRUPTION,
             _progress_corruption,
             _bench_goodput_response,
         ),
@@ -291,7 +299,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
                 f"{scenario.recv_budget_bytes // 1024} KiB budget — "
                 f"{scenario.description}"
             ),
-            faults.run_exhaustion,
+            EXHAUSTION,
             lambda report: (
                 f"peak occupancy {report.peak_occupancy}/{report.budget_units} "
                 f"units, {report.flow.get('flow_pauses', 0)} pauses, "
@@ -303,7 +311,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             "Recovery presets (endpoint crash/restart, byte-verified delivery):",
             faults.RECOVERY_SCENARIOS,
             _describe_crashes,
-            run_recovery,
+            RECOVERY,
             _progress_recovery,
             _bench_recovery_response,
         ),
@@ -311,7 +319,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             "Trace presets (replayed channel dynamics, byte-verified delivery):",
             faults.TRACE_SCENARIOS,
             _window("replay"),
-            faults.run_traces,
+            TRACES,
             lambda report: (
                 f"{report.trace_ticks} trace ticks, peak occupancy "
                 f"{report.peak_occupancy}/{report.budget_units} units"
@@ -330,16 +338,14 @@ def _print_fault_scenarios(groups: Dict[str, _FaultGroup]) -> None:
 
 def cmd_faults(args: argparse.Namespace) -> Optional[int]:
     from repro.faults import resolve_scenario
+    from repro.soak import run_soak
 
     groups = _fault_groups()
     if args.scenario == "list":
         _print_fault_scenarios(groups)
         return None
     try:
-        # Exhaustion presets route by name (they are not fault timelines);
-        # everything else by what its events need checked.
-        exhaustion = groups["exhaustion"].presets.get(args.scenario)
-        scenario = exhaustion() if exhaustion else resolve_scenario(args.scenario)
+        scenario = resolve_scenario(args.scenario)
         route = scenario.route()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -355,7 +361,6 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
         print(f"error: {refused}", file=sys.stderr)
         return 2
     protocols = ("fmtcp", "mptcp") if args.protocol == "both" else (args.protocol,)
-    sizing = {}
     if group.own_length:
         duration = scenario.duration_s
         print(
@@ -367,15 +372,16 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
     else:
         # Always leave room to recover after the last fault heals / settles.
         settle = scenario.settle_time
-        duration = sizing["duration_s"] = max(args.duration or 40.0, settle + 4.0)
+        duration = max(args.duration or 40.0, settle + 4.0)
         print(
             f"Scenario {scenario.name}: {len(scenario.events)} events, "
             f"faults {scenario.fault_start:.1f}-{settle:.1f}s, "
             f"{duration:.0f}s run, seed {args.seed}"
         )
     for protocol in protocols:
-        report = group.run(
-            protocol, scenario, seed=args.seed, flight_dump_dir=args.flight_dir, **sizing
+        report = run_soak(
+            group.harness, protocol, scenario, seed=args.seed, duration_s=duration,
+            flight_dump_dir=args.flight_dir,
         )
         status = "OK" if report.ok else "VIOLATIONS"
         print(

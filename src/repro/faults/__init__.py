@@ -4,29 +4,28 @@
 into hostile ones: scriptable, deterministic fault timelines
 (:class:`FaultScenario`) that flap links, collapse bandwidth, spike
 delay, burst loss, reorder packets and saturate queues mid-run — plus
-the chaos harness (:func:`run_chaos`) that drives a full transfer
-through a scenario and checks the invariants a robust transport must
-keep, and the benchmark probe (:func:`measure_fault_response`) that
-quantifies goodput retention and recovery time.
+the benchmark probe (:func:`measure_fault_response`) that quantifies
+goodput retention and recovery time.
 
-Every ``run_*`` here is a declaration over the one soak kernel
-(:mod:`repro.soak`) and returns its :class:`SoakReport`; which harness
-can check a timeline is :meth:`FaultScenario.route`'s decision
-(:data:`repro.faults.scenario.ROUTES`), and each ``run_*`` rejects a
-scenario routed elsewhere. Data *corruption* scenarios get :func:`run_corruption` (real
-payload, byte-verified), channel *trace* scenarios :func:`run_traces`
-(plus bounded memory and watchdog interplay), subflow lifecycle
-:func:`run_churn`; endpoint crashes are :func:`repro.recovery.run_recovery`
-(that package builds on this one, so it is not re-exported here).
+A scenario runs to completion under its invariants through the one
+soak kernel, ``repro.soak.run_soak(harness, protocol, scenario)``, which
+returns a :class:`SoakReport`. Which harness can check a timeline is
+:meth:`FaultScenario.route`'s decision
+(:data:`repro.faults.scenario.ROUTES`), and the kernel rejects a
+scenario routed elsewhere: link faults go to
+:data:`repro.faults.chaos.CHAOS`, subflow lifecycle to
+:data:`repro.faults.churn.CHURN`, data *corruption* to
+:data:`repro.faults.corruption.CORRUPTION` (real payload,
+byte-verified), channel *traces* to :data:`repro.traces.harness.TRACES`
+(plus bounded memory and watchdog interplay), endpoint crashes to
+:data:`repro.recovery.harness.RECOVERY` (that package builds on this
+one, so nothing of it is imported here) and the exhaustion presets to
+:data:`repro.robustness.exhaustion.EXHAUSTION`.
 """
 
-from repro.faults.chaos import (
-    FaultBenchResult,
-    measure_fault_response,
-    run_chaos,
-)
-from repro.faults.churn import PathChurnController, run_churn
-from repro.faults.corruption import measure_corruption_goodput, run_corruption
+from repro.faults.chaos import FaultBenchResult, measure_fault_response
+from repro.faults.churn import PathChurnController
+from repro.faults.corruption import measure_corruption_goodput
 from repro.faults.scenario import (
     CHURN_KINDS,
     CORRUPTION_KINDS,
@@ -48,10 +47,9 @@ from repro.robustness.exhaustion import (
     EXHAUSTION_SCENARIOS,
     ExhaustionScenario,
     measure_bufferblock,
-    run_exhaustion,
 )
 from repro.soak import PROTOCOLS, SoakReport
-from repro.traces.harness import measure_trace_goodput, run_traces
+from repro.traces.harness import measure_trace_goodput
 
 __all__ = [
     "CHURN_KINDS",
@@ -78,10 +76,5 @@ __all__ = [
     "measure_fault_response",
     "measure_trace_goodput",
     "resolve_scenario",
-    "run_chaos",
-    "run_churn",
-    "run_corruption",
-    "run_exhaustion",
-    "run_traces",
     "trace_replay_scenario",
 ]

@@ -1,13 +1,14 @@
 """Chaos-soak harness: run a protocol through a link-fault timeline and
 check invariants that must hold no matter what the network did.
 
-Two entry points:
+Two ways in:
 
-* :func:`run_chaos` — a *finite* transfer under a fault scenario, the
-  :data:`CHAOS` harness of the soak kernel (:mod:`repro.soak`): exactly-
-  once in-order delivery, no wedged RTO timers (at heal time and at the
-  end), post-fault goodput recovery and completion, and — like every
-  harness — an event queue that drains after close.
+* ``run_soak(CHAOS, protocol, scenario)`` — a *finite* transfer under a
+  fault scenario, the :data:`CHAOS` harness of the soak kernel
+  (:mod:`repro.soak`): exactly-once in-order delivery, no wedged RTO
+  timers (at heal time and at the end), post-fault goodput recovery and
+  completion, and — like every harness — an event queue that drains
+  after close.
 
 * :func:`measure_fault_response` — an *open-ended* transfer for the
   benchmark: per-phase goodput (before / during / after the faults),
@@ -20,11 +21,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import soak
-from repro.faults.churn import wire_churn
+from repro.faults.churn import RECOVERY_FRACTION, wire_churn
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
 from repro.metrics.stats import mean
 from repro.workloads.sources import BulkSource
+
+
+def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
+    """At 2 x 0.6 Mb/s a 2 MB transfer needs ~13 s clean, so it is still
+    mid-flight throughout the preset fault window ([8, 18) s) and must
+    *survive* the faults — yet finishes with ample slack inside the 40 s
+    run once the network heals."""
+    return soak.Sizing(
+        soak.uniform_paths(scenario.n_paths, 6e5, 0.03),
+        total_bytes=2_000_000,
+        duration_s=40.0,
+    )
+
 
 CHAOS = soak.Harness(
     "chaos",
@@ -35,41 +49,13 @@ CHAOS = soak.Harness(
         soak.no_wedged_timers,
         soak.completes_after_heal,
     ),
+    size=_size,
 )
 
-
-def run_chaos(
-    protocol: str,
-    scenario: FaultScenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    bandwidth_bps: float = 6e5,
-    delay_s: float = 0.03,
-    base_loss: float = 0.0,
-    total_bytes: int = 2_000_000,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-) -> soak.SoakReport:
-    """Run one finite transfer through ``scenario`` and check invariants.
-
-    The default sizing is deliberate: at 2 x 0.6 Mb/s a 2 MB transfer
-    needs ~13 s clean, so it is still mid-flight throughout the preset
-    fault window ([8, 18) s) and must *survive* the faults — yet finishes
-    with ample slack before ``duration_s`` once the network heals.
-    """
-    return soak.run_soak(
-        CHAOS,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=duration_s,
-        path_configs=soak.uniform_paths(
-            scenario.n_paths, bandwidth_bps, delay_s, base_loss
-        ),
-        total_bytes=total_bytes,
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-    )
+#: The open-ended probe's clean paths: fast enough that a phase's mean
+#: goodput is many packets per one-second bin.
+_PROBE_BANDWIDTH_BPS = 4e6
+_PROBE_DELAY_S = 0.03
 
 
 @dataclass
@@ -91,10 +77,7 @@ def measure_fault_response(
     scenario: FaultScenario,
     seed: int = 1,
     duration_s: float = 40.0,
-    bandwidth_bps: float = 4e6,
-    delay_s: float = 0.03,
     base_loss: float = 0.01,
-    recovery_fraction: float = 0.8,
 ) -> FaultBenchResult:
     """Goodput retention and recovery time for an open-ended transfer.
 
@@ -105,8 +88,8 @@ def measure_fault_response(
     permanent removal (no re-add) the during window is empty and
     retention reads 0 by convention; *post* then shows the surviving-path
     capacity, and ``recovery_s`` stays ``None`` whenever the survivors
-    cannot reach ``recovery_fraction`` of the multi-path baseline — a
-    real capacity loss, not a bug.
+    cannot reach :data:`~repro.faults.churn.RECOVERY_FRACTION` of the
+    multi-path baseline — a real capacity loss, not a bug.
     """
     settle = scenario.settle_time
     if duration_s <= settle:
@@ -115,7 +98,10 @@ def measure_fault_response(
             f"last event settles at {settle}s"
         )
     trace, network, paths = soak.build_topology(
-        soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s, base_loss), seed
+        soak.uniform_paths(
+            scenario.n_paths, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S, base_loss
+        ),
+        seed,
     )
     sim = network.sim
     metrics = MetricsSuite(trace, bin_width_s=1.0)
@@ -141,7 +127,7 @@ def measure_fault_response(
     during = phase_mean(fault_start, settle)
     recovery: Optional[float] = None
     for t, rate in series:
-        if t >= settle and rate >= recovery_fraction * pre:
+        if t >= settle and rate >= RECOVERY_FRACTION * pre:
             recovery = t - settle
             break
     connection.close()

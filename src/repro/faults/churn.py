@@ -11,9 +11,9 @@ handshake — when a path comes up, as on a WiFi→LTE handover.
   the links (via :meth:`Network.detach_path` / re-raising them) and the
   transport (``Connection.remove_subflow`` / ``add_subflow``).
   :func:`wire_churn` attaches one to a fresh run.
-* :func:`run_churn` — the :data:`CHURN` harness of the soak kernel
-  (:mod:`repro.soak`) for mobility scenarios, with the churn-specific
-  invariants :func:`survivors_complete` and :func:`bounded_readd`.
+* :data:`CHURN` — the soak kernel's (:mod:`repro.soak`) harness for
+  mobility scenarios, with the churn-specific invariants
+  :func:`survivors_complete` and :func:`bounded_readd`.
 
 The open-ended benchmark probe for churn scenarios is
 :func:`repro.faults.chaos.measure_fault_response`, which wires the
@@ -31,6 +31,11 @@ from repro.metrics.stats import mean
 from repro.net.topology import Network, Path
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
+
+#: Goodput counts as recovered at this fraction of the pre-churn mean ...
+RECOVERY_FRACTION = 0.8
+#: ... and :func:`bounded_readd` wants it within this long of the last re-add.
+_READD_WINDOW_S = 5.0
 
 
 class PathChurnController:
@@ -197,7 +202,7 @@ def _readds(scenario) -> bool:
 def readd_meter(run: soak.Run) -> None:
     """Step: per-second goodput, from which the report records the pre-
     churn steady state and when goodput was back to
-    ``recovery_fraction`` of it after the last re-add settled."""
+    :data:`RECOVERY_FRACTION` of it after the last re-add settled."""
     scenario, report = run.scenario, run.report
     metrics = MetricsSuite(run.trace, bin_width_s=1.0)
 
@@ -208,7 +213,7 @@ def readd_meter(run: soak.Run) -> None:
         report.pre_churn_mbps = mean(
             [rate for t, rate in series if 1.0 <= t < scenario.fault_start] or [0.0]
         )
-        threshold = run.options["recovery_fraction"] * report.pre_churn_mbps
+        threshold = RECOVERY_FRACTION * report.pre_churn_mbps
         report.recovered_at_s = next(
             (
                 t
@@ -234,14 +239,14 @@ def survivors_complete(run: soak.Run) -> Iterator[str]:
 
 
 def bounded_readd(run: soak.Run) -> Iterator[str]:
-    """Bounded re-add recovery: within ``recovery_window_s`` of the last
+    """Bounded re-add recovery: within ``_READD_WINDOW_S`` of the last
     ``path_up`` (or handover settle), goodput is back to
-    ``recovery_fraction`` of the pre-churn steady state, unless the
+    :data:`RECOVERY_FRACTION` of the pre-churn steady state, unless the
     transfer already finished."""
     scenario, report = run.scenario, run.report
     if not _readds(scenario):
         return
-    deadline = scenario.settle_time + run.options["recovery_window_s"]
+    deadline = scenario.settle_time + _READD_WINDOW_S
     finished = (
         report.completion_time_s is not None and report.completion_time_s <= deadline
     )
@@ -249,11 +254,24 @@ def bounded_readd(run: soak.Run) -> Iterator[str]:
     if not (finished or recovered):
         pre = report.pre_churn_mbps
         yield (
-            f"no goodput recovery within {run.options['recovery_window_s']:.0f}s "
+            f"no goodput recovery within {_READD_WINDOW_S:.0f}s "
             f"of the last path_up (settle t={scenario.settle_time:.1f}s): pre-churn "
             f"{pre:.3f} MB/s, threshold "
-            f"{run.options['recovery_fraction'] * pre:.3f} MB/s"
+            f"{RECOVERY_FRACTION * pre:.3f} MB/s"
         )
+
+
+def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
+    """The chaos harness's sizing — the transfer is mid-flight through
+    the whole churn window — started on ``scenario.active_paths`` only:
+    a removed subflow must not corrupt or duplicate the decoded stream,
+    nor leak timers."""
+    return soak.Sizing(
+        soak.uniform_paths(scenario.n_paths, 6e5, 0.03),
+        total_bytes=2_000_000,
+        duration_s=40.0,
+        active_paths=scenario.active_paths,
+    )
 
 
 CHURN = soak.Harness(
@@ -266,43 +284,5 @@ CHURN = soak.Harness(
         survivors_complete,
         bounded_readd,
     ),
+    size=_size,
 )
-
-
-def run_churn(
-    protocol: str,
-    scenario: FaultScenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    bandwidth_bps: float = 6e5,
-    delay_s: float = 0.03,
-    base_loss: float = 0.0,
-    total_bytes: int = 2_000_000,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-    recovery_window_s: float = 5.0,
-    recovery_fraction: float = 0.8,
-) -> soak.SoakReport:
-    """One finite transfer through a mobility scenario, invariants checked.
-
-    Same sizing rationale as :func:`~repro.faults.chaos.run_chaos` (the
-    transfer is mid-flight through the whole churn window). The transfer
-    starts on ``scenario.active_paths`` only; a removed subflow must not
-    corrupt or duplicate the decoded stream, nor leak timers.
-    """
-    return soak.run_soak(
-        CHURN,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=duration_s,
-        path_configs=soak.uniform_paths(
-            scenario.n_paths, bandwidth_bps, delay_s, base_loss
-        ),
-        total_bytes=total_bytes,
-        active_paths=scenario.active_paths,
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-        recovery_window_s=recovery_window_s,
-        recovery_fraction=recovery_fraction,
-    )

@@ -1,10 +1,10 @@
 """Corruption-soak harness: finite transfers through data-damaging
 scenarios, with *byte-level* delivery verification.
 
-:func:`run_chaos` can prove a transfer completed; it cannot prove the
+The chaos harness can prove a transfer completed; it cannot prove the
 delivered bytes are the *sent* bytes, because its workload is synthetic.
-:func:`run_corruption` — the :data:`CORRUPTION` harness of the soak
-kernel (:mod:`repro.soak`) — drives real random payloads end-to-end
+The :data:`CORRUPTION` harness of the soak kernel (:mod:`repro.soak`)
+drives real random payloads end-to-end
 (:class:`~repro.workloads.sources.RandomPayloadSource` keeps a
 transcript; FMTCP runs with ``coding="real"`` so actual block bytes are
 fountain-coded, mutated on the wire and decoded) and checks, on top of
@@ -18,7 +18,7 @@ goodput of an open-ended transfer at a fixed per-link corruption rate.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
@@ -39,6 +39,22 @@ def defense_fired(run: soak.Run) -> Iterator[str]:
         )
 
 
+def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
+    """The chaos sizing, smaller: real fountain coding pays for GF(2)
+    elimination per block, and the soak runs this 30 seeds x 2 protocols
+    x presets. At 2 x 0.1 Mb/s the 320 KiB transfer needs ~13 s clean, so
+    it is mid-flight throughout the preset corruption window ([8, 18) s)
+    and must survive it, yet finishes well inside the 40 s run once the
+    links heal. FMTCP codes real bytes so they flow through the fountain
+    codec."""
+    return soak.Sizing(
+        soak.uniform_paths(scenario.n_paths, 1e5, 0.03),
+        total_bytes=327_680,
+        duration_s=40.0,
+        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
+    )
+
+
 CORRUPTION = soak.Harness(
     "corruption",
     soak.random_payload,
@@ -50,62 +66,22 @@ CORRUPTION = soak.Harness(
         soak.completes_after_heal,
         defense_fired,
     ),
+    size=_size,
 )
 
-
-def run_corruption(
-    protocol: str,
-    scenario: FaultScenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    bandwidth_bps: float = 1e5,
-    delay_s: float = 0.03,
-    base_loss: float = 0.0,
-    total_bytes: int = 327_680,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-) -> soak.SoakReport:
-    """Run one finite *real-payload* transfer through ``scenario``.
-
-    Sizing mirrors :func:`run_chaos` but smaller: real fountain coding
-    pays for GF(2) elimination per block, and the soak runs this 30
-    seeds x 2 protocols x presets. At 2 x 0.1 Mb/s the 320 KiB transfer
-    needs ~13 s clean, so it is mid-flight throughout the preset
-    corruption window ([8, 18) s) and must survive it, yet finishes
-    well before ``duration_s`` once the links heal.
-    """
-    return soak.run_soak(
-        CORRUPTION,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=duration_s,
-        path_configs=soak.uniform_paths(
-            scenario.n_paths, bandwidth_bps, delay_s, base_loss
-        ),
-        total_bytes=total_bytes,
-        # Real coding so actual bytes flow through the fountain codec.
-        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-    )
+#: The goodput probe: clean 2 x 4 Mb/s paths for 20 s, every forward link
+#: flipping bits at the swept rate (none evading the link CRC).
+_PROBE_BANDWIDTH_BPS = 4e6
+_PROBE_DELAY_S = 0.03
+_PROBE_DURATION_S = 20.0
 
 
-def measure_corruption_goodput(
-    protocol: str,
-    rate: float,
-    seed: int = 1,
-    duration_s: float = 20.0,
-    bandwidth_bps: float = 4e6,
-    delay_s: float = 0.03,
-    effect: str = "bitflip",
-    evade_crc: float = 0.0,
-) -> float:
+def measure_corruption_goodput(protocol: str, rate: float, seed: int = 1) -> float:
     """Steady-state goodput (Mb/s) with every forward link corrupting at
     ``rate`` for the whole run. ``rate=0`` leaves the links pristine (no
     model installed, so the clean baseline draws no extra randomness)."""
     trace, network, paths = soak.build_topology(
-        soak.uniform_paths(2, bandwidth_bps, delay_s), seed
+        soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
     )
     connection = soak.build_connection(
         protocol, network.sim, paths, BulkSource(), seed, trace
@@ -114,11 +90,9 @@ def measure_corruption_goodput(
         for path in paths:
             for link in path.forward_links:
                 # Fresh model per link: realisations stay independent.
-                link.set_corruption_model(
-                    BernoulliCorruption(rate, effect=effect, evade_crc=evade_crc)
-                )
+                link.set_corruption_model(BernoulliCorruption(rate))
     connection.start()
-    network.sim.run(until=duration_s)
-    goodput = connection.delivered_bytes * 8.0 / duration_s / 1e6
+    network.sim.run(until=_PROBE_DURATION_S)
+    goodput = connection.delivered_bytes * 8.0 / _PROBE_DURATION_S / 1e6
     connection.close()
     return goodput

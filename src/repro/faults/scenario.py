@@ -54,6 +54,7 @@ from repro.net.corruption import (
 from repro.net.loss import BernoulliLoss
 from repro.net.reorder import UniformReordering
 from repro.net.topology import Path
+from repro.robustness.exhaustion import EXHAUSTION_SCENARIOS, ExhaustionScenario
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -384,9 +385,9 @@ TRACE_KINDS = _kinds_of("traces")
 
 #: Routing, stated once. A timeline belongs to the first group below that
 #: it contains (an empty one, or one of plain link faults, to ``chaos``):
-#: ``run_<group>`` is the harness whose invariants can check it. Each row
-#: is ``(groups it may also carry, its events, what its harness adds)`` —
-#: a mix outside the first column has no harness and is rejected. The
+#: the harness of that name is the one whose invariants can check it. Each
+#: row is ``(groups it may also carry, its events, what its harness adds)``
+#: — a mix outside the first column has no harness and is rejected. The
 #: exhaustion presets are not timelines; they route by preset name (an
 #: :class:`~repro.robustness.exhaustion.ExhaustionScenario`).
 ROUTES: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
@@ -540,12 +541,12 @@ class FaultScenario:
         if harness in (None, target) or (harness == "recovery" and not self.events):
             return target
         if harness in self.groups or harness not in ROUTES or harness == "chaos":
-            problem = f"has {events}, which run_{harness} cannot check"
+            problem = f"has {events}, which the {harness} harness cannot check"
         else:
             problem = f"has no {ROUTES[harness][1]}"
         raise ValueError(
-            f"scenario {self.name!r} {problem}; it routes to run_{target}, "
-            f"which {adds}"
+            f"scenario {self.name!r} {problem}; it routes to the {target} "
+            f"harness, which {adds}"
         )
 
     def apply(
@@ -839,7 +840,7 @@ def _queue_saturation() -> FaultScenario:
 
 # Mobility presets: subflow-lifecycle timelines. They cannot run through
 # the plain link-fault harness — they need a lifecycle handler and the
-# churn invariants of repro.faults.churn.run_churn.
+# churn invariants of repro.faults.churn.CHURN.
 def _wifi_to_lte_handover() -> FaultScenario:
     # Path 0 is the "WiFi" association the transfer starts on; path 1
     # ("LTE") exists but is unused until the handover at t=8 s, which
@@ -873,7 +874,7 @@ def _single_path_degradation() -> FaultScenario:
 # Corruption presets: data-integrity timelines, same shape as the link
 # presets (path 1 corrupts during [8, 18) s, path 0 stays clean). The
 # plain harness has no byte-level delivery verification — they route to
-# repro.faults.corruption.run_corruption.
+# repro.faults.corruption.CORRUPTION.
 def _bit_rot() -> FaultScenario:
     # Steady 5 % bit-flip corruption; one flip in five re-seals the link
     # CRC (a collision), exercising the end-to-end DSS / block-CRC /
@@ -926,7 +927,7 @@ def _duplicate_mutation() -> FaultScenario:
 # Recovery presets: endpoint crash/restart timelines, same anchor shape
 # as the link presets (first crash at t=8 s, leaving [0, 8) as a clean
 # baseline window). They need an endpoints handler and the
-# checkpoint/reconnect machinery of repro.recovery.harness.run_recovery.
+# checkpoint/reconnect machinery of repro.recovery.harness.RECOVERY.
 def _receiver_crash() -> FaultScenario:
     # The receiver dies at t=8 s and its host comes back at t=11 s. The
     # sender must notice the half-open connection (RTOs into the void),
@@ -999,7 +1000,7 @@ def _reconnect_exhaustion() -> FaultScenario:
 # window starts early to leave the 16 s generator defaults room before
 # the explicit restore at t=18 s. They need byte-level delivery
 # verification plus the flow-control/watchdog interplay checks of
-# repro.traces.harness.run_traces.
+# repro.traces.harness.TRACES.
 def trace_replay_scenario(
     spec,
     name: Optional[str] = None,
@@ -1092,9 +1093,12 @@ RECOVERY_SCENARIOS = _presets("recovery")
 TRACE_SCENARIOS = _presets("traces")
 
 
-def resolve_scenario(spec: str) -> FaultScenario:
-    """Turn a CLI spec — a preset name, ``random:SEED`` or ``trace:PATH``
-    (a trace CSV file replayed in the canonical window) — into a scenario."""
+def resolve_scenario(spec: str) -> FaultScenario | ExhaustionScenario:
+    """Turn a CLI spec — a preset name (exhaustion presets included),
+    ``random:SEED`` or ``trace:PATH`` (a trace CSV file replayed in the
+    canonical window) — into a scenario."""
+    if spec in EXHAUSTION_SCENARIOS:
+        return EXHAUSTION_SCENARIOS[spec]()
     if spec.startswith("random:"):
         return FaultScenario.random(int(spec.split(":", 1)[1]))
     if spec.startswith("trace:"):

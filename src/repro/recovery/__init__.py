@@ -16,7 +16,7 @@ from repro.recovery.checkpoint import (
     snapshot_receiver,
     snapshot_sender,
 )
-from repro.recovery.harness import measure_recovery, run_recovery
+from repro.recovery.harness import measure_recovery
 from repro.recovery.manager import ReconnectPolicy, RecoveryManager
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SenderCheckpoint",
     "measure_recovery",
     "resume_state",
-    "run_recovery",
     "snapshot_receiver",
     "snapshot_sender",
 ]

@@ -1,8 +1,8 @@
 """Crash-recovery soak harness and its benchmark probe.
 
-:func:`run_recovery` — the :data:`RECOVERY` harness of the soak kernel
-(:mod:`repro.soak`) — drives one finite transfer with **real payload**
-through an endpoint crash/restart timeline
+The :data:`RECOVERY` harness of the soak kernel (:mod:`repro.soak`)
+drives one finite transfer with **real payload** through an endpoint
+crash/restart timeline
 (:data:`~repro.faults.scenario.RECOVERY_SCENARIOS`), a
 :class:`~repro.recovery.manager.RecoveryManager` handling the crashes
 and a :class:`~repro.robustness.watchdog.Watchdog` guaranteeing clean
@@ -28,7 +28,7 @@ checkpoint-size asymmetry (FMTCP O(1) frontier vs MPTCP chunk map).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
@@ -38,6 +38,18 @@ from repro.recovery.manager import ReconnectPolicy, RecoveryManager
 from repro.robustness.watchdog import WatchdogConfig
 from repro.sim.rng import RngStreams
 from repro.workloads.sources import RandomPayloadSource, ReplayableSource
+
+#: The soak paths' one-way delay; the manager's hello handshake takes one
+#: clean round trip of it.
+_DELAY_S = 0.03
+#: At soak bandwidths the bottleneck queue inflates RTOs to seconds, so
+#: the consecutive-RTO ladder can lag a heartbeat-style timeout; a 2.5 s
+#: detection ceiling keeps detection inside the presets' crash->restart
+#: spacing. Fresh (post-handover) subflows still detect faster via the
+#: RTO ladder.
+_POLICY = ReconnectPolicy(max_detect_s=2.5)
+#: Every resolvable outage must resume within this long of the restart.
+_RECOVERY_BOUND_S = 8.0
 
 
 def replayable_payload(expected_bytes: int, seed: int) -> ReplayableSource:
@@ -83,16 +95,20 @@ def recovery_manager(run: soak.Run) -> None:
             run.controller.rebind(run.connection, active)
         return run.connection
 
-    soak.ride_watchdog(run, run.options["watchdog_config"])
+    # The stall floor (6 s) sits above the presets' worst healthy outage
+    # window (~3.5 s), so the stall ladder only fires on genuine wedges —
+    # the manager escalates budget exhaustion itself through
+    # :meth:`~repro.robustness.watchdog.Watchdog.fail`.
+    soak.ride_watchdog(run, WatchdogConfig(min_stall_s=6.0))
     manager = run.manager = RecoveryManager(
         run.sim,
         run.connection,
         rebuild,
         RngStreams(report.seed),
-        policy=run.options["policy"],
+        policy=_POLICY,
         trace=run.trace,
         watchdog=run.watchdog,
-        hello_rtt_s=run.options["hello_rtt_s"],
+        hello_rtt_s=2.0 * _DELAY_S,
     )
 
     def collect() -> None:
@@ -114,11 +130,11 @@ def recovery_manager(run: soak.Run) -> None:
 
 
 def bounded_recovery(run: soak.Run) -> Iterator[str]:
-    """Every resolvable outage resumes within ``recovery_bound_s`` of the
+    """Every resolvable outage resumes within ``_RECOVERY_BOUND_S`` of the
     endpoint restart, and half-open detection stays within the policy's
     ``max_detect_s``."""
-    bound = run.options["recovery_bound_s"]
-    ceiling = run.options["policy"].max_detect_s
+    bound = _RECOVERY_BOUND_S
+    ceiling = _POLICY.max_detect_s
     for outage in run.report.outages:
         resume_at = outage.get("resume_at")
         if resume_at is not None:
@@ -165,6 +181,21 @@ def no_wedged_timers_on_live_epoch(run: soak.Run) -> Iterator[str]:
         yield from soak.wedged_timers(run.connection, "at end")
 
 
+def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
+    """At two clean 250 kb/s paths the 600 kB transfer is mid-flight at
+    the presets' first crash (t=8 s within a ~10 s clean completion), so
+    every crash interrupts live state. It starts on the scenario's active
+    paths and must complete exactly when every crash is restarted."""
+    return soak.Sizing(
+        soak.uniform_paths(scenario.n_paths, 2.5e5, _DELAY_S),
+        total_bytes=600_000,
+        duration_s=40.0,
+        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
+        active_paths=scenario.active_paths,
+        expect_complete=_expected_completion(scenario),
+    )
+
+
 RECOVERY = soak.Harness(
     "recovery",
     replayable_payload,
@@ -178,57 +209,8 @@ RECOVERY = soak.Harness(
         epoch_accounting,
         no_wedged_timers_on_live_epoch,
     ),
+    size=_size,
 )
-
-
-def run_recovery(
-    protocol: str,
-    scenario: FaultScenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    total_bytes: int = 600_000,
-    bandwidth_bps: float = 2.5e5,
-    delay_s: float = 0.03,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-    policy: Optional[ReconnectPolicy] = None,
-    watchdog_config: Optional[WatchdogConfig] = None,
-    recovery_bound_s: float = 8.0,
-) -> soak.SoakReport:
-    """One finite real-payload transfer through a crash timeline.
-
-    Sizing rationale: at two clean 250 kbps paths the transfer is
-    mid-flight at the presets' first crash (t=8 s within a ~10 s clean
-    completion), so every crash interrupts live state. The default
-    watchdog stall floor (6 s) sits above the presets' worst healthy
-    outage window (~3.5 s), so the stall ladder only fires on genuine
-    wedges — the manager escalates budget exhaustion itself through
-    :meth:`~repro.robustness.watchdog.Watchdog.fail`.
-
-    Default detection ceiling: at soak bandwidths the bottleneck queue
-    inflates RTOs to seconds, so the consecutive-RTO ladder can lag a
-    heartbeat-style timeout; 2.5 s keeps detection inside the presets'
-    crash->restart spacing. Fresh (post-handover) subflows still detect
-    faster via the RTO ladder.
-    """
-    return soak.run_soak(
-        RECOVERY,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=duration_s,
-        path_configs=soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s),
-        total_bytes=total_bytes,
-        config=FmtcpConfig(coding="real") if protocol == "fmtcp" else None,
-        active_paths=scenario.active_paths,
-        expect_complete=_expected_completion(scenario),
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-        policy=policy or ReconnectPolicy(max_detect_s=2.5),
-        watchdog_config=watchdog_config or WatchdogConfig(min_stall_s=6.0),
-        recovery_bound_s=recovery_bound_s,
-        hello_rtt_s=2.0 * delay_s,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +221,6 @@ def measure_recovery(
     scenario: FaultScenario,
     seed: int = 1,
     duration_s: float = 40.0,
-    total_bytes: int = 600_000,
 ) -> Dict[str, Any]:
     """Crash run vs clean baseline: retention, latency, checkpoint size.
 
@@ -249,21 +230,18 @@ def measure_recovery(
     handshake per outage. ``checkpoint_bytes`` surfaces the paper's
     state asymmetry — FMTCP's O(1) frontier vs MPTCP's chunk map.
     """
-    crashed = run_recovery(
-        protocol, scenario, seed=seed, duration_s=duration_s, total_bytes=total_bytes
+    crashed = soak.run_soak(
+        RECOVERY, protocol, scenario, seed=seed, duration_s=duration_s
     )
+    # The one empty timeline a non-chaos harness admits (FaultScenario.route).
     baseline_scenario = FaultScenario(
         f"baseline:{scenario.name}",
         [],
         n_paths=scenario.n_paths,
         active_paths=scenario.active_paths,
     )
-    baseline = run_recovery(
-        protocol,
-        baseline_scenario,
-        seed=seed,
-        duration_s=duration_s,
-        total_bytes=total_bytes,
+    baseline = soak.run_soak(
+        RECOVERY, protocol, baseline_scenario, seed=seed, duration_s=duration_s
     )
     retention = 0.0
     if crashed.completion_time_s and baseline.completion_time_s:

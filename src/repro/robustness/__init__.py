@@ -10,7 +10,7 @@ Split in two halves with different import weight:
   imports ``repro.core``/``repro.mptcp``; loading it eagerly would make
   the import graph circular (core → robustness → exhaustion → core).
   Its symbols resolve lazily via module ``__getattr__`` instead, so
-  ``from repro.robustness import run_exhaustion`` still works.
+  ``from repro.robustness import measure_bufferblock`` still works.
 """
 
 from repro.robustness.budget import MemoryBudget
@@ -22,7 +22,6 @@ _EXHAUSTION_SYMBOLS = (
     "EXHAUSTION_SCENARIOS",
     "ExhaustionScenario",
     "measure_bufferblock",
-    "run_exhaustion",
 )
 
 __all__ = [

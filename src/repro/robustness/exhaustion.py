@@ -6,8 +6,8 @@ this one attacks the *endpoint*: a tiny receive buffer, an application
 that stops reading, a path mix engineered for receive-buffer blocking.
 Each :class:`ExhaustionScenario` fixes a receiver memory budget (bytes,
 converted to blocks or chunks per protocol) and an application drain
-model, then :func:`run_exhaustion` — the :data:`EXHAUSTION` harness of
-the soak kernel (:mod:`repro.soak`) — drives one finite transfer with
+model, then the :data:`EXHAUSTION` harness of the soak kernel
+(:mod:`repro.soak`) drives one finite transfer with
 flow control on, a :class:`~repro.robustness.budget.MemoryBudget`
 accountant riding the run and a
 :class:`~repro.robustness.watchdog.Watchdog` guaranteeing a stalled run
@@ -29,7 +29,6 @@ from repro import soak
 from repro.core.config import FmtcpConfig
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
-from repro.robustness.watchdog import WatchdogConfig
 from repro.workloads.sources import BulkSource
 
 
@@ -75,8 +74,9 @@ class ExhaustionScenario:
         :data:`repro.faults.scenario.ROUTES`)."""
         if harness not in (None, "exhaustion"):
             raise ValueError(
-                f"scenario {self.name!r} is an exhaustion preset, which "
-                f"run_{harness} cannot check; it routes to run_exhaustion"
+                f"scenario {self.name!r} is an exhaustion preset, which the "
+                f"{harness} harness cannot check; it routes to the exhaustion "
+                "harness"
             )
         return "exhaustion"
 
@@ -139,6 +139,18 @@ EXHAUSTION_SCENARIOS = {
 }
 
 
+def _size(protocol: str, scenario: ExhaustionScenario) -> soak.Sizing:
+    """Each preset is its own sizing: paths, bytes, run length, the
+    budgeted flow-control config and whether it must complete."""
+    return soak.Sizing(
+        [PathConfig(**params) for params in scenario.path_params],
+        total_bytes=scenario.total_bytes,
+        duration_s=scenario.duration_s,
+        config=scenario.config_for(protocol),
+        expect_complete=scenario.expect_complete,
+    )
+
+
 EXHAUSTION = soak.Harness(
     "exhaustion",
     soak.bulk_source,
@@ -150,37 +162,8 @@ EXHAUSTION = soak.Harness(
         soak.outcome_as_promised,
         soak.no_wedged_timers,
     ),
+    size=_size,
 )
-
-
-def run_exhaustion(
-    protocol: str,
-    scenario: ExhaustionScenario,
-    seed: int = 1,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-    watchdog_config: Optional[WatchdogConfig] = None,
-    telemetry_period_s: float = 0.1,
-) -> soak.SoakReport:
-    """Run one finite transfer against ``scenario`` and check invariants."""
-    # Admitted here as well as by the kernel: the sizing below reads
-    # fields only an ExhaustionScenario has.
-    soak.admit(EXHAUSTION, protocol, scenario)
-    return soak.run_soak(
-        EXHAUSTION,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=scenario.duration_s,
-        path_configs=[PathConfig(**params) for params in scenario.path_params],
-        total_bytes=scenario.total_bytes,
-        config=scenario.config_for(protocol),
-        expect_complete=scenario.expect_complete,
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-        watchdog_config=watchdog_config,
-        telemetry_period_s=telemetry_period_s,
-    )
 
 
 # ----------------------------------------------------------------------

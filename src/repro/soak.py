@@ -7,7 +7,9 @@ owes it. What differs between harnesses is *data*:
 
 * a :class:`Harness` declares a name (the scenario group :meth:`route`
   must send to it), a payload source, an ordered tuple of wiring
-  **steps** and a tuple of **invariants**;
+  **steps**, a tuple of **invariants** and its **size** — the clean
+  paths, the transfer, the run length and the stack's config, as a
+  :class:`Sizing` computed from the protocol and the scenario;
 * a step is ``step(run)``: it builds, subscribes or schedules one piece
   of wiring on the :class:`Run` (arm the fault timeline, probe at heal
   time, ride a watchdog, ...). Steps run in declaration order *because
@@ -18,10 +20,11 @@ owes it. What differs between harnesses is *data*:
   message per violation. Pure, so each can be shown to fail on a
   hand-built :class:`Run` (``tests/test_soak_invariants.py``).
 
-:func:`run_soak` is the only place that builds the topology, the flight
-recorder, the sink, the source and the connection, polls for
-completion, tears down, checks that the event queue drained and writes
-the post-mortem. It never asks which harness it serves.
+:func:`run_soak` is the one entry point. It is the only place that
+builds the topology, the flight recorder, the sink, the source and the
+connection, polls for completion, tears down, checks that the event
+queue drained and writes the post-mortem. It never asks which harness
+it serves.
 
 The shared steps and invariants live here; the ones only one harness
 uses live next to its declaration (``repro.faults.{chaos,churn,
@@ -68,6 +71,10 @@ PROTOCOLS = ("fmtcp", "mptcp")
 #: Completion is polled, not signalled: every harness learns of it on the
 #: same 250 ms grid, so completion times compare across harnesses.
 POLL_S = 0.25
+#: How many of the newest trace records a post-mortem keeps.
+FLIGHT_CAPACITY = 4096
+#: How often :func:`guard`'s telemetry samplers read the connection.
+TELEMETRY_PERIOD_S = 0.1
 
 
 @dataclass
@@ -158,9 +165,6 @@ class Run:
 
     report: SoakReport
     scenario: Any = None
-    # The entry point's harness-specific parameters (recovery bounds,
-    # watchdog config, ...), read by the steps and invariants that own them.
-    options: Dict[str, Any] = field(default_factory=dict)
     sim: Any = None
     trace: Any = None
     network: Any = None
@@ -196,6 +200,19 @@ Invariant = Callable[[Run], Iterable[str]]
 
 
 @dataclass(frozen=True)
+class Sizing:
+    """One soak transfer's shape: clean paths, bytes, run length, config."""
+
+    paths: Sequence[PathConfig]
+    total_bytes: int
+    duration_s: float
+    config: Any = None  # None = the protocol's default config
+    active_paths: Optional[Sequence[int]] = None  # None = every path
+    # None = the scenario makes no promise; see SoakReport.expect_complete.
+    expect_complete: Optional[bool] = None
+
+
+@dataclass(frozen=True)
 class Harness:
     """A soak harness as data; see the module docstring."""
 
@@ -203,6 +220,7 @@ class Harness:
     source: Callable[[int, int], Any]  # (expected_bytes, seed) -> source
     steps: Tuple[Step, ...]
     invariants: Tuple[Invariant, ...]
+    size: Callable[[str, Any], Sizing]  # (protocol, scenario) -> Sizing
 
 
 # ----------------------------------------------------------------------
@@ -302,32 +320,31 @@ def run_soak(
     protocol: str,
     scenario,
     *,
-    seed: int,
-    duration_s: float,
-    path_configs: Sequence[PathConfig],
-    total_bytes: int,
-    config=None,
-    active_paths: Optional[Sequence[int]] = None,
-    expect_complete: Optional[bool] = None,
+    seed: int = 1,
+    duration_s: Optional[float] = None,
     flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-    **options,
 ) -> SoakReport:
     """Run one finite transfer under ``harness`` and check its invariants.
 
-    With ``flight_dump_dir`` set, a flight recorder and the sim profiler
-    ride along and — only if an invariant is violated — the last
-    ``flight_capacity`` trace records plus a profiler report are written
-    there for post-mortem analysis with ``repro trace``.
+    ``duration_s`` cuts the run short of (or past) the harness's own
+    length. With ``flight_dump_dir`` set, a flight recorder and the sim
+    profiler ride along and — only if an invariant is violated — the
+    last :data:`FLIGHT_CAPACITY` trace records plus a profiler report
+    are written there for post-mortem analysis with ``repro trace``.
     """
     admit(harness, protocol, scenario)
+    size = harness.size(protocol, scenario)
+    if duration_s is None:
+        duration_s = size.duration_s
+    config = size.config
     if config is None:
         config = FmtcpConfig() if protocol == "fmtcp" else MptcpConfig()
-    trace, network, paths = build_topology(path_configs, seed)
+    total_bytes = size.total_bytes
+    trace, network, paths = build_topology(size.paths, seed)
     sim = network.sim
     flight = profiler = None
     if flight_dump_dir is not None:
-        flight = FlightRecorder(trace, capacity=flight_capacity)
+        flight = FlightRecorder(trace, capacity=FLIGHT_CAPACITY)
         profiler = SimProfiler()
         sim.set_profiler(profiler)
 
@@ -347,10 +364,10 @@ def run_soak(
         duration_s=duration_s,
         expected_bytes=expected_bytes,
         expected_units=expected_units,
-        expect_complete=expect_complete,
+        expect_complete=size.expect_complete,
     )
     run = Run(
-        report=report, scenario=scenario, options=options, sim=sim, trace=trace,
+        report=report, scenario=scenario, sim=sim, trace=trace,
         network=network, paths=paths, config=config,
         source=harness.source(expected_bytes, seed),
         flight=flight, profiler=profiler, flight_dump_dir=flight_dump_dir,
@@ -364,6 +381,7 @@ def run_soak(
             run.delivered_ids.append(chunk.dsn)
             run.delivered_chunks.append(chunk.payload_bytes or b"")
     run.sink = sink
+    active_paths = size.active_paths
     if active_paths is None:
         active_paths = range(len(paths))
     run.connection = build_connection(
@@ -480,7 +498,7 @@ def heal_probe(run: Run) -> None:
         run.sim.schedule_at(run.scenario.heal_time, at_heal)
 
 
-def ride_watchdog(run: Run, config: Optional[WatchdogConfig], samplers=()) -> None:
+def ride_watchdog(run: Run, config: WatchdogConfig, samplers=()) -> None:
     """A :class:`Watchdog` guaranteeing a stalled run fails cleanly, with
     a diagnosis, instead of hanging."""
     report = run.report
@@ -508,11 +526,11 @@ def guard(run: Run) -> None:
     poll) and a watchdog that sheds the samplers first."""
     report, config = run.report, run.config
     samplers = attach_samplers(
-        run.sim, run.connection, run.trace, period_s=run.options["telemetry_period_s"]
+        run.sim, run.connection, run.trace, period_s=TELEMETRY_PERIOD_S
     )
     report.budget_units = window_units(report.protocol, config)
     budget = run.budget = MemoryBudget(limits={"recv_occupancy": report.budget_units})
-    ride_watchdog(run, run.options["watchdog_config"], samplers)
+    ride_watchdog(run, WatchdogConfig(), samplers)
 
     def collect() -> None:
         budget.observe(run.connection.memory_stats())

@@ -8,7 +8,7 @@ pathological channel families, bundled drive/walk-test style assets,
 and the :class:`TracePlayer` that replays a trace onto live links via
 the same runtime-mutation APIs the fault injector uses. The ``trace``
 fault kind (:mod:`repro.faults.scenario`) and the byte-verified
-:func:`run_traces` soak harness build on these pieces.
+:data:`~repro.traces.harness.TRACES` soak harness build on these pieces.
 """
 
 from repro.traces.generators import (
@@ -23,7 +23,7 @@ from repro.traces.generators import (
     resolve_trace,
     wifi_trace,
 )
-from repro.traces.harness import measure_trace_goodput, run_traces
+from repro.traces.harness import measure_trace_goodput
 from repro.traces.model import (
     CSV_HEADER,
     END_POLICIES,
@@ -54,6 +54,5 @@ __all__ = [
     "parse_trace_csv",
     "regenerate_bundled_assets",
     "resolve_trace",
-    "run_traces",
     "wifi_trace",
 ]

@@ -8,8 +8,8 @@ transfer runs with flow control on and real payload bytes flowing
 (FMTCP with ``coding="real"``), because a trace's deep-fade minutes are
 exactly where receive-buffer pressure and scheduler failover interact.
 
-:func:`run_traces` is the :data:`TRACES` harness of the soak kernel
-(:mod:`repro.soak`): the corruption harness's byte identity, the
+:data:`TRACES` is the soak kernel's (:mod:`repro.soak`) harness for
+trace scenarios: the corruption harness's byte identity, the
 exhaustion harness's bounded memory and watchdog interplay, the chaos
 harness's post-heal completion (presets restore the channel at
 ``scenario.heal_time``), plus its own :func:`trace_played` and
@@ -28,7 +28,6 @@ from typing import Iterator, Optional
 from repro import soak
 from repro.core.config import FmtcpConfig
 from repro.mptcp.connection import MptcpConfig
-from repro.robustness.watchdog import WatchdogConfig
 from repro.traces.generators import resolve_trace
 from repro.traces.model import LinkTrace
 from repro.traces.player import TracePlayer
@@ -65,6 +64,32 @@ def no_false_clean_fail(run: soak.Run) -> Iterator[str]:
         )
 
 
+#: The receiver's whole memory allowance, in each stack's own units.
+_RECV_BUDGET_BYTES = 131_072
+
+
+def _size(protocol: str, scenario) -> soak.Sizing:
+    """Traces carry *absolute* regimes (GPRS bottoms out near 30 kb/s; the
+    WiFi ladder tops out above the baseline, so a replay can also
+    *improve* its path). The clean baseline is 2 x 0.2 Mb/s — the
+    320 KiB transfer needs ~7 s clean, so it is mid-flight through the
+    preset replay window ([2, 18) s) and must survive whatever the trace
+    does to path 1, yet finishes well inside the 40 s run once the
+    restore event heals the channel. Flow control is on and FMTCP codes
+    real bytes."""
+    units = soak.receive_units(protocol, _RECV_BUDGET_BYTES)
+    if protocol == "fmtcp":
+        config = FmtcpConfig(coding="real", flow_control=True, recv_window_blocks=units)
+    else:
+        config = MptcpConfig(flow_control=True, recv_buffer_chunks=units)
+    return soak.Sizing(
+        soak.uniform_paths(scenario.n_paths, 2e5, 0.03),
+        total_bytes=327_680,
+        duration_s=40.0,
+        config=config,
+    )
+
+
 TRACES = soak.Harness(
     "traces",
     soak.random_payload,
@@ -79,53 +104,12 @@ TRACES = soak.Harness(
         soak.completes_after_heal,
         soak.no_wedged_timers,
     ),
+    size=_size,
 )
 
-
-def run_traces(
-    protocol: str,
-    scenario,
-    seed: int = 1,
-    duration_s: float = 40.0,
-    bandwidth_bps: float = 2e5,
-    delay_s: float = 0.03,
-    total_bytes: int = 327_680,
-    recv_budget_bytes: int = 131_072,
-    flight_dump_dir: Optional[str] = None,
-    flight_capacity: int = 4096,
-    watchdog_config: Optional[WatchdogConfig] = None,
-    telemetry_period_s: float = 0.1,
-) -> soak.SoakReport:
-    """Run one finite real-payload transfer through a trace scenario (a
-    :class:`~repro.faults.scenario.FaultScenario` with ``trace`` events).
-
-    Sizing: traces carry *absolute* regimes (GPRS bottoms out near
-    30 kb/s; the WiFi ladder tops out above the baseline, so a replay
-    can also *improve* its path). The clean baseline is 2 x 0.2 Mb/s —
-    the 320 KiB transfer needs ~7 s clean, so it is mid-flight through
-    the preset replay window ([2, 18) s) and must survive whatever the
-    trace does to path 1, yet finishes well before ``duration_s`` once
-    the restore event heals the channel.
-    """
-    units = soak.receive_units(protocol, recv_budget_bytes)
-    if protocol == "fmtcp":
-        config = FmtcpConfig(coding="real", flow_control=True, recv_window_blocks=units)
-    else:
-        config = MptcpConfig(flow_control=True, recv_buffer_chunks=units)
-    return soak.run_soak(
-        TRACES,
-        protocol,
-        scenario,
-        seed=seed,
-        duration_s=duration_s,
-        path_configs=soak.uniform_paths(scenario.n_paths, bandwidth_bps, delay_s),
-        total_bytes=total_bytes,
-        config=config,
-        flight_dump_dir=flight_dump_dir,
-        flight_capacity=flight_capacity,
-        watchdog_config=watchdog_config,
-        telemetry_period_s=telemetry_period_s,
-    )
+#: The goodput probe's clean paths; the trace rides path 1.
+_PROBE_BANDWIDTH_BPS = 6e5
+_PROBE_DELAY_S = 0.03
 
 
 def measure_trace_goodput(
@@ -133,15 +117,13 @@ def measure_trace_goodput(
     trace_spec,
     seed: int = 1,
     duration_s: float = 20.0,
-    bandwidth_bps: float = 6e5,
-    delay_s: float = 0.03,
 ) -> float:
     """Steady-state goodput (Mb/s) with ``trace_spec`` riding path 1's
     forward links for the whole run (path 0 stays at the clean baseline).
     A ``None``/empty spec leaves both paths pristine — the no-trace
     baseline draws no extra randomness."""
     trace, network, paths = soak.build_topology(
-        soak.uniform_paths(2, bandwidth_bps, delay_s), seed
+        soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
     )
     sim = network.sim
     connection = soak.build_connection(protocol, sim, paths, BulkSource(), seed, trace)

@@ -28,13 +28,14 @@ from repro.faults import (
     RECOVERY_SCENARIOS,
     SCENARIOS,
     TRACE_SCENARIOS,
-    run_chaos,
-    run_churn,
-    run_corruption,
-    run_exhaustion,
-    run_traces,
 )
-from repro.recovery import run_recovery
+from repro.faults.chaos import CHAOS
+from repro.faults.churn import CHURN
+from repro.faults.corruption import CORRUPTION
+from repro.recovery.harness import RECOVERY
+from repro.robustness.exhaustion import EXHAUSTION
+from repro.soak import run_soak
+from repro.traces.harness import TRACES
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 
 
@@ -149,29 +150,29 @@ def test_shadow_agrees_with_aging_on(shadow):
 
 
 SOAKS = {
-    # fault group: (runner, preset registry, preset)
-    "chaos outage": (run_chaos, SCENARIOS, "path_death"),
+    # fault group: (harness, preset registry, preset)
+    "chaos outage": (CHAOS, SCENARIOS, "path_death"),
     "churn handover (add_subflow / remove_subflow)": (
-        run_churn, MOBILITY_SCENARIOS, "wifi_to_lte_handover",
+        CHURN, MOBILITY_SCENARIOS, "wifi_to_lte_handover",
     ),
     "corruption (quarantine-epoch k̄ reset)": (
-        run_corruption, CORRUPTION_SCENARIOS, "bit_rot",
+        CORRUPTION, CORRUPTION_SCENARIOS, "bit_rot",
     ),
     "exhaustion (flow_control)": (
-        run_exhaustion, EXHAUSTION_SCENARIOS, "tiny_receive_buffer",
+        EXHAUSTION, EXHAUSTION_SCENARIOS, "tiny_receive_buffer",
     ),
     "exhaustion (watchdog margin boost)": (
-        run_exhaustion, EXHAUSTION_SCENARIOS, "slow_drain_receiver",
+        EXHAUSTION, EXHAUSTION_SCENARIOS, "slow_drain_receiver",
     ),
-    "receiver crash": (run_recovery, RECOVERY_SCENARIOS, "receiver_crash"),
-    "gprs_bursty trace": (run_traces, TRACE_SCENARIOS, "gprs_bursty"),
+    "receiver crash": (RECOVERY, RECOVERY_SCENARIOS, "receiver_crash"),
+    "gprs_bursty trace": (TRACES, TRACE_SCENARIOS, "gprs_bursty"),
 }
 
 
 @pytest.mark.parametrize("group", sorted(SOAKS))
 def test_shadow_agrees_under_each_fault_group(shadow, group):
-    runner, registry, preset = SOAKS[group]
-    report = runner("fmtcp", registry[preset](), seed=1)
+    harness, registry, preset = SOAKS[group]
+    report = run_soak(harness, "fmtcp", registry[preset](), seed=1)
     assert report.violations == []
     assert shadow["rounds"] > 0 and shadow["carried"] > 0, shadow
     if preset == "wifi_to_lte_handover":

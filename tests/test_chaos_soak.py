@@ -1,7 +1,7 @@
 """Chaos soak: both protocols through dozens of seeded fault sequences.
 
 Every run must satisfy the four robustness invariants checked by
-:func:`repro.faults.run_chaos`:
+:data:`repro.faults.chaos.CHAOS`:
 
 1. exactly-once, in-order delivery to the application sink;
 2. no wedged RTO timers (data in flight always has a timer pending);
@@ -21,7 +21,9 @@ import os
 
 import pytest
 
-from repro.faults import SCENARIOS, FaultEvent, FaultScenario, run_chaos
+from repro.faults import SCENARIOS, FaultEvent, FaultScenario
+from repro.faults.chaos import CHAOS
+from repro.soak import run_soak
 from tests.conftest import soak_seeds
 
 CHAOS_SEEDS = soak_seeds()
@@ -34,7 +36,7 @@ def test_chaos_soak_randomized_scenarios(protocol):
     failures = []
     for seed in CHAOS_SEEDS:
         scenario = FaultScenario.random(seed)
-        report = run_chaos(protocol, scenario, seed=seed, flight_dump_dir=FLIGHT_DIR)
+        report = run_soak(CHAOS, protocol, scenario, seed=seed, flight_dump_dir=FLIGHT_DIR)
         if not report.ok:
             detail = f"seed {seed}: {report.violations}"
             if report.flight_dump_path:
@@ -46,7 +48,8 @@ def test_chaos_soak_randomized_scenarios(protocol):
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_chaos_preset_scenarios(protocol, name):
-    report = run_chaos(
+    report = run_soak(
+        CHAOS,
         protocol, FaultScenario.named(name), flight_dump_dir=FLIGHT_DIR
     )
     assert report.ok, f"{name}/{protocol}: {report.violations}"
@@ -61,7 +64,7 @@ def test_chaos_preset_scenarios(protocol, name):
 
 
 def test_chaos_report_shape():
-    report = run_chaos("fmtcp", FaultScenario.named("path_death"))
+    report = run_soak(CHAOS, "fmtcp", FaultScenario.named("path_death"))
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "path_death"
     assert report.expected_bytes > 0
@@ -77,6 +80,6 @@ def test_chaos_flags_unhealed_scenario_as_incomplete():
         "both_dead",
         [FaultEvent(2.0, "down", 0), FaultEvent(2.0, "down", 1)],
     )
-    report = run_chaos("fmtcp", scenario, duration_s=20.0)
+    report = run_soak(CHAOS, "fmtcp", scenario, duration_s=20.0)
     assert not report.completed
     assert any("incomplete" in violation for violation in report.violations)

@@ -1,7 +1,7 @@
 """Churn soak: both protocols through every mobility preset, many seeds.
 
 Every run must satisfy the churn invariants checked by
-:func:`repro.faults.run_churn`:
+:data:`repro.faults.churn.CHURN`:
 
 1. exactly-once, in-order delivery across every subflow removal;
 2. no wedged RTO timers on the surviving subflows;
@@ -22,7 +22,10 @@ import os
 
 import pytest
 
-from repro.faults import MOBILITY_SCENARIOS, FaultScenario, run_chaos, run_churn
+from repro.faults import MOBILITY_SCENARIOS, FaultScenario
+from repro.faults.chaos import CHAOS
+from repro.faults.churn import CHURN
+from repro.soak import run_soak
 from tests.conftest import soak_seeds
 
 CHURN_SEEDS = soak_seeds()
@@ -35,7 +38,8 @@ def test_churn_soak_mobility_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
     for seed in CHURN_SEEDS:
-        report = run_churn(
+        report = run_soak(
+            CHURN,
             protocol,
             FaultScenario.named(name),
             seed=seed,
@@ -50,7 +54,7 @@ def test_churn_soak_mobility_presets(protocol, name):
 
 
 def test_churn_report_shape():
-    report = run_churn("mptcp", FaultScenario.named("wifi_to_lte_handover"))
+    report = run_soak(CHURN, "mptcp", FaultScenario.named("wifi_to_lte_handover"))
     assert report.protocol == "mptcp"
     assert report.scenario_name == "wifi_to_lte_handover"
     assert report.completed and report.completion_time_s is not None
@@ -61,7 +65,7 @@ def test_churn_report_shape():
 
 
 def test_permanent_removal_counts_no_readds():
-    report = run_churn("fmtcp", FaultScenario.named("single_path_degradation"))
+    report = run_soak(CHURN, "fmtcp", FaultScenario.named("single_path_degradation"))
     assert report.ok
     assert report.path_downs == 1
     assert report.path_ups == 0 and report.handovers == 0
@@ -72,6 +76,6 @@ def test_harness_routing_is_enforced():
     vice versa — silently using the wrong invariants would mask bugs."""
     churn = FaultScenario.named("flaky_path_churn")
     with pytest.raises(ValueError):
-        run_chaos("fmtcp", churn)
+        run_soak(CHAOS, "fmtcp", churn)
     with pytest.raises(ValueError):
-        run_churn("fmtcp", FaultScenario.named("path_death"))
+        run_soak(CHURN, "fmtcp", FaultScenario.named("path_death"))

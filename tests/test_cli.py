@@ -331,3 +331,27 @@ def test_faults_recovery_bench_table(capsys):
     assert "1 crashes / 1 resumes" in out
     assert "Recovery response (crash run vs clean baseline):" in out
     assert "ckpt(B)" in out
+
+
+def test_faults_recovery_bench_runs_for_the_requested_duration(monkeypatch, capsys):
+    """``--duration`` sizes the bench table's runs as well as the soak's
+    (the table used to run 40 s whatever was asked)."""
+    import repro.recovery
+
+    durations = []
+
+    def measure_recovery(protocol, scenario, seed=1, duration_s=40.0):
+        durations.append(duration_s)
+        return {
+            "protocol": protocol, "baseline_completion_s": 1.0,
+            "crashed_completion_s": 2.0, "goodput_retention": 0.5,
+            "max_outage_s": 1.0, "checkpoint_bytes": 64,
+        }
+
+    monkeypatch.setattr(repro.recovery, "measure_recovery", measure_recovery)
+    assert main(
+        ["--duration", "25", "faults", "--scenario", "receiver_crash",
+         "--protocol", "fmtcp", "--bench"]
+    ) == 0
+    assert "25s run" in capsys.readouterr().out
+    assert durations == [25.0]

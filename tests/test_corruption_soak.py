@@ -2,7 +2,7 @@
 byte-verified delivery.
 
 Every run must satisfy the chaos invariants *plus* the integrity ones
-checked by :func:`repro.faults.run_corruption`:
+checked by :data:`repro.faults.corruption.CORRUPTION`:
 
 5. zero corrupted bytes delivered (reassembled stream == source
    transcript, byte for byte);
@@ -19,13 +19,11 @@ import os
 
 import pytest
 
-from repro.faults import (
-    CORRUPTION_SCENARIOS,
-    FaultScenario,
-    run_chaos,
-    run_churn,
-    run_corruption,
-)
+from repro.faults import CORRUPTION_SCENARIOS, FaultScenario
+from repro.faults.chaos import CHAOS
+from repro.faults.churn import CHURN
+from repro.faults.corruption import CORRUPTION
+from repro.soak import run_soak
 from tests.conftest import soak_seeds
 
 SOAK_SEEDS = soak_seeds()
@@ -39,7 +37,8 @@ def test_corruption_soak(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
     for seed in SOAK_SEEDS:
-        report = run_corruption(
+        report = run_soak(
+            CORRUPTION,
             protocol, FaultScenario.named(name), seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
@@ -56,7 +55,8 @@ def test_corruption_soak(protocol, name):
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
 @pytest.mark.parametrize("name", sorted(CORRUPTION_SCENARIOS))
 def test_corruption_presets_complete_with_defenses_firing(protocol, name):
-    report = run_corruption(
+    report = run_soak(
+        CORRUPTION,
         protocol, FaultScenario.named(name), seed=2, flight_dump_dir=FLIGHT_DIR
     )
     assert report.ok, f"{name}/{protocol}: {report.violations}"
@@ -70,7 +70,7 @@ def test_corruption_presets_complete_with_defenses_firing(protocol, name):
 
 
 def test_corruption_report_shape():
-    report = run_corruption("fmtcp", FaultScenario.named("bit_rot"))
+    report = run_soak(CORRUPTION, "fmtcp", FaultScenario.named("bit_rot"))
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "bit_rot"
     assert report.expected_bytes > 0
@@ -88,19 +88,19 @@ def test_corruption_report_shape():
 # ----------------------------------------------------------------------
 def test_run_chaos_rejects_corruption_scenarios():
     with pytest.raises(ValueError, match="corruption"):
-        run_chaos("fmtcp", FaultScenario.named("bit_rot"))
+        run_soak(CHAOS, "fmtcp", FaultScenario.named("bit_rot"))
 
 
 def test_run_churn_rejects_corruption_free_routing():
     with pytest.raises(ValueError):
-        run_churn("fmtcp", FaultScenario.named("bit_rot"))
+        run_soak(CHURN, "fmtcp", FaultScenario.named("bit_rot"))
 
 
 def test_run_corruption_rejects_plain_fault_scenarios():
     with pytest.raises(ValueError, match="no corruption"):
-        run_corruption("fmtcp", FaultScenario.named("path_death"))
+        run_soak(CORRUPTION, "fmtcp", FaultScenario.named("path_death"))
 
 
 def test_run_corruption_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="protocol"):
-        run_corruption("sctp", FaultScenario.named("bit_rot"))
+        run_soak(CORRUPTION, "sctp", FaultScenario.named("bit_rot"))

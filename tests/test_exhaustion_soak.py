@@ -1,7 +1,7 @@
 """Exhaustion soak: both protocols through every resource preset, many seeds.
 
 Every run must satisfy the bounded-operation invariants checked by
-:func:`repro.robustness.run_exhaustion`:
+:data:`repro.robustness.exhaustion.EXHAUSTION`:
 
 1. peak receiver occupancy never exceeds the budgeted unit count (the
    flow-control licence actually held);
@@ -23,7 +23,9 @@ import os
 
 import pytest
 
-from repro.robustness import EXHAUSTION_SCENARIOS, run_exhaustion
+from repro.robustness import EXHAUSTION_SCENARIOS
+from repro.robustness.exhaustion import EXHAUSTION
+from repro.soak import run_soak
 from tests.conftest import soak_seeds
 
 SOAK_SEEDS = soak_seeds()
@@ -36,7 +38,8 @@ def test_exhaustion_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
     for seed in SOAK_SEEDS:
-        report = run_exhaustion(
+        report = run_soak(
+            EXHAUSTION,
             protocol,
             EXHAUSTION_SCENARIOS[name](),
             seed=seed,
@@ -53,7 +56,8 @@ def test_exhaustion_soak_presets(protocol, name):
 
 
 def test_exhaustion_report_shape():
-    report = run_exhaustion(
+    report = run_soak(
+        EXHAUSTION,
         "fmtcp", EXHAUSTION_SCENARIOS["tiny_receive_buffer"]()
     )
     assert report.protocol == "fmtcp"
@@ -69,7 +73,8 @@ def test_exhaustion_report_shape():
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
 def test_slow_drain_fails_cleanly_with_diagnosis(protocol):
     """An app that stops reading ends in a watchdog failure, not a hang."""
-    report = run_exhaustion(
+    report = run_soak(
+        EXHAUSTION,
         protocol, EXHAUSTION_SCENARIOS["slow_drain_receiver"]()
     )
     assert report.ok, report.violations
@@ -88,7 +93,8 @@ def test_watchdog_post_mortem_dump(tmp_path):
     """A clean failure with a flight dir leaves a post-mortem JSONL."""
     from repro.sim.tracefile import read_trace_file
 
-    report = run_exhaustion(
+    report = run_soak(
+        EXHAUSTION,
         "mptcp",
         EXHAUSTION_SCENARIOS["slow_drain_receiver"](),
         flight_dump_dir=str(tmp_path),
@@ -104,4 +110,4 @@ def test_watchdog_post_mortem_dump(tmp_path):
 
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        run_exhaustion("sctp", EXHAUSTION_SCENARIOS["tiny_receive_buffer"]())
+        run_soak(EXHAUSTION, "sctp", EXHAUSTION_SCENARIOS["tiny_receive_buffer"]())

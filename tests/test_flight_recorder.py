@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from repro.faults import FaultScenario, resolve_scenario, run_chaos
+from repro import soak
+from repro.faults import FaultScenario, resolve_scenario
+from repro.faults.chaos import CHAOS
+from repro.soak import run_soak
 from repro.sim.tracefile import read_trace_file
 from repro.telemetry import FlightRecorder
 
@@ -62,21 +65,23 @@ def test_dump_format_reads_back_with_trace_reader(trace, tmp_path):
     assert body[0]["nested"] == {"a": [1, 2]}  # _jsonable applied
 
 
-def test_chaos_violation_writes_flight_dump_and_profile(tmp_path):
+def test_chaos_violation_writes_flight_dump_and_profile(tmp_path, monkeypatch):
+    monkeypatch.setattr(soak, "FLIGHT_CAPACITY", 128)
     # A run cut off mid-transfer cannot complete: guaranteed violation.
-    report = run_chaos(
+    report = run_soak(
+        CHAOS,
         "fmtcp",
         resolve_scenario("path_death"),
         seed=3,
         duration_s=6.0,
         flight_dump_dir=str(tmp_path),
-        flight_capacity=128,
     )
     assert not report.ok
     assert report.flight_dump_path is not None
     records = read_trace_file(report.flight_dump_path)
     header = records[0]
     assert header["kind"] == "flight.meta"
+    assert header["capacity"] == 128
     assert header["protocol"] == "fmtcp"
     assert header["seed"] == 3
     assert header["violations"]
@@ -88,7 +93,8 @@ def test_chaos_violation_writes_flight_dump_and_profile(tmp_path):
 
 
 def test_chaos_clean_run_leaves_no_dump(tmp_path):
-    report = run_chaos(
+    report = run_soak(
+        CHAOS,
         "fmtcp",
         FaultScenario.named("path_death"),
         flight_dump_dir=str(tmp_path),
@@ -100,7 +106,8 @@ def test_chaos_clean_run_leaves_no_dump(tmp_path):
 
 
 def test_chaos_sanitizes_scenario_name_in_dump_path(tmp_path):
-    report = run_chaos(
+    report = run_soak(
+        CHAOS,
         "fmtcp",
         FaultScenario.random(5),
         seed=5,
@@ -116,30 +123,26 @@ def _violating_runs():
     needs sanitising (``:`` and ``/``)."""
     import dataclasses
 
-    from repro.faults import (
-        EXHAUSTION_SCENARIOS,
-        FaultEvent,
-        run_churn,
-        run_corruption,
-        run_exhaustion,
-        run_traces,
-        trace_replay_scenario,
-    )
-    from repro.recovery import run_recovery
+    from repro.faults import EXHAUSTION_SCENARIOS, FaultEvent, trace_replay_scenario
+    from repro.faults.churn import CHURN
+    from repro.faults.corruption import CORRUPTION
+    from repro.recovery.harness import RECOVERY
+    from repro.robustness.exhaustion import EXHAUSTION
+    from repro.traces.harness import TRACES
 
     handover = [FaultEvent(2.0, "handover", 0, (1, 0.3))]
     corrupt = [FaultEvent(1.0, "corrupt", 1, 0.05), FaultEvent(4.0, "corrupt", 1, None)]
     short = dict(seed=4, duration_s=5.0)
     return {
-        "chaos": (run_chaos, FaultScenario.random(5), short),
+        "chaos": (CHAOS, FaultScenario.random(5), short),
         "churn": (
-            run_churn,
+            CHURN,
             FaultScenario("mobility:wifi/lte", handover, active_paths=(0,)),
             short,
         ),
-        "corruption": (run_corruption, FaultScenario("rot:bit/flip", corrupt), short),
+        "corruption": (CORRUPTION, FaultScenario("rot:bit/flip", corrupt), short),
         "exhaustion": (
-            run_exhaustion,
+            EXHAUSTION,
             dataclasses.replace(
                 EXHAUSTION_SCENARIOS["tiny_receive_buffer"](),
                 name="tiny:buffer/32k",
@@ -148,8 +151,8 @@ def _violating_runs():
             dict(seed=4),
         ),
         # measure_recovery's clean-baseline naming convention.
-        "recovery": (run_recovery, FaultScenario("baseline:receiver_crash", []), short),
-        "traces": (run_traces, trace_replay_scenario("gprs:1"), short),
+        "recovery": (RECOVERY, FaultScenario("baseline:receiver_crash", []), short),
+        "traces": (TRACES, trace_replay_scenario("gprs:1"), short),
     }
 
 
@@ -159,8 +162,10 @@ def _violating_runs():
 def test_every_harness_writes_the_same_post_mortem(harness, tmp_path):
     """One dump function: flight ring + profiler report, both paths on
     the report, ``:``/``/`` slugged out of the file names."""
-    runner, scenario, kwargs = _violating_runs()[harness]
-    report = runner("mptcp", scenario, flight_dump_dir=str(tmp_path), **kwargs)
+    declaration, scenario, kwargs = _violating_runs()[harness]
+    report = run_soak(
+        declaration, "mptcp", scenario, flight_dump_dir=str(tmp_path), **kwargs
+    )
     assert not report.ok
     for path in (report.flight_dump_path, report.profile_dump_path):
         assert path is not None

@@ -240,8 +240,6 @@ def test_trace_knobs_default_off():
     never import repro.traces, and the randomized chaos scenarios never
     draw trace events (which would shift every downstream RNG draw and
     break old seeds)."""
-    import inspect
-
     from repro.faults import TRACE_KINDS, FaultScenario
     from repro.net.topology import PathConfig, build_two_path_network
     from repro.sim.rng import RngStreams
@@ -260,13 +258,15 @@ def test_trace_knobs_default_off():
         assert not random_scenario.has_trace
         assert all(e.kind not in TRACE_KINDS for e in random_scenario.events)
 
-    # run_traces defaults must not leak into the shared harnesses: the
-    # chaos/corruption harness signatures carry no trace parameters.
-    from repro.faults.chaos import run_chaos
-    from repro.faults.corruption import run_corruption
+    # The trace harness's wiring must not leak into the shared harnesses:
+    # the chaos/corruption declarations carry no trace step or invariant.
+    from repro.faults.chaos import CHAOS
+    from repro.faults.corruption import CORRUPTION
 
-    for harness in (run_chaos, run_corruption):
-        assert "trace_spec" not in inspect.signature(harness).parameters
+    for harness in (CHAOS, CORRUPTION):
+        assert not any(
+            "trace" in piece.__name__ for piece in harness.steps + harness.invariants
+        )
 
 
 def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch):
@@ -285,10 +285,11 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
     from repro.core.config import FmtcpConfig
     from repro.core.connection import FmtcpConnection
     from repro.faults import CORRUPTION_SCENARIOS
-    from repro.faults.corruption import run_corruption
+    from repro.faults.corruption import CORRUPTION
     from repro.net import integrity
     from repro.net.topology import PathConfig, build_two_path_network
     from repro.sim.rng import RngStreams
+    from repro.soak import run_soak
     from repro.tcp import subflow as subflow_module
     from repro.workloads.sources import RandomPayloadSource
 
@@ -369,7 +370,7 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
     }
     assert {name for name, __ in parent} == set(CORRUPTION_SCENARIOS)
     for (name, protocol), (corrupted, stats) in parent.items():
-        report = run_corruption(protocol, CORRUPTION_SCENARIOS[name](), seed=3)
+        report = run_soak(CORRUPTION, protocol, CORRUPTION_SCENARIOS[name](), seed=3)
         assert report.ok, report.violations
         assert report.packets_corrupted == corrupted, (name, protocol)
         assert report.corruption_stats == stats, (name, protocol)

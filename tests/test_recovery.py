@@ -8,6 +8,8 @@ snapshot→restore→continuation property: resuming from a checkpoint must
 be byte-identical to never having been interrupted.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +24,12 @@ from repro.recovery import (
     RecoveryManager,
     SenderCheckpoint,
     resume_state,
-    run_recovery,
     snapshot_receiver,
     snapshot_sender,
 )
+from repro.recovery.harness import RECOVERY
 from repro.sim.rng import RngStreams
+from repro.soak import run_soak
 from repro.workloads.sources import BulkSource, RandomPayloadSource, ReplayableSource
 
 
@@ -331,6 +334,14 @@ def test_policy_validation():
 # ----------------------------------------------------------------------
 # Snapshot -> restore -> continuation == uninterrupted run.
 # ----------------------------------------------------------------------
+def _roundtrip_size(protocol, scenario):
+    """The recovery harness's sizing, with a 150 kB transfer."""
+    return dataclasses.replace(RECOVERY.size(protocol, scenario), total_bytes=150_000)
+
+
+ROUNDTRIP = dataclasses.replace(RECOVERY, size=_roundtrip_size)
+
+
 @given(
     protocol=st.sampled_from(["fmtcp", "mptcp"]),
     seed=st.integers(1, 50),
@@ -350,9 +361,9 @@ def test_checkpoint_restore_matches_uninterrupted_run(protocol, seed, crash_t, g
         ],
     )
     clean = FaultScenario("roundtrip_clean", [])
-    kwargs = dict(seed=seed, total_bytes=150_000, duration_s=30.0)
-    crashed_report = run_recovery(protocol, interrupted, **kwargs)
-    clean_report = run_recovery(protocol, clean, **kwargs)
+    kwargs = dict(seed=seed, duration_s=30.0)
+    crashed_report = run_soak(ROUNDTRIP, protocol, interrupted, **kwargs)
+    clean_report = run_soak(ROUNDTRIP, protocol, clean, **kwargs)
     assert crashed_report.ok, crashed_report.violations
     assert clean_report.ok, clean_report.violations
     assert crashed_report.completed and clean_report.completed

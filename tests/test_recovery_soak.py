@@ -1,7 +1,7 @@
 """Recovery soak: both protocols through every crash preset, many seeds.
 
 Every run must satisfy the invariants checked by
-:func:`repro.recovery.run_recovery`:
+:data:`repro.recovery.harness.RECOVERY`:
 
 1. byte-identical final delivery despite K crashes (the delivered stream
    is a prefix of — and on completion equal to — the source transcript);
@@ -25,7 +25,8 @@ import os
 import pytest
 
 from repro.faults import RECOVERY_SCENARIOS, FaultScenario
-from repro.recovery import run_recovery
+from repro.recovery.harness import RECOVERY
+from repro.soak import run_soak
 from tests.conftest import soak_seeds
 
 SOAK_SEEDS = soak_seeds()
@@ -38,7 +39,8 @@ def test_recovery_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
     for seed in SOAK_SEEDS:
-        report = run_recovery(
+        report = run_soak(
+            RECOVERY,
             protocol,
             RECOVERY_SCENARIOS[name](),
             seed=seed,
@@ -55,7 +57,7 @@ def test_recovery_soak_presets(protocol, name):
 
 
 def test_recovery_report_shape():
-    report = run_recovery("fmtcp", RECOVERY_SCENARIOS["receiver_crash"]())
+    report = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS["receiver_crash"]())
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "receiver_crash"
     assert report.completed and report.completion_time_s is not None
@@ -77,7 +79,7 @@ def test_recovery_report_shape():
 def test_reconnect_exhaustion_fails_cleanly(protocol):
     """A receiver that never restarts ends in a clean watchdog failure
     carrying the manager's reason — not a hang, not a quiet success."""
-    report = run_recovery(protocol, RECOVERY_SCENARIOS["reconnect_exhaustion"]())
+    report = run_soak(RECOVERY, protocol, RECOVERY_SCENARIOS["reconnect_exhaustion"]())
     assert report.ok, report.violations
     assert not report.completed and not report.expect_complete
     assert report.recovery_state == "failed"
@@ -93,15 +95,15 @@ def test_reconnect_exhaustion_fails_cleanly(protocol):
 def test_recovery_is_deterministic_across_restart_epochs(name):
     """Same seed -> identical payload CRC, timings and attempt counts,
     even through multiple crash/restart epochs (per-epoch RNG streams)."""
-    first = run_recovery("fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
-    second = run_recovery("fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
+    first = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
+    second = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
     assert first.ok and second.ok
     assert first.fingerprint() == second.fingerprint()
     assert first.outages == second.outages
 
 
 def test_crash_storm_survives_repeated_crashes():
-    report = run_recovery("fmtcp", RECOVERY_SCENARIOS["crash_storm"]())
+    report = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS["crash_storm"]())
     assert report.ok, report.violations
     assert report.completed
     assert report.crashes == 3 and report.resumes == 3 and report.epochs == 3
@@ -111,12 +113,14 @@ def test_recovery_post_mortem_dump(tmp_path):
     """A violating run with a flight dir leaves a post-mortem JSONL."""
     from repro.sim.tracefile import read_trace_file
 
-    # Force a violation: a bound no real recovery can meet.
-    report = run_recovery(
+    # Force a violation: the run ends 1 s after the crash, before the
+    # t=11 s restart, so the promised completion cannot happen.
+    report = run_soak(
+        RECOVERY,
         "mptcp",
         RECOVERY_SCENARIOS["receiver_crash"](),
+        duration_s=9.0,
         flight_dump_dir=str(tmp_path),
-        recovery_bound_s=0.001,
     )
     assert not report.ok
     assert report.flight_dump_path is not None
@@ -127,6 +131,6 @@ def test_recovery_post_mortem_dump(tmp_path):
 
 def test_rejects_unknown_protocol_and_non_crash_scenarios():
     with pytest.raises(ValueError):
-        run_recovery("sctp", RECOVERY_SCENARIOS["receiver_crash"]())
+        run_soak(RECOVERY, "sctp", RECOVERY_SCENARIOS["receiver_crash"]())
     with pytest.raises(ValueError, match="endpoint"):
-        run_recovery("fmtcp", FaultScenario.named("link_flap"))
+        run_soak(RECOVERY, "fmtcp", FaultScenario.named("link_flap"))

@@ -156,6 +156,11 @@ UNSET_FIELDS_KEPT = {
         "pass-through to Subflow, which has callers of its own; left for "
         "the next census"
     ),
+    "flight_capacity": (
+        "TelemetryConfig's ring size; only tests and docs/observability.md "
+        "set it. Its traffic was the soak wrappers' same-named keyword, "
+        "which this keyword-name census counted; left for the next census"
+    ),
 }
 
 
@@ -207,3 +212,58 @@ def test_every_config_field_has_traffic():
         f"no traffic and no recorded reason: {sorted(unset - set(UNSET_FIELDS_KEPT))}; "
         f"listed but set or gone: {sorted(set(UNSET_FIELDS_KEPT) - unset)}"
     )
+
+
+def _calls_by_file() -> dict:
+    """File → every call in it, for ``benchmarks/``, ``examples/``, ``src/``."""
+    return {
+        path: [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+        ]
+        for root in ("benchmarks", "examples", "src")
+        for path in (REPO / root).rglob("*.py")
+    }
+
+
+def test_every_soak_and_probe_knob_has_traffic():
+    """The soak kernel's and the ``measure_*`` probes' keyword parameters
+    are each passed — by keyword or by position — by a call to that
+    function outside its own module. A knob nothing passes is a constant
+    of the step, invariant or probe that reads it."""
+    from repro import soak
+    from repro.faults.chaos import measure_fault_response
+    from repro.faults.corruption import measure_corruption_goodput
+    from repro.recovery.harness import measure_recovery
+    from repro.robustness.exhaustion import measure_bufferblock
+    from repro.traces.harness import measure_trace_goodput
+
+    calls_by_file = _calls_by_file()
+    unpassed = []
+    for function in (
+        soak.run_soak, measure_fault_response, measure_corruption_goodput,
+        measure_trace_goodput, measure_recovery, measure_bufferblock,
+    ):
+        parameters = list(inspect.signature(function).parameters.values())
+        knobs = [
+            parameter.name for parameter in parameters
+            if parameter.default is not inspect.Parameter.empty
+        ]
+        home = Path(inspect.getsourcefile(function))
+        passed = set()
+        for path, calls in calls_by_file.items():
+            if path == home:
+                continue
+            for call in calls:
+                callee = call.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(
+                    callee, "id", None
+                )
+                if name != function.__name__:
+                    continue
+                passed.update(keyword.arg for keyword in call.keywords)
+                passed.update(parameter.name for parameter in parameters[: len(call.args)])
+        unpassed.extend(
+            f"{function.__name__}({knob})" for knob in knobs if knob not in passed
+        )
+    assert not unpassed, f"knobs no caller outside their module passes: {unpassed}"

@@ -23,7 +23,6 @@ from repro.recovery.harness import (
     epoch_accounting,
     no_wedged_timers_on_live_epoch,
 )
-from repro.recovery.manager import ReconnectPolicy
 from repro.robustness import MemoryBudget
 from repro.robustness.exhaustion import EXHAUSTION
 from repro.traces.harness import TRACES, no_false_clean_fail, trace_played
@@ -68,8 +67,6 @@ def clean_run(report=None, **run_fields) -> soak.Run:
     run = soak.Run(
         report=soak.SoakReport(**fields),
         scenario=scenario,
-        options={"recovery_window_s": 5.0, "recovery_fraction": 0.8,
-                 "recovery_bound_s": 8.0, "policy": ReconnectPolicy(max_detect_s=2.5)},
         connection=SimpleNamespace(subflows=[_subflow(in_flight=2)]),
         delivered_ids=[0, 1, 2],
         payload=PAYLOAD,

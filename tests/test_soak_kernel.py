@@ -1,8 +1,10 @@
-"""The soak kernel's structure: routing is enforced at every entry
-point, the six harnesses are declarations (and the docs matrix is those
+"""The soak kernel's structure: routing is enforced for every harness,
+the six harnesses are declarations (and the docs matrix is those
 declarations), the packages import in any order, and each shared thing
 exists once."""
 
+import ast
+import dataclasses
 import re
 import subprocess
 import sys
@@ -11,42 +13,26 @@ from pathlib import Path
 import pytest
 
 from repro import soak
-from repro.faults import (
-    EXHAUSTION_SCENARIOS,
-    FaultEvent,
-    FaultScenario,
-    run_chaos,
-    run_churn,
-    run_corruption,
-    run_exhaustion,
-    run_traces,
-)
+from repro.faults import EXHAUSTION_SCENARIOS, FaultEvent, FaultScenario
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
-from repro.recovery import run_recovery
 from repro.recovery.harness import RECOVERY
 from repro.robustness.exhaustion import EXHAUSTION
+from repro.soak import run_soak
 from repro.traces.harness import TRACES
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
-ENTRY_POINTS = {
-    "chaos": run_chaos,
-    "churn": run_churn,
-    "corruption": run_corruption,
-    "exhaustion": run_exhaustion,
-    "recovery": run_recovery,
-    "traces": run_traces,
-}
 HARNESSES = (CHAOS, CHURN, CORRUPTION, EXHAUSTION, RECOVERY, TRACES)
+ENTRY_POINTS = {harness.name: harness for harness in HARNESSES}
 
 DOWN = [FaultEvent(8.0, "path_down", 1)]
 FLAP = [FaultEvent(8.0, "down", 1), FaultEvent(9.0, "up", 1)]
 CORRUPT = [FaultEvent(8.0, "corrupt", 1, 0.05), FaultEvent(10.0, "corrupt", 1, None)]
 REPLAY = [FaultEvent(2.0, "trace", 1, "gprs:1"), FaultEvent(10.0, "trace", 1, None)]
 CRASH = [FaultEvent(8.0, "crash_receiver", 0), FaultEvent(10.0, "restart", 0)]
-# (events, the one entry point that may run them; None = no harness can)
+# (events, the one harness that may run them; None = no harness can)
 MIXES = {
     "churn+corrupt": (DOWN + CORRUPT, None),
     "churn+trace": (DOWN + REPLAY, None),
@@ -61,17 +47,18 @@ MIXES = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("mix", sorted(MIXES))
 def test_entry_points_accept_exactly_what_route_sends_them(mix, entry):
-    """``run_churn`` on path_down + corrupt used to return ok=True having
-    verified no bytes; now every entry point rejects what is not its own."""
+    """The churn harness on path_down + corrupt used to return ok=True
+    having verified no bytes; now every harness rejects what is not its
+    own."""
     events, target = MIXES[mix]
     scenario = FaultScenario(mix, events)
     if entry == target:
         assert scenario.route() == target
-        report = ENTRY_POINTS[entry]("fmtcp", scenario, duration_s=12.0)
+        report = run_soak(ENTRY_POINTS[entry], "fmtcp", scenario, duration_s=12.0)
         assert report.harness == target
     else:
         with pytest.raises(ValueError, match=re.escape(repr(mix))):
-            ENTRY_POINTS[entry]("fmtcp", scenario)
+            run_soak(ENTRY_POINTS[entry], "fmtcp", scenario)
     if target is None:
         with pytest.raises(ValueError, match="no harness checks both"):
             scenario.route()
@@ -81,8 +68,10 @@ def test_entry_points_accept_exactly_what_route_sends_them(mix, entry):
 def test_exhaustion_presets_run_only_through_run_exhaustion(entry):
     scenario = EXHAUSTION_SCENARIOS["tiny_receive_buffer"]()
     assert scenario.route() == "exhaustion"
-    with pytest.raises(ValueError, match="routes to run_exhaustion"):
+    with pytest.raises(ValueError, match="routes to the exhaustion harness"):
         scenario.route(entry)
+    with pytest.raises(ValueError, match="routes to the exhaustion harness"):
+        run_soak(ENTRY_POINTS[entry], "fmtcp", scenario)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -94,7 +83,7 @@ def test_unknown_protocol_rejected_everywhere(entry):
                                  "recovery": CRASH, "traces": REPLAY}.get(entry, FLAP))
     )
     with pytest.raises(ValueError, match="protocol"):
-        ENTRY_POINTS[entry]("sctp", scenario)
+        run_soak(ENTRY_POINTS[entry], "sctp", scenario)
 
 
 def test_recovery_takes_an_empty_timeline_as_its_baseline_and_nobody_else():
@@ -174,9 +163,12 @@ def test_packages_import_in_any_order(first):
     code = (
         f"import {first}\n"
         "import repro.faults, repro.recovery, repro.traces, repro.robustness, repro.soak\n"
-        "from repro.faults import run_traces\n"
-        "from repro.recovery import run_recovery, measure_recovery\n"
-        "from repro.robustness import run_exhaustion\n"
+        "from repro.soak import run_soak\n"
+        "from repro.traces.harness import TRACES\n"
+        "from repro.recovery import measure_recovery\n"
+        "from repro.recovery.harness import RECOVERY\n"
+        "from repro.robustness import measure_bufferblock\n"
+        "from repro.robustness.exhaustion import EXHAUSTION\n"
     )
     _fresh_interpreter(code)
 
@@ -188,7 +180,7 @@ def test_faults_does_not_import_recovery():
         "import sys, repro.faults\n"
         "loaded = [name for name in sys.modules if name.startswith('repro.recovery')]\n"
         "assert not loaded, loaded\n"
-        "assert not hasattr(repro.faults, 'run_recovery')\n"
+        "assert not hasattr(repro.faults, 'measure_recovery')\n"
     )
 
 
@@ -218,5 +210,15 @@ def test_each_shared_thing_exists_once():
     ))) == 0
     kernel = (SRC / "soak.py").read_text()
     assert not re.search(r"harness(\.name)? (==|in) ", kernel)
+    # One way in: run_soak. A harness is a declaration, not a wrapper, and
+    # what a step or invariant needs is its own constant, not a pass-through.
+    for module in harness_modules[1:]:
+        tree = ast.parse((SRC / module).read_text())
+        wrappers = [
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")
+        ]
+        assert not wrappers, (module, wrappers)
+    assert "options" not in {field.name for field in dataclasses.fields(soak.Run)}
     scenario = (SRC / "faults" / "scenario.py").read_text()
     assert len(re.findall(r"\.kind (==|in) ", scenario)) <= 8

@@ -26,45 +26,47 @@ from repro.faults import (
     SCENARIOS,
     TRACE_SCENARIOS,
     FaultScenario,
-    run_chaos,
-    run_churn,
-    run_corruption,
-    run_exhaustion,
-    run_traces,
 )
-from repro.recovery import run_recovery
+from repro.faults.chaos import CHAOS
+from repro.faults.churn import CHURN
+from repro.faults.corruption import CORRUPTION
+from repro.recovery.harness import RECOVERY
+from repro.robustness.exhaustion import EXHAUSTION
+from repro.soak import run_soak
+from repro.traces.harness import TRACES
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "soak_pins.json")
 DUMP_PATHS = ("flight_dump_path", "profile_dump_path", "watchdog_dump_path")
 GROUPS = (
-    (SCENARIOS, run_chaos),
-    (MOBILITY_SCENARIOS, run_churn),
-    (CORRUPTION_SCENARIOS, run_corruption),
-    (EXHAUSTION_SCENARIOS, run_exhaustion),
-    (RECOVERY_SCENARIOS, run_recovery),
-    (TRACE_SCENARIOS, run_traces),
+    (SCENARIOS, CHAOS),
+    (MOBILITY_SCENARIOS, CHURN),
+    (CORRUPTION_SCENARIOS, CORRUPTION),
+    (EXHAUSTION_SCENARIOS, EXHAUSTION),
+    (RECOVERY_SCENARIOS, RECOVERY),
+    (TRACE_SCENARIOS, TRACES),
 )
 
 
 def _cases():
-    """(row id, runner, scenario factory, seed) for all 64 pinned runs."""
-    for registry, runner in GROUPS:
+    """(row id, harness, protocol, scenario factory, seed) for all 64
+    pinned runs."""
+    for registry, harness in GROUPS:
         for name in sorted(registry):
             for protocol in ("fmtcp", "mptcp"):
-                yield f"{name}/{protocol}", runner, protocol, registry[name], 1
+                yield f"{name}/{protocol}", harness, protocol, registry[name], 1
     for seed in range(1, 6):
         for protocol in ("fmtcp", "mptcp"):
             yield (
                 f"random:{seed}/{protocol}",
-                run_chaos,
+                CHAOS,
                 protocol,
                 lambda seed=seed: FaultScenario.random(seed),
                 seed,
             )
 
 
-def _row(runner, protocol, factory, seed):
-    report = dataclasses.asdict(runner(protocol, factory(), seed=seed))
+def _row(harness, protocol, factory, seed):
+    report = dataclasses.asdict(run_soak(harness, protocol, factory(), seed=seed))
     for key in DUMP_PATHS:
         report.pop(key, None)
     # Through JSON so tuples and lists compare the way the fixture holds them.
@@ -87,10 +89,10 @@ def test_fixture_covers_every_preset_and_protocol(pins):
 
 
 @pytest.mark.parametrize(
-    "row_id, runner, protocol, factory, seed", CASES, ids=[case[0] for case in CASES]
+    "row_id, harness, protocol, factory, seed", CASES, ids=[case[0] for case in CASES]
 )
-def test_report_matches_parent_commit(pins, row_id, runner, protocol, factory, seed):
-    got = _row(runner, protocol, factory, seed)
+def test_report_matches_parent_commit(pins, row_id, harness, protocol, factory, seed):
+    got = _row(harness, protocol, factory, seed)
     want = pins[row_id]
     assert {key: got.get(key, "<missing>") for key in want} == want
 

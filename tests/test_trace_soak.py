@@ -1,7 +1,7 @@
 """Trace soak: both protocols through every trace preset, many seeds.
 
 Every run must satisfy the invariants checked by
-:func:`repro.traces.run_traces`:
+:data:`repro.traces.harness.TRACES`:
 
 1. byte-identical delivery (reassembled stream == source transcript);
 2. exactly-once, in-order delivery;
@@ -23,9 +23,11 @@ import os
 
 import pytest
 
-from repro.faults import TRACE_SCENARIOS, FaultScenario, SoakReport, run_traces
+from repro.faults import TRACE_SCENARIOS, FaultScenario, SoakReport
 from repro.faults.scenario import trace_replay_scenario
+from repro.soak import run_soak
 from repro.traces import gprs_trace
+from repro.traces.harness import TRACES
 from tests.conftest import soak_seeds
 
 SOAK_SEEDS = soak_seeds()
@@ -38,7 +40,8 @@ def test_trace_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
     for seed in SOAK_SEEDS:
-        report = run_traces(
+        report = run_soak(
+            TRACES,
             protocol,
             TRACE_SCENARIOS[name](),
             seed=seed,
@@ -55,7 +58,7 @@ def test_trace_soak_presets(protocol, name):
 
 
 def test_trace_report_shape():
-    report = run_traces("fmtcp", TRACE_SCENARIOS["gprs_bursty"]())
+    report = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["gprs_bursty"]())
     assert isinstance(report, SoakReport)
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "gprs_bursty"
@@ -68,8 +71,8 @@ def test_trace_report_shape():
 
 
 def test_trace_runs_deterministic():
-    a = run_traces("fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
-    b = run_traces("fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
+    a = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
+    b = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
     assert a.completion_time_s == b.completion_time_s
     assert a.delivered_bytes == b.delivered_bytes
     assert a.trace_ticks == b.trace_ticks
@@ -79,21 +82,22 @@ def test_trace_runs_deterministic():
 def test_trace_replay_scenario_wraps_custom_trace():
     scenario = trace_replay_scenario(gprs_trace(seed=9))
     assert scenario.has_trace
-    report = run_traces("fmtcp", scenario, seed=1)
+    report = run_soak(TRACES, "fmtcp", scenario, seed=1)
     assert report.ok, report.violations
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
 def test_trace_scenarios_rejected_by_other_harnesses(protocol):
-    from repro.faults import run_chaos, run_corruption
+    from repro.faults.chaos import CHAOS
+    from repro.faults.corruption import CORRUPTION
 
     scenario = TRACE_SCENARIOS["gprs_bursty"]()
     with pytest.raises(ValueError, match="replays channel traces"):
-        run_chaos(protocol, scenario, seed=1)
+        run_soak(CHAOS, protocol, scenario, seed=1)
     with pytest.raises(ValueError, match="no corruption events"):
-        run_corruption(protocol, scenario, seed=1)
+        run_soak(CORRUPTION, protocol, scenario, seed=1)
 
 
 def test_non_trace_scenario_rejected_by_run_traces():
     with pytest.raises(ValueError, match="no trace events"):
-        run_traces("fmtcp", FaultScenario.named("path_death"), seed=1)
+        run_soak(TRACES, "fmtcp", FaultScenario.named("path_death"), seed=1)
