@@ -2,8 +2,7 @@
 
 The acceptance bar for observability is that it costs nothing when off
 and little when on: an emit with no subscribers must stay a cheap guard,
-a P² observation is a handful of float compares, and the flight
-recorder's ring append is O(1). These benchmarks pin those costs so a
+and the flight recorder's ring append is O(1). These benchmarks pin those costs so a
 regression shows up as a number, not a vibe.
 """
 
@@ -14,7 +13,6 @@ import time
 
 from repro.sim.trace import TraceBus
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.registry import MetricsRegistry, StreamingHistogram
 
 
 def test_emit_with_no_subscribers(benchmark):
@@ -41,33 +39,6 @@ def test_emit_into_flight_recorder(benchmark):
         return len(flight)
 
     assert benchmark(emit_batch) == 512
-
-
-def test_histogram_observe(benchmark):
-    rng = random.Random(3)
-    samples = [rng.expovariate(10.0) for __ in range(1000)]
-
-    def observe_batch():
-        histogram = StreamingHistogram("rtt")
-        for x in samples:
-            histogram.observe(x)
-        return histogram.count
-
-    assert benchmark(observe_batch) == 1000
-
-
-def test_registry_lookup_and_set(benchmark):
-    """Sampler inner loop: get-or-create plus a gauge set per metric."""
-    registry = MetricsRegistry()
-
-    def sample_batch():
-        for __ in range(200):
-            registry.gauge("subflow0.cwnd").set(12.0)
-            registry.gauge("subflow0.in_flight").set(9.0)
-            registry.counter("subflow0.suspect_samples").inc(0)
-        return len(registry)
-
-    assert benchmark(sample_batch) == 3
 
 
 def _make_packet_builder(trace):

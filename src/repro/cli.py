@@ -573,6 +573,15 @@ def _run_length(text: str) -> float:
     return value
 
 
+def _finite_positive(text: str) -> float:
+    """argparse ``type=`` of ``--bandwidth`` / ``--sample-period``:
+    finite and > 0 (a NaN period or bandwidth otherwise dies mid-run)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _instant(text: str) -> float:
     """argparse ``type=`` of ``--start`` / ``--end``: finite seconds."""
     value = float(text)
@@ -593,7 +602,7 @@ def _table1_case(text: str) -> int:
 
 def _at_least_one(text: str) -> int:
     """argparse ``type=`` of a count (``--seeds``, ``--competitors``,
-    ``--limit``): >= 1."""
+    ``--limit``, ``--top``): >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
@@ -617,7 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=_run_length, default=None, help="run length (s)"
     )
     parser.add_argument(
-        "--bandwidth", type=float, default=DEFAULT_BANDWIDTH_BPS, help="per-path bw (bps)"
+        "--bandwidth",
+        type=_finite_positive,
+        default=DEFAULT_BANDWIDTH_BPS,
+        help="per-path bw (bps)",
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--csv", type=str, default=None, help="export rows to CSV")
@@ -681,7 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--output", type=str, default="trace.jsonl")
     record.add_argument(
-        "--sample-period", type=float, default=0.1, help="sampler period (s)"
+        "--sample-period",
+        type=_finite_positive,
+        default=0.1,
+        help="sampler period (s)",
     )
     record.add_argument(
         "--profile", action="store_true", help="also profile the sim engine"
@@ -726,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     critical_p.add_argument("file")
     critical_p.add_argument(
-        "--top", type=int, default=5, help="how many slowest blocks to show"
+        "--top", type=_at_least_one, default=5, help="how many slowest blocks to show"
     )
     critical_p.set_defaults(fn=cmd_trace_critical_path)
     sub.add_parser("all", help="run every catalogued experiment").set_defaults(

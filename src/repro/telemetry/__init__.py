@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics, samplers, flight recorder, sim profiler.
+"""Unified telemetry: samplers, block spans, flight recorder, sim profiler.
 
 Everything here is opt-in and zero-cost when unused — instrumentation
 call sites in the transports stay behind ``TraceBus.has_subscribers``
@@ -10,13 +10,6 @@ vocabulary.
 
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.profiler import SimProfiler, callback_label
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    P2Quantile,
-    StreamingHistogram,
-)
 from repro.telemetry.samplers import (
     ConnectionSampler,
     DecoderSampler,
@@ -46,11 +39,6 @@ from repro.telemetry.traceview import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "P2Quantile",
-    "StreamingHistogram",
     "FlightRecorder",
     "SimProfiler",
     "callback_label",

@@ -18,7 +18,7 @@ single ``is None`` test.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 
 def callback_label(fn: Callable) -> str:
@@ -126,27 +126,6 @@ class SimProfiler:
             "max_heap_depth": self.max_heap_depth,
             "by_kind": kinds,
         }
-
-    def render(self, top: int = 12) -> List[str]:
-        report = self.report()
-        lines = [
-            (
-                f"profiler: {report['events']} events in {report['wall_s']:.3f}s wall "
-                f"({report['events_per_s']:,.0f} ev/s), sim/wall "
-                f"{report['sim_wall_ratio']:.1f}x, max heap depth "
-                f"{report['max_heap_depth']}"
-            ),
-            f"{'callback':<44} {'count':>8} {'total(ms)':>10} {'mean(us)':>9}",
-        ]
-        for entry in report["by_kind"][:top]:
-            lines.append(
-                f"{entry['kind']:<44} {entry['count']:>8} "
-                f"{entry['total_s'] * 1e3:>10.2f} {entry['mean_us']:>9.2f}"
-            )
-        remaining = len(report["by_kind"]) - top
-        if remaining > 0:
-            lines.append(f"... and {remaining} more callback kinds")
-        return lines
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProfiler events={self.events} wall={self.wall_s:.3f}s>"

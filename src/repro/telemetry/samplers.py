@@ -4,10 +4,9 @@ The trace bus carries *events*; these samplers add the *state* series the
 paper's figures are explained by — per-subflow congestion dynamics
 (cwnd, SRTT, RTO, in-flight, EAT) and per-block decoder progress (rank
 deficit, overhead). Each sampler publishes ``telemetry.*`` records
-through the shared :class:`~repro.sim.trace.TraceBus` and optionally
-folds observations into a :class:`~repro.telemetry.registry.MetricsRegistry`,
-so the protocol hot paths stay untouched: all cost is borne by the
-sampler's own timer, which exists only when telemetry is attached.
+through the shared :class:`~repro.sim.trace.TraceBus`, so the protocol
+hot paths stay untouched: all cost is borne by the sampler's own timer,
+which exists only when telemetry is attached.
 
 Samplers cancel their pending timer event on ``stop()``, so an
 instrumented run still satisfies the chaos-soak ``pending_events == 0``
@@ -21,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core.estimators import eat_table
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import TraceBus
-from repro.telemetry.registry import MetricsRegistry
 
 
 class PeriodicSampler:
@@ -33,8 +31,8 @@ class PeriodicSampler:
     """
 
     def __init__(self, sim: Simulator, period_s: float):
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not period_s > 0:
+            raise ValueError(f"period_s must be positive, got {period_s}")
         self.sim = sim
         self.period_s = period_s
         self.samples_taken = 0
@@ -101,21 +99,17 @@ class SubflowSampler(PeriodicSampler):
         trace: TraceBus,
         period_s: float = 0.1,
         eat_provider: Optional[EatProvider] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         super().__init__(sim, period_s)
         self.subflows = list(subflows)
         self.trace = trace
         self.eat_provider = eat_provider
-        self.registry = registry
 
     def sample(self) -> None:
         eats: Dict[int, float] = {}
         if self.eat_provider is not None:
             eats = self.eat_provider()
         for subflow in self.subflows:
-            suspect = bool(subflow.potentially_failed)
-            eat = eats.get(subflow.subflow_id)
             self.trace.emit(
                 self.sim.now,
                 "telemetry.subflow",
@@ -127,20 +121,9 @@ class SubflowSampler(PeriodicSampler):
                 in_flight=subflow.in_flight,
                 window_space=subflow.window_space,
                 loss_est=subflow.loss_rate_estimate,
-                suspect=suspect,
-                eat=eat,
+                suspect=bool(subflow.potentially_failed),
+                eat=eats.get(subflow.subflow_id),
             )
-            if self.registry is not None:
-                prefix = f"subflow{subflow.subflow_id}"
-                self.registry.gauge(f"{prefix}.cwnd").set(subflow.cc.cwnd)
-                self.registry.gauge(f"{prefix}.in_flight").set(subflow.in_flight)
-                self.registry.histogram(f"{prefix}.srtt_ms").observe(
-                    subflow.srtt * 1e3
-                )
-                if suspect:
-                    self.registry.counter(f"{prefix}.suspect_samples").inc()
-                if eat is not None:
-                    self.registry.histogram(f"{prefix}.eat_ms").observe(eat * 1e3)
 
 
 class DecoderSampler(PeriodicSampler):
@@ -148,10 +131,8 @@ class DecoderSampler(PeriodicSampler):
 
     One ``telemetry.decoder`` record per in-progress block: rank (k̄),
     rank deficit (k − k̄), symbols received so far, overhead beyond rank,
-    and the block's age. Decode latency itself is an event, not state —
-    the collector half subscribes to ``fmtcp.block_decoded`` and feeds
-    the ``decoder.decode_latency_s`` / ``decoder.overhead_symbols``
-    histograms in the registry.
+    and the block's age. Decode latency itself is an event, not state:
+    it rides on the receiver's own ``fmtcp.block_decoded`` records.
     """
 
     def __init__(
@@ -160,38 +141,14 @@ class DecoderSampler(PeriodicSampler):
         receiver,
         trace: TraceBus,
         period_s: float = 0.1,
-        registry: Optional[MetricsRegistry] = None,
     ):
         super().__init__(sim, period_s)
         self.receiver = receiver
         self.trace = trace
-        self.registry = registry
-        if registry is not None:
-            trace.subscribe("fmtcp.block_decoded", self._on_block_decoded)
-
-    def _on_block_decoded(self, record) -> None:
-        registry = self.registry
-        registry.counter("decoder.blocks_decoded").inc()
-        registry.histogram("decoder.decode_latency_s").observe(record["wait"])
-        overhead = record.get("overhead")
-        if overhead is not None:
-            registry.histogram("decoder.overhead_symbols").observe(float(overhead))
-
-    def stop(self) -> None:
-        super().stop()
-        if self.registry is not None:
-            self.trace.unsubscribe("fmtcp.block_decoded", self._on_block_decoded)
 
     def sample(self) -> None:
         for stats in self.receiver.decoder_stats():
             self.trace.emit(self.sim.now, "telemetry.decoder", **stats)
-            if self.registry is not None:
-                self.registry.gauge("decoder.active_blocks").set(
-                    float(self.receiver.buffered_blocks)
-                )
-                self.registry.histogram("decoder.rank_deficit").observe(
-                    float(stats["deficit"])
-                )
 
 
 class ConnectionSampler(PeriodicSampler):
@@ -208,12 +165,10 @@ class ConnectionSampler(PeriodicSampler):
         connection,
         trace: TraceBus,
         period_s: float = 0.1,
-        registry: Optional[MetricsRegistry] = None,
     ):
         super().__init__(sim, period_s)
         self.connection = connection
         self.trace = trace
-        self.registry = registry
 
     def sample(self) -> None:
         connection = self.connection
@@ -225,27 +180,14 @@ class ConnectionSampler(PeriodicSampler):
         if reorder is not None:
             fields["reorder_occupancy"] = reorder.occupancy
         corruption = getattr(connection, "corruption_stats", None)
-        integrity = corruption() if corruption is not None else {}
-        fields.update(integrity)
+        if corruption is not None:
+            fields.update(corruption())
         memory = getattr(connection, "memory_stats", None)
-        mem_fields = {}
         if memory is not None:
-            mem_fields = {f"mem_{name}": value for name, value in memory().items()}
-            fields.update(mem_fields)
-        self.trace.emit(self.sim.now, "telemetry.conn", **fields)
-        if self.registry is not None:
-            self.registry.gauge("conn.delivered_bytes").set(
-                float(fields["delivered_bytes"])
+            fields.update(
+                (f"mem_{name}", value) for name, value in memory().items()
             )
-            backlog = fields.get("pending_blocks", fields.get("reorder_occupancy"))
-            if backlog is not None:
-                self.registry.gauge("conn.backlog").set(float(backlog))
-            for name, value in integrity.items():
-                # Cumulative integrity counters ride as gauges: sampled
-                # state, not per-event increments.
-                self.registry.gauge(f"conn.{name}").set(float(value))
-            for name, value in mem_fields.items():
-                self.registry.gauge(f"conn.{name}").set(float(value))
+        self.trace.emit(self.sim.now, "telemetry.conn", **fields)
 
 
 def attach_samplers(
@@ -253,7 +195,6 @@ def attach_samplers(
     connection,
     trace: TraceBus,
     period_s: float = 0.1,
-    registry: Optional[MetricsRegistry] = None,
 ) -> List[PeriodicSampler]:
     """Instrument any transport connection; returns the started samplers.
 
@@ -271,25 +212,14 @@ def attach_samplers(
     if subflows:
         samplers.append(
             SubflowSampler(
-                sim,
-                subflows,
-                trace,
-                period_s=period_s,
-                eat_provider=eat_provider,
-                registry=registry,
+                sim, subflows, trace, period_s=period_s, eat_provider=eat_provider
             )
         )
     receiver = getattr(connection, "receiver", None)
     if receiver is not None and hasattr(receiver, "decoder_stats"):
-        samplers.append(
-            DecoderSampler(sim, receiver, trace, period_s=period_s, registry=registry)
-        )
+        samplers.append(DecoderSampler(sim, receiver, trace, period_s=period_s))
     if hasattr(connection, "delivered_bytes"):
-        samplers.append(
-            ConnectionSampler(
-                sim, connection, trace, period_s=period_s, registry=registry
-            )
-        )
+        samplers.append(ConnectionSampler(sim, connection, trace, period_s=period_s))
     for sampler in samplers:
         sampler.start()
     return samplers

@@ -1,7 +1,7 @@
 """One-call wiring of the full telemetry stack onto a simulation run.
 
 :class:`TelemetryConfig` is the single knob surface (sampling period,
-JSONL trace output, sim profiling, flight recording); a
+JSONL trace output, sim profiling, block spans); a
 :class:`TelemetrySession` applies it to a ``(sim, trace)`` pair, attaches
 samplers to any transport connection, and gathers everything into one
 :class:`TelemetryReport` at the end. Used by
@@ -15,15 +15,13 @@ that simply does not exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.sim.tracefile import TraceFileWriter
-from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.profiler import SimProfiler
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.samplers import PeriodicSampler, attach_samplers
 from repro.telemetry.spans import SpanCollector
 
@@ -34,8 +32,7 @@ class TelemetryConfig:
 
     ``trace_path`` streams every record to JSONL via
     :class:`~repro.sim.tracefile.TraceFileWriter`. ``profile_sim`` attaches
-    the engine profiler. ``flight_capacity`` > 0 keeps a flight-recorder
-    ring available for dumping on failures. ``spans`` attaches a live
+    the engine profiler. ``spans`` attaches a live
     :class:`~repro.telemetry.spans.SpanCollector` whose per-stage delay
     decomposition lands in ``TelemetryReport.spans``.
     """
@@ -43,50 +40,23 @@ class TelemetryConfig:
     sample_period_s: float = 0.1
     trace_path: Optional[str] = None
     profile_sim: bool = False
-    flight_capacity: int = 0
     spans: bool = False
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if self.flight_capacity < 0:
-            raise ValueError("flight_capacity must be >= 0")
+        if not self.sample_period_s > 0:  # NaN fails this too
+            raise ValueError(
+                f"sample_period_s must be positive, got {self.sample_period_s}"
+            )
 
 
 @dataclass
 class TelemetryReport:
     """Everything a finished session measured."""
 
-    metrics: Dict[str, object] = field(default_factory=dict)
     profile: Optional[Dict[str, object]] = None
     trace_path: Optional[str] = None
     trace_records_written: int = 0
-    flight_records: int = 0
     spans: Optional[Dict[str, object]] = None
-
-    def render(self) -> List[str]:
-        lines = []
-        if self.trace_path is not None:
-            lines.append(
-                f"trace: {self.trace_records_written} records -> {self.trace_path}"
-            )
-        if self.spans is not None:
-            lines.append(
-                f"spans: {self.spans['finished']} finished blocks, "
-                f"max conservation error "
-                f"{self.spans['max_conservation_error_s']:.2e}s"
-            )
-        for name, value in sorted(self.metrics.items()):
-            if isinstance(value, dict):
-                detail = ", ".join(
-                    f"{key}={val:.4g}"
-                    for key, val in value.items()
-                    if isinstance(val, (int, float))
-                )
-                lines.append(f"{name}: {detail}")
-            else:
-                lines.append(f"{name}: {value}")
-        return lines
 
 
 class TelemetrySession:
@@ -97,16 +67,13 @@ class TelemetrySession:
         sim: Simulator,
         trace: TraceBus,
         config: Optional[TelemetryConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.trace = trace
         self.config = config or TelemetryConfig()
-        self.registry = registry or MetricsRegistry()
         self.samplers: List[PeriodicSampler] = []
         self.writer: Optional[TraceFileWriter] = None
         self.profiler: Optional[SimProfiler] = None
-        self.flight: Optional[FlightRecorder] = None
         self.spans: Optional[SpanCollector] = None
         self._finished = False
 
@@ -115,8 +82,6 @@ class TelemetrySession:
         if self.config.profile_sim:
             self.profiler = SimProfiler()
             sim.set_profiler(self.profiler)
-        if self.config.flight_capacity > 0:
-            self.flight = FlightRecorder(trace, capacity=self.config.flight_capacity)
         if self.config.spans:
             self.spans = SpanCollector()
             self.spans.attach(trace)
@@ -129,7 +94,6 @@ class TelemetrySession:
                 connection,
                 self.trace,
                 period_s=self.config.sample_period_s,
-                registry=self.registry,
             )
         )
 
@@ -140,7 +104,7 @@ class TelemetrySession:
         calls it when an endpoint dies mid-run and nobody wants a report
         yet. Idempotent — double-stop (or ``stop()`` then ``finish()``)
         never raises and never double-cancels a sampler's pending event
-        or double-closes the writer/flight ring.
+        or double-closes the writer.
         """
         if self._finished:
             return
@@ -151,8 +115,6 @@ class TelemetrySession:
             self.writer.close()
         if self.profiler is not None and self.sim.profiler is self.profiler:
             self.sim.set_profiler(None)
-        if self.flight is not None:
-            self.flight.close()
         if self.spans is not None:
             self.spans.detach()
 
@@ -164,13 +126,11 @@ class TelemetrySession:
         """
         self.stop()
         return TelemetryReport(
-            metrics=self.registry.snapshot(),
             profile=self.profiler.report() if self.profiler is not None else None,
             trace_path=self.config.trace_path,
             trace_records_written=(
                 self.writer.records_written if self.writer is not None else 0
             ),
-            flight_records=len(self.flight) if self.flight is not None else 0,
             spans=self.spans.summary() if self.spans is not None else None,
         )
 

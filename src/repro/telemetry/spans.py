@@ -58,8 +58,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.metrics.stats import mean, percentile
 from repro.sim.trace import TraceBus, TraceRecord
-from repro.telemetry.registry import StreamingHistogram
 
 # Every kind the collector consumes. The span.* family is emitted by the
 # transports behind has_subscribers guards; the last two are pre-existing
@@ -469,20 +469,14 @@ class SpanCollector:
         """Spans still in flight (e.g. the tail block at simulation end)."""
         return list(self._open.values())
 
-    def stage_histograms(self) -> Dict[str, Dict[str, StreamingHistogram]]:
-        """Per-protocol, per-stage P² histograms over finished spans (ms)."""
-        result: Dict[str, Dict[str, StreamingHistogram]] = {}
+    def stage_delays_ms(self) -> Dict[str, Dict[str, List[float]]]:
+        """Per-protocol, per-stage delays of the finished spans (ms)."""
+        result: Dict[str, Dict[str, List[float]]] = {}
         for span in self.finished:
             stages = result.setdefault(span.protocol, OrderedDict())
             for stage, duration in span.stage_durations().items():
-                histogram = stages.get(stage)
-                if histogram is None:
-                    histogram = stages[stage] = StreamingHistogram(stage)
-                histogram.observe(duration * 1e3)
-            total = stages.get("total")
-            if total is None:
-                total = stages["total"] = StreamingHistogram("total")
-            total.observe(span.total_delay * 1e3)
+                stages.setdefault(stage, []).append(duration * 1e3)
+            stages.setdefault("total", []).append(span.total_delay * 1e3)
         return result
 
     def summary(self) -> Dict[str, Any]:
@@ -496,12 +490,22 @@ class SpanCollector:
             min_stage = min(min_stage, *span.stage_durations().values())
             recovery_s += span.annotations.get("loss_recovery_s", 0.0)
             episodes += span.annotations.get("loss_episodes", 0)
-        stages: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for protocol, histograms in self.stage_histograms().items():
-            stages[protocol] = OrderedDict(
-                (name, histogram.snapshot())
-                for name, histogram in histograms.items()
+        stages = {
+            protocol: OrderedDict(
+                (
+                    name,
+                    {
+                        "count": len(delays),
+                        "mean": mean(delays),
+                        "p50": percentile(delays, 50),
+                        "p95": percentile(delays, 95),
+                        "p99": percentile(delays, 99),
+                    },
+                )
+                for name, delays in by_stage.items()
             )
+            for protocol, by_stage in self.stage_delays_ms().items()
+        }
         return {
             "finished": len(self.finished),
             "open": len(self._open),
@@ -587,12 +591,14 @@ def spans_report(records: Sequence[dict]) -> List[str]:
 
 def critical_path_report(records: Sequence[dict], top: int = 5) -> List[str]:
     """The ``repro trace critical-path`` report: slowest blocks, decomposed."""
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     collector = collect_spans(records)
     if not collector.finished:
         return list(_NO_SPANS_HINT)
     slowest = sorted(
         collector.finished, key=lambda span: span.total_delay, reverse=True
-    )[: max(1, top)]
+    )[:top]
     lines = [
         f"slowest {len(slowest)} of {len(collector.finished)} blocks "
         f"by end-to-end delay:"

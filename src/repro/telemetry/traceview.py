@@ -17,7 +17,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.reporting import sparkline
-from repro.telemetry.registry import StreamingHistogram
+from repro.metrics.stats import mean, percentile
 
 # Fields every record carries; everything else is kind-specific payload.
 _BASE_FIELDS = ("t", "kind")
@@ -44,16 +44,13 @@ def _of_kind(records: Sequence[dict], kind: str) -> List[dict]:
 
 
 def _histogram_line(label: str, values: Iterable[float], scale: float = 1.0) -> str:
-    histogram = StreamingHistogram(label)
-    for value in values:
-        histogram.observe(value * scale)
-    if histogram.count == 0:
+    values = [value * scale for value in values]
+    if not values:
         return f"{label}: no samples"
-    snap = histogram.snapshot()
     return (
-        f"{label}: n={histogram.count} mean={snap['mean']:.2f} "
-        f"p50={snap['p50']:.2f} p95={snap['p95']:.2f} p99={snap['p99']:.2f} "
-        f"max={snap['max']:.2f}"
+        f"{label}: n={len(values)} mean={mean(values):.2f} "
+        f"p50={percentile(values, 50):.2f} p95={percentile(values, 95):.2f} "
+        f"p99={percentile(values, 99):.2f} max={max(values):.2f}"
     )
 
 

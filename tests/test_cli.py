@@ -62,13 +62,38 @@ def test_duration_must_be_finite_and_positive(value, capsys):
             ["trace", "timeline", "t.jsonl", "--end", "nan"],
             "--end: time must be finite seconds, got 'nan'",
         ),
+        (
+            ["trace", "record", "--sample-period", "0"],
+            "--sample-period: must be finite and > 0, got '0'",
+        ),
+        (
+            ["trace", "record", "--sample-period", "nan"],
+            "--sample-period: must be finite and > 0, got 'nan'",
+        ),
+        (
+            ["--bandwidth", "-1", "trace", "record"],
+            "--bandwidth: must be finite and > 0, got '-1'",
+        ),
+        (
+            ["--bandwidth", "nan", "trace", "record"],
+            "--bandwidth: must be finite and > 0, got 'nan'",
+        ),
+        (
+            ["trace", "critical-path", "t.jsonl", "--top", "0"],
+            "--top: must be at least 1, got '0'",
+        ),
+        (
+            ["trace", "critical-path", "t.jsonl", "--top", "-3"],
+            "--top: must be at least 1, got '-3'",
+        ),
     ],
 )
 def test_a_count_or_case_out_of_range_exits_2_naming_it(argv, message, capsys):
-    """Each of these died in a StopIteration or ValueError traceback, or
-    was silently absorbed (``--limit -3`` dropped the *first* three
-    records, ``--limit 0`` printed all of them, a NaN window bound was
-    ignored)."""
+    """Each of these died in a StopIteration or ValueError traceback
+    (a zero, negative or NaN ``--sample-period`` or ``--bandwidth`` only
+    once the run had started), or was silently absorbed (``--limit -3``
+    dropped the *first* three records, ``--limit 0`` printed all of them,
+    a NaN window bound was ignored, ``--top 0`` showed one block)."""
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 

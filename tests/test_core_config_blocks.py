@@ -171,7 +171,7 @@ SHARED_DEFAULTS = {
             TelemetryConfig,
             {
                 "sample_period_s": 0.1, "trace_path": None, "profile_sim": False,
-                "flight_capacity": 0, "spans": False,
+                "spans": False,
             },
         ),
     ],
@@ -186,7 +186,7 @@ def test_config_surface_is_the_pre_skeleton_one(config_class, own_defaults):
     assert fields == {**shared, **own_defaults}
     assert len(fields) == {
         FmtcpConfig: 18, MptcpConfig: 13, PathConfig: 5,
-        WatchdogConfig: 1, TelemetryConfig: 5,
+        WatchdogConfig: 1, TelemetryConfig: 4,
     }[config_class]
 
 

@@ -156,62 +156,25 @@ UNSET_FIELDS_KEPT = {
         "pass-through to Subflow, which has callers of its own; left for "
         "the next census"
     ),
-    "flight_capacity": (
-        "TelemetryConfig's ring size; only tests and docs/observability.md "
-        "set it. Its traffic was the soak wrappers' same-named keyword, "
-        "which this keyword-name census counted; left for the next census"
+    # Reported once the census counted constructions instead of keyword
+    # names: each had only a same-named keyword on some other callee.
+    "symbol_header_bytes": (
+        "no FmtcpConfig sets it; experiments/runner.py copies its default "
+        "into FixedRateConfig; left for the next census"
+    ),
+    "initial_cwnd": (
+        "shared MultipathConfig field read by make_subflow; the same-named "
+        "keywords go to RenoController / LiaController; left for the next census"
+    ),
+    "min_rto": (
+        "shared MultipathConfig field read by make_subflow; the same-named "
+        "keyword goes to RtoEstimator; left for the next census"
+    ),
+    "queue_capacity": (
+        "PathConfig's queue size; the same-named keywords go to "
+        "Network.add_link and the fault baseline; left for the next census"
     ),
 }
-
-
-def _keywords_passed_by_file() -> dict:
-    """File → every keyword-argument name a call in it passes, for the
-    files under ``benchmarks/``, ``examples/`` and ``src/``."""
-    return {
-        path: {
-            keyword.arg
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            for keyword in node.keywords
-        }
-        for root in ("benchmarks", "examples", "src")
-        for path in (REPO / root).rglob("*.py")
-    }
-
-
-def test_every_config_field_has_traffic():
-    """A benchmark, example, experiment, harness or CLI verb passes each
-    config field by keyword, or the field is listed above with the reason
-    it stays. Its own module, its own tests, a re-export and a docs line
-    are not traffic; a knob with one value in use is a constant."""
-    from repro.core.config import FmtcpConfig
-    from repro.mptcp.connection import MptcpConfig
-    from repro.net.topology import PathConfig
-    from repro.robustness.watchdog import WatchdogConfig
-    from repro.telemetry.session import TelemetryConfig
-
-    assert all(reason.strip() for reason in UNSET_FIELDS_KEPT.values())
-    passed_by_file = _keywords_passed_by_file()
-    unset = set()
-    for config_class in (
-        FmtcpConfig, MptcpConfig, PathConfig, WatchdogConfig, TelemetryConfig
-    ):
-        for field in dataclasses.fields(config_class):
-            owner = next(
-                cls for cls in config_class.__mro__
-                if field.name in vars(cls).get("__annotations__", ())
-            )
-            defining_module = Path(inspect.getsourcefile(owner))
-            if not any(
-                field.name in passed
-                for path, passed in passed_by_file.items()
-                if path != defining_module
-            ):
-                unset.add(field.name)
-    assert unset == set(UNSET_FIELDS_KEPT), (
-        f"no traffic and no recorded reason: {sorted(unset - set(UNSET_FIELDS_KEPT))}; "
-        f"listed but set or gone: {sorted(set(UNSET_FIELDS_KEPT) - unset)}"
-    )
 
 
 def _calls_by_file() -> dict:
@@ -224,6 +187,81 @@ def _calls_by_file() -> dict:
         for root in ("benchmarks", "examples", "src")
         for path in (REPO / root).rglob("*.py")
     }
+
+
+def _subclass_names(config_class) -> set:
+    """``config_class``'s name and every class under ``src/`` that
+    derives from it, by ``ast`` (a subclass need not be imported)."""
+    bases_of = {
+        node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        for path in (REPO / "src").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    names = {config_class.__name__}
+    while True:
+        grown = names | {name for name, bases in bases_of.items() if bases & names}
+        if grown == names:
+            return names
+        names = grown
+
+
+def _fields_set(call: ast.Call, class_names: set, positional: list) -> set:
+    """The config fields one call sets: ``Cls(field=…)`` (or by position)
+    for ``Cls`` in ``class_names``, and ``dataclasses.replace(…, field=…)``."""
+    callee = call.func
+    if isinstance(callee, ast.Attribute):
+        name, module = callee.attr, getattr(callee.value, "id", None)
+    else:
+        name, module = getattr(callee, "id", None), "dataclasses"
+    keywords = {keyword.arg for keyword in call.keywords}
+    if name in class_names:
+        return keywords | set(positional[: len(call.args)])
+    if name == "replace" and module == "dataclasses":
+        return keywords
+    return set()
+
+
+def test_every_config_field_has_traffic():
+    """A benchmark, example, experiment, harness or CLI verb constructs the
+    config class (or a subclass) with each field set, or ``replace``s it
+    in, or the field is listed above with the reason it stays. Its own
+    module, its own tests, a pass-through keyword of the same name, a
+    re-export and a docs line are not traffic; a knob with one value in
+    use is a constant."""
+    from repro.core.config import FmtcpConfig
+    from repro.mptcp.connection import MptcpConfig
+    from repro.net.topology import PathConfig
+    from repro.robustness.watchdog import WatchdogConfig
+    from repro.telemetry.session import TelemetryConfig
+
+    assert all(reason.strip() for reason in UNSET_FIELDS_KEPT.values())
+    calls_by_file = _calls_by_file()
+    unset = set()
+    for config_class in (
+        FmtcpConfig, MptcpConfig, PathConfig, WatchdogConfig, TelemetryConfig
+    ):
+        for field in dataclasses.fields(config_class):
+            owner = next(
+                cls for cls in config_class.__mro__
+                if field.name in vars(cls).get("__annotations__", ())
+            )
+            class_names = _subclass_names(owner)
+            # A subclass's own fields follow its base's, so the owner's
+            # order is every subclass's positional order for them.
+            positional = [f.name for f in dataclasses.fields(owner)]
+            defining_module = Path(inspect.getsourcefile(owner))
+            if not any(
+                field.name in _fields_set(call, class_names, positional)
+                for path, calls in calls_by_file.items()
+                if path != defining_module
+                for call in calls
+            ):
+                unset.add(field.name)
+    assert unset == set(UNSET_FIELDS_KEPT), (
+        f"no traffic and no recorded reason: {sorted(unset - set(UNSET_FIELDS_KEPT))}; "
+        f"listed but set or gone: {sorted(set(UNSET_FIELDS_KEPT) - unset)}"
+    )
 
 
 def test_every_soak_and_probe_knob_has_traffic():

@@ -97,15 +97,6 @@ def test_profiler_accumulates_across_runs():
     assert profiler.events == 2
 
 
-def test_render_is_printable():
-    sim = Simulator()
-    profiler = _profile(sim)
-    sim.schedule(0.0, lambda: None)
-    sim.run(until=1.0)
-    lines = profiler.render()
-    assert any("events" in line for line in lines)
-
-
 def test_callback_label_shapes():
     sim = Simulator()
     component = _Component(sim)

@@ -169,6 +169,9 @@ def test_summary_and_reports():
     assert "critical stage" in critical
     assert "legs:" in critical
 
+    with pytest.raises(ValueError, match="top must be >= 1, got 0"):
+        critical_path_report(records, top=0)
+
     # Empty traces degrade to a hint, not a crash.
     assert "no finished block spans" in spans_report([])[0]
     assert "no finished block spans" in critical_path_report([])[0]

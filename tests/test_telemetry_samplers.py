@@ -8,12 +8,7 @@ from repro.core.connection import FmtcpConnection
 from repro.mptcp.connection import MptcpConfig, MptcpConnection
 from repro.net.topology import PathConfig
 from repro.sim.rng import RngStreams
-from repro.telemetry import (
-    MetricsRegistry,
-    PeriodicSampler,
-    TelemetryConfig,
-    attach_samplers,
-)
+from repro.telemetry import PeriodicSampler, TelemetryConfig, attach_samplers
 from repro.workloads.sources import BulkSource
 
 from tests.conftest import make_two_path
@@ -39,10 +34,7 @@ def test_attach_samplers_fmtcp_emits_all_series():
     seen = _collect(
         trace, ["telemetry.subflow", "telemetry.decoder", "telemetry.conn"]
     )
-    registry = MetricsRegistry()
-    samplers = attach_samplers(
-        network.sim, connection, trace, period_s=0.1, registry=registry
-    )
+    samplers = attach_samplers(network.sim, connection, trace, period_s=0.1)
     assert len(samplers) == 3
     connection.start()
     network.sim.run(until=3.0)
@@ -58,12 +50,6 @@ def test_attach_samplers_fmtcp_emits_all_series():
 
     assert seen["telemetry.conn"], "no connection samples"
     assert "pending_blocks" in seen["telemetry.conn"][-1].fields
-
-    # Registry got the folded-in aggregates.
-    assert registry.gauge("subflow0.cwnd").value is not None
-    assert registry.histogram("subflow0.srtt_ms").count > 0
-    assert registry.counter("decoder.blocks_decoded").value > 0
-    assert registry.histogram("decoder.decode_latency_s").count > 0
 
 
 def test_attach_samplers_mptcp_duck_typing():
@@ -126,19 +112,23 @@ def test_no_telemetry_records_without_samplers():
 
 
 def test_decoder_sampler_unsubscribes_on_stop():
+    """Samplers poll on their own timer: once stopped, no bus callback
+    belongs to one of them and no ``telemetry.*`` record follows."""
     network, paths, trace = make_two_path()
     connection = _fmtcp(network, paths, trace)
-    registry = MetricsRegistry()
-    samplers = attach_samplers(
-        network.sim, connection, trace, period_s=0.1, registry=registry
-    )
+    samplers = attach_samplers(network.sim, connection, trace, period_s=0.1)
     for sampler in samplers:
         sampler.stop()
-    before = registry.counter("decoder.blocks_decoded").value
+    owners = [
+        getattr(callback, "__self__", None)
+        for callbacks in (*trace._subscribers.values(), trace._wildcard)
+        for callback in callbacks
+    ]
+    assert not any(owner is sampler for owner in owners for sampler in samplers)
+    seen = _collect(trace, ["telemetry.subflow", "telemetry.decoder", "telemetry.conn"])
     connection.start()
     network.sim.run(until=2.0)
-    # Stopped sampler must no longer fold block_decoded events in.
-    assert registry.counter("decoder.blocks_decoded").value == before
+    assert all(not records for records in seen.values())
 
 
 def test_run_transfer_with_telemetry_config(tmp_path):
@@ -153,7 +143,6 @@ def test_run_transfer_with_telemetry_config(tmp_path):
             sample_period_s=0.1,
             trace_path=str(trace_path),
             profile_sim=True,
-            flight_capacity=64,
         ),
     )
     report = result.telemetry
@@ -161,9 +150,6 @@ def test_run_transfer_with_telemetry_config(tmp_path):
     assert report.trace_records_written > 0
     assert trace_path.exists()
     assert report.profile is not None and report.profile["events"] > 0
-    assert 0 < report.flight_records <= 64
-    assert any("subflow0" in name for name in report.metrics)
-    assert report.render()
 
 
 def test_run_transfer_without_telemetry_has_none():
@@ -178,10 +164,9 @@ def test_run_transfer_without_telemetry_has_none():
 
 
 def test_telemetry_config_validation():
-    with pytest.raises(ValueError):
-        TelemetryConfig(sample_period_s=0.0)
-    with pytest.raises(ValueError):
-        TelemetryConfig(flight_capacity=-1)
+    for period in (0.0, -1.0, float("nan")):  # NaN is not <= 0 either
+        with pytest.raises(ValueError, match="sample_period_s must be positive"):
+            TelemetryConfig(sample_period_s=period)
 
 
 def test_telemetry_session_finish_is_idempotent(sim, trace):
@@ -198,7 +183,7 @@ def test_telemetry_session_finish_is_idempotent(sim, trace):
 def test_telemetry_session_stop_is_idempotent_from_crash_paths(tmp_path, sim, trace):
     """Recovery teardown calls ``stop()`` with no report; a later second
     stop (or ``finish()``) must not double-cancel samplers, double-close
-    the trace writer/flight ring, or detach someone else's profiler."""
+    the trace writer, or detach someone else's profiler."""
     from repro.net.topology import PathConfig, build_two_path_network
     from repro.sim.rng import RngStreams
     from repro.telemetry import TelemetryConfig, TelemetrySession
@@ -216,7 +201,6 @@ def test_telemetry_session_stop_is_idempotent_from_crash_paths(tmp_path, sim, tr
             sample_period_s=0.1,
             trace_path=str(tmp_path / "crash.jsonl"),
             profile_sim=True,
-            flight_capacity=32,
         ),
     )
     session.attach(connection)

@@ -182,6 +182,55 @@ def test_critical_path_renders_slowest_blocks(recorded_trace, capsys):
     assert "legs:" in out
 
 
+def test_span_and_block_delay_quantiles_are_exact(recorded_trace, capsys):
+    """The stage table and ``summarize``'s block-delay line are exact
+    order statistics (``metrics.stats.percentile``, the definition the
+    Fig. 7 block-delay percentiles use) of the spans and records they
+    describe, not streaming estimates."""
+    from repro.metrics.stats import mean, percentile
+    from repro.sim.tracefile import read_trace_file
+    from repro.telemetry import collect_spans
+
+    def exact(values):
+        return {
+            "count": len(values),
+            "mean": mean(values),
+            "p50": percentile(values, 50),
+            "p95": percentile(values, 95),
+            "p99": percentile(values, 99),
+        }
+
+    records = read_trace_file(recorded_trace)
+    collector = collect_spans(records)
+    assert len(collector.finished) > 5  # past where a streaming estimate is exact
+    for protocol, stages in collector.summary()["stages"].items():
+        spans = [span for span in collector.finished if span.protocol == protocol]
+        for name, snapshot in stages.items():
+            delays_ms = [
+                (span.total_delay if name == "total" else span.stage_durations()[name])
+                * 1e3
+                for span in spans
+            ]
+            assert snapshot == exact(delays_ms), (protocol, name)
+
+    delays_ms = [
+        record["delay"] * 1e3
+        for record in records
+        if record["kind"] == "conn.block_done" and "delay" in record
+    ]
+    assert main(["trace", "summarize", recorded_trace]) == 0
+    line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("block delay (ms):")
+    )
+    stats = exact(delays_ms)
+    assert line == (
+        f"block delay (ms): n={len(delays_ms)} mean={stats['mean']:.2f} "
+        f"p50={stats['p50']:.2f} p95={stats['p95']:.2f} p99={stats['p99']:.2f} "
+        f"max={max(delays_ms):.2f}"
+    )
+
+
 def test_summarize_hints_at_span_decomposition(recorded_trace, capsys):
     assert main(["trace", "summarize", recorded_trace]) == 0
     out = capsys.readouterr().out
