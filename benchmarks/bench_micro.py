@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 from repro.core.allocation import allocate_packet
 from repro.core.blocks import BlockManager, PendingBlock
@@ -157,21 +158,21 @@ def test_allocation_cost_scales(benchmark):
 
 
 class _BenchSubflow:
-    """The Subflow surface an allocation round reads, held still."""
+    """The Subflow surface an allocation round reads, held still: one
+    packet outstanding since t = 0 (no idle-path probe, τ = 0)."""
 
     potentially_failed = False
     is_joining = False
-    in_flight = 1  # something outstanding: no idle-path probe
+    in_flight = 1
     last_transmit_at = 0.0
     last_ack_at = None
-    tau = 0.0
 
     def __init__(self, subflow_id, srtt, loss, window_space):
         self.subflow_id = subflow_id
-        self.srtt = srtt
-        self.rto_value = 2.0 * srtt
+        self.rto = SimpleNamespace(srtt=srtt, rto=2.0 * srtt)
+        self.cc = SimpleNamespace(window=window_space + 1)
+        self._outstanding = {0: SimpleNamespace(sent_at=0.0)}
         self.loss = loss
-        self.window_space = window_space
 
     def aged_loss_estimate(self, half_life_s):
         return self.loss

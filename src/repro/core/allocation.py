@@ -21,14 +21,16 @@ Two implementations are provided:
   leading blocks are already complete), which derives every round-constant
   input (EDTs, live k̃_b, per-flow gains) once per invocation;
 * :func:`allocate_packet_reference` — a literal transcription of the
-  pseudocode that rescans blocks from b₁ every iteration and recomputes
-  each quantity from its single-item form. Property tests assert both
-  produce identical vectors.
+  pseudocode that rescans blocks from b₁ every iteration, adds one
+  symbol at a time and recomputes each quantity from its single-item
+  form. Property tests assert both produce identical vectors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.blocks import PendingBlock
@@ -72,25 +74,28 @@ def _fill_packet(
     is judged in the margin form k̃ ≥ k̂ + log₂(1/δ̂), which is exactly
     δ̃ < δ̂ by Eq. (2) and is flow-independent, so the first-incomplete
     pointer stays valid across iterations.
+
+    The per-symbol loop runs in C: ``sums[i]`` is k̃ after ``i`` symbols,
+    built by the same float additions in the same order as adding
+    ``gain`` once per symbol, and the block takes symbols until the first
+    sum that reaches the threshold or the packet is full.
     """
     vector: List[Tuple[int, int]] = []
-    space = mss
+    room = mss // symbol_wire_size
     index = start_index
     new_start = start_index
     assigned_total = 0
-    while index < len(blocks) and space >= symbol_wire_size:
+    while index < len(blocks) and room:
         block = blocks[index]
         threshold = block.k + margin
         k_tilde = k_tilde_virtual[index]
-        assigned = 0
-        while k_tilde < threshold and space >= symbol_wire_size:
-            assigned += 1
-            space -= symbol_wire_size
-            k_tilde += gain
-        if assigned:
-            k_tilde_virtual[index] = k_tilde
+        if k_tilde < threshold:
+            sums = list(accumulate(repeat(gain, room), initial=k_tilde))
+            assigned = min(bisect_left(sums, threshold), room)
+            k_tilde = k_tilde_virtual[index] = sums[assigned]
             vector.append((block.block_id, assigned))
             assigned_total += assigned
+            room -= assigned
         if k_tilde >= threshold:
             if index == new_start:
                 new_start = index + 1
@@ -98,6 +103,37 @@ def _fill_packet(
         else:
             break  # Packet full while this block still needs symbols.
     return vector, assigned_total, new_start
+
+
+def _fill_packet_literal(
+    blocks: Sequence[PendingBlock],
+    k_tilde_virtual: List[float],
+    gain: float,
+    margin: float,
+    mss: int,
+    symbol_wire_size: int,
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Lines 3-12 of Algorithm 1 as written: scan from b₁, one symbol at
+    a time, until the packet is full. The oracle's form of
+    :func:`_fill_packet`."""
+    vector: List[Tuple[int, int]] = []
+    space = mss
+    assigned_total = 0
+    for index, block in enumerate(blocks):
+        if space < symbol_wire_size:
+            break
+        threshold = block.k + margin
+        assigned = 0
+        while k_tilde_virtual[index] < threshold and space >= symbol_wire_size:
+            assigned += 1
+            space -= symbol_wire_size
+            k_tilde_virtual[index] += gain
+        if assigned:
+            vector.append((block.block_id, assigned))
+            assigned_total += assigned
+        if k_tilde_virtual[index] < threshold:
+            break  # Packet full while this block still needs symbols.
+    return vector, assigned_total
 
 
 class ExpectedSymbols(NamedTuple):
@@ -292,8 +328,8 @@ def allocate_packet_reference(
             )
         chosen_id = min(eats, key=lambda subflow_id: (eats[subflow_id], subflow_id))
         gain = max(1.0 - loss_rate_of(chosen_id), 1e-3)
-        vector, assigned, __ = _fill_packet(
-            blocks, k_tilde_virtual, 0, gain, margin, mss, symbol_wire_size
+        vector, assigned = _fill_packet_literal(
+            blocks, k_tilde_virtual, gain, margin, mss, symbol_wire_size
         )
         if assigned == 0:
             return result

@@ -130,6 +130,9 @@ class BlockManager:
         self._pending: List[PendingBlock] = []
         # block_id -> block for everything in _pending, kept in step with it.
         self._by_id: Dict[int, PendingBlock] = {}
+        #: ``block_by_id(block_id)``: the pending block with that id, or
+        #: None. The map's own ``get``, so a lookup runs no Python frame.
+        self.block_by_id: Callable[[int], Optional[PendingBlock]] = self._by_id.get
         # Nonzero when restoring from a recovery checkpoint: block ids
         # below the cursor were confirmed delivered in a previous epoch
         # (the source must be rewound to the matching stream offset).
@@ -142,9 +145,6 @@ class BlockManager:
     def pending_blocks(self) -> List[PendingBlock]:
         """Undecoded blocks in stream order (the paper's set B)."""
         return self._pending
-
-    def block_by_id(self, block_id: int) -> Optional[PendingBlock]:
-        return self._by_id.get(block_id)
 
     def replenish(self) -> int:
         """Pull new blocks from the source up to the pending limit;
@@ -197,7 +197,7 @@ class BlockManager:
         )
         self._next_block_id += 1
         self.blocks_created += 1
-        if self._trace is not None and self._trace.has_subscribers("span.block_open"):
+        if self._trace is not None and "span.block_open" in self._trace.live:
             self._trace.emit(
                 self._clock() if self._clock is not None else 0.0,
                 "span.block_open",

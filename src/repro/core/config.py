@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.fountain.rank_model import MAX_K
 from repro.tcp.multipath import MultipathConfig
 
 
@@ -96,6 +97,11 @@ class FmtcpConfig(MultipathConfig):
             raise ValueError("delta_hat must be in (0, 1)")
         if self.coding not in ("statistical", "real"):
             raise ValueError(f"unknown coding mode {self.coding!r}")
+        if self.coding == "statistical" and self.symbols_per_block > MAX_K:
+            raise ValueError(
+                f"symbols_per_block must be <= {MAX_K} with coding='statistical' "
+                f"(the rank model's float limit), got {self.symbols_per_block}"
+            )
         if self.allocation not in ("eat", "greedy", "stopwait"):
             raise ValueError(f"unknown allocation mode {self.allocation!r}")
         if self.systematic and self.coding != "real":

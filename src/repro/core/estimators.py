@@ -46,8 +46,8 @@ class PathEstimate(_PathEstimateFields):
         window_space: int,
         tau: float,
     ) -> "PathEstimate":
-        if rtt < 0 or rto < 0:
-            raise ValueError("rtt and rto must be non-negative")
+        if not (rtt >= 0 and rto >= 0):  # NaN fails this too
+            raise ValueError(f"rtt and rto must be non-negative, got {rtt}, {rto}")
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
         return tuple.__new__(cls, (subflow_id, rtt, rto, loss, window_space, tau))

@@ -65,6 +65,9 @@ class FmtcpReceiver:
         self.sink = sink
 
         self._active: Dict[int, _ActiveBlock] = {}
+        # block_id -> decoder rank (k̄) of every active block, in _active's
+        # order: feedback() copies it instead of asking every decoder.
+        self._k_bar: Dict[int, int] = {}
         # Decoded but not yet deliverable in order: block_id -> (bytes, data)
         self._decoded_waiting: Dict[int, Tuple[int, Optional[bytes]]] = {}
         # resume_frontier/resume_bytes restore a recovery checkpoint: all
@@ -114,7 +117,10 @@ class FmtcpReceiver:
             self._absorb_group(group, subflow_id)
 
     def _absorb_group(self, group, subflow_id: int = -1) -> None:
-        if self._is_decoded(group.block_id):
+        if (
+            group.block_id < self._deliver_next
+            or group.block_id in self._decoded_waiting
+        ):  # Decoded already: every symbol is redundant.
             self.symbols_received += group.count
             self.symbols_redundant += group.count
             return
@@ -126,9 +132,7 @@ class FmtcpReceiver:
                 # discarded, but the packet is still ACKed upstream, so
                 # the probe elicits a fresh window advertisement.
                 self.symbols_window_discarded += group.count
-                if self.trace is not None and self.trace.has_subscribers(
-                    "recv.window_discard"
-                ):
+                if self.trace is not None and "recv.window_discard" in self.trace.live:
                     self.trace.emit(
                         self.sim.now,
                         "recv.window_discard",
@@ -144,9 +148,10 @@ class FmtcpReceiver:
                 block_crc=group.block_crc,
             )
             self._active[group.block_id] = active
+            self._k_bar[group.block_id] = 0
             if self.buffered_blocks > self.peak_buffered_blocks:
                 self.peak_buffered_blocks = self.buffered_blocks
-        if self.trace is not None and self.trace.has_subscribers("span.symbols_rx"):
+        if self.trace is not None and "span.symbols_rx" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "span.symbols_rx",
@@ -164,6 +169,7 @@ class FmtcpReceiver:
             # Symbol-less groups only exist in statistical mode (rank model).
             self.symbols_redundant += group.count - decoder.add_symbols(group.count)
             self.symbols_received += group.count
+        self._k_bar[group.block_id] = decoder.independent_symbols
         if getattr(decoder, "poisoned", False):
             # A contradictory GF(2) row proved a corrupted symbol sits in
             # (or just hit) the basis. The culprit is unidentifiable, so
@@ -191,15 +197,14 @@ class FmtcpReceiver:
         until the rebuilt basis completes — with a verified CRC.
         """
         del self._active[block_id]
+        del self._k_bar[block_id]
         evicted = int(active.decoder.independent_symbols)
         self.blocks_quarantined += 1
         self.symbols_evicted += evicted
         self._quarantine_epochs[block_id] = (
             self._quarantine_epochs.get(block_id, 0) + 1
         )
-        if self.trace is not None and self.trace.has_subscribers(
-            "fmtcp.block_quarantined"
-        ):
+        if self.trace is not None and "fmtcp.block_quarantined" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "fmtcp.block_quarantined",
@@ -221,10 +226,11 @@ class FmtcpReceiver:
                 self._quarantine(block_id, active, reason="block_crc")
                 return
         del self._active[block_id]
+        del self._k_bar[block_id]
         self._quarantine_epochs.pop(block_id, None)
         self.blocks_decoded += 1
         self.decode_times[block_id] = self.sim.now
-        if self.trace is not None and self.trace.has_subscribers("fmtcp.block_decoded"):
+        if self.trace is not None and "fmtcp.block_decoded" in self.trace.live:
             decoder = active.decoder
             self.trace.emit(
                 self.sim.now,
@@ -268,7 +274,7 @@ class FmtcpReceiver:
             self.window.on_drained(1)
         if self.sink is not None:
             self.sink(block_id, data)
-        if self.trace is not None and self.trace.has_subscribers("conn.delivered"):
+        if self.trace is not None and "conn.delivered" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "conn.delivered",
@@ -276,21 +282,18 @@ class FmtcpReceiver:
                 block_id=block_id,
             )
 
-    def _is_decoded(self, block_id: int) -> bool:
-        return block_id < self._deliver_next or block_id in self._decoded_waiting
-
     # ------------------------------------------------------------------
     # Feedback for ACK piggybacking (Eq. 8's k̄ channel).
     # ------------------------------------------------------------------
     def feedback(self) -> FmtcpFeedback:
-        k_bar = {
-            block_id: active.decoder.independent_symbols
-            for block_id, active in self._active.items()
-        }
-        decoded_out_of_order = tuple(
-            block_id
-            for block_id in self._decoded_waiting
-            if block_id >= self._decode_frontier
+        decoded_out_of_order = (
+            tuple(
+                block_id
+                for block_id in self._decoded_waiting
+                if block_id >= self._decode_frontier
+            )
+            if self._decoded_waiting
+            else ()
         )
         advertised_window = None
         if self.window is not None:
@@ -298,7 +301,7 @@ class FmtcpReceiver:
                 self._decode_frontier, self.buffered_blocks
             )
         return FmtcpFeedback(
-            k_bar=k_bar,
+            k_bar=dict(self._k_bar),
             decoded_in_order=self._decode_frontier,
             decoded_out_of_order=decoded_out_of_order,
             # Entries are popped on successful decode, so this is exactly

@@ -12,6 +12,7 @@ no inter-path coordination.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import (
@@ -46,22 +47,36 @@ _PROBE_INTERVAL_S = 1.0
 _PROBE_CHAIN_THRESHOLD = 0.2
 
 
-class _RoundState:
-    """What the allocation rounds of one simulator instant share.
+class _Losses(dict):
+    """A loss snapshot read by subscript. A removed subflow's id can
+    linger in per-block accounting; it reads as maximally lossy, as
+    ``FmtcpSender.loss_rate_of`` answers."""
 
-    One ``sim.now`` fixes every time-dependent input (τ_f, the aged loss
-    estimate, the probe interval), so between two input changes at that
-    instant the loss snapshot and the k̃ table of the first round serve
-    every later one. The sender drops the state on each input change
-    (see ``FmtcpSender._round``); a packet it builds is not one — it
-    touches only the blocks in its vector, and :meth:`note_sent`
-    re-derives exactly those. Reads as an ``ExpectedSymbols`` for
+    __slots__ = ()
+
+    def __missing__(self, subflow_id: int) -> float:
+        return _MAX_LOSS
+
+
+class _RoundState:
+    """The allocation ledger: Eq. (8)'s k̃ per pending block and what
+    Algorithm 1 derives from it, carried from round to round.
+
+    Built from scratch by ``expected_symbols`` and then kept up to date
+    instead of rebuilt: each sender callback marks the blocks whose k̃ it
+    moved (an ACK or loss resolving a packet, a k̄ report), and the next
+    round re-derives just those rows (:meth:`settle`). A decode deletes
+    its row, ``replenish`` appends rows, and a packet Algorithm 1 chose
+    re-derives its blocks on the spot (:meth:`note_sent`). The loss
+    snapshot every row was derived under is ``losses``; when a fresh one
+    differs, or a probe moved a block outside a round, the sender builds
+    a new ledger. Reads as an ``ExpectedSymbols`` for
     :func:`allocate_packet`.
     """
 
     __slots__ = (
         "now", "blocks", "margin", "losses", "loss_rate_of",
-        "k_tildes", "demand", "first_short", "declined",
+        "k_tildes", "demand", "first_short", "declined", "marked", "sampled",
     )
 
     def __init__(
@@ -71,32 +86,51 @@ class _RoundState:
         margin: float,
         losses: Dict[int, float],
     ):
+        # The instant the ledger was last settled at.
         self.now = now
         # The block list the k̃ table is parallel to: the manager's live
         # pending list, or this instant's flow-admissible copy of it.
         self.blocks = blocks
         self.margin = margin
         self.losses = losses
-        # A removed subflow's id can linger in per-block accounting; it
-        # reads as maximally lossy, as FmtcpSender.loss_rate_of answers.
-        self.loss_rate_of = lambda subflow_id: losses.get(subflow_id, _MAX_LOSS)
+        self.loss_rate_of = _Losses(losses).__getitem__
         self.k_tildes, self.demand, self.first_short = expected_symbols(
             blocks, self.loss_rate_of, margin
         )
-        # Subflows Algorithm 1 gave nothing since the last packet left.
+        # Subflows Algorithm 1 gave nothing since the ledger last moved.
         self.declined: set = set()
+        # Blocks whose k̃ row is stale until the next settle.
+        self.marked: List[PendingBlock] = []
+        # An ACK or a loss arrived since the loss snapshot was compared.
+        self.sampled = False
+
+    def settle(self, now: float) -> None:
+        """Re-derive the marked rows, once each, and forget the declines:
+        every subflow's window, τ or loss may have moved since."""
+        self.now = now
+        self.sampled = False
+        self.declined.clear()
+        marked = self.marked
+        if marked:
+            for block in dict.fromkeys(marked):
+                self._rederive(block)
+            marked.clear()
 
     def note_sent(self, block: PendingBlock) -> None:
-        """``block`` has new in-flight symbols: re-derive its k̃ (in
-        :meth:`PendingBlock.k_tilde`'s summation order, which is
-        ``expected_symbols``'s), its share of the demand and the first
-        short index. Every subflow's window or τ may have moved with the
-        packet, so earlier declines no longer stand."""
+        """``block`` has new in-flight symbols: re-derive its row. Every
+        subflow's window or τ may have moved with the packet, so earlier
+        declines no longer stand."""
         self.declined.clear()
+        self._rederive(block)
+
+    def _rederive(self, block: PendingBlock) -> None:
+        """Re-derive ``block``'s k̃ (in :meth:`PendingBlock.k_tilde`'s
+        summation order, which is ``expected_symbols``'s), its share of
+        the demand and the first short index."""
         blocks = self.blocks
         try:
             index = blocks.index(block)
-        except ValueError:  # A window probe outside the admissible list.
+        except ValueError:  # Decoded, or outside the admissible list.
             return
         k_tildes = self.k_tildes
         threshold = block.k + self.margin
@@ -111,14 +145,41 @@ class _RoundState:
             if index < self.first_short:
                 self.first_short = index
         elif index == self.first_short:
-            margin = self.margin
+            self.first_short = self._next_short(index + 1)
+
+    def _next_short(self, index: int) -> int:
+        """The first index from ``index`` on whose row is short."""
+        blocks = self.blocks
+        k_tildes = self.k_tildes
+        margin = self.margin
+        while (
+            index < len(blocks)
+            and blocks[index].k + margin - k_tildes[index] <= 0.0
+        ):
             index += 1
-            while (
-                index < len(blocks)
-                and blocks[index].k + margin - k_tildes[index] <= 0.0
-            ):
-                index += 1
-            self.first_short = index
+        return index
+
+    def append_rows(self) -> None:
+        """Rows for the blocks ``replenish`` appended to the live list:
+        each starts at +∞ (no demand, not short) and is re-derived."""
+        for block in self.blocks[len(self.k_tildes):]:
+            self.k_tildes.append(math.inf)
+            self._rederive(block)
+        self.declined.clear()
+
+    def drop(self, block: PendingBlock) -> None:
+        """Delete decoded ``block``'s row; called while the live list still
+        holds it, just before the manager removes it."""
+        index = self.blocks.index(block)
+        short = block.k + self.margin - self.k_tildes[index]
+        if short > -1.0:
+            self.demand -= int(short) + 1
+        if index < self.first_short:
+            self.first_short -= 1
+        elif index == self.first_short:
+            self.first_short = self._next_short(index + 1) - 1
+        del self.k_tildes[index]
+        self.declined.clear()
 
 
 class FmtcpSender(SubflowOwner):
@@ -137,6 +198,7 @@ class FmtcpSender(SubflowOwner):
             raise ValueError("resume_frontier must be >= 0")
         self.sim = sim
         self.config = config
+        self._symbol_wire_size = config.symbol_wire_size
         self.blocks = block_manager
         self.trace = trace
         self.subflows: List[Subflow] = []
@@ -152,11 +214,11 @@ class FmtcpSender(SubflowOwner):
         self._margin = (
             resume_margin if resume_margin is not None else config.completeness_margin
         )
-        # The production path's round state (``allocation == "eat"``),
-        # valid for one ``sim.now`` and dropped (set to None) by every
-        # change of an allocation input: each SubflowOwner callback,
-        # attach_subflows, a write to ``margin``, a change of the pending
-        # block list.
+        # The production path's allocation ledger (``allocation ==
+        # "eat"``). Callbacks update it; it is dropped (set to None, and
+        # rebuilt by the next round) only by attach_subflows, a write to
+        # ``margin``, a suspect / recovered / ready subflow, a quarantine
+        # epoch reset, a probe, and, under flow control, every ACK.
         self._round: Optional[_RoundState] = None
         # End-to-end flow control (off unless config.flow_control): the
         # gate licenses which block ids may be *opened*; its prober keeps
@@ -223,8 +285,9 @@ class FmtcpSender(SubflowOwner):
         of which moves within one transmission opportunity, so a round
         reads this instead of re-deriving the aged estimate per use.
         """
+        half_life = self.config.loss_estimate_half_life_s
         return {
-            subflow.subflow_id: self.loss_rate_of(subflow.subflow_id)
+            subflow.subflow_id: min(subflow.aged_loss_estimate(half_life), _MAX_LOSS)
             for subflow in self.subflows
         }
 
@@ -243,21 +306,33 @@ class FmtcpSender(SubflowOwner):
         """
         if losses is None:
             losses = self.loss_snapshot()
+        now = self.sim.now
         estimates = []
         for subflow in self.subflows:
             if subflow.is_joining or (
                 not include_suspect and subflow.potentially_failed
             ):
                 continue
+            # Subflow.srtt / rto_value / window_space / tau, read from the
+            # state behind them: this runs once per allocation round.
+            rto = subflow.rto
+            srtt = rto.srtt
+            if srtt is None:
+                srtt = subflow.srtt
+            outstanding = subflow._outstanding
+            tau = 0.0
+            for info in outstanding.values():  # Send order: oldest first.
+                tau = now - info.sent_at
+                break
             subflow_id = subflow.subflow_id
             estimates.append(
                 PathEstimate(
                     subflow_id,
-                    subflow.srtt,
-                    subflow.rto_value,
+                    srtt,
+                    rto.rto,
                     losses[subflow_id],
-                    subflow.window_space,
-                    subflow.tau,
+                    max(0, subflow.cc.window - len(outstanding)),
+                    tau,
                 )
             )
         return estimates
@@ -308,8 +383,8 @@ class FmtcpSender(SubflowOwner):
         return bool(pending) and not self._flow_admissible(pending)
 
     def next_payload(self, subflow: Subflow) -> Optional[Tuple[Any, int]]:
-        if self.blocks.replenish():
-            self._round = None
+        if self.blocks.replenish() and self._round is not None:
+            self._round.append_rows()
         pending = self.blocks.pending_blocks
         if not pending:
             return None
@@ -321,9 +396,7 @@ class FmtcpSender(SubflowOwner):
             # ACK carries the fresh advertisement that reopens the gate.
             flow.probe_due = False
             self.window_probes += 1
-            self.probes_sent += 1
-            probe = AllocationResult(vector=[(pending[0].block_id, 1)])
-            return self._build_packet(subflow, probe)
+            return self._probe(subflow, pending[0], 1)
         if self.flow_gate is not None:
             pending = self._flow_admissible(pending)
             if not pending:
@@ -333,23 +406,15 @@ class FmtcpSender(SubflowOwner):
             # pending block per backed-off RTO (the subflow's pump gating
             # caps it at one in flight). Useful symbols if the path turns
             # out alive, no urgent block held hostage if it does not.
-            probe = AllocationResult(
-                vector=[(pending[-1].block_id, self.config.symbols_per_packet)]
-            )
-            self.probes_sent += 1
             self.failover_probes_sent += 1
-            return self._build_packet(subflow, probe)
+            return self._probe(subflow, pending[-1], self.config.symbols_per_packet)
         if self.config.allocation == "eat" and self._should_probe(subflow):
             # Bypass the EAT ranking for one packet so the quarantined
             # path's quality estimate gets new evidence (an RTT sample or
             # a loss observation). The probe carries symbols of the *last*
             # pending block: useful if they arrive, but never puts the
             # most urgent block's delay at the mercy of a suspect path.
-            probe = AllocationResult(
-                vector=[(pending[-1].block_id, self.config.symbols_per_packet)]
-            )
-            self.probes_sent += 1
-            return self._build_packet(subflow, probe)
+            return self._probe(subflow, pending[-1], self.config.symbols_per_packet)
         if self.config.allocation == "stopwait":
             # HMTP-style: hammer the first undecoded block on every
             # subflow until the receiver says it decoded (no prediction,
@@ -380,18 +445,9 @@ class FmtcpSender(SubflowOwner):
     def _eat_round(
         self, subflow: Subflow, pending: List[PendingBlock]
     ) -> Optional[AllocationResult]:
-        """Algorithm 1 for ``subflow`` over this instant's round state:
-        the packet to build, or ``None`` when it is not to send."""
-        now = self.sim.now
-        state = self._round
-        if (
-            state is None
-            or state.now != now
-            or (self.flow_gate is not None and state.blocks != pending)
-        ):
-            state = self._round = _RoundState(
-                now, pending, self._margin, self.loss_snapshot()
-            )
+        """Algorithm 1 for ``subflow`` over the settled ledger: the packet
+        to build, or ``None`` when it is not to send."""
+        state = self._ledger(pending)
         # Rule R1 first: when no block is short of k̂ + margin nobody
         # sends, and the paths need not be ranked to find that out.
         if state.first_short == len(pending):
@@ -405,7 +461,7 @@ class FmtcpSender(SubflowOwner):
             blocks=pending,
             loss_rate_of=state.loss_rate_of,
             mss=self.config.mss,
-            symbol_wire_size=self.config.symbol_wire_size,
+            symbol_wire_size=self._symbol_wire_size,
             margin=self._margin,
             expected=state,
         )
@@ -414,15 +470,52 @@ class FmtcpSender(SubflowOwner):
             return None
         return result
 
+    def _ledger(self, pending: List[PendingBlock]) -> _RoundState:
+        """The ledger, settled at this instant for ``pending``.
+
+        Built from scratch when there is none, when the loss snapshot
+        moved (compared whenever time moved or an ACK or loss arrived,
+        which keeps an aged estimate exact), and under flow control when
+        the admissible list or the instant changed.
+        """
+        now = self.sim.now
+        state = self._round
+        losses = None
+        if state is not None and self.flow_gate is not None and (
+            state.now != now or state.blocks != pending
+        ):
+            state = None
+        if state is not None and (state.now != now or state.sampled):
+            losses = self.loss_snapshot()
+            if losses != state.losses:
+                state = None
+        if state is None:
+            if losses is None:
+                losses = self.loss_snapshot()
+            state = self._round = _RoundState(now, pending, self._margin, losses)
+        elif state.now != now or state.sampled or state.marked:
+            state.settle(now)
+        return state
+
+    def _probe(
+        self, subflow: Subflow, block: PendingBlock, count: int
+    ) -> Tuple[FmtcpSegmentPayload, int]:
+        """A packet of ``count`` symbols of ``block`` outside Algorithm 1.
+        Its l_b^f moves outside a round, so the ledger is dropped and the
+        next round rebuilds it."""
+        self.probes_sent += 1
+        self._round = None
+        return self._build_packet(
+            subflow, AllocationResult(vector=[(block.block_id, count)])
+        )
+
     def _build_packet(
         self, subflow: Subflow, result: AllocationResult
     ) -> Tuple[FmtcpSegmentPayload, int]:
         groups = []
         size = 0
-        span_live = self.trace is not None and self.trace.has_subscribers(
-            "span.symbols_tx"
-        )
-        state = self._round
+        span_live = self.trace is not None and "span.symbols_tx" in self.trace.live
+        state = self._round  # Settled by this round's _ledger, or None.
         for block_id, count in result.vector:
             block = self.blocks.block_by_id(block_id)
             if block is None:  # Decoded since allocation ran; skip quietly.
@@ -452,7 +545,7 @@ class FmtcpSender(SubflowOwner):
             block.record_sent(subflow.subflow_id, count, self.sim.now)
             if state is not None:
                 state.note_sent(block)
-            size += count * self.config.symbol_wire_size
+            size += count * self._symbol_wire_size
             self.symbols_sent += count
         if not groups:
             return None  # type: ignore[return-value]
@@ -463,11 +556,15 @@ class FmtcpSender(SubflowOwner):
     # SubflowOwner: packet outcome bookkeeping (updates l_b^f of Eq. 8).
     # ------------------------------------------------------------------
     def _resolve_groups(self, subflow: Subflow, payload: FmtcpSegmentPayload) -> None:
+        state = self._round
         for group in payload.groups:
             block = self.blocks.block_by_id(group.block_id)
             if block is not None:
                 block.record_resolved(subflow.subflow_id, group.count)
-        self._round = None
+                if state is not None:
+                    state.marked.append(block)
+        if state is not None:
+            state.sampled = True
 
     def on_payload_delivered(self, subflow: Subflow, info: SubflowPacketInfo) -> None:
         self._resolve_groups(subflow, info.payload)
@@ -478,7 +575,7 @@ class FmtcpSender(SubflowOwner):
         payload: FmtcpSegmentPayload = info.payload
         self._resolve_groups(subflow, payload)
         self.symbols_lost += payload.total_symbols()
-        if self.trace is not None and self.trace.has_subscribers("span.symbols_lost"):
+        if self.trace is not None and "span.symbols_lost" in self.trace.live:
             for group in payload.groups:
                 self.trace.emit(
                     self.sim.now,
@@ -506,7 +603,7 @@ class FmtcpSender(SubflowOwner):
         payload: FmtcpSegmentPayload = info.payload
         self._resolve_groups(subflow, payload)
         self.symbols_lost += payload.total_symbols()
-        if self.trace is not None and self.trace.has_subscribers("span.symbols_lost"):
+        if self.trace is not None and "span.symbols_lost" in self.trace.live:
             for group in payload.groups:
                 self.trace.emit(
                     self.sim.now,
@@ -547,21 +644,29 @@ class FmtcpSender(SubflowOwner):
     # ------------------------------------------------------------------
     def on_ack_feedback(self, subflow: Subflow, feedback: FmtcpFeedback) -> None:
         # k̄ reports, decode confirmations and the gate's licence all feed
-        # the allocator.
-        self._round = None
-        if self.flow_gate is not None and feedback.advertised_window is not None:
-            self.flow_gate.advertise(
-                feedback.decoded_in_order, feedback.advertised_window
-            )
+        # the allocator. Under flow control the admissible list moves
+        # with the licence, so the ledger is rebuilt.
+        if self.flow_gate is not None:
+            self._round = None
+            if feedback.advertised_window is not None:
+                self.flow_gate.advertise(
+                    feedback.decoded_in_order, feedback.advertised_window
+                )
+        block_by_id = self.blocks.block_by_id
         quarantine = feedback.quarantine
         for block_id, k_bar in feedback.k_bar.items():
-            self.blocks.update_k_bar(block_id, k_bar, quarantine.get(block_id, 0))
+            block = block_by_id(block_id)
+            # Outside a quarantine a report only ever raises k̄.
+            if block is not None and (k_bar > block.k_bar or block_id in quarantine):
+                self._fold_k_bar(block, k_bar, quarantine.get(block_id, 0))
         # A quarantined block with no re-received symbols yet reports no
         # k̄ entry at all — push its epoch (with k̄=0) so the stale rank is
         # reset and the EAT allocator starts feeding replacements.
         for block_id, epoch in quarantine.items():
             if block_id not in feedback.k_bar:
-                self.blocks.update_k_bar(block_id, 0, epoch)
+                block = block_by_id(block_id)
+                if block is not None:
+                    self._fold_k_bar(block, 0, epoch)
         while self._decoded_frontier_seen < feedback.decoded_in_order:
             self._confirm_decoded(self._decoded_frontier_seen)
             self._decoded_frontier_seen += 1
@@ -579,14 +684,28 @@ class FmtcpSender(SubflowOwner):
             self._flow.sync()
         self.pump_all()
 
+    def _fold_k_bar(self, block: PendingBlock, k_bar: int, epoch: int) -> None:
+        """One k̄ report entry into the block and the ledger: a changed k̄
+        marks the block's row, a quarantine epoch reset (k̄ overwritten
+        wholesale) drops the ledger."""
+        epoch_before, k_bar_before = block.quarantine_epoch, block.k_bar
+        self.blocks.update_k_bar(block.block_id, k_bar, epoch)
+        if block.quarantine_epoch != epoch_before:
+            self._round = None
+        elif block.k_bar != k_bar_before and self._round is not None:
+            self._round.marked.append(block)
+
     def _confirm_decoded(self, block_id: int) -> None:
-        block = self.blocks.mark_decoded(block_id)
+        block = self.blocks.block_by_id(block_id)
         if block is None:
             return
+        if self._round is not None:
+            self._round.drop(block)
+        self.blocks.mark_decoded(block_id)
         if (
             self.trace is not None
             and block.first_tx_at is not None
-            and self.trace.has_subscribers("conn.block_done")
+            and "conn.block_done" in self.trace.live
         ):
             self.trace.emit(
                 self.sim.now,

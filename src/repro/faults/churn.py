@@ -109,7 +109,7 @@ class PathChurnController:
         if subflow_id is not None:
             reallocated = self.connection.remove_subflow(subflow_id)
         self.path_downs += 1
-        if self.trace is not None and self.trace.has_subscribers("churn.path_down"):
+        if self.trace is not None and "churn.path_down" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "churn.path_down",
@@ -133,7 +133,7 @@ class PathChurnController:
         )
         self._subflow_of_path[path_index] = subflow.subflow_id
         self.path_ups += 1
-        if self.trace is not None and self.trace.has_subscribers("churn.path_up"):
+        if self.trace is not None and "churn.path_up" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "churn.path_up",
@@ -149,7 +149,7 @@ class PathChurnController:
         positive gap models the connectivity blackout of a hard handover.
         """
         self.handovers += 1
-        if self.trace is not None and self.trace.has_subscribers("churn.handover"):
+        if self.trace is not None and "churn.handover" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "churn.handover",

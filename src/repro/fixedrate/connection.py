@@ -309,7 +309,7 @@ class FixedRateConnection(SubflowOwner):
         if (
             self.trace is not None
             and block.first_tx_at is not None
-            and self.trace.has_subscribers("conn.block_done")
+            and "conn.block_done" in self.trace.live
         ):
             self.trace.emit(
                 self.sim.now,
@@ -348,7 +348,7 @@ class FixedRateConnection(SubflowOwner):
             self.delivered_bytes += delivered_bytes
             if self.sink is not None:
                 self.sink(self._deliver_next)
-            if self.trace is not None and self.trace.has_subscribers("conn.delivered"):
+            if self.trace is not None and "conn.delivered" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "conn.delivered",

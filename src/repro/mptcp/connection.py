@@ -341,9 +341,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
                 continue  # Delivered meanwhile via another copy.
             self.chunks_retransmitted += 1
             self._chunk_registry[chunk.dsn] = (subflow.subflow_id, chunk)
-            if self.trace is not None and self.trace.has_subscribers(
-                "span.chunk_retx"
-            ):
+            if self.trace is not None and "span.chunk_retx" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "span.chunk_retx",
@@ -374,9 +372,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
                 continue
             self.chunks_retransmitted += 1
             self._chunk_registry[chunk.dsn] = (subflow.subflow_id, chunk)
-            if self.trace is not None and self.trace.has_subscribers(
-                "span.chunk_retx"
-            ):
+            if self.trace is not None and "span.chunk_retx" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "span.chunk_retx",
@@ -442,7 +438,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         self._pulled_stream_bytes += size
         self._block_first_tx.setdefault(block_id, now)
         trace = self.trace
-        if trace is not None and trace.has_subscribers("span.chunk_tx"):
+        if trace is not None and "span.chunk_tx" in trace.live:
             trace.emit(
                 now,
                 "span.chunk_tx",
@@ -457,7 +453,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         chunk: Chunk = info.payload
         if chunk.dsn < self._data_acked:
             return  # Already delivered; nothing to repair.
-        if self.trace is not None and self.trace.has_subscribers("span.chunk_lost"):
+        if self.trace is not None and "span.chunk_lost" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "span.chunk_lost",
@@ -505,7 +501,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
             if (
                 started is not None
                 and self.trace is not None
-                and self.trace.has_subscribers("conn.block_done")
+                and "conn.block_done" in self.trace.live
             ):
                 self.trace.emit(
                     self.sim.now,
@@ -592,9 +588,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
             # link CRC). Returning False withholds the subflow ACK, so the
             # sender retransmits the chunk through the normal loss path.
             self.chunks_discarded_checksum += 1
-            if self.trace is not None and self.trace.has_subscribers(
-                "conn.discard_checksum"
-            ):
+            if self.trace is not None and "conn.discard_checksum" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "conn.discard_checksum",
@@ -612,9 +606,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
             # are absorbed above this check). Withholding the ACK makes
             # the sender retransmit once the window reopens.
             self.chunks_window_discarded += 1
-            if self.trace is not None and self.trace.has_subscribers(
-                "recv.window_discard"
-            ):
+            if self.trace is not None and "recv.window_discard" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "recv.window_discard",
@@ -623,7 +615,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
                 )
             return False
         trace = self.trace
-        if trace is not None and trace.has_subscribers("span.chunk_rx"):
+        if trace is not None and "span.chunk_rx" in trace.live:
             trace.emit(
                 self.sim.now,
                 "span.chunk_rx",
@@ -652,7 +644,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         if self.sink is not None:
             self.sink(delivered)
         trace = self.trace
-        if trace is not None and trace.has_subscribers("conn.delivered"):
+        if trace is not None and "conn.delivered" in trace.live:
             trace.emit(
                 self.sim.now,
                 "conn.delivered",

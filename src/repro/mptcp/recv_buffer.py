@@ -99,7 +99,7 @@ class ReorderBuffer:
                 occupancy=len(self._buffered),
                 capacity=self.capacity,
             )
-            if self.trace is not None and self.trace.has_subscribers("recv.overflow"):
+            if self.trace is not None and "recv.overflow" in self.trace.live:
                 self.trace.emit(
                     self.clock() if self.clock is not None else 0.0,
                     "recv.overflow",

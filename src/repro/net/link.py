@@ -137,7 +137,7 @@ class Link:
         self._down = bool(down)
         if self.trace is not None:
             kind = "link.down" if self._down else "link.up"
-            if self.trace.has_subscribers(kind):
+            if kind in self.trace.live:
                 self.trace.emit(self.sim.now, kind, link=self.name)
 
     # ------------------------------------------------------------------
@@ -155,9 +155,7 @@ class Link:
         if self._busy:
             if not self.queue.try_enqueue(packet):
                 self.packets_dropped_queue += 1
-                if self.trace is not None and self.trace.has_subscribers(
-                    "link.drop_queue"
-                ):
+                if self.trace is not None and "link.drop_queue" in self.trace.live:
                     self.trace.emit(
                         self.sim.now, "link.drop_queue", link=self.name, packet=packet
                     )
@@ -166,7 +164,7 @@ class Link:
 
     def _drop_down(self, packet: Packet) -> None:
         self.packets_dropped_down += 1
-        if self.trace is not None and self.trace.has_subscribers("link.drop_down"):
+        if self.trace is not None and "link.drop_down" in self.trace.live:
             self.trace.emit(
                 self.sim.now, "link.drop_down", link=self.name, packet=packet
             )
@@ -193,9 +191,7 @@ class Link:
         now = sim.now
         if self.loss_model.should_drop(now, self.rng):
             self.packets_dropped_loss += 1
-            if self.trace is not None and self.trace.has_subscribers(
-                "link.drop_loss"
-            ):
+            if self.trace is not None and "link.drop_loss" in self.trace.live:
                 self.trace.emit(now, "link.drop_loss", link=self.name, packet=packet)
             return
         delay = self.delay_s
@@ -205,9 +201,7 @@ class Link:
             damaged = self.corruption_model.apply(packet, now, self.rng)
             if damaged is not None:
                 self.packets_corrupted += 1
-                if self.trace is not None and self.trace.has_subscribers(
-                    "link.corrupt"
-                ):
+                if self.trace is not None and "link.corrupt" in self.trace.live:
                     self.trace.emit(now, "link.corrupt", link=self.name, packet=packet)
                 for replacement in damaged:
                     sim.schedule_at(now + delay, self._deliver, replacement)
@@ -217,7 +211,7 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
-        if self.trace is not None and self.trace.has_subscribers("link.deliver"):
+        if self.trace is not None and "link.deliver" in self.trace.live:
             self.trace.emit(self.sim.now, "link.deliver", link=self.name, packet=packet)
         self.dst_node.receive(packet)
 

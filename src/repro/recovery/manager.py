@@ -188,7 +188,7 @@ class RecoveryManager:
         if self.closed or self.state != "running":
             return
         self._sender_ckpt = snapshot_sender(self.connection)
-        if self.trace is not None and self.trace.has_subscribers("recovery.checkpoint"):
+        if self.trace is not None and "recovery.checkpoint" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "recovery.checkpoint",
@@ -411,7 +411,7 @@ class RecoveryManager:
             setattr(self, attr, None)
 
     def _emit(self, kind: str, **fields: Any) -> None:
-        if self.trace is not None and self.trace.has_subscribers(kind):
+        if self.trace is not None and kind in self.trace.live:
             self.trace.emit(self.sim.now, kind, state=self.state, **fields)
 
     def stats(self) -> Dict[str, Any]:

@@ -58,16 +58,13 @@ class Simulator:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._now = 0.0
+        # Current simulated time in seconds. A plain attribute because
+        # every layer reads it on every event; only the run loop writes it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._processed = 0
         self._profiler = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -97,14 +94,14 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if not time >= self._now:  # NaN compares False both ways: reject it too
+        if not time >= self.now:  # NaN compares False both ways: reject it too
             raise SimulationError(
                 f"cannot schedule at {time!r}: not a time at or after "
-                f"now={self._now!r}"
+                f"now={self.now!r}"
             )
         seq = self._seq
         event = Event(time, seq, fn, args)
@@ -149,7 +146,7 @@ class Simulator:
                 if until is not None and when > until:
                     break
                 heappop(heap)
-                self._now = when
+                self.now = when
                 profiler = self._profiler
                 if profiler is None:
                     event.fn(*event.args)
@@ -173,8 +170,8 @@ class Simulator:
                 self._profiler.on_run_complete(
                     time.perf_counter() - run_started_wall
                 )
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
 
     def drain_cancelled(self) -> int:
         """Compact the heap by dropping cancelled events; returns the count.

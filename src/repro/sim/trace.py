@@ -9,7 +9,7 @@ depends on which metrics an experiment collects.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Container, Deque, Dict, List, Optional
 
 # Hard cap on records queued by re-entrant emits (a subscriber emitting
 # from inside a dispatch). Generous — a healthy run never queues more
@@ -45,6 +45,21 @@ class TraceRecord:
 Subscriber = Callable[[TraceRecord], None]
 
 
+class _EveryKind:
+    """``TraceBus.live`` while a wildcard subscriber listens: every kind."""
+
+    __slots__ = ()
+
+    def __contains__(self, kind: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<every kind>"
+
+
+_EVERY_KIND = _EveryKind()
+
+
 class TraceBus:
     """Routes :class:`TraceRecord` instances to subscribers by kind."""
 
@@ -53,6 +68,11 @@ class TraceBus:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self._subscribers: Dict[str, List[Subscriber]] = {}
         self._wildcard: List[Subscriber] = []
+        #: The kinds an emit would reach anyone for: hot paths guard with
+        #: ``"kind" in bus.live``, one C-level lookup, instead of calling
+        #: :meth:`has_subscribers`. Replaced (never mutated) on every
+        #: subscribe and unsubscribe.
+        self.live: Container[str] = frozenset()
         self.max_pending = max_pending
         self._pending: Deque[TraceRecord] = deque()
         self._dispatching = False
@@ -64,12 +84,21 @@ class TraceBus:
             self._wildcard.append(fn)
         else:
             self._subscribers.setdefault(kind, []).append(fn)
+        self._relive()
 
     def unsubscribe(self, kind: str, fn: Subscriber) -> None:
         """Remove a subscription added with :meth:`subscribe`."""
         pool = self._wildcard if kind == "*" else self._subscribers.get(kind, [])
         if fn in pool:
             pool.remove(fn)
+            self._relive()
+
+    def _relive(self) -> None:
+        self.live = (
+            _EVERY_KIND
+            if self._wildcard
+            else frozenset(kind for kind, pool in self._subscribers.items() if pool)
+        )
 
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         """Publish a record; cheap (no allocation) when nobody listens.
@@ -85,8 +114,7 @@ class TraceBus:
         bounded by ``max_pending``: overflow increments
         ``records_dropped`` instead of growing without limit.
         """
-        targeted = self._subscribers.get(kind)
-        if not targeted and not self._wildcard:
+        if kind not in self.live:
             return
         record = TraceRecord(time, kind, fields)
         if self._dispatching:
@@ -114,4 +142,4 @@ class TraceBus:
 
     def has_subscribers(self, kind: str) -> bool:
         """True if emitting ``kind`` would reach anyone (lets hot paths skip work)."""
-        return bool(self._subscribers.get(kind) or self._wildcard)
+        return kind in self.live

@@ -38,9 +38,16 @@ class CongestionController:
         self.timeouts = 0
 
     @property
-    def window(self) -> int:
-        """Usable window in whole packets (never below 1)."""
-        return max(1, int(self.cwnd))
+    def cwnd(self) -> float:
+        """Congestion window in packets (fractional under AIMD)."""
+        return self._cwnd
+
+    @cwnd.setter
+    def cwnd(self, value: float) -> None:
+        self._cwnd = value
+        # Usable window in whole packets (never below 1): a plain
+        # attribute, read on every pump and allocation round.
+        self.window = max(1, int(value))
 
     def can_send(self, in_flight: int) -> bool:
         return in_flight < self.window
@@ -64,12 +71,13 @@ class RenoController(CongestionController):
     """Slow start + AIMD, NewReno-flavoured."""
 
     def on_ack(self, newly_acked: int = 1) -> None:
+        cwnd = self._cwnd
         for __ in range(newly_acked):
-            if self.in_slow_start():
-                self.cwnd += 1.0
+            if cwnd < self.ssthresh:
+                cwnd += 1.0
             else:
-                self.cwnd += 1.0 / self.cwnd
-        self.cwnd = min(self.cwnd, self.max_cwnd)
+                cwnd += 1.0 / cwnd
+        self.cwnd = min(cwnd, self.max_cwnd)
 
     def on_fast_loss(self) -> None:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)

@@ -245,7 +245,7 @@ class MultipathConnection:
         elif not join_delay_s >= 0:
             raise ValueError(f"join_delay_s must be >= 0, got {join_delay_s}")
         subflow = self._attach(path, join_delay_s=join_delay_s)
-        if self.trace is not None and self.trace.has_subscribers("conn.subflow_added"):
+        if self.trace is not None and "conn.subflow_added" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "conn.subflow_added",
@@ -272,9 +272,7 @@ class MultipathConnection:
             self._lia_group.unregister(subflow.cc)
         self.subflows.remove(subflow)
         settled = self._settle_removed(subflow, infos)
-        if self.trace is not None and self.trace.has_subscribers(
-            "conn.subflow_removed"
-        ):
+        if self.trace is not None and "conn.subflow_removed" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "conn.subflow_removed",

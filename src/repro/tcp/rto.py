@@ -32,10 +32,11 @@ class RtoEstimator:
         self.rttvar: Optional[float] = None
         self._backoff_factor = 1.0
         self.samples = 0
+        #: Current timeout, including any exponential back-off: a plain
+        #: attribute, re-derived by every method that moves an input.
+        self.rto = self._derive_rto()
 
-    @property
-    def rto(self) -> float:
-        """Current timeout, including any exponential back-off."""
+    def _derive_rto(self) -> float:
         if self.srtt is None:
             base = self.initial_rto
         else:
@@ -54,13 +55,16 @@ class RtoEstimator:
             self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
         self.samples += 1
         self._backoff_factor = 1.0
+        self.rto = self._derive_rto()
 
     def on_timeout(self) -> None:
         """Double the timeout (Karn back-off), clamped at ``max_rto``."""
         self._backoff_factor = min(self._backoff_factor * 2.0, self.max_rto / self.min_rto)
+        self.rto = self._derive_rto()
 
     def reset_backoff(self) -> None:
         self._backoff_factor = 1.0
+        self.rto = self._derive_rto()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RtoEstimator(srtt={self.srtt}, rttvar={self.rttvar}, rto={self.rto:.3f})"

@@ -188,7 +188,7 @@ class Subflow:
         self._join_event = None
         if join_delay_s is not None:
             self._join_event = sim.schedule(join_delay_s, self._complete_join)
-            if trace is not None and trace.has_subscribers("subflow.join"):
+            if trace is not None and "subflow.join" in trace.live:
                 trace.emit(
                     sim.now,
                     "subflow.join",
@@ -197,7 +197,8 @@ class Subflow:
                 )
 
         # Dead-path detection: consecutive RTO firings with no intervening
-        # ACK. At failed_rto_threshold the subflow enters probe mode.
+        # ACK. At failed_rto_threshold the subflow enters probe mode (the
+        # setter keeps ``potentially_failed`` in step).
         self.consecutive_timeouts = 0
 
         # Statistics / estimator state.
@@ -250,15 +251,20 @@ class Subflow:
         return self._next_seq
 
     @property
-    def potentially_failed(self) -> bool:
-        """Whether the path is suspected dead (consecutive-RTO threshold).
+    def consecutive_timeouts(self) -> int:
+        """RTO firings since the last ACK."""
+        return self._consecutive_timeouts
 
-        A suspect subflow is restricted to one in-flight packet (a probe,
-        paced by the exponentially backed-off RTO) until an ACK arrives.
-        """
-        return (
+    @consecutive_timeouts.setter
+    def consecutive_timeouts(self, value: int) -> None:
+        self._consecutive_timeouts = value
+        # Whether the path is suspected dead (consecutive-RTO threshold).
+        # A suspect subflow is restricted to one in-flight packet (a probe,
+        # paced by the exponentially backed-off RTO) until an ACK arrives.
+        # A plain attribute: every pump and allocation round reads it.
+        self.potentially_failed = (
             self.failed_rto_threshold is not None
-            and self.consecutive_timeouts >= self.failed_rto_threshold
+            and value >= self.failed_rto_threshold
         )
 
     @property
@@ -319,7 +325,8 @@ class Subflow:
         if self._closed or self._join_event is not None:
             return
         outstanding = self._outstanding
-        while self.cc.can_send(len(outstanding)):
+        cc = self.cc
+        while len(outstanding) < cc.window:
             if outstanding and self.potentially_failed:
                 return
             supplied = self.owner.next_payload(self)
@@ -330,7 +337,7 @@ class Subflow:
 
     def _complete_join(self) -> None:
         self._join_event = None
-        if self.trace is not None and self.trace.has_subscribers("subflow.active"):
+        if self.trace is not None and "subflow.active" in self.trace.live:
             self.trace.emit(self.sim.now, "subflow.active", subflow=self.subflow_id)
         self.owner.on_subflow_ready(self)
         self.pump()
@@ -359,7 +366,7 @@ class Subflow:
         if not self._timer.armed:
             self._timer.start(self.rto.rto)
         trace = self.trace
-        if trace is not None and trace.has_subscribers("subflow.send"):
+        if trace is not None and "subflow.send" in trace.live:
             trace.emit(now, "subflow.send", subflow=self.subflow_id, seq=seq, size=size)
         self.path.send_forward(packet)
 
@@ -371,9 +378,7 @@ class Subflow:
             # Corrupted ACK: discard silently. The data packet's timer is
             # still running, so this degrades to an ordinary loss.
             self.acks_discarded_corrupt += 1
-            if self.trace is not None and self.trace.has_subscribers(
-                "subflow.ack_corrupt"
-            ):
+            if self.trace is not None and "subflow.ack_corrupt" in self.trace.live:
                 self.trace.emit(
                     self.sim.now, "subflow.ack_corrupt", subflow=self.subflow_id
                 )
@@ -383,7 +388,8 @@ class Subflow:
         # Any ACK — even one for a packet we gave up on — proves the path
         # carries traffic in both directions, so it clears suspicion.
         was_suspect = self.potentially_failed
-        self.consecutive_timeouts = 0
+        if self._consecutive_timeouts:
+            self.consecutive_timeouts = 0
         info = self._outstanding.pop(seq, None)
         if info is not None:
             now = self.sim.now
@@ -403,9 +409,7 @@ class Subflow:
         if ack.feedback is not None:
             self.owner.on_ack_feedback(self, ack.feedback)
         if was_suspect:
-            if self.trace is not None and self.trace.has_subscribers(
-                "subflow.recovered"
-            ):
+            if self.trace is not None and "subflow.recovered" in self.trace.live:
                 self.trace.emit(
                     self.sim.now, "subflow.recovered", subflow=self.subflow_id
                 )
@@ -445,7 +449,7 @@ class Subflow:
             self.packets_lost_timeout += 1
             self.cc.on_timeout()
             self._recovery_until = self._next_seq
-        if self.trace is not None and self.trace.has_subscribers("subflow.loss"):
+        if self.trace is not None and "subflow.loss" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "subflow.loss",
@@ -472,9 +476,7 @@ class Subflow:
             self.failed_rto_threshold is not None
             and self.consecutive_timeouts == self.failed_rto_threshold
         ):
-            if self.trace is not None and self.trace.has_subscribers(
-                "subflow.suspect"
-            ):
+            if self.trace is not None and "subflow.suspect" in self.trace.live:
                 self.trace.emit(
                     self.sim.now, "subflow.suspect", subflow=self.subflow_id
                 )
@@ -542,7 +544,7 @@ class Subflow:
         self._declared_lost.clear()
         self.consecutive_timeouts = 0
         self.close()
-        if self.trace is not None and self.trace.has_subscribers("subflow.closed"):
+        if self.trace is not None and "subflow.closed" in self.trace.live:
             self.trace.emit(
                 self.sim.now,
                 "subflow.closed",
@@ -597,9 +599,7 @@ class SubflowSink:
             # wire loss — the sender's dupack/RTO machinery takes it from
             # here, so corruption feeds the normal congestion response.
             self.packets_discarded_corrupt += 1
-            if self.trace is not None and self.trace.has_subscribers(
-                "subflow.discard_corrupt"
-            ):
+            if self.trace is not None and "subflow.discard_corrupt" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
                     "subflow.discard_corrupt",

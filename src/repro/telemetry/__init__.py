@@ -1,7 +1,7 @@
 """Unified telemetry: samplers, block spans, flight recorder, sim profiler.
 
 Everything here is opt-in and zero-cost when unused — instrumentation
-call sites in the transports stay behind ``TraceBus.has_subscribers``
+call sites in the transports stay behind ``TraceBus.live``
 guards, samplers only exist once attached, and the engine profiler costs
 a single ``is None`` test per event when disabled. See
 ``docs/observability.md`` for the architecture and the trace-kind

@@ -9,7 +9,7 @@ samplers to any transport connection, and gathers everything into one
 ``repro trace record`` CLI.
 
 With no session attached nothing changes anywhere: every instrumentation
-call site is behind ``TraceBus.has_subscribers`` or a periodic sampler
+call site is behind ``TraceBus.live`` or a periodic sampler
 that simply does not exist.
 """
 

@@ -11,7 +11,7 @@ A :class:`BlockSpan` tracks one block through edge timestamps::
     open -> first_tx -> first_rx -> complete -> delivered
 
 built from ``span.*`` trace records the transports emit (always behind
-``TraceBus.has_subscribers`` guards — zero cost with nobody attached)
+``TraceBus.live`` guards — zero cost with nobody attached)
 plus the pre-existing ``fmtcp.block_decoded`` / ``conn.delivered``
 records reused as the decode and delivery edges. Consecutive edges
 define *additive* stages, so the conservation invariant
@@ -62,7 +62,7 @@ from repro.metrics.stats import mean, percentile
 from repro.sim.trace import TraceBus, TraceRecord
 
 # Every kind the collector consumes. The span.* family is emitted by the
-# transports behind has_subscribers guards; the last two are pre-existing
+# transports behind ``TraceBus.live`` guards; the last two are pre-existing
 # records reused as the decode and delivery edges.
 SPAN_KINDS = (
     "span.block_open",

@@ -36,7 +36,7 @@ from repro.workloads.sources import BulkSource
 
 def count_trace_ticks(run: soak.Run) -> None:
     """Step: count ``trace.sample`` records. Declared before
-    :func:`~repro.soak.arm_timeline` so the player's ``has_subscribers``
+    :func:`~repro.soak.arm_timeline` so the player's ``live``
     guard sees a listener."""
     def on_tick(record) -> None:
         run.report.trace_ticks += 1

@@ -98,7 +98,7 @@ class TracePlayer:
                 link.set_bandwidth(baseline.bandwidth_bps)
                 link.set_delay(baseline.delay_s)
                 link.set_loss_model(baseline.loss_model)
-            if self.bus is not None and self.bus.has_subscribers("trace.restore"):
+            if self.bus is not None and "trace.restore" in self.bus.live:
                 self.bus.emit(
                     self.sim.now,
                     "trace.restore",
@@ -136,7 +136,7 @@ class TracePlayer:
                 link.set_loss_model(BernoulliLoss(sample.loss_rate))
             else:
                 link.set_loss_model(None)  # lossless regime
-        if self.bus is not None and self.bus.has_subscribers("trace.sample"):
+        if self.bus is not None and "trace.sample" in self.bus.live:
             self.bus.emit(
                 self.sim.now,
                 "trace.sample",

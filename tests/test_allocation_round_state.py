@@ -1,15 +1,17 @@
-"""Shadow oracle for the FMTCP sender's round state (ROADMAP aim 3).
+"""Shadow oracle for the FMTCP sender's allocation ledger (ROADMAP aim 3).
 
-``FmtcpSender`` carries one allocation-round state per simulator instant
-and drops it whenever an allocation input changes. A missed drop would
-not crash anything — it would quietly allocate from stale k̃ — so these
-tests put a sender subclass under real transfers that recomputes every
-production round from scratch (fresh ``loss_snapshot``, fresh
-``path_estimates``, the literal ``allocate_packet_reference``) and
-raises :class:`ShadowMismatch` the moment the carried state decides
-otherwise, or holds a table that a fresh ``expected_symbols`` would not
-produce. The last tests take one invalidation away at a time and
-require the shadow to fire: the invariant can fail.
+``FmtcpSender`` carries one allocation ledger (``_RoundState``) across
+rounds, instants and ACKs: each callback marks the blocks whose k̃ it
+moved, a decode deletes its row, and the next round re-derives only the
+marked rows. A missed mark would not crash anything — it would quietly
+allocate from stale k̃ — so these tests put a sender subclass under real
+transfers that recomputes every production round from scratch (fresh
+``loss_snapshot``, fresh ``path_estimates``, the literal
+``allocate_packet_reference``) and raises :class:`ShadowMismatch` the
+moment the carried ledger decides otherwise, or holds a table that a
+fresh ``expected_symbols`` would not produce, after any round or packet.
+The last tests take one update away at a time and require the shadow to
+fire: the invariant can fail.
 """
 
 import sys
@@ -19,6 +21,7 @@ import pytest
 
 from repro.core.allocation import allocate_packet_reference, expected_symbols
 from repro.core.config import FmtcpConfig
+from repro.core.connection import FmtcpConnection
 from repro.core.sender import _MAX_LOSS, FmtcpSender, _RoundState
 from repro.experiments.runner import run_transfer
 from repro.faults import (
@@ -37,6 +40,8 @@ from repro.robustness.exhaustion import EXHAUSTION
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
+from repro.workloads.sources import CbrSource
+from tests.conftest import make_two_path
 
 
 class ShadowMismatch(AssertionError):
@@ -64,7 +69,7 @@ class ShadowSender(FmtcpSender):
 
     def _check_carried_tables(self, where):
         state = self._round
-        if state is None or state.now != self.sim.now:
+        if state is None:
             return
         losses, loss_rate_of = self._scratch()
         fresh = expected_symbols(state.blocks, loss_rate_of, self.margin)
@@ -87,7 +92,7 @@ class ShadowSender(FmtcpSender):
             margin=self.margin,
         ).vector or None
         before = self._round
-        carried = before is not None and before.now == self.sim.now
+        settled_at = None if before is None else before.now
         result = super()._eat_round(subflow, pending)
         got = None if result is None else result.vector
         if got != want:
@@ -97,9 +102,11 @@ class ShadowSender(FmtcpSender):
             )
         self._check_carried_tables("after a round")
         self.seen["rounds"] += 1
-        if carried and self._round is before:
+        if before is not None and self._round is before:
             self.seen["carried"] += 1
             self.seen["carried_none" if got is None else "carried_packet"] += 1
+            if settled_at != self.sim.now:
+                self.seen["carried_across_instants"] += 1
         return result
 
     def _build_packet(self, subflow, result):
@@ -117,9 +124,29 @@ def shadow(monkeypatch):
 
 
 def _assert_exercised(seen):
-    """The run reached the carried state, both verdicts of it."""
+    """The run reached the carried ledger, both verdicts of it, and the
+    ledger outlived an instant."""
     assert seen["rounds"] > 0
     assert seen["carried_none"] > 0 and seen["carried_packet"] > 0, seen
+    assert seen["carried_across_instants"] > 0, seen
+
+
+def _paced_stream(config, duration_s=6.0):
+    """An application-paced CBR stream over two lossy paths. The source
+    wakes the connection on its own timer, so rounds run at instants no
+    ACK or loss reached: with aging on, only the time check keeps the
+    ledger's loss snapshot fresh there."""
+    network, paths, trace = make_two_path(
+        loss1=0.02, loss2=0.05, delay1=0.02, delay2=0.05
+    )
+    source = CbrSource(network.sim, rate_bps=1e6)
+    connection = FmtcpConnection(
+        network.sim, paths, source, config=config, trace=trace
+    )
+    source.attach(connection)
+    connection.start()
+    network.sim.run(until=duration_s)
+    return connection
 
 
 def _table1(case_id, duration_s=6.0, seed=7, config=None):
@@ -146,6 +173,12 @@ def test_shadow_agrees_with_aging_on(shadow):
     config = FmtcpConfig(loss_estimate_half_life_s=0.5)
     result = _table1(4, duration_s=10.0, config=config)
     assert result.summary["blocks"] > 0
+    _assert_exercised(shadow)
+
+
+def test_shadow_agrees_on_a_paced_stream_with_aging_on(shadow):
+    connection = _paced_stream(FmtcpConfig(loss_estimate_half_life_s=0.5))
+    assert connection.receiver.delivered_bytes > 0
     _assert_exercised(shadow)
 
 
@@ -195,30 +228,71 @@ def test_shadow_agrees_under_each_fault_group(shadow, group):
 
 
 # ----------------------------------------------------------------------
-# The invariant can fail: take one invalidation away at a time.
+# The invariant can fail: take one ledger update away at a time.
 # ----------------------------------------------------------------------
-def _forget_drop_in(monkeypatch, function_name):
-    """Make ``self._round = None`` a no-op inside ``function_name`` only:
-    the seeded defect is exactly one forgotten invalidation."""
+def _forget_marks_in(monkeypatch, function_name):
+    """Make every ledger's ``marked.append`` a no-op when called from
+    ``function_name`` only: the seeded defect is exactly one forgotten
+    mark."""
 
-    def get(sender):
-        return sender.__dict__.get("_round")
+    class Forgetful(list):
+        def append(self, block):
+            if sys._getframe(1).f_code.co_name != function_name:
+                super().append(block)
 
-    def set_(sender, value):
-        if value is None and sys._getframe(1).f_code.co_name == function_name:
-            return
-        sender.__dict__["_round"] = value
+    build = _RoundState.__init__
 
-    monkeypatch.setattr(ShadowSender, "_round", property(get, set_), raising=False)
+    def build_forgetful(state, *args):
+        build(state, *args)
+        state.marked = Forgetful()
+
+    monkeypatch.setattr(_RoundState, "__init__", build_forgetful)
 
 
-@pytest.mark.parametrize("forgotten", ["_resolve_groups", "on_ack_feedback"])
-def test_shadow_fires_when_a_callback_forgets_to_drop_the_state(
-    shadow, monkeypatch, forgotten
-):
-    _forget_drop_in(monkeypatch, forgotten)
+def _compare_losses_only_on_acks(monkeypatch):
+    """The ledger's loss-snapshot comparison skipped unless an ACK or a
+    loss arrived: ``loss_snapshot`` asked by ``_ledger`` answers with the
+    ledger's own snapshot while nothing was sampled."""
+    snapshot = FmtcpSender.loss_snapshot
+
+    def loss_snapshot(sender):
+        state = sender._round
+        if (
+            sys._getframe(1).f_code.co_name == "_ledger"
+            and state is not None
+            and not state.sampled
+        ):
+            return dict(state.losses)
+        return snapshot(sender)
+
+    monkeypatch.setattr(FmtcpSender, "loss_snapshot", loss_snapshot)
+
+
+@pytest.mark.parametrize(
+    "forgotten",
+    [
+        "_resolve_groups",  # An ACK or loss resolved a packet's symbols.
+        "_fold_k_bar",  # on_ack_feedback folded in a k̄ that moved.
+    ],
+)
+def test_shadow_fires_when_a_mark_is_forgotten(shadow, monkeypatch, forgotten):
+    _forget_marks_in(monkeypatch, forgotten)
     with pytest.raises(ShadowMismatch):
         _table1(4, duration_s=20.0)
+
+
+def test_shadow_fires_when_a_decoded_block_keeps_its_row(shadow, monkeypatch):
+    monkeypatch.setattr(_RoundState, "drop", lambda self, block: None)
+    with pytest.raises(ShadowMismatch):
+        _table1(2)
+
+
+def test_shadow_fires_when_aged_losses_are_compared_only_on_acks(
+    shadow, monkeypatch
+):
+    _compare_losses_only_on_acks(monkeypatch)
+    with pytest.raises(ShadowMismatch, match="after a round"):
+        _paced_stream(FmtcpConfig(loss_estimate_half_life_s=0.5))
 
 
 def test_shadow_fires_when_a_built_packet_does_not_update_the_state(
@@ -230,8 +304,11 @@ def test_shadow_fires_when_a_built_packet_does_not_update_the_state(
 
 
 def test_the_seeded_defects_are_the_only_thing_that_fires(shadow, monkeypatch):
-    """The drop-forgetting patch itself, aimed at a function that drops
-    nothing, leaves a clean run clean."""
-    _forget_drop_in(monkeypatch, "pump_all")
+    """The mark-forgetting patch itself, aimed at a function that marks
+    nothing, leaves a clean run clean; so does comparing losses only on
+    ACKs while no aging makes them move with time alone."""
+    _forget_marks_in(monkeypatch, "pump_all")
+    _compare_losses_only_on_acks(monkeypatch)
     assert _table1(2).summary["blocks"] > 0
+    assert _paced_stream(FmtcpConfig()).receiver.delivered_bytes > 0
     _assert_exercised(shadow)

@@ -43,6 +43,16 @@ def test_config_validation():
         FmtcpConfig(symbol_size=2000, mss=1400)
 
 
+def test_statistical_coding_rejects_blocks_past_the_rank_model_limit():
+    """``symbols_per_block=1024`` was accepted and the transfer then died
+    with OverflowError at the first received symbol (the rank model's
+    float(2**k - 1)); the real codec has no such limit."""
+    assert FmtcpConfig(symbols_per_block=1023).symbols_per_block == 1023
+    assert FmtcpConfig(symbols_per_block=1024, coding="real").coding == "real"
+    with pytest.raises(ValueError, match="symbols_per_block"):
+        FmtcpConfig(symbols_per_block=1024)
+
+
 @pytest.mark.parametrize(
     "field, bad_values",
     [

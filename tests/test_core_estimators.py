@@ -14,6 +14,8 @@ from repro.core.estimators import (
     sedt,
 )
 
+NAN = float("nan")
+
 
 def estimate(subflow_id=0, rtt=0.2, rto=0.4, loss=0.0, window_space=1, tau=0.0):
     return PathEstimate(
@@ -151,6 +153,14 @@ def test_path_estimate_validation():
         estimate(rto=-0.1)
     with pytest.raises(ValueError):
         estimate(loss=-0.01)
+
+
+@pytest.mark.parametrize("rtt, rto", [(NAN, 0.4), (0.2, NAN), (NAN, NAN)])
+def test_path_estimate_rejects_nan_rtt_and_rto(rtt, rto):
+    """A NaN EAT loses every ``<`` of the argmin, so row 0 would win
+    silently; ``rtt < 0`` is False for NaN and used to let it in."""
+    with pytest.raises(ValueError, match="rtt and rto"):
+        PathEstimate(0, rtt, rto, 0.0, 1, 0.0)
 
 
 def test_path_estimate_is_an_immutable_record_on_every_construction_path():

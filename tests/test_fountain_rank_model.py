@@ -1,6 +1,7 @@
 """Tests for the statistical rank-evolution model — including the property
 that justifies using it in place of the real codec (DESIGN.md §3.2)."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.gf2 import Gf2Eliminator
 from repro.fountain.rank_model import (
+    MAX_K,
     RankEvolutionModel,
     decoding_failure_probability,
     expected_overhead_symbols,
@@ -81,6 +83,16 @@ def test_k1_first_symbol_always_completes():
 def test_validation():
     with pytest.raises(ValueError):
         RankEvolutionModel(0)
+
+
+def test_k_past_the_float_limit_is_rejected_naming_the_limit():
+    """float(2**1024 - 1) overflows: k = 1024 used to construct and then
+    raise OverflowError on the first received symbol."""
+    assert MAX_K == 1023
+    model = RankEvolutionModel(MAX_K, rng=random.Random(3))
+    assert model.add_symbols(5) == 5
+    with pytest.raises(ValueError, match="1023"):
+        RankEvolutionModel(MAX_K + 1)
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +181,101 @@ def test_add_symbols_equals_repeated_add_symbol(k):
             assert batched.symbols_redundant == single.symbols_redundant
             assert batched.is_complete == single.is_complete
             assert many.random() == one.random()
+
+
+def test_add_symbols_equals_add_symbol_over_300_seeds():
+    """``add_symbols(c)`` against ``c`` calls of ``add_symbol`` — rank,
+    redundancy and the RNG's next value — for k on both sides of the
+    2⁻²⁷ quiet rank (29 and below have none past rank 1) and group sizes
+    up to a full packet."""
+    for seed in range(300):
+        sizes = random.Random(-1 - seed)
+        k = sizes.choice([1, 2, 3, 28, 29, 30, 40, 64, 256])
+        one, many = random.Random(seed), random.Random(seed)
+        single = RankEvolutionModel(k, rng=one)
+        batched = RankEvolutionModel(k, rng=many)
+        while batched.symbols_received < k + 12:
+            count = sizes.randint(0, 45)
+            independent = sum(single.add_symbol() for __ in range(count))
+            assert batched.add_symbols(count) == independent, (seed, k)
+            assert batched.independent_symbols == single.independent_symbols
+            assert batched.symbols_redundant == single.symbols_redundant
+        assert many.random() == one.random(), (seed, k)
+
+
+class ScriptedWords:
+    """An RNG serving a fixed list of 32-bit Mersenne Twister words the
+    way ``random.Random`` does: ``random()`` takes two (the first gives
+    the high 27 bits), ``getrandbits(32·n)`` takes n, lowest word first."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.taken = 0
+
+    def _word(self):
+        word = self.words[self.taken]
+        self.taken += 1
+        return word
+
+    def random(self):
+        a, b = self._word() >> 5, self._word() >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, bits):
+        assert bits % 32 == 0
+        return sum(self._word() << (32 * i) for i in range(bits // 32))
+
+
+def test_scripted_words_draw_what_random_random_draws():
+    source = random.Random(5)
+    words = [source.getrandbits(32) for __ in range(60)]
+    real, scripted = random.Random(5), ScriptedWords(words)
+    assert [scripted.random() for __ in range(10)] == [
+        real.random() for __ in range(10)
+    ]
+    assert scripted.getrandbits(64 * 20) == real.getrandbits(64 * 20)
+
+
+def _draw_words(a, b):
+    """The two words whose draw is ``(a·2²⁶ + b) / 2⁵³``."""
+    return [a << 5, b << 6]
+
+
+def test_add_symbols_replays_the_draws_a_batch_cannot_accept():
+    """k = 40, whose quiet rank is 14. Draw 9 (rank 10, inside the
+    batched region) has high word 0 and comes out dependent; draw 39
+    (rank 39, past the quiet rank) sits just under its threshold with no
+    zero bytes and is dependent too. Every other draw is independent.
+    Dropping the three-zero-bytes prefilter (accepting the batch
+    unseen) or the replay misses the first; batching past the quiet
+    rank misses the second."""
+    k = 40
+
+    def p_dependent(rank):
+        return (2.0**rank - 1.0) / float(2**k - 1)
+
+    assert p_dependent(13) < 2.0**-27 <= p_dependent(14)
+    filler = _draw_words(0x6F56DF7, 0x3BEEF01)  # ≈ 0.87: always independent
+    just_under = math.ceil(p_dependent(39) * 2.0**53) - 1
+    draws = [filler] * 41
+    draws[9] = _draw_words(0, 1)
+    draws[39] = _draw_words(just_under >> 26, just_under & (2**26 - 1))
+    words = [word for draw in draws for word in draw]
+    assert just_under * 2.0**-53 < p_dependent(39)
+    assert b"\0\0\0" not in (words[78] | words[79] << 32).to_bytes(8, "little")
+
+    single = RankEvolutionModel(k, rng=ScriptedWords(words))
+    for __ in range(44):
+        single.add_symbol()
+    assert single.symbols_redundant == 2 + 2  # Two dependent, two past k.
+    assert single._rng.taken == len(words)
+    for groups in ([44], [20, 24], [1, 13, 30], [3] * 14 + [2]):
+        batched = RankEvolutionModel(k, rng=ScriptedWords(words))
+        for count in groups:
+            batched.add_symbols(count)
+        assert batched.independent_symbols == k, groups
+        assert batched.symbols_redundant == single.symbols_redundant, groups
+        assert batched._rng.taken == len(words), groups
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,42 @@ def test_has_subscribers(trace):
     assert trace.has_subscribers("other")
 
 
+def test_live_tracks_subscribe_and_unsubscribe(trace):
+    """``live`` answers what ``has_subscribers`` answers after every
+    subscription change, an unsubscribe during a dispatch and the
+    wildcard included."""
+
+    def agrees(*kinds):
+        return all((kind in trace.live) == trace.has_subscribers(kind) for kind in kinds)
+
+    def first(record):
+        pass
+
+    def second(record):
+        pass
+
+    def one_shot(record):
+        trace.unsubscribe("k", one_shot)
+        assert "k" in trace.live  # ``first`` still listens.
+        trace.unsubscribe("k", first)
+
+    assert "k" not in trace.live
+    trace.subscribe("k", first)
+    trace.subscribe("j", second)
+    assert "k" in trace.live and "j" in trace.live and "other" not in trace.live
+    trace.unsubscribe("j", second)
+    assert "j" not in trace.live and agrees("k", "j", "other")
+    trace.subscribe("k", one_shot)
+    trace.emit(0.0, "k")
+    assert "k" not in trace.live and agrees("k", "j")
+    trace.subscribe("*", second)
+    assert "anything" in trace.live and agrees("k", "anything")
+    trace.subscribe("k", first)
+    trace.unsubscribe("*", second)
+    assert "anything" not in trace.live and "k" in trace.live
+    assert agrees("k", "anything")
+
+
 def test_record_get_with_default():
     record = TraceRecord(time=0.0, kind="k", fields={"a": 1})
     assert record.get("a") == 1
