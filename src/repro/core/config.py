@@ -1,11 +1,12 @@
-"""FMTCP configuration.
+"""Configuration of the block-coded transports: FMTCP and the fixed-rate
+FEC strawman share one block geometry (:class:`CodedConfig`).
 
-Defaults follow DESIGN.md §3.4: 64 symbols of 128 bytes per block (8 KiB
-blocks), 1400-byte MSS (10 symbols per packet with headers), and a
-maximum acceptable decoding-failure probability δ̂ = 10⁻³, i.e. a block is
-predicted complete once its expected independent-symbol count k̃ reaches
-k̂ + log₂(1/δ̂) ≈ k̂ + 10 (Definition 4 and the paper's completeness
-condition).
+Defaults follow DESIGN.md item 4 (block geometry): 256 symbols of 32
+bytes per block (8 KiB blocks), 1400-byte MSS (41 symbols per packet
+with headers), and a maximum acceptable decoding-failure probability
+δ̂ = 10⁻³, i.e. a block is predicted complete once its expected
+independent-symbol count k̃ reaches k̂ + log₂(1/δ̂) ≈ k̂ + 10
+(Definition 4 and the paper's completeness condition).
 """
 
 from __future__ import annotations
@@ -18,27 +19,67 @@ from repro.fountain.rank_model import MAX_K
 from repro.tcp.multipath import MultipathConfig
 
 
-@dataclass
-class FmtcpConfig(MultipathConfig):
-    """Tunables of the FMTCP sender/receiver pair (the subflow, failover
-    and flow-control fields are :class:`MultipathConfig`'s)."""
+#: Per-symbol wire overhead. Symbols travel in per-block groups whose
+#: header (block id, PRNG seed, base symbol id) is amortised across the
+#: group, so the marginal cost per symbol is small.
+SYMBOL_HEADER_BYTES = 2
 
-    # Block geometry (paper Section III-B chooses k̂ to balance coding
-    # complexity, MSS fit and buffer size).
+
+@dataclass
+class CodedConfig(MultipathConfig):
+    """The block geometry of a transport that codes blocks of symbols
+    (paper Section III-B chooses k̂ to balance coding complexity, MSS fit
+    and buffer size)."""
+
     symbols_per_block: int = 256
     symbol_size: int = 32
-    # Per-symbol wire overhead. Symbols travel in per-block groups whose
-    # header (block id, PRNG seed, base symbol id) is amortised across the
-    # group, so the marginal cost per symbol is small.
-    symbol_header_bytes: int = 2
-
-    # δ̂: maximum acceptable decoding failure probability (Definition 4).
-    delta_hat: float = 1e-3
-
     # Sender-side concurrency: number of blocks simultaneously pending.
     # Bounds receiver buffer occupancy to max_pending_blocks blocks
     # (Section III-B's buffer-size constraint on k̂).
     max_pending_blocks: int = 16
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.symbols_per_block < 1:
+            raise ValueError(
+                f"symbols_per_block must be >= 1, got {self.symbols_per_block}"
+            )
+        if self.symbol_size < 1:
+            raise ValueError(f"symbol_size must be >= 1, got {self.symbol_size}")
+        if self.max_pending_blocks < 1:
+            raise ValueError(
+                f"max_pending_blocks must be >= 1, got {self.max_pending_blocks} "
+                "(with no pending block the transfer sends nothing)"
+            )
+        if self.symbol_wire_size > self.mss:
+            raise ValueError(
+                f"one symbol ({self.symbol_wire_size}B on the wire) must fit "
+                f"in mss, got {self.mss}"
+            )
+
+    @property
+    def block_bytes(self) -> int:
+        """Application bytes carried by one full block."""
+        return self.symbols_per_block * self.symbol_size
+
+    @property
+    def symbol_wire_size(self) -> int:
+        return self.symbol_size + SYMBOL_HEADER_BYTES
+
+    @property
+    def symbols_per_packet(self) -> int:
+        """How many symbols Eq. (9)'s MSS constraint admits per packet."""
+        return max(1, self.mss // self.symbol_wire_size)
+
+
+@dataclass
+class FmtcpConfig(CodedConfig):
+    """Tunables of the FMTCP sender/receiver pair (the subflow, failover
+    and flow-control fields are :class:`MultipathConfig`'s, the block
+    geometry :class:`CodedConfig`'s)."""
+
+    # δ̂: maximum acceptable decoding failure probability (Definition 4).
+    delta_hat: float = 1e-3
 
     # "statistical" samples exact decoder-rank evolution (fast, default);
     # "real" runs the byte-level GF(2) codec end to end.
@@ -71,19 +112,6 @@ class FmtcpConfig(MultipathConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.symbols_per_block < 1:
-            raise ValueError("symbols_per_block must be >= 1")
-        if self.symbol_size < 1:
-            raise ValueError("symbol_size must be >= 1")
-        if self.symbol_header_bytes < 0:
-            raise ValueError(
-                f"symbol_header_bytes must be >= 0, got {self.symbol_header_bytes}"
-            )
-        if self.max_pending_blocks < 1:
-            raise ValueError(
-                f"max_pending_blocks must be >= 1, got {self.max_pending_blocks} "
-                "(with no pending block the transfer sends nothing)"
-            )
         # Each range is tested as `not (inside it)`, which NaN fails too.
         if (
             self.loss_estimate_half_life_s is not None
@@ -108,25 +136,6 @@ class FmtcpConfig(MultipathConfig):
             raise ValueError('systematic encoding requires coding="real"')
         if self.recv_window_blocks < 1:
             raise ValueError("recv_window_blocks must be >= 1")
-        if self.symbol_wire_size > self.mss:
-            raise ValueError(
-                f"one symbol ({self.symbol_wire_size}B on the wire) must fit "
-                f"in the MSS ({self.mss}B)"
-            )
-
-    @property
-    def block_bytes(self) -> int:
-        """Application bytes carried by one full block."""
-        return self.symbols_per_block * self.symbol_size
-
-    @property
-    def symbol_wire_size(self) -> int:
-        return self.symbol_size + self.symbol_header_bytes
-
-    @property
-    def symbols_per_packet(self) -> int:
-        """How many symbols Eq. (9)'s MSS constraint admits per packet."""
-        return max(1, self.mss // self.symbol_wire_size)
 
     @property
     def completeness_margin(self) -> float:

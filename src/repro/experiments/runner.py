@@ -124,7 +124,6 @@ def run_transfer(
             config=FixedRateConfig(
                 symbols_per_block=fmtcp_defaults.symbols_per_block,
                 symbol_size=fmtcp_defaults.symbol_size,
-                symbol_header_bytes=fmtcp_defaults.symbol_header_bytes,
                 mss=fmtcp_defaults.mss,
                 max_pending_blocks=fmtcp_defaults.max_pending_blocks,
             ),

@@ -19,24 +19,29 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.config import CodedConfig
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
-from repro.tcp.multipath import build_subflow
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
+from repro.tcp.multipath import MultipathConnection
+from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo
 
 
 @dataclass
-class FixedRateConfig:
-    """Tunables; geometry defaults match FMTCP's for fair comparison."""
+class FixedRateConfig(CodedConfig):
+    """Tunables; geometry defaults match FMTCP's for fair comparison.
 
-    symbols_per_block: int = 256
-    symbol_size: int = 32
-    symbol_header_bytes: int = 2
-    mss: int = 1400
+    The strawman runs plain Reno with no dead-path failover and no flow
+    control, so those four inherited fields are fixed, not keywords.
+    """
+
+    congestion: str = field(default="reno", init=False)
+    failover_rto_threshold: Optional[int] = field(default=None, init=False)
+    flow_control: bool = field(default=False, init=False)
+    recv_drain_rate_bps: Optional[float] = field(default=None, init=False)
     # p̂: the loss estimate baked into the code rate (Eq. 4's p1).
     estimated_loss: float = 0.05
     # "gbn": a loss retransmits the lost symbols AND re-sends everything
@@ -45,30 +50,15 @@ class FixedRateConfig:
     # lost symbols (the selective-repeat variant the paper notes is
     # "rarely used by practical systems").
     repair: str = "gbn"
-    max_pending_blocks: int = 16
-    initial_cwnd: float = 2.0
-    dup_ack_threshold: int = 3
-    min_rto: float = 0.2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.estimated_loss < 1.0:
-            raise ValueError("estimated_loss must be in [0, 1)")
-        if self.symbols_per_block < 1 or self.symbol_size < 1:
-            raise ValueError("block geometry must be positive")
+            raise ValueError(
+                f"estimated_loss must be in [0, 1), got {self.estimated_loss}"
+            )
         if self.repair not in ("gbn", "selective"):
             raise ValueError(f"unknown repair mode {self.repair!r}")
-
-    @property
-    def block_bytes(self) -> int:
-        return self.symbols_per_block * self.symbol_size
-
-    @property
-    def symbol_wire_size(self) -> int:
-        return self.symbol_size + self.symbol_header_bytes
-
-    @property
-    def symbols_per_packet(self) -> int:
-        return max(1, self.mss // self.symbol_wire_size)
 
     @property
     def code_symbols(self) -> int:
@@ -79,10 +69,7 @@ class FixedRateConfig:
 class _FixedBlock:
     """Sender-side state of one fixed-rate block."""
 
-    __slots__ = (
-        "block_id", "k", "n", "data_bytes", "unsent", "owner_of",
-        "first_tx_at", "decoded",
-    )
+    __slots__ = ("block_id", "k", "n", "data_bytes", "unsent", "first_tx_at")
 
     def __init__(self, block_id: int, k: int, n: int, data_bytes: int):
         self.block_id = block_id
@@ -90,9 +77,7 @@ class _FixedBlock:
         self.n = n
         self.data_bytes = data_bytes
         self.unsent: Deque[int] = deque(range(n))  # symbol ids never sent
-        self.owner_of: Dict[int, int] = {}  # symbol id -> subflow that carries it
         self.first_tx_at: Optional[float] = None
-        self.decoded = False
 
 
 class _FixedGroup:
@@ -109,16 +94,17 @@ class _FixedGroup:
 
 
 class _FixedFeedback:
-    __slots__ = ("received_counts", "decoded_in_order", "decoded_out_of_order")
+    __slots__ = ("decoded_in_order", "decoded_out_of_order")
 
-    def __init__(self, received_counts, decoded_in_order, decoded_out_of_order):
-        self.received_counts = received_counts
+    def __init__(self, decoded_in_order, decoded_out_of_order):
         self.decoded_in_order = decoded_in_order
         self.decoded_out_of_order = decoded_out_of_order
 
 
-class FixedRateConnection(SubflowOwner):
+class FixedRateConnection(MultipathConnection, SubflowOwner):
     """Sender + receiver pair of the fixed-rate FEC transport."""
+
+    _removed_field = "abandoned"
 
     def __init__(
         self,
@@ -129,41 +115,26 @@ class FixedRateConnection(SubflowOwner):
         trace: Optional[TraceBus] = None,
         sink: Optional[Callable[[int], None]] = None,
     ):
-        if not paths:
-            raise ValueError("need at least one path")
-        self.sim = sim
-        self.config = config or FixedRateConfig()
         self.source = source
-        self.trace = trace
         self.sink = sink
-
-        self.subflows: List[Subflow] = []
-        self._sinks: List[SubflowSink] = []
-        for index, path in enumerate(paths):
-            subflow, sink = build_subflow(
-                sim,
-                path,
-                self,
-                index,
-                self.config,
-                self._receiver_on_segment,
-                self._receiver_feedback,
-                trace=trace,
-            )
-            self.subflows.append(subflow)
-            self._sinks.append(sink)
+        self._retx_queues: Dict[int, Deque[Tuple[int, int]]] = {}
+        super().__init__(
+            sim,
+            paths,
+            config or FixedRateConfig(),
+            trace,
+            owner=self,
+            on_segment=self._receiver_on_segment,
+            feedback_provider=self._receiver_feedback,
+        )
 
         # ---- sender state ----
-        self._pending: List[_FixedBlock] = []
+        # Block id -> block; insertion order is block order.
+        self._pending: Dict[int, _FixedBlock] = {}
         self._next_block_id = 0
-        self._retx_queues: Dict[int, Deque[Tuple[int, int]]] = {
-            subflow.subflow_id: deque() for subflow in self.subflows
-        }
         self._decoded_frontier_seen = 0
-        self._decoded_out_of_order_seen: Set[int] = set()
         self.symbols_sent = 0
         self.symbols_retransmitted = 0
-        self.retransmission_rounds = 0
         self.gbn_duplicates = 0
 
         # ---- receiver state ----
@@ -175,21 +146,25 @@ class FixedRateConnection(SubflowOwner):
         self.delivered_bytes = 0
         self.blocks_decoded = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
     def start(self) -> None:
         self.pump()
 
-    def pump(self) -> None:
-        for subflow in self.subflows:
-            subflow.pump()
+    # ------------------------------------------------------------------
+    # Skeleton hooks: what the strawman does when the subflow set changes.
+    # ------------------------------------------------------------------
+    def _subflow_attached(self, subflow: Subflow) -> None:
+        self._retx_queues[subflow.subflow_id] = deque()
 
-    def close(self) -> None:
-        for subflow in self.subflows:
-            subflow.close()
-        for sink in self._sinks:
-            sink.close()
+    def _settle_removed(self, subflow: Subflow, infos: List[SubflowPacketInfo]) -> int:
+        """Write the removed subflow's in-flight symbols off, and its queued
+        repairs with them: the strawman binds each repair to the path that
+        first carried it, so no survivor takes them over. Returns the
+        packets written off."""
+        del self._retx_queues[subflow.subflow_id]
+        return len(infos)
+
+    def _flow_counters(self) -> Tuple[Any, Any, int, int, int]:
+        return None, None, 0, 0, 0
 
     # ------------------------------------------------------------------
     # Sender side.
@@ -205,16 +180,10 @@ class FixedRateConnection(SubflowOwner):
                 self.config.symbols_per_block,
             ))
             n = int(math.ceil(k / (1.0 - self.config.estimated_loss)))
-            self._pending.append(
-                _FixedBlock(self._next_block_id, k, n, data_bytes)
+            self._pending[self._next_block_id] = _FixedBlock(
+                self._next_block_id, k, n, data_bytes
             )
             self._next_block_id += 1
-
-    def _block_by_id(self, block_id: int) -> Optional[_FixedBlock]:
-        for block in self._pending:
-            if block.block_id == block_id:
-                return block
-        return None
 
     def next_payload(self, subflow: Subflow) -> Optional[Tuple[Any, int]]:
         budget = self.config.symbols_per_packet
@@ -224,8 +193,7 @@ class FixedRateConnection(SubflowOwner):
         # Retransmissions first (same-subflow binding).
         while retx_queue and taken < budget:
             block_id, symbol_id = retx_queue.popleft()
-            block = self._block_by_id(block_id)
-            if block is None:
+            if block_id not in self._pending:
                 continue  # decoded meanwhile
             groups.setdefault(block_id, []).append(symbol_id)
             self.symbols_retransmitted += 1
@@ -233,10 +201,9 @@ class FixedRateConnection(SubflowOwner):
         # Then fresh symbols from the earliest blocks with unsent budget.
         if taken < budget:
             self._replenish()
-            for block in self._pending:
+            for block in self._pending.values():
                 while block.unsent and taken < budget:
                     symbol_id = block.unsent.popleft()
-                    block.owner_of[symbol_id] = subflow.subflow_id
                     groups.setdefault(block.block_id, []).append(symbol_id)
                     taken += 1
                 if taken >= budget:
@@ -245,9 +212,7 @@ class FixedRateConnection(SubflowOwner):
             return None
         wire_groups = []
         for block_id, symbol_ids in groups.items():
-            block = self._block_by_id(block_id)
-            if block is None:
-                continue
+            block = self._pending[block_id]
             if block.first_tx_at is None:
                 block.first_tx_at = self.sim.now
             wire_groups.append(
@@ -258,9 +223,8 @@ class FixedRateConnection(SubflowOwner):
 
     def on_payload_lost(self, subflow: Subflow, info: SubflowPacketInfo, reason: str) -> None:
         queue = self._retx_queues[subflow.subflow_id]
-        self.retransmission_rounds += 1
         for group in info.payload:
-            if self._block_by_id(group.block_id) is None:
+            if group.block_id not in self._pending:
                 continue
             for symbol_id in group.symbol_ids:
                 queue.append((group.block_id, symbol_id))
@@ -274,7 +238,7 @@ class FixedRateConnection(SubflowOwner):
             if seq <= info.seq:
                 continue
             for group in payload:
-                if self._block_by_id(group.block_id) is None:
+                if group.block_id not in self._pending:
                     continue
                 for symbol_id in group.symbol_ids:
                     queue.append((group.block_id, symbol_id))
@@ -285,22 +249,13 @@ class FixedRateConnection(SubflowOwner):
             self._confirm_decoded(self._decoded_frontier_seen)
             self._decoded_frontier_seen += 1
         for block_id in feedback.decoded_out_of_order:
-            if block_id not in self._decoded_out_of_order_seen:
-                self._decoded_out_of_order_seen.add(block_id)
-                self._confirm_decoded(block_id)
-        self._decoded_out_of_order_seen = {
-            block_id
-            for block_id in self._decoded_out_of_order_seen
-            if block_id >= self._decoded_frontier_seen
-        }
+            self._confirm_decoded(block_id)
         self.pump()
 
     def _confirm_decoded(self, block_id: int) -> None:
-        block = self._block_by_id(block_id)
+        block = self._pending.pop(block_id, None)
         if block is None:
             return
-        block.decoded = True
-        self._pending.remove(block)
         # Drop now-useless queued retransmissions of this block.
         for queue in self._retx_queues.values():
             remaining = [(b, s) for b, s in queue if b != block_id]
@@ -361,9 +316,6 @@ class FixedRateConnection(SubflowOwner):
 
     def _receiver_feedback(self, subflow_id: int, segment) -> _FixedFeedback:
         return _FixedFeedback(
-            received_counts={
-                block_id: len(ids) for block_id, ids in self._received_ids.items()
-            },
             decoded_in_order=self._decode_frontier,
             decoded_out_of_order=tuple(
                 block_id

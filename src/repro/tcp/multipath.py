@@ -1,20 +1,22 @@
 """What does not differ between the multipath transports.
 
-FMTCP and the IETF-MPTCP baseline run over the same TCP subflows and
-differ in exactly one thing — what a transmission opportunity carries and
-how a loss is repaired. Everything else lives here, once:
+FMTCP, the IETF-MPTCP baseline and the fixed-rate FEC strawman run over
+the same TCP subflows and differ in exactly one thing — what a
+transmission opportunity carries and how a loss is repaired. Everything
+else lives here, once:
 
 * :class:`MultipathConfig` — the subflow, failover and flow-control fields
-  both ``FmtcpConfig`` and ``MptcpConfig`` expose, with their validation.
-* :func:`build_subflow` — the only place a :class:`Subflow` and its
-  :class:`SubflowSink` are constructed; every transport calls it.
+  every transport's config exposes, with their validation.
 * :class:`MultipathConnection` — subflow lifecycle (build, join, remove,
   close), the LIA group and the link-level / flow-control stats surface.
+  Its ``_attach`` is the only place a :class:`Subflow` and its
+  :class:`SubflowSink` are constructed.
 
 The skeleton builds subflows; it does not sit between them and the
 protocol. A subflow's ``owner`` and a sink's callbacks are the protocol's
-own objects (``FmtcpSender`` / the ``MptcpConnection`` itself, and the
-receiver's bound methods), so no packet takes a hop through this module.
+own objects (``FmtcpSender`` / the ``MptcpConnection`` or
+``FixedRateConnection`` itself, and the receiver's bound methods), so no
+packet takes a hop through this module.
 """
 
 from __future__ import annotations
@@ -25,19 +27,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import (
-    CongestionController,
-    LiaGroup,
-    RenoController,
-    make_controller,
-)
+from repro.tcp.congestion import LiaGroup, make_controller
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
 
 
 @dataclass
 class MultipathConfig:
-    """Tunables FMTCP and MPTCP share (each adds its own beside them)."""
+    """Tunables every transport shares (each adds its own beside them)."""
 
     # Subflow machinery.
     mss: int = 1400
@@ -88,50 +85,6 @@ class MultipathConfig:
             )
         if self.recv_drain_rate_bps is not None and self.recv_drain_rate_bps < 0:
             raise ValueError("recv_drain_rate_bps must be >= 0 or None")
-
-
-def build_subflow(
-    sim: Simulator,
-    path: Path,
-    owner: SubflowOwner,
-    subflow_id: int,
-    config: Any,
-    on_segment: Callable,
-    feedback_provider: Callable,
-    trace: Optional[TraceBus] = None,
-    congestion: Optional[CongestionController] = None,
-    failed_rto_threshold: Optional[int] = None,
-    join_delay_s: Optional[float] = None,
-) -> Tuple[Subflow, SubflowSink]:
-    """One subflow over ``path`` and the sink that ACKs it.
-
-    ``config`` supplies ``mss``, ``initial_cwnd``, ``dup_ack_threshold``
-    and ``min_rto`` (every transport's config has them). The defaults —
-    what the fixed-rate baseline takes — are plain Reno, no dead-path
-    detection, born ACTIVE.
-    """
-    subflow = Subflow(
-        sim=sim,
-        path=path,
-        owner=owner,
-        subflow_id=subflow_id,
-        congestion=congestion or RenoController(initial_cwnd=config.initial_cwnd),
-        rto=RtoEstimator(min_rto=config.min_rto),
-        mss=config.mss,
-        dup_ack_threshold=config.dup_ack_threshold,
-        trace=trace,
-        failed_rto_threshold=failed_rto_threshold,
-        join_delay_s=join_delay_s,
-    )
-    sink = SubflowSink(
-        sim=sim,
-        path=path,
-        subflow=subflow,
-        on_segment=on_segment,
-        feedback_provider=feedback_provider,
-        trace=trace,
-    )
-    return subflow, sink
 
 
 class MultipathConnection:
@@ -187,18 +140,26 @@ class MultipathConnection:
             rtt_provider=lambda: subflow.srtt,  # late-bound: assigned below
             initial_cwnd=config.initial_cwnd,
         )
-        subflow, sink = build_subflow(
-            self.sim,
-            path,
-            self._owner,
-            subflow_id,
-            config,
-            self._on_segment,
-            self._feedback_provider,
-            trace=self.trace,
+        subflow = Subflow(
+            sim=self.sim,
+            path=path,
+            owner=self._owner,
+            subflow_id=subflow_id,
             congestion=controller,
+            rto=RtoEstimator(min_rto=config.min_rto),
+            mss=config.mss,
+            dup_ack_threshold=config.dup_ack_threshold,
+            trace=self.trace,
             failed_rto_threshold=config.failover_rto_threshold,
             join_delay_s=join_delay_s,
+        )
+        sink = SubflowSink(
+            sim=self.sim,
+            path=path,
+            subflow=subflow,
+            on_segment=self._on_segment,
+            feedback_provider=self._feedback_provider,
+            trace=self.trace,
         )
         self.subflows.append(subflow)
         self._subflow_by_id[subflow_id] = subflow

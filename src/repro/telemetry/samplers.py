@@ -179,9 +179,7 @@ class ConnectionSampler(PeriodicSampler):
         reorder = getattr(connection, "reorder_buffer", None)
         if reorder is not None:
             fields["reorder_occupancy"] = reorder.occupancy
-        corruption = getattr(connection, "corruption_stats", None)
-        if corruption is not None:
-            fields.update(corruption())
+        fields.update(connection.corruption_stats())
         memory = getattr(connection, "memory_stats", None)
         if memory is not None:
             fields.update(

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from repro.core.blocks import BlockManager, PendingBlock
-from repro.core.config import FmtcpConfig
+from repro.core.config import SYMBOL_HEADER_BYTES, FmtcpConfig
+from repro.fixedrate import FixedRateConfig
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
 from repro.robustness.watchdog import WatchdogConfig
@@ -60,7 +61,6 @@ def test_statistical_coding_rejects_blocks_past_the_rank_model_limit():
         ("loss_estimate_half_life_s", [0.0, -1.0, math.nan]),
         # Was a transfer that silently sent nothing.
         ("max_pending_blocks", [0, -3]),
-        ("symbol_header_bytes", [-1]),
     ],
 )
 def test_config_rejects_the_inputs_an_allocation_round_keys_on(field, bad_values):
@@ -70,23 +70,69 @@ def test_config_rejects_the_inputs_an_allocation_round_keys_on(field, bad_values
 
 
 def test_config_accepts_the_boundary_values_of_those_inputs():
-    config = FmtcpConfig(
-        loss_estimate_half_life_s=1e-3,
-        max_pending_blocks=1,
-        symbol_header_bytes=0,
-    )
-    assert config.symbol_wire_size == config.symbol_size
+    config = FmtcpConfig(loss_estimate_half_life_s=1e-3, max_pending_blocks=1)
+    assert config.symbol_wire_size == config.symbol_size + SYMBOL_HEADER_BYTES
     assert FmtcpConfig(loss_estimate_half_life_s=None)
 
 
 # ----------------------------------------------------------------------
-# The fields both protocols' configs take from one base
-# (repro.tcp.multipath.MultipathConfig): validated once, for both.
+# The block geometry both coded transports take from one base
+# (repro.core.config.CodedConfig).
+# ----------------------------------------------------------------------
+CODED_CONFIGS = pytest.mark.parametrize("config_class", [FmtcpConfig, FixedRateConfig])
+
+
+@CODED_CONFIGS
+@pytest.mark.parametrize(
+    "field, bad_values",
+    [
+        ("symbols_per_block", [0, -1]),
+        ("symbol_size", [0, -32]),
+        ("max_pending_blocks", [0, -3]),
+        # One 34-byte symbol does not fit: FixedRateConfig(mss=10) used to
+        # die at start() inside Subflow._transmit.
+        ("mss", [10, 33]),
+    ],
+)
+def test_block_geometry_is_rejected_with_field_and_value(config_class, field, bad_values):
+    for value in bad_values:
+        with pytest.raises(ValueError, match=field) as raised:
+            config_class(**{field: value})
+        assert str(value) in str(raised.value)
+
+
+@CODED_CONFIGS
+def test_block_geometry_accepts_its_boundary_values(config_class):
+    config = config_class(
+        mss=SYMBOL_HEADER_BYTES + 1, symbols_per_block=1, symbol_size=1,
+        max_pending_blocks=1,
+    )
+    assert config.symbols_per_packet == 1 and config.block_bytes == 1
+
+
+# ----------------------------------------------------------------------
+# The fields every transport's config takes from one base
+# (repro.tcp.multipath.MultipathConfig): validated once, for all.
 # ----------------------------------------------------------------------
 BOTH_CONFIGS = pytest.mark.parametrize("config_class", [FmtcpConfig, MptcpConfig])
+ALL_CONFIGS = pytest.mark.parametrize(
+    "config_class", [FmtcpConfig, MptcpConfig, FixedRateConfig]
+)
+#: The multipath policy FixedRateConfig fixes with ``init=False``: plain
+#: Reno, no failover, no flow control (the strawman serves none of it).
+FIXEDRATE_PINNED = {
+    "congestion": "reno", "failover_rto_threshold": None,
+    "flow_control": False, "recv_drain_rate_bps": None,
+}
 
 
-@BOTH_CONFIGS
+def pinned_fields(config_class) -> dict:
+    return {
+        f.name: f.default for f in dataclasses.fields(config_class) if not f.init
+    }
+
+
+@ALL_CONFIGS
 @pytest.mark.parametrize(
     "field, bad_values",
     [
@@ -102,6 +148,11 @@ BOTH_CONFIGS = pytest.mark.parametrize("config_class", [FmtcpConfig, MptcpConfig
     ],
 )
 def test_shared_fields_are_rejected_with_field_and_value(config_class, field, bad_values):
+    if field in pinned_fields(config_class):
+        # Not a keyword at all (test_fixedrate_config_pins_the_multipath_policy).
+        with pytest.raises(TypeError, match=field):
+            config_class(**{field: bad_values[0]})
+        return
     for value in bad_values:
         with pytest.raises(ValueError, match=field) as raised:
             config_class(**{field: value})
@@ -122,6 +173,19 @@ def test_shared_fields_accept_their_boundary_values(config_class):
         congestion="lia", failover_rto_threshold=None, recv_drain_rate_bps=0.0,
     )
     assert config.congestion == "lia" and config.mss == 34
+
+
+def test_fixedrate_config_pins_the_multipath_policy():
+    """The strawman runs plain Reno with no failover and no flow control;
+    the config states that instead of accepting values it ignores."""
+    assert pinned_fields(FixedRateConfig) == FIXEDRATE_PINNED
+    assert all(not pinned_fields(c) for c in (FmtcpConfig, MptcpConfig))
+    for field, value in [
+        ("congestion", "lia"), ("failover_rto_threshold", 3),
+        ("flow_control", True), ("recv_drain_rate_bps", 0.0),
+    ]:
+        with pytest.raises(TypeError, match=field):
+            FixedRateConfig(**{field: value})
 
 
 def test_mptcp_block_bytes_is_rejected_at_the_boundary():
@@ -154,8 +218,7 @@ SHARED_DEFAULTS = {
         (
             FmtcpConfig,
             {
-                "symbols_per_block": 256, "symbol_size": 32,
-                "symbol_header_bytes": 2, "delta_hat": 1e-3,
+                "symbols_per_block": 256, "symbol_size": 32, "delta_hat": 1e-3,
                 "max_pending_blocks": 16, "coding": "statistical",
                 "systematic": False, "allocation": "eat",
                 "loss_estimate_half_life_s": None, "recv_window_blocks": 32,
@@ -184,18 +247,28 @@ SHARED_DEFAULTS = {
                 "spans": False,
             },
         ),
+        (
+            FixedRateConfig,
+            {
+                "symbols_per_block": 256, "symbol_size": 32,
+                "max_pending_blocks": 16, "estimated_loss": 0.05,
+                "repair": "gbn", **FIXEDRATE_PINNED,
+            },
+        ),
     ],
 )
 def test_config_surface_is_the_pre_skeleton_one(config_class, own_defaults):
-    """Every settable value, by name and default: the pre-skeleton surface
-    minus the nineteen fields the PR 18 traffic census found nothing set
-    (ROADMAP item 6). A knob added back — or a new one — fails here and in
-    ``test_repo_consistency.py::test_every_config_field_has_traffic``."""
+    """Every field, by name and default: the pre-skeleton surface minus
+    the nineteen fields the traffic census found nothing set (ROADMAP
+    item 6) and ``symbol_header_bytes``, now a constant. A knob
+    added back — or a new one — fails here and in
+    ``test_repo_consistency.py::test_every_config_field_has_traffic``.
+    FixedRateConfig's pinned fields are fields but not keywords."""
     shared = SHARED_DEFAULTS if issubclass(config_class, MultipathConfig) else {}
     fields = {f.name: f.default for f in dataclasses.fields(config_class)}
     assert fields == {**shared, **own_defaults}
     assert len(fields) == {
-        FmtcpConfig: 18, MptcpConfig: 13, PathConfig: 5,
+        FmtcpConfig: 17, MptcpConfig: 13, FixedRateConfig: 13, PathConfig: 5,
         WatchdogConfig: 1, TelemetryConfig: 4,
     }[config_class]
 

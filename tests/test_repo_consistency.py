@@ -153,22 +153,19 @@ UNSET_FIELDS_KEPT = {
         "same way; needs a benchmark-only PR first"
     ),
     "dup_ack_threshold": (
-        "pass-through to Subflow, which has callers of its own; left for "
-        "the next census"
+        "shared MultipathConfig field MultipathConnection._attach passes to "
+        "Subflow, which has callers of its own; left for the next census"
     ),
     # Reported once the census counted constructions instead of keyword
     # names: each had only a same-named keyword on some other callee.
-    "symbol_header_bytes": (
-        "no FmtcpConfig sets it; experiments/runner.py copies its default "
-        "into FixedRateConfig; left for the next census"
-    ),
     "initial_cwnd": (
-        "shared MultipathConfig field read by make_subflow; the same-named "
-        "keywords go to RenoController / LiaController; left for the next census"
+        "shared MultipathConfig field read by MultipathConnection._attach; "
+        "the same-named keywords go to RenoController / LiaController; left "
+        "for the next census"
     ),
     "min_rto": (
-        "shared MultipathConfig field read by make_subflow; the same-named "
-        "keyword goes to RtoEstimator; left for the next census"
+        "shared MultipathConfig field read by MultipathConnection._attach; "
+        "the same-named keyword goes to RtoEstimator; left for the next census"
     ),
     "queue_capacity": (
         "PathConfig's queue size; the same-named keywords go to "

@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
 from repro.faults import PathChurnController
+from repro.fixedrate import FixedRateConnection
 from repro.mptcp.connection import MptcpConfig, MptcpConnection
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
@@ -67,6 +68,11 @@ def build_connection(protocol, paths, network, trace, total_bytes=400_000,
             config=fmtcp_config or FmtcpConfig(), trace=trace,
             rng=RngStreams(seed),
             sink=lambda block_id, data: delivered.append(block_id),
+        )
+    elif protocol == "fixedrate":
+        connection = FixedRateConnection(
+            network.sim, paths, BulkSource(total_bytes=total_bytes), trace=trace,
+            sink=delivered.append,
         )
     else:
         connection = MptcpConnection(
@@ -205,7 +211,7 @@ def test_fmtcp_remove_subflow_writes_off_symbols_and_completes():
     assert removed and removed[0]["abandoned"] == abandoned
 
 
-@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp", "fixedrate"])
 def test_remove_unknown_subflow_raises(protocol):
     network, paths = build_network()
     connection, __ = build_connection(protocol, paths, network, TraceBus())
@@ -214,7 +220,7 @@ def test_remove_unknown_subflow_raises(protocol):
     connection.close()
 
 
-@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp", "fixedrate"])
 def test_subflow_ids_are_never_reused(protocol):
     network, paths = build_network()
     connection, __ = build_connection(protocol, paths, network, TraceBus())
@@ -367,6 +373,8 @@ def test_removing_hol_blocking_subflow_unblocks_recv_buffer():
 # (repro.tcp.multipath): what a shared implementation must keep apart.
 # ----------------------------------------------------------------------
 def lia_connection(protocol):
+    """Both subflow-coupled transports with LIA; fixed-rate's config pins
+    plain Reno, so it gets no group."""
     network, paths = build_network()
     connection, __ = build_connection(
         protocol, paths, network, TraceBus(),
@@ -380,8 +388,19 @@ def lia_members(connection):
     return connection._lia_group._members
 
 
+def skeleton_state(connection):
+    """The skeleton's registries, and the LIA group's members and alpha."""
+    group = connection._lia_group
+    return (
+        [s.subflow_id for s in connection.subflows],
+        sorted(connection._subflow_by_id),
+        sorted(connection._sinks),
+        None if group is None else (list(group._members), group.alpha()),
+    )
+
+
 @pytest.mark.parametrize("bad_delay", [-1.0, float("nan")])
-@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
+@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp", "fixedrate"])
 def test_rejected_add_subflow_leaks_no_state(protocol, bad_delay):
     """A bad join delay used to raise from inside Subflow.__init__, after
     the id counter advanced and the new controller joined the LIA group:
@@ -390,13 +409,10 @@ def test_rejected_add_subflow_leaks_no_state(protocol, bad_delay):
     network, paths, connection = lia_connection(protocol)
     connection.start()
     network.sim.run(until=0.5)
-    group = connection._lia_group
-    before = (len(connection.subflows), list(lia_members(connection)), group.alpha())
+    before = skeleton_state(connection)
     with pytest.raises(ValueError, match="join_delay_s"):
         connection.add_subflow(paths[1], join_delay_s=bad_delay)
-    assert (
-        len(connection.subflows), list(lia_members(connection)), group.alpha()
-    ) == before
+    assert skeleton_state(connection) == before
     # The next valid join gets the id the rejected one would have had.
     assert connection.add_subflow(paths[1], join_delay_s=0.0).subflow_id == 2
     connection.close()
@@ -413,11 +429,12 @@ def test_lia_group_tracks_exactly_the_live_subflows(protocol):
 
 
 @pytest.mark.parametrize(
-    "protocol, field", [("fmtcp", "abandoned"), ("mptcp", "reinjected")]
+    "protocol, field",
+    [("fmtcp", "abandoned"), ("mptcp", "reinjected"), ("fixedrate", "abandoned")],
 )
 def test_subflow_removed_record_keeps_each_protocols_field(protocol, field):
-    """FMTCP *abandons* symbols, MPTCP *reinjects* chunks: one shared
-    remove_subflow must not unify the two words."""
+    """FMTCP and fixed-rate *abandon* symbols, MPTCP *reinjects* chunks:
+    one shared remove_subflow must not unify the two words."""
     trace = TraceBus()
     removed = []
     trace.subscribe("conn.subflow_removed", removed.append)
@@ -462,11 +479,12 @@ def test_close_after_sever_receiver_is_idempotent_and_leaves_no_timer(protocol):
 def test_single_path_builders_keep_plain_reno_and_no_failover():
     """Conventional TCP is the baseline over one path with failover off —
     a configuration of the skeleton, so a path added to it is simply
-    MPTCP. FixedRateConnection takes the shared subflow builder but none
-    of the multipath policy."""
-    from repro.fixedrate.connection import FixedRateConnection
+    MPTCP. FixedRateConnection is the skeleton with plain Reno and no
+    failover pinned, and removing a subflow writes its repairs off: the
+    strawman binds each repair to the path that first carried it."""
     from repro.mptcp.connection import MptcpConnection, conventional_tcp
     from repro.tcp.congestion import RenoController
+    from repro.tcp.subflow import SubflowPacketInfo
 
     network, paths = build_network()
     tcp = conventional_tcp(network.sim, paths[0], BulkSource(total_bytes=10_000))
@@ -478,4 +496,19 @@ def test_single_path_builders_keep_plain_reno_and_no_failover():
         assert subflow.failed_rto_threshold is None
         assert subflow.state == "active" and subflow.owner in (tcp, fixed)
     assert [s.subflow_id for s in fixed.subflows] == [0, 1]
-    assert not hasattr(fixed, "add_subflow")
+
+    fixed.start()
+    doomed = fixed.subflows[1]
+    (seq, payload), *__ = doomed.outstanding_payloads()
+    # Its first packet declared lost: every symbol it carried (and, by
+    # Go-Back-N, everything behind it) queues for repair on subflow 1.
+    fixed.on_payload_lost(doomed, SubflowPacketInfo(seq, payload, 0, 0.0), "timeout")
+    assert fixed._retx_queues[1] and not fixed._retx_queues[0]
+    assert fixed.remove_subflow(1) > 0
+    assert set(fixed._retx_queues) == {0}
+    network.sim.run(until=2.0)
+    # The survivor carried only its own repairs, and on a lossless path
+    # it owed none.
+    assert fixed.symbols_retransmitted == 0
+    tcp.close()
+    fixed.close()
