@@ -15,23 +15,20 @@ benchmark stages the same argument between running transports:
 from __future__ import annotations
 
 from benchmarks.conftest import bench_duration
-from repro.experiments.runner import run_transfer
-from repro.fixedrate import FixedRateConfig, FixedRateConnection
+from repro.experiments.runner import build_connection, build_topology, run_transfer
+from repro.fixedrate import FixedRateConfig
 from repro.metrics.collectors import MetricsSuite
 from repro.net.loss import ScheduledLoss
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
+from repro.net.topology import PathConfig
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 from repro.workloads.sources import BulkSource
 
 
 def run_fixed_rate(configs, duration, config, seed=1):
-    trace = TraceBus()
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
+    trace, network, paths = build_topology(configs, seed)
     metrics = MetricsSuite(trace, bin_width_s=1.0)
-    connection = FixedRateConnection(
-        network.sim, paths, BulkSource(), config=config, trace=trace
+    connection = build_connection(
+        "fixedrate", network.sim, paths, BulkSource(), seed, trace, config=config
     )
     connection.start()
     network.sim.run(until=duration)

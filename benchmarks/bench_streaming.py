@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import bench_duration
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.experiments.runner import default_mptcp_config
-from repro.fixedrate.connection import FixedRateConfig, FixedRateConnection
+from repro.experiments.runner import build_connection, build_topology, default_mptcp_config
 from repro.metrics.latency import AppLatencyCollector
-from repro.mptcp.connection import MptcpConnection, conventional_tcp
-from repro.net.topology import build_two_path_network
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 from repro.workloads.video import VbrVideoSource
 
@@ -27,30 +21,18 @@ VIDEO_RATE_BPS = 2.0e6
 
 
 def stream_over(protocol, duration, seed=9):
-    trace = TraceBus()
-    network, paths = build_two_path_network(
-        table1_path_configs(TABLE1_CASES[3]), rng=RngStreams(seed), trace=trace
-    )
+    trace, network, paths = build_topology(table1_path_configs(TABLE1_CASES[3]), seed)
     source = VbrVideoSource(
         network.sim, mean_rate_bps=VIDEO_RATE_BPS, fps=25.0, seed=seed
     )
     collector = AppLatencyCollector(trace, source)
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            network.sim, paths, source, config=FmtcpConfig(), trace=trace,
-            rng=RngStreams(seed),
-        )
-    elif protocol == "mptcp":
-        connection = MptcpConnection(
-            network.sim, paths, source,
-            config=default_mptcp_config(FmtcpConfig()), trace=trace,
-        )
-    elif protocol == "fixedrate":
-        connection = FixedRateConnection(
-            network.sim, paths, source, config=FixedRateConfig(), trace=trace
-        )
-    else:
-        connection = conventional_tcp(network.sim, paths[0], source, trace=trace)
+    # Every transport on its own default config, except MPTCP matched to
+    # FMTCP's blocks; TCP rides path 0.
+    config = default_mptcp_config(FmtcpConfig()) if protocol == "mptcp" else None
+    connection = build_connection(
+        protocol, network.sim, paths[:1] if protocol == "tcp" else paths,
+        source, seed, trace, config=config,
+    )
     source.attach(connection)
     connection.start()
     network.sim.run(until=duration)

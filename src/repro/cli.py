@@ -22,9 +22,11 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro import soak
 from repro.experiments import catalog
 from repro.experiments.replication import run_replicated
 from repro.experiments.reporting import write_csv
+from repro.experiments.runner import PROTOCOLS
 from repro.workloads.scenarios import (
     DEFAULT_BANDWIDTH_BPS,
     TABLE1_CASES,
@@ -338,7 +340,6 @@ def _print_fault_scenarios(groups: Dict[str, _FaultGroup]) -> None:
 
 def cmd_faults(args: argparse.Namespace) -> Optional[int]:
     from repro.faults import resolve_scenario
-    from repro.soak import run_soak
 
     groups = _fault_groups()
     if args.scenario == "list":
@@ -360,7 +361,7 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
     if refused:
         print(f"error: {refused}", file=sys.stderr)
         return 2
-    protocols = ("fmtcp", "mptcp") if args.protocol == "both" else (args.protocol,)
+    protocols = soak.PROTOCOLS if args.protocol == "both" else (args.protocol,)
     if group.own_length:
         duration = scenario.duration_s
         print(
@@ -379,7 +380,7 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
             f"{duration:.0f}s run, seed {args.seed}"
         )
     for protocol in protocols:
-        report = run_soak(
+        report = soak.run_soak(
             group.harness, protocol, scenario, seed=args.seed, duration_s=duration,
             flight_dump_dir=args.flight_dir,
         )
@@ -666,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="preset name, random:SEED, trace:FILE.csv, or 'list'",
     )
     faults.add_argument(
-        "--protocol", choices=("fmtcp", "mptcp", "both"), default="both"
+        "--protocol", choices=(*soak.PROTOCOLS, "both"), default="both"
     )
     faults.add_argument(
         "--bench", action="store_true", help="also measure retention/recovery"
@@ -686,11 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run one Table I transfer with telemetry -> JSONL"
     )
     record.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
-    record.add_argument(
-        "--protocol",
-        choices=("fmtcp", "mptcp", "tcp", "fixedrate"),
-        default="fmtcp",
-    )
+    record.add_argument("--protocol", choices=PROTOCOLS, default="fmtcp")
     record.add_argument("--output", type=str, default="trace.jsonl")
     record.add_argument(
         "--sample-period",

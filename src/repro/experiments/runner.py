@@ -2,8 +2,12 @@
 
 This is the equivalent of one ns-2 run of the paper: assemble the
 two-path network, attach a backlogged (or caller-supplied) source to
-either FMTCP or the IETF-MPTCP baseline, simulate for a fixed duration,
-and return the three paper metrics plus protocol-internal statistics.
+one of the :data:`PROTOCOLS`, simulate for a fixed duration, and return
+the three paper metrics plus protocol-internal statistics.
+
+:func:`build_topology` and :func:`build_connection` are the one way a
+transfer's network and transport are built: :func:`run_transfer`, the
+soak kernel, its ``measure_*`` probes and the benchmarks all call them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from repro.fixedrate.connection import FixedRateConfig, FixedRateConnection
 from repro.metrics.collectors import MetricsSuite
 from repro.mptcp.connection import MptcpConfig, MptcpConnection, conventional_tcp
 from repro.net.topology import PathConfig, build_two_path_network
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
 from repro.telemetry.session import TelemetryConfig, TelemetryReport, TelemetrySession
@@ -55,10 +58,6 @@ class ExperimentResult:
         return self.summary["jitter_ms"]
 
 
-def default_fmtcp_config() -> FmtcpConfig:
-    return FmtcpConfig()
-
-
 def default_mptcp_config(fmtcp: FmtcpConfig) -> MptcpConfig:
     """Baseline config matched to FMTCP's for a fair comparison.
 
@@ -73,6 +72,56 @@ def default_mptcp_config(fmtcp: FmtcpConfig) -> MptcpConfig:
         block_bytes=fmtcp.block_bytes,
         recv_buffer_chunks=max(16, buffer_bytes // fmtcp.mss),
     )
+
+
+def build_topology(path_configs: Sequence[PathConfig], seed: int):
+    """``(trace, network, paths)`` for one seeded run."""
+    trace = TraceBus()
+    network, paths = build_two_path_network(
+        list(path_configs), rng=RngStreams(seed), trace=trace
+    )
+    return trace, network, paths
+
+
+def build_connection(
+    protocol,
+    sim,
+    paths,
+    source,
+    seed,
+    trace,
+    config=None,
+    sink=None,
+    epoch=0,
+    resume=None,
+):
+    """The one place a transfer's connection is built, for any of
+    :data:`PROTOCOLS`; ``config=None`` is the protocol's own default.
+
+    ``"tcp"`` is conventional TCP over exactly one path. ``epoch`` /
+    ``resume`` are the recovery harness's: epoch 0 draws the seed's own
+    RNG streams, later epochs disjoint ones.
+    """
+    if protocol == "fmtcp":
+        return FmtcpConnection(
+            sim, paths, source, config=config, trace=trace,
+            rng=RngStreams(seed).for_epoch(epoch), sink=sink, resume=resume,
+        )
+    if protocol == "mptcp":
+        return MptcpConnection(
+            sim, paths, source, config=config, trace=trace, sink=sink, resume=resume
+        )
+    if protocol == "fixedrate":
+        return FixedRateConnection(
+            sim, paths, source, config=config, trace=trace, sink=sink
+        )
+    if protocol == "tcp":
+        if len(paths) != 1:
+            raise ValueError(f"tcp runs over exactly one path, got {len(paths)}")
+        return conventional_tcp(
+            sim, paths[0], source, config=config, trace=trace, sink=sink
+        )
+    raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
 
 
 def run_transfer(
@@ -95,64 +144,36 @@ def run_transfer(
     :class:`~repro.telemetry.session.TelemetryReport` lands on
     ``result.telemetry``. Without it nothing is instrumented.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
-    sim = Simulator()
-    rng = RngStreams(seed)
-    trace = TraceBus()
-    network, paths = build_two_path_network(
-        list(path_configs), sim=sim, rng=rng, trace=trace
-    )
+    trace, network, paths = build_topology(path_configs, seed)
+    sim = network.sim
     metrics = MetricsSuite(trace, bin_width_s=bin_width_s)
     session = TelemetrySession(sim, trace, config=telemetry) if telemetry else None
     if source is None:
         source = BulkSource()
-
+    fmtcp_config = fmtcp_config or FmtcpConfig()
     if protocol == "fmtcp":
-        config = fmtcp_config or default_fmtcp_config()
-        connection = FmtcpConnection(
-            sim=sim, paths=paths, source=source, config=config, trace=trace, rng=rng
-        )
+        config = fmtcp_config
     elif protocol == "fixedrate":
-        fmtcp_defaults = fmtcp_config or default_fmtcp_config()
-        connection = FixedRateConnection(
-            sim=sim,
-            paths=paths,
-            source=source,
-            config=FixedRateConfig(
-                symbols_per_block=fmtcp_defaults.symbols_per_block,
-                symbol_size=fmtcp_defaults.symbol_size,
-                mss=fmtcp_defaults.mss,
-                max_pending_blocks=fmtcp_defaults.max_pending_blocks,
-            ),
-            trace=trace,
+        config = FixedRateConfig(
+            symbols_per_block=fmtcp_config.symbols_per_block,
+            symbol_size=fmtcp_config.symbol_size,
+            mss=fmtcp_config.mss,
+            max_pending_blocks=fmtcp_config.max_pending_blocks,
         )
     elif protocol == "tcp":
         # Conventional single-path TCP on the *best* path (lowest loss,
         # then lowest delay) — the paper's Section I comparator.
+        config = default_mptcp_config(fmtcp_config)
         best = min(
             range(len(paths)),
-            key=lambda i: (
-                path_configs[i].loss_rate,
-                path_configs[i].delay_s,
-            ),
+            key=lambda i: (path_configs[i].loss_rate, path_configs[i].delay_s),
         )
-        connection = conventional_tcp(
-            sim,
-            paths[best],
-            source,
-            config=default_mptcp_config(fmtcp_config or default_fmtcp_config()),
-            trace=trace,
-        )
+        paths = [paths[best]]
     else:
-        config = mptcp_config or default_mptcp_config(
-            fmtcp_config or default_fmtcp_config()
-        )
-        connection = MptcpConnection(
-            sim=sim, paths=paths, source=source, config=config, trace=trace
-        )
+        config = mptcp_config or default_mptcp_config(fmtcp_config)
+    connection = build_connection(protocol, sim, paths, source, seed, trace, config=config)
 
     if hasattr(source, "attach"):
         source.attach(connection)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import soak
+from repro.experiments.runner import build_connection, build_topology
 from repro.faults.churn import RECOVERY_FRACTION, wire_churn
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
@@ -97,7 +98,7 @@ def measure_fault_response(
             f"duration {duration_s}s leaves no recovery window after the "
             f"last event settles at {settle}s"
         )
-    trace, network, paths = soak.build_topology(
+    trace, network, paths = build_topology(
         soak.uniform_paths(
             scenario.n_paths, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S, base_loss
         ),
@@ -105,7 +106,7 @@ def measure_fault_response(
     )
     sim = network.sim
     metrics = MetricsSuite(trace, bin_width_s=1.0)
-    connection = soak.build_connection(
+    connection = build_connection(
         protocol, sim, [paths[index] for index in scenario.active_paths],
         BulkSource(), seed, trace,
     )

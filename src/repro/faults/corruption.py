@@ -22,6 +22,7 @@ from typing import Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
+from repro.experiments.runner import build_connection, build_topology
 from repro.faults.scenario import FaultScenario
 from repro.net.corruption import BernoulliCorruption
 from repro.workloads.sources import BulkSource
@@ -80,10 +81,10 @@ def measure_corruption_goodput(protocol: str, rate: float, seed: int = 1) -> flo
     """Steady-state goodput (Mb/s) with every forward link corrupting at
     ``rate`` for the whole run. ``rate=0`` leaves the links pristine (no
     model installed, so the clean baseline draws no extra randomness)."""
-    trace, network, paths = soak.build_topology(
+    trace, network, paths = build_topology(
         soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
     )
-    connection = soak.build_connection(
+    connection = build_connection(
         protocol, network.sim, paths, BulkSource(), seed, trace
     )
     if rate > 0.0:

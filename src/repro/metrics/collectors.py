@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 from repro.metrics.stats import mean, mean_absolute_difference, percentile
@@ -17,8 +18,8 @@ class GoodputMeter:
     """
 
     def __init__(self, trace: TraceBus, bin_width_s: float = 1.0):
-        if bin_width_s <= 0:
-            raise ValueError("bin_width_s must be positive")
+        if not 0 < bin_width_s < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"bin_width_s must be finite and > 0, got {bin_width_s!r}")
         self.bin_width_s = bin_width_s
         self.total_bytes = 0
         self._bins: Dict[int, int] = {}

@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
+from repro.experiments.runner import build_connection
 from repro.faults.churn import churn_controller
 from repro.faults.scenario import FaultScenario
 from repro.recovery.manager import ReconnectPolicy, RecoveryManager
@@ -73,7 +74,7 @@ def _expected_completion(scenario: FaultScenario) -> bool:
 
 def recovery_manager(run: soak.Run) -> None:
     """Step: the watchdog and the :class:`RecoveryManager` whose epoch
-    builder rebuilds the connection through the kernel's one builder."""
+    builder rebuilds the connection through the one transfer builder."""
     report, scenario, source = run.report, run.scenario, run.source
 
     def rebuild(epoch: int, resume) -> Any:
@@ -86,7 +87,7 @@ def recovery_manager(run: soak.Run) -> None:
             active = sorted(run.controller._subflow_of_path)
         else:
             active = list(scenario.active_paths)
-        run.connection = soak.build_connection(
+        run.connection = build_connection(
             report.protocol, run.sim, [run.paths[index] for index in active],
             source, report.seed, run.trace, config=run.config, sink=run.sink,
             epoch=epoch, resume=resume,

@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import soak
 from repro.core.config import FmtcpConfig
+from repro.experiments.runner import build_connection, build_topology
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
 from repro.workloads.sources import BulkSource
@@ -221,14 +222,14 @@ def measure_bufferblock(
     and MPTCP face the same byte allowance.
     """
     config = _bufferblock_config(protocol, budget_bytes)
-    trace, network, paths = soak.build_topology(
+    trace, network, paths = build_topology(
         [
             PathConfig(bandwidth_bps=bw, delay_s=delay, loss_rate=loss)
             for bw, delay, loss in BUFFERBLOCK_PATHS
         ],
         seed,
     )
-    connection = soak.build_connection(
+    connection = build_connection(
         protocol, network.sim, paths, BulkSource(), seed, trace, config=config
     )
     connection.start()

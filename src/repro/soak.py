@@ -20,11 +20,12 @@ owes it. What differs between harnesses is *data*:
   message per violation. Pure, so each can be shown to fail on a
   hand-built :class:`Run` (``tests/test_soak_invariants.py``).
 
-:func:`run_soak` is the one entry point. It is the only place that
-builds the topology, the flight recorder, the sink, the source and the
-connection, polls for completion, tears down, checks that the event
-queue drained and writes the post-mortem. It never asks which harness
-it serves.
+:func:`run_soak` is the one entry point. It builds the flight recorder,
+the sink and the source, takes the topology and the connection from
+:mod:`repro.experiments.runner`'s builder pair (the one every transfer
+uses), polls for completion, tears down, checks that the event queue
+drained and writes the post-mortem. It never asks which harness it
+serves.
 
 The shared steps and invariants live here; the ones only one harness
 uses live next to its declaration (``repro.faults.{chaos,churn,
@@ -54,13 +55,11 @@ from typing import (
 )
 
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
+from repro.experiments.runner import build_connection, build_topology
+from repro.mptcp.connection import MptcpConfig
+from repro.net.topology import PathConfig
 from repro.robustness.budget import MemoryBudget
 from repro.robustness.watchdog import Watchdog, WatchdogConfig
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.samplers import attach_samplers
@@ -224,7 +223,7 @@ class Harness:
 
 
 # ----------------------------------------------------------------------
-# Builders shared by the kernel and the open-ended ``measure_*`` probes.
+# Helpers shared by the kernel and the open-ended ``measure_*`` probes.
 # ----------------------------------------------------------------------
 def uniform_paths(
     n_paths: int, bandwidth_bps: float, delay_s: float, loss_rate: float = 0.0
@@ -233,45 +232,6 @@ def uniform_paths(
         PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=loss_rate)
         for __ in range(n_paths)
     ]
-
-
-def build_topology(path_configs: Sequence[PathConfig], seed: int):
-    """``(trace, network, paths)`` for one seeded run."""
-    trace = TraceBus()
-    network, paths = build_two_path_network(
-        list(path_configs), rng=RngStreams(seed), trace=trace
-    )
-    return trace, network, paths
-
-
-def build_connection(
-    protocol,
-    sim,
-    paths,
-    source,
-    seed,
-    trace,
-    config=None,
-    sink=None,
-    epoch=0,
-    resume=None,
-):
-    """The one place a soak or probe builds its FMTCP-or-MPTCP connection.
-
-    ``epoch``/``resume`` are the recovery harness's: epoch 0 draws the
-    seed's own RNG streams, later epochs disjoint ones.
-    """
-    if protocol == "fmtcp":
-        return FmtcpConnection(
-            sim, paths, source, config=config or FmtcpConfig(), trace=trace,
-            rng=RngStreams(seed).for_epoch(epoch), sink=sink, resume=resume,
-        )
-    if protocol == "mptcp":
-        return MptcpConnection(
-            sim, paths, source, config=config or MptcpConfig(), trace=trace,
-            sink=sink, resume=resume,
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def receive_units(protocol: str, budget_bytes: int) -> int:

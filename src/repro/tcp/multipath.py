@@ -39,9 +39,6 @@ class MultipathConfig:
     # Subflow machinery.
     mss: int = 1400
     congestion: str = "reno"
-    initial_cwnd: float = 2.0
-    dup_ack_threshold: int = 3
-    min_rto: float = 0.2
 
     # Dead-path failover: after this many consecutive RTO firings with no
     # intervening ACK, a subflow is declared potentially failed — it stops
@@ -63,21 +60,12 @@ class MultipathConfig:
     recv_drain_rate_bps: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Each range is tested as `not (inside it)`, which NaN fails too.
         if self.mss < 1:
             raise ValueError(f"mss must be >= 1, got {self.mss}")
         if self.congestion not in ("reno", "lia"):
             raise ValueError(
                 f"congestion must be 'reno' or 'lia', got {self.congestion!r}"
             )
-        if not self.initial_cwnd > 0:
-            raise ValueError(f"initial_cwnd must be positive, got {self.initial_cwnd}")
-        if self.dup_ack_threshold < 1:
-            raise ValueError(
-                f"dup_ack_threshold must be >= 1, got {self.dup_ack_threshold}"
-            )
-        if not self.min_rto > 0:
-            raise ValueError(f"min_rto must be positive, got {self.min_rto}")
         if self.failover_rto_threshold is not None and self.failover_rto_threshold < 1:
             raise ValueError(
                 f"failover_rto_threshold must be >= 1 or None, "
@@ -138,7 +126,6 @@ class MultipathConnection:
             config.congestion,
             lia_group=self._lia_group,
             rtt_provider=lambda: subflow.srtt,  # late-bound: assigned below
-            initial_cwnd=config.initial_cwnd,
         )
         subflow = Subflow(
             sim=self.sim,
@@ -146,9 +133,8 @@ class MultipathConnection:
             owner=self._owner,
             subflow_id=subflow_id,
             congestion=controller,
-            rto=RtoEstimator(min_rto=config.min_rto),
+            rto=RtoEstimator(),
             mss=config.mss,
-            dup_ack_threshold=config.dup_ack_threshold,
             trace=self.trace,
             failed_rto_threshold=config.failover_rto_threshold,
             join_delay_s=join_delay_s,

@@ -27,6 +27,7 @@ from typing import Iterator, Optional
 
 from repro import soak
 from repro.core.config import FmtcpConfig
+from repro.experiments.runner import build_connection, build_topology
 from repro.mptcp.connection import MptcpConfig
 from repro.traces.generators import resolve_trace
 from repro.traces.model import LinkTrace
@@ -122,11 +123,11 @@ def measure_trace_goodput(
     forward links for the whole run (path 0 stays at the clean baseline).
     A ``None``/empty spec leaves both paths pristine — the no-trace
     baseline draws no extra randomness."""
-    trace, network, paths = soak.build_topology(
+    trace, network, paths = build_topology(
         soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
     )
     sim = network.sim
-    connection = soak.build_connection(protocol, sim, paths, BulkSource(), seed, trace)
+    connection = build_connection(protocol, sim, paths, BulkSource(), seed, trace)
     player: Optional[TracePlayer] = None
     if trace_spec:
         # "loop" so short traces keep shaping the channel all run long.

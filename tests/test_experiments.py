@@ -18,7 +18,13 @@ from repro.experiments.figures import (
     run_figure7,
     run_table1_suite,
 )
-from repro.experiments.runner import default_mptcp_config, run_transfer
+from repro.experiments.runner import (
+    PROTOCOLS,
+    build_connection,
+    build_topology,
+    default_mptcp_config,
+    run_transfer,
+)
 from repro.net.topology import PathConfig
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 from repro.workloads.sources import BulkSource
@@ -45,8 +51,25 @@ def test_run_transfer_mptcp_smoke():
 
 
 def test_run_transfer_unknown_protocol():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sctp"):
         run_transfer("sctp", PATHS(), duration_s=FAST)
+
+
+def test_build_connection_covers_every_protocol_and_names_a_bad_input():
+    """One builder for all four transports: ``"tcp"`` is conventional TCP
+    over exactly one path, ``config=None`` each protocol's own default."""
+    trace, network, paths = build_topology(PATHS(), seed=1)
+    for protocol in PROTOCOLS:
+        connection = build_connection(
+            protocol, network.sim, paths[:1] if protocol == "tcp" else paths,
+            BulkSource(10_000), 1, trace,
+        )
+        assert len(connection.subflows) == (1 if protocol == "tcp" else 2)
+        connection.close()
+    with pytest.raises(ValueError, match="sctp"):
+        build_connection("sctp", network.sim, paths, BulkSource(), 1, trace)
+    with pytest.raises(ValueError, match="got 2"):
+        build_connection("tcp", network.sim, paths, BulkSource(), 1, trace)
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -3.0])

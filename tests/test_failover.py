@@ -11,34 +11,25 @@ chunks onto live ones. The first ACK rehabilitates the path.
 import pytest
 
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
+from repro.experiments.runner import build_connection, build_topology
 from repro.faults import FaultEvent, FaultScenario
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus
+from repro.mptcp.connection import MptcpConfig
+from repro.net.topology import PathConfig
 from repro.workloads.sources import BulkSource, RandomPayloadSource
 
 
 def build(protocol, *, fmtcp_config=None, mptcp_config=None, source=None,
           sink=None, seed=2):
-    trace = TraceBus()
     configs = [
         PathConfig(bandwidth_bps=4e6, delay_s=0.02),
         PathConfig(bandwidth_bps=4e6, delay_s=0.02),
     ]
-    network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
-    source = source if source is not None else BulkSource()
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            network.sim, paths, source, config=fmtcp_config or FmtcpConfig(),
-            trace=trace, rng=RngStreams(seed), sink=sink,
-        )
-    else:
-        connection = MptcpConnection(
-            network.sim, paths, source, config=mptcp_config or MptcpConfig(),
-            trace=trace, sink=sink,
-        )
+    trace, network, paths = build_topology(configs, seed)
+    connection = build_connection(
+        protocol, network.sim, paths,
+        source if source is not None else BulkSource(), seed, trace,
+        config=fmtcp_config if protocol == "fmtcp" else mptcp_config, sink=sink,
+    )
     return network, paths, connection, trace
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
+from repro.experiments.runner import build_connection, build_topology
 from repro.metrics.collectors import MetricsSuite
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
 from repro.net.loss import ScheduledLoss
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
@@ -32,23 +32,13 @@ def blackout_configs(start=10.0, end=20.0, base=0.0):
 
 def run(protocol, configs, duration=30.0, seed=3, source=None, sink=None,
         fmtcp_config=None):
-    trace = TraceBus()
-    network, paths = build_two_path_network(
-        configs, rng=RngStreams(seed), trace=trace
-    )
+    trace, network, paths = build_topology(configs, seed)
     metrics = MetricsSuite(trace, bin_width_s=1.0)
-    source = source if source is not None else BulkSource()
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            network.sim, paths, source,
-            config=fmtcp_config or FmtcpConfig(),
-            trace=trace, rng=RngStreams(seed), sink=sink,
-        )
-    else:
-        connection = MptcpConnection(
-            network.sim, paths, source, config=MptcpConfig(), trace=trace,
-            sink=sink,
-        )
+    connection = build_connection(
+        protocol, network.sim, paths,
+        source if source is not None else BulkSource(), seed, trace,
+        config=fmtcp_config if protocol == "fmtcp" else None, sink=sink,
+    )
     connection.start()
     network.sim.run(until=duration)
     return connection, metrics

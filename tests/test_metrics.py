@@ -1,5 +1,7 @@
 """Tests for summary statistics and trace-driven metric collectors."""
 
+import math
+
 import pytest
 
 from repro.metrics.collectors import BlockDelayCollector, GoodputMeter, MetricsSuite
@@ -128,5 +130,7 @@ def test_metrics_suite_summary_keys():
 
 
 def test_bin_width_validation():
-    with pytest.raises(ValueError):
-        GoodputMeter(TraceBus(), bin_width_s=0.0)
+    # nan died mid-run at the first delivery; inf returned [(inf, 0.0)].
+    for value in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_width_s"):
+            GoodputMeter(TraceBus(), bin_width_s=value)

@@ -6,6 +6,7 @@ example, benchmark and CLI command mentioned must actually exist.
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import re
@@ -152,21 +153,6 @@ UNSET_FIELDS_KEPT = {
         "benchmarks/perf/tracer.py resolves Subflow.aged_loss_estimate the "
         "same way; needs a benchmark-only PR first"
     ),
-    "dup_ack_threshold": (
-        "shared MultipathConfig field MultipathConnection._attach passes to "
-        "Subflow, which has callers of its own; left for the next census"
-    ),
-    # Reported once the census counted constructions instead of keyword
-    # names: each had only a same-named keyword on some other callee.
-    "initial_cwnd": (
-        "shared MultipathConfig field read by MultipathConnection._attach; "
-        "the same-named keywords go to RenoController / LiaController; left "
-        "for the next census"
-    ),
-    "min_rto": (
-        "shared MultipathConfig field read by MultipathConnection._attach; "
-        "the same-named keyword goes to RtoEstimator; left for the next census"
-    ),
     "queue_capacity": (
         "PathConfig's queue size; the same-named keywords go to "
         "Network.add_link and the fault baseline; left for the next census"
@@ -174,8 +160,10 @@ UNSET_FIELDS_KEPT = {
 }
 
 
+@functools.cache
 def _calls_by_file() -> dict:
-    """File → every call in it, for ``benchmarks/``, ``examples/``, ``src/``."""
+    """File → every call in it, for ``benchmarks/``, ``examples/``, ``src/``
+    (parsed once per session; callers only read it)."""
     return {
         path: [
             node for node in ast.walk(ast.parse(path.read_text()))
@@ -186,15 +174,21 @@ def _calls_by_file() -> dict:
     }
 
 
-def _subclass_names(config_class) -> set:
-    """``config_class``'s name and every class under ``src/`` that
-    derives from it, by ``ast`` (a subclass need not be imported)."""
-    bases_of = {
+@functools.cache
+def _bases_of() -> dict:
+    """Class name → the names of its bases, for every class under ``src/``."""
+    return {
         node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
         for path in (REPO / "src").rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
     }
+
+
+def _subclass_names(config_class) -> set:
+    """``config_class``'s name and every class under ``src/`` that
+    derives from it, by ``ast`` (a subclass need not be imported)."""
+    bases_of = _bases_of()
     names = {config_class.__name__}
     while True:
         grown = names | {name for name, bases in bases_of.items() if bases & names}
@@ -262,11 +256,13 @@ def test_every_config_field_has_traffic():
 
 
 def test_every_soak_and_probe_knob_has_traffic():
-    """The soak kernel's and the ``measure_*`` probes' keyword parameters
-    are each passed — by keyword or by position — by a call to that
-    function outside its own module. A knob nothing passes is a constant
-    of the step, invariant or probe that reads it."""
+    """The soak kernel's, the transfer builder's and the ``measure_*``
+    probes' keyword parameters are each passed — by keyword or by
+    position — by a call to that function outside its own module. A knob
+    nothing passes is a constant of the step, invariant or probe that
+    reads it."""
     from repro import soak
+    from repro.experiments.runner import build_connection
     from repro.faults.chaos import measure_fault_response
     from repro.faults.corruption import measure_corruption_goodput
     from repro.recovery.harness import measure_recovery
@@ -276,8 +272,9 @@ def test_every_soak_and_probe_knob_has_traffic():
     calls_by_file = _calls_by_file()
     unpassed = []
     for function in (
-        soak.run_soak, measure_fault_response, measure_corruption_goodput,
-        measure_trace_goodput, measure_recovery, measure_bufferblock,
+        soak.run_soak, build_connection, measure_fault_response,
+        measure_corruption_goodput, measure_trace_goodput, measure_recovery,
+        measure_bufferblock,
     ):
         parameters = list(inspect.signature(function).parameters.values())
         knobs = [

@@ -192,6 +192,24 @@ def _count(needle: str) -> int:
     )
 
 
+#: Each transport constructor and the module that defines it.
+TRANSPORT_CONSTRUCTORS = {
+    "FmtcpConnection": "core/connection.py",
+    "MptcpConnection": "mptcp/connection.py",
+    "conventional_tcp": "mptcp/connection.py",
+    "FixedRateConnection": "fixedrate/connection.py",
+}
+
+
+def _calls(path: Path):
+    """``(top-level function or None, callee name)`` for every call in ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                yield owner, getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def test_each_shared_thing_exists_once():
     assert _count("FlightRecorder(") == 1
     harness_modules = ("soak.py", "faults/chaos.py", "faults/churn.py",
@@ -200,7 +218,27 @@ def test_each_shared_thing_exists_once():
     assert sum(
         (SRC / module).read_text().count("build_two_path_network(")
         for module in harness_modules
-    ) == 1
+    ) == 0
+    # One builder for every transfer: outside its own module a transport
+    # is constructed only by runner.build_connection (and by the fairness
+    # experiment's N flows on a shared bottleneck).
+    sites = set()
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).as_posix()
+        sites.update(
+            (module, owner) for owner, callee in _calls(path)
+            if TRANSPORT_CONSTRUCTORS.get(callee, module) != module
+        )
+    assert {site for site in sites if site[0] != "experiments/fairness.py"} == {
+        ("experiments/runner.py", "build_connection")
+    }
+    assert not any(
+        isinstance(node, ast.FunctionDef) and node.name.startswith("build_")
+        for node in ast.parse((SRC / "soak.py").read_text()).body
+    )
+    for bench in ("bench_streaming.py", "bench_fixedrate.py"):
+        called = {name for __, name in _calls(REPO / "benchmarks" / bench)}
+        assert not called & {*TRANSPORT_CONSTRUCTORS, "build_two_path_network"}, bench
     for message in ("delivery not exactly-once", "event queue did not drain", "wedged timer"):
         assert _count(message) == 1, message
     assert _count("class SoakReport") == 1

@@ -12,10 +12,10 @@ owes the receiver those exact bytes and reinjects them.
 import pytest
 
 from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
+from repro.experiments import runner
 from repro.faults import PathChurnController
 from repro.fixedrate import FixedRateConnection
-from repro.mptcp.connection import MptcpConfig, MptcpConnection
+from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -62,24 +62,15 @@ def build_network(n_paths=2, bandwidth=4e6, delay=0.02, seed=2, trace=None):
 def build_connection(protocol, paths, network, trace, total_bytes=400_000,
                      fmtcp_config=None, mptcp_config=None, seed=2):
     delivered = []
-    if protocol == "fmtcp":
-        connection = FmtcpConnection(
-            network.sim, paths, BulkSource(total_bytes=total_bytes),
-            config=fmtcp_config or FmtcpConfig(), trace=trace,
-            rng=RngStreams(seed),
-            sink=lambda block_id, data: delivered.append(block_id),
-        )
-    elif protocol == "fixedrate":
-        connection = FixedRateConnection(
-            network.sim, paths, BulkSource(total_bytes=total_bytes), trace=trace,
-            sink=delivered.append,
-        )
-    else:
-        connection = MptcpConnection(
-            network.sim, paths, BulkSource(total_bytes=total_bytes),
-            config=mptcp_config or MptcpConfig(), trace=trace,
-            sink=lambda chunk: delivered.append(chunk.dsn),
-        )
+    config, sink = {
+        "fmtcp": (fmtcp_config, lambda block_id, data: delivered.append(block_id)),
+        "fixedrate": (None, delivered.append),
+        "mptcp": (mptcp_config, lambda chunk: delivered.append(chunk.dsn)),
+    }[protocol]
+    connection = runner.build_connection(
+        protocol, network.sim, paths, BulkSource(total_bytes=total_bytes), seed,
+        trace, config=config, sink=sink,
+    )
     return connection, delivered
 
 
