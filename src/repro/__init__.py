@@ -13,7 +13,8 @@ paper's system and evaluation:
   (the ns-2 stand-in).
 * :mod:`repro.analysis` — the paper's closed-form results (Eqs. 3-7,
   10-13, 16-17).
-* :mod:`repro.experiments` — runners that regenerate every table and
+* :mod:`repro.experiments` — :func:`run_transfer` and the catalog
+  (:mod:`repro.experiments.catalog`) that regenerates every table and
   figure of Section V; also exposed via ``python -m repro``.
 
 Quick start::

@@ -1,22 +1,6 @@
-"""Experiment harness: one runner per paper table/figure, plus ablations."""
+"""Experiment harness: :func:`run_transfer` runs one transfer; the paper's
+tables and figures are declarations in :mod:`repro.experiments.catalog`."""
 
 from repro.experiments.runner import ExperimentResult, run_transfer
-from repro.experiments.figures import (
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_table1_suite,
-)
 
-__all__ = [
-    "ExperimentResult",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_table1_suite",
-    "run_transfer",
-]
+__all__ = ["ExperimentResult", "run_transfer"]

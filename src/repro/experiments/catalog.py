@@ -18,9 +18,10 @@ quotes it byte for byte: a number has one source.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.allocation import (
@@ -37,23 +38,23 @@ from repro.analysis.coding import (
     simulate_fixed_rate_delivery,
     simulate_fountain_delivery,
 )
+from repro.analysis.throughput import predicted_aggregate_goodput_bps
+from repro.core.config import FmtcpConfig
 from repro.core.estimators import sedt
-from repro.experiments import figures, paper_data
-from repro.experiments.ablations import (
-    ablate_allocation,
-    ablate_block_size,
-    ablate_buffer_size,
-    ablate_congestion_coupling,
-    ablate_delta_hat,
-    ablate_mptcp_scheduler,
-)
+from repro.experiments import paper_data
 from repro.experiments.fairness import run_fairness
-from repro.experiments.heatmap import run_heatmap
 from repro.experiments.reporting import bar_chart, rows_to_csv, series_plot, series_to_csv
-from repro.experiments.runner import run_transfer
-from repro.experiments.sensitivity import sweep_bandwidth, sweep_delay_asymmetry, sweep_loss
+from repro.experiments.runner import (
+    ExperimentResult,
+    build_topology,
+    default_mptcp_config,
+    run_transfer,
+)
 from repro.metrics.stats import mean, percentile, stdev
-from repro.workloads.scenarios import DEFAULT_BANDWIDTH_BPS, TABLE1_CASES, table1_path_configs
+from repro.mptcp.connection import MptcpConfig
+from repro.net.packet import Packet
+from repro.net.topology import PathConfig
+from repro.workloads.scenarios import DEFAULT_BANDWIDTH_BPS, TABLE1_CASES, surge_path_configs
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,40 @@ def _fall(first: float, last: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Table I and the Table I sweep (Figs. 3, 5, 6 read one memoised suite).
+# How an entry runs a transfer: over paths it builds, or over a Table I case.
+# ----------------------------------------------------------------------
+PAIR = ("fmtcp", "mptcp")
+
+#: Builds a run's path configs afresh each call.
+Paths = Callable[[], List[PathConfig]]
+
+
+def _two_paths(bandwidth_bps: float, delay_s: float, loss_rate: float) -> Paths:
+    """Section V's topology: subflow 1 at 100 ms / 0 %, subflow 2 at
+    ``delay_s`` / ``loss_rate``, both at ``bandwidth_bps``."""
+    return lambda: [
+        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=0.100, loss_rate=0.0),
+        PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=loss_rate),
+    ]
+
+
+def _transfer(protocol: str, scale: Scale, paths: Paths, **options: Any) -> ExperimentResult:
+    """One transfer at this scale over freshly built paths: a loss
+    schedule keeps state, so no two runs may share a PathConfig."""
+    return run_transfer(
+        protocol, paths(), duration_s=scale.duration_s, seed=scale.seed, **options
+    )
+
+
+def _case(protocol: str, case_id: int, scale: Scale, **options: Any) -> ExperimentResult:
+    """One transfer over Table I case ``case_id`` at this scale."""
+    case = TABLE1_CASES[case_id - 1]
+    paths = _two_paths(scale.bandwidth_bps, case.delay_s, case.loss_rate)
+    return _transfer(protocol, scale, paths, **options)
+
+
+# ----------------------------------------------------------------------
+# Table I and the Table I sweep (Figs. 3, 5, 6 read one cached sweep).
 # ----------------------------------------------------------------------
 CASE = Column("case", 4, lambda row: row["case"])
 
@@ -185,19 +219,79 @@ def _paper(series: Dict[str, List[float]], protocol: str, heading: str) -> Colum
     return Column(heading, 8, lambda row: series[protocol][row["case"] - 1], ".0f")
 
 
-def _sweep(runner: Callable[..., List[Dict[str, float]]]) -> Callable[[Scale], Any]:
-    return lambda scale: runner(scale.duration_s, scale.bandwidth_bps, scale.seed)
-
-
 def _fmtcp_wins(key: str, rows: Sequence[Dict[str, float]]) -> int:
     return sum(1 for row in rows if row[f"fmtcp_{key}"] < row[f"mptcp_{key}"])
+
+
+def _probe_table1_paths(scale: Scale, probes: int = 5000) -> List[Dict[str, float]]:
+    """Drive ``probes`` 100-byte packets, one per 2 ms, over each case's
+    subflow-2 path and measure the loss and one-way delay it realises —
+    the substrate check under every other experiment."""
+    rows = []
+    for case in TABLE1_CASES:
+        paths = _two_paths(scale.bandwidth_bps, case.delay_s, case.loss_rate)
+        _, network, built = build_topology(paths(), scale.seed)
+        path, sim = built[1], network.sim  # subflow 2 carries the case
+        arrivals: List[float] = []
+        network.nodes["dst"].bind(50, lambda packet: arrivals.append(sim.now - packet.sent_at))
+
+        def send_probe(index: int) -> None:
+            packet = Packet(size=100, src="src", dst="dst", src_port=49, dst_port=50)
+            packet.sent_at = sim.now
+            path.send_forward(packet)
+            if index + 1 < probes:
+                sim.schedule(0.002, send_probe, index + 1)
+
+        send_probe(0)
+        sim.run()
+        rows.append({
+            "case": case.case_id,
+            "delay_ms": case.delay_s * 1e3,
+            "loss_pct": case.loss_rate * 1e2,
+            "measured_delay_ms": mean(arrivals) * 1e3,
+            "measured_loss_pct": (1.0 - len(arrivals) / probes) * 1e2,
+        })
+    return rows
+
+
+@functools.cache
+def _table1_sweep(scale: Scale) -> Dict[str, List[ExperimentResult]]:
+    """FMTCP on Table I cases 1-8, then MPTCP: 16 transfers, run once per
+    scale and read (never changed) by Figs. 3, 5 and 6."""
+    return {
+        protocol: [_case(protocol, case.case_id, scale) for case in TABLE1_CASES]
+        for protocol in PAIR
+    }
+
+
+def _table1_rows(scale: Scale, key: str, metric: str) -> List[Dict[str, float]]:
+    """One row per Table I case: both protocols' ``summary[metric]`` as
+    ``fmtcp_<key>`` and ``mptcp_<key>``."""
+    sweep = _table1_sweep(scale)
+    return [
+        {
+            "case": case.case_id,
+            "delay_ms": case.delay_s * 1e3,
+            "loss_pct": case.loss_rate * 1e2,
+            **{f"{protocol}_{key}": sweep[protocol][index].summary[metric] for protocol in PAIR},
+        }
+        for index, case in enumerate(TABLE1_CASES)
+    ]
+
+
+def _run_figure3(scale: Scale) -> List[Dict[str, float]]:
+    rows = _table1_rows(scale, "goodput_mb", "total_mbytes")
+    for row in rows:
+        mptcp = row["mptcp_goodput_mb"]
+        row["ratio"] = row["fmtcp_goodput_mb"] / mptcp if mptcp > 0 else float("inf")
+    return rows
 
 
 TABLE1 = Experiment(
     ledger="table1_path_fidelity",
     verb="table1",
     title="Table I — configured vs measured subflow-2 paths (subflow 1: 100 ms, 0 %)",
-    run=lambda scale: figures.run_table1_paths(scale.bandwidth_bps, scale.seed),
+    run=_probe_table1_paths,
     columns=(
         CASE,
         Column("cfg delay", 10, lambda row: row["delay_ms"], ".0f", "ms"),
@@ -218,7 +312,7 @@ FIG3 = Experiment(
     ledger="fig3_goodput",
     verb="fig3",
     title="Figure 3 — total goodput, FMTCP vs MPTCP across Table I",
-    run=_sweep(figures.run_figure3),
+    run=_run_figure3,
     caption=lambda scale: (
         f"total goodput over {scale.duration_s:.0f}s (MB); "
         "paper columns are ~digitised from Fig. 3"
@@ -272,16 +366,16 @@ FIG3 = Experiment(
 )
 
 
-def _table1_sweep(
-    figure: int, ledger: str, title: str, runner: Callable[..., List[Dict[str, float]]],
-    key: str, what: str, series: Dict[str, List[float]], shape_checks: Tuple[Check, ...],
+def _table1_figure(
+    figure: int, ledger: str, title: str, key: str, metric: str, what: str,
+    series: Dict[str, List[float]], shape_checks: Tuple[Check, ...],
 ) -> Experiment:
     """Figs. 5 and 6: one per-case metric of both protocols, beside the paper's."""
     return Experiment(
         ledger=ledger,
         verb=f"fig{figure}",
         title=title,
-        run=_sweep(runner),
+        run=lambda scale: _table1_rows(scale, key, metric),
         caption=lambda scale: f"{what} (ms); paper columns ~digitised from Fig. {figure}",
         columns=(
             CASE,
@@ -296,9 +390,10 @@ def _table1_sweep(
     )
 
 
-FIG5 = _table1_sweep(
+FIG5 = _table1_figure(
     5, "fig5_block_delay", "Figure 5 — mean block delivery delay across Table I",
-    figures.run_figure5, "block_delay_ms", "mean block delivery delay", paper_data.FIG5_DELAY_MS,
+    "block_delay_ms", "mean_block_delay_ms", "mean block delivery delay",
+    paper_data.FIG5_DELAY_MS,
     (
         ("FMTCP's delay below MPTCP's on cases 1-4",
          lambda rows, scale: _fmtcp_wins("block_delay_ms", rows[:4]) == 4),
@@ -319,9 +414,9 @@ FIG5 = _table1_sweep(
     ),
 )
 
-FIG6 = _table1_sweep(
+FIG6 = _table1_figure(
     6, "fig6_jitter", "Figure 6 — mean block jitter across Table I",
-    figures.run_figure6, "jitter_ms", "mean block jitter", paper_data.FIG6_JITTER_MS,
+    "jitter_ms", "jitter_ms", "mean block jitter", paper_data.FIG6_JITTER_MS,
     (
         ("FMTCP's jitter below MPTCP's on cases 1-4",
          lambda rows, scale: _fmtcp_wins("jitter_ms", rows[:4]) == 4),
@@ -349,17 +444,38 @@ def surge_window(duration_s: float) -> Tuple[float, float]:
     return duration_s / 6.0, 2.0 * duration_s / 3.0
 
 
+def _surge_pair(
+    surge: float, scale: Scale, start: float, end: float, max_pending_blocks: int = 6
+) -> Dict[str, ExperimentResult]:
+    """Both protocols while subflow 2's loss surges from 1 % to ``surge``
+    during [``start``, ``end``), goodput binned every 5 s.
+
+    The receive buffer is tighter than the Table I sweep's
+    (``max_pending_blocks`` blocks ≈ half a path BDP at the defaults;
+    ``run_transfer`` matches the baseline's to it): receive-buffer
+    head-of-line blocking is the collapse mechanism the paper's Fig. 4
+    displays, and it only binds when the buffer is scarce. The buffer-size
+    ablation quantifies this sensitivity; the paper does not state its
+    buffer sizes (DESIGN.md §3).
+    """
+    config = FmtcpConfig(max_pending_blocks=max_pending_blocks)
+
+    def paths() -> List[PathConfig]:
+        return surge_path_configs(
+            surge, surge_start_s=start, surge_end_s=end, bandwidth_bps=scale.bandwidth_bps
+        )
+
+    return {
+        protocol: _transfer(
+            protocol, scale, paths, bin_width_s=5.0, collect_series=True, fmtcp_config=config
+        )
+        for protocol in PAIR
+    }
+
+
 def _run_surge(surge: float, scale: Scale) -> Dict[str, Any]:
     start, end = surge_window(scale.duration_s)
-    results = figures.run_figure4(
-        surge,
-        duration_s=scale.duration_s,
-        surge_start_s=start,
-        surge_end_s=end,
-        bandwidth_bps=scale.bandwidth_bps,
-        seed=scale.seed,
-        bin_width_s=5.0,
-    )
+    results = _surge_pair(surge, scale, start, end)
     series = {protocol: result.goodput_series for protocol, result in results.items()}
 
     def rates(protocol: str, lo: float, hi: float) -> List[float]:
@@ -465,8 +581,10 @@ def _delay_stats(protocol: str, delays_s: Sequence[float]) -> Dict[str, Any]:
 
 
 def _run_figure7(scale: Scale) -> Dict[str, Dict[str, Any]]:
-    series = figures.run_figure7(scale.duration_s, scale.bandwidth_bps, scale.seed, max_blocks=1000)
-    return {protocol: _delay_stats(protocol, delays) for protocol, delays in series.items()}
+    return {
+        protocol: _delay_stats(protocol, _case(protocol, 4, scale).block_delays[:1000])
+        for protocol in PAIR
+    }
 
 
 FIG7 = Experiment(
@@ -666,21 +784,16 @@ MOTIVATION_CASES = (1, 3, 4)
 
 
 def _run_motivation(scale: Scale) -> List[Dict[str, Any]]:
-    rows = []
-    for case in TABLE1_CASES:
-        if case.case_id not in MOTIVATION_CASES:
-            continue
-        row = {"case": case.case_id}
-        for protocol in ("tcp", "mptcp", "fmtcp"):
-            result = run_transfer(
-                protocol,
-                table1_path_configs(case, scale.bandwidth_bps),
-                duration_s=scale.duration_s,
-                seed=scale.seed,
-            )
-            row[protocol] = result.summary["goodput_mbytes_per_s"]
-        rows.append(row)
-    return rows
+    return [
+        {
+            "case": case_id,
+            **{
+                protocol: _case(protocol, case_id, scale).summary["goodput_mbytes_per_s"]
+                for protocol in ("tcp", "mptcp", "fmtcp")
+            },
+        }
+        for case_id in MOTIVATION_CASES
+    ]
 
 
 MOTIVATION = Experiment(
@@ -757,99 +870,176 @@ def fairness(competitors: int = 3) -> Experiment:
     )
 
 
-def _heatmap_column(result: Any, blocks: int) -> List[float]:
-    return [result.ratios[(loss, blocks)] for loss in result.loss_rates]
+HEATMAP_LOSSES = (0.02, 0.10, 0.20)
+HEATMAP_BLOCKS = (6, 16, 32)
+
+#: Ratio bucket glyphs, from "MPTCP clearly ahead" to "FMTCP ≥ 2x".
+_GLYPHS = ((0.90, "--"), (1.00, "- "), (1.10, "≈ "), (1.40, "+ "), (2.00, "++"))
+
+
+def glyph(ratio: float) -> str:
+    """The heatmap cell glyph for an FMTCP/MPTCP goodput ratio."""
+    return next((mark for bound, mark in _GLYPHS if ratio < bound), "##")
+
+
+def render_heatmap(ratios: Dict[Tuple[float, int], float]) -> List[str]:
+    """The ``(loss, blocks) -> ratio`` grid as ASCII: a legend, a buffer
+    header, then one line per loss rate."""
+    losses = list(dict.fromkeys(loss for loss, _ in ratios))
+    budgets = list(dict.fromkeys(blocks for _, blocks in ratios))
+    lines = [
+        "FMTCP/MPTCP goodput ratio  (-- <0.9, - <1.0, ≈ <1.1, + <1.4, ++ <2.0, ## ≥2.0)",
+        "          " + " ".join(f"{blocks * 8:>4}KB" for blocks in budgets),
+    ]
+    for loss in losses:
+        cells = []
+        for blocks in budgets:
+            ratio = ratios[(loss, blocks)]
+            cells.append(f"{ratio:4.2f}{glyph(ratio)}")
+        lines.append(f"loss {loss:4.0%}  " + " ".join(cells))
+    return lines
+
+
+def _run_heatmap(scale: Scale) -> Dict[Tuple[float, int], float]:
+    """The FMTCP/MPTCP goodput ratio over subflow-2 loss x the (matched)
+    receive-buffer budget: the two levers the single-axis sweeps found."""
+    ratios = {}
+    for loss in HEATMAP_LOSSES:
+        for blocks in HEATMAP_BLOCKS:
+            config = FmtcpConfig(max_pending_blocks=blocks)
+            goodput = {
+                protocol: _transfer(
+                    protocol, scale, _two_paths(scale.bandwidth_bps, 0.100, loss),
+                    fmtcp_config=config,
+                ).summary["goodput_mbytes_per_s"]
+                for protocol in PAIR
+            }
+            ratios[(loss, blocks)] = goodput["fmtcp"] / (goodput["mptcp"] or 1e-9)
+    return ratios
+
+
+def _heatmap_column(ratios: Dict[Tuple[float, int], float], blocks: int) -> List[float]:
+    return [ratios[(loss, blocks)] for loss in HEATMAP_LOSSES]
 
 
 HEATMAP = Experiment(
     ledger="heatmap_loss_buffer",
     verb="heatmap",
     title="FMTCP advantage map: subflow-2 loss x receive-buffer budget",
-    run=lambda scale: run_heatmap(
-        duration_s=scale.duration_s, bandwidth_bps=scale.bandwidth_bps, seed=scale.seed
-    ),
-    rows=lambda result: [
+    run=_run_heatmap,
+    rows=lambda ratios: [
         {"loss": loss, "buffer_kb": blocks * 8, "ratio": ratio}
-        for (loss, blocks), ratio in result.ratios.items()
+        for (loss, blocks), ratio in ratios.items()
     ],
-    footer=lambda result: result.render(),
+    footer=render_heatmap,
     shape_checks=(
         # At the HoL-binding buffer (16 blocks = 128 KB ≈ BDP).
-        ("at 128 KB the advantage grows with loss", lambda result, scale: (
-            _heatmap_column(result, 16)[-1] > _heatmap_column(result, 16)[0])),
+        ("at 128 KB the advantage grows with loss", lambda ratios, scale: (
+            _heatmap_column(ratios, 16)[-1] > _heatmap_column(ratios, 16)[0])),
         ("at 128 KB and the highest loss FMTCP leads by > 1.3x",
-         lambda result, scale: _heatmap_column(result, 16)[-1] > 1.3),
+         lambda ratios, scale: _heatmap_column(ratios, 16)[-1] > 1.3),
         ("at 2 % loss no buffer shows a > 1.4x FMTCP lead (nothing to repair)",
-         lambda result, scale: max(
-             result.ratios[(result.loss_rates[0], blocks)] for blocks in result.pending_blocks
+         lambda ratios, scale: max(
+             ratios[(HEATMAP_LOSSES[0], blocks)] for blocks in HEATMAP_BLOCKS
          ) < 1.4),
     ),
     duration_s=30.0,
 )
 
 
+def _sensitivity_row(label: str, scale: Scale, paths: Paths) -> Dict[str, Any]:
+    """One operating point: both protocols' summaries, FMTCP's goodput
+    advantage and each protocol's PFTK prediction (bit/s)."""
+    row: Dict[str, Any] = {"label": label}
+    for protocol in PAIR:
+        row[protocol] = _transfer(protocol, scale, paths).summary
+        row[f"pftk_{protocol}"] = predicted_aggregate_goodput_bps(paths(), protocol=protocol)
+    mptcp = row["mptcp"]["goodput_mbytes_per_s"]
+    row["advantage"] = row["fmtcp"]["goodput_mbytes_per_s"] / mptcp if mptcp > 0 else float("inf")
+    return row
+
+
 def _sensitivity(
-    ledger: str, caption: str, sweep: Callable[..., Any], shape_checks: Tuple[Check, ...]
+    ledger: str,
+    caption: str,
+    points: Callable[[float], List[Tuple[str, Paths]]],
+    shape_checks: Tuple[Check, ...],
 ) -> Experiment:
+    """One sweep around Table I: ``points(bandwidth_bps)`` labels each
+    operating point and builds its paths."""
     return Experiment(
         ledger=ledger,
         verb="sensitivity",
         title=f"Sensitivity — {caption}",
-        run=lambda scale: sweep(duration_s=scale.duration_s, seed=scale.seed),
+        run=lambda scale: [
+            _sensitivity_row(label, scale, paths) for label, paths in points(scale.bandwidth_bps)
+        ],
         caption=lambda scale: caption,
         columns=(
-            Column("point", 14, lambda point: point.label),
-            Column("FMTCP MB/s", 11, lambda point: _goodput(point, "fmtcp"), ".3f"),
-            Column("MPTCP MB/s", 11, lambda point: _goodput(point, "mptcp"), ".3f"),
-            Column("ratio", 6, lambda point: point.advantage, ".2f"),
-            Column("PFTK F", 8, lambda point: point.predicted_bps["fmtcp"] / 8e6, ".3f"),
-            Column("PFTK M", 8, lambda point: point.predicted_bps["mptcp"] / 8e6, ".3f"),
+            Column("point", 14, lambda row: row["label"]),
+            Column("FMTCP MB/s", 11, lambda row: _goodput(row, "fmtcp"), ".3f"),
+            Column("MPTCP MB/s", 11, lambda row: _goodput(row, "mptcp"), ".3f"),
+            Column("ratio", 6, lambda row: row["advantage"], ".2f"),
+            Column("PFTK F", 8, lambda row: row["pftk_fmtcp"] / 8e6, ".3f"),
+            Column("PFTK M", 8, lambda row: row["pftk_mptcp"] / 8e6, ".3f"),
         ),
         shape_checks=shape_checks,
         duration_s=30.0,
     )
 
 
-def _goodput(point: Any, protocol: str) -> float:
-    return point.results[protocol].summary["goodput_mbytes_per_s"]
+def _goodput(row: Dict[str, Any], protocol: str) -> float:
+    return row[protocol]["goodput_mbytes_per_s"]
 
 
 SENSITIVITY_LOSS = _sensitivity(
-    "sensitivity_loss", "subflow-2 loss sweep (both paths 100 ms)", sweep_loss,
+    "sensitivity_loss", "subflow-2 loss sweep (both paths 100 ms)",
+    lambda bandwidth_bps: [
+        (f"loss={loss:.0%}", _two_paths(bandwidth_bps, 0.100, loss))
+        for loss in (0.0, 0.02, 0.05, 0.10, 0.20, 0.30)
+    ],
     (
         ("FMTCP's advantage grows with subflow-2 loss",
-         lambda points, scale: points[-1].advantage > points[0].advantage),
+         lambda rows, scale: rows[-1]["advantage"] > rows[0]["advantage"]),
         ("FMTCP leads by > 1.2x at the highest loss",
-         lambda points, scale: points[-1].advantage > 1.2),
+         lambda rows, scale: rows[-1]["advantage"] > 1.2),
         # Closed-form models are ballpark tools, not oracles.
-        ("PFTK within 0.4-2.5x of FMTCP's goodput from 5 % loss up", lambda points, scale: all(
-            0.4 < point.results["fmtcp"].summary["goodput_mbps"] * 1e6
-            / point.predicted_bps["fmtcp"] < 2.5
-            for point in points[2:])),
+        ("PFTK within 0.4-2.5x of FMTCP's goodput from 5 % loss up", lambda rows, scale: all(
+            0.4 < row["fmtcp"]["goodput_mbps"] * 1e6 / row["pftk_fmtcp"] < 2.5
+            for row in rows[2:])),
     ),
 )
 
 SENSITIVITY_BANDWIDTH = _sensitivity(
-    "sensitivity_bandwidth", "per-path bandwidth sweep (case 4 parameters)", sweep_bandwidth,
+    "sensitivity_bandwidth", "per-path bandwidth sweep (case 4 parameters)",
+    # The sweep sets each point's bandwidth itself.
+    lambda bandwidth_bps: [
+        (f"bw={bandwidth / 1e6:.0f}Mbps", _two_paths(bandwidth, 0.100, 0.15))
+        for bandwidth in (1e6, 2e6, 4e6, 8e6)
+    ],
     (
-        ("FMTCP's goodput grows with bandwidth", lambda points, scale: (
-            [_goodput(point, "fmtcp") for point in points]
-            == sorted(_goodput(point, "fmtcp") for point in points))),
+        ("FMTCP's goodput grows with bandwidth", lambda rows, scale: (
+            [_goodput(row, "fmtcp") for row in rows]
+            == sorted(_goodput(row, "fmtcp") for row in rows))),
         # The higher the BDP relative to the fixed receive buffer, the
         # harder head-of-line blocking bites the baseline; at the lowest
         # bandwidth MPTCP may edge ahead by FMTCP's coding tax.
         ("FMTCP's advantage grows with bandwidth",
-         lambda points, scale: points[-1].advantage > points[0].advantage),
+         lambda rows, scale: rows[-1]["advantage"] > rows[0]["advantage"]),
         ("FMTCP leads by > 1.1x at the highest bandwidth",
-         lambda points, scale: points[-1].advantage > 1.1),
+         lambda rows, scale: rows[-1]["advantage"] > 1.1),
     ),
 )
 
 SENSITIVITY_DELAY = _sensitivity(
-    "sensitivity_delay", "subflow-2 delay sweep (10 % loss on subflow 2)", sweep_delay_asymmetry,
+    "sensitivity_delay", "subflow-2 delay sweep (10 % loss on subflow 2)",
+    lambda bandwidth_bps: [
+        (f"delay2={delay * 1e3:.0f}ms", _two_paths(bandwidth_bps, delay, 0.10))
+        for delay in (0.010, 0.025, 0.050, 0.100, 0.200, 0.400)
+    ],
     (
         ("FMTCP keeps > 0.85x MPTCP's goodput at every subflow-2 delay",
-         lambda points, scale: all(point.advantage > 0.85 for point in points)),
+         lambda rows, scale: all(row["advantage"] > 0.85 for row in rows)),
     ),
 )
 
@@ -876,16 +1066,44 @@ def _row(rows: Sequence[Dict[str, Any]], name: str) -> Dict[str, Any]:
     return next(row for row in rows if row["name"] == name)
 
 
+def _ablation(
+    scale: Scale, case_id: int, variants: Sequence[Tuple[str, Any]]
+) -> List[Dict[str, Any]]:
+    """One summary row per labelled config on Table I case ``case_id``: an
+    :class:`MptcpConfig` runs the baseline, an :class:`FmtcpConfig` FMTCP."""
+    rows = []
+    for name, config in variants:
+        if isinstance(config, MptcpConfig):
+            result = _case("mptcp", case_id, scale, mptcp_config=config)
+        else:
+            result = _case("fmtcp", case_id, scale, fmtcp_config=config)
+        rows.append(_summary(name, result))
+    return rows
+
+
+def _mptcp_variants() -> List[Tuple[str, MptcpConfig]]:
+    """Min-RTT vs round-robin vs rescue reinjection vs opportunistic
+    retransmission, each on the matched baseline config."""
+    matched = default_mptcp_config(FmtcpConfig())  # scheduler: "minrtt"
+    return [
+        ("minrtt", matched),
+        ("roundrobin", replace(matched, scheduler="roundrobin")),
+        ("minrtt+reinject", replace(matched, reinject_after_timeouts=1)),
+        ("minrtt+orp", replace(matched, opportunistic_retransmission=True)),
+    ]
+
+
 ABLATION_ALLOCATION = Experiment(
     ledger="ablation_allocation",
     verb="ablations",
     title="Ablation — Algorithm 1 (EAT) vs greedy vs HMTP-like stop-and-wait",
     run=lambda scale: [
-        _summary(f"case{case_id}/{mode}", result)
+        row
         for case_id in (4, 5)
-        for mode, result in ablate_allocation(
-            case_id, scale.duration_s, scale.bandwidth_bps, scale.seed
-        ).items()
+        for row in _ablation(scale, case_id, [
+            (f"case{case_id}/{mode}", FmtcpConfig(allocation=mode))
+            for mode in ("eat", "greedy", "stopwait")
+        ])
     ],
     caption=lambda scale: "Algorithm 1 (EAT) vs greedy vs HMTP-like stop-and-wait",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.2f}",
@@ -913,12 +1131,9 @@ ABLATION_DELTA_HAT = Experiment(
     ledger="ablation_delta_hat",
     verb="ablations",
     title="Ablation — the decoding-failure margin δ̂",
-    run=lambda scale: [
-        _summary(f"δ̂={delta:g}", result)
-        for delta, result in ablate_delta_hat(
-            [1e-1, 1e-2, 1e-3, 1e-5], 4, scale.duration_s, scale.bandwidth_bps, scale.seed
-        ).items()
-    ],
+    run=lambda scale: _ablation(scale, 4, [
+        (f"δ̂={delta:g}", FmtcpConfig(delta_hat=delta)) for delta in (1e-1, 1e-2, 1e-3, 1e-5)
+    ]),
     caption=lambda scale: "δ̂ sweep (redundancy vs reliability), case 4",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.3f}",
     shape_checks=(
@@ -933,12 +1148,10 @@ ABLATION_BLOCK_SIZE = Experiment(
     ledger="ablation_block_size",
     verb="ablations",
     title="Ablation — block geometry (symbols per 8 KiB block)",
-    run=lambda scale: [
-        _summary(f"k={k}", result)
-        for k, result in ablate_block_size(
-            [64, 128, 256, 512], 4, scale.duration_s, scale.bandwidth_bps, scale.seed
-        ).items()
-    ],
+    run=lambda scale: _ablation(scale, 4, [
+        (f"k={k}", FmtcpConfig(symbols_per_block=k, symbol_size=max(1, 8192 // k)))
+        for k in (64, 128, 256, 512)
+    ]),
     caption=lambda scale: "block geometry sweep (8 KiB block, varying k̂), case 4",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.3f}",
     shape_checks=(
@@ -953,12 +1166,9 @@ ABLATION_CONGESTION = Experiment(
     ledger="ablation_congestion",
     verb="ablations",
     title="Ablation — uncoupled Reno vs LIA coupling",
-    run=lambda scale: [
-        _summary(kind, result)
-        for kind, result in ablate_congestion_coupling(
-            4, scale.duration_s, scale.bandwidth_bps, scale.seed
-        ).items()
-    ],
+    run=lambda scale: _ablation(scale, 4, [
+        (kind, FmtcpConfig(congestion=kind)) for kind in ("reno", "lia")
+    ]),
     caption=lambda scale: (
         "uncoupled Reno vs LIA coupling on disjoint paths, case 4\n"
         "(paper Section III-A: the choice should not influence results much)"
@@ -975,9 +1185,8 @@ ABLATION_CONGESTION = Experiment(
 def _run_buffer_sweep(scale: Scale) -> List[Dict[str, Any]]:
     lo, hi = scale.duration_s / 4, 3 * scale.duration_s / 4
     rows = []
-    for blocks, pair in ablate_buffer_size(
-        duration_s=scale.duration_s, bandwidth_bps=scale.bandwidth_bps, seed=scale.seed
-    ).items():
+    for blocks in (4, 6, 12, 24):
+        pair = _surge_pair(0.35, scale, lo, hi, max_pending_blocks=blocks)
         during = {
             protocol: mean([rate for t, rate in result.goodput_series if lo <= t < hi])
             for protocol, result in pair.items()
@@ -1018,12 +1227,7 @@ ABLATION_MPTCP_SCHEDULER = Experiment(
     ledger="ablation_mptcp_scheduler",
     verb="ablations",
     title="Ablation — MPTCP baseline scheduler variants",
-    run=lambda scale: [
-        _summary(name, result)
-        for name, result in ablate_mptcp_scheduler(
-            4, scale.duration_s, scale.bandwidth_bps, scale.seed
-        ).items()
-    ],
+    run=lambda scale: _ablation(scale, 4, _mptcp_variants()),
     caption=lambda scale: "MPTCP baseline scheduler variants, case 4",
     line=SUMMARY_LINE + ", retx {chunks_retransmitted}, reinjected {chunks_reinjected}",
     shape_checks=(

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.experiments.catalog import Scale
 from repro.net.topology import Network, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -66,3 +67,21 @@ def make_single_path(
         configs, rng=RngStreams(seed), trace=trace
     )
     return network, paths[0], trace
+
+
+#: The short run the catalog's tier-1 tests share.
+SHORT_SCALE = Scale(2.0, seed=5)
+
+
+@pytest.fixture(scope="session")
+def catalog_result():
+    """``catalog_result(experiment)``: a catalog entry's result at
+    :data:`SHORT_SCALE`, run once per session however many tests read it."""
+    results = {}
+
+    def result(experiment):
+        if experiment.ledger not in results:
+            results[experiment.ledger] = experiment.run(SHORT_SCALE)
+        return results[experiment.ledger]
+
+    return result

@@ -7,11 +7,13 @@ from repro.analysis.throughput import (
     predicted_aggregate_goodput_bps,
     subflow_goodput_bps,
 )
-from repro.experiments.sensitivity import (
-    sweep_bandwidth,
-    sweep_delay_asymmetry,
-    sweep_loss,
+from repro.experiments.catalog import (
+    SENSITIVITY_BANDWIDTH,
+    SENSITIVITY_DELAY,
+    SENSITIVITY_LOSS,
+    Scale,
 )
+from repro.experiments.runner import run_transfer
 from repro.net.topology import PathConfig
 
 
@@ -75,24 +77,41 @@ def test_aggregate_prediction_validation():
 # Sensitivity sweeps (smoke scale).
 # ----------------------------------------------------------------------
 def test_sweep_loss_advantage_monotone_trend():
-    points = sweep_loss(loss_rates=(0.0, 0.15), duration_s=6.0)
-    assert len(points) == 2
-    assert points[1].advantage > points[0].advantage
+    advantage = []
+    for loss in (0.0, 0.15):
+        goodput = {
+            protocol: run_transfer(
+                protocol,
+                [
+                    PathConfig(bandwidth_bps=4e6, delay_s=0.100, loss_rate=0.0),
+                    PathConfig(bandwidth_bps=4e6, delay_s=0.100, loss_rate=loss),
+                ],
+                duration_s=6.0,
+            ).summary["goodput_mbytes_per_s"]
+            for protocol in ("fmtcp", "mptcp")
+        }
+        advantage.append(goodput["fmtcp"] / goodput["mptcp"])
+    assert advantage[1] > advantage[0]
 
 
-def test_sweep_bandwidth_runs():
-    points = sweep_bandwidth(bandwidths_bps=(2e6, 4e6), duration_s=6.0)
-    assert [point.label for point in points] == ["bw=2Mbps", "bw=4Mbps"]
-    assert all(point.results["fmtcp"].summary["total_mbytes"] > 0 for point in points)
+def test_sweep_bandwidth_runs(catalog_result):
+    rows = catalog_result(SENSITIVITY_BANDWIDTH)
+    assert [row["label"] for row in rows] == ["bw=1Mbps", "bw=2Mbps", "bw=4Mbps", "bw=8Mbps"]
+    assert all(row["fmtcp"]["total_mbytes"] > 0 for row in rows)
 
 
-def test_sweep_delay_asymmetry_runs():
-    points = sweep_delay_asymmetry(delays_s=(0.05, 0.2), duration_s=6.0)
-    assert len(points) == 2
-    for point in points:
-        assert point.predicted_bps["fmtcp"] > 0
+def test_sweep_delay_asymmetry_runs(catalog_result):
+    rows = catalog_result(SENSITIVITY_DELAY)
+    assert len(rows) == 6
+    for row in rows:
+        assert row["pftk_fmtcp"] > 0
 
 
-def test_sweep_point_description_mentions_parameters():
-    points = sweep_loss(loss_rates=(0.1,), duration_s=4.0)
-    assert "10%" in points[0].configs_description
+@pytest.mark.parametrize("experiment", [SENSITIVITY_LOSS, SENSITIVITY_DELAY],
+                         ids=lambda experiment: experiment.ledger)
+def test_loss_and_delay_sweeps_run_at_the_scales_bandwidth(experiment):
+    """Both paths of every point run at ``--bandwidth``: at 1 Mbit/s no
+    point is predicted, or measured, above the two paths' 2 Mbit/s."""
+    rows = experiment.run(Scale(1.0, bandwidth_bps=1e6, seed=5))
+    assert all(row["pftk_fmtcp"] <= 2e6 for row in rows)
+    assert all(row["fmtcp"]["goodput_mbps"] <= 2.0 for row in rows)

@@ -1,23 +1,12 @@
-"""Tests for the experiment harness (runner, figure runners, ablations)."""
+"""Tests for the experiment harness (runner, catalog runs, ablations)."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import FmtcpConfig
-from repro.experiments.ablations import (
-    ablate_allocation,
-    ablate_block_size,
-    ablate_congestion_coupling,
-    ablate_delta_hat,
-    ablate_mptcp_scheduler,
-)
-from repro.experiments.figures import (
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_table1_suite,
-)
+from repro.experiments import catalog
+from repro.experiments.catalog import CATALOG, Scale
 from repro.experiments.runner import (
     PROTOCOLS,
     build_connection,
@@ -25,10 +14,12 @@ from repro.experiments.runner import (
     default_mptcp_config,
     run_transfer,
 )
-from repro.net.topology import PathConfig
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 from repro.workloads.sources import BulkSource
+from tests.conftest import SHORT_SCALE
 
+LEDGERS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+SIMULATED = [experiment for experiment in CATALOG if experiment.duration_s is not None]
 FAST = 4.0  # seconds of simulated time for smoke runs
 PATHS = lambda: table1_path_configs(TABLE1_CASES[2])  # noqa: E731
 
@@ -106,59 +97,83 @@ def test_default_mptcp_config_matches_fmtcp_budget():
 
 
 # ----------------------------------------------------------------------
-# Figure runners (tiny durations).
+# Catalog runs (a 2 s run each, shared through ``catalog_result``).
 # ----------------------------------------------------------------------
-def test_table1_suite_runs_and_caches():
-    suite1 = run_table1_suite(duration_s=FAST, seed=5, cases=TABLE1_CASES[:2])
-    suite2 = run_table1_suite(duration_s=FAST, seed=5, cases=TABLE1_CASES[:2])
-    assert suite1 is suite2  # memoised
-    assert set(suite1.results) == {"fmtcp", "mptcp"}
-    assert len(suite1.results["fmtcp"]) == 2
-    case_result = suite1.case_result("fmtcp", TABLE1_CASES[0].case_id)
-    assert case_result.protocol == "fmtcp"
+def _entry(ledger):
+    return next(experiment for experiment in CATALOG if experiment.ledger == ledger)
 
 
-def test_figure3_rows_structure():
-    rows = run_figure3(duration_s=FAST, seed=5)
+@pytest.mark.parametrize("experiment", SIMULATED, ids=lambda experiment: experiment.ledger)
+def test_a_short_run_renders_as_many_lines_as_its_ledger(experiment, catalog_result):
+    """Every grid point of every simulated entry still runs and prints."""
+    lines = experiment.render(catalog_result(experiment), SHORT_SCALE)
+    ledger = (LEDGERS / f"{experiment.ledger}.txt").read_text().splitlines()
+    assert len(lines) == len(ledger)
+
+
+def test_table1_suite_runs_and_caches(monkeypatch):
+    """Figs. 3, 5 and 6 read one sweep: 16 transfers per scale."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_transfer(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "run_transfer", counted)
+    scale = Scale(1.0, seed=7)  # no other test runs this scale
+    for experiment in (catalog.FIG3, catalog.FIG5, catalog.FIG6):
+        experiment.run(scale)
+    assert calls == ["fmtcp"] * 8 + ["mptcp"] * 8
+
+
+def test_figure3_rows_structure(catalog_result):
+    rows = catalog_result(catalog.FIG3)
     assert len(rows) == 8
     assert {"case", "fmtcp_goodput_mb", "mptcp_goodput_mb", "ratio"} <= set(rows[0])
 
 
-def test_figure5_and_6_share_suite_with_fig3():
-    rows5 = run_figure5(duration_s=FAST, seed=5)
-    rows6 = run_figure6(duration_s=FAST, seed=5)
+def test_figure5_and_6_share_suite_with_fig3(catalog_result):
+    rows5 = catalog_result(catalog.FIG5)
+    rows6 = catalog_result(catalog.FIG6)
     assert len(rows5) == len(rows6) == 8
     assert all(row["fmtcp_block_delay_ms"] > 0 for row in rows5)
     assert all(row["fmtcp_jitter_ms"] >= 0 for row in rows6)
 
 
-def test_figure4_series():
-    results = run_figure4(
-        0.30, duration_s=30.0, surge_start_s=10.0, surge_end_s=20.0, seed=5,
-        bin_width_s=5.0,
-    )
-    assert set(results) == {"fmtcp", "mptcp"}
-    assert len(results["fmtcp"].goodput_series) == 6
+def test_figure4_series(catalog_result):
+    result = catalog_result(_entry("fig4_surge_35"))
+    assert set(result["series"]) == {"fmtcp", "mptcp"}
+    assert [row["phase"] for row in result["phases"]] == ["before", "during", "after"]
 
 
-def test_figure7_series():
-    series = run_figure7(duration_s=FAST, seed=5, max_blocks=100)
-    assert set(series) == {"fmtcp", "mptcp"}
-    assert len(series["fmtcp"]) <= 100
-    assert all(delay > 0 for delay in series["fmtcp"])
+def test_figure7_series(catalog_result):
+    stats = catalog_result(catalog.FIG7)
+    assert set(stats) == {"fmtcp", "mptcp"}
+    assert 0 < stats["fmtcp"]["blocks"] <= 1000
+    assert stats["fmtcp"]["mean"] > 0
 
 
 # ----------------------------------------------------------------------
-# Ablations (smoke).
+# Ablations.
 # ----------------------------------------------------------------------
-def test_ablate_allocation_modes():
-    results = ablate_allocation(duration_s=FAST, seed=5)
-    assert set(results) == {"eat", "greedy", "stopwait"}
+def _names(rows):
+    return [row["name"] for row in rows]
+
+
+def test_ablate_allocation_modes(catalog_result):
+    assert _names(catalog_result(catalog.ABLATION_ALLOCATION)) == [
+        f"case{case}/{mode}" for case in (4, 5) for mode in ("eat", "greedy", "stopwait")
+    ]
 
 
 def test_ablate_delta_hat():
-    results = ablate_delta_hat(deltas=[1e-2, 1e-4], duration_s=FAST, seed=5)
-    assert set(results) == {1e-2, 1e-4}
+    results = {
+        delta: run_transfer(
+            "fmtcp", table1_path_configs(TABLE1_CASES[3]), duration_s=FAST, seed=5,
+            fmtcp_config=FmtcpConfig(delta_hat=delta),
+        )
+        for delta in (1e-2, 1e-4)
+    }
     # Stricter delta sends more redundancy.
     assert (
         results[1e-4].extras["redundancy_ratio"]
@@ -166,16 +181,17 @@ def test_ablate_delta_hat():
     )
 
 
-def test_ablate_block_size():
-    results = ablate_block_size(ks=[64, 256], duration_s=FAST, seed=5)
-    assert set(results) == {64, 256}
+def test_ablate_block_size(catalog_result):
+    assert _names(catalog_result(catalog.ABLATION_BLOCK_SIZE)) == [
+        "k=64", "k=128", "k=256", "k=512"
+    ]
 
 
-def test_ablate_congestion_coupling():
-    results = ablate_congestion_coupling(duration_s=FAST, seed=5)
-    assert set(results) == {"reno", "lia"}
+def test_ablate_congestion_coupling(catalog_result):
+    assert _names(catalog_result(catalog.ABLATION_CONGESTION)) == ["reno", "lia"]
 
 
-def test_ablate_mptcp_scheduler():
-    results = ablate_mptcp_scheduler(duration_s=FAST, seed=5)
-    assert set(results) == {"minrtt", "roundrobin", "minrtt+reinject", "minrtt+orp"}
+def test_ablate_mptcp_scheduler(catalog_result):
+    assert _names(catalog_result(catalog.ABLATION_MPTCP_SCHEDULER)) == [
+        "minrtt", "roundrobin", "minrtt+reinject", "minrtt+orp"
+    ]

@@ -8,10 +8,10 @@ benchmark harness runs the same experiments at paper scale.
 
 import pytest
 
-from repro.experiments.figures import run_figure4
+from repro.core.config import FmtcpConfig
 from repro.experiments.runner import run_transfer
 from repro.metrics.stats import mean
-from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
+from repro.workloads.scenarios import TABLE1_CASES, surge_path_configs, table1_path_configs
 
 DURATION = 20.0
 SEED = 1
@@ -131,14 +131,20 @@ def test_mptcp_delay_spikes_exceed_fmtcp_spikes(case4_pair):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def surge_results():
-    return run_figure4(
-        0.35,
-        duration_s=60.0,
-        surge_start_s=15.0,
-        surge_end_s=45.0,
-        seed=SEED,
-        bin_width_s=5.0,
-    )
+    """Fig. 4's setting: a 35 % surge on subflow 2 and a scarce receive
+    buffer (6 blocks), goodput binned every 5 s."""
+    return {
+        protocol: run_transfer(
+            protocol,
+            surge_path_configs(0.35, surge_start_s=15.0, surge_end_s=45.0),
+            duration_s=60.0,
+            seed=SEED,
+            bin_width_s=5.0,
+            collect_series=True,
+            fmtcp_config=FmtcpConfig(max_pending_blocks=6),
+        )
+        for protocol in ("fmtcp", "mptcp")
+    }
 
 
 def _phase_rates(result, start, end):

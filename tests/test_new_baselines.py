@@ -5,8 +5,7 @@ heatmap."""
 import pytest
 
 from repro.core.config import FmtcpConfig
-from repro.experiments.ablations import ablate_allocation
-from repro.experiments.heatmap import HeatmapResult, run_heatmap
+from repro.experiments.catalog import HEATMAP, glyph, render_heatmap
 from repro.experiments.runner import run_transfer
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 
@@ -71,8 +70,13 @@ def test_stopwait_mode_accepted_and_runs():
 
 def test_stopwait_wastes_bandwidth_vs_eat():
     """The paper's Section II criticism of HMTP, quantified."""
-    results = ablate_allocation(case_id=4, duration_s=10.0, seed=1)
-    assert set(results) == {"eat", "greedy", "stopwait"}
+    results = {
+        mode: run_transfer(
+            "fmtcp", table1_path_configs(TABLE1_CASES[3]), duration_s=10.0, seed=1,
+            fmtcp_config=FmtcpConfig(allocation=mode),
+        )
+        for mode in ("eat", "stopwait")
+    }
     assert (
         results["stopwait"].extras["redundancy_ratio"]
         > 3 * results["eat"].extras["redundancy_ratio"]
@@ -91,25 +95,20 @@ def test_unknown_allocation_mode_rejected():
 # ----------------------------------------------------------------------
 # Heatmap.
 # ----------------------------------------------------------------------
-def test_heatmap_grid_complete():
-    result = run_heatmap(
-        loss_rates=(0.05, 0.15), pending_blocks=(8, 16), duration_s=5.0
-    )
-    assert len(result.ratios) == 4
-    assert all(ratio > 0 for ratio in result.ratios.values())
+def test_heatmap_grid_complete(catalog_result):
+    ratios = catalog_result(HEATMAP)
+    assert len(ratios) == 9  # 3 loss rates x 3 buffer budgets
+    assert all(ratio > 0 for ratio in ratios.values())
 
 
 def test_heatmap_render_shape():
-    result = HeatmapResult(loss_rates=[0.1], pending_blocks=[8, 16])
-    result.ratios = {(0.1, 8): 0.95, (0.1, 16): 2.5}
-    lines = result.render()
+    lines = render_heatmap({(0.1, 8): 0.95, (0.1, 16): 2.5})
     assert len(lines) == 3  # legend + header + one row
     assert "##" in lines[2] and "- " in lines[2]
 
 
 def test_heatmap_glyph_buckets():
-    result = HeatmapResult(loss_rates=[], pending_blocks=[])
-    assert result.glyph(0.5) == "--"
-    assert result.glyph(1.05) == "≈ "
-    assert result.glyph(1.2) == "+ "
-    assert result.glyph(3.0) == "##"
+    assert glyph(0.5) == "--"
+    assert glyph(1.05) == "≈ "
+    assert glyph(1.2) == "+ "
+    assert glyph(3.0) == "##"
