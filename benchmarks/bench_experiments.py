@@ -1,4 +1,4 @@
-"""Every catalogued paper artefact: timed, shape-checked, written to its ledger.
+"""Every published ledger: one catalog entry each, timed, shape-checked, written.
 
 One test per :data:`repro.experiments.catalog.CATALOG` entry, named after
 its ledger (``pytest benchmarks/bench_experiments.py -k fig3_goodput`` runs

@@ -1,19 +1,17 @@
 """Benchmark-harness plumbing.
 
-Each benchmark regenerates one paper table/figure and registers a
-human-readable report. Reports are written to ``benchmarks/results/`` and
-echoed in pytest's terminal summary (so they survive output capture).
+Each benchmark registers a human-readable report. Reports are written to
+``benchmarks/results/`` and echoed in pytest's terminal summary (so they
+survive output capture).
 
-Durations: paper runs are 300 s; benchmarks default to 60 s per run
-(shapes are stable well before that). Override with
-``REPRO_BENCH_DURATION`` seconds, or set ``REPRO_FAST=1`` for 15 s smoke
-runs. The catalogued paper artefacts (``bench_experiments.py``) take
-their full and fast run lengths from their catalog entry instead.
+Every published ledger is a :data:`repro.experiments.catalog.CATALOG`
+entry, run by ``bench_experiments.py`` at the entry's full scale;
+``REPRO_FAST=1`` picks each entry's fast scale and
+``REPRO_BENCH_DURATION=SECONDS`` one run length for every simulated entry.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import List
 
@@ -21,14 +19,6 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 _REPORTS: List[str] = []
-
-
-def bench_duration() -> float:
-    if os.environ.get("REPRO_BENCH_DURATION"):
-        return float(os.environ["REPRO_BENCH_DURATION"])
-    if os.environ.get("REPRO_FAST"):
-        return 15.0
-    return 60.0
 
 
 @pytest.fixture

@@ -371,12 +371,10 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
             f"seed {args.seed}"
         )
     else:
-        # Always leave room to recover after the last fault heals / settles.
-        settle = scenario.settle_time
-        duration = max(args.duration or 40.0, settle + 4.0)
+        duration = scenario.run_length(args.duration or 40.0)
         print(
             f"Scenario {scenario.name}: {len(scenario.events)} events, "
-            f"faults {scenario.fault_start:.1f}-{settle:.1f}s, "
+            f"faults {scenario.fault_start:.1f}-{scenario.settle_time:.1f}s, "
             f"{duration:.0f}s run, seed {args.seed}"
         )
     for protocol in protocols:

@@ -1,8 +1,9 @@
 """One declaration per paper artefact: what it runs, what it prints, what shape it must have.
 
-Every table and figure of the paper's evaluation (and the extensions that
-sit beside them in EXPERIMENTS.md) is one :class:`Experiment` in
-:data:`CATALOG`. Three readers use the same entry:
+Every table and figure of the paper's evaluation, and every extension and
+robustness probe beside them in EXPERIMENTS.md, is one :class:`Experiment`
+in :data:`CATALOG`; no ledger is published any other way. Three readers
+use the same entry:
 
 * the CLI verb (``python -m repro fig3``) runs it at the requested scale,
   prints :meth:`Experiment.render` and names any shape check that fails;
@@ -46,15 +47,37 @@ from repro.experiments.fairness import run_fairness
 from repro.experiments.reporting import bar_chart, rows_to_csv, series_plot, series_to_csv
 from repro.experiments.runner import (
     ExperimentResult,
+    build_connection,
     build_topology,
     default_mptcp_config,
     run_transfer,
 )
+from repro.faults import (
+    MOBILITY_SCENARIOS,
+    SCENARIOS,
+    FaultScenario,
+    measure_corruption_goodput,
+    measure_fault_response,
+)
+from repro.fixedrate import FixedRateConfig
+from repro.metrics.collectors import MetricsSuite
+from repro.metrics.latency import AppLatencyCollector
 from repro.metrics.stats import mean, percentile, stdev
 from repro.mptcp.connection import MptcpConfig
+from repro.net.loss import ScheduledLoss
 from repro.net.packet import Packet
 from repro.net.topology import PathConfig
-from repro.workloads.scenarios import DEFAULT_BANDWIDTH_BPS, TABLE1_CASES, surge_path_configs
+from repro.recovery import measure_recovery
+from repro.robustness.exhaustion import BUFFERBLOCK_PATHS, measure_bufferblock
+from repro.traces import measure_trace_goodput
+from repro.workloads.scenarios import (
+    DEFAULT_BANDWIDTH_BPS,
+    TABLE1_CASES,
+    surge_path_configs,
+    table1_path_configs,
+)
+from repro.workloads.sources import BulkSource
+from repro.workloads.video import VbrVideoSource
 
 
 @dataclass(frozen=True)
@@ -1241,6 +1264,453 @@ ABLATION_MPTCP_SCHEDULER = Experiment(
 )
 
 
+# ----------------------------------------------------------------------
+# Section III-B's fixed-rate argument as a running transport, and the
+# paper's closing multimedia claim.
+# ----------------------------------------------------------------------
+def _fixed_rate_run(
+    paths: List[PathConfig], scale: Scale, seed: int, config: FixedRateConfig
+) -> Tuple[Any, MetricsSuite]:
+    """One fixed-rate transfer on ``config`` (``run_transfer`` derives the
+    fixed-rate config from FMTCP's, which has no code-rate knob p̂)."""
+    trace, network, built = build_topology(paths, seed)
+    metrics = MetricsSuite(trace, bin_width_s=1.0)
+    connection = build_connection(
+        "fixedrate", network.sim, built, BulkSource(), seed, trace, config=config
+    )
+    connection.start()
+    network.sim.run(until=scale.duration_s)
+    return connection, metrics
+
+
+def _run_p_hat_sweep(scale: Scale) -> Dict[str, Any]:
+    rows = []
+    for p_hat in (0.0, 0.05, 0.15, 0.30):
+        connection, metrics = _fixed_rate_run(
+            table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps), scale, scale.seed,
+            FixedRateConfig(estimated_loss=p_hat),
+        )
+        rows.append({
+            "p_hat": p_hat,
+            "goodput": metrics.goodput.goodput_mbytes_per_s(scale.duration_s),
+            "redundancy": connection.redundancy_ratio(),
+            "retransmitted": connection.symbols_retransmitted,
+        })
+    return {"rows": rows, "fmtcp": _case("fmtcp", 4, scale)}
+
+
+FIXEDRATE_P_HAT_SWEEP = Experiment(
+    ledger="fixedrate_p_hat_sweep",
+    verb="motivation",
+    title="Section III-B — the fixed-rate code-rate knob p̂ vs FMTCP, as transports",
+    run=_run_p_hat_sweep,
+    caption=lambda scale: "fixed-rate code-rate knob p̂ on case 4 (true loss 15% on subflow 2)",
+    columns=(
+        Column("p̂", 6, lambda row: row["p_hat"], ".2f"),
+        Column("goodput MB/s", 13, lambda row: row["goodput"], ".3f"),
+        Column("redundancy", 11, lambda row: row["redundancy"], ".3f"),
+        Column("retx symbols", 13, lambda row: row["retransmitted"]),
+    ),
+    rows=lambda result: result["rows"],
+    footer=lambda result: [
+        f" FMTCP {result['fmtcp'].summary['goodput_mbytes_per_s']:>13.3f} "
+        f"{result['fmtcp'].extras['redundancy_ratio']:>11.3f}   (no p̂ to tune)"
+    ],
+    shape_checks=(
+        ("redundancy rises with p̂ (Eq. 4's budget)", lambda result, scale: (
+            [row["redundancy"] for row in result["rows"]]
+            == sorted(row["redundancy"] for row in result["rows"]))),
+        ("goodput falls from p̂ = 0 to the largest p̂", lambda result, scale: (
+            result["rows"][0]["goodput"] > result["rows"][-1]["goodput"])),
+        # A small tolerance for seed noise.
+        ("FMTCP above 95 % of every p̂ > 0 operating point", lambda result, scale: all(
+            result["fmtcp"].summary["goodput_mbytes_per_s"] > 0.95 * row["goodput"]
+            for row in result["rows"][1:])),
+    ),
+    duration_s=30.0,
+)
+
+
+def _run_blackout(scale: Scale) -> Dict[str, Dict[str, Any]]:
+    """Goodput inside [13, 20)s while path 2 drops 99 % during [10, 20)s."""
+
+    def paths() -> List[PathConfig]:
+        blackout = ScheduledLoss([(0.0, 0.0), (10.0, 0.99), (20.0, 0.0)])
+        return [
+            PathConfig(bandwidth_bps=scale.bandwidth_bps, delay_s=0.050, loss_rate=0.0),
+            PathConfig(bandwidth_bps=scale.bandwidth_bps, delay_s=0.050, loss_model=blackout),
+        ]
+
+    seed = scale.seed + 2  # the ledger's seed 3 at the default seed 1
+    _, fixed = _fixed_rate_run(paths(), scale, seed, FixedRateConfig())
+    fmtcp = _transfer("fmtcp", replace(scale, seed=seed), paths, collect_series=True)
+    result = {}
+    for label, series, repairs in (
+        ("fixed-rate:", fixed.goodput.series(scale.duration_s), "pinned to the dead path"),
+        ("FMTCP:", fmtcp.goodput_series, "rerouted to the live path"),
+    ):
+        megabytes = sum(rate for t, rate in series if 13.0 <= t < 20.0)
+        result[label] = {"label": label, "mb": megabytes, "rate": megabytes / 7, "repairs": repairs}
+    return result
+
+
+FIXEDRATE_BLACKOUT = Experiment(
+    ledger="fixedrate_blackout",
+    verb="motivation",
+    title="Section III-B — fixed-rate repairs pinned to a dead path vs FMTCP's rerouted ones",
+    run=_run_blackout,
+    caption=lambda scale: "total blackout of path 2 during [10, 20)s — goodput inside [13, 20)s",
+    line="  {label:<11} {rate:.3f} MB/s (repairs {repairs})",
+    rows=lambda result: list(result.values()),
+    shape_checks=(
+        # "fixed-rate coding constrains the transmission for a block over
+        # the same path": a dead path stalls delivery entirely.
+        ("fixed-rate delivers < 0.05 MB inside [13, 20)s",
+         lambda result, scale: result["fixed-rate:"]["mb"] < 0.05),
+        ("FMTCP keeps > 0.2 MB/s inside [13, 20)s",
+         lambda result, scale: result["FMTCP:"]["rate"] > 0.2),
+    ),
+    duration_s=45.0,
+)
+
+VIDEO_RATE_BPS = 2.0e6
+
+
+def _stream(protocol: str, scale: Scale) -> Dict[str, Any]:
+    """A GOP-structured VBR video over the case-4 pair: codec-to-delivery
+    latency percentiles (ms) and stall fractions at two playout buffers."""
+    seed = scale.seed + 8  # the ledger's seed 9 at the default seed 1
+    paths = table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps)
+    trace, network, built = build_topology(paths, seed)
+    source = VbrVideoSource(network.sim, mean_rate_bps=VIDEO_RATE_BPS, fps=25.0, seed=seed)
+    collector = AppLatencyCollector(trace, source)
+    # Every transport on its own default config, except MPTCP matched to
+    # FMTCP's blocks; TCP rides path 0.
+    config = default_mptcp_config(FmtcpConfig()) if protocol == "mptcp" else None
+    connection = build_connection(
+        protocol, network.sim, built[:1] if protocol == "tcp" else built,
+        source, seed, trace, config=config,
+    )
+    source.attach(connection)
+    connection.start()
+    network.sim.run(until=scale.duration_s)
+    return {
+        "transport": protocol,
+        **{f"p{q}": collector.percentile_latency_s(q) * 1e3 for q in (50, 95, 99)},
+        "stall_300": collector.stall_fraction(0.3),
+        "stall_800": collector.stall_fraction(0.8),
+    }
+
+
+STREAMING_QOE = Experiment(
+    ledger="streaming_qoe",
+    verb="motivation",
+    title="Conclusion — streaming QoE: VBR video latency and stalls per transport",
+    run=lambda scale: {
+        protocol: _stream(protocol, scale) for protocol in ("tcp", "mptcp", "fixedrate", "fmtcp")
+    },
+    caption=lambda scale: (
+        f"{VIDEO_RATE_BPS / 1e6:.1f} Mbit/s VBR video over case 4 paths, "
+        f"{scale.duration_s:.0f}s (codec-to-delivery latency)\n"
+        f"{'transport':>10} {'p50':>8} {'p95':>8} {'p99':>8} "
+        f"{'stall@300ms':>12} {'stall@800ms':>12}"
+    ),
+    line=(
+        "{transport:>10} {p50:>6.0f}ms {p95:>6.0f}ms {p99:>6.0f}ms "
+        "{stall_300:>11.1%} {stall_800:>11.1%}"
+    ),
+    rows=lambda result: list(result.values()),
+    shape_checks=(
+        # Against the other multipath transport only: single-path TCP on
+        # the clean path keeps the shortest tail (EXPERIMENTS.md).
+        ("FMTCP's p95 latency below MPTCP's",
+         lambda result, scale: result["fmtcp"]["p95"] < result["mptcp"]["p95"]),
+        ("FMTCP stalls at an 800 ms buffer no more often than MPTCP", lambda result, scale: (
+            result["fmtcp"]["stall_800"] <= result["mptcp"]["stall_800"])),
+        # Runs under 30 s weigh the slow-start transient more.
+        ("FMTCP stalls < 5 % at an 800 ms buffer (10 % below 30 s)", lambda result, scale: (
+            result["fmtcp"]["stall_800"] < (0.05 if scale.duration_s >= 30.0 else 0.10))),
+    ),
+    duration_s=40.0,
+)
+
+
+# ----------------------------------------------------------------------
+# Robustness probes (ours): every point is the mean of three seeds from
+# ``scale.seed`` on, measured by the probes the soak harnesses export.
+# ----------------------------------------------------------------------
+BASE_LOSS = 0.05
+
+
+def _seeds(scale: Scale) -> List[int]:
+    return [scale.seed, scale.seed + 1, scale.seed + 2]
+
+
+def _fault_rows(names: Sequence[str], scale: Scale) -> Dict[str, Dict[str, Any]]:
+    """Per named scenario and protocol, on 5 %-loss paths: goodput
+    retention through the fault window, goodput after it settles and the
+    time to recover. No run ends before :meth:`FaultScenario.run_length`."""
+    rows = {}
+    for name in sorted(names):
+        scenario = FaultScenario.named(name)
+        row: Dict[str, Any] = {"scenario": name}
+        for protocol in PAIR:
+            runs = [
+                measure_fault_response(
+                    protocol, scenario, seed=seed, base_loss=BASE_LOSS,
+                    duration_s=scenario.run_length(scale.duration_s),
+                )
+                for seed in _seeds(scale)
+            ]
+            row[f"{protocol}_retention"] = mean([run.retention for run in runs])
+            row[f"{protocol}_post"] = mean([run.post_mbps for run in runs])
+            # A run that never recovers scores the full post-heal window.
+            row[f"{protocol}_recovery"] = mean([
+                run.duration_s - scenario.heal_time if run.recovery_s is None
+                else run.recovery_s
+                for run in runs
+            ])
+        rows[name] = row
+    return rows
+
+
+def _retention_columns(name_width: int) -> Tuple[Column, ...]:
+    return (
+        Column("scenario", name_width, lambda row: row["scenario"]),
+        Column("FMTCP ret", 10, lambda row: row["fmtcp_retention"], ".3f"),
+        Column("MPTCP ret", 10, lambda row: row["mptcp_retention"], ".3f"),
+    )
+
+
+def _retains_more(name: str) -> Check:
+    return (f"through {name} FMTCP retains more goodput than MPTCP", lambda rows, scale: (
+        rows[name]["fmtcp_retention"] > rows[name]["mptcp_retention"]))
+
+
+def _delivers_after(what: str) -> Check:
+    return (f"both protocols deliver after {what}", lambda rows, scale: all(
+        row[f"{protocol}_post"] > 0 for row in rows.values() for protocol in PAIR))
+
+
+FAULT_RESPONSE = Experiment(
+    ledger="fault_response",
+    verb="robustness",
+    title="Robustness — goodput retention and recovery through link faults",
+    run=lambda scale: _fault_rows(SCENARIOS, scale),
+    caption=lambda scale: (
+        f"Goodput through a 10 s fault window, {BASE_LOSS:.0%} base loss, "
+        f"seeds {_seeds(scale)} (mean):"
+    ),
+    columns=_retention_columns(20) + (
+        Column("FMTCP rec(s)", 13, lambda row: row["fmtcp_recovery"], ".1f"),
+        Column("MPTCP rec(s)", 13, lambda row: row["mptcp_recovery"], ".1f"),
+    ),
+    rows=lambda rows: list(rows.values()),
+    shape_checks=(
+        _retains_more("link_flap"),
+        _retains_more("path_death"),
+        _delivers_after("every fault heals"),
+    ),
+    duration_s=40.0,
+)
+
+CHURN_RESPONSE = Experiment(
+    ledger="churn_response",
+    verb="robustness",
+    title="Robustness — goodput through subflow churn (handover, flap, permanent loss)",
+    run=lambda scale: _fault_rows(MOBILITY_SCENARIOS, scale),
+    caption=lambda scale: (
+        f"Goodput through subflow churn, {BASE_LOSS:.0%} base loss, "
+        f"seeds {_seeds(scale)} (mean):"
+    ),
+    columns=_retention_columns(24) + (
+        Column("FMTCP post", 11, lambda row: row["fmtcp_post"], ".3f"),
+        Column("MPTCP post", 11, lambda row: row["mptcp_post"], ".3f"),
+    ),
+    rows=lambda rows: list(rows.values()),
+    # Graceful degradation: whatever was removed, the survivors deliver.
+    shape_checks=(_delivers_after("every churn settles"),),
+    duration_s=40.0,
+)
+
+CORRUPTION_GOODPUT = Experiment(
+    ledger="corruption_goodput",
+    verb="robustness",
+    title="Robustness — goodput vs per-link corruption rate",
+    run=lambda scale: [
+        {"rate": rate, **{
+            protocol: mean([
+                measure_corruption_goodput(protocol, rate, seed=seed, duration_s=scale.duration_s)
+                for seed in _seeds(scale)
+            ])
+            for protocol in PAIR
+        }}
+        for rate in (0.0, 0.01, 0.02, 0.05)
+    ],
+    caption=lambda scale: (
+        f"Goodput (Mb/s) vs per-link corruption rate, seeds {_seeds(scale)} (mean):"
+    ),
+    columns=(
+        Column("rate", 6, lambda row: row["rate"], ".2f"),
+        Column("fmtcp", 9, lambda row: row["fmtcp"], ".3f"),
+        Column("mptcp", 9, lambda row: row["mptcp"], ".3f"),
+    ),
+    shape_checks=(
+        ("both protocols still deliver at 5 % corruption",
+         lambda rows, scale: all(rows[-1][protocol] > 0 for protocol in PAIR)),
+        # Not "the clean run is the best case": MPTCP's mean rises from
+        # 0 % to 1 % corruption (EXPERIMENTS.md).
+        ("clean goodput is at least the goodput at 5 % corruption", lambda rows, scale: all(
+            rows[0][protocol] >= rows[-1][protocol] for protocol in PAIR)),
+    ),
+    duration_s=20.0,
+)
+
+
+def _run_bufferblock(scale: Scale) -> List[Dict[str, Any]]:
+    rows = []
+    for budget in (16_384, 32_768, 65_536, 131_072):
+        row: Dict[str, Any] = {"budget": budget}
+        for protocol in PAIR:
+            runs = [
+                measure_bufferblock(protocol, budget, seed=seed, duration_s=scale.duration_s)
+                for seed in _seeds(scale)
+            ]
+            row[protocol] = round(mean([run["goodput_mbytes_per_s"] for run in runs]), 4)
+            row[f"{protocol}_within_budget"] = all(
+                run["peak_occupancy"] <= run["budget_units"] for run in runs
+            )
+        rows.append(row)
+    return rows
+
+
+BUFFERBLOCK_SWEEP = Experiment(
+    ledger="bufferblock_sweep",
+    verb="robustness",
+    title="Section II — goodput vs receive-buffer budget (buffer blocking)",
+    run=_run_bufferblock,
+    caption=lambda scale: (
+        "Goodput (MB/s) vs receive-buffer budget, flow control on, "
+        f"seeds {_seeds(scale)} (mean):\npaths {BUFFERBLOCK_PATHS}"
+    ),
+    columns=(
+        Column("budget", 8, lambda row: row["budget"]),
+        Column("fmtcp", 9, lambda row: row["fmtcp"], ".4f"),
+        Column("mptcp", 9, lambda row: row["mptcp"], ".4f"),
+    ),
+    footer=lambda rows: [
+        f"{protocol}: retains {rows[0][protocol] / max(rows[-1][protocol], 1e-9):.1%} "
+        f"of large-buffer goodput at {rows[0]['budget'] // 1024} KiB"
+        for protocol in PAIR
+    ],
+    shape_checks=(
+        # The paper's Section II claim at its sharpest point.
+        ("at the 16 KiB budget FMTCP beats MPTCP",
+         lambda rows, scale: rows[0]["fmtcp"] > rows[0]["mptcp"]),
+        ("both stacks stay within their licensed receive units", lambda rows, scale: all(
+            row[f"{protocol}_within_budget"] for row in rows for protocol in PAIR)),
+    ),
+    duration_s=60.0,
+)
+
+
+def _run_recovery(scale: Scale) -> Dict[str, Dict[str, Any]]:
+    """Per crash preset and protocol: goodput retention (clean / crashed
+    completion time), the longest outage and the sender checkpoint size."""
+    rows = {}
+    for preset in ("receiver_crash", "sender_crash", "crash_storm"):
+        row: Dict[str, Any] = {"preset": preset}
+        for protocol in PAIR:
+            runs = [
+                measure_recovery(
+                    protocol, FaultScenario.named(preset), seed=seed, duration_s=scale.duration_s
+                )
+                for seed in _seeds(scale)
+            ]
+            row[f"{protocol}_retention"] = round(
+                mean([run["goodput_retention"] for run in runs]), 4
+            )
+            row[f"{protocol}_outage"] = round(max(run["max_outage_s"] for run in runs), 3)
+            row[f"{protocol}_checkpoint"] = max(run["checkpoint_bytes"] for run in runs)
+            row[f"{protocol}_violations"] = sum(run["violations"] for run in runs)
+        rows[preset] = row
+    return rows
+
+
+RECOVERY_RESPONSE = Experiment(
+    ledger="recovery_response",
+    verb="robustness",
+    title="Robustness — goodput retention and checkpoint size through endpoint crashes",
+    run=_run_recovery,
+    caption=lambda scale: (
+        "Goodput retention (clean/crashed completion time) per crash preset, "
+        f"seeds {_seeds(scale)} (mean):\n"
+        f"{'preset':>16}  {'fmtcp retain':>14}  {'mptcp retain':>14}  "
+        f"{'outage(s)':>10}  {'ckpt fm/mp (B)':>14}"
+    ),
+    line=(
+        "{preset:>16}  {fmtcp_retention:>14.4f}  {mptcp_retention:>14.4f}  "
+        "{fmtcp_outage:>10.2f}  {fmtcp_checkpoint:>6}/{mptcp_checkpoint}"
+    ),
+    rows=lambda rows: list(rows.values()),
+    shape_checks=(
+        ("no crash or baseline run violates an invariant", lambda rows, scale: all(
+            row[f"{protocol}_violations"] == 0 for row in rows.values() for protocol in PAIR)),
+        # Ratelessness at its sharpest: losing the receiver (and every
+        # partial decode matrix) costs FMTCP no more than chunk-map
+        # replay costs MPTCP.
+        ("under receiver_crash FMTCP retains at least MPTCP's goodput", lambda rows, scale: (
+            rows["receiver_crash"]["fmtcp_retention"]
+            >= rows["receiver_crash"]["mptcp_retention"])),
+    ),
+    duration_s=60.0,
+)
+
+
+def _run_traces(scale: Scale) -> Dict[str, Dict[str, Any]]:
+    """Per channel family (``None``: the clean baseline), both protocols'
+    goodput with the trace riding path 1, and their ratio."""
+    rows = {}
+    for family, spec in (
+        ("baseline", None), ("gprs", "gprs:1"), ("leo", "leo:1"), ("incast", "incast:1"),
+        ("cellular", "cellular_drive"), ("wifi", "wifi_walk"),
+    ):
+        row: Dict[str, Any] = {"family": family}
+        for protocol in PAIR:
+            row[protocol] = round(mean([
+                measure_trace_goodput(protocol, spec, seed=seed, duration_s=scale.duration_s)
+                for seed in _seeds(scale)
+            ]), 4)
+        row["ratio"] = round(row["fmtcp"] / row["mptcp"], 4) if row["mptcp"] else float("inf")
+        rows[family] = row
+    return rows
+
+
+TRACE_RESPONSE = Experiment(
+    ledger="trace_response",
+    verb="robustness",
+    title="Robustness — FMTCP vs MPTCP goodput with a channel trace riding path 1",
+    run=_run_traces,
+    caption=lambda scale: (
+        f"Goodput (Mb/s) with the trace riding path 1, seeds {_seeds(scale)} (mean):"
+    ),
+    columns=(
+        Column("family", 10, lambda row: row["family"]),
+        Column("fmtcp", 9, lambda row: row["fmtcp"], ".4f"),
+        Column("mptcp", 9, lambda row: row["mptcp"], ".4f"),
+        Column("fm/mp", 7, lambda row: row["ratio"], ".3f"),
+    ),
+    rows=lambda rows: list(rows.values()),
+    shape_checks=(
+        # Where the related work expects fountain coding to gain most: a
+        # slow bursty link whose fades MPTCP's retransmissions chase.
+        ("on the GPRS-like trace FMTCP's goodput is at least MPTCP's",
+         lambda rows, scale: rows["gprs"]["ratio"] >= 1.0),
+    ),
+    duration_s=20.0,
+)
+
+
 #: Every entry, in EXPERIMENTS.md order.
 CATALOG: Tuple[Experiment, ...] = (
     TABLE1,
@@ -1267,6 +1737,15 @@ CATALOG: Tuple[Experiment, ...] = (
     ABLATION_CONGESTION,
     ABLATION_BUFFER_SIZE,
     ABLATION_MPTCP_SCHEDULER,
+    STREAMING_QOE,
+    FIXEDRATE_P_HAT_SWEEP,
+    FIXEDRATE_BLACKOUT,
+    FAULT_RESPONSE,
+    CHURN_RESPONSE,
+    CORRUPTION_GOODPUT,
+    BUFFERBLOCK_SWEEP,
+    RECOVERY_RESPONSE,
+    TRACE_RESPONSE,
 )
 
 #: CLI verb -> its help line; each entry's ``verb`` is one of these.
@@ -1278,11 +1757,12 @@ VERBS: Dict[str, str] = {
     "fig6": "block jitter sweep",
     "fig7": "per-block delay series",
     "analysis": "closed-form results vs Monte-Carlo",
-    "motivation": "conventional TCP vs MPTCP vs FMTCP",
+    "motivation": "FMTCP vs conventional TCP, MPTCP, fixed-rate FEC; streaming",
     "fairness": "shared-bottleneck TCP-friendliness",
     "heatmap": "loss x buffer advantage map",
     "sensitivity": "loss/bandwidth/delay sweeps",
     "ablations": "one design decision at a time (ours)",
+    "robustness": "faults, churn, corruption, buffers, crashes, traces (ours)",
 }
 
 

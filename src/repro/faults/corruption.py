@@ -77,7 +77,12 @@ _PROBE_DELAY_S = 0.03
 _PROBE_DURATION_S = 20.0
 
 
-def measure_corruption_goodput(protocol: str, rate: float, seed: int = 1) -> float:
+def measure_corruption_goodput(
+    protocol: str,
+    rate: float,
+    seed: int = 1,
+    duration_s: float = _PROBE_DURATION_S,
+) -> float:
     """Steady-state goodput (Mb/s) with every forward link corrupting at
     ``rate`` for the whole run. ``rate=0`` leaves the links pristine (no
     model installed, so the clean baseline draws no extra randomness)."""
@@ -93,7 +98,7 @@ def measure_corruption_goodput(protocol: str, rate: float, seed: int = 1) -> flo
                 # Fresh model per link: realisations stay independent.
                 link.set_corruption_model(BernoulliCorruption(rate))
     connection.start()
-    network.sim.run(until=_PROBE_DURATION_S)
-    goodput = connection.delivered_bytes * 8.0 / _PROBE_DURATION_S / 1e6
+    network.sim.run(until=duration_s)
+    goodput = connection.delivered_bytes * 8.0 / duration_s / 1e6
     connection.close()
     return goodput

@@ -521,6 +521,11 @@ class FaultScenario:
             settle = max(settle, end)
         return settle
 
+    def run_length(self, duration_s: float) -> float:
+        """``duration_s``, stretched so a run always has 4 s to recover
+        after the last event settles."""
+        return max(duration_s, self.settle_time + 4.0)
+
     def route(self, harness: Optional[str] = None) -> str:
         """The harness group whose invariants can check this timeline
         (see :data:`ROUTES`); raises ``ValueError`` for a mix none can.

@@ -19,8 +19,8 @@ Seeded determinism across restart epochs is asserted by the soak test
 (two runs of the same seed must produce identical
 :meth:`~repro.soak.SoakReport.fingerprint` values).
 
-:func:`measure_recovery` is the benchmark probe behind
-``benchmarks/bench_recovery.py``: the same transfer with and without
+:func:`measure_recovery` is the benchmark probe behind the
+``recovery_response`` catalog entry: the same transfer with and without
 the crash timeline, yielding goodput retention (clean completion time /
 crashed completion time), recovery-latency decomposition and the
 checkpoint-size asymmetry (FMTCP O(1) frontier vs MPTCP chunk map).

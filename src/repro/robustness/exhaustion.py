@@ -14,8 +14,8 @@ accountant riding the run and a
 degrades and fails cleanly instead of hanging (the kernel's
 :func:`~repro.soak.guard` step).
 
-:func:`measure_bufferblock` is the open-ended companion used by
-``benchmarks/bench_bufferblock.py``: goodput as a function of the
+:func:`measure_bufferblock` is the open-ended companion behind the
+``bufferblock_sweep`` catalog entry: goodput as a function of the
 receive-buffer budget on an RTT-mismatched path pair, the paper's
 receive-buffer-blocking story in one sweep.
 """

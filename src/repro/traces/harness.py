@@ -17,8 +17,8 @@ harness's post-heal completion (presets restore the channel at
 
 :func:`measure_trace_goodput` is the benchmark probe: steady-state
 goodput of an open-ended transfer with a trace riding path 1 for the
-whole run, used by ``benchmarks/bench_traces.py`` for the
-FMTCP-vs-MPTCP goodput heatmap across trace families.
+whole run, which the ``trace_response`` catalog entry sweeps across
+trace families (:mod:`repro.experiments.catalog`).
 """
 
 from __future__ import annotations

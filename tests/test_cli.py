@@ -8,8 +8,9 @@ from repro.cli import build_parser, main
 def test_parser_knows_all_commands():
     parser = build_parser()
     for command in (
-        "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "analysis",
-        "fairness", "replicate", "heatmap", "sensitivity", "faults", "all",
+        "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "analysis", "motivation",
+        "fairness", "replicate", "heatmap", "sensitivity", "ablations", "robustness",
+        "faults", "all",
     ):
         args = parser.parse_args(
             [command] if command != "fig4" else [command, "--surge", "0.2"]

@@ -91,6 +91,13 @@ def test_experiments_md_quotes_every_catalog_ledger_verbatim():
     assert stale_ledgers(document, collect_results(RESULTS)) == []
 
 
+def test_every_ledger_is_a_catalog_entry():
+    """A number is published one way: each ledger under benchmarks/results
+    is written by the catalog entry of that name, and by nothing else."""
+    ledgers = {path.stem for path in RESULTS.glob("*.txt")}
+    assert ledgers == {experiment.ledger for experiment in CATALOG}
+
+
 def test_a_one_digit_drift_is_named():
     """The check above can fail: move one digit of one ledger."""
     document = (REPO / "EXPERIMENTS.md").read_text()
