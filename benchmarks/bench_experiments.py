@@ -6,8 +6,9 @@ one). Each runs at full scale (``REPRO_FAST=1``: the entry's fast scale;
 ``REPRO_BENCH_DURATION=SECONDS``: that run length for every simulated
 entry), asserts the entry's shape checks and writes its rendered lines to
 ``benchmarks/results/<ledger>.txt``; ``python -m repro report`` then copies
-the ledgers into EXPERIMENTS.md. Figures 3, 5 and 6 read one memoised
-Table I suite, so running them together costs one sweep.
+the ledgers into EXPERIMENTS.md. A catalog transfer with identical inputs
+runs once per process, so Figures 3, 5, 6 and 7 read one Table I grid and
+the 30 s case-4 runs of the extension entries are made once between them.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import soak
 from repro.experiments import catalog
-from repro.experiments.replication import run_replicated
+from repro.experiments.replication import summarise
 from repro.experiments.reporting import write_csv
 from repro.experiments.runner import PROTOCOLS
 from repro.workloads.scenarios import (
@@ -106,24 +106,21 @@ def cmd_report(args: argparse.Namespace) -> Optional[int]:
 
 
 def cmd_replicate(args: argparse.Namespace) -> None:
-    duration = args.duration or 30.0
+    scale = catalog.Scale(args.duration or 30.0, args.bandwidth, args.seed)
     case = TABLE1_CASES[args.case - 1]
-    seeds = tuple(range(1, args.seeds + 1))
+    grid = catalog.Grid(
+        ({"case": case.case_id},), catalog.PAIR, catalog.case_summary,
+        seeds=args.seeds, wide=False,
+    )
     print(
         f"Replicated comparison on Table I case {case.case_id} "
-        f"({case.label()}), seeds {list(seeds)}, {duration:.0f}s runs:"
+        f"({case.label()}), seeds {grid.seeds_at(scale)}, {scale.duration_s:.0f}s runs:"
     )
-    for protocol in ("fmtcp", "mptcp"):
-        result = run_replicated(
-            protocol,
-            lambda: table1_path_configs(case, args.bandwidth),
-            duration_s=duration,
-            seeds=seeds,
-        )
+    for row in grid(scale, reduction=summarise):
         print(
-            f"  {protocol:>6}: goodput {result['goodput_mbytes_per_s']} MB/s, "
-            f"block delay {result['mean_block_delay_ms']} ms, "
-            f"jitter {result['jitter_ms']} ms"
+            f"  {row['protocol']:>6}: goodput {row['goodput_mbytes_per_s']} MB/s, "
+            f"block delay {row['mean_block_delay_ms']} ms, "
+            f"jitter {row['jitter_ms']} ms"
         )
 
 

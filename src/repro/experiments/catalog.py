@@ -15,15 +15,21 @@ use the same entry:
 
 So at full scale the CLI prints the ledger byte for byte, and EXPERIMENTS.md
 quotes it byte for byte: a number has one source.
+
+An entry that measures protocols over a row axis is a :class:`Grid`: its
+axis, its protocols, ``measure(protocol, point, scale, seed)`` and its seed
+count; the grid runs axis × protocols × seeds and reduces over the seeds in
+one place. Closed-form, Monte-Carlo and series entries keep their own
+``run``. Every simulated transfer goes through :func:`_transfer`, where a
+transfer with identical inputs runs once per process.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import random
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.allocation import (
     fmtcp_beats_mptcp_condition,
@@ -130,7 +136,8 @@ def _no_lines(result: Any) -> List[str]:
 class Experiment:
     """One paper artefact.
 
-    ``run(scale)`` returns a result; ``rows(result)`` the rows the table
+    ``run(scale)`` — a :class:`Grid`, or the entry's own function —
+    returns a result; ``rows(result)`` the rows the table
     prints, either through ``columns`` (then `` | `` and ``paper_columns``)
     or, for entries whose rows are sentences, through the ``line`` format
     string over each row's keys. ``caption`` heads the table, ``footer``
@@ -200,40 +207,145 @@ def _fall(first: float, last: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# How an entry runs a transfer: over paths it builds, or over a Table I case.
+# How an entry runs a transfer, and the grid that runs an entry's transfers.
 # ----------------------------------------------------------------------
 PAIR = ("fmtcp", "mptcp")
 
-#: Builds a run's path configs afresh each call.
-Paths = Callable[[], List[PathConfig]]
+#: One transfer's result per distinct input, for the life of the process.
+_SHARED: Dict[Tuple[Any, ...], ExperimentResult] = {}
 
 
-def _two_paths(bandwidth_bps: float, delay_s: float, loss_rate: float) -> Paths:
+def _two_paths(bandwidth_bps: float, delay_s: float, loss_rate: float) -> List[PathConfig]:
     """Section V's topology: subflow 1 at 100 ms / 0 %, subflow 2 at
     ``delay_s`` / ``loss_rate``, both at ``bandwidth_bps``."""
-    return lambda: [
+    return [
         PathConfig(bandwidth_bps=bandwidth_bps, delay_s=0.100, loss_rate=0.0),
         PathConfig(bandwidth_bps=bandwidth_bps, delay_s=delay_s, loss_rate=loss_rate),
     ]
 
 
-def _transfer(protocol: str, scale: Scale, paths: Paths, **options: Any) -> ExperimentResult:
-    """One transfer at this scale over freshly built paths: a loss
-    schedule keeps state, so no two runs may share a PathConfig."""
-    return run_transfer(
-        protocol, paths(), duration_s=scale.duration_s, seed=scale.seed, **options
+def _transfer(
+    protocol: str, paths: List[PathConfig], scale: Scale, seed: int,
+    fmtcp_config: Optional[FmtcpConfig] = None, mptcp_config: Optional[MptcpConfig] = None,
+    **options: Any,
+) -> ExperimentResult:
+    """One transfer at this scale and seed; identical inputs run once.
+
+    The sharing key is values only: every path's fields, the run length,
+    the seed, the protocol and both configs, ``None`` resolved as
+    :func:`run_transfer` resolves it. A path with a loss model keeps state
+    (a surge, a blackout), so such a transfer always runs afresh. Readers
+    must not mutate the returned result: another entry may read it too.
+    """
+    fmtcp_config = fmtcp_config or FmtcpConfig()
+    mptcp_config = mptcp_config or default_mptcp_config(fmtcp_config)
+
+    def run() -> ExperimentResult:
+        return run_transfer(
+            protocol, paths, duration_s=scale.duration_s, seed=seed,
+            fmtcp_config=fmtcp_config, mptcp_config=mptcp_config, **options,
+        )
+
+    if any(path.loss_model is not None for path in paths):
+        return run()
+    key = (
+        protocol, scale.duration_s, seed, astuple(fmtcp_config), astuple(mptcp_config),
+        *sorted(options.items()), *map(astuple, paths),
     )
+    if key not in _SHARED:
+        _SHARED[key] = run()
+    return _SHARED[key]
 
 
-def _case(protocol: str, case_id: int, scale: Scale, **options: Any) -> ExperimentResult:
+def _case(protocol: str, case_id: int, scale: Scale, seed: int, **options: Any) -> ExperimentResult:
     """One transfer over Table I case ``case_id`` at this scale."""
     case = TABLE1_CASES[case_id - 1]
     paths = _two_paths(scale.bandwidth_bps, case.delay_s, case.loss_rate)
-    return _transfer(protocol, scale, paths, **options)
+    return _transfer(protocol, paths, scale, seed, **options)
+
+
+def case_summary(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """A grid measure: the summary of one transfer over Table I case
+    ``point["case"]``."""
+    return _case(protocol, point["case"], scale, seed).summary
+
+
+#: Folds one measured key's values, in seed order, into the row's value.
+Reduction = Callable[[Sequence[Any]], Any]
+
+#: ``measure(protocol, point, scale, seed)``: one run's measured keys.
+Measure = Callable[[str, Dict[str, Any], Scale, int], Mapping[str, Any]]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """An entry's run as axis × protocols × seeds.
+
+    ``measure`` runs at every axis point (a dict of row fields), protocol
+    and seed ``scale.seed`` … ``scale.seed + seeds - 1``. Each measured key
+    is reduced over the seeds, in seed order, by ``reduce[key]`` where the
+    entry names one and by ``mean`` otherwise; with one seed the measured
+    value passes through as it is. ``wide`` rows are one per point, each
+    protocol's keys as ``<protocol>_<key>``; otherwise there is one row per
+    point and protocol, with ``protocol`` and the measured keys. ``then``
+    turns the rows into the entry's result: derived ratios, a keyed view.
+    """
+
+    axis: Tuple[Dict[str, Any], ...]
+    protocols: Tuple[str, ...]
+    measure: Measure
+    seeds: int = 1
+    reduce: Mapping[str, Reduction] = field(default_factory=dict)
+    wide: bool = True
+    then: Callable[[List[Dict[str, Any]]], Any] = _identity
+
+    def __post_init__(self) -> None:
+        if self.seeds < 1:
+            raise ValueError(f"a grid needs at least one seed, got {self.seeds}")
+
+    def seeds_at(self, scale: Scale) -> List[int]:
+        return list(range(scale.seed, scale.seed + self.seeds))
+
+    def __call__(self, scale: Scale, reduction: Optional[Reduction] = None) -> Any:
+        """The entry's result at ``scale``. A ``reduction`` (``replicate``
+        passes :func:`~repro.experiments.replication.summarise`) replaces
+        ``mean``, also over a single seed."""
+        rows = []
+        for point in self.axis:
+            row = dict(point)
+            for protocol in self.protocols:
+                runs = [self.measure(protocol, point, scale, seed) for seed in self.seeds_at(scale)]
+                if reduction is None and len(runs) == 1:
+                    measured = dict(runs[0])
+                else:
+                    measured = {
+                        key: self.reduce.get(key, reduction or mean)([run[key] for run in runs])
+                        for key in runs[0]
+                    }
+                if self.wide:
+                    row.update((f"{protocol}_{key}", value) for key, value in measured.items())
+                else:
+                    rows.append({**point, "protocol": protocol, **measured})
+            if self.wide:
+                rows.append(row)
+        return self.then(rows)
+
+
+def _by(name: str) -> Callable[[List[Dict[str, Any]]], Dict[Any, Dict[str, Any]]]:
+    """A grid's ``then`` that keys its rows by their ``name`` field."""
+    return lambda rows: {row[name]: row for row in rows}
+
+
+def _metric(key: str, metric: str) -> Measure:
+    """A grid measure: ``summary[metric]`` over Table I case
+    ``point["case"]``, as ``key``."""
+    return lambda protocol, point, scale, seed: {
+        key: case_summary(protocol, point, scale, seed)[metric]
+    }
 
 
 # ----------------------------------------------------------------------
-# Table I and the Table I sweep (Figs. 3, 5, 6 read one cached sweep).
+# Table I and the Table I grid (Figs. 3, 5, 6 read one metric each).
 # ----------------------------------------------------------------------
 CASE = Column("case", 4, lambda row: row["case"])
 
@@ -253,7 +365,7 @@ def _probe_table1_paths(scale: Scale, probes: int = 5000) -> List[Dict[str, floa
     rows = []
     for case in TABLE1_CASES:
         paths = _two_paths(scale.bandwidth_bps, case.delay_s, case.loss_rate)
-        _, network, built = build_topology(paths(), scale.seed)
+        _, network, built = build_topology(paths, scale.seed)
         path, sim = built[1], network.sim  # subflow 2 carries the case
         arrivals: List[float] = []
         network.nodes["dst"].bind(50, lambda packet: arrivals.append(sim.now - packet.sent_at))
@@ -277,37 +389,23 @@ def _probe_table1_paths(scale: Scale, probes: int = 5000) -> List[Dict[str, floa
     return rows
 
 
-@functools.cache
-def _table1_sweep(scale: Scale) -> Dict[str, List[ExperimentResult]]:
-    """FMTCP on Table I cases 1-8, then MPTCP: 16 transfers, run once per
-    scale and read (never changed) by Figs. 3, 5 and 6."""
-    return {
-        protocol: [_case(protocol, case.case_id, scale) for case in TABLE1_CASES]
-        for protocol in PAIR
-    }
+#: Table I as a grid axis: one point per case.
+TABLE1_AXIS = tuple(
+    {"case": case.case_id, "delay_ms": case.delay_s * 1e3, "loss_pct": case.loss_rate * 1e2}
+    for case in TABLE1_CASES
+)
 
 
-def _table1_rows(scale: Scale, key: str, metric: str) -> List[Dict[str, float]]:
-    """One row per Table I case: both protocols' ``summary[metric]`` as
-    ``fmtcp_<key>`` and ``mptcp_<key>``."""
-    sweep = _table1_sweep(scale)
-    return [
-        {
-            "case": case.case_id,
-            "delay_ms": case.delay_s * 1e3,
-            "loss_pct": case.loss_rate * 1e2,
-            **{f"{protocol}_{key}": sweep[protocol][index].summary[metric] for protocol in PAIR},
-        }
-        for index, case in enumerate(TABLE1_CASES)
-    ]
+def _ratio(name: str, key: str) -> Callable[[List[Dict[str, Any]]], List[Dict[str, Any]]]:
+    """A grid's ``then`` that adds ``name``: FMTCP's ``key`` over MPTCP's."""
 
+    def then(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        for row in rows:
+            mptcp = row[f"mptcp_{key}"]
+            row[name] = row[f"fmtcp_{key}"] / mptcp if mptcp > 0 else float("inf")
+        return rows
 
-def _run_figure3(scale: Scale) -> List[Dict[str, float]]:
-    rows = _table1_rows(scale, "goodput_mb", "total_mbytes")
-    for row in rows:
-        mptcp = row["mptcp_goodput_mb"]
-        row["ratio"] = row["fmtcp_goodput_mb"] / mptcp if mptcp > 0 else float("inf")
-    return rows
+    return then
 
 
 TABLE1 = Experiment(
@@ -335,7 +433,9 @@ FIG3 = Experiment(
     ledger="fig3_goodput",
     verb="fig3",
     title="Figure 3 — total goodput, FMTCP vs MPTCP across Table I",
-    run=_run_figure3,
+    run=Grid(
+        TABLE1_AXIS, PAIR, _metric("goodput_mb", "total_mbytes"), then=_ratio("ratio", "goodput_mb")
+    ),
     caption=lambda scale: (
         f"total goodput over {scale.duration_s:.0f}s (MB); "
         "paper columns are ~digitised from Fig. 3"
@@ -398,7 +498,7 @@ def _table1_figure(
         ledger=ledger,
         verb=f"fig{figure}",
         title=title,
-        run=lambda scale: _table1_rows(scale, key, metric),
+        run=Grid(TABLE1_AXIS, PAIR, _metric(key, metric)),
         caption=lambda scale: f"{what} (ms); paper columns ~digitised from Fig. {figure}",
         columns=(
             CASE,
@@ -467,39 +567,36 @@ def surge_window(duration_s: float) -> Tuple[float, float]:
     return duration_s / 6.0, 2.0 * duration_s / 3.0
 
 
-def _surge_pair(
-    surge: float, scale: Scale, start: float, end: float, max_pending_blocks: int = 6
-) -> Dict[str, ExperimentResult]:
-    """Both protocols while subflow 2's loss surges from 1 % to ``surge``
-    during [``start``, ``end``), goodput binned every 5 s.
+def _surge_series(
+    surge: float, window: Tuple[float, float], blocks: int,
+    protocol: str, scale: Scale, seed: int,
+) -> List[Tuple[float, float]]:
+    """Goodput binned every 5 s while subflow 2's loss surges from 1 % to
+    ``surge`` during the ``window``, FMTCP holding ``blocks`` pending blocks.
 
-    The receive buffer is tighter than the Table I sweep's
-    (``max_pending_blocks`` blocks ≈ half a path BDP at the defaults;
-    ``run_transfer`` matches the baseline's to it): receive-buffer
-    head-of-line blocking is the collapse mechanism the paper's Fig. 4
-    displays, and it only binds when the buffer is scarce. The buffer-size
-    ablation quantifies this sensitivity; the paper does not state its
-    buffer sizes (DESIGN.md §3).
+    The receive buffer is tighter than the Table I grid's (6 blocks ≈ half
+    a path BDP at the defaults for Fig. 4; ``run_transfer`` matches the
+    baseline's to it): receive-buffer head-of-line blocking is the collapse
+    mechanism the paper's Fig. 4 displays, and it only binds when the
+    buffer is scarce. The buffer-size ablation quantifies this
+    sensitivity; the paper does not state its buffer sizes (DESIGN.md §3).
     """
-    config = FmtcpConfig(max_pending_blocks=max_pending_blocks)
-
-    def paths() -> List[PathConfig]:
-        return surge_path_configs(
-            surge, surge_start_s=start, surge_end_s=end, bandwidth_bps=scale.bandwidth_bps
-        )
-
-    return {
-        protocol: _transfer(
-            protocol, scale, paths, bin_width_s=5.0, collect_series=True, fmtcp_config=config
-        )
-        for protocol in PAIR
-    }
+    start, end = window
+    paths = surge_path_configs(
+        surge, surge_start_s=start, surge_end_s=end, bandwidth_bps=scale.bandwidth_bps
+    )
+    return _transfer(
+        protocol, paths, scale, seed, fmtcp_config=FmtcpConfig(max_pending_blocks=blocks),
+        bin_width_s=5.0, collect_series=True,
+    ).goodput_series
 
 
 def _run_surge(surge: float, scale: Scale) -> Dict[str, Any]:
     start, end = surge_window(scale.duration_s)
-    results = _surge_pair(surge, scale, start, end)
-    series = {protocol: result.goodput_series for protocol, result in results.items()}
+    (row,) = Grid(({},), PAIR, lambda protocol, point, scale, seed: {
+        "series": _surge_series(surge, (start, end), 6, protocol, scale, seed)
+    })(scale)
+    series = {protocol: row[f"{protocol}_series"] for protocol in PAIR}
 
     def rates(protocol: str, lo: float, hi: float) -> List[float]:
         return [rate for t, rate in series[protocol] if lo <= t < hi]
@@ -586,13 +683,12 @@ def figure4(surge: float) -> Experiment:
 # ----------------------------------------------------------------------
 # Figure 7.
 # ----------------------------------------------------------------------
-def _delay_stats(protocol: str, delays_s: Sequence[float]) -> Dict[str, Any]:
+def _delay_stats(delays_s: Sequence[float]) -> Dict[str, Any]:
     delays_ms = [delay * 1e3 for delay in delays_s]
     median = percentile(delays_ms, 50)
     p95 = percentile(delays_ms, 95)
     spikes = sum(1 for delay in delays_ms if delay > 2 * median)
     return {
-        "protocol": protocol,
         "blocks": len(delays_ms),
         "mean": mean(delays_ms),
         "median": median,
@@ -603,18 +699,18 @@ def _delay_stats(protocol: str, delays_s: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-def _run_figure7(scale: Scale) -> Dict[str, Dict[str, Any]]:
-    return {
-        protocol: _delay_stats(protocol, _case(protocol, 4, scale).block_delays[:1000])
-        for protocol in PAIR
-    }
-
-
 FIG7 = Experiment(
     ledger="fig7_block_delay_series",
     verb="fig7",
     title="Figure 7 — per-block delivery delay series, Table I case 4",
-    run=_run_figure7,
+    run=Grid(
+        ({"case": 4},), PAIR,
+        lambda protocol, point, scale, seed: _delay_stats(
+            _case(protocol, point["case"], scale, seed).block_delays[:1000]
+        ),
+        wide=False,
+        then=_by("protocol"),
+    ),
     caption=lambda scale: (
         f"per-block delivery delay, case 4 (100 ms / 15 %), {scale.duration_s:.0f}s run"
     ),
@@ -806,43 +902,33 @@ ANALYSIS_THEOREM3 = Experiment(
 MOTIVATION_CASES = (1, 3, 4)
 
 
-def _run_motivation(scale: Scale) -> List[Dict[str, Any]]:
-    return [
-        {
-            "case": case_id,
-            **{
-                protocol: _case(protocol, case_id, scale).summary["goodput_mbytes_per_s"]
-                for protocol in ("tcp", "mptcp", "fmtcp")
-            },
-        }
-        for case_id in MOTIVATION_CASES
-    ]
-
-
 MOTIVATION = Experiment(
     ledger="motivation_tcp_vs_multipath",
     verb="motivation",
     title="Section I — conventional TCP (best path) vs MPTCP vs FMTCP",
-    run=_run_motivation,
+    run=Grid(
+        tuple({"case": case_id} for case_id in MOTIVATION_CASES), ("tcp", "mptcp", "fmtcp"),
+        _metric("goodput", "goodput_mbytes_per_s"),
+    ),
     caption=lambda scale: "goodput (MB/s): conventional TCP (best path) vs MPTCP vs FMTCP",
     columns=(
         Column("case", 6, lambda row: row["case"]),
-        Column("TCP", 8, lambda row: row["tcp"], ".3f"),
-        Column("MPTCP", 8, lambda row: row["mptcp"], ".3f"),
-        Column("FMTCP", 8, lambda row: row["fmtcp"], ".3f"),
+        Column("TCP", 8, lambda row: row["tcp_goodput"], ".3f"),
+        Column("MPTCP", 8, lambda row: row["mptcp_goodput"], ".3f"),
+        Column("FMTCP", 8, lambda row: row["fmtcp_goodput"], ".3f"),
     ),
     footer=lambda rows: [
-        f"case 4: MPTCP at {rows[-1]['mptcp'] / (rows[-1]['tcp'] or 1.0):.0%} of "
-        "single-path TCP — the paper's opening pathology"
+        f"case 4: MPTCP at {rows[-1]['mptcp_goodput'] / (rows[-1]['tcp_goodput'] or 1.0):.0%} "
+        "of single-path TCP — the paper's opening pathology"
     ],
     shape_checks=(
         # "the throughput of MPTCP can be even worse than an ordinary TCP"
         ("at case 4 MPTCP is below single-path TCP",
-         lambda rows, scale: rows[-1]["mptcp"] < rows[-1]["tcp"]),
-        ("FMTCP keeps > 85 % of single-path TCP on every case",
-         lambda rows, scale: all(row["fmtcp"] > 0.85 * row["tcp"] for row in rows)),
+         lambda rows, scale: rows[-1]["mptcp_goodput"] < rows[-1]["tcp_goodput"]),
+        ("FMTCP keeps > 85 % of single-path TCP on every case", lambda rows, scale: all(
+            row["fmtcp_goodput"] > 0.85 * row["tcp_goodput"] for row in rows)),
         ("FMTCP aggregates above single-path TCP at case 1",
-         lambda rows, scale: rows[0]["fmtcp"] > rows[0]["tcp"]),
+         lambda rows, scale: rows[0]["fmtcp_goodput"] > rows[0]["tcp_goodput"]),
     ),
     duration_s=30.0,
 )
@@ -852,30 +938,26 @@ def fairness(competitors: int = 3) -> Experiment:
     """One flow under test (TCP, then FMTCP) vs ``competitors`` plain TCP
     flows on a 10 Mbit/s drop-tail bottleneck."""
 
-    def run(scale: Scale) -> List[Dict[str, Any]]:
-        rows = []
-        for protocol in ("tcp", "fmtcp"):
-            result = run_fairness(
-                protocol_under_test=protocol,
-                n_competitors=competitors,
-                duration_s=scale.duration_s,
-                seed=scale.seed,
-            )
-            rows.append({
-                "protocol": protocol,
-                "jain": result.jain,
-                "share": result.test_flow_share,
-                "rates": ", ".join(
-                    f"{name}={rate:.2f}" for name, rate in sorted(result.rates_mbps.items())
-                ),
-            })
-        return rows
+    def measure(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+        result = run_fairness(
+            protocol_under_test=protocol,
+            n_competitors=competitors,
+            duration_s=scale.duration_s,
+            seed=seed,
+        )
+        return {
+            "jain": result.jain,
+            "share": result.test_flow_share,
+            "rates": ", ".join(
+                f"{name}={rate:.2f}" for name, rate in sorted(result.rates_mbps.items())
+            ),
+        }
 
     return Experiment(
         ledger="fairness_shared_bottleneck",
         verb="fairness",
         title="Section III-A — TCP-friendliness on a shared bottleneck",
-        run=run,
+        run=Grid(({},), ("tcp", "fmtcp"), measure, wide=False),
         caption=lambda scale: (
             f"1 flow under test vs {competitors} plain TCP flows, "
             f"10 Mbit/s bottleneck, {scale.duration_s:.0f}s"
@@ -923,22 +1005,13 @@ def render_heatmap(ratios: Dict[Tuple[float, int], float]) -> List[str]:
     return lines
 
 
-def _run_heatmap(scale: Scale) -> Dict[Tuple[float, int], float]:
-    """The FMTCP/MPTCP goodput ratio over subflow-2 loss x the (matched)
-    receive-buffer budget: the two levers the single-axis sweeps found."""
-    ratios = {}
-    for loss in HEATMAP_LOSSES:
-        for blocks in HEATMAP_BLOCKS:
-            config = FmtcpConfig(max_pending_blocks=blocks)
-            goodput = {
-                protocol: _transfer(
-                    protocol, scale, _two_paths(scale.bandwidth_bps, 0.100, loss),
-                    fmtcp_config=config,
-                ).summary["goodput_mbytes_per_s"]
-                for protocol in PAIR
-            }
-            ratios[(loss, blocks)] = goodput["fmtcp"] / (goodput["mptcp"] or 1e-9)
-    return ratios
+def _heatmap_goodput(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Goodput at one subflow-2 loss and one (matched) receive-buffer budget:
+    the two levers the single-axis sweeps found."""
+    paths = _two_paths(scale.bandwidth_bps, 0.100, point["loss"])
+    config = FmtcpConfig(max_pending_blocks=point["blocks"])
+    result = _transfer(protocol, paths, scale, seed, fmtcp_config=config)
+    return {"goodput": result.summary["goodput_mbytes_per_s"]}
 
 
 def _heatmap_column(ratios: Dict[Tuple[float, int], float], blocks: int) -> List[float]:
@@ -949,7 +1022,14 @@ HEATMAP = Experiment(
     ledger="heatmap_loss_buffer",
     verb="heatmap",
     title="FMTCP advantage map: subflow-2 loss x receive-buffer budget",
-    run=_run_heatmap,
+    run=Grid(
+        tuple({"loss": loss, "blocks": b} for loss in HEATMAP_LOSSES for b in HEATMAP_BLOCKS),
+        PAIR, _heatmap_goodput,
+        then=lambda rows: {
+            (row["loss"], row["blocks"]): row["fmtcp_goodput"] / (row["mptcp_goodput"] or 1e-9)
+            for row in rows
+        },
+    ),
     rows=lambda ratios: [
         {"loss": loss, "buffer_kb": blocks * 8, "ratio": ratio}
         for (loss, blocks), ratio in ratios.items()
@@ -970,41 +1050,37 @@ HEATMAP = Experiment(
 )
 
 
-def _sensitivity_row(label: str, scale: Scale, paths: Paths) -> Dict[str, Any]:
-    """One operating point: both protocols' summaries, FMTCP's goodput
-    advantage and each protocol's PFTK prediction (bit/s)."""
-    row: Dict[str, Any] = {"label": label}
-    for protocol in PAIR:
-        row[protocol] = _transfer(protocol, scale, paths).summary
-        row[f"pftk_{protocol}"] = predicted_aggregate_goodput_bps(paths(), protocol=protocol)
-    mptcp = row["mptcp"]["goodput_mbytes_per_s"]
-    row["advantage"] = row["fmtcp"]["goodput_mbytes_per_s"] / mptcp if mptcp > 0 else float("inf")
-    return row
+def _sensitivity_point(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """One operating point's summary and its PFTK prediction (bit/s);
+    ``point`` sets subflow 2's delay and loss, and the bandwidth when it
+    names one."""
+    paths = _two_paths(
+        point.get("bandwidth_bps", scale.bandwidth_bps), point["delay_s"], point["loss_rate"]
+    )
+    return {
+        **_transfer(protocol, paths, scale, seed).summary,
+        "pftk": predicted_aggregate_goodput_bps(paths, protocol=protocol),
+    }
 
 
 def _sensitivity(
-    ledger: str,
-    caption: str,
-    points: Callable[[float], List[Tuple[str, Paths]]],
-    shape_checks: Tuple[Check, ...],
+    ledger: str, caption: str, axis: Tuple[Dict[str, Any], ...], shape_checks: Tuple[Check, ...]
 ) -> Experiment:
-    """One sweep around Table I: ``points(bandwidth_bps)`` labels each
-    operating point and builds its paths."""
+    """One sweep around Table I: each ``axis`` point labels an operating
+    point and sets its paths."""
     return Experiment(
         ledger=ledger,
         verb="sensitivity",
         title=f"Sensitivity — {caption}",
-        run=lambda scale: [
-            _sensitivity_row(label, scale, paths) for label, paths in points(scale.bandwidth_bps)
-        ],
+        run=Grid(axis, PAIR, _sensitivity_point, then=_ratio("advantage", "goodput_mbytes_per_s")),
         caption=lambda scale: caption,
         columns=(
             Column("point", 14, lambda row: row["label"]),
             Column("FMTCP MB/s", 11, lambda row: _goodput(row, "fmtcp"), ".3f"),
             Column("MPTCP MB/s", 11, lambda row: _goodput(row, "mptcp"), ".3f"),
             Column("ratio", 6, lambda row: row["advantage"], ".2f"),
-            Column("PFTK F", 8, lambda row: row["pftk_fmtcp"] / 8e6, ".3f"),
-            Column("PFTK M", 8, lambda row: row["pftk_mptcp"] / 8e6, ".3f"),
+            Column("PFTK F", 8, lambda row: row["fmtcp_pftk"] / 8e6, ".3f"),
+            Column("PFTK M", 8, lambda row: row["mptcp_pftk"] / 8e6, ".3f"),
         ),
         shape_checks=shape_checks,
         duration_s=30.0,
@@ -1012,15 +1088,15 @@ def _sensitivity(
 
 
 def _goodput(row: Dict[str, Any], protocol: str) -> float:
-    return row[protocol]["goodput_mbytes_per_s"]
+    return row[f"{protocol}_goodput_mbytes_per_s"]
 
 
 SENSITIVITY_LOSS = _sensitivity(
     "sensitivity_loss", "subflow-2 loss sweep (both paths 100 ms)",
-    lambda bandwidth_bps: [
-        (f"loss={loss:.0%}", _two_paths(bandwidth_bps, 0.100, loss))
+    tuple(
+        {"label": f"loss={loss:.0%}", "delay_s": 0.100, "loss_rate": loss}
         for loss in (0.0, 0.02, 0.05, 0.10, 0.20, 0.30)
-    ],
+    ),
     (
         ("FMTCP's advantage grows with subflow-2 loss",
          lambda rows, scale: rows[-1]["advantage"] > rows[0]["advantage"]),
@@ -1028,7 +1104,7 @@ SENSITIVITY_LOSS = _sensitivity(
          lambda rows, scale: rows[-1]["advantage"] > 1.2),
         # Closed-form models are ballpark tools, not oracles.
         ("PFTK within 0.4-2.5x of FMTCP's goodput from 5 % loss up", lambda rows, scale: all(
-            0.4 < row["fmtcp"]["goodput_mbps"] * 1e6 / row["pftk_fmtcp"] < 2.5
+            0.4 < row["fmtcp_goodput_mbps"] * 1e6 / row["fmtcp_pftk"] < 2.5
             for row in rows[2:])),
     ),
 )
@@ -1036,10 +1112,11 @@ SENSITIVITY_LOSS = _sensitivity(
 SENSITIVITY_BANDWIDTH = _sensitivity(
     "sensitivity_bandwidth", "per-path bandwidth sweep (case 4 parameters)",
     # The sweep sets each point's bandwidth itself.
-    lambda bandwidth_bps: [
-        (f"bw={bandwidth / 1e6:.0f}Mbps", _two_paths(bandwidth, 0.100, 0.15))
+    tuple(
+        {"label": f"bw={bandwidth / 1e6:.0f}Mbps", "bandwidth_bps": bandwidth,
+         "delay_s": 0.100, "loss_rate": 0.15}
         for bandwidth in (1e6, 2e6, 4e6, 8e6)
-    ],
+    ),
     (
         ("FMTCP's goodput grows with bandwidth", lambda rows, scale: (
             [_goodput(row, "fmtcp") for row in rows]
@@ -1056,10 +1133,10 @@ SENSITIVITY_BANDWIDTH = _sensitivity(
 
 SENSITIVITY_DELAY = _sensitivity(
     "sensitivity_delay", "subflow-2 delay sweep (10 % loss on subflow 2)",
-    lambda bandwidth_bps: [
-        (f"delay2={delay * 1e3:.0f}ms", _two_paths(bandwidth_bps, delay, 0.10))
+    tuple(
+        {"label": f"delay2={delay * 1e3:.0f}ms", "delay_s": delay, "loss_rate": 0.10}
         for delay in (0.010, 0.025, 0.050, 0.100, 0.200, 0.400)
-    ],
+    ),
     (
         ("FMTCP keeps > 0.85x MPTCP's goodput at every subflow-2 delay",
          lambda rows, scale: all(row["advantage"] > 0.85 for row in rows)),
@@ -1075,33 +1152,30 @@ SUMMARY_LINE = (
 )
 
 
-def _summary(name: str, result: Any) -> Dict[str, Any]:
-    return {
-        "name": name,
-        "goodput": result.summary["goodput_mbytes_per_s"],
-        "delay": result.summary["mean_block_delay_ms"],
-        "jitter": result.summary["jitter_ms"],
-        **result.extras,
-    }
-
-
 def _row(rows: Sequence[Dict[str, Any]], name: str) -> Dict[str, Any]:
     return next(row for row in rows if row["name"] == name)
 
 
-def _ablation(
-    scale: Scale, case_id: int, variants: Sequence[Tuple[str, Any]]
-) -> List[Dict[str, Any]]:
-    """One summary row per labelled config on Table I case ``case_id``: an
-    :class:`MptcpConfig` runs the baseline, an :class:`FmtcpConfig` FMTCP."""
-    rows = []
-    for name, config in variants:
-        if isinstance(config, MptcpConfig):
-            result = _case("mptcp", case_id, scale, mptcp_config=config)
-        else:
-            result = _case("fmtcp", case_id, scale, fmtcp_config=config)
-        rows.append(_summary(name, result))
-    return rows
+def _ablation(protocol: str, points: Sequence[Dict[str, Any]]) -> Grid:
+    """One summary row per point: ``protocol`` on ``point["config"]`` over
+    Table I case ``point["case"]``."""
+
+    def measure(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+        options = {f"{protocol}_config": point["config"]}
+        result = _case(protocol, point["case"], scale, seed, **options)
+        return {
+            "goodput": result.summary["goodput_mbytes_per_s"],
+            "delay": result.summary["mean_block_delay_ms"],
+            "jitter": result.summary["jitter_ms"],
+            **result.extras,
+        }
+
+    return Grid(tuple(points), (protocol,), measure, wide=False)
+
+
+def _case4(variants: Sequence[Tuple[str, Any]]) -> List[Dict[str, Any]]:
+    """Ablation points on Table I case 4, one per labelled config."""
+    return [{"name": name, "case": 4, "config": config} for name, config in variants]
 
 
 def _mptcp_variants() -> List[Tuple[str, MptcpConfig]]:
@@ -1120,14 +1194,11 @@ ABLATION_ALLOCATION = Experiment(
     ledger="ablation_allocation",
     verb="ablations",
     title="Ablation — Algorithm 1 (EAT) vs greedy vs HMTP-like stop-and-wait",
-    run=lambda scale: [
-        row
+    run=_ablation("fmtcp", [
+        {"name": f"case{case_id}/{mode}", "case": case_id, "config": FmtcpConfig(allocation=mode)}
         for case_id in (4, 5)
-        for row in _ablation(scale, case_id, [
-            (f"case{case_id}/{mode}", FmtcpConfig(allocation=mode))
-            for mode in ("eat", "greedy", "stopwait")
-        ])
-    ],
+        for mode in ("eat", "greedy", "stopwait")
+    ]),
     caption=lambda scale: "Algorithm 1 (EAT) vs greedy vs HMTP-like stop-and-wait",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.2f}",
     shape_checks=(
@@ -1154,9 +1225,9 @@ ABLATION_DELTA_HAT = Experiment(
     ledger="ablation_delta_hat",
     verb="ablations",
     title="Ablation — the decoding-failure margin δ̂",
-    run=lambda scale: _ablation(scale, 4, [
+    run=_ablation("fmtcp", _case4([
         (f"δ̂={delta:g}", FmtcpConfig(delta_hat=delta)) for delta in (1e-1, 1e-2, 1e-3, 1e-5)
-    ]),
+    ])),
     caption=lambda scale: "δ̂ sweep (redundancy vs reliability), case 4",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.3f}",
     shape_checks=(
@@ -1171,10 +1242,10 @@ ABLATION_BLOCK_SIZE = Experiment(
     ledger="ablation_block_size",
     verb="ablations",
     title="Ablation — block geometry (symbols per 8 KiB block)",
-    run=lambda scale: _ablation(scale, 4, [
+    run=_ablation("fmtcp", _case4([
         (f"k={k}", FmtcpConfig(symbols_per_block=k, symbol_size=max(1, 8192 // k)))
         for k in (64, 128, 256, 512)
-    ]),
+    ])),
     caption=lambda scale: "block geometry sweep (8 KiB block, varying k̂), case 4",
     line=SUMMARY_LINE + ", redundancy {redundancy_ratio:.3f}",
     shape_checks=(
@@ -1189,9 +1260,9 @@ ABLATION_CONGESTION = Experiment(
     ledger="ablation_congestion",
     verb="ablations",
     title="Ablation — uncoupled Reno vs LIA coupling",
-    run=lambda scale: _ablation(scale, 4, [
+    run=_ablation("fmtcp", _case4([
         (kind, FmtcpConfig(congestion=kind)) for kind in ("reno", "lia")
-    ]),
+    ])),
     caption=lambda scale: (
         "uncoupled Reno vs LIA coupling on disjoint paths, case 4\n"
         "(paper Section III-A: the choice should not influence results much)"
@@ -1205,20 +1276,17 @@ ABLATION_CONGESTION = Experiment(
 )
 
 
-def _run_buffer_sweep(scale: Scale) -> List[Dict[str, Any]]:
+def _buffer_during(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Mean goodput inside the 35 % surge over the run's middle half, at
+    ``point["buffer_kb"]`` of receive buffer (8 KiB blocks)."""
     lo, hi = scale.duration_s / 4, 3 * scale.duration_s / 4
-    rows = []
-    for blocks in (4, 6, 12, 24):
-        pair = _surge_pair(0.35, scale, lo, hi, max_pending_blocks=blocks)
-        during = {
-            protocol: mean([rate for t, rate in result.goodput_series if lo <= t < hi])
-            for protocol, result in pair.items()
-        }
-        rows.append({
-            "buffer_kb": blocks * 8,
-            **during,
-            "gap": during["fmtcp"] / max(during["mptcp"], 1e-9),
-        })
+    series = _surge_series(0.35, (lo, hi), point["buffer_kb"] // 8, protocol, scale, seed)
+    return {"during": mean([rate for t, rate in series if lo <= t < hi])}
+
+
+def _gap(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    for row in rows:
+        row["gap"] = row["fmtcp_during"] / max(row["mptcp_during"], 1e-9)
     return rows
 
 
@@ -1226,15 +1294,18 @@ ABLATION_BUFFER_SIZE = Experiment(
     ledger="ablation_buffer_size",
     verb="ablations",
     title="Ablation — receive buffer under the 35 % loss surge",
-    run=_run_buffer_sweep,
+    run=Grid(
+        tuple({"buffer_kb": blocks * 8} for blocks in (4, 6, 12, 24)), PAIR, _buffer_during,
+        then=_gap,
+    ),
     caption=lambda scale: (
         "receive-buffer sensitivity under the 35% loss surge\n"
         "(head-of-line blocking binds only when the buffer is scarce)"
     ),
     columns=(
         Column("buffer", 10, lambda row: row["buffer_kb"], unit="KB"),
-        Column("FMTCP during", 14, lambda row: row["fmtcp"], ".3f"),
-        Column("MPTCP during", 14, lambda row: row["mptcp"], ".3f"),
+        Column("FMTCP during", 14, lambda row: row["fmtcp_during"], ".3f"),
+        Column("MPTCP during", 14, lambda row: row["mptcp_during"], ".3f"),
         Column("gap", 6, lambda row: row["gap"], ".2f"),
     ),
     shape_checks=(
@@ -1250,7 +1321,7 @@ ABLATION_MPTCP_SCHEDULER = Experiment(
     ledger="ablation_mptcp_scheduler",
     verb="ablations",
     title="Ablation — MPTCP baseline scheduler variants",
-    run=lambda scale: _ablation(scale, 4, _mptcp_variants()),
+    run=_ablation("mptcp", _case4(_mptcp_variants())),
     caption=lambda scale: "MPTCP baseline scheduler variants, case 4",
     line=SUMMARY_LINE + ", retx {chunks_retransmitted}, reinjected {chunks_reinjected}",
     shape_checks=(
@@ -1296,7 +1367,7 @@ def _run_p_hat_sweep(scale: Scale) -> Dict[str, Any]:
             "redundancy": connection.redundancy_ratio(),
             "retransmitted": connection.symbols_retransmitted,
         })
-    return {"rows": rows, "fmtcp": _case("fmtcp", 4, scale)}
+    return {"rows": rows, "fmtcp": _case("fmtcp", 4, scale, scale.seed)}
 
 
 FIXEDRATE_P_HAT_SWEEP = Experiment(
@@ -1343,7 +1414,7 @@ def _run_blackout(scale: Scale) -> Dict[str, Dict[str, Any]]:
 
     seed = scale.seed + 2  # the ledger's seed 3 at the default seed 1
     _, fixed = _fixed_rate_run(paths(), scale, seed, FixedRateConfig())
-    fmtcp = _transfer("fmtcp", replace(scale, seed=seed), paths, collect_series=True)
+    fmtcp = _transfer("fmtcp", paths(), scale, seed, collect_series=True)
     result = {}
     for label, series, repairs in (
         ("fixed-rate:", fixed.goodput.series(scale.duration_s), "pinned to the dead path"),
@@ -1376,10 +1447,10 @@ FIXEDRATE_BLACKOUT = Experiment(
 VIDEO_RATE_BPS = 2.0e6
 
 
-def _stream(protocol: str, scale: Scale) -> Dict[str, Any]:
+def _stream(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
     """A GOP-structured VBR video over the case-4 pair: codec-to-delivery
     latency percentiles (ms) and stall fractions at two playout buffers."""
-    seed = scale.seed + 8  # the ledger's seed 9 at the default seed 1
+    seed += 8  # the ledger's seed 9 at the default seed 1
     paths = table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps)
     trace, network, built = build_topology(paths, seed)
     source = VbrVideoSource(network.sim, mean_rate_bps=VIDEO_RATE_BPS, fps=25.0, seed=seed)
@@ -1395,7 +1466,6 @@ def _stream(protocol: str, scale: Scale) -> Dict[str, Any]:
     connection.start()
     network.sim.run(until=scale.duration_s)
     return {
-        "transport": protocol,
         **{f"p{q}": collector.percentile_latency_s(q) * 1e3 for q in (50, 95, 99)},
         "stall_300": collector.stall_fraction(0.3),
         "stall_800": collector.stall_fraction(0.8),
@@ -1406,9 +1476,8 @@ STREAMING_QOE = Experiment(
     ledger="streaming_qoe",
     verb="motivation",
     title="Conclusion — streaming QoE: VBR video latency and stalls per transport",
-    run=lambda scale: {
-        protocol: _stream(protocol, scale) for protocol in ("tcp", "mptcp", "fixedrate", "fmtcp")
-    },
+    run=Grid(({},), ("tcp", "mptcp", "fixedrate", "fmtcp"), _stream, wide=False,
+             then=_by("protocol")),
     caption=lambda scale: (
         f"{VIDEO_RATE_BPS / 1e6:.1f} Mbit/s VBR video over case 4 paths, "
         f"{scale.duration_s:.0f}s (codec-to-delivery latency)\n"
@@ -1416,7 +1485,7 @@ STREAMING_QOE = Experiment(
         f"{'stall@300ms':>12} {'stall@800ms':>12}"
     ),
     line=(
-        "{transport:>10} {p50:>6.0f}ms {p95:>6.0f}ms {p99:>6.0f}ms "
+        "{protocol:>10} {p50:>6.0f}ms {p95:>6.0f}ms {p99:>6.0f}ms "
         "{stall_300:>11.1%} {stall_800:>11.1%}"
     ),
     rows=lambda result: list(result.values()),
@@ -1440,38 +1509,43 @@ STREAMING_QOE = Experiment(
 # ``scale.seed`` on, measured by the probes the soak harnesses export.
 # ----------------------------------------------------------------------
 BASE_LOSS = 0.05
+ROBUSTNESS_SEEDS = 3
 
 
-def _seeds(scale: Scale) -> List[int]:
-    return [scale.seed, scale.seed + 1, scale.seed + 2]
+def _robustness(caption: str, grid: Grid, tail: str = "", **fields: Any) -> Experiment:
+    """A robustness entry: ``grid`` runs it, and its caption names the seeds."""
+    return Experiment(
+        verb="robustness",
+        run=grid,
+        caption=lambda scale: f"{caption}, seeds {grid.seeds_at(scale)} (mean):{tail}",
+        **fields,
+    )
 
 
-def _fault_rows(names: Sequence[str], scale: Scale) -> Dict[str, Dict[str, Any]]:
-    """Per named scenario and protocol, on 5 %-loss paths: goodput
+def _fault_response(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Through scenario ``point["scenario"]`` on 5 %-loss paths: goodput
     retention through the fault window, goodput after it settles and the
     time to recover. No run ends before :meth:`FaultScenario.run_length`."""
-    rows = {}
-    for name in sorted(names):
-        scenario = FaultScenario.named(name)
-        row: Dict[str, Any] = {"scenario": name}
-        for protocol in PAIR:
-            runs = [
-                measure_fault_response(
-                    protocol, scenario, seed=seed, base_loss=BASE_LOSS,
-                    duration_s=scenario.run_length(scale.duration_s),
-                )
-                for seed in _seeds(scale)
-            ]
-            row[f"{protocol}_retention"] = mean([run.retention for run in runs])
-            row[f"{protocol}_post"] = mean([run.post_mbps for run in runs])
-            # A run that never recovers scores the full post-heal window.
-            row[f"{protocol}_recovery"] = mean([
-                run.duration_s - scenario.heal_time if run.recovery_s is None
-                else run.recovery_s
-                for run in runs
-            ])
-        rows[name] = row
-    return rows
+    scenario = FaultScenario.named(point["scenario"])
+    run = measure_fault_response(
+        protocol, scenario, seed=seed, base_loss=BASE_LOSS,
+        duration_s=scenario.run_length(scale.duration_s),
+    )
+    return {
+        "retention": run.retention,
+        "post": run.post_mbps,
+        # A run that never recovers scores the full post-heal window.
+        "recovery": (
+            run.duration_s - scenario.heal_time if run.recovery_s is None else run.recovery_s
+        ),
+    }
+
+
+def _fault_grid(names: Sequence[str]) -> Grid:
+    return Grid(
+        tuple({"scenario": name} for name in sorted(names)), PAIR, _fault_response,
+        seeds=ROBUSTNESS_SEEDS, then=_by("scenario"),
+    )
 
 
 def _retention_columns(name_width: int) -> Tuple[Column, ...]:
@@ -1492,15 +1566,11 @@ def _delivers_after(what: str) -> Check:
         row[f"{protocol}_post"] > 0 for row in rows.values() for protocol in PAIR))
 
 
-FAULT_RESPONSE = Experiment(
+FAULT_RESPONSE = _robustness(
+    f"Goodput through a 10 s fault window, {BASE_LOSS:.0%} base loss",
+    _fault_grid(SCENARIOS),
     ledger="fault_response",
-    verb="robustness",
     title="Robustness — goodput retention and recovery through link faults",
-    run=lambda scale: _fault_rows(SCENARIOS, scale),
-    caption=lambda scale: (
-        f"Goodput through a 10 s fault window, {BASE_LOSS:.0%} base loss, "
-        f"seeds {_seeds(scale)} (mean):"
-    ),
     columns=_retention_columns(20) + (
         Column("FMTCP rec(s)", 13, lambda row: row["fmtcp_recovery"], ".1f"),
         Column("MPTCP rec(s)", 13, lambda row: row["mptcp_recovery"], ".1f"),
@@ -1514,15 +1584,11 @@ FAULT_RESPONSE = Experiment(
     duration_s=40.0,
 )
 
-CHURN_RESPONSE = Experiment(
+CHURN_RESPONSE = _robustness(
+    f"Goodput through subflow churn, {BASE_LOSS:.0%} base loss",
+    _fault_grid(MOBILITY_SCENARIOS),
     ledger="churn_response",
-    verb="robustness",
     title="Robustness — goodput through subflow churn (handover, flap, permanent loss)",
-    run=lambda scale: _fault_rows(MOBILITY_SCENARIOS, scale),
-    caption=lambda scale: (
-        f"Goodput through subflow churn, {BASE_LOSS:.0%} base loss, "
-        f"seeds {_seeds(scale)} (mean):"
-    ),
     columns=_retention_columns(24) + (
         Column("FMTCP post", 11, lambda row: row["fmtcp_post"], ".3f"),
         Column("MPTCP post", 11, lambda row: row["mptcp_post"], ".3f"),
@@ -1533,80 +1599,76 @@ CHURN_RESPONSE = Experiment(
     duration_s=40.0,
 )
 
-CORRUPTION_GOODPUT = Experiment(
-    ledger="corruption_goodput",
-    verb="robustness",
-    title="Robustness — goodput vs per-link corruption rate",
-    run=lambda scale: [
-        {"rate": rate, **{
-            protocol: mean([
-                measure_corruption_goodput(protocol, rate, seed=seed, duration_s=scale.duration_s)
-                for seed in _seeds(scale)
-            ])
-            for protocol in PAIR
-        }}
-        for rate in (0.0, 0.01, 0.02, 0.05)
-    ],
-    caption=lambda scale: (
-        f"Goodput (Mb/s) vs per-link corruption rate, seeds {_seeds(scale)} (mean):"
+CORRUPTION_GOODPUT = _robustness(
+    "Goodput (Mb/s) vs per-link corruption rate",
+    Grid(
+        tuple({"rate": rate} for rate in (0.0, 0.01, 0.02, 0.05)), PAIR,
+        lambda protocol, point, scale, seed: {"goodput": measure_corruption_goodput(
+            protocol, point["rate"], seed=seed, duration_s=scale.duration_s
+        )},
+        seeds=ROBUSTNESS_SEEDS,
     ),
+    ledger="corruption_goodput",
+    title="Robustness — goodput vs per-link corruption rate",
     columns=(
         Column("rate", 6, lambda row: row["rate"], ".2f"),
-        Column("fmtcp", 9, lambda row: row["fmtcp"], ".3f"),
-        Column("mptcp", 9, lambda row: row["mptcp"], ".3f"),
+        Column("fmtcp", 9, lambda row: row["fmtcp_goodput"], ".3f"),
+        Column("mptcp", 9, lambda row: row["mptcp_goodput"], ".3f"),
     ),
     shape_checks=(
-        ("both protocols still deliver at 5 % corruption",
-         lambda rows, scale: all(rows[-1][protocol] > 0 for protocol in PAIR)),
+        ("both protocols still deliver at 5 % corruption", lambda rows, scale: all(
+            rows[-1][f"{protocol}_goodput"] > 0 for protocol in PAIR)),
         # Not "the clean run is the best case": MPTCP's mean rises from
         # 0 % to 1 % corruption (EXPERIMENTS.md).
         ("clean goodput is at least the goodput at 5 % corruption", lambda rows, scale: all(
-            rows[0][protocol] >= rows[-1][protocol] for protocol in PAIR)),
+            rows[0][f"{protocol}_goodput"] >= rows[-1][f"{protocol}_goodput"]
+            for protocol in PAIR)),
     ),
     duration_s=20.0,
 )
 
 
-def _run_bufferblock(scale: Scale) -> List[Dict[str, Any]]:
-    rows = []
-    for budget in (16_384, 32_768, 65_536, 131_072):
-        row: Dict[str, Any] = {"budget": budget}
+def _bufferblock(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    run = measure_bufferblock(protocol, point["budget"], seed=seed, duration_s=scale.duration_s)
+    return {
+        "goodput": run["goodput_mbytes_per_s"],
+        "within_budget": run["peak_occupancy"] <= run["budget_units"],
+    }
+
+
+def _round(rows: List[Dict[str, Any]], digits: int, key: str) -> List[Dict[str, Any]]:
+    """Round each protocol's ``key`` in every row, as the ledger prints it."""
+    for row in rows:
         for protocol in PAIR:
-            runs = [
-                measure_bufferblock(protocol, budget, seed=seed, duration_s=scale.duration_s)
-                for seed in _seeds(scale)
-            ]
-            row[protocol] = round(mean([run["goodput_mbytes_per_s"] for run in runs]), 4)
-            row[f"{protocol}_within_budget"] = all(
-                run["peak_occupancy"] <= run["budget_units"] for run in runs
-            )
-        rows.append(row)
+            row[f"{protocol}_{key}"] = round(row[f"{protocol}_{key}"], digits)
     return rows
 
 
-BUFFERBLOCK_SWEEP = Experiment(
-    ledger="bufferblock_sweep",
-    verb="robustness",
-    title="Section II — goodput vs receive-buffer budget (buffer blocking)",
-    run=_run_bufferblock,
-    caption=lambda scale: (
-        "Goodput (MB/s) vs receive-buffer budget, flow control on, "
-        f"seeds {_seeds(scale)} (mean):\npaths {BUFFERBLOCK_PATHS}"
+BUFFERBLOCK_SWEEP = _robustness(
+    "Goodput (MB/s) vs receive-buffer budget, flow control on",
+    Grid(
+        tuple({"budget": budget} for budget in (16_384, 32_768, 65_536, 131_072)), PAIR,
+        _bufferblock, seeds=ROBUSTNESS_SEEDS, reduce={"within_budget": all},
+        then=lambda rows: _round(rows, 4, "goodput"),
     ),
+    tail=f"\npaths {BUFFERBLOCK_PATHS}",
+    ledger="bufferblock_sweep",
+    title="Section II — goodput vs receive-buffer budget (buffer blocking)",
     columns=(
         Column("budget", 8, lambda row: row["budget"]),
-        Column("fmtcp", 9, lambda row: row["fmtcp"], ".4f"),
-        Column("mptcp", 9, lambda row: row["mptcp"], ".4f"),
+        Column("fmtcp", 9, lambda row: row["fmtcp_goodput"], ".4f"),
+        Column("mptcp", 9, lambda row: row["mptcp_goodput"], ".4f"),
     ),
     footer=lambda rows: [
-        f"{protocol}: retains {rows[0][protocol] / max(rows[-1][protocol], 1e-9):.1%} "
+        f"{protocol}: retains "
+        f"{rows[0][f'{protocol}_goodput'] / max(rows[-1][f'{protocol}_goodput'], 1e-9):.1%} "
         f"of large-buffer goodput at {rows[0]['budget'] // 1024} KiB"
         for protocol in PAIR
     ],
     shape_checks=(
         # The paper's Section II claim at its sharpest point.
         ("at the 16 KiB budget FMTCP beats MPTCP",
-         lambda rows, scale: rows[0]["fmtcp"] > rows[0]["mptcp"]),
+         lambda rows, scale: rows[0]["fmtcp_goodput"] > rows[0]["mptcp_goodput"]),
         ("both stacks stay within their licensed receive units", lambda rows, scale: all(
             row[f"{protocol}_within_budget"] for row in rows for protocol in PAIR)),
     ),
@@ -1614,40 +1676,39 @@ BUFFERBLOCK_SWEEP = Experiment(
 )
 
 
-def _run_recovery(scale: Scale) -> Dict[str, Dict[str, Any]]:
-    """Per crash preset and protocol: goodput retention (clean / crashed
-    completion time), the longest outage and the sender checkpoint size."""
-    rows = {}
-    for preset in ("receiver_crash", "sender_crash", "crash_storm"):
-        row: Dict[str, Any] = {"preset": preset}
-        for protocol in PAIR:
-            runs = [
-                measure_recovery(
-                    protocol, FaultScenario.named(preset), seed=seed, duration_s=scale.duration_s
-                )
-                for seed in _seeds(scale)
-            ]
-            row[f"{protocol}_retention"] = round(
-                mean([run["goodput_retention"] for run in runs]), 4
-            )
-            row[f"{protocol}_outage"] = round(max(run["max_outage_s"] for run in runs), 3)
-            row[f"{protocol}_checkpoint"] = max(run["checkpoint_bytes"] for run in runs)
-            row[f"{protocol}_violations"] = sum(run["violations"] for run in runs)
-        rows[preset] = row
-    return rows
+def _recovery(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Through crash preset ``point["preset"]``: goodput retention (clean /
+    crashed completion time), the longest outage and the sender checkpoint
+    size."""
+    run = measure_recovery(
+        protocol, FaultScenario.named(point["preset"]), seed=seed, duration_s=scale.duration_s
+    )
+    return {
+        "retention": run["goodput_retention"],
+        "outage": run["max_outage_s"],
+        "checkpoint": run["checkpoint_bytes"],
+        "violations": run["violations"],
+    }
 
 
-RECOVERY_RESPONSE = Experiment(
-    ledger="recovery_response",
-    verb="robustness",
-    title="Robustness — goodput retention and checkpoint size through endpoint crashes",
-    run=_run_recovery,
-    caption=lambda scale: (
-        "Goodput retention (clean/crashed completion time) per crash preset, "
-        f"seeds {_seeds(scale)} (mean):\n"
-        f"{'preset':>16}  {'fmtcp retain':>14}  {'mptcp retain':>14}  "
+def _recovery_rows(rows: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    return _by("preset")(_round(_round(rows, 4, "retention"), 3, "outage"))
+
+
+RECOVERY_RESPONSE = _robustness(
+    "Goodput retention (clean/crashed completion time) per crash preset",
+    Grid(
+        tuple({"preset": preset} for preset in ("receiver_crash", "sender_crash", "crash_storm")),
+        PAIR, _recovery, seeds=ROBUSTNESS_SEEDS,
+        reduce={"outage": max, "checkpoint": max, "violations": sum},
+        then=_recovery_rows,
+    ),
+    tail=(
+        f"\n{'preset':>16}  {'fmtcp retain':>14}  {'mptcp retain':>14}  "
         f"{'outage(s)':>10}  {'ckpt fm/mp (B)':>14}"
     ),
+    ledger="recovery_response",
+    title="Robustness — goodput retention and checkpoint size through endpoint crashes",
     line=(
         "{preset:>16}  {fmtcp_retention:>14.4f}  {mptcp_retention:>14.4f}  "
         "{fmtcp_outage:>10.2f}  {fmtcp_checkpoint:>6}/{mptcp_checkpoint}"
@@ -1666,38 +1727,36 @@ RECOVERY_RESPONSE = Experiment(
     duration_s=60.0,
 )
 
-
-def _run_traces(scale: Scale) -> Dict[str, Dict[str, Any]]:
-    """Per channel family (``None``: the clean baseline), both protocols'
-    goodput with the trace riding path 1, and their ratio."""
-    rows = {}
-    for family, spec in (
-        ("baseline", None), ("gprs", "gprs:1"), ("leo", "leo:1"), ("incast", "incast:1"),
-        ("cellular", "cellular_drive"), ("wifi", "wifi_walk"),
-    ):
-        row: Dict[str, Any] = {"family": family}
-        for protocol in PAIR:
-            row[protocol] = round(mean([
-                measure_trace_goodput(protocol, spec, seed=seed, duration_s=scale.duration_s)
-                for seed in _seeds(scale)
-            ]), 4)
-        row["ratio"] = round(row["fmtcp"] / row["mptcp"], 4) if row["mptcp"] else float("inf")
-        rows[family] = row
-    return rows
+#: Channel family -> the trace riding path 1 (``None``: the clean baseline).
+TRACE_FAMILIES = {
+    "baseline": None, "gprs": "gprs:1", "leo": "leo:1", "incast": "incast:1",
+    "cellular": "cellular_drive", "wifi": "wifi_walk",
+}
 
 
-TRACE_RESPONSE = Experiment(
-    ledger="trace_response",
-    verb="robustness",
-    title="Robustness — FMTCP vs MPTCP goodput with a channel trace riding path 1",
-    run=_run_traces,
-    caption=lambda scale: (
-        f"Goodput (Mb/s) with the trace riding path 1, seeds {_seeds(scale)} (mean):"
+def _trace_rows(rows: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """Round both goodputs, then take their ratio."""
+    for row in _round(rows, 4, "goodput"):
+        mptcp = row["mptcp_goodput"]
+        row["ratio"] = round(row["fmtcp_goodput"] / mptcp, 4) if mptcp else float("inf")
+    return _by("family")(rows)
+
+
+TRACE_RESPONSE = _robustness(
+    "Goodput (Mb/s) with the trace riding path 1",
+    Grid(
+        tuple({"family": family} for family in TRACE_FAMILIES), PAIR,
+        lambda protocol, point, scale, seed: {"goodput": measure_trace_goodput(
+            protocol, TRACE_FAMILIES[point["family"]], seed=seed, duration_s=scale.duration_s
+        )},
+        seeds=ROBUSTNESS_SEEDS, then=_trace_rows,
     ),
+    ledger="trace_response",
+    title="Robustness — FMTCP vs MPTCP goodput with a channel trace riding path 1",
     columns=(
         Column("family", 10, lambda row: row["family"]),
-        Column("fmtcp", 9, lambda row: row["fmtcp"], ".4f"),
-        Column("mptcp", 9, lambda row: row["mptcp"], ".4f"),
+        Column("fmtcp", 9, lambda row: row["fmtcp_goodput"], ".4f"),
+        Column("mptcp", 9, lambda row: row["mptcp_goodput"], ".4f"),
         Column("fm/mp", 7, lambda row: row["ratio"], ".3f"),
     ),
     rows=lambda rows: list(rows.values()),

@@ -97,14 +97,14 @@ def test_sweep_loss_advantage_monotone_trend():
 def test_sweep_bandwidth_runs(catalog_result):
     rows = catalog_result(SENSITIVITY_BANDWIDTH)
     assert [row["label"] for row in rows] == ["bw=1Mbps", "bw=2Mbps", "bw=4Mbps", "bw=8Mbps"]
-    assert all(row["fmtcp"]["total_mbytes"] > 0 for row in rows)
+    assert all(row["fmtcp_total_mbytes"] > 0 for row in rows)
 
 
 def test_sweep_delay_asymmetry_runs(catalog_result):
     rows = catalog_result(SENSITIVITY_DELAY)
     assert len(rows) == 6
     for row in rows:
-        assert row["pftk_fmtcp"] > 0
+        assert row["fmtcp_pftk"] > 0
 
 
 @pytest.mark.parametrize("experiment", [SENSITIVITY_LOSS, SENSITIVITY_DELAY],
@@ -113,5 +113,5 @@ def test_loss_and_delay_sweeps_run_at_the_scales_bandwidth(experiment):
     """Both paths of every point run at ``--bandwidth``: at 1 Mbit/s no
     point is predicted, or measured, above the two paths' 2 Mbit/s."""
     rows = experiment.run(Scale(1.0, bandwidth_bps=1e6, seed=5))
-    assert all(row["pftk_fmtcp"] <= 2e6 for row in rows)
-    assert all(row["fmtcp"]["goodput_mbps"] <= 2.0 for row in rows)
+    assert all(row["fmtcp_pftk"] <= 2e6 for row in rows)
+    assert all(row["fmtcp_goodput_mbps"] <= 2.0 for row in rows)

@@ -168,6 +168,11 @@ def test_replicate_command(capsys):
     assert "n=2" in out
 
 
+def test_replicate_starts_from_the_global_seed(capsys):
+    assert main(["--seed", "7", "--duration", "2", "replicate", "--seeds", "2"]) == 0
+    assert "seeds [7, 8]" in capsys.readouterr().out
+
+
 def test_fig3_csv_export(tmp_path, capsys):
     target = tmp_path / "fig3.csv"
     assert main(["--duration", "3", "--csv", str(target), "fig3"]) == 0

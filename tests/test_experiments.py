@@ -111,8 +111,8 @@ def test_a_short_run_renders_as_many_lines_as_its_ledger(experiment, catalog_res
     assert len(lines) == len(ledger)
 
 
-def test_table1_suite_runs_and_caches(monkeypatch):
-    """Figs. 3, 5 and 6 read one sweep: 16 transfers per scale."""
+def _count_transfers(monkeypatch):
+    """The protocols of every ``run_transfer`` the catalog makes from now on."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -120,10 +120,40 @@ def test_table1_suite_runs_and_caches(monkeypatch):
         return run_transfer(*args, **kwargs)
 
     monkeypatch.setattr(catalog, "run_transfer", counted)
+    return calls
+
+
+def test_table1_suite_runs_and_caches(monkeypatch):
+    """Figs. 3, 5 and 6 read one Table I grid: 14 transfers per scale, as
+    cases 3 and 7 are one operating point (100 ms / 10 %)."""
+    calls = _count_transfers(monkeypatch)
     scale = Scale(1.0, seed=7)  # no other test runs this scale
     for experiment in (catalog.FIG3, catalog.FIG5, catalog.FIG6):
         experiment.run(scale)
-    assert calls == ["fmtcp"] * 8 + ["mptcp"] * 8
+    assert calls == ["fmtcp", "mptcp"] * 7
+
+
+def test_figure7_reuses_the_table1_grids_case_4(monkeypatch):
+    calls = _count_transfers(monkeypatch)
+    scale = Scale(1.0, seed=11)  # no other test runs this scale
+    catalog.FIG3.run(scale)
+    stats = catalog.FIG7.run(scale)
+    assert len(calls) == 14
+    assert set(stats) == {"fmtcp", "mptcp"}
+
+
+def test_a_transfer_is_shared_by_value_unless_its_paths_keep_state(monkeypatch):
+    calls = _count_transfers(monkeypatch)
+    scale = Scale(1.0, seed=13)  # no other test runs this scale
+    first = catalog._case("fmtcp", 4, scale, scale.seed)
+    # An explicit default config is the same input as none.
+    assert catalog._case("fmtcp", 4, scale, scale.seed, fmtcp_config=FmtcpConfig()) is first
+    catalog._case("fmtcp", 4, scale, scale.seed + 1)
+    catalog._case("mptcp", 4, scale, scale.seed)
+    surge = catalog.figure4(0.35)
+    surge.run(scale)
+    surge.run(scale)
+    assert calls == ["fmtcp", "fmtcp", "mptcp"] + ["fmtcp", "mptcp"] * 2
 
 
 def test_figure3_rows_structure(catalog_result):

@@ -6,12 +6,9 @@ import random
 import pytest
 
 from repro.core.config import FmtcpConfig
+from repro.experiments.catalog import Grid, Scale
 from repro.experiments.fairness import jain_index, run_fairness
-from repro.experiments.replication import (
-    run_replicated,
-    summarise,
-    t_quantile,
-)
+from repro.experiments.replication import summarise, t_quantile
 from repro.experiments.reporting import (
     bar_chart,
     rows_to_csv,
@@ -19,6 +16,7 @@ from repro.experiments.reporting import (
     series_to_csv,
     sparkline,
 )
+from repro.experiments.runner import run_transfer
 from repro.fountain.codec import BlockDecoder, SystematicBlockEncoder
 from repro.net.topology import PathConfig, build_shared_bottleneck_network
 from repro.sim.trace import TraceBus
@@ -144,29 +142,71 @@ def test_summarise_single_value():
 
 def test_t_quantile_bounds():
     assert t_quantile(2) == pytest.approx(12.706)
+    assert t_quantile(11) == pytest.approx(2.228)
+    assert t_quantile(31) == pytest.approx(2.042)
     assert t_quantile(100) == pytest.approx(1.96)
     with pytest.raises(ValueError):
         t_quantile(1)
 
 
-def test_run_replicated_aggregates_seeds():
-    def factory():
-        return [
-            PathConfig(bandwidth_bps=8e6, delay_s=0.01, loss_rate=0.0),
-            PathConfig(bandwidth_bps=8e6, delay_s=0.01, loss_rate=0.1),
-        ]
+def _replicated_transfer(protocol, point, scale, seed):
+    paths = [
+        PathConfig(bandwidth_bps=8e6, delay_s=0.01, loss_rate=0.0),
+        PathConfig(bandwidth_bps=8e6, delay_s=0.01, loss_rate=0.1),
+    ]
+    return run_transfer(protocol, paths, duration_s=scale.duration_s, seed=seed).summary
 
-    result = run_replicated("fmtcp", factory, duration_s=4.0, seeds=(1, 2, 3))
-    assert len(result.runs) == 3
-    goodput = result["goodput_mbytes_per_s"]
+
+def test_grid_aggregates_seeds():
+    grid = Grid(({},), ("fmtcp",), _replicated_transfer, seeds=3, wide=False)
+    (row,) = grid(Scale(4.0, seed=1), reduction=summarise)
+    assert grid.seeds_at(Scale(4.0, seed=1)) == [1, 2, 3]
+    goodput = row["goodput_mbytes_per_s"]
     assert goodput.n == 3
     assert goodput.mean > 0
     assert goodput.stdev >= 0
 
 
-def test_run_replicated_requires_seeds():
+def test_grid_requires_seeds():
     with pytest.raises(ValueError):
-        run_replicated("fmtcp", lambda: [PathConfig()], duration_s=1.0, seeds=())
+        Grid(({},), ("fmtcp",), _replicated_transfer, seeds=0)
+
+
+def test_grid_reduces_each_key_over_the_seeds_in_seed_order():
+    """No simulation: a fake measure records its calls, and every key is
+    folded by the entry's reduction for it, else by the mean."""
+    calls = []
+
+    def measure(protocol, point, scale, seed):
+        calls.append((point["x"], protocol, seed))
+        offset = {"a": 0, "b": 100}[protocol] + 10 * point["x"]
+        return {
+            "value": offset + seed, "outage": seed * 1.5, "violations": seed,
+            "within": seed != 6, "order": [seed],
+        }
+
+    grid = Grid(
+        ({"x": 1}, {"x": 2}), ("a", "b"), measure, seeds=3,
+        reduce={"outage": max, "violations": sum, "within": all, "order": lambda runs: runs},
+    )
+    rows = grid(Scale(1.0, seed=4))
+    assert calls == [
+        (x, protocol, seed) for x in (1, 2) for protocol in ("a", "b") for seed in (4, 5, 6)
+    ]
+    assert rows[0] == {
+        "x": 1,
+        "a_value": 15.0, "a_outage": 9.0, "a_violations": 15, "a_within": False,
+        "a_order": [[4], [5], [6]],
+        "b_value": 115.0, "b_outage": 9.0, "b_violations": 15, "b_within": False,
+        "b_order": [[4], [5], [6]],
+    }
+    assert rows[1]["a_value"] == 25.0 and rows[1]["b_value"] == 125.0
+    # One seed passes every value through as measured, whatever its type.
+    (single,) = Grid(({"x": 0},), ("a",), measure, wide=False)(Scale(1.0, seed=6))
+    assert single == {
+        "x": 0, "protocol": "a", "value": 6, "outage": 9.0, "violations": 6,
+        "within": False, "order": [6],
+    }
 
 
 # ----------------------------------------------------------------------
