@@ -20,6 +20,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import soak
@@ -54,13 +55,6 @@ def cmd_experiment(args: argparse.Namespace) -> Optional[int]:
     """Run a verb's catalog entries at the requested scale and print each
     one's table (at full scale: its ledger), chart and failed shape checks."""
     experiments = _experiments(args)
-    if args.csv and len(experiments) != 1:
-        print(
-            f"error: --csv: {args.command} prints {len(experiments)} tables, "
-            "--csv exports one",
-            file=sys.stderr,
-        )
-        return 2
     for experiment in experiments:
         scale = experiment.scale(args.duration, args.bandwidth, args.seed)
         result = experiment.run(scale)
@@ -77,15 +71,23 @@ def cmd_experiment(args: argparse.Namespace) -> Optional[int]:
         for description in failed:
             print(f"  not reproduced: {description}")
         if args.csv:
-            write_csv(args.csv, experiment.to_csv(result))
-            print(f"wrote {args.csv}")
+            target = _csv_target(args.csv, experiment, len(experiments))
+            write_csv(target, experiment.to_csv(result))
+            print(f"wrote {target}")
         print()
     return None
 
 
-def cmd_report(args: argparse.Namespace) -> Optional[int]:
-    from pathlib import Path
+def _csv_target(path: str, experiment: catalog.Experiment, entries: int) -> str:
+    """``--csv PATH`` itself for a one-table verb; for a verb that prints
+    several tables, one file per entry: ``<stem>.<ledger>.csv`` beside it."""
+    if entries == 1:
+        return path
+    target = Path(path)
+    return str(target.with_name(f"{target.stem}.{experiment.ledger}.csv"))
 
+
+def cmd_report(args: argparse.Namespace) -> Optional[int]:
     from repro.experiments.report import write_report
 
     try:
@@ -628,7 +630,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-path bw (bps)",
     )
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--csv", type=str, default=None, help="export rows to CSV")
+    parser.add_argument(
+        "--csv", type=str, default=None,
+        help="export rows to CSV (a verb with several tables writes "
+        "STEM.LEDGER.csv per table)",
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_MenuParser)
     for verb, help_text in catalog.VERBS.items():
         command = sub.add_parser(verb, help=help_text)

@@ -41,18 +41,24 @@ class MetricSummary:
     ci95: float
     n: int
 
-    def __str__(self) -> str:  # pragma: no cover - formatting aid
+    def __str__(self) -> str:
+        if math.isnan(self.ci95):
+            return f"{self.mean:.3f} (n={self.n})"
         return f"{self.mean:.3f} ± {self.ci95:.3f} (n={self.n})"
 
 
 def summarise(values: Sequence[float]) -> MetricSummary:
-    """Sample mean, sample stdev and a t-based 95 % CI half-width."""
+    """Sample mean, sample stdev and a t-based 95 % CI half-width.
+
+    One value has no spread to estimate: its ``stdev`` and ``ci95`` are
+    NaN (not a zero-width interval), and it prints without "±".
+    """
     n = len(values)
     if n == 0:
         raise ValueError("no values to summarise")
     mean = sum(values) / n
     if n == 1:
-        return MetricSummary(mean=mean, stdev=0.0, ci95=0.0, n=1)
+        return MetricSummary(mean=mean, stdev=math.nan, ci95=math.nan, n=1)
     variance = sum((value - mean) ** 2 for value in values) / (n - 1)
     stdev = math.sqrt(variance)
     ci95 = t_quantile(n) * stdev / math.sqrt(n)

@@ -409,13 +409,12 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         # subflow may only take a chunk from what they cannot use. Suspect
         # subflows reserve nothing — their (stale) window space must not
         # starve the paths that still deliver.
-        reserved = 0
-        for candidate in self.scheduler.preference_order(self.subflows):
-            if candidate is subflow:
-                break
-            if candidate.usable:
-                reserved += candidate.window_space
-        if credit <= reserved:
+        scheduler = self.scheduler
+        if scheduler.stateful:
+            # Consulting it moves its state: an ask repeated now would get
+            # another answer, so it must not be skipped as a second ask.
+            self.supply_epoch += 1
+        if credit <= scheduler.reserved_ahead(subflow, self.subflows):
             return None
 
         pulled: PullResult = self.source.pull(self.config.mss)

@@ -87,6 +87,9 @@ class Link:
         self.corruption_model = corruption_model
         self._busy = False
         self._down = False
+        # The two event callbacks, bound once rather than on every schedule.
+        self._on_serialised = self._finish_transmission
+        self._on_propagated = self._deliver
         # Counters for link-level accounting in tests and the Table I bench.
         self.packets_sent = 0
         self.packets_dropped_loss = 0
@@ -143,10 +146,6 @@ class Link:
     # ------------------------------------------------------------------
     # Data path.
     # ------------------------------------------------------------------
-    def transmission_time(self, packet: Packet) -> float:
-        """Serialisation delay of ``packet`` on this link."""
-        return packet.size * 8.0 / self.bandwidth_bps
-
     def send(self, packet: Packet) -> None:
         """Entry point: queue the packet or start serialising immediately."""
         if self._down:
@@ -160,7 +159,15 @@ class Link:
                         self.sim.now, "link.drop_queue", link=self.name, packet=packet
                     )
             return
-        self._start_transmission(packet)
+        # Start serialising in place: size * 8 / bandwidth seconds.
+        self._busy = True
+        self.packets_sent += 1
+        sim = self.sim
+        sim.schedule_at(
+            sim.now + packet.size * 8.0 / self.bandwidth_bps,
+            self._on_serialised,
+            packet,
+        )
 
     def _drop_down(self, packet: Packet) -> None:
         self.packets_dropped_down += 1
@@ -169,27 +176,27 @@ class Link:
                 self.sim.now, "link.drop_down", link=self.name, packet=packet
             )
 
-    def _start_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        self.packets_sent += 1
-        sim = self.sim
-        sim.schedule_at(
-            sim.now + self.transmission_time(packet), self._finish_transmission, packet
-        )
-
     def _finish_transmission(self, packet: Packet) -> None:
-        # The wire is free again; pull the next queued packet, if any.
-        self._busy = False
-        next_packet = self.queue.dequeue()
-        if next_packet is not None:
-            self._start_transmission(next_packet)
+        sim = self.sim
+        now = sim.now
+        queue = self.queue
+        if queue:
+            # The wire goes straight on to the next queued packet.
+            next_packet = queue.popleft()
+            self.packets_sent += 1
+            sim.schedule_at(
+                now + next_packet.size * 8.0 / self.bandwidth_bps,
+                self._on_serialised,
+                next_packet,
+            )
+        else:
+            self._busy = False
 
         if self._down:
             self._drop_down(packet)
             return
-        sim = self.sim
-        now = sim.now
-        if self.loss_model.should_drop(now, self.rng):
+        loss_model = self.loss_model
+        if loss_model.__class__ is not NoLoss and loss_model.should_drop(now, self.rng):
             self.packets_dropped_loss += 1
             if self.trace is not None and "link.drop_loss" in self.trace.live:
                 self.trace.emit(now, "link.drop_loss", link=self.name, packet=packet)
@@ -204,9 +211,9 @@ class Link:
                 if self.trace is not None and "link.corrupt" in self.trace.live:
                     self.trace.emit(now, "link.corrupt", link=self.name, packet=packet)
                 for replacement in damaged:
-                    sim.schedule_at(now + delay, self._deliver, replacement)
+                    sim.schedule_at(now + delay, self._on_propagated, replacement)
                 return
-        sim.schedule_at(now + delay, self._deliver, packet)
+        sim.schedule_at(now + delay, self._on_propagated, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.packets_delivered += 1

@@ -47,10 +47,12 @@ class Node:
 
     def receive(self, packet: Packet) -> None:
         """Forward along the source route, or deliver locally at its end."""
-        next_link = packet.next_link()
-        if next_link is not None:
+        route = packet.route
+        index = packet.route_index
+        if index < len(route):
+            packet.route_index = index + 1
             self.packets_forwarded += 1
-            next_link.send(packet)
+            route[index].send(packet)
             return
         self.packets_received += 1
         handler = self._ports.get(packet.dst_port)

@@ -3,46 +3,50 @@
 The engine executes callbacks at simulated timestamps. Determinism is a
 hard requirement for the reproduction (every figure must be regenerable
 bit-for-bit from a seed), so ties in time are broken by a monotonically
-increasing insertion sequence number rather than by object identity. The
-heap holds ``(time, seq, event)`` tuples so that ordering is compared in
-C; ``seq`` is unique, so a comparison never reaches the event.
+increasing insertion sequence number rather than by object identity. A
+heap entry *is* its :class:`Event`, a list ``[time, seq, fn, args]``
+built in C, so ordering is compared in C; ``seq`` is unique, so a
+comparison never reaches the callback.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised on scheduler misuse (negative delays, running twice, ...)."""
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the heap entry ``[time, seq, fn, args]``.
 
     Events are returned by :meth:`Simulator.schedule` so callers can cancel
-    them later. A cancelled event stays in the heap but is skipped when it
-    reaches the front (lazy deletion), which keeps cancellation O(1).
+    them later. A cancelled event (``fn`` cleared to ``None``) stays in the
+    heap but is skipped when it reaches the front (lazy deletion), which
+    keeps cancellation O(1).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it."""
-        self.cancelled = True
+        self[2] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.6f} seq={self.seq} fn={self.fn!r}{state}>"
+        return f"<Event t={self[0]:.6f} seq={self[1]} fn={self[2]!r}{state}>"
 
 
 class Simulator:
@@ -56,7 +60,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Event] = []
         self._seq = 0
         # Current simulated time in seconds. A plain attribute because
         # every layer reads it on every event; only the run loop writes it.
@@ -64,11 +68,14 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._processed = 0
+        # Inside run(): the event count at which the loop ends (stop()
+        # pulls it in to the event in progress).
+        self._halt_at = 0
         self._profiler = None
 
     @property
     def events_processed(self) -> int:
-        """Number of callbacks executed so far (for progress reporting)."""
+        """Number of callbacks executed by the runs that have returned."""
         return self._processed
 
     @property
@@ -104,14 +111,15 @@ class Simulator:
                 f"now={self.now!r}"
             )
         seq = self._seq
-        event = Event(time, seq, fn, args)
-        heapq.heappush(self._heap, (time, seq, event))
         self._seq = seq + 1
+        event = Event((time, seq, fn, args))
+        heapq.heappush(self._heap, event)
         return event
 
     def stop(self) -> None:
         """Stop the run loop after the current callback returns."""
         self._stopped = True
+        self._halt_at = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Execute events in timestamp order.
@@ -131,40 +139,45 @@ class Simulator:
             raise SimulationError(f"until must be a time, got {until!r}")
         self._running = True
         self._stopped = False
-        executed = 0
+        horizon = float("inf") if until is None else until
+        processed = self._processed
+        # One test per event ends the loop: the count reaching _halt_at,
+        # max_events past where it starts, or 0 once stop() was called.
+        # Without a limit it is an int no run reaches (an int-to-int
+        # comparison is the cheap one).
+        self._halt_at = sys.maxsize if max_events is None else processed + max_events
         profiling_run = self._profiler is not None
         run_started_wall = time.perf_counter() if profiling_run else 0.0
         # drain_cancelled compacts this list in place, so the local stays valid.
         heap = self._heap
         heappop = heapq.heappop
         try:
-            while heap and not self._stopped:
-                when, __, event = heap[0]
-                if event.cancelled:
+            while heap:
+                event = heap[0]
+                fn = event[2]
+                if fn is None:
                     heappop(heap)
                     continue
-                if until is not None and when > until:
+                when = event[0]
+                if when > horizon:
                     break
                 heappop(heap)
                 self.now = when
                 profiler = self._profiler
                 if profiler is None:
-                    event.fn(*event.args)
+                    fn(*event[3])
                 else:
                     heap_depth = len(heap)
                     started = time.perf_counter()
-                    event.fn(*event.args)
+                    fn(*event[3])
                     profiler.on_event(
-                        event.fn,
-                        time.perf_counter() - started,
-                        heap_depth,
-                        when,
+                        fn, time.perf_counter() - started, heap_depth, when
                     )
-                self._processed += 1
-                executed += 1
-                if max_events is not None and executed >= max_events:
+                processed += 1
+                if processed >= self._halt_at:
                     break
         finally:
+            self._processed = processed
             self._running = False
             if profiling_run and self._profiler is not None:
                 self._profiler.on_run_complete(
@@ -182,6 +195,6 @@ class Simulator:
         heap list is compacted in place, which the run loop relies on.
         """
         before = len(self._heap)
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [event for event in self._heap if event[2] is not None]
         heapq.heapify(self._heap)
         return before - len(self._heap)

@@ -40,26 +40,23 @@ class Timer:
         self.name = name
         # The one queued event (fires at or before the deadline), if any.
         self._event: Optional[Event] = None
-        self._expiry: Optional[float] = None
+        #: Absolute expiry time if armed, else ``None``; read-only outside
+        #: this class (a plain attribute: every transmission tests it).
+        self.expiry: Optional[float] = None
 
     @property
     def armed(self) -> bool:
         """Whether the timer is currently counting down."""
-        return self._expiry is not None
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute expiry time if armed, else ``None``."""
-        return self._expiry
+        return self.expiry is not None
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now, replacing any pending one."""
         if not delay >= 0:  # NaN too; no Simulator.schedule below to catch it
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
-        self._expiry = expiry = self._sim.now + delay
+        self.expiry = expiry = self._sim.now + delay
         event = self._event
         if event is not None:
-            if event.time <= expiry:
+            if event[0] <= expiry:
                 return  # _fire re-queues for the new deadline when it comes up
             event.cancel()
         self._event = self._sim.schedule_at(expiry, self._fire)
@@ -72,21 +69,21 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self._expiry = None
+        self.expiry = None
 
     def _fire(self) -> None:
         # Reached only through the live queued event: stop() and an earlier
         # deadline cancel it, and the run loop skips cancelled events.
-        expiry = self._expiry
+        expiry = self.expiry
         if expiry > self._sim.now:
             self._event = self._sim.schedule_at(expiry, self._fire)
             return
         self._event = None
-        self._expiry = None
+        self.expiry = None
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"expires={self._expiry:.6f}" if self.armed else "idle"
+        state = f"expires={self.expiry:.6f}" if self.armed else "idle"
         return f"<Timer {self.name} {state}>"
 
 
@@ -119,7 +116,7 @@ class PeriodicTimer:
 
     @property
     def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None and self._event[2] is not None
 
     @property
     def elapsed_s(self) -> float:
@@ -151,7 +148,7 @@ class PeriodicTimer:
         )
 
     def _fire(self) -> None:
-        if self._event is None or self._event.cancelled:
+        if self._event is None or self._event[2] is None:
             return
         elapsed = self._tick * self.period_s
         self._tick += 1

@@ -9,7 +9,7 @@ depends on which metrics an experiment collects.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Container, Deque, Dict, List, Optional
+from typing import Any, Callable, Container, Deque, Dict, Optional, Tuple
 
 # Hard cap on records queued by re-entrant emits (a subscriber emitting
 # from inside a dispatch). Generous — a healthy run never queues more
@@ -66,8 +66,10 @@ class TraceBus:
     def __init__(self, max_pending: int = DEFAULT_MAX_PENDING) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self._subscribers: Dict[str, List[Subscriber]] = {}
-        self._wildcard: List[Subscriber] = []
+        # Each pool is a tuple, replaced (never mutated) on subscribe and
+        # unsubscribe, so a dispatch iterates the pool it started with.
+        self._subscribers: Dict[str, Tuple[Subscriber, ...]] = {}
+        self._wildcard: Tuple[Subscriber, ...] = ()
         #: The kinds an emit would reach anyone for: hot paths guard with
         #: ``"kind" in bus.live``, one C-level lookup, instead of calling
         #: :meth:`has_subscribers`. Replaced (never mutated) on every
@@ -81,17 +83,23 @@ class TraceBus:
     def subscribe(self, kind: str, fn: Subscriber) -> None:
         """Receive records of ``kind``; ``"*"`` subscribes to everything."""
         if kind == "*":
-            self._wildcard.append(fn)
+            self._wildcard += (fn,)
         else:
-            self._subscribers.setdefault(kind, []).append(fn)
+            self._subscribers[kind] = self._subscribers.get(kind, ()) + (fn,)
         self._relive()
 
     def unsubscribe(self, kind: str, fn: Subscriber) -> None:
         """Remove a subscription added with :meth:`subscribe`."""
-        pool = self._wildcard if kind == "*" else self._subscribers.get(kind, [])
-        if fn in pool:
-            pool.remove(fn)
-            self._relive()
+        pool = self._wildcard if kind == "*" else self._subscribers.get(kind, ())
+        if fn not in pool:
+            return
+        index = pool.index(fn)
+        pool = pool[:index] + pool[index + 1:]
+        if kind == "*":
+            self._wildcard = pool
+        else:
+            self._subscribers[kind] = pool
+        self._relive()
 
     def _relive(self) -> None:
         self.live = (
@@ -103,10 +111,10 @@ class TraceBus:
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         """Publish a record; cheap (no allocation) when nobody listens.
 
-        Dispatch iterates over a snapshot of each subscriber list, so a
-        callback may ``subscribe``/``unsubscribe`` (itself included)
-        without corrupting the loop; subscriptions added mid-emit first
-        see the *next* record.
+        Dispatch iterates over the subscriber pools as they were when the
+        record's dispatch reached them, so a callback may
+        ``subscribe``/``unsubscribe`` (itself included) without corrupting
+        the loop; subscriptions added mid-emit first see the *next* record.
 
         A record emitted *from inside* a dispatch (a subscriber reacting
         by emitting) is queued and dispatched by the outermost emit once
@@ -117,28 +125,25 @@ class TraceBus:
         if kind not in self.live:
             return
         record = TraceRecord(time, kind, fields)
+        pending = self._pending
         if self._dispatching:
-            if len(self._pending) >= self.max_pending:
+            if len(pending) >= self.max_pending:
                 self.records_dropped += 1
             else:
-                self._pending.append(record)
+                pending.append(record)
             return
         self._dispatching = True
         try:
-            self._dispatch(record)
-            while self._pending:
-                self._dispatch(self._pending.popleft())
+            while True:
+                for fn in self._subscribers.get(record.kind, ()):
+                    fn(record)
+                for fn in self._wildcard:
+                    fn(record)
+                if not pending:
+                    break
+                record = pending.popleft()
         finally:
             self._dispatching = False
-
-    def _dispatch(self, record: TraceRecord) -> None:
-        targeted = self._subscribers.get(record.kind)
-        if targeted:
-            for fn in tuple(targeted):
-                fn(record)
-        if self._wildcard:
-            for fn in tuple(self._wildcard):
-                fn(record)
 
     def has_subscribers(self, kind: str) -> bool:
         """True if emitting ``kind`` would reach anyone (lets hot paths skip work)."""

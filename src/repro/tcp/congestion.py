@@ -72,12 +72,16 @@ class RenoController(CongestionController):
 
     def on_ack(self, newly_acked: int = 1) -> None:
         cwnd = self._cwnd
-        for __ in range(newly_acked):
-            if cwnd < self.ssthresh:
+        ssthresh = self.ssthresh
+        while newly_acked > 0:
+            if cwnd < ssthresh:
                 cwnd += 1.0
             else:
                 cwnd += 1.0 / cwnd
-        self.cwnd = min(cwnd, self.max_cwnd)
+            newly_acked -= 1
+        # The cwnd setter's two assignments, without its frame (per ACK).
+        self._cwnd = cwnd = min(cwnd, self.max_cwnd)
+        self.window = max(1, int(cwnd))
 
     def on_fast_loss(self) -> None:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)

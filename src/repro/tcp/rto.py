@@ -55,7 +55,9 @@ class RtoEstimator:
             self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
         self.samples += 1
         self._backoff_factor = 1.0
-        self.rto = self._derive_rto()
+        # _derive_rto with a unit back-off factor, without its frame.
+        base = self.srtt + max(4.0 * self.rttvar, 1e-9)
+        self.rto = min(max(base, self.min_rto), self.max_rto)
 
     def on_timeout(self) -> None:
         """Double the timeout (Karn back-off), clamped at ``max_rto``."""

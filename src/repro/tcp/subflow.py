@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.net.integrity import payload_digest, seal_deferred, verify
+from repro.net.integrity import DEFERRED, payload_digest, verify
 from repro.net.packet import Packet
 from repro.net.topology import Path
 from repro.sim.engine import Simulator
@@ -102,6 +102,12 @@ class SubflowOwner:
     The default implementations make the owner optional in unit tests.
     """
 
+    #: Moves whenever an ask changed what a repeated ask could get: a
+    #: subflow sent a packet, or a refusal moved owner state (a round-robin
+    #: turn). A subflow compares it across an owner hook to see whether
+    #: asking again could be answered differently.
+    supply_epoch = 0
+
     def next_payload(self, subflow: "Subflow") -> Optional[Tuple[Any, int]]:
         """Return ``(payload, payload_bytes)`` to transmit, or ``None``."""
         return None
@@ -115,7 +121,13 @@ class SubflowOwner:
         """The packet was declared lost (``reason`` in {"dupack", "timeout"})."""
 
     def on_ack_feedback(self, subflow: "Subflow", feedback: Any) -> None:
-        """Receiver-side piggyback data arrived with an ACK."""
+        """Receiver-side piggyback data arrived with an ACK.
+
+        The subflow pumps itself once the ACK is processed, unless this
+        hook (or ``on_subflow_recovered`` after it) just pumped it and
+        :attr:`supply_epoch` has not moved since: so a hook that pumps must
+        do so after its last change to what ``next_payload`` reads.
+        """
 
     def on_subflow_suspect(self, subflow: "Subflow") -> None:
         """The subflow crossed its consecutive-RTO threshold and entered
@@ -176,6 +188,9 @@ class Subflow:
 
         self._next_seq = 0
         self._outstanding: Dict[int, SubflowPacketInfo] = {}
+        # ``owner.supply_epoch`` when the last pump ended with nothing more
+        # to ask for; -1 once a repeated ask could get another answer.
+        self._pumped_at = -1
         self._declared_lost: set = set()
         self._recovery_until = -1
         self._timer = Timer(sim, self._on_rto, name=f"rto[{subflow_id}]")
@@ -326,14 +341,20 @@ class Subflow:
             return
         outstanding = self._outstanding
         cc = self.cc
+        owner = self.owner
         while len(outstanding) < cc.window:
             if outstanding and self.potentially_failed:
-                return
-            supplied = self.owner.next_payload(self)
+                break
+            epoch = owner.supply_epoch
+            supplied = owner.next_payload(self)
             if supplied is None:
+                # A refusal that moved the epoch itself is no answer to
+                # repeat: the next ask goes ahead.
+                self._pumped_at = epoch
                 return
             payload, size = supplied
             self._transmit(payload, size)
+        self._pumped_at = owner.supply_epoch
 
     def _complete_join(self) -> None:
         self._join_event = None
@@ -345,25 +366,26 @@ class Subflow:
     def _transmit(self, payload: Any, size: int) -> None:
         if size <= 0 or size > self.mss:
             raise ValueError(f"payload size {size} outside (0, mss={self.mss}]")
+        self.owner.supply_epoch += 1
         now = self.sim.now
         seq = self._next_seq
         self._next_seq = seq + 1
         self._outstanding[seq] = SubflowPacketInfo(seq, payload, size, now)
         packet = Packet(
-            size=size + HEADER_BYTES,
-            src=self.src_node.name,
-            dst=self.dst_node.name,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            payload=SubflowSegment(seq, payload),
-            flow_label=self._flow_label,
+            size + HEADER_BYTES,
+            self.src_node.name,
+            self.dst_node.name,
+            self.src_port,
+            self.dst_port,
+            SubflowSegment(seq, payload),
+            self._flow_label,
         )
-        seal_deferred(packet)
+        packet.checksum = DEFERRED  # integrity.seal_deferred, in place
         packet.sent_at = now
         self.last_transmit_at = now
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        if not self._timer.armed:
+        if self._timer.expiry is None:
             self._timer.start(self.rto.rto)
         trace = self.trace
         if trace is not None and "subflow.send" in trace.live:
@@ -374,7 +396,10 @@ class Subflow:
     # ACK processing and loss detection.
     # ------------------------------------------------------------------
     def _on_ack_packet(self, packet: Packet) -> None:
-        if not verify(packet):
+        # A deferred seal that was never stamped verifies by construction;
+        # getattr because unit tests feed duck-typed stand-ins.
+        checksum = getattr(packet, "checksum", None)
+        if checksum is not None and checksum != DEFERRED and not verify(packet):
             # Corrupted ACK: discard silently. The data packet's timer is
             # still running, so this degrades to an ordinary loss.
             self.acks_discarded_corrupt += 1
@@ -396,7 +421,13 @@ class Subflow:
             self.packets_acked += 1
             self.last_ack_at = now
             self.rto.on_measurement(now - info.sent_at)
-            self._observe_loss_outcome(lost=False)
+            # A delivery is a loss-free sample: the EWMA's ``gain * 0.0``
+            # term adds nothing.
+            if self._loss_estimate_primed:
+                self.loss_rate_estimate *= 1 - self.loss_ewma_gain
+            else:
+                self.loss_rate_estimate = 0.0
+                self._loss_estimate_primed = True
             self.cc.on_ack(1)
             self.owner.on_payload_delivered(self, info)
             self._detect_dupack_losses(seq)
@@ -406,6 +437,7 @@ class Subflow:
             # only tidy the tombstone.
             self._declared_lost.discard(seq)
         # Feedback rides on every ACK, even for packets we gave up on.
+        self._pumped_at = -1
         if ack.feedback is not None:
             self.owner.on_ack_feedback(self, ack.feedback)
         if was_suspect:
@@ -413,9 +445,17 @@ class Subflow:
                 self.trace.emit(
                     self.sim.now, "subflow.recovered", subflow=self.subflow_id
                 )
+            self._pumped_at = -1
             self.owner.on_subflow_recovered(self)
-        self._restart_or_stop_timer()
-        self.pump()
+        if self._outstanding:
+            self._timer.restart(self.rto.rto)
+        else:
+            self._timer.stop()
+        # No second ask: when the owner's hook just pumped this subflow and
+        # the epoch has not moved since, the window and the owner are as
+        # that pump left them.
+        if self._pumped_at != self.owner.supply_epoch:
+            self.pump()
 
     def _detect_dupack_losses(self, acked_seq: int) -> None:
         newly_lost = []
@@ -438,7 +478,13 @@ class Subflow:
         if len(self._declared_lost) > 20_000:
             horizon = self._next_seq - 10_000
             self._declared_lost = {s for s in self._declared_lost if s >= horizon}
-        self._observe_loss_outcome(lost=True)
+        self.last_loss_observed_at = self.sim.now
+        if self._loss_estimate_primed:
+            gain = self.loss_ewma_gain
+            self.loss_rate_estimate = (1 - gain) * self.loss_rate_estimate + gain
+        else:
+            self.loss_rate_estimate = 1.0
+            self._loss_estimate_primed = True
         if reason == "dupack":
             self.packets_lost_dupack += 1
             # Halve at most once per recovery episode (NewReno behaviour).
@@ -481,14 +527,11 @@ class Subflow:
                     self.sim.now, "subflow.suspect", subflow=self.subflow_id
                 )
             self.owner.on_subflow_suspect(self)
-        self._restart_or_stop_timer()
-        self.pump()
-
-    def _restart_or_stop_timer(self) -> None:
         if self._outstanding:
             self._timer.restart(self.rto.rto)
         else:
             self._timer.stop()
+        self.pump()
 
     def aged_loss_estimate(self, half_life_s: Optional[float]) -> float:
         """Loss estimate discounted by how long ago the last loss was seen.
@@ -505,17 +548,6 @@ class Subflow:
             return estimate
         quiet_time = self.sim.now - self.last_loss_observed_at
         return estimate * 2.0 ** (-quiet_time / half_life_s)
-
-    def _observe_loss_outcome(self, lost: bool) -> None:
-        sample = 1.0 if lost else 0.0
-        if lost:
-            self.last_loss_observed_at = self.sim.now
-        if not self._loss_estimate_primed:
-            self.loss_rate_estimate = sample
-            self._loss_estimate_primed = True
-        else:
-            gain = self.loss_ewma_gain
-            self.loss_rate_estimate = (1 - gain) * self.loss_rate_estimate + gain * sample
 
     def close(self) -> None:
         """Stop timers and release the port (ends a simulation cleanly)."""
@@ -594,7 +626,8 @@ class SubflowSink:
         self.packets_rejected = 0
 
     def _on_data_packet(self, packet: Packet) -> None:
-        if not verify(packet):
+        checksum = packet.checksum
+        if checksum is not None and checksum != DEFERRED and not verify(packet):
             # Link-CRC failure: drop without acknowledging, exactly like a
             # wire loss — the sender's dupack/RTO machinery takes it from
             # here, so corruption feeds the normal congestion response.
@@ -620,15 +653,16 @@ class SubflowSink:
         if self._feedback_provider is not None:
             feedback = self._feedback_provider(self.subflow_id, segment)
         ack_packet = Packet(
-            size=ACK_BYTES,
-            src=self.dst_node.name,
-            dst=self.src_node.name,
-            src_port=self._dst_port,
-            dst_port=self._src_port,
-            payload=SubflowAck(segment.seq, feedback),
-            flow_label=self._flow_label,
+            ACK_BYTES,
+            self.dst_node.name,
+            self.src_node.name,
+            self._dst_port,
+            self._src_port,
+            SubflowAck(segment.seq, feedback),
+            self._flow_label,
         )
-        self.path.send_reverse(seal_deferred(ack_packet))
+        ack_packet.checksum = DEFERRED  # integrity.seal_deferred, in place
+        self.path.send_reverse(ack_packet)
 
     def close(self) -> None:
         self.dst_node.unbind(self._dst_port)

@@ -18,7 +18,7 @@ single ``is None`` test.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 
 def callback_label(fn: Callable) -> str:
@@ -54,7 +54,9 @@ class SimProfiler:
         self.sim_time_start: Optional[float] = None
         self.sim_time_end = 0.0
         self.runs = 0
-        self._by_kind: Dict[str, _KindStats] = {}
+        # Keyed by the callback's function (a bound method's ``__func__``),
+        # so an event costs a dict lookup; labels are built in report().
+        self._by_kind: Dict[Any, _KindStats] = {}
 
     # ------------------------------------------------------------------
     # Hooks called by the engine (hot path — keep them lean).
@@ -69,11 +71,15 @@ class SimProfiler:
         if self.sim_time_start is None:
             self.sim_time_start = sim_time
         self.sim_time_end = sim_time
-        label = callback_label(fn)
-        stats = self._by_kind.get(label)
+        key = getattr(fn, "__func__", fn)
+        try:
+            stats = self._by_kind.get(key)
+        except TypeError:  # an unhashable callable object: key it by label
+            key = callback_label(fn)
+            stats = self._by_kind.get(key)
         if stats is None:
             stats = _KindStats()
-            self._by_kind[label] = stats
+            self._by_kind[key] = stats
         stats.count += 1
         stats.total_s += elapsed_s
         if elapsed_s > stats.max_s:
@@ -101,10 +107,24 @@ class SimProfiler:
         """Simulated seconds per wall second (>1 = faster than real time)."""
         return self.sim_time_span / self.wall_s if self.wall_s > 0 else 0.0
 
+    def _stats_by_label(self) -> Dict[str, _KindStats]:
+        """The per-function stats merged by label (two lambdas of one
+        module, or a function keyed by label, share one)."""
+        merged: Dict[str, _KindStats] = {}
+        for key, stats in self._by_kind.items():
+            label = key if isinstance(key, str) else callback_label(key)
+            into = merged.get(label)
+            if into is None:
+                into = merged[label] = _KindStats()
+            into.count += stats.count
+            into.total_s += stats.total_s
+            into.max_s = max(into.max_s, stats.max_s)
+        return merged
+
     def report(self) -> Dict[str, object]:
         kinds = []
         for label, stats in sorted(
-            self._by_kind.items(), key=lambda item: -item[1].total_s
+            self._stats_by_label().items(), key=lambda item: -item[1].total_s
         ):
             kinds.append(
                 {

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import catalog
 
 
 def test_parser_knows_all_commands():
@@ -99,11 +100,22 @@ def test_a_count_or_case_out_of_range_exits_2_naming_it(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_csv_needs_a_verb_that_prints_one_table(tmp_path, capsys):
-    target = tmp_path / "analysis.csv"
-    assert main(["--csv", str(target), "analysis"]) == 2
-    assert "--csv: analysis prints 5 tables" in capsys.readouterr().err
+def test_csv_writes_one_file_per_table_of_a_multi_table_verb(tmp_path, capsys):
+    """``--csv m.csv`` on a verb with several entries writes
+    ``m.<ledger>.csv`` per entry and names each (it used to exit 2)."""
+    target = tmp_path / "m.csv"
+    assert main(["--duration", "2", "--csv", str(target), "analysis"]) == 0
+    out = capsys.readouterr().out
+    ledgers = [entry.ledger for entry in catalog.experiments_of("analysis")]
+    assert len(ledgers) == 5
+    for ledger in ledgers:
+        written = tmp_path / f"m.{ledger}.csv"
+        assert f"wrote {written}" in out
+        assert written.read_text().count("\n") >= 2  # header + rows
     assert not target.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"m.{ledger}.csv" for ledger in ledgers
+    )
 
 
 def test_table1_output(capsys):
@@ -166,6 +178,15 @@ def test_replicate_command(capsys):
     out = capsys.readouterr().out
     assert "±" in out
     assert "n=2" in out
+
+
+def test_replicate_one_seed_prints_no_interval(capsys):
+    """One seed has no spread: the summary is "mean (n=1)", not a
+    zero-width "± 0.000" interval."""
+    assert main(["--duration", "2", "replicate", "--seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "(n=1)" in out
+    assert "±" not in out
 
 
 def test_replicate_starts_from_the_global_seed(capsys):

@@ -1,6 +1,7 @@
 """Tests for the extension modules: systematic coding, fairness,
 replication, reporting and trace export."""
 
+import math
 import random
 
 import pytest
@@ -137,7 +138,10 @@ def test_summarise_statistics():
 
 def test_summarise_single_value():
     summary = summarise([5.0])
-    assert summary.mean == 5.0 and summary.ci95 == 0.0
+    assert summary.mean == 5.0 and summary.n == 1
+    assert math.isnan(summary.stdev) and math.isnan(summary.ci95)
+    assert str(summary) == "5.000 (n=1)"
+    assert str(summarise([1.0, 3.0])).startswith("2.000 ± ")
 
 
 def test_t_quantile_bounds():

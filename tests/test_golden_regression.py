@@ -287,10 +287,9 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
     from repro.faults import CORRUPTION_SCENARIOS
     from repro.faults.corruption import CORRUPTION
     from repro.net import integrity
-    from repro.net.topology import PathConfig, build_two_path_network
+    from repro.net.topology import Path, PathConfig, build_two_path_network
     from repro.sim.rng import RngStreams
     from repro.soak import run_soak
-    from repro.tcp import subflow as subflow_module
     from repro.workloads.sources import RandomPayloadSource
 
     crcs = []
@@ -322,7 +321,14 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
 
     deferred = clean_transfer()
     with monkeypatch.context() as eager_build:
-        eager_build.setattr(subflow_module, "seal_deferred", integrity.seal)
+        # Every packet a subflow or its sink sends enters its path here.
+        for name in ("send_forward", "send_reverse"):
+            send = getattr(Path, name)
+            eager_build.setattr(
+                Path,
+                name,
+                lambda path, packet, send=send: send(path, integrity.seal(packet)),
+            )
         eager = clean_transfer()
     assert deferred[:3] == eager[:3]
     assert not any(deferred[1].values())

@@ -102,3 +102,52 @@ def test_callback_label_shapes():
     component = _Component(sim)
     assert callback_label(component.tick).endswith("_Component.tick")
     assert "test_sim_profiler" in callback_label(_busy)
+
+
+
+class _Unhashable:
+    """A callable object that cannot be a dict key."""
+
+    __hash__ = None
+
+    def __call__(self):
+        pass
+
+
+class _LabelPerEvent:
+    """Reference profiler: builds the label of every event as it runs."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def on_event(self, fn, elapsed_s, heap_depth, sim_time):
+        label = callback_label(fn)
+        self.counts[label] = self.counts.get(label, 0) + 1
+
+    def on_run_complete(self, wall_s):
+        pass
+
+
+def _shared_label_program(sim, unhashable):
+    first, second = (lambda: None), (lambda: None)  # two functions, one label
+    components = [_Component(sim), _Component(sim)]  # one method, two instances
+    callbacks = [first, second, second, unhashable, *(c.tick for c in components)]
+    for index, fn in enumerate(callbacks * 3):
+        sim.schedule(0.01 * index, fn)
+
+
+def test_report_merges_functions_that_share_a_label():
+    """Stats are keyed by function and labelled in report(); the counts
+    per label equal a reference that labels every event."""
+    runs = []
+    unhashable = _Unhashable()  # labelled by its repr: one object for both
+    for profiler in (SimProfiler(), _LabelPerEvent()):
+        sim = Simulator()
+        sim.set_profiler(profiler)
+        _shared_label_program(sim, unhashable)
+        sim.run(until=5.0)
+        runs.append(profiler)
+    profiled, reference = runs
+    counts = {entry["kind"]: entry["count"] for entry in profiled.report()["by_kind"]}
+    assert counts == reference.counts
+    assert sorted(counts.values()) == [3, 9, 14]  # unhashable, lambdas, ticks

@@ -119,7 +119,7 @@ class _CancelAndPushTimer:
 
 
 def _live_entries(sim):
-    return sum(1 for __, __, event in sim._heap if not event.cancelled)
+    return sum(1 for event in sim._heap if not event.cancelled)
 
 
 # Delays on a coarse grid so that deadlines collide, move earlier, move
