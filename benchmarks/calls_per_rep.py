@@ -4,12 +4,15 @@
                                         [--bytecodes] [--compare PARENT_ROOT]
 
 For each workload of ``benchmarks/perf/workloads.py`` this runs ``run_rep``
-twice on rep seed 3000 — a discarded warm-up, then one rep under
-``cProfile`` — and prints the profile's call count beside ``sim.events``
-and the rep digest. ``--bytecodes`` runs the rep once more under a
-``sys.settrace`` hook that counts ``opcode`` events and adds the number of
-bytecode instructions executed in Python frames (builtins run none; the
-traced rep takes about ten times as long as a plain one). All of these
+on rep seed 3000 — a discarded warm-up, one rep under ``cProfile`` and one
+with the cyclic garbage collector off — and prints the profile's call
+count, the rep's ``garbage`` (the objects ``gc.collect()`` then finds
+unreachable: what the rep left for the collector rather than freeing by
+reference counting), ``sim.events`` and the rep digest. ``--bytecodes``
+runs the rep once more under a ``sys.settrace`` hook that counts
+``opcode`` events and adds the number of bytecode instructions executed
+in Python frames (builtins run none; the traced rep takes about ten times
+as long as a plain one). All of these
 repeat exactly from run to run on one interpreter version (the call count includes builtins, so it differs
 between minor versions: compare two checkouts with the same interpreter,
 ``--root`` naming the other one), except ``fmtcp_instrumented``'s
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import subprocess
 import sys
@@ -73,7 +77,7 @@ def main() -> None:
         bytecodes_header = f" {'bytecodes':>11}" if args.bytecodes else ""
         print(
             f"{'workload':<20} {'python calls':>13}{bytecodes_header} "
-            f"{'sim.events':>11}  rep digest"
+            f"{'garbage':>8} {'sim.events':>11}  rep digest"
         )
     for name in args.workload or workloads.WORKLOADS:
         row = count(workloads, name, args.bytecodes)
@@ -82,20 +86,25 @@ def main() -> None:
             continue
         bytecodes = f" {row['bytecodes']:>11}" if args.bytecodes else ""
         print(
-            f"{name:<20} {row['calls']:>13}{bytecodes} {row['events']:>11}  "
-            f"{row['digest'][:16]}…"
+            f"{name:<20} {row['calls']:>13}{bytecodes} {row['garbage']:>8} "
+            f"{row['events']:>11}  {row['digest'][:16]}…"
         )
 
 
 def count(workloads, name: str, bytecodes: bool) -> Dict[str, object]:
-    """One workload's calls (and bytecodes), ``sim.events`` and digest."""
+    """One workload's calls (and bytecodes), garbage, ``sim.events`` and
+    digest."""
     workload = workloads.WORKLOADS[name]
     workloads.run_rep(workload, REP_SEED)
     profile = cProfile.Profile()
     rep = profile.runcall(workloads.run_rep, workload, REP_SEED)
+    collected, garbage = count_garbage(workloads.run_rep, workload, REP_SEED)
+    if collected["digest"] != rep["digest"]:
+        raise SystemExit(f"{name}: the rep run with the collector off moved its digest")
     row: Dict[str, object] = {
         "workload": name,
         "calls": sum(entry.callcount for entry in profile.getstats()),
+        "garbage": garbage,
         "events": rep["counts"]["sim.events"],
         "digest": rep["digest"],
     }
@@ -127,7 +136,7 @@ def compare(parent: Path, root: Path, names, bytecodes: bool) -> int:
     """Print PARENT_ROOT beside ROOT per workload; 1 if behaviour moved."""
     before = _counted(parent, names or [], bytecodes)
     after = _counted(root, names or [], bytecodes)
-    measures = ["calls"] + (["bytecodes"] if bytecodes else [])
+    measures = ["calls"] + (["bytecodes"] if bytecodes else []) + ["garbage"]
     print(f"parent: {parent}\nthis:   {root}")
     moved = set(before) != set(after)
     for name in [name for name in before if name in after]:
@@ -150,6 +159,18 @@ def compare(parent: Path, root: Path, names, bytecodes: bool) -> int:
             f"{'==' if same_digest else 'DIFFERS'}"
         )
     return 1 if moved else 0
+
+
+def count_garbage(fn, *args):
+    """``fn(*args)`` run with the cyclic collector off, and the number of
+    objects a collection then finds unreachable (all of them the call's)."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = fn(*args)
+        return result, gc.collect()
+    finally:
+        gc.enable()
 
 
 def count_bytecodes(fn, *args):

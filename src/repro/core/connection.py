@@ -75,14 +75,15 @@ class FmtcpConnection(MultipathConnection):
             resume_frontier=receiver_frontier,
             resume_bytes=receiver_bytes,
         )
+        receiver = self.receiver  # the closure must not capture the connection
         super().__init__(
             sim,
             paths,
             config,
             trace,
             owner=self.sender,
-            on_segment=self.receiver.on_segment,
-            feedback_provider=lambda sf_id, segment: self.receiver.feedback(),
+            on_segment=receiver.on_segment,
+            feedback_provider=lambda sf_id, segment: receiver.feedback(),
         )
 
     # ------------------------------------------------------------------

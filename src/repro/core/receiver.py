@@ -286,15 +286,10 @@ class FmtcpReceiver:
     # Feedback for ACK piggybacking (Eq. 8's k̄ channel).
     # ------------------------------------------------------------------
     def feedback(self) -> FmtcpFeedback:
-        decoded_out_of_order = (
-            tuple(
-                block_id
-                for block_id in self._decoded_waiting
-                if block_id >= self._decode_frontier
-            )
-            if self._decoded_waiting
-            else ()
-        )
+        # Every waiting id is above the decode frontier: _finish_block moves
+        # the frontier past each id it files there, and _deliver_in_order
+        # pops the run below it.
+        decoded_out_of_order = tuple(self._decoded_waiting)
         advertised_window = None
         if self.window is not None:
             advertised_window = self.window.advertise(

@@ -667,18 +667,23 @@ class FmtcpSender(SubflowOwner):
                 block = block_by_id(block_id)
                 if block is not None:
                     self._fold_k_bar(block, 0, epoch)
-        while self._decoded_frontier_seen < feedback.decoded_in_order:
-            self._confirm_decoded(self._decoded_frontier_seen)
-            self._decoded_frontier_seen += 1
+        frontier_before = frontier = self._decoded_frontier_seen
+        while frontier < feedback.decoded_in_order:
+            self._confirm_decoded(frontier)
+            frontier += 1
+            self._decoded_frontier_seen = frontier
+        # The seen set holds only ids at or above the frontier: a stale
+        # report's id below it is confirmed (a no-op) but not kept, and the
+        # set is pruned only when the frontier moved.
+        seen = self._decoded_out_of_order_seen
         for block_id in feedback.decoded_out_of_order:
-            if block_id not in self._decoded_out_of_order_seen:
-                self._decoded_out_of_order_seen.add(block_id)
+            if block_id not in seen:
+                if block_id >= frontier:
+                    seen.add(block_id)
                 self._confirm_decoded(block_id)
-        if self._decoded_out_of_order_seen:
+        if frontier != frontier_before and seen:
             self._decoded_out_of_order_seen = {
-                block_id
-                for block_id in self._decoded_out_of_order_seen
-                if block_id >= self._decoded_frontier_seen
+                block_id for block_id in seen if block_id >= frontier
             }
         if self._flow is not None:
             self._flow.sync()

@@ -205,7 +205,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         self._reorder = ReorderBuffer(
             self.config.recv_buffer_chunks,
             trace=trace,
-            clock=lambda: self.sim.now,
+            clock=lambda: sim.now,  # captures the simulator, not the connection
         )
         self.delivered_bytes = 0
         self.delivered_chunks = 0
@@ -256,7 +256,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         self._reorder = ReorderBuffer(
             self.config.recv_buffer_chunks,
             trace=self.trace,
-            clock=lambda: self.sim.now,
+            clock=self._reorder.clock,
             start_seq=receiver_frontier,
         )
         self.delivered_chunks = receiver_frontier

@@ -87,9 +87,6 @@ class Link:
         self.corruption_model = corruption_model
         self._busy = False
         self._down = False
-        # The two event callbacks, bound once rather than on every schedule.
-        self._on_serialised = self._finish_transmission
-        self._on_propagated = self._deliver
         # Counters for link-level accounting in tests and the Table I bench.
         self.packets_sent = 0
         self.packets_dropped_loss = 0
@@ -159,13 +156,17 @@ class Link:
                         self.sim.now, "link.drop_queue", link=self.name, packet=packet
                     )
             return
-        # Start serialising in place: size * 8 / bandwidth seconds.
+        # Start serialising in place: size * 8 / bandwidth seconds. Events
+        # carry the class's function and the link as its first argument: a
+        # bound method per schedule would be an allocation, and one stored
+        # on the link a reference cycle.
         self._busy = True
         self.packets_sent += 1
         sim = self.sim
         sim.schedule_at(
             sim.now + packet.size * 8.0 / self.bandwidth_bps,
-            self._on_serialised,
+            Link._finish_transmission,
+            self,
             packet,
         )
 
@@ -186,7 +187,8 @@ class Link:
             self.packets_sent += 1
             sim.schedule_at(
                 now + next_packet.size * 8.0 / self.bandwidth_bps,
-                self._on_serialised,
+                Link._finish_transmission,
+                self,
                 next_packet,
             )
         else:
@@ -211,9 +213,9 @@ class Link:
                 if self.trace is not None and "link.corrupt" in self.trace.live:
                     self.trace.emit(now, "link.corrupt", link=self.name, packet=packet)
                 for replacement in damaged:
-                    sim.schedule_at(now + delay, self._on_propagated, replacement)
+                    sim.schedule_at(now + delay, Link._deliver, self, replacement)
                 return
-        sim.schedule_at(now + delay, self._on_propagated, packet)
+        sim.schedule_at(now + delay, Link._deliver, self, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.packets_delivered += 1

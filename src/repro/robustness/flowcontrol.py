@@ -187,6 +187,12 @@ class ZeroWindowProber:
             self._event = None
         self._interval = self.initial_s
 
+    def close(self) -> None:
+        """Disarm for good and drop the probe callback (the owner is
+        closing; the callback points back at it)."""
+        self.disarm()
+        self._fire = None
+
     def _tick(self) -> None:
         self._event = None
         self._interval = min(self._interval * 2.0, self.max_s)
@@ -246,8 +252,11 @@ class ProbedGate:
         return blocked
 
     def close(self) -> None:
-        """Stop the prober (event-queue drain invariant)."""
-        self._prober.disarm()
+        """Stop the prober (event-queue drain invariant) and drop the
+        protocol's callbacks, which point back at the sender holding this
+        gate; the gate's counters stay readable."""
+        self._prober.close()
+        self._blocked = self._pump = None
 
 
 class AppDrain:
@@ -287,8 +296,13 @@ class AppDrain:
         self._queue.append((size_bytes, unit))
 
     def schedule(self) -> None:
-        """Arm the timer for the queue head (rate 0 = never)."""
-        if self._event is not None or not self._queue or not self._rate_bps:
+        """Arm the timer for the queue head (rate 0 or closed = never)."""
+        if (
+            self._event is not None
+            or not self._queue
+            or not self._rate_bps
+            or self._deliver is None
+        ):
             return
         self._event = self._sim.schedule(
             self._queue[0][0] / self._rate_bps, self._tick
@@ -302,7 +316,10 @@ class AppDrain:
         self.schedule()
 
     def close(self) -> None:
-        """Cancel the timer (event-queue drain invariant)."""
+        """Cancel the timer (event-queue drain invariant) and drop the
+        delivery callback, which points back at the receiver holding this
+        drain: a closed drain never ticks again. The queue stays readable."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
+        self._deliver = None

@@ -71,6 +71,16 @@ class Timer:
             self._event = None
         self.expiry = None
 
+    def release(self) -> None:
+        """Stop the timer and drop its callback, for an owner that is done.
+
+        The callback is usually a bound method of the owner, which holds
+        the timer: the pair is a reference cycle until one edge goes. A
+        released timer reads as disarmed; it must not be started again.
+        """
+        self.stop()
+        self._callback = None
+
     def _fire(self) -> None:
         # Reached only through the live queued event: stop() and an earlier
         # deadline cancel it, and the run loop skips cancelled events.

@@ -66,6 +66,10 @@ class CongestionController:
         """Loss detected via RTO (collapse to one packet)."""
         raise NotImplementedError
 
+    def release(self) -> None:
+        """The subflow is closing: drop what the controller registered for
+        it. The window and the counters stay readable."""
+
 
 class RenoController(CongestionController):
     """Slow start + AIMD, NewReno-flavoured."""
@@ -108,14 +112,11 @@ class LiaGroup:
     def register(self, controller: "LiaCoupledController") -> None:
         self._members.append(controller)
 
-    def unregister(self, controller: "CongestionController") -> None:
-        """Drop a member whose subflow was removed (no-op if absent).
-
-        Accepts any controller so connection teardown can call it without
-        first checking the coupling kind; only LIA members are tracked.
-        """
+    def unregister(self, controller: "LiaCoupledController") -> None:
+        """Drop a member whose subflow closed (a no-op if absent, so a
+        second close is harmless)."""
         try:
-            self._members.remove(controller)  # type: ignore[arg-type]
+            self._members.remove(controller)
         except ValueError:
             pass
 
@@ -173,6 +174,13 @@ class LiaCoupledController(CongestionController):
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
         self.cwnd = 1.0
         self.timeouts += 1
+
+    def release(self) -> None:
+        # The group and the RTT closure (it captures the subflow) both
+        # point back at this controller's subflow: leave the group, drop
+        # the closure.
+        self.group.unregister(self)
+        self.rtt_provider = None
 
 
 def make_controller(

@@ -213,10 +213,8 @@ class MultipathConnection:
         subflow = self._subflow_by_id.pop(subflow_id, None)
         if subflow is None:
             raise ValueError(f"unknown subflow id {subflow_id}")
-        infos = subflow.shutdown()
+        infos = subflow.shutdown()  # also takes its controller out of the LIA group
         self._sinks.pop(subflow_id).close()
-        if self._lia_group is not None:
-            self._lia_group.unregister(subflow.cc)
         self.subflows.remove(subflow)
         settled = self._settle_removed(subflow, infos)
         if self.trace is not None and "conn.subflow_removed" in self.trace.live:
@@ -239,11 +237,18 @@ class MultipathConnection:
             subflow.pump()
 
     def close(self) -> None:
-        """Stop every subflow's timers and unbind both ends' ports."""
+        """Stop every subflow's timers and unbind both ends' ports.
+
+        Each close gives back what it registered, and the skeleton drops
+        the protocol's callbacks (MPTCP's ``owner`` is the connection
+        itself): a closed transfer holds no reference cycle, so it is
+        freed as soon as its last outside reference goes.
+        """
         for subflow in self.subflows:
             subflow.close()
         for sink in self._sinks.values():
             sink.close()
+        self._owner = self._on_segment = self._feedback_provider = None
 
     def sever_receiver(self) -> int:
         """Kill the receiver endpoint only, leaving the sender running.

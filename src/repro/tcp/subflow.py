@@ -113,7 +113,10 @@ class SubflowOwner:
         return None
 
     def on_payload_delivered(self, subflow: "Subflow", info: SubflowPacketInfo) -> None:
-        """The packet carrying ``info.payload`` was acknowledged."""
+        """The packet carrying ``info.payload`` was acknowledged.
+
+        A subflow calls it only for an owner that overrides this no-op.
+        """
 
     def on_payload_lost(
         self, subflow: "Subflow", info: SubflowPacketInfo, reason: str
@@ -170,6 +173,12 @@ class Subflow:
         self.sim = sim
         self.path = path
         self.owner = owner
+        # Whether the owner wants a call per acknowledged packet: an owner
+        # that keeps SubflowOwner's no-op costs the ACK path no frame.
+        self._notify_delivered = (
+            getattr(owner.on_payload_delivered, "__func__", None)
+            is not SubflowOwner.on_payload_delivered
+        )
         self.subflow_id = subflow_id
         self.cc = congestion or RenoController()
         self.rto = rto or RtoEstimator()
@@ -429,7 +438,8 @@ class Subflow:
                 self.loss_rate_estimate = 0.0
                 self._loss_estimate_primed = True
             self.cc.on_ack(1)
-            self.owner.on_payload_delivered(self, info)
+            if self._notify_delivered:
+                self.owner.on_payload_delivered(self, info)
             self._detect_dupack_losses(seq)
         elif seq in self._declared_lost:
             # Spurious loss declaration: the packet made it after all. The
@@ -550,13 +560,21 @@ class Subflow:
         return estimate * 2.0 ** (-quiet_time / half_life_s)
 
     def close(self) -> None:
-        """Stop timers and release the port (ends a simulation cleanly)."""
-        self._timer.stop()
+        """Stop timers and release the port (ends a simulation cleanly).
+
+        Also gives back every reference to the subflow it handed out — the
+        port binding, the RTO timer's callback, the congestion controller's
+        registrations — and drops the owner, so a closed subflow is freed
+        by reference counting. Counters and estimates stay readable.
+        """
+        self._timer.release()
         if self._join_event is not None:
             self._join_event.cancel()
             self._join_event = None
         self._closed = True
         self.src_node.unbind(self.src_port)
+        self.cc.release()
+        self.owner = None
 
     def shutdown(self):
         """Tear down at runtime and return the drained in-flight packets.
@@ -665,4 +683,6 @@ class SubflowSink:
         self.path.send_reverse(ack_packet)
 
     def close(self) -> None:
+        """Unbind the port and drop the connection's callbacks."""
         self.dst_node.unbind(self._dst_port)
+        self._on_segment = self._feedback_provider = None

@@ -59,15 +59,15 @@ class TracePlayer:
         self.step_s = step_s
         self.bus = bus
         self.ticks_applied = 0
-        self._timer = PeriodicTimer(
-            sim, step_s, self._tick, name=f"trace:{trace.name}"
-        )
+        # Exists only while playing: its callback is this player's bound
+        # method, so a kept timer would hold a stopped player in a cycle.
+        self._timer: Optional[PeriodicTimer] = None
         self._baselines: Dict[int, _LinkBaseline] = {}
         self._finished = False
 
     @property
     def playing(self) -> bool:
-        return self._timer.armed
+        return self._timer is not None and self._timer.armed
 
     @property
     def finished(self) -> bool:
@@ -87,11 +87,19 @@ class TracePlayer:
             )
             for link in self.links
         }
+        self._timer = PeriodicTimer(
+            self.sim, self.step_s, self._tick, name=f"trace:{self.trace.name}"
+        )
         self._timer.start(fire_now=True)
+
+    def _drop_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.stop()
+            self._timer = None
 
     def stop(self, restore: bool = True) -> None:
         """End playback; by default return the links to their baselines."""
-        self._timer.stop()
+        self._drop_timer()
         if restore and self._baselines:
             for link in self.links:
                 baseline = self._baselines[id(link)]
@@ -117,7 +125,7 @@ class TracePlayer:
         self.ticks_applied += 1
         if self.trace.end_policy == "hold" and elapsed_s >= self.trace.duration_s:
             # Holding the last sample needs no further ticks.
-            self._timer.stop()
+            self._drop_timer()
 
     def _apply(self, sample: TraceSample) -> None:
         for link in self.links:

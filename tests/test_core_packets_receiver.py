@@ -1,6 +1,7 @@
 """Unit tests for FMTCP wire formats and receiver internals."""
 
 import random
+import zlib
 
 import pytest
 
@@ -177,3 +178,69 @@ def test_multiple_groups_in_one_packet():
     assert receiver.symbols_received == 5
     feedback = receiver.feedback()
     assert set(feedback.k_bar) == {0, 1}
+
+
+# ----------------------------------------------------------------------
+# feedback() reports the whole decoded-waiting set as out of order.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["drain", "quarantine", "resume"])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_waiting_block_is_above_the_decode_frontier(mode, seed):
+    """Blocks decode in random order; whatever the app drain, a quarantine
+    or a resumed frontier do, every block filed as decoded-but-waiting
+    sits above the decode frontier, so feedback() reports all of them."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    k, n_blocks = 8, 12
+    first = 5 if mode == "resume" else 0
+    config = {
+        "drain": FmtcpConfig(
+            flow_control=True, recv_drain_rate_bps=3_200.0, recv_window_blocks=6
+        ),
+        "quarantine": FmtcpConfig(coding="real"),
+        "resume": FmtcpConfig(),
+    }[mode]
+    receiver = FmtcpReceiver(
+        sim, config, rng=random.Random(seed), resume_frontier=first
+    )
+    block_bytes = k * config.symbol_size
+    encoders = {}
+    if mode == "quarantine":
+        for block_id in range(n_blocks):
+            data = bytes(rng.randrange(256) for __ in range(block_bytes))
+            encoders[block_id] = (
+                BlockEncoder(data, k=k, part_size=config.symbol_size, rng=rng),
+                zlib.crc32(data),
+            )
+    most_waiting = most_queued = 0
+    while receiver.delivered_blocks < first + n_blocks:
+        lowest = receiver.delivered_blocks
+        limit = first + n_blocks
+        if receiver.window is not None:
+            limit = min(limit, receiver.window.limit)
+        block_id = rng.randrange(lowest, max(limit, lowest + 1))
+        if mode == "quarantine":
+            encoder, crc = encoders[block_id]
+            symbol = encoder.next_symbol()
+            if rng.random() < 0.05:
+                symbol = symbol.integrity_mutate(rng)
+            symbol_group = SymbolGroup(
+                block_id, 1, k, block_bytes, symbols=[symbol], block_crc=crc
+            )
+        else:
+            symbol_group = group(block_id=block_id, count=1, block_k=k)
+        receiver.on_segment(0, FakeSegment(FmtcpSegmentPayload([symbol_group])))
+        sim.run(until=sim.now + 0.005)
+        feedback = receiver.feedback()
+        waiting = tuple(receiver._decoded_waiting)
+        assert all(b > feedback.decoded_in_order for b in waiting), (
+            feedback.decoded_in_order, waiting,
+        )
+        assert feedback.decoded_out_of_order == waiting
+        most_waiting = max(most_waiting, len(waiting))
+        most_queued = max(most_queued, receiver.app_queue_blocks)
+    assert most_waiting > 0  # some block did decode out of order
+    if mode == "quarantine":
+        assert receiver.blocks_quarantined > 0
+    if mode == "drain":
+        assert most_queued > 0  # the app drain held blocks back

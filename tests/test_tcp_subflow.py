@@ -1,5 +1,7 @@
 """Integration-style unit tests for the TCP subflow machinery."""
 
+import cProfile
+
 import pytest
 
 from repro.tcp.congestion import RenoController
@@ -177,6 +179,49 @@ def test_close_unbinds_and_stops_timer():
     sink.close()
     # Port can be rebound after close.
     subflow.src_node.bind(subflow.src_port, lambda packet: None)
+
+
+class QuietOwner(SubflowOwner):
+    """Supplies ``supply`` payloads and keeps every default hook."""
+
+    def __init__(self, supply: int):
+        self.remaining = supply
+
+    def next_payload(self, subflow):
+        if self.remaining <= 0:
+            return None
+        self.remaining -= 1
+        return self.remaining, 1000
+
+
+def _run_profiled(owner):
+    network, path, __ = make_single_path()
+    subflow = Subflow(network.sim, path, owner)
+    SubflowSink(network.sim, path, subflow, on_segment=lambda sf, segment: None)
+    subflow.pump()
+    profile = cProfile.Profile()
+    profile.runcall(network.sim.run)
+    called = {getattr(entry.code, "co_name", None) for entry in profile.getstats()}
+    return subflow, called
+
+
+def test_delivered_hook_is_called_only_for_an_owner_that_overrides_it():
+    # An overriding owner sees every acknowledged packet, once.
+    network, subflow, owner, __ = build(supply=20)
+    subflow.pump()
+    network.sim.run()
+    assert owner.delivered == [f"payload-{n}" for n in reversed(range(20))]
+    assert subflow.packets_acked == 20
+    # One that keeps SubflowOwner's no-op costs the ACK path no call.
+    subflow, called = _run_profiled(QuietOwner(20))
+    assert subflow.packets_acked == 20
+    assert "on_payload_delivered" not in called
+    # A hook set on the instance counts as an override too.
+    owner = QuietOwner(20)
+    seen = []
+    owner.on_payload_delivered = lambda subflow, info: seen.append(info.payload)
+    subflow, called = _run_profiled(owner)
+    assert sorted(seen) == list(range(20)) and subflow.packets_acked == 20
 
 
 def test_custom_congestion_controller_used():
