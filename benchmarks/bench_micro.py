@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from repro.core.allocation import allocate_packet
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
-from repro.core.estimators import PathEstimate
+from repro.core.estimators import PathEstimate, PathTable
 from repro.core.sender import FmtcpSender
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.rank_model import RankEvolutionModel
@@ -136,6 +136,11 @@ def test_allocation_cost_scales(benchmark):
         PathEstimate(subflow_id=0, rtt=0.2, rto=0.4, loss=0.0, window_space=8, tau=0.0),
         PathEstimate(subflow_id=1, rtt=0.3, rto=0.6, loss=0.15, window_space=4, tau=0.1),
     ]
+
+    def loss_rate_of(subflow_id):
+        return estimates[subflow_id].loss
+
+    paths = PathTable.from_estimates(estimates, loss_rate_of)
     blocks = []
     for block_id in range(64):
         block = PendingBlock(block_id=block_id, k=256, data_bytes=8192)
@@ -145,9 +150,9 @@ def test_allocation_cost_scales(benchmark):
     def allocate():
         return allocate_packet(
             pending_subflow_id=1,
-            estimates=estimates,
+            estimates=paths,
             blocks=blocks,
-            loss_rate_of=lambda subflow_id: estimates[subflow_id].loss,
+            loss_rate_of=loss_rate_of,
             mss=1400,
             symbol_wire_size=34,
             margin=margin,
@@ -159,10 +164,12 @@ def test_allocation_cost_scales(benchmark):
 
 class _BenchSubflow:
     """The Subflow surface an allocation round reads, held still: one
-    packet outstanding since t = 0 (no idle-path probe, τ = 0)."""
+    packet outstanding since t = 0 (no idle-path probe, τ = 0), joined
+    (no pending join event)."""
 
     potentially_failed = False
     is_joining = False
+    _join_event = None
     in_flight = 1
     last_transmit_at = 0.0
     last_ack_at = None
@@ -172,10 +179,7 @@ class _BenchSubflow:
         self.rto = SimpleNamespace(srtt=srtt, rto=2.0 * srtt)
         self.cc = SimpleNamespace(window=window_space + 1)
         self._outstanding = {0: SimpleNamespace(sent_at=0.0)}
-        self.loss = loss
-
-    def aged_loss_estimate(self, half_life_s):
-        return self.loss
+        self.loss_rate_estimate = loss
 
 
 def _round_sender(short_symbols):
@@ -199,9 +203,10 @@ def _round_sender(short_symbols):
 
 
 def test_allocation_round_first_of_an_instant(benchmark):
-    """An input changed: loss snapshot, the k̃ table, the path table and
-    one Algorithm 1 run — which gives the slow subflow nothing, because
-    the fast one (virtually) covers the few symbols still short."""
+    """An input changed: loss snapshot, the k̃ table, a new path table
+    (every row derived) and one Algorithm 1 run — which gives the slow
+    subflow nothing, because the fast one (virtually) covers the few
+    symbols still short."""
     sender, __, slow = _round_sender(short_symbols=[20])
 
     def first_round():
@@ -224,22 +229,29 @@ def test_allocation_round_repeated_in_the_same_instant(benchmark):
 
 
 def test_allocation_round_after_a_send(benchmark):
-    """The round state is carried across a packet: the round re-ranks the
-    paths and fills a packet, and only the blocks in it get a new k̃."""
+    """The round state is carried across a packet: the round refreshes the
+    carried path table's rows (no row's srtt or rto moved, so none is
+    re-derived) and fills a packet, and only the blocks in it get a new
+    k̃."""
+    carried = []
 
     def opened_round():
         sender, fast, __ = _round_sender(short_symbols=[200] * 8)
         assert sender.next_payload(fast) is not None
+        carried.append(sender._round.paths)
         return (sender, fast), {}
 
     def round_after_a_send(sender, fast):
-        return sender.next_payload(fast)
+        supplied = sender.next_payload(fast)
+        carried.append(sender._round.paths is carried.pop())
+        return supplied
 
     supplied = benchmark.pedantic(
         round_after_a_send, setup=opened_round, rounds=300, iterations=1
     )
     config = FmtcpConfig()
     assert supplied[1] == config.symbols_per_packet * config.symbol_wire_size
+    assert all(carried)
 
 
 TRACE_SAMPLES = 8_000

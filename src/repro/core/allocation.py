@@ -18,8 +18,9 @@ Two implementations are provided:
 * :func:`allocate_packet` — the production version with the
   first-incomplete-block pointer optimisation the paper sketches
   (complexity O(m + packets·symbols_per_packet), independent of how many
-  leading blocks are already complete), which derives every round-constant
-  input (EDTs, live k̃_b, per-flow gains) once per invocation;
+  leading blocks are already complete), which reads every round-constant
+  input (EDTs, live k̃_b, per-flow gains) from tables the caller may
+  carry across rounds;
 * :func:`allocate_packet_reference` — a literal transcription of the
   pseudocode that rescans blocks from b₁ every iteration, adds one
   symbol at a time and recomputes each quantity from its single-item
@@ -31,10 +32,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.blocks import PendingBlock
-from repro.core.estimators import PathEstimate, eat, eat_table, edt_for_flows
+from repro.core.estimators import PathEstimate, PathTable, eat, eat_table, edt_for_flows
 
 
 class AllocationError(RuntimeError):
@@ -197,7 +198,7 @@ def _estimates_by_id(
 
 def allocate_packet(
     pending_subflow_id: int,
-    estimates: Sequence[PathEstimate],
+    estimates: Union[Sequence[PathEstimate], PathTable],
     blocks: Sequence[PendingBlock],
     loss_rate_of: Callable[[int], float],
     mss: int,
@@ -207,27 +208,28 @@ def allocate_packet(
 ) -> AllocationResult:
     """Algorithm 1 with the first-incomplete-block pointer optimisation.
 
-    Everything that is constant within one invocation — EDTs, live k̃_b,
-    per-flow gains — is derived once up front into one path table (a row
-    per estimate, in ``estimates`` order); the loop only moves EATs.
-    ``expected`` is this round's :func:`expected_symbols` when the caller
-    already holds it (anything with its three fields; it is read, not
-    consumed); the first-incomplete pointer starts at its first short
-    block.
+    Everything that is constant within one invocation — EDTs, initial
+    EATs, per-flow gains — is read from one :class:`PathTable` (a row per
+    path): ``estimates`` is the round's table when the caller holds one,
+    and a :class:`PathEstimate` sequence otherwise, which becomes a table
+    through :meth:`PathTable.from_estimates` (gains from ``loss_rate_of``).
+    The loop only moves EATs. ``expected`` is this round's
+    :func:`expected_symbols` when the caller already holds it (anything
+    with its three fields; it is read, not consumed); the
+    first-incomplete pointer starts at its first short block.
     """
-    edts = edt_for_flows(estimates)
-    ids: List[int] = []
-    eats: List[float] = []
-    gains: List[float] = []
-    for estimate in estimates:
-        subflow_id = estimate.subflow_id
-        ids.append(subflow_id)
-        eats.append(eat(estimate, edts[subflow_id]))
-        gains.append(max(1.0 - loss_rate_of(subflow_id), 1e-3))
+    paths = (
+        estimates
+        if isinstance(estimates, PathTable)
+        else PathTable.from_estimates(estimates, loss_rate_of)
+    )
+    ids = paths.ids
     if pending_subflow_id not in ids:
         raise ValueError(f"pending subflow {pending_subflow_id} not in estimates")
     if symbol_wire_size > mss:
         raise ValueError("a single symbol must fit within the MSS")
+    eats = paths.eats[:]
+    gains = paths.gains
     queued = [0] * len(ids)
     if expected is None:
         expected = expected_symbols(blocks, loss_rate_of, margin)
@@ -265,7 +267,7 @@ def allocate_packet(
         # Virtual packet: bump the chosen flow's EAT and keep going.
         virtual_packets[chosen_id] = virtual_packets.get(chosen_id, 0) + 1
         queued[chosen] += 1
-        eats[chosen] = eat(estimates[chosen], edts[chosen_id], queued[chosen])
+        eats[chosen] = paths.eat(chosen, queued[chosen])
 
 
 def allocate_packet_greedy(

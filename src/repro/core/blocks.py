@@ -127,8 +127,10 @@ class BlockManager:
         self._rng = rng or random.Random()
         self._trace = trace
         self._clock = clock
-        self._pending: List[PendingBlock] = []
-        # block_id -> block for everything in _pending, kept in step with it.
+        #: Undecoded blocks in stream order (the paper's set B). A plain
+        #: attribute: every transmission opportunity reads it.
+        self.pending_blocks: List[PendingBlock] = []
+        # block_id -> block for everything pending, kept in step with it.
         self._by_id: Dict[int, PendingBlock] = {}
         #: ``block_by_id(block_id)``: the pending block with that id, or
         #: None. The map's own ``get``, so a lookup runs no Python frame.
@@ -141,20 +143,15 @@ class BlockManager:
         self.blocks_completed = 0
         self.source_exhausted = False
 
-    @property
-    def pending_blocks(self) -> List[PendingBlock]:
-        """Undecoded blocks in stream order (the paper's set B)."""
-        return self._pending
-
     def replenish(self) -> int:
         """Pull new blocks from the source up to the pending limit;
         returns how many joined the pending list."""
         added = 0
-        while len(self._pending) < self.config.max_pending_blocks:
+        while len(self.pending_blocks) < self.config.max_pending_blocks:
             block = self._create_block()
             if block is None:
                 break
-            self._pending.append(block)
+            self.pending_blocks.append(block)
             self._by_id[block.block_id] = block
             added += 1
         return added
@@ -213,7 +210,7 @@ class BlockManager:
         if block is not None:
             block.decoded = True
             self.blocks_completed += 1
-            self._pending.remove(block)
+            self.pending_blocks.remove(block)
         return block
 
     def update_k_bar(self, block_id: int, k_bar: int, epoch: int = 0) -> None:
@@ -237,6 +234,6 @@ class BlockManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<BlockManager pending={len(self._pending)} "
+            f"<BlockManager pending={len(self.pending_blocks)} "
             f"created={self.blocks_created} done={self.blocks_completed}>"
         )

@@ -15,7 +15,7 @@ These are the quantities Algorithm 1 ranks subflows by:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 
 class _PathEstimateFields(NamedTuple):
@@ -123,6 +123,130 @@ def eat_table(estimates: Sequence[PathEstimate]) -> Dict[int, float]:
         estimate.subflow_id: eat(estimate, edts[estimate.subflow_id])
         for estimate in estimates
     }
+
+
+class PathTable:
+    """Algorithm 1's path table: Definitions 5-8 for a set of paths, one
+    row per path, in parallel lists.
+
+    Ids, losses and the per-symbol gains max(1 − p_f, 10⁻³) are fixed at
+    construction (an allocation ledger's loss snapshot). A caller writes
+    each row's ``rtts`` / ``rtos`` / ``spaces`` / ``taus``, then calls
+    :meth:`derive` with the rows whose rtt or rto moved, or :meth:`settle`
+    when none did; the floats are those of :func:`edt_for_flows` and
+    :func:`eat` on the same :class:`PathEstimate`\\ s, operand for operand.
+    """
+
+    __slots__ = (
+        "ids", "losses", "gains", "rtts", "rtos", "spaces", "taus",
+        "sedts", "rts", "edts", "eats",
+    )
+
+    def __init__(
+        self, ids: List[int], losses: List[float], gains: List[float]
+    ):
+        for loss in losses:
+            if not 0.0 <= loss < 1.0:
+                raise ValueError(f"loss must be in [0, 1), got {loss}")
+        self.ids = ids
+        self.losses = losses
+        self.gains = gains
+        rows = len(ids)
+        # None until a row is first written, so its first derive runs.
+        self.rtts: List[Optional[float]] = [None] * rows
+        self.rtos: List[Optional[float]] = [None] * rows
+        self.spaces = [0] * rows
+        self.taus = [0.0] * rows
+        self.sedts = [0.0] * rows
+        self.rts = [0.0] * rows  # Eq. (10)
+        self.edts = [0.0] * rows
+        # Each row's EAT with no virtual assignments (Eq. 11).
+        self.eats = [0.0] * rows
+
+    @classmethod
+    def from_estimates(
+        cls,
+        estimates: Sequence[PathEstimate],
+        loss_rate_of: Callable[[int], float],
+    ) -> "PathTable":
+        """The table of ``estimates``, gains from ``loss_rate_of``."""
+        ids = [estimate.subflow_id for estimate in estimates]
+        table = cls(
+            ids,
+            [estimate.loss for estimate in estimates],
+            [max(1.0 - loss_rate_of(subflow_id), 1e-3) for subflow_id in ids],
+        )
+        for row, (__, rtt, rto, __, space, tau) in enumerate(estimates):
+            table.rtts[row] = rtt
+            table.rtos[row] = rto
+            table.spaces[row] = space
+            table.taus[row] = tau
+        table.derive(range(len(ids)))
+        return table
+
+    def derive(self, moved: Iterable[int]) -> None:
+        """Range-check the ``moved`` rows and re-derive their SEDT (Eq. 13)
+        and RT, then the best row, every EDT (a non-best EDT reads the
+        best SEDT) and every EAT (:meth:`settle`)."""
+        rtts, rtos, losses, sedts, rts = (
+            self.rtts, self.rtos, self.losses, self.sedts, self.rts
+        )
+        for row in moved:
+            rtt, rto, loss = rtts[row], rtos[row], losses[row]
+            if not (rtt >= 0 and rto >= 0):  # NaN fails this too
+                raise ValueError(
+                    f"rtt and rto must be non-negative, got {rtt}, {rto}"
+                )
+            sedts[row] = loss / (1.0 - loss) * rto + rtt / 2.0
+            rts[row] = (1.0 - loss) * rtt + loss * rto
+        ids = self.ids
+        # Minimum SEDT, ties to the lower id.
+        best = 0
+        for row in range(1, len(ids)):
+            value = sedts[row]
+            if value < sedts[best] or (
+                value == sedts[best] and ids[row] < ids[best]
+            ):
+                best = row
+        edts = self.edts
+        for row, loss in enumerate(losses):
+            if row == best:
+                edts[row] = sedts[row]
+            else:
+                edts[row] = (1.0 - loss) * rtts[row] / 2.0 + loss * (
+                    rtos[row] + sedts[best]
+                )
+        self.settle()
+
+    def settle(self) -> None:
+        """Every row's EAT with no virtual assignments, from its window
+        space and τ."""
+        edts, rts, taus, eats = self.edts, self.rts, self.taus, self.eats
+        for row, space in enumerate(self.spaces):
+            edt = edts[row]
+            eats[row] = (
+                edt if space > 0 else max(edt + (1 - space) * rts[row] - taus[row], 0.0)
+            )
+
+    def eat(self, row: int, virtual_queue: int) -> float:
+        """:func:`eat` of ``row`` with ``virtual_queue`` packets virtually
+        assigned to it."""
+        free_space = self.spaces[row] - virtual_queue
+        if free_space > 0:
+            return self.edts[row]
+        waiting_packets = 1 - free_space
+        return max(
+            self.edts[row] + waiting_packets * self.rts[row] - self.taus[row], 0.0
+        )
+
+    def estimates(self) -> List[PathEstimate]:
+        """The rows as :class:`PathEstimate`\\ s."""
+        return [
+            PathEstimate(*row)
+            for row in zip(
+                self.ids, self.rtts, self.rtos, self.losses, self.spaces, self.taus
+            )
+        ]
 
 
 def rank_paths_by_sedt(estimates: Sequence[PathEstimate]) -> List[int]:

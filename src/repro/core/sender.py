@@ -13,6 +13,7 @@ no inter-path coordination.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import (
@@ -23,7 +24,7 @@ from repro.core.allocation import (
 )
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
-from repro.core.estimators import PathEstimate
+from repro.core.estimators import PathEstimate, PathTable
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload, SymbolGroup
 from repro.robustness.flowcontrol import ProbedGate, WindowGate
 from repro.sim.engine import Simulator
@@ -58,9 +59,52 @@ class _Losses(dict):
         return _MAX_LOSS
 
 
+class _Keeps(dict):
+    """1 − p per subflow id for a loss snapshot: Eq. (8)'s factor, each
+    computed once as ``PendingBlock.k_tilde`` computes it. A removed
+    subflow's id reads as maximally lossy."""
+
+    __slots__ = ()
+
+    def __missing__(self, subflow_id: int) -> float:
+        return 1.0 - _MAX_LOSS
+
+
+def _read_rows(paths: PathTable, subflows: List[Subflow], now: float) -> None:
+    """Refresh ``paths``, whose rows are ``subflows``, at ``now``: read each
+    row's srtt, rto, window space and τ from the state behind
+    ``Subflow.srtt`` / ``rto_value`` / ``window_space`` / ``tau``,
+    re-derive the rows whose (srtt, rto) moved, and settle every EAT."""
+    rtts, rtos, spaces, taus = paths.rtts, paths.rtos, paths.spaces, paths.taus
+    moved = []
+    for row, subflow in enumerate(subflows):
+        estimator = subflow.rto
+        srtt = estimator.srtt
+        if srtt is None:
+            srtt = subflow.srtt
+        rto = estimator.rto
+        if srtt != rtts[row] or rto != rtos[row]:
+            rtts[row] = srtt
+            rtos[row] = rto
+            moved.append(row)
+        outstanding = subflow._outstanding
+        space = subflow.cc.window - len(outstanding)
+        spaces[row] = space if space > 0 else 0
+        tau = 0.0
+        for info in outstanding.values():  # Send order: oldest first.
+            tau = now - info.sent_at
+            break
+        taus[row] = tau
+    if moved:
+        paths.derive(moved)
+    else:
+        paths.settle()
+
+
 class _RoundState:
-    """The allocation ledger: Eq. (8)'s k̃ per pending block and what
-    Algorithm 1 derives from it, carried from round to round.
+    """The allocation ledger: Eq. (8)'s k̃ per pending block, what
+    Algorithm 1 derives from it, and the path table, carried from round to
+    round.
 
     Built from scratch by ``expected_symbols`` and then kept up to date
     instead of rebuilt: each sender callback marks the blocks whose k̃ it
@@ -72,11 +116,17 @@ class _RoundState:
     differs, or a probe moved a block outside a round, the sender builds
     a new ledger. Reads as an ``ExpectedSymbols`` for
     :func:`allocate_packet`.
+
+    ``paths`` is the path table of the subflows Algorithm 1 counts on
+    (``path_subflows``), built for ``losses`` by the first round that
+    ranks paths; each such round refreshes its rows (``_read_rows``) and
+    it is rebuilt only when that set of subflows changed.
     """
 
     __slots__ = (
-        "now", "blocks", "margin", "losses", "loss_rate_of",
+        "now", "blocks", "ids", "margin", "losses", "loss_rate_of", "keeps",
         "k_tildes", "demand", "first_short", "declined", "marked", "sampled",
+        "paths", "path_subflows",
     )
 
     def __init__(
@@ -89,11 +139,17 @@ class _RoundState:
         # The instant the ledger was last settled at.
         self.now = now
         # The block list the k̃ table is parallel to: the manager's live
-        # pending list, or this instant's flow-admissible copy of it.
+        # pending list, or this instant's flow-admissible copy of it. Its
+        # ids ascend; ``ids`` is the table's own copy of them, by which a
+        # row is found.
         self.blocks = blocks
+        self.ids = [block.block_id for block in blocks]
         self.margin = margin
         self.losses = losses
         self.loss_rate_of = _Losses(losses).__getitem__
+        self.keeps = keeps = _Keeps()
+        for subflow_id, loss in losses.items():
+            keeps[subflow_id] = 1.0 - loss
         self.k_tildes, self.demand, self.first_short = expected_symbols(
             blocks, self.loss_rate_of, margin
         )
@@ -103,6 +159,8 @@ class _RoundState:
         self.marked: List[PendingBlock] = []
         # An ACK or a loss arrived since the loss snapshot was compared.
         self.sampled = False
+        self.paths: Optional[PathTable] = None
+        self.path_subflows: List[Subflow] = []
 
     def settle(self, now: float) -> None:
         """Re-derive the marked rows, once each, and forget the declines:
@@ -127,17 +185,24 @@ class _RoundState:
         """Re-derive ``block``'s k̃ (in :meth:`PendingBlock.k_tilde`'s
         summation order, which is ``expected_symbols``'s), its share of
         the demand and the first short index."""
-        blocks = self.blocks
-        try:
-            index = blocks.index(block)
-        except ValueError:  # Decoded, or outside the admissible list.
+        if block.decoded:  # drop() took its row.
             return
+        ids = self.ids
+        block_id = block.block_id
+        index = bisect_right(ids, block_id) - 1
+        if index < 0 or ids[index] != block_id:
+            return  # Outside the admissible list.
         k_tildes = self.k_tildes
         threshold = block.k + self.margin
         short = threshold - k_tildes[index]
         if short > -1.0:
             self.demand -= int(short) + 1
-        k_tildes[index] = k_tilde = block.k_tilde(self.loss_rate_of)
+        keeps = self.keeps
+        k_tilde = float(block.k_bar)
+        for subflow_id, count in block.in_flight.items():
+            if count:
+                k_tilde += count * keeps[subflow_id]
+        k_tildes[index] = k_tilde
         short = threshold - k_tilde
         if short > -1.0:
             self.demand += int(short) + 1
@@ -163,6 +228,7 @@ class _RoundState:
         """Rows for the blocks ``replenish`` appended to the live list:
         each starts at +∞ (no demand, not short) and is re-derived."""
         for block in self.blocks[len(self.k_tildes):]:
+            self.ids.append(block.block_id)
             self.k_tildes.append(math.inf)
             self._rederive(block)
         self.declined.clear()
@@ -170,7 +236,7 @@ class _RoundState:
     def drop(self, block: PendingBlock) -> None:
         """Delete decoded ``block``'s row; called while the live list still
         holds it, just before the manager removes it."""
-        index = self.blocks.index(block)
+        index = bisect_left(self.ids, block.block_id)
         short = block.k + self.margin - self.k_tildes[index]
         if short > -1.0:
             self.demand -= int(short) + 1
@@ -178,8 +244,16 @@ class _RoundState:
             self.first_short -= 1
         elif index == self.first_short:
             self.first_short = self._next_short(index + 1) - 1
+        del self.ids[index]
         del self.k_tildes[index]
         self.declined.clear()
+
+
+def _path_table(subflows: List[Subflow], losses: Dict[int, float]) -> PathTable:
+    """An unread path table of ``subflows`` for the loss snapshot ``losses``."""
+    ids = [subflow.subflow_id for subflow in subflows]
+    row_losses = [losses[subflow_id] for subflow_id in ids]
+    return PathTable(ids, row_losses, [max(1.0 - loss, 1e-3) for loss in row_losses])
 
 
 class FmtcpSender(SubflowOwner):
@@ -286,10 +360,35 @@ class FmtcpSender(SubflowOwner):
         reads this instead of re-deriving the aged estimate per use.
         """
         half_life = self.config.loss_estimate_half_life_s
-        return {
-            subflow.subflow_id: min(subflow.aged_loss_estimate(half_life), _MAX_LOSS)
+        snapshot = {}
+        for subflow in self.subflows:
+            # Without aging the estimate is the plain attribute. The clamp
+            # is min(loss, _MAX_LOSS) without the call (NaN passes as min
+            # passes it).
+            loss = (
+                subflow.loss_rate_estimate
+                if half_life is None
+                else subflow.aged_loss_estimate(half_life)
+            )
+            snapshot[subflow.subflow_id] = _MAX_LOSS if _MAX_LOSS < loss else loss
+        return snapshot
+
+    def _allocatable(self, include_suspect: bool = False) -> List[Subflow]:
+        """The subflows Algorithm 1 counts on, in attach order.
+
+        A joining subflow (``Subflow.is_joining``, read as its pending
+        join event) is never among them. Potentially-failed ones are
+        excluded by default: until one of their probes is acknowledged,
+        Algorithm 1 must not count on them to deliver symbols (their stale
+        RTT would otherwise keep winning EAT comparisons while everything
+        they carry evaporates).
+        """
+        return [
+            subflow
             for subflow in self.subflows
-        }
+            if subflow._join_event is None
+            and (include_suspect or not subflow.potentially_failed)
+        ]
 
     def path_estimates(
         self,
@@ -297,45 +396,15 @@ class FmtcpSender(SubflowOwner):
         losses: Optional[Dict[int, float]] = None,
     ) -> List[PathEstimate]:
         """Snapshots for the allocator (``losses``: this round's
-        :meth:`loss_snapshot`, taken here when the caller holds none).
-
-        Potentially-failed subflows are excluded by default: until one of
-        their probes is acknowledged, Algorithm 1 must not count on them
-        to deliver symbols (their stale RTT would otherwise keep winning
-        EAT comparisons while everything they carry evaporates).
-        """
+        :meth:`loss_snapshot`, taken here when the caller holds none), of
+        the subflows :meth:`_allocatable` names: the rows a round's path
+        table holds, read by the same refresh."""
         if losses is None:
             losses = self.loss_snapshot()
-        now = self.sim.now
-        estimates = []
-        for subflow in self.subflows:
-            if subflow.is_joining or (
-                not include_suspect and subflow.potentially_failed
-            ):
-                continue
-            # Subflow.srtt / rto_value / window_space / tau, read from the
-            # state behind them: this runs once per allocation round.
-            rto = subflow.rto
-            srtt = rto.srtt
-            if srtt is None:
-                srtt = subflow.srtt
-            outstanding = subflow._outstanding
-            tau = 0.0
-            for info in outstanding.values():  # Send order: oldest first.
-                tau = now - info.sent_at
-                break
-            subflow_id = subflow.subflow_id
-            estimates.append(
-                PathEstimate(
-                    subflow_id,
-                    srtt,
-                    rto.rto,
-                    losses[subflow_id],
-                    max(0, subflow.cc.window - len(outstanding)),
-                    tau,
-                )
-            )
-        return estimates
+        subflows = self._allocatable(include_suspect)
+        paths = _path_table(subflows, losses)
+        _read_rows(paths, subflows, self.sim.now)
+        return paths.estimates()
 
     # ------------------------------------------------------------------
     # SubflowOwner: supply packets.
@@ -383,9 +452,13 @@ class FmtcpSender(SubflowOwner):
         return bool(pending) and not self._flow_admissible(pending)
 
     def next_payload(self, subflow: Subflow) -> Optional[Tuple[Any, int]]:
-        if self.blocks.replenish() and self._round is not None:
-            self._round.append_rows()
         pending = self.blocks.pending_blocks
+        if (
+            len(pending) < self.config.max_pending_blocks
+            and self.blocks.replenish()
+            and self._round is not None
+        ):
+            self._round.append_rows()
         if not pending:
             return None
         flow = self._flow
@@ -408,7 +481,11 @@ class FmtcpSender(SubflowOwner):
             # out alive, no urgent block held hostage if it does not.
             self.failover_probes_sent += 1
             return self._probe(subflow, pending[-1], self.config.symbols_per_packet)
-        if self.config.allocation == "eat" and self._should_probe(subflow):
+        if (
+            self.config.allocation == "eat"
+            and not subflow._outstanding
+            and self._should_probe(subflow)
+        ):
             # Bypass the EAT ranking for one packet so the quarantined
             # path's quality estimate gets new evidence (an RTT sample or
             # a loss observation). The probe carries symbols of the *last*
@@ -457,7 +534,7 @@ class FmtcpSender(SubflowOwner):
             return None
         result = allocate_packet(
             pending_subflow_id=subflow_id,
-            estimates=self.path_estimates(losses=state.losses),
+            estimates=self._paths(state),
             blocks=pending,
             loss_rate_of=state.loss_rate_of,
             mss=self.config.mss,
@@ -469,6 +546,31 @@ class FmtcpSender(SubflowOwner):
             state.declined.add(subflow_id)
             return None
         return result
+
+    def _paths(self, state: _RoundState) -> PathTable:
+        """The ledger's path table, its rows refreshed at this instant.
+
+        Built for the ledger's loss snapshot by the first round that ranks
+        paths, and again whenever :meth:`_allocatable` no longer names its
+        rows (a join completed, a subflow turned suspect or answered).
+        Attach order is fixed for the ledger's life (``attach_subflows``
+        drops it), so comparing membership compares the lists.
+        """
+        paths = state.paths
+        rows = state.path_subflows
+        if paths is not None:
+            for subflow in self.subflows:
+                allocatable = (
+                    subflow._join_event is None and not subflow.potentially_failed
+                )
+                if allocatable != (subflow in rows):
+                    paths = None
+                    break
+        if paths is None:
+            rows = state.path_subflows = self._allocatable()
+            paths = state.paths = _path_table(rows, state.losses)
+        _read_rows(paths, rows, self.sim.now)
+        return paths
 
     def _ledger(self, pending: List[PendingBlock]) -> _RoundState:
         """The ledger, settled at this instant for ``pending``.

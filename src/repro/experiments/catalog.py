@@ -55,6 +55,7 @@ from repro.experiments.runner import (
     ExperimentResult,
     build_connection,
     build_topology,
+    default_fixedrate_config,
     default_mptcp_config,
     run_transfer,
 )
@@ -66,7 +67,6 @@ from repro.faults import (
     measure_fault_response,
 )
 from repro.fixedrate import FixedRateConfig
-from repro.metrics.collectors import MetricsSuite
 from repro.metrics.latency import AppLatencyCollector
 from repro.metrics.stats import mean, percentile, stdev
 from repro.mptcp.connection import MptcpConfig
@@ -82,7 +82,6 @@ from repro.workloads.scenarios import (
     surge_path_configs,
     table1_path_configs,
 )
-from repro.workloads.sources import BulkSource
 from repro.workloads.video import VbrVideoSource
 
 
@@ -227,30 +226,32 @@ def _two_paths(bandwidth_bps: float, delay_s: float, loss_rate: float) -> List[P
 def _transfer(
     protocol: str, paths: List[PathConfig], scale: Scale, seed: int,
     fmtcp_config: Optional[FmtcpConfig] = None, mptcp_config: Optional[MptcpConfig] = None,
-    **options: Any,
+    fixedrate_config: Optional[FixedRateConfig] = None, **options: Any,
 ) -> ExperimentResult:
     """One transfer at this scale and seed; identical inputs run once.
 
     The sharing key is values only: every path's fields, the run length,
-    the seed, the protocol and both configs, ``None`` resolved as
+    the seed, the protocol and the three configs, ``None`` resolved as
     :func:`run_transfer` resolves it. A path with a loss model keeps state
     (a surge, a blackout), so such a transfer always runs afresh. Readers
     must not mutate the returned result: another entry may read it too.
     """
     fmtcp_config = fmtcp_config or FmtcpConfig()
     mptcp_config = mptcp_config or default_mptcp_config(fmtcp_config)
+    fixedrate_config = fixedrate_config or default_fixedrate_config(fmtcp_config)
 
     def run() -> ExperimentResult:
         return run_transfer(
             protocol, paths, duration_s=scale.duration_s, seed=seed,
-            fmtcp_config=fmtcp_config, mptcp_config=mptcp_config, **options,
+            fmtcp_config=fmtcp_config, mptcp_config=mptcp_config,
+            fixedrate_config=fixedrate_config, **options,
         )
 
     if any(path.loss_model is not None for path in paths):
         return run()
     key = (
         protocol, scale.duration_s, seed, astuple(fmtcp_config), astuple(mptcp_config),
-        *sorted(options.items()), *map(astuple, paths),
+        astuple(fixedrate_config), *sorted(options.items()), *map(astuple, paths),
     )
     if key not in _SHARED:
         _SHARED[key] = run()
@@ -1339,33 +1340,18 @@ ABLATION_MPTCP_SCHEDULER = Experiment(
 # Section III-B's fixed-rate argument as a running transport, and the
 # paper's closing multimedia claim.
 # ----------------------------------------------------------------------
-def _fixed_rate_run(
-    paths: List[PathConfig], scale: Scale, seed: int, config: FixedRateConfig
-) -> Tuple[Any, MetricsSuite]:
-    """One fixed-rate transfer on ``config`` (``run_transfer`` derives the
-    fixed-rate config from FMTCP's, which has no code-rate knob p̂)."""
-    trace, network, built = build_topology(paths, seed)
-    metrics = MetricsSuite(trace, bin_width_s=1.0)
-    connection = build_connection(
-        "fixedrate", network.sim, built, BulkSource(), seed, trace, config=config
-    )
-    connection.start()
-    network.sim.run(until=scale.duration_s)
-    return connection, metrics
-
-
 def _run_p_hat_sweep(scale: Scale) -> Dict[str, Any]:
     rows = []
     for p_hat in (0.0, 0.05, 0.15, 0.30):
-        connection, metrics = _fixed_rate_run(
-            table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps), scale, scale.seed,
-            FixedRateConfig(estimated_loss=p_hat),
+        fixed = _transfer(
+            "fixedrate", table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps),
+            scale, scale.seed, fixedrate_config=FixedRateConfig(estimated_loss=p_hat),
         )
         rows.append({
             "p_hat": p_hat,
-            "goodput": metrics.goodput.goodput_mbytes_per_s(scale.duration_s),
-            "redundancy": connection.redundancy_ratio(),
-            "retransmitted": connection.symbols_retransmitted,
+            "goodput": fixed.summary["goodput_mbytes_per_s"],
+            "redundancy": fixed.extras["redundancy_ratio"],
+            "retransmitted": fixed.extras["symbols_retransmitted"],
         })
     return {"rows": rows, "fmtcp": _case("fmtcp", 4, scale, scale.seed)}
 
@@ -1413,11 +1399,14 @@ def _run_blackout(scale: Scale) -> Dict[str, Dict[str, Any]]:
         ]
 
     seed = scale.seed + 2  # the ledger's seed 3 at the default seed 1
-    _, fixed = _fixed_rate_run(paths(), scale, seed, FixedRateConfig())
+    fixed = _transfer(
+        "fixedrate", paths(), scale, seed, fixedrate_config=FixedRateConfig(),
+        collect_series=True,
+    )
     fmtcp = _transfer("fmtcp", paths(), scale, seed, collect_series=True)
     result = {}
     for label, series, repairs in (
-        ("fixed-rate:", fixed.goodput.series(scale.duration_s), "pinned to the dead path"),
+        ("fixed-rate:", fixed.goodput_series, "pinned to the dead path"),
         ("FMTCP:", fmtcp.goodput_series, "rerouted to the live path"),
     ):
         megabytes = sum(rate for t, rate in series if 13.0 <= t < 20.0)

@@ -74,6 +74,17 @@ def default_mptcp_config(fmtcp: FmtcpConfig) -> MptcpConfig:
     )
 
 
+def default_fixedrate_config(fmtcp: FmtcpConfig) -> FixedRateConfig:
+    """The fixed-rate transport on FMTCP's block geometry: the same
+    symbols per block, symbol size, MSS and pending-block limit."""
+    return FixedRateConfig(
+        symbols_per_block=fmtcp.symbols_per_block,
+        symbol_size=fmtcp.symbol_size,
+        mss=fmtcp.mss,
+        max_pending_blocks=fmtcp.max_pending_blocks,
+    )
+
+
 def build_topology(path_configs: Sequence[PathConfig], seed: int):
     """``(trace, network, paths)`` for one seeded run."""
     trace = TraceBus()
@@ -135,8 +146,13 @@ def run_transfer(
     bin_width_s: float = 1.0,
     collect_series: bool = False,
     telemetry: Optional[TelemetryConfig] = None,
+    fixedrate_config: Optional[FixedRateConfig] = None,
 ) -> ExperimentResult:
     """Simulate one transfer and return its measurements.
+
+    Each protocol runs on its own config; one left ``None`` is derived
+    from ``fmtcp_config`` (:func:`default_mptcp_config`,
+    :func:`default_fixedrate_config`).
 
     Passing a :class:`~repro.telemetry.session.TelemetryConfig` attaches
     the full telemetry stack (periodic samplers, optional JSONL trace
@@ -156,12 +172,7 @@ def run_transfer(
     if protocol == "fmtcp":
         config = fmtcp_config
     elif protocol == "fixedrate":
-        config = FixedRateConfig(
-            symbols_per_block=fmtcp_config.symbols_per_block,
-            symbol_size=fmtcp_config.symbol_size,
-            mss=fmtcp_config.mss,
-            max_pending_blocks=fmtcp_config.max_pending_blocks,
-        )
+        config = fixedrate_config or default_fixedrate_config(fmtcp_config)
     elif protocol == "tcp":
         # Conventional single-path TCP on the *best* path (lowest loss,
         # then lowest delay) — the paper's Section I comparator.

@@ -10,18 +10,27 @@ transfers that recomputes every production round from scratch (fresh
 ``allocate_packet_reference``) and raises :class:`ShadowMismatch` the
 moment the carried ledger decides otherwise, or holds a table that a
 fresh ``expected_symbols`` would not produce, after any round or packet.
-The last tests take one update away at a time and require the shadow to
-fire: the invariant can fail.
+The ledger's path table is held to the same standard: whenever a round
+has refreshed it, and after every packet Algorithm 1 chose, its rows
+must equal a fresh ``path_estimates`` (and the public ``Subflow``
+properties behind it), its EDTs ``edt_for_flows`` and its EATs
+``eat_table``. The last tests take one update away at a time and require
+the shadow to fire: the invariant can fail.
 """
 
+import hashlib
+import json
 import sys
 from collections import Counter
 
 import pytest
 
+from repro.core import sender as sender_module
 from repro.core.allocation import allocate_packet_reference, expected_symbols
+from repro.core.blocks import PendingBlock
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
+from repro.core.estimators import PathEstimate, PathTable, eat_table, edt_for_flows
 from repro.core.sender import _MAX_LOSS, FmtcpSender, _RoundState
 from repro.experiments.runner import run_transfer
 from repro.faults import (
@@ -80,6 +89,50 @@ class ShadowSender(FmtcpSender):
                 f"{(losses, *fresh)}"
             )
 
+    def _check_path_table(self, where):
+        """The carried path table against the rows, EDTs, EATs and gains
+        a from-scratch read of every allocatable subflow gives."""
+        state = self._round
+        if state is None or state.paths is None:
+            return
+        paths = state.paths
+        losses, loss_rate_of = self._scratch()
+        fresh = self.path_estimates(losses=losses)
+        public = [
+            PathEstimate(
+                subflow.subflow_id, subflow.srtt, subflow.rto_value,
+                losses[subflow.subflow_id], subflow.window_space, subflow.tau,
+            )
+            for subflow in self.subflows
+            if not subflow.is_joining and not subflow.potentially_failed
+        ]
+        carried = (
+            paths.estimates(),
+            dict(zip(paths.ids, paths.edts)),
+            dict(zip(paths.ids, paths.eats)),
+            paths.gains,
+        )
+        want = (
+            fresh,
+            edt_for_flows(fresh),
+            eat_table(fresh),
+            [max(1.0 - loss_rate_of(row.subflow_id), 1e-3) for row in fresh],
+        )
+        if carried != want or fresh != public:
+            raise ShadowMismatch(
+                f"t={self.sim.now!r} {where}: carried path table {carried} != "
+                f"fresh {want} (public properties: {public})"
+            )
+
+    def _paths(self, state):
+        before = state.paths
+        paths = super()._paths(state)
+        self._check_path_table("after a path refresh")
+        self.seen["path_refreshes"] += 1
+        if paths is before:
+            self.seen["paths_carried"] += 1
+        return paths
+
     def _eat_round(self, subflow, pending):
         losses, loss_rate_of = self._scratch()
         want = allocate_packet_reference(
@@ -112,6 +165,7 @@ class ShadowSender(FmtcpSender):
     def _build_packet(self, subflow, result):
         built = super()._build_packet(subflow, result)
         self._check_carried_tables("after a packet")
+        self._check_path_table("after a packet")
         return built
 
 
@@ -129,6 +183,7 @@ def _assert_exercised(seen):
     assert seen["rounds"] > 0
     assert seen["carried_none"] > 0 and seen["carried_packet"] > 0, seen
     assert seen["carried_across_instants"] > 0, seen
+    assert seen["paths_carried"] > 0, seen
 
 
 def _paced_stream(config, duration_s=6.0):
@@ -312,3 +367,77 @@ def test_the_seeded_defects_are_the_only_thing_that_fires(shadow, monkeypatch):
     assert _table1(2).summary["blocks"] > 0
     assert _paced_stream(FmtcpConfig()).receiver.delivered_bytes > 0
     _assert_exercised(shadow)
+
+
+def _stale_edts_after_moves(monkeypatch):
+    """A ledger's path table is derived once, when built: a row whose srtt
+    or rto moved later keeps its SEDT, RT and EDT."""
+    derive = PathTable.derive
+
+    def derive_once(paths, moved):
+        if any(paths.edts):  # Derived before.
+            return
+        derive(paths, moved)
+
+    monkeypatch.setattr(PathTable, "derive", derive_once)
+
+
+def _stale_space_after_sends(monkeypatch):
+    """The ledger's refresh keeps a row's window space from before its
+    subflow's last send; a fresh table (``path_estimates``) reads it."""
+    read_rows = sender_module._read_rows
+    sent_at_read = {}
+
+    def read_rows_stale(paths, subflows, now):
+        new_rows = [rtt is None for rtt in paths.rtts]
+        spaces_before = list(paths.spaces)
+        read_rows(paths, subflows, now)
+        if sys._getframe(1).f_code.co_name != "_paths":
+            return
+        for row, subflow in enumerate(subflows):
+            sent = subflow.packets_sent
+            if not new_rows[row] and sent_at_read.get(subflow) != sent:
+                paths.spaces[row] = spaces_before[row]
+            sent_at_read[subflow] = sent
+        paths.settle()
+
+    monkeypatch.setattr(sender_module, "_read_rows", read_rows_stale)
+
+
+@pytest.mark.parametrize(
+    "defect", [_stale_edts_after_moves, _stale_space_after_sends]
+)
+def test_shadow_fires_when_a_path_row_goes_stale(shadow, monkeypatch, defect):
+    defect(monkeypatch)
+    with pytest.raises(ShadowMismatch, match="path table"):
+        _table1(2)
+
+
+# ----------------------------------------------------------------------
+# No round finds a row through a miss: a block is never formatted.
+# ----------------------------------------------------------------------
+def _digest(result):
+    record = [result.summary, result.block_delays, result.extras, result.subflow_stats]
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (None, "e890e8244b6f43ad"),
+        (FmtcpConfig(flow_control=True, recv_window_blocks=4), "67ba0a8aa1129c04"),
+    ],
+    ids=["table1_case2", "flow_control"],
+)
+def test_no_round_formats_a_block(monkeypatch, config, digest):
+    """``list.index``'s miss path formats the missing item (``"%R is not
+    in list"``); a ledger that looked a decoded block up that way built a
+    ``PendingBlock`` repr per miss. With the repr raising, both transfers
+    still complete with the digest recorded before the ledger found its
+    rows by block id."""
+
+    def no_repr(block):
+        raise AssertionError(f"PendingBlock {block.block_id} was formatted")
+
+    monkeypatch.setattr(PendingBlock, "__repr__", no_repr)
+    assert _digest(_table1(2, config=config)) == digest

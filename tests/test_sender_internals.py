@@ -28,6 +28,8 @@ class FakeSubflow:
         self.window_space = window_space
         self.tau = tau
         self.in_flight = in_flight
+        # Subflow's in-flight map, which next_payload's probe guard reads.
+        self._outstanding = dict.fromkeys(range(in_flight))
         self.last_transmit_at = last_transmit_at
         self.last_ack_at = last_ack_at
         self.pumped = 0
