@@ -37,7 +37,6 @@ from repro.net.topology import Network, Path, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.workloads.scenarios import (
     TABLE1_CASES,
-    TestCase,
     surge_path_configs,
     table1_path_configs,
 )
@@ -63,8 +62,6 @@ __all__ = [
     "Simulator",
     "Symbol",
     "TABLE1_CASES",
-    "TestCase",
-    "__version__",
     "build_two_path_network",
     "conventional_tcp",
     "run_transfer",

@@ -12,16 +12,13 @@
 from repro.analysis.coding import (
     chernoff_no_retransmission_bound,
     expected_packets_delivered,
-    fixed_rate_packets_to_send,
     fountain_expected_symbols_bound,
     fountain_expected_symbols_exact,
     simulate_fixed_rate_delivery,
     simulate_fountain_delivery,
 )
 from repro.analysis.throughput import (
-    pftk_throughput_pps,
     predicted_aggregate_goodput_bps,
-    subflow_goodput_bps,
 )
 from repro.analysis.allocation import (
     fmtcp_beats_mptcp_condition,
@@ -33,15 +30,12 @@ from repro.analysis.allocation import (
 __all__ = [
     "chernoff_no_retransmission_bound",
     "expected_packets_delivered",
-    "fixed_rate_packets_to_send",
     "fmtcp_beats_mptcp_condition",
     "fountain_expected_symbols_bound",
     "fountain_expected_symbols_exact",
     "lemma1_min_r2",
     "mptcp_delivery_ratio",
-    "pftk_throughput_pps",
     "predicted_aggregate_goodput_bps",
-    "subflow_goodput_bps",
     "simulate_fixed_rate_delivery",
     "simulate_fountain_delivery",
     "theorem3_ratio_bound",

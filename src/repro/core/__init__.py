@@ -20,7 +20,7 @@ from repro.core.allocation import AllocationResult, allocate_packet
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
-from repro.core.estimators import PathEstimate, eat, edt_for_flows, expected_rt, sedt
+from repro.core.estimators import PathEstimate, eat, edt_for_flows, sedt
 
 __all__ = [
     "AllocationResult",
@@ -32,6 +32,5 @@ __all__ = [
     "allocate_packet",
     "eat",
     "edt_for_flows",
-    "expected_rt",
     "sedt",
 ]

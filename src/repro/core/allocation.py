@@ -272,7 +272,6 @@ def allocate_packet(
 
 def allocate_packet_greedy(
     pending_subflow_id: int,
-    estimates: Sequence[PathEstimate],
     blocks: Sequence[PendingBlock],
     loss_rate_of: Callable[[int], float],
     mss: int,

@@ -330,6 +330,12 @@ class FmtcpSender(SubflowOwner):
         self._round = None
 
     @property
+    def decoded_frontier(self) -> int:
+        """Blocks below this id are confirmed decoded: the contiguous
+        prefix the receiver's feedback has acknowledged."""
+        return self._decoded_frontier_seen
+
+    @property
     def margin(self) -> float:
         """Head-room beyond k̂ a block needs to count as δ̂-complete:
         log₂(1/δ̂), raised by the watchdog's boost."""
@@ -390,21 +396,29 @@ class FmtcpSender(SubflowOwner):
             and (include_suspect or not subflow.potentially_failed)
         ]
 
-    def path_estimates(
+    def path_table(
         self,
         include_suspect: bool = False,
         losses: Optional[Dict[int, float]] = None,
-    ) -> List[PathEstimate]:
-        """Snapshots for the allocator (``losses``: this round's
-        :meth:`loss_snapshot`, taken here when the caller holds none), of
+    ) -> PathTable:
+        """A fresh path table (``losses``: this round's
+        :meth:`loss_snapshot`, taken here when the caller holds none) of
         the subflows :meth:`_allocatable` names: the rows a round's path
-        table holds, read by the same refresh."""
+        table holds, read by the same refresh, every EAT derived."""
         if losses is None:
             losses = self.loss_snapshot()
         subflows = self._allocatable(include_suspect)
         paths = _path_table(subflows, losses)
         _read_rows(paths, subflows, self.sim.now)
-        return paths.estimates()
+        return paths
+
+    def path_estimates(
+        self,
+        include_suspect: bool = False,
+        losses: Optional[Dict[int, float]] = None,
+    ) -> List[PathEstimate]:
+        """:meth:`path_table`'s rows as snapshots for the allocator."""
+        return self.path_table(include_suspect, losses).estimates()
 
     # ------------------------------------------------------------------
     # SubflowOwner: supply packets.
@@ -508,7 +522,6 @@ class FmtcpSender(SubflowOwner):
         losses = self.loss_snapshot()
         result = allocate_packet_greedy(
             pending_subflow_id=subflow.subflow_id,
-            estimates=self.path_estimates(losses=losses),
             blocks=pending,
             loss_rate_of=lambda subflow_id: losses.get(subflow_id, _MAX_LOSS),
             mss=self.config.mss,

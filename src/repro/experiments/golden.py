@@ -21,10 +21,6 @@ from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
 
 GOLDEN_PATH = Path(__file__).parent / "golden.json"
 
-#: Relative tolerance for comparisons. Golden values are exact for a given
-#: code version; the tolerance only absorbs float-formatting round-trips.
-RELATIVE_TOLERANCE = 1e-9
-
 ANCHORS = [
     ("fmtcp", 1, 10.0, 1),
     ("fmtcp", 4, 10.0, 1),
@@ -60,12 +56,6 @@ def measure_all() -> Dict[str, Dict[str, float]]:
         )
         for protocol, case_id, duration_s, seed in ANCHORS
     }
-
-
-def load_golden() -> Dict[str, Dict[str, float]]:
-    if not GOLDEN_PATH.exists():
-        return {}
-    return json.loads(GOLDEN_PATH.read_text())
 
 
 def write_golden() -> Dict[str, Dict[str, float]]:

@@ -173,17 +173,16 @@ def run_transfer(
         config = fmtcp_config
     elif protocol == "fixedrate":
         config = fixedrate_config or default_fixedrate_config(fmtcp_config)
-    elif protocol == "tcp":
+    else:
+        config = mptcp_config or default_mptcp_config(fmtcp_config)
+    if protocol == "tcp":
         # Conventional single-path TCP on the *best* path (lowest loss,
         # then lowest delay) — the paper's Section I comparator.
-        config = default_mptcp_config(fmtcp_config)
         best = min(
             range(len(paths)),
             key=lambda i: (path_configs[i].loss_rate, path_configs[i].delay_s),
         )
         paths = [paths[best]]
-    else:
-        config = mptcp_config or default_mptcp_config(fmtcp_config)
     connection = build_connection(protocol, sim, paths, source, seed, trace, config=config)
 
     if hasattr(source, "attach"):

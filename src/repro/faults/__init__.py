@@ -23,58 +23,38 @@ one, so nothing of it is imported here) and the exhaustion presets to
 :data:`repro.robustness.exhaustion.EXHAUSTION`.
 """
 
-from repro.faults.chaos import FaultBenchResult, measure_fault_response
-from repro.faults.churn import PathChurnController
+from repro.faults.chaos import measure_fault_response
 from repro.faults.corruption import measure_corruption_goodput
 from repro.faults.scenario import (
-    CHURN_KINDS,
-    CORRUPTION_KINDS,
     CORRUPTION_SCENARIOS,
-    CRASH_KINDS,
-    FAULT_KINDS,
     MOBILITY_SCENARIOS,
     RECOVERY_SCENARIOS,
     SCENARIOS,
-    TRACE_KINDS,
     TRACE_SCENARIOS,
-    FaultEvent,
-    FaultInjector,
     FaultScenario,
     resolve_scenario,
-    trace_replay_scenario,
 )
 from repro.robustness.exhaustion import (
     EXHAUSTION_SCENARIOS,
     ExhaustionScenario,
     measure_bufferblock,
 )
-from repro.soak import PROTOCOLS, SoakReport
+from repro.soak import PROTOCOLS
 from repro.traces.harness import measure_trace_goodput
 
 __all__ = [
-    "CHURN_KINDS",
-    "CORRUPTION_KINDS",
     "CORRUPTION_SCENARIOS",
-    "CRASH_KINDS",
     "EXHAUSTION_SCENARIOS",
-    "FAULT_KINDS",
     "MOBILITY_SCENARIOS",
     "RECOVERY_SCENARIOS",
     "SCENARIOS",
-    "TRACE_KINDS",
     "TRACE_SCENARIOS",
     "PROTOCOLS",
     "ExhaustionScenario",
-    "FaultBenchResult",
-    "FaultEvent",
-    "FaultInjector",
     "FaultScenario",
-    "PathChurnController",
-    "SoakReport",
     "measure_bufferblock",
     "measure_corruption_goodput",
     "measure_fault_response",
     "measure_trace_goodput",
     "resolve_scenario",
-    "trace_replay_scenario",
 ]

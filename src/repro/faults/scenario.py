@@ -22,13 +22,37 @@ queue     waiting-packet capacity (an ``int``), or ``None`` to
           restore the baseline capacity
 ========  ==========================================================
 
-plus the subflow-lifecycle, corruption, endpoint-crash and trace-replay
-kinds documented at :data:`CHURN_KINDS`, :data:`CORRUPTION_KINDS`,
-:data:`CRASH_KINDS` and :data:`TRACE_KINDS`. Everything this module
-knows about a kind — which harness group it belongs to, how its value
-is validated, when it restores, which link setting it occupies and how
-it is applied — is one row of :data:`FAULT_TABLE`; adding a kind is
-adding a row.
+plus four groups the transport does not merely suffer:
+
+* subflow lifecycle (mobility: the endpoint tears a subflow down or
+  builds a new one) — ``path_down`` and ``path_up`` take no value,
+  ``handover`` takes ``(to_path, break_s)``; they need a lifecycle
+  handler (see :class:`FaultInjector`), typically
+  :class:`repro.faults.churn.PathChurnController`;
+* data corruption, installing a
+  :class:`~repro.net.corruption.CorruptionModel` on the path's links —
+  ``corrupt`` takes ``rate`` or ``(rate[, effect[, evade_crc]])`` (a
+  :class:`BernoulliCorruption`), ``corrupt_ge`` takes
+  ``(p_gb, p_bg, corrupt_bad[, effect[, evade_crc]])`` (a bursty
+  :class:`GilbertElliottCorruption`), ``None`` restores the baseline;
+* endpoint crashes, which mutate an *endpoint*, not the network —
+  ``crash_sender`` / ``crash_receiver`` kill it (only its last durable
+  checkpoint survives), ``restart`` brings a crashed endpoint back up
+  (value ``None`` = whichever is down, or ``"sender"`` /
+  ``"receiver"``); they need an endpoints handler (see
+  :class:`repro.recovery.manager.RecoveryManager`) and ignore ``path``;
+* trace replay — ``trace`` arms a
+  :class:`~repro.traces.player.TracePlayer` replaying a channel time
+  series onto the path's links; the value is a trace spec (a
+  :class:`~repro.traces.model.LinkTrace`, a bundled asset name, a
+  ``"family:seed"`` generator spec or a CSV path, see
+  :func:`repro.traces.resolve_trace`), or ``None`` to stop playback and
+  restore the baseline.
+
+Everything this module knows about a kind — which harness group it
+belongs to, how its value is validated, when it restores, which link
+setting it occupies and how it is applied — is one row of
+:data:`FAULT_TABLE`; adding a kind is adding a row.
 
 Every scenario heals: by construction the latest event of each fault
 restores its baseline, so :attr:`FaultScenario.heal_time` marks the
@@ -341,48 +365,6 @@ FAULT_TABLE: Dict[str, FaultKind] = {
     ),
 }
 
-FAULT_KINDS = tuple(FAULT_TABLE)
-
-
-def _kinds_of(group: str) -> Tuple[str, ...]:
-    return tuple(kind for kind, row in FAULT_TABLE.items() if row.group == group)
-
-
-#: Subflow-lifecycle event kinds (mobility): unlike link faults, which the
-#: transport merely *suffers*, these are visible path management — the
-#: endpoint tears the subflow down / builds a new one. ``handover`` takes
-#: ``(to_path, break_s)``, the others no value. They need a lifecycle
-#: handler (see :class:`FaultInjector`), typically
-#: :class:`repro.faults.churn.PathChurnController`.
-CHURN_KINDS = _kinds_of("churn")
-
-#: Data-corruption event kinds: install a
-#: :class:`~repro.net.corruption.CorruptionModel` on the path's links.
-#: ``corrupt`` takes ``rate`` or ``(rate[, effect[, evade_crc]])``
-#: (a :class:`BernoulliCorruption`); ``corrupt_ge`` takes
-#: ``(p_gb, p_bg, corrupt_bad[, effect[, evade_crc]])`` (a bursty
-#: :class:`GilbertElliottCorruption`). ``None`` restores the baseline.
-CORRUPTION_KINDS = _kinds_of("corruption")
-
-#: Endpoint crash/recovery event kinds: unlike every other kind, these
-#: mutate an *endpoint*, not the network. ``crash_sender`` and
-#: ``crash_receiver`` kill the respective endpoint (losing all volatile
-#: state — only its last durable checkpoint survives); ``restart`` brings
-#: a crashed endpoint back up (value ``None`` = whichever is down, or
-#: ``"sender"`` / ``"receiver"``). They need an endpoints handler (see
-#: :class:`repro.recovery.manager.RecoveryManager`); the ``path`` field is
-#: ignored (conventionally 0).
-CRASH_KINDS = _kinds_of("recovery")
-
-#: Trace-replay event kinds: arm a :class:`~repro.traces.player.TracePlayer`
-#: replaying a recorded/generated channel time series onto the path's
-#: links. The value is a trace spec — a
-#: :class:`~repro.traces.model.LinkTrace`, a bundled asset name, a
-#: ``"family:seed"`` generator spec or a CSV path (see
-#: :func:`repro.traces.resolve_trace`) — or ``None`` to stop playback and
-#: restore the baseline.
-TRACE_KINDS = _kinds_of("traces")
-
 #: Routing, stated once. A timeline belongs to the first group below that
 #: it contains (an empty one, or one of plain link faults, to ``chaos``):
 #: the harness of that name is the one whose invariants can check it. Each
@@ -655,12 +637,12 @@ class FaultInjector:
     ``value=None``) return each link to exactly its pre-fault settings no
     matter how many faults stacked on it in between.
 
-    Lifecycle events (:data:`CHURN_KINDS`) are not link mutations — they
+    Lifecycle events (group ``"churn"``) are not link mutations — they
     are delegated to ``lifecycle``, an object with ``path_down(index)``,
     ``path_up(index)`` and ``handover(from_path, to_path, break_s)``
     methods (see :class:`repro.faults.churn.PathChurnController`). Arming
     a churn scenario without one is an error. Likewise endpoint events
-    (:data:`CRASH_KINDS`) delegate to ``endpoints``, an object with
+    (group ``"recovery"``) delegate to ``endpoints``, an object with
     ``crash_sender()``, ``crash_receiver()`` and ``restart(which)``
     methods (see :class:`repro.recovery.manager.RecoveryManager`).
 

@@ -20,13 +20,13 @@ from repro.fountain.codec import (
     SystematicBlockEncoder,
 )
 from repro.fountain.gf2 import Gf2Eliminator
-from repro.fountain.lt import LtDecoder, LtEncoder, LtSymbol
+from repro.fountain.lt import LtDecoder, LtEncoder
 from repro.fountain.rank_model import (
     RankEvolutionModel,
     decoding_failure_probability,
     expected_overhead_symbols,
 )
-from repro.fountain.soliton import ideal_soliton, robust_soliton
+from repro.fountain.soliton import robust_soliton
 
 __all__ = [
     "BlockDecoder",
@@ -34,12 +34,10 @@ __all__ = [
     "Gf2Eliminator",
     "LtDecoder",
     "LtEncoder",
-    "LtSymbol",
     "RankEvolutionModel",
     "Symbol",
     "SystematicBlockEncoder",
     "decoding_failure_probability",
     "expected_overhead_symbols",
-    "ideal_soliton",
     "robust_soliton",
 ]

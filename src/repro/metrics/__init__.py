@@ -7,19 +7,14 @@ measures FMTCP and the MPTCP baseline.
 """
 
 from repro.metrics.collectors import (
-    BlockDelayCollector,
-    GoodputMeter,
     MetricsSuite,
 )
-from repro.metrics.latency import AppLatencyCollector, TimestampedSource
+from repro.metrics.latency import AppLatencyCollector
 from repro.metrics.stats import mean, mean_absolute_difference, percentile, stdev
 
 __all__ = [
     "AppLatencyCollector",
-    "BlockDelayCollector",
-    "GoodputMeter",
     "MetricsSuite",
-    "TimestampedSource",
     "mean",
     "mean_absolute_difference",
     "percentile",

@@ -6,71 +6,25 @@ spends queued at the sender before the transport picks it up. This
 module measures the full path: byte creation at the source → in-order
 delivery at the receiver.
 
-Wrap any pull-source with :class:`TimestampedSource` and attach an
-:class:`AppLatencyCollector` to the trace bus; the collector correlates
-cumulative byte offsets between the two.
+Attach an :class:`AppLatencyCollector` to the trace bus with a source
+that knows when each byte offset was created (the CBR/VBR sources
+compute it analytically); the collector correlates cumulative byte
+offsets between the two.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.metrics.stats import mean, percentile
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus, TraceRecord
-
-
-class TimestampedSource:
-    """Wraps a source, recording when each byte offset became available.
-
-    The inner source's ``pull``/``attach``/``exhausted`` surface is
-    preserved; creation timestamps are taken when the *inner source
-    grants* the bytes (for CBR/VBR sources that is when the data exists,
-    since they only grant accrued bytes).
-    """
-
-    def __init__(self, inner, sim: Simulator):
-        self._inner = inner
-        self._sim = sim
-        # Parallel arrays: cumulative byte offset -> creation time.
-        self.offsets: List[int] = []
-        self.times: List[float] = []
-        self.granted_bytes = 0
-
-    def attach(self, connection) -> None:
-        if hasattr(self._inner, "attach"):
-            self._inner.attach(connection)
-
-    @property
-    def exhausted(self) -> bool:
-        return getattr(self._inner, "exhausted", False)
-
-    def pull(self, max_bytes: int):
-        granted = self._inner.pull(max_bytes)
-        if not granted:
-            return granted
-        size = len(granted) if isinstance(granted, bytes) else int(granted)
-        self.granted_bytes += size
-        self.offsets.append(self.granted_bytes)
-        self.times.append(self._sim.now)
-        return granted
-
-    def creation_time_of(self, offset: int) -> Optional[float]:
-        """When the byte at stream ``offset`` was handed to the transport."""
-        index = bisect.bisect_right(self.offsets, offset)
-        if index >= len(self.offsets):
-            return None
-        return self.times[index]
 
 
 class AppLatencyCollector:
     """Correlates ``conn.delivered`` events with source timestamps.
 
     ``source`` is anything exposing ``creation_time_of(offset)`` — the
-    CBR/VBR sources compute it analytically; arbitrary sources can be
-    wrapped in :class:`TimestampedSource` (which stamps at grant time, a
-    lower bound on true time-in-system for backlogged sources).
+    CBR/VBR sources compute it analytically.
     """
 
     def __init__(self, trace: TraceBus, source):

@@ -12,19 +12,13 @@ blocking that makes a bad path the bottleneck of the whole connection
 from repro.mptcp.connection import MptcpConfig, MptcpConnection, conventional_tcp
 from repro.mptcp.recv_buffer import ReorderBuffer
 from repro.mptcp.scheduler import (
-    MinRttScheduler,
-    RoundRobinScheduler,
-    SubflowScheduler,
     make_scheduler,
 )
 
 __all__ = [
-    "MinRttScheduler",
     "MptcpConfig",
     "MptcpConnection",
     "ReorderBuffer",
-    "RoundRobinScheduler",
-    "SubflowScheduler",
     "conventional_tcp",
     "make_scheduler",
 ]

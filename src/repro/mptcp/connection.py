@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import zlib
 
@@ -83,7 +86,7 @@ class Chunk:
 
     ``dss_checksum`` covers the data-sequence header and payload —
     MPTCP's connection-level integrity check. Like the link CRC
-    (``integrity.seal_deferred``) it is promised at creation and computed
+    (``integrity.DEFERRED``) it is promised at creation and computed
     only when some copy could fail it: a chunk's wire fields change only in
     :meth:`integrity_mutate`, which stamps the pristine chunk's checksum
     into the damaged copy. That copy (even in a packet that re-seals the
@@ -685,6 +688,17 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
     @property
     def data_acked(self) -> int:
         return self._data_acked
+
+    @property
+    def acked_bytes(self) -> int:
+        """Stream bytes of the contiguously acknowledged chunks."""
+        return self._acked_bytes
+
+    @property
+    def unacked_chunk_sizes(self) -> Mapping[int, int]:
+        """Data sequence number → size of every chunk sent and not yet
+        acknowledged (a read-only view)."""
+        return MappingProxyType(self._chunk_sizes)
 
     @property
     def app_queue_chunks(self) -> int:

@@ -15,8 +15,7 @@ Three damage effects (the ``effect`` knob):
   (a duplication-with-mutation fault, as produced by buggy middleboxes).
 
 Two gating variants: :class:`BernoulliCorruption` (i.i.d. per packet)
-and :class:`GilbertElliottCorruption` (two-state bursty, mirroring
-:class:`~repro.net.loss.GilbertElliottLoss`).
+and :class:`GilbertElliottCorruption` (two-state bursty).
 
 Detectability: by default a corrupted packet keeps its stale link CRC
 (:mod:`repro.net.integrity`), so the receiving subflow's verify-and-
@@ -125,16 +124,6 @@ class CorruptionModel:
         raise NotImplementedError
 
 
-class NoCorruption(CorruptionModel):
-    """A clean link."""
-
-    def apply(self, packet, now, rng):
-        return None
-
-    def rate_at(self, now: float) -> float:
-        return 0.0
-
-
 def _validated(name: str, value: float, upper: float = 1.0) -> float:
     if not 0.0 <= value <= upper:
         raise ValueError(f"{name} must be in [0, {upper}], got {value}")
@@ -171,8 +160,8 @@ class BernoulliCorruption(CorruptionModel):
 class GilbertElliottCorruption(CorruptionModel):
     """Two-state Markov (Gilbert–Elliott) bursty corruption.
 
-    Mirrors :class:`~repro.net.loss.GilbertElliottLoss`: the chain steps
-    once per observed packet; packets are corrupted with
+    The chain steps once per observed packet: GOOD→BAD with probability
+    ``p_gb``, BAD→GOOD with ``p_bg``; packets are then corrupted with
     ``corrupt_good``/``corrupt_bad`` depending on the state.
     """
 

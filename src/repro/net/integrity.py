@@ -9,9 +9,12 @@ canonical byte rendering of the payload obtained through the duck-typed
 one covering exactly its immutable wire-relevant fields).
 
 ``seal`` stamps :attr:`Packet.checksum`; ``verify`` recomputes and
-compares. The transports use ``seal_deferred``, which promises the same
-checksum but computes it only if a corruption model is about to damage
-the packet (``stamp``), so a clean link hashes nothing. The corruption
+compares. The transports seal by setting ``Packet.checksum`` to
+:data:`DEFERRED` in place, which promises the same checksum but computes
+it only if a corruption model is about to damage the packet (``stamp``),
+so a clean link hashes nothing. A packet's wire fields never change after
+it is sent except in :mod:`repro.net.corruption`, which stamps the
+still-pristine packet before it clones or damages it. The corruption
 models in :mod:`repro.net.corruption` attack the invariant from the
 other side: *detectable* corruption changes the payload (so the digest
 changes and the stale checksum no longer matches), while *CRC-evading*
@@ -35,8 +38,9 @@ from repro.net.packet import Packet
 
 _HEADER = struct.Struct(">I")
 
-#: ``Packet.checksum`` of a packet sealed by :func:`seal_deferred`. A CRC32
-#: is never negative, so the marker cannot collide with a stamped value.
+#: ``Packet.checksum`` of a packet sealed without hashing it (what the
+#: transports write). A CRC32 is never negative, so the marker cannot
+#: collide with a stamped value.
 DEFERRED = -1
 
 
@@ -97,19 +101,6 @@ def packet_checksum(packet: Packet) -> int:
 def seal(packet: Packet) -> Packet:
     """Stamp the packet's checksum; returns the packet for chaining."""
     packet.checksum = packet_checksum(packet)
-    return packet
-
-
-def seal_deferred(packet: Packet) -> Packet:
-    """Mark the packet sealed without hashing it; returns the packet.
-
-    The transports seal with this. A packet's wire fields never change
-    after it is sent except in :mod:`repro.net.corruption`, which calls
-    :func:`stamp` on the still-pristine packet before it clones or damages
-    it — so the CRC a deferred seal stands for is computed exactly when
-    some copy could fail it, and a clean link computes none.
-    """
-    packet.checksum = DEFERRED
     return packet
 
 

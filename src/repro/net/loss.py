@@ -4,13 +4,15 @@ Each model answers one question per packet — should this packet be
 dropped? — from its own named RNG stream, so loss realisations are
 reproducible and independent across links.
 
-Three models cover the paper's needs plus one common extension:
+Two models cover the paper's needs:
 
 * :class:`BernoulliLoss` — i.i.d. loss at a fixed rate (Table I sweeps).
 * :class:`ScheduledLoss` — piecewise-constant rate over time (the Fig. 4
   loss surge: 1 % → 25/35 % at t=50 s → 1 % at t=200 s).
-* :class:`GilbertElliottLoss` — two-state bursty loss (extension; the
-  paper's "bursty packet losses" language maps naturally onto it).
+
+Bursty, two-state damage is :class:`~repro.net.corruption.GilbertElliottCorruption`
+(the ``corrupt_ge`` fault kind): a corrupted packet fails its checksum
+and is discarded, which the transport sees as a loss.
 """
 
 from __future__ import annotations
@@ -92,64 +94,3 @@ class ScheduledLoss(LossModel):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         segments = list(zip(self._starts, self._rates))
         return f"ScheduledLoss({segments})"
-
-
-class GilbertElliottLoss(LossModel):
-    """Two-state Markov (Gilbert–Elliott) bursty loss.
-
-    The chain steps once per observed packet. In the GOOD state packets
-    drop with ``loss_good``; in BAD with ``loss_bad``. ``p_gb``/``p_bg``
-    are per-packet transition probabilities GOOD→BAD and BAD→GOOD.
-    """
-
-    GOOD = 0
-    BAD = 1
-
-    def __init__(
-        self,
-        p_gb: float,
-        p_bg: float,
-        loss_good: float = 0.0,
-        loss_bad: float = 0.5,
-    ):
-        for name, value in (
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        self.p_gb = p_gb
-        self.p_bg = p_bg
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
-        self.state = self.GOOD
-
-    def stationary_bad_fraction(self) -> float:
-        """Long-run fraction of time spent in the BAD state."""
-        denominator = self.p_gb + self.p_bg
-        if denominator == 0.0:
-            return 0.0 if self.state == self.GOOD else 1.0
-        return self.p_gb / denominator
-
-    def rate_at(self, now: float) -> float:
-        """Stationary marginal loss rate (state-averaged)."""
-        bad = self.stationary_bad_fraction()
-        return (1.0 - bad) * self.loss_good + bad * self.loss_bad
-
-    def should_drop(self, now: float, rng: random.Random) -> bool:
-        if self.state == self.GOOD:
-            if rng.random() < self.p_gb:
-                self.state = self.BAD
-        else:
-            if rng.random() < self.p_bg:
-                self.state = self.GOOD
-        loss = self.loss_good if self.state == self.GOOD else self.loss_bad
-        return loss > 0.0 and rng.random() < loss
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GilbertElliottLoss(p_gb={self.p_gb}, p_bg={self.p_bg}, "
-            f"loss_good={self.loss_good}, loss_bad={self.loss_bad})"
-        )

@@ -23,13 +23,6 @@ class ReorderingModel:
         raise NotImplementedError
 
 
-class NoReordering(ReorderingModel):
-    """Strictly in-order delivery (the default wire behaviour)."""
-
-    def extra_delay(self, now: float, rng: random.Random) -> float:
-        return 0.0
-
-
 class UniformReordering(ReorderingModel):
     """Delay a fraction of packets by a uniform extra propagation time.
 

@@ -8,7 +8,6 @@ Crash timelines live with the other fault presets in
 """
 
 from repro.recovery.checkpoint import (
-    CHECKPOINT_VERSION,
     ReceiverCheckpoint,
     ResumeState,
     SenderCheckpoint,
@@ -20,7 +19,6 @@ from repro.recovery.harness import measure_recovery
 from repro.recovery.manager import ReconnectPolicy, RecoveryManager
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "ReceiverCheckpoint",
     "ReconnectPolicy",
     "RecoveryManager",

@@ -165,7 +165,7 @@ def snapshot_sender(connection) -> SenderCheckpoint:
     re-send data the receiver deduplicates, never skip data.
     """
     if _protocol_of(connection) == "fmtcp":
-        frontier = int(connection.sender._decoded_frontier_seen)
+        frontier = int(connection.sender.decoded_frontier)
         return SenderCheckpoint(
             protocol="fmtcp",
             frontier=frontier,
@@ -175,8 +175,8 @@ def snapshot_sender(connection) -> SenderCheckpoint:
     return SenderCheckpoint(
         protocol="mptcp",
         frontier=int(connection.data_acked),
-        byte_offset=int(connection._acked_bytes),
-        chunk_map=tuple(sorted(connection._chunk_sizes.items())),
+        byte_offset=int(connection.acked_bytes),
+        chunk_map=tuple(sorted(connection.unacked_chunk_sizes.items())),
     )
 
 

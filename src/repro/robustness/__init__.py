@@ -14,7 +14,7 @@ Split in two halves with different import weight:
 """
 
 from repro.robustness.budget import MemoryBudget
-from repro.robustness.flowcontrol import ReceiveWindow, WindowGate, ZeroWindowProber
+from repro.robustness.flowcontrol import ReceiveWindow, WindowGate
 from repro.robustness.watchdog import Watchdog, WatchdogConfig
 
 _EXHAUSTION_SYMBOLS = (
@@ -30,7 +30,6 @@ __all__ = [
     "Watchdog",
     "WatchdogConfig",
     "WindowGate",
-    "ZeroWindowProber",
     *_EXHAUSTION_SYMBOLS,
 ]
 

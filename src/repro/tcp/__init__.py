@@ -14,28 +14,22 @@
 
 from repro.tcp.congestion import (
     CongestionController,
-    LiaCoupledController,
     LiaGroup,
     RenoController,
 )
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.subflow import (
     Subflow,
-    SubflowAck,
     SubflowOwner,
     SubflowPacketInfo,
-    SubflowSegment,
 )
 
 __all__ = [
     "CongestionController",
-    "LiaCoupledController",
     "LiaGroup",
     "RenoController",
     "RtoEstimator",
     "Subflow",
-    "SubflowAck",
     "SubflowOwner",
     "SubflowPacketInfo",
-    "SubflowSegment",
 ]

@@ -36,9 +36,6 @@ from repro.tcp.rto import RtoEstimator
 HEADER_BYTES = 40
 ACK_BYTES = 40
 
-#: Lifecycle states reported by :attr:`Subflow.state`.
-SUBFLOW_STATES = ("joining", "active", "suspect", "closed")
-
 
 class SubflowSegment:
     """Wire payload of a data packet."""
@@ -389,7 +386,7 @@ class Subflow:
             SubflowSegment(seq, payload),
             self._flow_label,
         )
-        packet.checksum = DEFERRED  # integrity.seal_deferred, in place
+        packet.checksum = DEFERRED  # sealed; the CRC is computed only if damaged
         packet.sent_at = now
         self.last_transmit_at = now
         self.packets_sent += 1
@@ -679,7 +676,7 @@ class SubflowSink:
             SubflowAck(segment.seq, feedback),
             self._flow_label,
         )
-        ack_packet.checksum = DEFERRED  # integrity.seal_deferred, in place
+        ack_packet.checksum = DEFERRED
         self.path.send_reverse(ack_packet)
 
     def close(self) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.estimators import eat_table
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import TraceBus
 
@@ -75,10 +74,8 @@ def fmtcp_eat_provider(sender) -> EatProvider:
     """
 
     def provider() -> Dict[int, float]:
-        estimates = sender.path_estimates(include_suspect=True)
-        if not estimates:
-            return {}
-        return eat_table(estimates)
+        paths = sender.path_table(include_suspect=True)
+        return dict(zip(paths.ids, paths.eats))
 
     return provider
 
@@ -205,7 +202,7 @@ def attach_samplers(
     subflows = getattr(connection, "subflows", None)
     eat_provider = None
     sender = getattr(connection, "sender", None)
-    if sender is not None and hasattr(sender, "path_estimates"):
+    if sender is not None and hasattr(sender, "path_table"):
         eat_provider = fmtcp_eat_provider(sender)
     if subflows:
         samplers.append(

@@ -12,23 +12,12 @@ fault kind (:mod:`repro.faults.scenario`) and the byte-verified
 """
 
 from repro.traces.generators import (
-    BUNDLED_TRACES,
-    TRACE_GENERATORS,
-    cellular_trace,
     gprs_trace,
-    incast_trace,
-    leo_trace,
-    load_bundled_trace,
-    regenerate_bundled_assets,
     resolve_trace,
-    wifi_trace,
 )
 from repro.traces.harness import measure_trace_goodput
 from repro.traces.model import (
-    CSV_HEADER,
-    END_POLICIES,
     LinkTrace,
-    TraceFormatError,
     TraceSample,
     load_trace_csv,
     parse_trace_csv,
@@ -36,23 +25,12 @@ from repro.traces.model import (
 from repro.traces.player import TracePlayer
 
 __all__ = [
-    "BUNDLED_TRACES",
-    "CSV_HEADER",
-    "END_POLICIES",
-    "TRACE_GENERATORS",
     "LinkTrace",
-    "TraceFormatError",
     "TracePlayer",
     "TraceSample",
-    "cellular_trace",
     "gprs_trace",
-    "incast_trace",
-    "leo_trace",
-    "load_bundled_trace",
     "load_trace_csv",
     "measure_trace_goodput",
     "parse_trace_csv",
-    "regenerate_bundled_assets",
     "resolve_trace",
-    "wifi_trace",
 ]

@@ -45,16 +45,11 @@ TABLE1_CASES: List[TestCase] = [
     TestCase(8, 0.150, 0.10),
 ]
 
-#: Subflow 1 is held at 100 ms delay and zero loss throughout Section V.
-SUBFLOW1_CONFIG = PathConfig(
-    bandwidth_bps=DEFAULT_BANDWIDTH_BPS, delay_s=0.100, loss_rate=0.0
-)
-
-
 def table1_path_configs(
     case: TestCase, bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
 ) -> List[PathConfig]:
-    """Both paths' configs for one Table I test case."""
+    """Both paths' configs for one Table I test case. Subflow 1 is held
+    at 100 ms delay and zero loss throughout Section V."""
     return [
         PathConfig(bandwidth_bps=bandwidth_bps, delay_s=0.100, loss_rate=0.0),
         PathConfig(

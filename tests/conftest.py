@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from repro.experiments.catalog import Scale
+from repro.net.loss import ScheduledLoss
 from repro.net.topology import Network, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -67,6 +69,24 @@ def make_single_path(
         configs, rng=RngStreams(seed), trace=trace
     )
     return network, paths[0], trace
+
+
+def bursty_loss(
+    good_s: float, bad_s: float, loss_good: float, loss_bad: float,
+    duration_s: float, seed: int = 1,
+) -> ScheduledLoss:
+    """Bursty loss: GOOD and BAD periods alternate, each of exponential
+    length (means ``good_s`` / ``bad_s``), losing ``loss_good`` /
+    ``loss_bad`` of the packets. A schedule in time, so one model serves
+    any number of runs."""
+    draws = random.Random(seed)
+    segments, now = [], 0.0
+    while now < duration_s:
+        segments.append((now, loss_good))
+        now += draws.expovariate(1.0 / good_s)
+        segments.append((now, loss_bad))
+        now += draws.expovariate(1.0 / bad_s)
+    return ScheduledLoss(segments)
 
 
 #: The short run the catalog's tier-1 tests share.

@@ -21,7 +21,8 @@ import os
 
 import pytest
 
-from repro.faults import SCENARIOS, FaultEvent, FaultScenario
+from repro.faults import SCENARIOS, FaultScenario
+from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.soak import run_soak
 from tests.conftest import soak_seeds

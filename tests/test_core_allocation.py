@@ -53,14 +53,17 @@ def loss_of(estimates):
 
 
 def allocate(pending, estimates, blocks, fn=allocate_packet):
+    """``fn`` over ``estimates``; the greedy ablation ranks no paths, so it
+    is given only their losses."""
+    paths = {} if fn is allocate_packet_greedy else {"estimates": estimates}
     return fn(
         pending_subflow_id=pending,
-        estimates=estimates,
         blocks=blocks,
         loss_rate_of=loss_of(estimates),
         mss=MSS,
         symbol_wire_size=WIRE,
         margin=MARGIN,
+        **paths,
     )
 
 

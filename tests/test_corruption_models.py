@@ -11,10 +11,9 @@ from repro.net.corruption import (
     BernoulliCorruption,
     CorruptedPayload,
     GilbertElliottCorruption,
-    NoCorruption,
     corrupt_packet,
 )
-from repro.net.integrity import seal, seal_deferred, verify
+from repro.net.integrity import DEFERRED, seal, verify
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -23,6 +22,13 @@ from repro.sim.engine import Simulator
 
 def _sealed(payload=b"payload-bytes", size=100):
     return seal(Packet(size, "a", "b", 1, 2, payload=payload))
+
+
+def _sealed_deferred(payload):
+    """Sealed the way the transports seal: the CRC promised, not computed."""
+    packet = Packet(100, "a", "b", 1, 2, payload=payload)
+    packet.checksum = DEFERRED
+    return packet
 
 
 # ----------------------------------------------------------------------
@@ -104,12 +110,6 @@ def test_truncation_never_evades():
 # ----------------------------------------------------------------------
 # Gating models.
 # ----------------------------------------------------------------------
-def test_no_corruption_passes_everything():
-    model = NoCorruption()
-    assert model.apply(_sealed(), 0.0, random.Random(1)) is None
-    assert model.rate_at(0.0) == 0.0
-
-
 def test_bernoulli_rate_zero_draws_no_randomness():
     rng = random.Random(1)
     state = rng.getstate()
@@ -224,7 +224,7 @@ def test_deferred_seal_matches_eager_seal(effect, evade_crc, make_model):
         # downgrades to detectable corruption on them.
         payload = _MutablePayload(b"secret-%d" % index) if index % 2 else index
         eager = seal(Packet(100, "a", "b", 1, 2, payload=payload))
-        deferred = seal_deferred(Packet(100, "a", "b", 1, 2, payload=payload))
+        deferred = _sealed_deferred(payload)
         assert verify(deferred)
         eager_out = eager_model.apply(eager, 0.0, eager_rng)
         deferred_out = deferred_model.apply(deferred, 0.0, deferred_rng)
@@ -255,7 +255,7 @@ def test_deferred_seal_hashes_nothing_until_damage(monkeypatch):
     monkeypatch.setattr(
         integrity, "packet_checksum", lambda packet: calls.append(packet) or real(packet)
     )
-    packet = seal_deferred(Packet(100, "a", "b", 1, 2, payload=b"data"))
+    packet = _sealed_deferred(b"data")
     assert verify(packet) and verify(packet.clone()) and calls == []
     (damaged,) = corrupt_packet(packet, "bitflip", random.Random(1))
     assert calls == [packet]  # stamped while still pristine, before cloning

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.experiments.runner import build_connection, build_topology
-from repro.faults import FaultEvent, FaultScenario
+from repro.faults import FaultScenario
+from repro.faults.scenario import FaultEvent
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
 from repro.workloads.sources import BulkSource, RandomPayloadSource

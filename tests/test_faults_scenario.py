@@ -8,18 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
-    CHURN_KINDS,
-    MOBILITY_SCENARIOS,
-    SCENARIOS,
-    FaultEvent,
-    FaultScenario,
-    resolve_scenario,
-)
+from repro.faults import MOBILITY_SCENARIOS, SCENARIOS, FaultScenario, resolve_scenario
+from repro.faults.scenario import FAULT_TABLE, FaultEvent
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.net.packet import Packet
-from repro.net.reorder import NoReordering, UniformReordering
+from repro.net.reorder import UniformReordering
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -140,10 +134,6 @@ def test_uniform_reordering_validation():
         UniformReordering(1.5)
     with pytest.raises(ValueError):
         UniformReordering(0.5, min_extra_s=0.2, max_extra_s=0.1)
-
-
-def test_no_reordering_adds_nothing():
-    assert NoReordering().extra_delay(0.0, random.Random(0)) == 0.0
 
 
 def test_uniform_reordering_counts_and_bounds():
@@ -439,7 +429,6 @@ def test_has_churn_and_settle_time():
         "c", [FaultEvent(2.0, "path_down", 1), FaultEvent(4.0, "handover", 0, (1, 0.7))]
     )
     assert churn.has_churn
-    assert set(CHURN_KINDS) == {"path_down", "path_up", "handover"}
     # A handover only settles once its blackout gap has elapsed.
     assert churn.settle_time == pytest.approx(4.7)
     assert churn.heal_time == 4.0
@@ -467,7 +456,7 @@ def test_mobility_presets_are_churn_only():
     for name in MOBILITY_SCENARIOS:
         scenario = FaultScenario.named(name)
         assert scenario.has_churn, name
-        assert all(event.kind in CHURN_KINDS for event in scenario.events), name
+        assert all(FAULT_TABLE[event.kind].group == "churn" for event in scenario.events), name
     # The two registries stay disjoint: a preset belongs to one harness.
     assert not set(MOBILITY_SCENARIOS) & set(SCENARIOS)
 
@@ -629,20 +618,17 @@ def test_event_ordering_is_deterministic(raw_events):
 # The fault-kind table and the preset registry: everything else derives.
 # ----------------------------------------------------------------------
 def test_every_fault_kind_has_one_table_row_and_the_views_are_its_columns():
-    from repro.faults import CORRUPTION_KINDS, CRASH_KINDS, FAULT_KINDS, TRACE_KINDS
-    from repro.faults.scenario import FAULT_TABLE, ROUTES
+    from repro.faults.scenario import ROUTES
 
-    assert FAULT_KINDS == tuple(FAULT_TABLE)
-    assert len(set(FAULT_KINDS)) == len(FAULT_KINDS) == 16
+    assert len(FAULT_TABLE) == 16
     by_group = {
-        group: tuple(kind for kind in FAULT_KINDS if FAULT_TABLE[kind].group == group)
+        group: tuple(kind for kind, row in FAULT_TABLE.items() if row.group == group)
         for group in ROUTES
     }
-    assert CHURN_KINDS == by_group["churn"] == ("path_down", "path_up", "handover")
-    assert CORRUPTION_KINDS == by_group["corruption"] == ("corrupt", "corrupt_ge")
-    assert CRASH_KINDS == by_group["recovery"]
-    assert CRASH_KINDS == ("crash_sender", "crash_receiver", "restart")
-    assert TRACE_KINDS == by_group["traces"] == ("trace",)
+    assert by_group["churn"] == ("path_down", "path_up", "handover")
+    assert by_group["corruption"] == ("corrupt", "corrupt_ge")
+    assert by_group["recovery"] == ("crash_sender", "crash_receiver", "restart")
+    assert by_group["traces"] == ("trace",)
     assert sum(len(kinds) for kinds in by_group.values()) == 16
     # Link mutations name the setting they write; delegated kinds do not.
     for kind, row in FAULT_TABLE.items():

@@ -123,7 +123,8 @@ def _violating_runs():
     needs sanitising (``:`` and ``/``)."""
     import dataclasses
 
-    from repro.faults import EXHAUSTION_SCENARIOS, FaultEvent, trace_replay_scenario
+    from repro.faults import EXHAUSTION_SCENARIOS
+    from repro.faults.scenario import FaultEvent, trace_replay_scenario
     from repro.faults.churn import CHURN
     from repro.faults.corruption import CORRUPTION
     from repro.recovery.harness import RECOVERY

@@ -9,16 +9,12 @@ import json
 
 import pytest
 
-from repro.experiments.golden import (
-    ANCHORS,
-    GOLDEN_PATH,
-    RELATIVE_TOLERANCE,
-    load_golden,
-    measure_all,
-    measure_anchor,
-)
+from repro.experiments.golden import ANCHORS, GOLDEN_PATH, measure_all, measure_anchor
 
-GOLDEN = load_golden()
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+#: Golden values are exact for a given code version; the tolerance only
+#: absorbs float-formatting round-trips.
+RELATIVE_TOLERANCE = 1e-9
 
 
 @pytest.mark.parametrize(
@@ -88,7 +84,8 @@ def test_corruption_knobs_default_off():
     shift every downstream RNG draw and break old seeds)."""
     import inspect
 
-    from repro.faults import CORRUPTION_KINDS, FaultScenario
+    from repro.faults import FaultScenario
+    from repro.faults.scenario import FAULT_TABLE
     from repro.net.corruption import BernoulliCorruption
     from repro.net.link import Link
     from repro.net.packet import Packet
@@ -111,7 +108,7 @@ def test_corruption_knobs_default_off():
     for seed in range(1, 20):
         scenario = FaultScenario.random(seed)
         assert not scenario.has_corruption
-        assert all(e.kind not in CORRUPTION_KINDS for e in scenario.events)
+        assert all(FAULT_TABLE[e.kind].group != "corruption" for e in scenario.events)
 
 
 def test_flow_control_knobs_default_off():
@@ -173,7 +170,8 @@ def test_span_knobs_default_off():
 
     from repro.core.blocks import BlockManager
     from repro.sim.trace import TraceBus
-    from repro.telemetry import SPAN_KINDS, TelemetryConfig, TelemetrySession
+    from repro.telemetry import TelemetryConfig, TelemetrySession
+    from repro.telemetry.spans import SPAN_KINDS
     from repro.sim.engine import Simulator
 
     assert TelemetryConfig().spans is False
@@ -210,7 +208,8 @@ def test_recovery_knobs_default_off():
 
     from repro.core.blocks import BlockManager
     from repro.core.connection import FmtcpConnection
-    from repro.faults import CRASH_KINDS, FaultScenario
+    from repro.faults import FaultScenario
+    from repro.faults.scenario import FAULT_TABLE
     from repro.mptcp.connection import MptcpConnection
     from repro.mptcp.recv_buffer import ReorderBuffer
     from repro.sim.rng import RngStreams
@@ -231,7 +230,7 @@ def test_recovery_knobs_default_off():
     for seed in range(1, 20):
         scenario = FaultScenario.random(seed)
         assert not scenario.has_endpoint_faults
-        assert all(e.kind not in CRASH_KINDS for e in scenario.events)
+        assert all(FAULT_TABLE[e.kind].group != "recovery" for e in scenario.events)
 
 
 def test_trace_knobs_default_off():
@@ -240,7 +239,8 @@ def test_trace_knobs_default_off():
     never import repro.traces, and the randomized chaos scenarios never
     draw trace events (which would shift every downstream RNG draw and
     break old seeds)."""
-    from repro.faults import TRACE_KINDS, FaultScenario
+    from repro.faults import FaultScenario
+    from repro.faults.scenario import FAULT_TABLE
     from repro.net.topology import PathConfig, build_two_path_network
     from repro.sim.rng import RngStreams
 
@@ -256,7 +256,7 @@ def test_trace_knobs_default_off():
     for seed in range(1, 20):
         random_scenario = FaultScenario.random(seed)
         assert not random_scenario.has_trace
-        assert all(e.kind not in TRACE_KINDS for e in random_scenario.events)
+        assert all(FAULT_TABLE[e.kind].group != "traces" for e in random_scenario.events)
 
     # The trace harness's wiring must not leak into the shared harnesses:
     # the chaos/corruption declarations carry no trace step or invariant.

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
-from repro.metrics.latency import AppLatencyCollector, TimestampedSource
+from repro.metrics.latency import AppLatencyCollector
 from repro.mptcp.connection import MptcpConfig, MptcpConnection
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.workloads.sources import BulkSource, CbrSource
+from repro.workloads.sources import CbrSource
 from repro.workloads.video import VbrVideoSource
 from tests.conftest import make_two_path
 
@@ -40,17 +40,6 @@ def test_vbr_creation_time_steps_at_frame_boundaries():
     assert source.creation_time_of(first_frame - 1) == pytest.approx(0.1)
     # The next byte belongs to the second frame.
     assert source.creation_time_of(first_frame) == pytest.approx(0.2)
-
-
-def test_timestamped_source_wrapper_stamps_on_grant():
-    sim = Simulator()
-    wrapped = TimestampedSource(BulkSource(total_bytes=3000), sim)
-    sim.schedule(1.5, lambda: None)
-    sim.run()
-    assert wrapped.pull(1000) == 1000
-    assert wrapped.creation_time_of(500) == pytest.approx(1.5)
-    assert wrapped.creation_time_of(5000) is None
-    assert not wrapped.exhausted  # 2000 bytes left
 
 
 # ----------------------------------------------------------------------

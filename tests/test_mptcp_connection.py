@@ -8,7 +8,7 @@ from repro.metrics.collectors import MetricsSuite
 from repro.mptcp import connection as connection_module
 from repro.mptcp.connection import Chunk, MptcpConfig, MptcpConnection
 from repro.net.corruption import CORRUPTION_EFFECTS, corrupt_packet
-from repro.net.integrity import seal_deferred, verify
+from repro.net.integrity import DEFERRED, verify
 from repro.net.packet import Packet
 from repro.tcp.subflow import SubflowSegment
 from repro.workloads.sources import BulkSource, RandomPayloadSource
@@ -247,7 +247,8 @@ def test_deferred_dss_rejects_exactly_what_the_eager_stamp_rejects(effect, evade
         packets = []
         for chunk in (pristine, _EagerChunk(dsn, 64, data, 0.0)):
             packet = Packet(104, "a", "b", 1, 2, payload=SubflowSegment(dsn, chunk))
-            packets.append(seal_deferred(packet))
+            packet.checksum = DEFERRED  # sealed as the subflows seal
+            packets.append(packet)
         deferred_out = corrupt_packet(packets[0], effect, deferred_rng, evade_crc)
         eager_out = corrupt_packet(packets[1], effect, eager_rng, evade_crc)
         assert deferred_rng.getstate() == eager_rng.getstate()

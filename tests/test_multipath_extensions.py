@@ -1,6 +1,6 @@
 """Extension scenarios beyond the paper's two-path evaluation:
 
-three and four subflows, bursty (Gilbert-Elliott) loss, a dead path
+three and four subflows, bursty loss, a dead path
 (near-total loss), and edge-router topologies — exercising the claim
 that nothing in either protocol is hard-wired to two paths.
 """
@@ -11,11 +11,11 @@ from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
 from repro.metrics.collectors import MetricsSuite
 from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.loss import GilbertElliottLoss
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
 from repro.workloads.sources import BulkSource
+from tests.conftest import bursty_loss
 
 
 def build(configs, seed=11, with_edge_routers=False):
@@ -102,9 +102,8 @@ def test_fmtcp_under_gilbert_elliott_bursts():
             PathConfig(
                 bandwidth_bps=4e6,
                 delay_s=0.050,
-                loss_model=GilbertElliottLoss(
-                    p_gb=0.01, p_bg=0.10, loss_good=0.01, loss_bad=0.5
-                ),
+                # Bursts of ~10 packets every ~100 at 4 Mb/s, half lost.
+                loss_model=bursty_loss(0.28, 0.03, 0.01, 0.5, 30.0),
             ),
         ]
 

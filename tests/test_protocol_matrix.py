@@ -8,11 +8,15 @@ graceful close. These are the tests that catch a regression in shared
 machinery no matter which protocol's logic it enters through.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import PROTOCOLS, run_transfer
-from repro.net.loss import GilbertElliottLoss
 from repro.net.topology import PathConfig
+from tests.conftest import bursty_loss
+
+DURATION = 8.0
 
 SCENARIOS = {
     "clean": [
@@ -36,37 +40,16 @@ SCENARIOS = {
         PathConfig(
             bandwidth_bps=6e6,
             delay_s=0.030,
-            loss_model=GilbertElliottLoss(
-                p_gb=0.01, p_bg=0.1, loss_good=0.0, loss_bad=0.5
-            ),
+            # Bursts of ~10 packets every ~100 at 6 Mb/s, half of them lost.
+            loss_model=bursty_loss(0.2, 0.02, 0.0, 0.5, DURATION),
         ),
     ],
 }
 
-DURATION = 8.0
-
 
 def fresh(name):
-    """Scenarios with stateful loss models must be rebuilt per run."""
-    if name == "bursty":
-        return [
-            PathConfig(bandwidth_bps=6e6, delay_s=0.020, loss_rate=0.0),
-            PathConfig(
-                bandwidth_bps=6e6,
-                delay_s=0.030,
-                loss_model=GilbertElliottLoss(
-                    p_gb=0.01, p_bg=0.1, loss_good=0.0, loss_bad=0.5
-                ),
-            ),
-        ]
-    return [
-        PathConfig(
-            bandwidth_bps=config.bandwidth_bps,
-            delay_s=config.delay_s,
-            loss_rate=config.loss_rate,
-        )
-        for config in SCENARIOS[name]
-    ]
+    """A scenario's configs, copied for one run."""
+    return [dataclasses.replace(config) for config in SCENARIOS[name]]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

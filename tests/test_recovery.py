@@ -18,7 +18,6 @@ from repro.core.connection import FmtcpConnection
 from repro.faults.scenario import FaultEvent, FaultScenario
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.recovery import (
-    CHECKPOINT_VERSION,
     ReceiverCheckpoint,
     ReconnectPolicy,
     RecoveryManager,
@@ -27,6 +26,7 @@ from repro.recovery import (
     snapshot_receiver,
     snapshot_sender,
 )
+from repro.recovery.checkpoint import CHECKPOINT_VERSION
 from repro.recovery.harness import RECOVERY
 from repro.sim.rng import RngStreams
 from repro.soak import run_soak
@@ -294,7 +294,7 @@ def test_successful_resume_increments_epoch_and_rearms_watchdog():
     sim, connection, manager = _manager(ReconnectPolicy(), watchdog, rebuild)
     connection.start()
     sim.run(until=2.0)
-    frontier_at_crash = connection.sender._decoded_frontier_seen
+    frontier_at_crash = connection.sender.decoded_frontier
     manager.crash_sender()
     assert manager.state == "down" and not manager.sender_up
     manager.restart("sender")

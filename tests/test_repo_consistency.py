@@ -11,10 +11,12 @@ import importlib.util
 import inspect
 import re
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 
 def read(name: str) -> str:
@@ -101,7 +103,7 @@ def test_bundled_trace_assets_in_package_data():
     """Every bundled trace asset must exist on disk AND be covered by the
     package-data globs, or sdists/wheels would ship without them and
     ``load_bundled_trace`` would fail post-install."""
-    from repro.traces import BUNDLED_TRACES
+    from repro.traces.generators import BUNDLED_TRACES
 
     data_dir = REPO / "src" / "repro" / "traces" / "data"
     for name in BUNDLED_TRACES:
@@ -160,15 +162,100 @@ UNSET_FIELDS_KEPT = {
 }
 
 
+class _Call(NamedTuple):
+    """One call as the censuses read it: ``qualifier.name(…)``, or
+    ``name(…)`` with ``qualifier`` None (``""`` when the qualifier is not
+    a plain name)."""
+
+    name: Optional[str]
+    qualifier: Optional[str]
+    keywords: frozenset
+    positional: int
+
+
+class _FileIndex(NamedTuple):
+    """What the censuses read of one file. Plain data only: a syntax tree
+    kept for the session would slow every later garbage collection."""
+
+    calls: list
+    #: Class name → the names of its bases.
+    bases: dict
+    #: Every name the file reads, every attribute, every ``from … import``
+    #: and the head of every ``"module:Qualname"`` string.
+    used: frozenset
+    #: Top-level functions, classes and assigned names.
+    defined: frozenset
+    #: Top-level ``from M import name`` → M.
+    imported_from: dict
+    #: Top-level ``NAME = [...]`` / ``(...)`` → its strings, a ``*OTHER``
+    #: item as ``("*", "OTHER")``.
+    sequences: dict
+
+
+#: The head of a ``"module:Qualname"`` string (benchmarks/perf/tracer.py's
+#: boundary table names what it wraps this way).
+_QUALNAME = re.compile(r"repro(?:\.\w+)*:(\w+)")
+
+
+def _file_index(tree: ast.Module) -> _FileIndex:
+    """Read one parsed file into a :class:`_FileIndex`."""
+    calls, bases, used = [], {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Attribute):
+                name, qualifier = callee.attr, getattr(callee.value, "id", "")
+            else:
+                name, qualifier = getattr(callee, "id", None), None
+            calls.append(_Call(
+                name, qualifier, frozenset(keyword.arg for keyword in node.keywords),
+                len(node.args),
+            ))
+        elif isinstance(node, ast.ClassDef):
+            bases[node.name] = {
+                getattr(base, "id", getattr(base, "attr", None)) for base in node.bases
+            }
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(_QUALNAME.findall(node.value))
+    defined, imported_from, sequences = set(), {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported_from[alias.asname or alias.name] = node.module
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+            defined.update(names)
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                items = [
+                    ("*", getattr(item.value, "id", None)) if isinstance(item, ast.Starred)
+                    else item.value if isinstance(item, ast.Constant) else None
+                    for item in node.value.elts
+                ]
+                sequences.update(dict.fromkeys(names, items))
+    return _FileIndex(
+        calls, bases, frozenset(used), frozenset(defined), imported_from, sequences
+    )
+
+
 @functools.cache
-def _calls_by_file() -> dict:
-    """File → every call in it, for ``benchmarks/``, ``examples/``, ``src/``
-    (parsed once per session; callers only read it)."""
+def _index() -> dict:
+    """File → its :class:`_FileIndex`, for ``benchmarks/``, ``examples/``
+    and ``src/``: the one parse every census reads (once per session;
+    callers only read it)."""
     return {
-        path: [
-            node for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-        ]
+        path: _file_index(ast.parse(path.read_text()))
         for root in ("benchmarks", "examples", "src")
         for path in (REPO / root).rglob("*.py")
     }
@@ -178,10 +265,10 @@ def _calls_by_file() -> dict:
 def _bases_of() -> dict:
     """Class name → the names of its bases, for every class under ``src/``."""
     return {
-        node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
-        for path in (REPO / "src").rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ClassDef)
+        name: bases
+        for path, entry in _index().items()
+        if path.is_relative_to(SRC)
+        for name, bases in entry.bases.items()
     }
 
 
@@ -197,19 +284,13 @@ def _subclass_names(config_class) -> set:
         names = grown
 
 
-def _fields_set(call: ast.Call, class_names: set, positional: list) -> set:
+def _fields_set(call: _Call, class_names: set, positional: list) -> set:
     """The config fields one call sets: ``Cls(field=…)`` (or by position)
     for ``Cls`` in ``class_names``, and ``dataclasses.replace(…, field=…)``."""
-    callee = call.func
-    if isinstance(callee, ast.Attribute):
-        name, module = callee.attr, getattr(callee.value, "id", None)
-    else:
-        name, module = getattr(callee, "id", None), "dataclasses"
-    keywords = {keyword.arg for keyword in call.keywords}
-    if name in class_names:
-        return keywords | set(positional[: len(call.args)])
-    if name == "replace" and module == "dataclasses":
-        return keywords
+    if call.name in class_names:
+        return call.keywords | set(positional[: call.positional])
+    if call.name == "replace" and call.qualifier in (None, "dataclasses"):
+        return call.keywords
     return set()
 
 
@@ -227,7 +308,7 @@ def test_every_config_field_has_traffic():
     from repro.telemetry.session import TelemetryConfig
 
     assert all(reason.strip() for reason in UNSET_FIELDS_KEPT.values())
-    calls_by_file = _calls_by_file()
+    index = _index()
     unset = set()
     for config_class in (
         FmtcpConfig, MptcpConfig, PathConfig, WatchdogConfig, TelemetryConfig
@@ -244,9 +325,9 @@ def test_every_config_field_has_traffic():
             defining_module = Path(inspect.getsourcefile(owner))
             if not any(
                 field.name in _fields_set(call, class_names, positional)
-                for path, calls in calls_by_file.items()
+                for path, entry in index.items()
                 if path != defining_module
-                for call in calls
+                for call in entry.calls
             ):
                 unset.add(field.name)
     assert unset == set(UNSET_FIELDS_KEPT), (
@@ -269,7 +350,7 @@ def test_every_soak_and_probe_knob_has_traffic():
     from repro.robustness.exhaustion import measure_bufferblock
     from repro.traces.harness import measure_trace_goodput
 
-    calls_by_file = _calls_by_file()
+    index = _index()
     unpassed = []
     for function in (
         soak.run_soak, build_connection, measure_fault_response,
@@ -283,19 +364,173 @@ def test_every_soak_and_probe_knob_has_traffic():
         ]
         home = Path(inspect.getsourcefile(function))
         passed = set()
-        for path, calls in calls_by_file.items():
+        for path, entry in index.items():
             if path == home:
                 continue
-            for call in calls:
-                callee = call.func
-                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(
-                    callee, "id", None
-                )
-                if name != function.__name__:
+            for call in entry.calls:
+                if call.name != function.__name__:
                     continue
-                passed.update(keyword.arg for keyword in call.keywords)
-                passed.update(parameter.name for parameter in parameters[: len(call.args)])
+                passed.update(call.keywords)
+                passed.update(parameter.name for parameter in parameters[: call.positional])
         unpassed.extend(
             f"{function.__name__}({knob})" for knob in knobs if knob not in passed
         )
     assert not unpassed, f"knobs no caller outside their module passes: {unpassed}"
+
+
+# ----------------------------------------------------------------------
+# The public-surface census (ROADMAP public-surface a): the same rule for
+# names. A public top-level name is referenced by something other than its
+# own definition, a package ``__init__`` and ``tests/``; a name in a
+# package's ``__all__`` is used by a file outside the module defining it.
+# ----------------------------------------------------------------------
+#: Names nothing outside ``tests/`` uses, kept for the reason given. Only
+#: the reference a production path is tested against and the paper's
+#: closed forms that ``docs/paper-mapping.md`` maps belong here. An entry
+#: that gains traffic must leave (the test says so), so the list only
+#: shrinks.
+UNUSED_NAMES_KEPT = {
+    "allocate_packet_reference": (
+        "Algorithm 1 transcribed literally: the oracle allocate_packet is "
+        "tested against"
+    ),
+    "expected_actual_delivered": "Eq. (5), mapped in docs/paper-mapping.md",
+    "lemma1_min_r2": "Lemma 1 / Eq. (16), mapped in docs/paper-mapping.md",
+    "rank_paths_by_sedt": "Theorem 2's path order, mapped in docs/paper-mapping.md",
+}
+
+#: Names this census deleted. The docs a reader follows must not send
+#: them looking for one.
+DELETED_NAMES = (
+    "CHURN_KINDS",
+    "CORRUPTION_KINDS",
+    "CRASH_KINDS",
+    "FAULT_KINDS",
+    "GilbertElliottLoss",
+    "NoCorruption",
+    "NoReordering",
+    "RELATIVE_TOLERANCE",
+    "SUBFLOW1_CONFIG",
+    "SUBFLOW_STATES",
+    "TRACE_KINDS",
+    "TimestampedSource",
+    "load_golden",
+    "seal_deferred",
+)
+
+def _exports(index: dict) -> list:
+    """``(package __init__, name, defining file)`` for every ``__all__``
+    entry. The defining file is the module the ``__init__`` imports the
+    name from, else the module of that package defining it (a lazy
+    re-export), else the ``__init__`` itself."""
+    exports = []
+    for init, entry in index.items():
+        if init.name != "__init__.py" or not init.is_relative_to(SRC):
+            continue
+        listed = []
+        for item in entry.sequences.get("__all__", ()):
+            listed.extend(entry.sequences[item[1]] if isinstance(item, tuple) else [item])
+        for name in listed:
+            if name in entry.imported_from:
+                stem = SRC.joinpath(*entry.imported_from[name].split("."))
+                home = next(
+                    path for path in (stem.with_suffix(".py"), stem / "__init__.py")
+                    if path in index
+                )
+            else:
+                home = next(
+                    (
+                        path for path, other in index.items()
+                        if path.parent == init.parent and path != init
+                        and name in other.defined
+                    ),
+                    init,
+                )
+            exports.append((init, name, home))
+    return exports
+
+
+def _surface_hits(index: dict) -> dict:
+    """Name → the rule it breaks, for every public ``src/`` name without
+    traffic. A package ``__init__`` is a re-export, never a use."""
+    users = {
+        path: entry.used for path, entry in index.items()
+        if not (path.name == "__init__.py" and path.is_relative_to(SRC))
+    }
+    hits = {}
+    for path in users:
+        if not path.is_relative_to(SRC):
+            continue
+        for name in index[path].defined:
+            if not name.startswith("_") and not any(name in used for used in users.values()):
+                hits[name] = f"referenced nowhere but tests ({path.relative_to(REPO)})"
+    for init, name, home in _exports(index):
+        if name not in hits and not any(
+            name in used for path, used in users.items() if path != home
+        ):
+            package = ".".join(init.parent.relative_to(SRC).parts)
+            hits[name] = f"in {package}.__all__ but used only in {home.relative_to(REPO)}"
+    return hits
+
+
+def test_every_public_name_has_traffic():
+    """Rule 1: a public top-level name in ``src/`` is referenced outside
+    its definition, the package ``__init__``s and ``tests/``. Rule 2: an
+    ``__all__`` name is used outside its defining module, by another
+    ``src/`` module, a benchmark (``benchmarks/perf/tracer.py``'s
+    ``"module:Qualname"`` strings count) or an example. What breaks
+    either is deleted or un-exported, or kept above with its reason."""
+    assert all(reason.strip() for reason in UNUSED_NAMES_KEPT.values())
+    hits = _surface_hits(_index())
+    unlisted = {name: rule for name, rule in hits.items() if name not in UNUSED_NAMES_KEPT}
+    assert not unlisted and set(hits) == set(UNUSED_NAMES_KEPT), (
+        "no traffic and no recorded reason:\n  "
+        + "\n  ".join(f"{name}: {rule}" for name, rule in sorted(unlisted.items()))
+        + f"\nlisted but used or gone: {sorted(set(UNUSED_NAMES_KEPT) - set(hits))}"
+    )
+
+
+def test_public_surface_census_catches_each_rule():
+    """Seeded cases: a dead name breaks rule 1, an export that only its
+    own module uses breaks rule 2."""
+    index = dict(_index())
+    package = SRC / "repro" / "seeded"
+    for name, source in (
+        ("dead.py", "def seeded_dead_name():\n    pass\n"),
+        ("lonely.py", "def seeded_lonely_export():\n    pass\n\nVALUE = seeded_lonely_export()\n"),
+        ("__init__.py", "from repro.seeded.lonely import VALUE, seeded_lonely_export\n"
+                        "__all__ = ['VALUE', 'seeded_lonely_export']\n"),
+    ):
+        index[package / name] = _file_index(ast.parse(source))
+    hits = _surface_hits(index)
+    assert hits["seeded_dead_name"].startswith("referenced nowhere but tests")
+    assert hits["seeded_lonely_export"] == (
+        "in repro.seeded.__all__ but used only in src/repro/seeded/lonely.py"
+    )
+    # VALUE is used by nothing either: a name exported and never read
+    # breaks rule 1 first.
+    assert hits["VALUE"].startswith("referenced nowhere but tests")
+
+
+def test_api_doc_covers_the_exports_and_no_deleted_name():
+    """``docs/api.md`` names every ``__all__`` entry, and no doc a reader
+    follows names something deleted."""
+    api = read("docs/api.md")
+    missing = sorted(
+        f"{'.'.join(init.parent.relative_to(SRC).parts)}.{name}"
+        for init, name, __ in _exports(_index())
+        if not re.search(rf"`[^`]*\b{re.escape(name)}\b[^`]*`", api)
+    )
+    assert not missing, f"exported but not in docs/api.md: {missing}"
+    defined = set().union(*(
+        entry.defined for path, entry in _index().items() if path.is_relative_to(SRC)
+    ))
+    assert not defined & set(DELETED_NAMES), "a deleted name is defined again"
+    stale = [
+        (doc, name)
+        for doc in ("docs/api.md", "docs/tuning.md", "docs/robustness.md",
+                    "docs/paper-mapping.md", "DESIGN.md")
+        for name in DELETED_NAMES
+        if re.search(rf"\b{name}\b", read(doc))
+    ]
+    assert not stale, f"deleted names still in the docs: {stale}"

@@ -1,7 +1,8 @@
 """The sim-engine profiler: attribution, lifecycle, and determinism."""
 
 from repro.sim.engine import Simulator
-from repro.telemetry import SimProfiler, callback_label
+from repro.telemetry import SimProfiler
+from repro.telemetry.profiler import callback_label
 
 
 def _profile(sim):

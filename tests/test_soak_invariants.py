@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro import soak
-from repro.faults import FaultEvent, FaultScenario
+from repro.faults import FaultScenario
+from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN, bounded_readd, survivors_complete
 from repro.faults.corruption import CORRUPTION, defense_fired

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro import soak
-from repro.faults import EXHAUSTION_SCENARIOS, FaultEvent, FaultScenario
+from repro.faults import EXHAUSTION_SCENARIOS, FaultScenario
+from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION

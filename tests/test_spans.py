@@ -3,15 +3,8 @@ zero-cost-when-off guarantee."""
 
 import pytest
 
-from repro.telemetry import (
-    FMTCP_STAGES,
-    MPTCP_STAGES,
-    SPAN_KINDS,
-    SpanCollector,
-    collect_spans,
-    critical_path_report,
-    spans_report,
-)
+from repro.telemetry import SpanCollector, critical_path_report, spans_report
+from repro.telemetry.spans import FMTCP_STAGES, MPTCP_STAGES, SPAN_KINDS, collect_spans
 
 
 def _fm_records():

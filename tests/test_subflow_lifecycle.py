@@ -13,13 +13,13 @@ import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.experiments import runner
-from repro.faults import PathChurnController
+from repro.faults.churn import PathChurnController
 from repro.fixedrate import FixedRateConnection
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.tcp.subflow import SUBFLOW_STATES, Subflow, SubflowOwner, SubflowSink
+from repro.tcp.subflow import Subflow, SubflowOwner, SubflowSink
 from repro.workloads.sources import BulkSource
 from tests.conftest import make_single_path
 
@@ -151,7 +151,25 @@ def test_shutdown_drains_outstanding_in_sequence_order():
 
 
 def test_state_vocabulary_is_stable():
-    assert SUBFLOW_STATES == ("joining", "active", "suspect", "closed")
+    """One subflow walks all four states: joining, active, suspect (its
+    path dies), closed."""
+    from repro.faults.scenario import FaultEvent, FaultScenario
+
+    network, path, __ = make_single_path()
+    subflow = Subflow(
+        network.sim, path, RecordingOwner(supply=10**6), join_delay_s=0.1,
+        failed_rto_threshold=1,
+    )
+    SubflowSink(network.sim, path, subflow, on_segment=lambda sf, seg: None)
+    FaultScenario("kill", [FaultEvent(0.5, "down", 0)], n_paths=1).apply(network.sim, [path])
+    seen = [subflow.state]
+    network.sim.run(until=0.3)
+    seen.append(subflow.state)
+    network.sim.run(until=5.0)
+    seen.append(subflow.state)
+    subflow.close()
+    seen.append(subflow.state)
+    assert seen == ["joining", "active", "suspect", "closed"]
 
 
 # ----------------------------------------------------------------------

@@ -103,6 +103,19 @@ def test_app_limited_source():
     assert connection.delivered_bytes == 1000
 
 
+def test_run_transfer_tcp_uses_the_given_mptcp_config():
+    """``run_transfer("tcp", mptcp_config=X)`` runs on ``X``, not on the
+    matched default: a 4-chunk receive buffer caps a 200 ms round trip
+    at a few KB per RTT."""
+    configs = table1_path_configs(TABLE1_CASES[0])
+    default = run_transfer("tcp", configs, duration_s=5.0, seed=3)
+    tiny = run_transfer(
+        "tcp", configs, duration_s=5.0, seed=3,
+        mptcp_config=MptcpConfig(recv_buffer_chunks=4),
+    )
+    assert tiny.summary["total_mbytes"] < 0.5 * default.summary["total_mbytes"]
+
+
 def test_close_releases_ports():
     connection, __ = run_tcp(BulkSource(10_000), duration=5.0)
     connection.close()

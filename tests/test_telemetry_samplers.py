@@ -52,6 +52,34 @@ def test_attach_samplers_fmtcp_emits_all_series():
     assert "pending_blocks" in seen["telemetry.conn"][-1].fields
 
 
+def test_sampled_eats_are_the_allocators_eat_table():
+    """Each ``telemetry.subflow`` record's ``eat`` is Eq. (11)'s initial EAT
+    as :func:`eat_table` computes it from the sender's path estimates,
+    suspect paths included, on every tick of a run in which path 1 dies."""
+    from repro.core.estimators import eat_table
+    from repro.faults.scenario import FaultEvent, FaultScenario
+
+    network, paths, trace = make_two_path(loss2=0.05)
+    connection = _fmtcp(network, paths, trace)
+    FaultScenario("kill", [FaultEvent(2.0, "down", 1)]).apply(network.sim, paths)
+    sender = connection.sender
+    checked, suspect_rows = [], []
+
+    def check(record):
+        want = eat_table(sender.path_estimates(include_suspect=True))
+        assert record["eat"] == want.get(record["subflow"]), record
+        checked.append(record)
+        if record["suspect"]:
+            suspect_rows.append(record)
+
+    trace.subscribe("telemetry.subflow", check)
+    attach_samplers(network.sim, connection, trace, period_s=0.1)
+    connection.start()
+    network.sim.run(until=6.0)
+    assert len(checked) > 100
+    assert suspect_rows and all(row["eat"] is not None for row in suspect_rows)
+
+
 def test_attach_samplers_mptcp_duck_typing():
     network, paths, trace = make_two_path()
     connection = MptcpConnection(

@@ -189,7 +189,7 @@ def test_span_and_block_delay_quantiles_are_exact(recorded_trace, capsys):
     describe, not streaming estimates."""
     from repro.metrics.stats import mean, percentile
     from repro.sim.tracefile import read_trace_file
-    from repro.telemetry import collect_spans
+    from repro.telemetry.spans import collect_spans
 
     def exact(values):
         return {

@@ -23,7 +23,8 @@ import os
 
 import pytest
 
-from repro.faults import TRACE_SCENARIOS, FaultScenario, SoakReport
+from repro.faults import TRACE_SCENARIOS, FaultScenario
+from repro.soak import SoakReport
 from repro.faults.scenario import trace_replay_scenario
 from repro.soak import run_soak
 from repro.traces import gprs_trace

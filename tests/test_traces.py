@@ -18,18 +18,16 @@ from repro.net.loss import BernoulliLoss
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.traces import (
-    BUNDLED_TRACES,
-    TRACE_GENERATORS,
     LinkTrace,
-    TraceFormatError,
     TracePlayer,
     TraceSample,
     gprs_trace,
-    load_bundled_trace,
     load_trace_csv,
     parse_trace_csv,
     resolve_trace,
 )
+from repro.traces.generators import BUNDLED_TRACES, TRACE_GENERATORS, load_bundled_trace
+from repro.traces.model import TraceFormatError
 
 # ----------------------------------------------------------------------
 # Hypothesis: CSV round-trip.

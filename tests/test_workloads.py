@@ -7,7 +7,6 @@ import pytest
 from repro.net.loss import ScheduledLoss
 from repro.sim.engine import Simulator
 from repro.workloads.scenarios import (
-    SUBFLOW1_CONFIG,
     TABLE1_CASES,
     surge_path_configs,
     table1_path_configs,
@@ -169,8 +168,10 @@ def test_table1_catalogue_matches_paper():
 
 
 def test_subflow1_fixed_parameters():
-    assert SUBFLOW1_CONFIG.delay_s == 0.100
-    assert SUBFLOW1_CONFIG.loss_rate == 0.0
+    """Subflow 1 is held at 100 ms and no loss in every Table I case."""
+    for case in TABLE1_CASES:
+        subflow1 = table1_path_configs(case)[0]
+        assert subflow1.delay_s == 0.100 and subflow1.loss_rate == 0.0
 
 
 def test_table1_path_configs_shape():
