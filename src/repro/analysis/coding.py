@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from repro.fountain.rank_model import RankEvolutionModel, expected_overhead_symbols
 
@@ -91,12 +90,11 @@ def simulate_fixed_rate_delivery(
     estimated_loss: float,
     actual_loss: float,
     trials: int = 2000,
-    rng: Optional[random.Random] = None,
 ) -> float:
     """Empirical P(at least A of the a budgeted packets survive loss p₂)."""
     _check_loss(estimated_loss)
     _check_loss(actual_loss)
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     budget = int(math.ceil(fixed_rate_packets_to_send(block_packets, estimated_loss)))
     successes = 0
     for __ in range(trials):
@@ -110,7 +108,6 @@ def simulate_fountain_delivery(
     k: int,
     loss_rate: float,
     trials: int = 500,
-    rng: Optional[random.Random] = None,
 ) -> float:
     """Empirical mean symbol transmissions until a block decodes.
 
@@ -118,7 +115,7 @@ def simulate_fountain_delivery(
     Bernoulli erasures for the channel — the quantity Eq. (7) bounds.
     """
     _check_loss(loss_rate)
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     total_sent = 0
     for __ in range(trials):
         model = RankEvolutionModel(k, rng=rng)

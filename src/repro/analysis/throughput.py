@@ -15,20 +15,23 @@ from typing import Sequence
 
 from repro.net.topology import PathConfig
 
+#: The subflows' packet size in bytes and RTO floor in seconds, as
+#: ``MultipathConfig.mss`` and ``tcp.rto.MIN_RTO`` default them.
+MSS = 1400
+MIN_RTO = 0.2
+#: Symbols sent per symbol needed: the coding overhead FMTCP's goodput
+#: prediction is discounted by.
+REDUNDANCY_RATIO = 1.07
 
-def pftk_throughput_pps(
-    rtt: float,
-    rto: float,
-    loss: float,
-    acked_per_window: int = 1,
-) -> float:
+
+def pftk_throughput_pps(rtt: float, rto: float, loss: float) -> float:
     """PFTK full model, packets/second.
 
     T = 1 / ( rtt·√(2bp/3) + rto·min(1, 3·√(3bp/8))·p·(1+32p²) )
 
-    ``acked_per_window`` is b (1 here: the substrate ACKs every packet).
-    Returns ``inf`` for a lossless path — the formula models loss-limited
-    steady state; callers cap by link bandwidth.
+    with b = 1: the substrate ACKs every packet. Returns ``inf`` for a
+    lossless path — the formula models loss-limited steady state; callers
+    cap by link bandwidth.
     """
     if rtt <= 0 or rto <= 0:
         raise ValueError("rtt and rto must be positive")
@@ -36,38 +39,30 @@ def pftk_throughput_pps(
         raise ValueError(f"loss must be in [0, 1), got {loss}")
     if loss == 0.0:
         return float("inf")
-    b = acked_per_window
-    term_fast = rtt * math.sqrt(2.0 * b * loss / 3.0)
+    term_fast = rtt * math.sqrt(2.0 * loss / 3.0)
     term_timeout = (
-        rto * min(1.0, 3.0 * math.sqrt(3.0 * b * loss / 8.0)) * loss * (1.0 + 32.0 * loss**2)
+        rto * min(1.0, 3.0 * math.sqrt(3.0 * loss / 8.0)) * loss * (1.0 + 32.0 * loss**2)
     )
     return 1.0 / (term_fast + term_timeout)
 
 
-def subflow_goodput_bps(
-    config: PathConfig,
-    mss: int = 1400,
-    min_rto: float = 0.2,
-) -> float:
+def subflow_goodput_bps(config: PathConfig) -> float:
     """Predicted goodput of one Reno subflow on ``config``'s path.
 
-    RTT is twice the one-way delay; RTO is max(min_rto, 2·RTT) as a crude
+    RTT is twice the one-way delay; RTO is max(MIN_RTO, 2·RTT) as a crude
     stand-in for srtt+4·rttvar on a jittery path; the result is capped at
     the link bandwidth.
     """
     rtt = 2.0 * config.delay_s
-    rto = max(min_rto, 2.0 * rtt)
+    rto = max(MIN_RTO, 2.0 * rtt)
     pps = pftk_throughput_pps(rtt, rto, config.loss_rate)
-    bps = pps * mss * 8.0
+    bps = pps * MSS * 8.0
     return min(bps, config.bandwidth_bps)
 
 
 def predicted_aggregate_goodput_bps(
     configs: Sequence[PathConfig],
     protocol: str = "fmtcp",
-    mss: int = 1400,
-    min_rto: float = 0.2,
-    redundancy_ratio: float = 1.07,
 ) -> float:
     """Closed-form aggregate goodput prediction.
 
@@ -81,7 +76,7 @@ def predicted_aggregate_goodput_bps(
     """
     if protocol not in ("fmtcp", "mptcp"):
         raise ValueError("protocol must be 'fmtcp' or 'mptcp'")
-    total = sum(subflow_goodput_bps(config, mss=mss, min_rto=min_rto) for config in configs)
+    total = sum(subflow_goodput_bps(config) for config in configs)
     if protocol == "fmtcp":
-        return total / redundancy_ratio
+        return total / REDUNDANCY_RATIO
     return total

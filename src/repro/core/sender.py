@@ -396,29 +396,18 @@ class FmtcpSender(SubflowOwner):
             and (include_suspect or not subflow.potentially_failed)
         ]
 
-    def path_table(
-        self,
-        include_suspect: bool = False,
-        losses: Optional[Dict[int, float]] = None,
-    ) -> PathTable:
-        """A fresh path table (``losses``: this round's
-        :meth:`loss_snapshot`, taken here when the caller holds none) of
-        the subflows :meth:`_allocatable` names: the rows a round's path
-        table holds, read by the same refresh, every EAT derived."""
-        if losses is None:
-            losses = self.loss_snapshot()
+    def path_table(self, include_suspect: bool = False) -> PathTable:
+        """A fresh path table, on a fresh :meth:`loss_snapshot`, of the
+        subflows :meth:`_allocatable` names: the rows a round's path table
+        holds, read by the same refresh, every EAT derived."""
         subflows = self._allocatable(include_suspect)
-        paths = _path_table(subflows, losses)
+        paths = _path_table(subflows, self.loss_snapshot())
         _read_rows(paths, subflows, self.sim.now)
         return paths
 
-    def path_estimates(
-        self,
-        include_suspect: bool = False,
-        losses: Optional[Dict[int, float]] = None,
-    ) -> List[PathEstimate]:
+    def path_estimates(self) -> List[PathEstimate]:
         """:meth:`path_table`'s rows as snapshots for the allocator."""
-        return self.path_table(include_suspect, losses).estimates()
+        return self.path_table().estimates()
 
     # ------------------------------------------------------------------
     # SubflowOwner: supply packets.

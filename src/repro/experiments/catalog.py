@@ -55,9 +55,9 @@ from repro.experiments.runner import (
     ExperimentResult,
     build_connection,
     build_topology,
-    default_fixedrate_config,
     default_mptcp_config,
     run_transfer,
+    transfer_configs,
 )
 from repro.faults import (
     MOBILITY_SCENARIOS,
@@ -231,14 +231,15 @@ def _transfer(
     """One transfer at this scale and seed; identical inputs run once.
 
     The sharing key is values only: every path's fields, the run length,
-    the seed, the protocol and the three configs, ``None`` resolved as
+    the seed, the protocol and the three configs, ``None`` resolved by
+    :func:`~repro.experiments.runner.transfer_configs`, as
     :func:`run_transfer` resolves it. A path with a loss model keeps state
     (a surge, a blackout), so such a transfer always runs afresh. Readers
     must not mutate the returned result: another entry may read it too.
     """
-    fmtcp_config = fmtcp_config or FmtcpConfig()
-    mptcp_config = mptcp_config or default_mptcp_config(fmtcp_config)
-    fixedrate_config = fixedrate_config or default_fixedrate_config(fmtcp_config)
+    fmtcp_config, mptcp_config, fixedrate_config = transfer_configs(
+        fmtcp_config, mptcp_config, fixedrate_config
+    )
 
     def run() -> ExperimentResult:
         return run_transfer(
@@ -359,10 +360,11 @@ def _fmtcp_wins(key: str, rows: Sequence[Dict[str, float]]) -> int:
     return sum(1 for row in rows if row[f"fmtcp_{key}"] < row[f"mptcp_{key}"])
 
 
-def _probe_table1_paths(scale: Scale, probes: int = 5000) -> List[Dict[str, float]]:
-    """Drive ``probes`` 100-byte packets, one per 2 ms, over each case's
+def _probe_table1_paths(scale: Scale) -> List[Dict[str, float]]:
+    """Drive 5000 100-byte packets, one per 2 ms, over each case's
     subflow-2 path and measure the loss and one-way delay it realises —
     the substrate check under every other experiment."""
+    probes = 5000
     rows = []
     for case in TABLE1_CASES:
         paths = _two_paths(scale.bandwidth_bps, case.delay_s, case.loss_rate)

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.core.config import FmtcpConfig
-from repro.core.connection import FmtcpConnection
-from repro.mptcp.connection import conventional_tcp
+from repro.experiments.runner import build_connection
 from repro.net.topology import build_shared_bottleneck_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -67,40 +65,28 @@ def run_fairness(
     protocol_under_test: str = "fmtcp",
     n_competitors: int = 3,
     duration_s: float = 30.0,
-    bottleneck_bps: float = 10e6,
-    bottleneck_delay_s: float = 0.020,
     seed: int = 1,
 ) -> FairnessResult:
-    """One FMTCP (or plain-TCP) flow vs ``n_competitors`` plain TCP flows."""
+    """One FMTCP (or plain-TCP) flow vs ``n_competitors`` plain TCP flows,
+    every one built by :func:`~repro.experiments.runner.build_connection`."""
     if protocol_under_test not in ("fmtcp", "tcp"):
         raise ValueError("protocol_under_test must be 'fmtcp' or 'tcp'")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     network, paths = build_shared_bottleneck_network(
         n_endpoints=n_competitors + 1,
-        bottleneck_bps=bottleneck_bps,
-        bottleneck_delay_s=bottleneck_delay_s,
         rng=RngStreams(seed),
         trace=TraceBus(),  # per-connection accounting below, not trace-based
     )
-
-    connections = {}
-    if protocol_under_test == "fmtcp":
-        connections["under_test"] = FmtcpConnection(
-            network.sim,
-            [paths[0]],
-            BulkSource(),
-            config=FmtcpConfig(),
-            rng=RngStreams(seed).fork("fmtcp"),
-        )
-    else:
-        connections["under_test"] = conventional_tcp(
-            network.sim, paths[0], BulkSource()
-        )
-    for index in range(n_competitors):
-        connections[f"tcp{index}"] = conventional_tcp(
-            network.sim, paths[index + 1], BulkSource()
-        )
+    # The FMTCP flow draws the streams of the run seed's "fmtcp" fork.
+    fmtcp_seed = RngStreams(seed).fork("fmtcp").master_seed
+    flows = [("under_test", protocol_under_test, fmtcp_seed)] + [
+        (f"tcp{index}", "tcp", seed) for index in range(n_competitors)
+    ]
+    connections = {
+        name: build_connection(protocol, network.sim, [path], BulkSource(), flow_seed, None)
+        for (name, protocol, flow_seed), path in zip(flows, paths)
+    }
 
     for connection in connections.values():
         connection.start()

@@ -46,12 +46,10 @@ def bar_chart(
     return lines
 
 
-def series_plot(
-    series: Dict[str, Sequence[Tuple[float, float]]],
-    height: int = 10,
-    width: int = 72,
-) -> List[str]:
-    """Plot (t, value) series as ASCII scatter lines, one glyph per series."""
+def series_plot(series: Dict[str, Sequence[Tuple[float, float]]]) -> List[str]:
+    """Plot (t, value) series as ASCII scatter lines, one glyph per series,
+    on a 10-row by 72-column grid."""
+    height, width = 10, 72
     glyphs = "ox+*#@"
     points = [
         (t, value) for values in series.values() for t, value in values

@@ -46,10 +46,6 @@ class ExperimentResult:
     telemetry: Optional[TelemetryReport] = None
 
     @property
-    def goodput_mbytes(self) -> float:
-        return self.summary["total_mbytes"]
-
-    @property
     def mean_block_delay_ms(self) -> float:
         return self.summary["mean_block_delay_ms"]
 
@@ -82,6 +78,22 @@ def default_fixedrate_config(fmtcp: FmtcpConfig) -> FixedRateConfig:
         symbol_size=fmtcp.symbol_size,
         mss=fmtcp.mss,
         max_pending_blocks=fmtcp.max_pending_blocks,
+    )
+
+
+def transfer_configs(
+    fmtcp_config: Optional[FmtcpConfig],
+    mptcp_config: Optional[MptcpConfig],
+    fixedrate_config: Optional[FixedRateConfig],
+) -> Tuple[FmtcpConfig, MptcpConfig, FixedRateConfig]:
+    """The three configs a transfer runs on: each one given, else FMTCP's
+    default and the other two derived from FMTCP's
+    (:func:`default_mptcp_config`, :func:`default_fixedrate_config`)."""
+    fmtcp_config = fmtcp_config or FmtcpConfig()
+    return (
+        fmtcp_config,
+        mptcp_config or default_mptcp_config(fmtcp_config),
+        fixedrate_config or default_fixedrate_config(fmtcp_config),
     )
 
 
@@ -151,8 +163,7 @@ def run_transfer(
     """Simulate one transfer and return its measurements.
 
     Each protocol runs on its own config; one left ``None`` is derived
-    from ``fmtcp_config`` (:func:`default_mptcp_config`,
-    :func:`default_fixedrate_config`).
+    from ``fmtcp_config`` (:func:`transfer_configs`).
 
     Passing a :class:`~repro.telemetry.session.TelemetryConfig` attaches
     the full telemetry stack (periodic samplers, optional JSONL trace
@@ -168,13 +179,10 @@ def run_transfer(
     session = TelemetrySession(sim, trace, config=telemetry) if telemetry else None
     if source is None:
         source = BulkSource()
-    fmtcp_config = fmtcp_config or FmtcpConfig()
-    if protocol == "fmtcp":
-        config = fmtcp_config
-    elif protocol == "fixedrate":
-        config = fixedrate_config or default_fixedrate_config(fmtcp_config)
-    else:
-        config = mptcp_config or default_mptcp_config(fmtcp_config)
+    fmtcp_config, mptcp_config, fixedrate_config = transfer_configs(
+        fmtcp_config, mptcp_config, fixedrate_config
+    )
+    config = {"fmtcp": fmtcp_config, "fixedrate": fixedrate_config}.get(protocol, mptcp_config)
     if protocol == "tcp":
         # Conventional single-path TCP on the *best* path (lowest loss,
         # then lowest delay) — the paper's Section I comparator.

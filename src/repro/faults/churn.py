@@ -55,15 +55,12 @@ class PathChurnController:
         network: Optional[Network] = None,
         active_paths: Optional[Sequence[int]] = None,
         trace: Optional[TraceBus] = None,
-        join_handshake_s: Optional[float] = None,
     ):
         self.sim = sim
         self.paths = list(paths)
         self.connection = connection
         self.network = network
         self.trace = trace
-        # None = derive from the path RTT (Connection.add_subflow default).
-        self.join_handshake_s = join_handshake_s
         active = (
             tuple(active_paths) if active_paths is not None else range(len(self.paths))
         )
@@ -128,9 +125,7 @@ class PathChurnController:
                 link.set_down(False)
             if self.network is not None and link not in self.network.links:
                 self.network.links.append(link)
-        subflow = self.connection.add_subflow(
-            path, join_delay_s=self.join_handshake_s
-        )
+        subflow = self.connection.add_subflow(path)
         self._subflow_of_path[path_index] = subflow.subflow_id
         self.path_ups += 1
         if self.trace is not None and "churn.path_up" in self.trace.live:

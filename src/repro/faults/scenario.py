@@ -257,7 +257,7 @@ def _replay(injector: "FaultInjector", event: "FaultEvent") -> None:
     key = (event.path, event.direction)
     existing = injector._players.pop(key, None)
     if existing is not None:
-        existing.stop(restore=True)
+        existing.stop()
     if event.value is not None:
         player = TracePlayer(
             injector.sim,
@@ -565,34 +565,26 @@ class FaultScenario:
         return PRESETS[name][1]()
 
     @classmethod
-    def random(
-        cls,
-        seed: int,
-        n_paths: int = 2,
-        fault_window: Tuple[float, float] = (3.0, 14.0),
-        heal_time: float = 18.0,
-        min_faults: int = 3,
-        max_faults: int = 6,
-    ) -> "FaultScenario":
-        """A seeded random fault sequence, fully healed by ``heal_time``.
+    def random(cls, seed: int) -> "FaultScenario":
+        """A seeded random fault sequence over two paths, fully healed by
+        ``_RANDOM_HEAL_S``.
 
-        Faults start inside ``fault_window`` and each clears no later than
-        ``heal_time``; overlapping faults of the same kind are legal (the
-        injector's last write wins) and the final state is always the
-        baseline, because every fault's restore event is its latest event.
+        Between three and six faults start inside ``_RANDOM_WINDOW`` and
+        each clears no later than the heal time; overlapping faults of the
+        same kind are legal (the injector's last write wins) and the final
+        state is always the baseline, because every fault's restore event
+        is its latest event.
         """
-        if not fault_window[0] < fault_window[1] <= heal_time:
-            raise ValueError("require fault_window[0] < fault_window[1] <= heal_time")
         rng = RngStreams(seed).get("faults:timeline")
         events: List[FaultEvent] = []
-        for __ in range(rng.randint(min_faults, max_faults)):
+        for __ in range(rng.randint(3, 6)):
             kind, draw_value, restore_kind, restore_value = rng.choice(_RANDOM_FAULTS)
-            path = rng.randrange(n_paths)
-            start = rng.uniform(*fault_window)
-            end = min(start + rng.uniform(0.5, 4.0), heal_time)
+            path = rng.randrange(2)
+            start = rng.uniform(*_RANDOM_WINDOW)
+            end = min(start + rng.uniform(0.5, 4.0), _RANDOM_HEAL_S)
             events.append(FaultEvent(start, kind, path, draw_value(rng)))
             events.append(FaultEvent(end, restore_kind, path, restore_value))
-        return cls(f"random:{seed}", events, n_paths=n_paths)
+        return cls(f"random:{seed}", events, n_paths=2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -601,6 +593,9 @@ class FaultScenario:
         )
 
 
+#: Where the random generator's faults start, and when all have cleared.
+_RANDOM_WINDOW = (3.0, 14.0)
+_RANDOM_HEAL_S = 18.0
 #: The random generator's pool — plain link faults only — as ``(kind,
 #: draw the fault value, restoring kind, restoring value)``.
 _RANDOM_FAULTS = (
@@ -741,11 +736,12 @@ class FaultInjector:
                     clobbered_value=previous.value,
                 )
 
-    def stop_players(self, restore: bool = True) -> None:
-        """Stop any live trace replays (harness cleanup for open-ended
-        runs whose scenario carries no explicit restore event)."""
+    def stop_players(self) -> None:
+        """Stop any live trace replays and restore their links (harness
+        cleanup for open-ended runs whose scenario carries no explicit
+        restore event)."""
         for player in self._players.values():
-            player.stop(restore=restore)
+            player.stop()
         self._players.clear()
 
     def _apply(self, event: FaultEvent) -> None:
@@ -988,20 +984,14 @@ def _reconnect_exhaustion() -> FaultScenario:
 # the explicit restore at t=18 s. They need byte-level delivery
 # verification plus the flow-control/watchdog interplay checks of
 # repro.traces.harness.TRACES.
-def trace_replay_scenario(
-    spec,
-    name: Optional[str] = None,
-    path: int = 1,
-    start: float = 2.0,
-    stop: float = 18.0,
-) -> FaultScenario:
+def trace_replay_scenario(spec, name: Optional[str] = None) -> FaultScenario:
     """Wrap any trace spec (see :func:`repro.traces.generators.resolve_trace`)
-    in the canonical one-path replay window used by the presets."""
+    in the canonical one-path replay window used by the presets: path 1,
+    from 2 s until the restore at 18 s."""
     if name is None:
         name = f"trace:{getattr(spec, 'name', spec)}"
     return FaultScenario(
-        name,
-        [FaultEvent(start, "trace", path, spec), FaultEvent(stop, "trace", path, None)],
+        name, [FaultEvent(2.0, "trace", 1, spec), FaultEvent(18.0, "trace", 1, None)]
     )
 
 

@@ -44,12 +44,6 @@ class FixedRateConfig(CodedConfig):
     recv_drain_rate_bps: Optional[float] = field(default=None, init=False)
     # p̂: the loss estimate baked into the code rate (Eq. 4's p1).
     estimated_loss: float = 0.05
-    # "gbn": a loss retransmits the lost symbols AND re-sends everything
-    # outstanding behind them on that subflow (the Go-Back-N waste the
-    # paper's Eq. (6) argument assumes). "selective": retransmit only the
-    # lost symbols (the selective-repeat variant the paper notes is
-    # "rarely used by practical systems").
-    repair: str = "gbn"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -57,8 +51,6 @@ class FixedRateConfig(CodedConfig):
             raise ValueError(
                 f"estimated_loss must be in [0, 1), got {self.estimated_loss}"
             )
-        if self.repair not in ("gbn", "selective"):
-            raise ValueError(f"unknown repair mode {self.repair!r}")
 
     @property
     def code_symbols(self) -> int:
@@ -228,12 +220,11 @@ class FixedRateConnection(MultipathConnection, SubflowOwner):
                 continue
             for symbol_id in group.symbol_ids:
                 queue.append((group.block_id, symbol_id))
-        if self.config.repair != "gbn":
-            return
         # Go-Back-N: everything sent after the lost packet on this subflow
         # is re-sent too, even though most of it will arrive anyway — the
         # bandwidth waste Section III-B's analysis charges fixed-rate
-        # coding with.
+        # coding with (the paper notes selective repeat is "rarely used by
+        # practical systems").
         for seq, payload in subflow.outstanding_payloads():
             if seq <= info.seq:
                 continue

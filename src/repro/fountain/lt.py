@@ -52,15 +52,13 @@ class LtEncoder:
         k: int,
         part_size: int,
         rng: Optional[random.Random] = None,
-        c: float = 0.03,
-        delta: float = 0.5,
     ):
         self.k = k
         self.part_size = part_size
         self.data_length = len(data)
         self._parts = split_into_parts(data, k, part_size)
         self._rng = rng or random.Random()
-        self._sampler = DegreeSampler(robust_soliton(k, c=c, delta=delta), self._rng)
+        self._sampler = DegreeSampler(robust_soliton(k), self._rng)
         self.symbols_emitted = 0
 
     def next_symbol(self) -> LtSymbol:
@@ -74,19 +72,12 @@ class LtEncoder:
 
 
 class LtDecoder:
-    """Peeling decoder with optional Gaussian-elimination fallback."""
+    """Peeling decoder with a Gaussian-elimination fallback."""
 
-    def __init__(
-        self,
-        k: int,
-        part_size: int,
-        data_length: Optional[int] = None,
-        ge_fallback: bool = True,
-    ):
+    def __init__(self, k: int, part_size: int, data_length: Optional[int] = None):
         self.k = k
         self.part_size = part_size
         self.data_length = data_length if data_length is not None else k * part_size
-        self.ge_fallback = ge_fallback
         self._recovered: Dict[int, int] = {}
         # Unresolved symbols: residual neighbour sets and data.
         self._pending: List[Optional[LtSymbol]] = []
@@ -159,7 +150,7 @@ class LtDecoder:
 
     def try_ge_completion(self) -> bool:
         """Solve the residual system by Gaussian elimination if possible."""
-        if self.is_complete or not self.ge_fallback:
+        if self.is_complete:
             return self.is_complete
         missing = sorted(set(range(self.k)) - set(self._recovered))
         position = {part: bit for bit, part in enumerate(missing)}

@@ -29,25 +29,26 @@ def ideal_soliton(k: int) -> List[float]:
     return distribution
 
 
-def robust_soliton(k: int, c: float = 0.03, delta: float = 0.5) -> List[float]:
+#: The Robust Soliton's free constant c and failure bound δ.
+C = 0.03
+DELTA = 0.5
+
+
+def robust_soliton(k: int) -> List[float]:
     """Robust Soliton distribution μ(d) for d = 1..k (returned 0-indexed).
 
     Adds the τ spike at d = k/R (R = c·ln(k/δ)·√k) to the ideal Soliton
     and renormalises; guarantees decode with probability ≥ 1 - δ from
     k + O(√k ln²(k/δ)) symbols.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
     rho = ideal_soliton(k)
-    big_r = c * math.log(k / delta) * math.sqrt(k)
+    big_r = C * math.log(k / DELTA) * math.sqrt(k)
     big_r = max(big_r, 1.0)
     spike = max(1, min(k, int(round(k / big_r))))
     tau = [0.0] * k
     for degree in range(1, spike):
         tau[degree - 1] = big_r / (degree * k)
-    tau[spike - 1] = big_r * math.log(big_r / delta) / k
+    tau[spike - 1] = big_r * math.log(big_r / DELTA) / k
     total = sum(rho) + sum(tau)
     return [(r + t) / total for r, t in zip(rho, tau)]
 

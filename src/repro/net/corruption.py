@@ -124,9 +124,9 @@ class CorruptionModel:
         raise NotImplementedError
 
 
-def _validated(name: str, value: float, upper: float = 1.0) -> float:
-    if not 0.0 <= value <= upper:
-        raise ValueError(f"{name} must be in [0, {upper}], got {value}")
+def _validated(name: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
 
 
@@ -161,8 +161,9 @@ class GilbertElliottCorruption(CorruptionModel):
     """Two-state Markov (Gilbert–Elliott) bursty corruption.
 
     The chain steps once per observed packet: GOOD→BAD with probability
-    ``p_gb``, BAD→GOOD with ``p_bg``; packets are then corrupted with
-    ``corrupt_good``/``corrupt_bad`` depending on the state.
+    ``p_gb``, BAD→GOOD with ``p_bg``; a packet in the BAD state is then
+    corrupted with probability ``corrupt_bad``, one in the GOOD state
+    never.
     """
 
     GOOD = 0
@@ -172,23 +173,16 @@ class GilbertElliottCorruption(CorruptionModel):
         self,
         p_gb: float,
         p_bg: float,
-        corrupt_good: float = 0.0,
         corrupt_bad: float = 0.3,
         effect: str = "bitflip",
         evade_crc: float = 0.0,
     ):
-        for name, value in (
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("corrupt_good", corrupt_good),
-            ("corrupt_bad", corrupt_bad),
-        ):
+        for name, value in (("p_gb", p_gb), ("p_bg", p_bg), ("corrupt_bad", corrupt_bad)):
             _validated(name, value)
         if effect not in CORRUPTION_EFFECTS:
             raise ValueError(f"unknown corruption effect {effect!r}")
         self.p_gb = float(p_gb)
         self.p_bg = float(p_bg)
-        self.corrupt_good = float(corrupt_good)
         self.corrupt_bad = float(corrupt_bad)
         self.effect = effect
         self.evade_crc = _validated("evade_crc", evade_crc)
@@ -201,8 +195,7 @@ class GilbertElliottCorruption(CorruptionModel):
         return self.p_gb / denominator
 
     def rate_at(self, now: float) -> float:
-        bad = self.stationary_bad_fraction()
-        return (1.0 - bad) * self.corrupt_good + bad * self.corrupt_bad
+        return self.stationary_bad_fraction() * self.corrupt_bad
 
     def apply(self, packet, now, rng):
         if self.state == self.GOOD:
@@ -211,14 +204,14 @@ class GilbertElliottCorruption(CorruptionModel):
         else:
             if rng.random() < self.p_bg:
                 self.state = self.GOOD
-        rate = self.corrupt_good if self.state == self.GOOD else self.corrupt_bad
-        if rate <= 0.0 or rng.random() >= rate:
+        rate = self.corrupt_bad
+        if self.state == self.GOOD or rate <= 0.0 or rng.random() >= rate:
             return None
         return corrupt_packet(packet, self.effect, rng, self.evade_crc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GilbertElliottCorruption(p_gb={self.p_gb}, p_bg={self.p_bg}, "
-            f"corrupt_good={self.corrupt_good}, corrupt_bad={self.corrupt_bad}, "
+            f"corrupt_bad={self.corrupt_bad}, "
             f"effect={self.effect!r})"
         )

@@ -63,8 +63,6 @@ class Link:
         queue: Optional[DropTailQueue] = None,
         rng: Optional[random.Random] = None,
         trace: Optional[TraceBus] = None,
-        reordering_model: Optional[ReorderingModel] = None,
-        corruption_model: Optional[CorruptionModel] = None,
     ):
         _check_bandwidth(bandwidth_bps, name)
         _check_delay(delay_s, name)
@@ -83,8 +81,9 @@ class Link:
         # every such link the same drop sequence).
         self.rng = rng if rng is not None else RngStreams(0).get(f"link:{name}")
         self.trace = trace
-        self.reordering_model = reordering_model
-        self.corruption_model = corruption_model
+        # Installed mid-run by the fault injector (set_*_model).
+        self.reordering_model: Optional[ReorderingModel] = None
+        self.corruption_model: Optional[CorruptionModel] = None
         self._busy = False
         self._down = False
         # Counters for link-level accounting in tests and the Table I bench.

@@ -27,26 +27,17 @@ class UniformReordering(ReorderingModel):
     """Delay a fraction of packets by a uniform extra propagation time.
 
     With probability ``probability`` a packet is held back for an extra
-    delay drawn uniformly from ``[min_extra_s, max_extra_s]`` — long
-    enough (relative to the link's serialisation time) and later packets
-    arrive first.
+    delay drawn uniformly from ``[0, max_extra_s]`` — long enough
+    (relative to the link's serialisation time) and later packets arrive
+    first.
     """
 
-    def __init__(
-        self,
-        probability: float,
-        min_extra_s: float = 0.0,
-        max_extra_s: float = 0.1,
-    ):
+    def __init__(self, probability: float, max_extra_s: float = 0.1):
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if min_extra_s < 0.0 or max_extra_s < min_extra_s:
-            raise ValueError(
-                f"require 0 <= min_extra_s <= max_extra_s, got "
-                f"[{min_extra_s}, {max_extra_s}]"
-            )
+        if max_extra_s < 0.0:
+            raise ValueError(f"max_extra_s must be >= 0, got {max_extra_s}")
         self.probability = probability
-        self.min_extra_s = min_extra_s
         self.max_extra_s = max_extra_s
         self.packets_reordered = 0
 
@@ -54,10 +45,10 @@ class UniformReordering(ReorderingModel):
         if self.probability <= 0.0 or rng.random() >= self.probability:
             return 0.0
         self.packets_reordered += 1
-        return rng.uniform(self.min_extra_s, self.max_extra_s)
+        return rng.uniform(0.0, self.max_extra_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"UniformReordering(p={self.probability}, "
-            f"extra=[{self.min_extra_s}, {self.max_extra_s}]s)"
+            f"extra=[0, {self.max_extra_s}]s)"
         )

@@ -80,13 +80,6 @@ class Path:
     def bottleneck_bandwidth_bps(self) -> float:
         return min(link.bandwidth_bps for link in self.forward_links)
 
-    def forward_loss_rate(self, now: float = 0.0) -> float:
-        """Combined (independent) loss probability of the forward direction."""
-        survive = 1.0
-        for link in self.forward_links:
-            survive *= 1.0 - link.loss_model.rate_at(now)
-        return 1.0 - survive
-
     def send_forward(self, packet: Packet) -> None:
         packet.route = links = self.forward_links
         packet.route_index = 1
@@ -137,10 +130,10 @@ class Network:
         dst: str,
         bandwidth_bps: float,
         delay_s: float,
-        loss_model: Optional[LossModel] = None,
         queue_capacity: int = 100,
     ) -> Link:
-        """Add one unidirectional link from ``src`` to ``dst``."""
+        """Add one lossless unidirectional link from ``src`` to ``dst``
+        (``Link.set_loss_model`` gives it a loss model)."""
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"both endpoints must exist: {src!r}, {dst!r}")
         name = f"{src}->{dst}"
@@ -150,7 +143,6 @@ class Network:
             dst_node=self.nodes[dst],
             bandwidth_bps=bandwidth_bps,
             delay_s=delay_s,
-            loss_model=loss_model,
             queue=DropTailQueue(queue_capacity),
             rng=self.rng.get(f"loss:{name}"),
             trace=self.trace,
@@ -165,34 +157,31 @@ class Network:
         b: str,
         bandwidth_bps: float,
         delay_s: float,
-        loss_forward: Optional[LossModel] = None,
-        loss_reverse: Optional[LossModel] = None,
         queue_capacity: int = 100,
     ) -> Tuple[Link, Link]:
-        forward = self.add_link(a, b, bandwidth_bps, delay_s, loss_forward, queue_capacity)
-        reverse = self.add_link(b, a, bandwidth_bps, delay_s, loss_reverse, queue_capacity)
+        forward = self.add_link(a, b, bandwidth_bps, delay_s, queue_capacity)
+        reverse = self.add_link(b, a, bandwidth_bps, delay_s, queue_capacity)
         return forward, reverse
 
     def link_between(self, src: str, dst: str) -> Link:
         return self._adjacency[src][dst]
 
-    def attach_path(
-        self, index: int, config: PathConfig, src: str = "src", dst: str = "dst"
-    ) -> Path:
-        """Attach one direct duplex path between two existing hosts.
+    def attach_path(self, index: int, config: PathConfig) -> Path:
+        """Attach one direct duplex path between the hosts ``src`` and
+        ``dst``.
 
-        Works both at build time (``build_two_path_network`` routes its
-        non-router branch through here) and at runtime — mobility
-        scenarios attach a brand-new path mid-simulation, then hand it to
-        ``Connection.add_subflow``. Link names (``src->dst#i``) and RNG
-        stream names (``loss:path{i}:fwd``) are derived from ``index``
-        only, so a path's loss realisation is identical whether it existed
-        from t=0 or appeared later.
+        Works both at build time (``build_two_path_network`` builds every
+        path here) and at runtime — mobility scenarios attach a brand-new
+        path mid-simulation, then hand it to ``Connection.add_subflow``.
+        Link names (``src->dst#i``) and RNG stream names
+        (``loss:path{i}:fwd``) are derived from ``index`` only, so a path's
+        loss realisation is identical whether it existed from t=0 or
+        appeared later.
         """
         forward = Link(
             sim=self.sim,
-            name=f"{src}->{dst}#{index}",
-            dst_node=self.nodes[dst],
+            name=f"src->dst#{index}",
+            dst_node=self.nodes["dst"],
             bandwidth_bps=config.bandwidth_bps,
             delay_s=config.delay_s,
             loss_model=config.make_loss_model(),
@@ -202,8 +191,8 @@ class Network:
         )
         reverse = Link(
             sim=self.sim,
-            name=f"{dst}->{src}#{index}",
-            dst_node=self.nodes[src],
+            name=f"dst->src#{index}",
+            dst_node=self.nodes["src"],
             bandwidth_bps=config.bandwidth_bps,
             delay_s=config.delay_s,
             loss_model=NoLoss(),
@@ -214,8 +203,8 @@ class Network:
         self.links.extend([forward, reverse])
         return Path(
             name=f"path{index}",
-            src_node=self.nodes[src],
-            dst_node=self.nodes[dst],
+            src_node=self.nodes["src"],
+            dst_node=self.nodes["dst"],
             forward_links=[forward],
             reverse_links=[reverse],
         )
@@ -254,15 +243,18 @@ class Network:
         )
 
 
+#: The dumbbell of :func:`build_shared_bottleneck_network`: a lossless
+#: 10 Mbit/s, 20 ms drop-tail bottleneck of 100 packets, behind 1 Gbit/s,
+#: 1 ms edge links.
+BOTTLENECK_BPS = 10e6
+BOTTLENECK_DELAY_S = 0.020
+BOTTLENECK_QUEUE = 100
+EDGE_BPS = 1e9
+EDGE_DELAY_S = 0.001
+
+
 def build_shared_bottleneck_network(
     n_endpoints: int,
-    bottleneck_bps: float = 10e6,
-    bottleneck_delay_s: float = 0.020,
-    bottleneck_queue: int = 100,
-    edge_bps: float = 1e9,
-    edge_delay_s: float = 0.001,
-    loss_model: Optional[LossModel] = None,
-    sim: Optional[Simulator] = None,
     rng: Optional[RngStreams] = None,
     trace: Optional[TraceBus] = None,
 ) -> Tuple[Network, List[Path]]:
@@ -275,23 +267,22 @@ def build_shared_bottleneck_network(
     """
     if n_endpoints < 1:
         raise ValueError("need at least one endpoint")
-    network = Network(sim=sim, rng=rng, trace=trace)
+    network = Network(rng=rng, trace=trace)
     network.add_node("gw")
     network.add_node("dst")
     network.add_duplex_link(
         "gw",
         "dst",
-        bandwidth_bps=bottleneck_bps,
-        delay_s=bottleneck_delay_s,
-        loss_forward=loss_model,
-        queue_capacity=bottleneck_queue,
+        bandwidth_bps=BOTTLENECK_BPS,
+        delay_s=BOTTLENECK_DELAY_S,
+        queue_capacity=BOTTLENECK_QUEUE,
     )
     paths: List[Path] = []
     for index in range(n_endpoints):
         name = f"src{index}"
         network.add_node(name)
         network.add_duplex_link(
-            name, "gw", bandwidth_bps=edge_bps, delay_s=edge_delay_s,
+            name, "gw", bandwidth_bps=EDGE_BPS, delay_s=EDGE_DELAY_S,
             queue_capacity=1000,
         )
         paths.append(network.make_path(f"flow{index}", [name, "gw", "dst"]))
@@ -303,38 +294,14 @@ def build_two_path_network(
     sim: Optional[Simulator] = None,
     rng: Optional[RngStreams] = None,
     trace: Optional[TraceBus] = None,
-    with_edge_routers: bool = False,
 ) -> Tuple[Network, List[Path]]:
-    """The paper's evaluation topology: N disjoint paths between two hosts.
-
-    With ``with_edge_routers`` each path runs src → router_i → dst with a
-    fast lossless edge hop and the configured bottleneck hop; without (the
-    default, cheaper in events) each path is a single duplex link carrying
-    the configured bandwidth/delay/loss.
-    """
+    """The paper's evaluation topology: N disjoint paths between two hosts,
+    each a single duplex link carrying the configured bandwidth/delay/loss."""
     if not path_configs:
         raise ValueError("need at least one PathConfig")
     network = Network(sim=sim, rng=rng, trace=trace)
     network.add_node("src")
     network.add_node("dst")
-    paths: List[Path] = []
-    for index, config in enumerate(path_configs):
-        if with_edge_routers:
-            router = f"r{index}"
-            network.add_node(router)
-            network.add_duplex_link(
-                "src", router, bandwidth_bps=1e9, delay_s=0.0001, queue_capacity=1000
-            )
-            network.add_duplex_link(
-                router,
-                "dst",
-                bandwidth_bps=config.bandwidth_bps,
-                delay_s=config.delay_s,
-                loss_forward=config.make_loss_model(),
-                loss_reverse=NoLoss(),
-                queue_capacity=config.queue_capacity,
-            )
-            paths.append(network.make_path(f"path{index}", ["src", router, "dst"]))
-        else:
-            paths.append(network.attach_path(index, config))
-    return network, paths
+    return network, [
+        network.attach_path(index, config) for index, config in enumerate(path_configs)
+    ]

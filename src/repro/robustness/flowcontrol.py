@@ -76,28 +76,19 @@ class WindowGate:
     ``limit`` is the maximum ``acked + window`` seen across all feedback
     on all subflows (monotone, so multipath reordering is harmless).
     The watermark pair adds hysteresis on top of the hard limit: when
-    the receiver-held backlog crosses ``high_watermark`` of capacity the
+    the receiver-held backlog crosses ``HIGH_WATERMARK`` of capacity the
     gate pauses *new* unit introduction entirely, resuming only once the
-    backlog falls to ``low_watermark`` — so the sender stops hammering a
+    backlog falls to ``LOW_WATERMARK`` — so the sender stops hammering a
     nearly-full receiver instead of oscillating at the edge.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.5,
-    ):
+    HIGH_WATERMARK = 0.75
+    LOW_WATERMARK = 0.5
+
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 < low_watermark <= high_watermark <= 1.0:
-            raise ValueError(
-                f"watermarks must satisfy 0 < low <= high <= 1, got "
-                f"low={low_watermark}, high={high_watermark}"
-            )
         self.capacity = capacity
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.limit = capacity  # ids < capacity are licensed before any ACK
         self.paused = False
         self.pauses = 0
@@ -114,10 +105,10 @@ class WindowGate:
         self.last_window = window
         # The receiver still holds (capacity - window) undrained units.
         backlog = self.capacity - window
-        if not self.paused and backlog >= self.high_watermark * self.capacity:
+        if not self.paused and backlog >= self.HIGH_WATERMARK * self.capacity:
             self.paused = True
             self.pauses += 1
-        elif self.paused and backlog <= self.low_watermark * self.capacity:
+        elif self.paused and backlog <= self.LOW_WATERMARK * self.capacity:
             self.paused = False
 
     def admits(self, seq: int) -> bool:
@@ -146,28 +137,20 @@ class ZeroWindowProber:
     single symbol / a duplicate chunk — something the receiver will ACK
     even when its window is closed) and return ``True`` while the window
     is still closed. The prober re-arms itself with doubled interval
-    (capped at ``max_s``) while ``fire`` keeps returning ``True``; any
+    (from ``INITIAL_S``, capped at ``MAX_S``) while ``fire`` keeps
+    returning ``True``; any
     ``False`` return — or an explicit :meth:`disarm` when a fresh window
     arrives — resets the backoff. A closed window therefore costs one
     small packet per backoff interval and can never deadlock.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        fire: Callable[[], bool],
-        initial_s: float = 0.5,
-        max_s: float = 4.0,
-    ):
-        if initial_s <= 0 or max_s < initial_s:
-            raise ValueError(
-                f"need 0 < initial_s <= max_s, got {initial_s}, {max_s}"
-            )
+    INITIAL_S = 0.5
+    MAX_S = 4.0
+
+    def __init__(self, sim: Any, fire: Callable[[], bool]):
         self._sim = sim
         self._fire = fire
-        self.initial_s = initial_s
-        self.max_s = max_s
-        self._interval = initial_s
+        self._interval = self.INITIAL_S
         self._event: Optional[Any] = None
         self.probes_fired = 0
 
@@ -185,7 +168,7 @@ class ZeroWindowProber:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self._interval = self.initial_s
+        self._interval = self.INITIAL_S
 
     def close(self) -> None:
         """Disarm for good and drop the probe callback (the owner is
@@ -195,12 +178,12 @@ class ZeroWindowProber:
 
     def _tick(self) -> None:
         self._event = None
-        self._interval = min(self._interval * 2.0, self.max_s)
+        self._interval = min(self._interval * 2.0, self.MAX_S)
         self.probes_fired += 1
         if self._fire():
             self._event = self._sim.schedule(self._interval, self._tick)
         else:
-            self._interval = self.initial_s
+            self._interval = self.INITIAL_S
 
 
 class ProbedGate:

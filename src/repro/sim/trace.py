@@ -11,11 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Container, Deque, Dict, Optional, Tuple
 
-# Hard cap on records queued by re-entrant emits (a subscriber emitting
-# from inside a dispatch). Generous — a healthy run never queues more
-# than a handful — but finite, so a pathological subscriber feedback
-# loop degrades to counted drops instead of unbounded memory growth.
-DEFAULT_MAX_PENDING = 65536
 
 
 class TraceRecord:
@@ -63,9 +58,14 @@ _EVERY_KIND = _EveryKind()
 class TraceBus:
     """Routes :class:`TraceRecord` instances to subscribers by kind."""
 
-    def __init__(self, max_pending: int = DEFAULT_MAX_PENDING) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+    #: Hard cap on records queued by re-entrant emits (a subscriber
+    #: emitting from inside a dispatch). Generous — a healthy run never
+    #: queues more than a handful — but finite, so a pathological
+    #: subscriber feedback loop degrades to counted drops instead of
+    #: unbounded memory growth.
+    MAX_PENDING = 65536
+
+    def __init__(self) -> None:
         # Each pool is a tuple, replaced (never mutated) on subscribe and
         # unsubscribe, so a dispatch iterates the pool it started with.
         self._subscribers: Dict[str, Tuple[Subscriber, ...]] = {}
@@ -75,7 +75,6 @@ class TraceBus:
         #: :meth:`has_subscribers`. Replaced (never mutated) on every
         #: subscribe and unsubscribe.
         self.live: Container[str] = frozenset()
-        self.max_pending = max_pending
         self._pending: Deque[TraceRecord] = deque()
         self._dispatching = False
         self.records_dropped = 0
@@ -119,7 +118,7 @@ class TraceBus:
         A record emitted *from inside* a dispatch (a subscriber reacting
         by emitting) is queued and dispatched by the outermost emit once
         its own record finishes, preserving causal order. The queue is
-        bounded by ``max_pending``: overflow increments
+        bounded by ``MAX_PENDING``: overflow increments
         ``records_dropped`` instead of growing without limit.
         """
         if kind not in self.live:
@@ -127,7 +126,7 @@ class TraceBus:
         record = TraceRecord(time, kind, fields)
         pending = self._pending
         if self._dispatching:
-            if len(pending) >= self.max_pending:
+            if len(pending) >= self.MAX_PENDING:
                 self.records_dropped += 1
             else:
                 pending.append(record)

@@ -29,28 +29,26 @@ class TraceFileWriter:
 
     Context-manager friendly: ``with TraceFileWriter(trace, path):``
     guarantees detach-and-close even if the run raises. Each record is
-    written as one complete line in a single ``write`` call and
-    ``flush_every`` records force an OS-level flush (default 256), so a
-    crashed run leaves behind only whole, parseable JSONL lines up to the
-    last flush; :func:`read_trace_file` skips a torn trailing line.
+    written as one complete line in a single ``write`` call and every
+    ``FLUSH_EVERY`` records force an OS-level flush, so a crashed run
+    leaves behind only whole, parseable JSONL lines up to the last flush;
+    :func:`read_trace_file` skips a torn trailing line.
     """
+
+    FLUSH_EVERY = 256
 
     def __init__(
         self,
         trace: TraceBus,
         target: Union[str, IO[str]],
         kinds: Optional[Iterable[str]] = None,
-        flush_every: Optional[int] = 256,
     ):
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be >= 1 or None")
         self._owns_handle = isinstance(target, str)
         self._handle: IO[str] = (
             open(target, "w") if isinstance(target, str) else target
         )
         self._trace = trace
         self._kinds: List[str] = list(kinds) if kinds is not None else ["*"]
-        self._flush_every = flush_every
         self.records_written = 0
         self.closed = False
         self._last_time = 0.0
@@ -64,9 +62,7 @@ class TraceFileWriter:
             entry[key] = _jsonable(value)
         self._handle.write(json.dumps(entry) + "\n")
         self.records_written += 1
-        if self._flush_every is not None and (
-            self.records_written % self._flush_every == 0
-        ):
+        if self.records_written % self.FLUSH_EVERY == 0:
             self._handle.flush()
 
     def flush(self) -> None:
@@ -88,7 +84,7 @@ class TraceFileWriter:
                 "t": self._last_time,
                 "kind": "trace.dropped",
                 "dropped": self._trace.records_dropped,
-                "max_pending": self._trace.max_pending,
+                "max_pending": self._trace.MAX_PENDING,
             }
             self._handle.write(json.dumps(entry) + "\n")
             self.records_written += 1

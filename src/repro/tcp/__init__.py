@@ -12,11 +12,7 @@
   protocols inherit.
 """
 
-from repro.tcp.congestion import (
-    CongestionController,
-    LiaGroup,
-    RenoController,
-)
+from repro.tcp.congestion import CongestionController, LiaGroup
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.subflow import (
     Subflow,
@@ -27,7 +23,6 @@ from repro.tcp.subflow import (
 __all__ = [
     "CongestionController",
     "LiaGroup",
-    "RenoController",
     "RtoEstimator",
     "Subflow",
     "SubflowOwner",

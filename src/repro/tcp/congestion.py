@@ -16,24 +16,22 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+#: A new subflow's window, in packets.
+INITIAL_CWND = 2.0
+#: The window's ceiling, in packets.
+MAX_CWND = 10_000.0
+#: Finite initial ssthresh (ns-2's TCP agents default to a small value
+#: too); prevents slow start from overshooting the path BDP by orders of
+#: magnitude before the first loss.
+INITIAL_SSTHRESH = 64.0
+
 
 class CongestionController:
     """Interface shared by all congestion-control algorithms."""
 
-    # Finite default initial ssthresh (ns-2's TCP agents default to a small
-    # value too); prevents slow start from overshooting the path BDP by
-    # orders of magnitude before the first loss.
-    DEFAULT_INITIAL_SSTHRESH = 64.0
-
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        max_cwnd: float = 10_000.0,
-        initial_ssthresh: float = DEFAULT_INITIAL_SSTHRESH,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.max_cwnd = max_cwnd
+    def __init__(self):
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.fast_recoveries = 0
         self.timeouts = 0
 
@@ -84,7 +82,7 @@ class RenoController(CongestionController):
                 cwnd += 1.0 / cwnd
             newly_acked -= 1
         # The cwnd setter's two assignments, without its frame (per ACK).
-        self._cwnd = cwnd = min(cwnd, self.max_cwnd)
+        self._cwnd = cwnd = min(cwnd, MAX_CWND)
         self.window = max(1, int(cwnd))
 
     def on_fast_loss(self) -> None:
@@ -147,10 +145,8 @@ class LiaCoupledController(CongestionController):
         self,
         group: LiaGroup,
         rtt_provider: Callable[[], float],
-        initial_cwnd: float = 2.0,
-        max_cwnd: float = 10_000.0,
     ):
-        super().__init__(initial_cwnd=initial_cwnd, max_cwnd=max_cwnd)
+        super().__init__()
         self.group = group
         self.rtt_provider = rtt_provider
         group.register(self)
@@ -163,7 +159,7 @@ class LiaCoupledController(CongestionController):
                 total = max(self.group.total_cwnd(), 1e-9)
                 increase = min(self.group.alpha() / total, 1.0 / self.cwnd)
                 self.cwnd += increase
-        self.cwnd = min(self.cwnd, self.max_cwnd)
+        self.cwnd = min(self.cwnd, MAX_CWND)
 
     def on_fast_loss(self) -> None:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
@@ -187,15 +183,12 @@ def make_controller(
     kind: str,
     lia_group: Optional[LiaGroup] = None,
     rtt_provider: Optional[Callable[[], float]] = None,
-    initial_cwnd: float = 2.0,
 ) -> CongestionController:
     """Factory used by connection builders (``kind`` in {"reno", "lia"})."""
     if kind == "reno":
-        return RenoController(initial_cwnd=initial_cwnd)
+        return RenoController()
     if kind == "lia":
         if lia_group is None or rtt_provider is None:
             raise ValueError("LIA needs a group and an rtt_provider")
-        return LiaCoupledController(
-            lia_group, rtt_provider, initial_cwnd=initial_cwnd
-        )
+        return LiaCoupledController(lia_group, rtt_provider)
     raise ValueError(f"unknown congestion controller kind {kind!r}")

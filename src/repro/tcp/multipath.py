@@ -176,21 +176,15 @@ class MultipathConnection:
     # ------------------------------------------------------------------
     # Runtime subflow lifecycle.
     # ------------------------------------------------------------------
-    def add_subflow(
-        self, path: Path, join_delay_s: Optional[float] = None
-    ) -> Subflow:
+    def add_subflow(self, path: Path) -> Subflow:
         """Attach a new path mid-transfer (mobility: a path came up).
 
-        The subflow spends ``join_delay_s`` (default: one RTT of the
-        path, modelling the MP_JOIN handshake) in JOINING — it pulls no
-        data and the protocol's allocator / scheduler does not count it —
-        then goes ACTIVE. Returns the new subflow. A bad delay is rejected
-        before anything is allocated or registered.
+        The subflow spends one RTT of the path (the MP_JOIN handshake) in
+        JOINING — it pulls no data and the protocol's allocator /
+        scheduler does not count it — then goes ACTIVE. Returns the new
+        subflow.
         """
-        if join_delay_s is None:
-            join_delay_s = 2.0 * path.one_way_delay_s
-        elif not join_delay_s >= 0:
-            raise ValueError(f"join_delay_s must be >= 0, got {join_delay_s}")
+        join_delay_s = 2.0 * path.one_way_delay_s
         subflow = self._attach(path, join_delay_s=join_delay_s)
         if self.trace is not None and "conn.subflow_added" in self.trace.live:
             self.trace.emit(

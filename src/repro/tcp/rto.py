@@ -9,25 +9,20 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: Timeout before the first RTT sample, in seconds.
+INITIAL_RTO = 1.0
+#: The timeout's floor and ceiling, in seconds.
+MIN_RTO = 0.2
+MAX_RTO = 60.0
+#: RFC 6298's SRTT and RTTVAR gains.
+ALPHA = 1.0 / 8.0
+BETA = 1.0 / 4.0
+
 
 class RtoEstimator:
     """Tracks SRTT/RTTVAR and derives the retransmission timeout."""
 
-    def __init__(
-        self,
-        initial_rto: float = 1.0,
-        min_rto: float = 0.2,
-        max_rto: float = 60.0,
-        alpha: float = 1.0 / 8.0,
-        beta: float = 1.0 / 4.0,
-    ):
-        if min_rto <= 0 or max_rto < min_rto:
-            raise ValueError("require 0 < min_rto <= max_rto")
-        self.initial_rto = initial_rto
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self._backoff_factor = 1.0
@@ -38,10 +33,10 @@ class RtoEstimator:
 
     def _derive_rto(self) -> float:
         if self.srtt is None:
-            base = self.initial_rto
+            base = INITIAL_RTO
         else:
             base = self.srtt + max(4.0 * self.rttvar, 1e-9)
-        return min(max(base * self._backoff_factor, self.min_rto), self.max_rto)
+        return min(max(base * self._backoff_factor, MIN_RTO), MAX_RTO)
 
     def on_measurement(self, rtt: float) -> None:
         """Feed one RTT sample (must come from a non-retransmitted packet)."""
@@ -51,17 +46,17 @@ class RtoEstimator:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt)
-            self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
+            self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
+            self.srtt = (1 - ALPHA) * self.srtt + ALPHA * rtt
         self.samples += 1
         self._backoff_factor = 1.0
         # _derive_rto with a unit back-off factor, without its frame.
         base = self.srtt + max(4.0 * self.rttvar, 1e-9)
-        self.rto = min(max(base, self.min_rto), self.max_rto)
+        self.rto = min(max(base, MIN_RTO), MAX_RTO)
 
     def on_timeout(self) -> None:
-        """Double the timeout (Karn back-off), clamped at ``max_rto``."""
-        self._backoff_factor = min(self._backoff_factor * 2.0, self.max_rto / self.min_rto)
+        """Double the timeout (Karn back-off), clamped at ``MAX_RTO``."""
+        self._backoff_factor = min(self._backoff_factor * 2.0, MAX_RTO / MIN_RTO)
         self.rto = self._derive_rto()
 
     def reset_backoff(self) -> None:

@@ -3,7 +3,7 @@
 This is the piece of TCP both protocols share: packet-sequenced
 transmission under a congestion window, RTT/RTO estimation, per-packet
 ACKs, and SACK-style loss detection (a packet is declared lost after
-``dup_ack_threshold`` later packets are acknowledged, or on RTO).
+``DUP_ACK_THRESHOLD`` later packets are acknowledged, or on RTO).
 
 What happens *after* a loss is the owning connection's decision, exposed
 through the :class:`SubflowOwner` interface:
@@ -30,11 +30,15 @@ from repro.net.topology import Path
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceBus
-from repro.tcp.congestion import CongestionController, RenoController
+from repro.tcp.congestion import CongestionController
 from repro.tcp.rto import RtoEstimator
 
 HEADER_BYTES = 40
 ACK_BYTES = 40
+#: Later packets acknowledged before an outstanding one is declared lost.
+DUP_ACK_THRESHOLD = 3
+#: The per-packet gain of the loss-rate EWMA.
+LOSS_EWMA_GAIN = 0.05
 
 
 class SubflowSegment:
@@ -151,12 +155,10 @@ class Subflow:
         sim: Simulator,
         path: Path,
         owner: SubflowOwner,
+        congestion: CongestionController,
+        rto: RtoEstimator,
         subflow_id: int = 0,
-        congestion: Optional[CongestionController] = None,
-        rto: Optional[RtoEstimator] = None,
         mss: int = 1400,
-        dup_ack_threshold: int = 3,
-        loss_ewma_gain: float = 0.05,
         trace: Optional[TraceBus] = None,
         failed_rto_threshold: Optional[int] = None,
         join_delay_s: Optional[float] = None,
@@ -177,11 +179,9 @@ class Subflow:
             is not SubflowOwner.on_payload_delivered
         )
         self.subflow_id = subflow_id
-        self.cc = congestion or RenoController()
-        self.rto = rto or RtoEstimator()
+        self.cc = congestion
+        self.rto = rto
         self.mss = mss
-        self.dup_ack_threshold = dup_ack_threshold
-        self.loss_ewma_gain = loss_ewma_gain
         self.failed_rto_threshold = failed_rto_threshold
         self.trace = trace
 
@@ -430,7 +430,7 @@ class Subflow:
             # A delivery is a loss-free sample: the EWMA's ``gain * 0.0``
             # term adds nothing.
             if self._loss_estimate_primed:
-                self.loss_rate_estimate *= 1 - self.loss_ewma_gain
+                self.loss_rate_estimate *= 1 - LOSS_EWMA_GAIN
             else:
                 self.loss_rate_estimate = 0.0
                 self._loss_estimate_primed = True
@@ -472,7 +472,7 @@ class Subflow:
             if seq > acked_seq:
                 break
             info.higher_acks += 1
-            if info.higher_acks >= self.dup_ack_threshold:
+            if info.higher_acks >= DUP_ACK_THRESHOLD:
                 newly_lost.append(seq)
         for seq in newly_lost:
             self._declare_lost(seq, "dupack")
@@ -487,8 +487,9 @@ class Subflow:
             self._declared_lost = {s for s in self._declared_lost if s >= horizon}
         self.last_loss_observed_at = self.sim.now
         if self._loss_estimate_primed:
-            gain = self.loss_ewma_gain
-            self.loss_rate_estimate = (1 - gain) * self.loss_rate_estimate + gain
+            self.loss_rate_estimate = (
+                (1 - LOSS_EWMA_GAIN) * self.loss_rate_estimate + LOSS_EWMA_GAIN
+            )
         else:
             self.loss_rate_estimate = 1.0
             self._loss_estimate_primed = True

@@ -16,31 +16,25 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.sim.trace import TraceBus, TraceRecord
 from repro.sim.tracefile import _jsonable
 
 
 class FlightRecorder:
-    """Subscribes to a trace bus and retains the newest ``capacity`` records."""
+    """Subscribes to every kind on a trace bus and retains the newest
+    ``capacity`` records."""
 
-    def __init__(
-        self,
-        trace: TraceBus,
-        capacity: int = 4096,
-        kinds: Optional[Iterable[str]] = None,
-    ):
+    def __init__(self, trace: TraceBus, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.records_seen = 0
         self._trace = trace
-        self._kinds: List[str] = list(kinds) if kinds is not None else ["*"]
         self._ring: Deque[TraceRecord] = deque(maxlen=capacity)
         self._attached = True
-        for kind in self._kinds:
-            trace.subscribe(kind, self._on_record)
+        trace.subscribe("*", self._on_record)
 
     def _on_record(self, record: TraceRecord) -> None:
         self.records_seen += 1
@@ -63,8 +57,7 @@ class FlightRecorder:
         if not self._attached:
             return
         self._attached = False
-        for kind in self._kinds:
-            self._trace.unsubscribe(kind, self._on_record)
+        self._trace.unsubscribe("*", self._on_record)
 
     def dump(self, path: str, meta: Optional[Dict[str, object]] = None) -> str:
         """Write the ring to ``path`` as JSONL; returns ``path``.

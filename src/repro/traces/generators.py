@@ -1,7 +1,7 @@
 """Seeded trace generators: pathological channel families as time series.
 
 Each generator returns a fully deterministic :class:`LinkTrace` — the
-seed and the keyword knobs pin every sample, so a preset scenario built
+seed pins every sample, so a preset scenario built
 from a generator replays bit-identically across runs and platforms
 (samples are drawn from a named :class:`~repro.sim.rng.RngStreams`
 stream, never from global randomness).
@@ -27,7 +27,7 @@ dynamics the related work argues are decisive:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.sim.rng import RngStreams
 from repro.traces.model import LinkTrace, TraceSample
@@ -37,169 +37,126 @@ def _stream(family: str, seed: int) -> random.Random:
     return RngStreams(seed).get(f"traces:{family}")
 
 
-def gprs_trace(
-    seed: int = 1,
-    duration_s: float = 16.0,
-    step_s: float = 0.5,
-    good_bps: float = 170_000.0,
-    bad_bps: float = 30_000.0,
-    delay_s: float = 0.45,
-    p_fade: float = 0.15,
-    p_recover: float = 0.4,
-    bad_loss: float = 0.25,
-    good_loss: float = 0.01,
-) -> LinkTrace:
-    """GPRS-like slow bursty channel: two-state fades with bursty loss."""
+#: How long a generated trace runs before its last sample holds.
+DURATION_S = 16.0
+
+
+def gprs_trace(seed: int = 1, duration_s: float = DURATION_S) -> LinkTrace:
+    """GPRS-like slow bursty channel, sampled every 0.5 s: a two-state
+    fade process (fade with p 0.15 per step, recover with p 0.4) between
+    ~170 kb/s at 1 % loss and ~30 kb/s at 25 % loss, with ~450 ms of
+    one-way delay."""
     rng = _stream("gprs", seed)
     samples: List[TraceSample] = []
     bad = False
     t = 0.0
     while t <= duration_s:
-        bad = (not bad and rng.random() < p_fade) or (
-            bad and rng.random() >= p_recover
-        )
-        base = bad_bps if bad else good_bps
+        bad = (not bad and rng.random() < 0.15) or (bad and rng.random() >= 0.4)
+        base = 30_000.0 if bad else 170_000.0
         samples.append(
             TraceSample(
                 time_s=round(t, 6),
                 bandwidth_bps=round(base * rng.uniform(0.85, 1.15), 1),
-                delay_s=round(delay_s * rng.uniform(0.9, 1.3), 6),
-                loss_rate=round(bad_loss if bad else good_loss, 6),
+                delay_s=round(0.45 * rng.uniform(0.9, 1.3), 6),
+                loss_rate=round(0.25 if bad else 0.01, 6),
             )
         )
-        t += step_s
+        t += 0.5
     return LinkTrace(f"gprs:{seed}", samples, end_policy="hold")
 
 
-def leo_trace(
-    seed: int = 1,
-    duration_s: float = 16.0,
-    step_s: float = 0.25,
-    pass_period_s: float = 5.0,
-    outage_s: float = 0.5,
-    delay_min_s: float = 0.025,
-    delay_max_s: float = 0.09,
-    bandwidth_bps: float = 1_500_000.0,
-    outage_bps: float = 40_000.0,
-    outage_loss: float = 0.9,
-) -> LinkTrace:
-    """LEO handover: periodic RTT sawtooth with an outage at each switch.
+def leo_trace(seed: int = 1) -> LinkTrace:
+    """LEO handover: periodic RTT sawtooth with an outage at each switch,
+    sampled every 0.25 s.
 
-    Within each satellite pass the one-way delay climbs linearly from
-    ``delay_min_s`` to ``delay_max_s``; the first ``outage_s`` of every
-    pass is the handover blackout (bandwidth floor, near-total loss).
-    Seeded jitter perturbs each pass's period by ±10 %.
+    Within each ~5 s satellite pass the one-way delay climbs linearly from
+    25 ms to 90 ms on a 1.5 Mb/s link; the first 0.5 s of every pass is the
+    handover blackout (40 kb/s, 90 % loss). Seeded jitter perturbs each
+    pass's period by ±10 %.
     """
     rng = _stream("leo", seed)
     samples: List[TraceSample] = []
     t = 0.0
     pass_start = 0.0
-    period = pass_period_s * rng.uniform(0.9, 1.1)
-    while t <= duration_s:
+    period = 5.0 * rng.uniform(0.9, 1.1)
+    while t <= DURATION_S:
         if t - pass_start >= period:
             pass_start = t
-            period = pass_period_s * rng.uniform(0.9, 1.1)
-        in_outage = (t - pass_start) < outage_s
+            period = 5.0 * rng.uniform(0.9, 1.1)
+        in_outage = (t - pass_start) < 0.5
         frac = min((t - pass_start) / period, 1.0)
         samples.append(
             TraceSample(
                 time_s=round(t, 6),
-                bandwidth_bps=outage_bps if in_outage else bandwidth_bps,
-                delay_s=round(delay_min_s + (delay_max_s - delay_min_s) * frac, 6),
-                loss_rate=outage_loss if in_outage else 0.0,
+                bandwidth_bps=40_000.0 if in_outage else 1_500_000.0,
+                delay_s=round(0.025 + (0.09 - 0.025) * frac, 6),
+                loss_rate=0.9 if in_outage else 0.0,
             )
         )
-        t += step_s
+        t += 0.25
     return LinkTrace(f"leo:{seed}", samples, end_policy="hold")
 
 
-def incast_trace(
-    seed: int = 1,
-    duration_s: float = 16.0,
-    burst_period_s: float = 1.5,
-    burst_s: float = 0.25,
-    bandwidth_bps: float = 2_000_000.0,
-    crushed_bps: float = 150_000.0,
-    burst_loss: float = 0.15,
-) -> LinkTrace:
+def incast_trace(seed: int = 1) -> LinkTrace:
     """Datacenter incast: synchronized cross-traffic bursts.
 
-    Every ~``burst_period_s`` (±15 % seeded jitter) a fan-in burst
-    crushes the available bandwidth to ``crushed_bps`` and spikes loss
-    for ``burst_s``; between bursts the channel is clean and fast.
+    Every ~1.5 s (±15 % seeded jitter) a fan-in burst crushes the
+    available 2 Mb/s to 150 kb/s and spikes loss to 15 % for 0.25 s;
+    between bursts the channel is clean and fast.
     """
     rng = _stream("incast", seed)
     samples: List[TraceSample] = [
-        TraceSample(0.0, bandwidth_bps=bandwidth_bps, delay_s=0.002, loss_rate=0.0)
+        TraceSample(0.0, bandwidth_bps=2_000_000.0, delay_s=0.002, loss_rate=0.0)
     ]
-    t = burst_period_s * rng.uniform(0.85, 1.15)
-    while t <= duration_s:
+    t = 1.5 * rng.uniform(0.85, 1.15)
+    while t <= DURATION_S:
         start = round(t, 6)
-        end = round(t + burst_s, 6)
+        end = round(t + 0.25, 6)
         samples.append(
-            TraceSample(
-                start,
-                bandwidth_bps=crushed_bps,
-                delay_s=0.004,
-                loss_rate=burst_loss,
-            )
+            TraceSample(start, bandwidth_bps=150_000.0, delay_s=0.004, loss_rate=0.15)
         )
-        if end <= duration_s:
+        if end <= DURATION_S:
             samples.append(
-                TraceSample(
-                    end, bandwidth_bps=bandwidth_bps, delay_s=0.002, loss_rate=0.0
-                )
+                TraceSample(end, bandwidth_bps=2_000_000.0, delay_s=0.002, loss_rate=0.0)
             )
-        t += burst_period_s * rng.uniform(0.85, 1.15)
+        t += 1.5 * rng.uniform(0.85, 1.15)
     return LinkTrace(f"incast:{seed}", samples, end_policy="hold")
 
 
-def cellular_trace(
-    seed: int = 1,
-    duration_s: float = 16.0,
-    step_s: float = 0.25,
-    mean_bps: float = 900_000.0,
-    floor_bps: float = 60_000.0,
-    ceil_bps: float = 2_500_000.0,
-    fade_p: float = 0.04,
-) -> LinkTrace:
-    """Cellular drive-test style capacity: bounded random walk + deep fades."""
+def cellular_trace(seed: int = 1) -> LinkTrace:
+    """Cellular drive-test style capacity, sampled every 0.25 s: a random
+    walk from 900 kb/s bounded to [120 kb/s, 2.5 Mb/s], plus deep fades
+    to 60 kb/s (p 0.04 per step)."""
     rng = _stream("cellular", seed)
     samples: List[TraceSample] = []
-    level = mean_bps
+    level = 900_000.0
     t = 0.0
-    while t <= duration_s:
+    while t <= DURATION_S:
         level *= rng.uniform(0.8, 1.25)
-        level = min(max(level, floor_bps * 2), ceil_bps)
-        fade = rng.random() < fade_p
+        level = min(max(level, 60_000.0 * 2), 2_500_000.0)
+        fade = rng.random() < 0.04
         samples.append(
             TraceSample(
                 time_s=round(t, 6),
-                bandwidth_bps=round(floor_bps if fade else level, 1),
+                bandwidth_bps=round(60_000.0 if fade else level, 1),
                 delay_s=round(0.04 * rng.uniform(0.8, 1.8), 6),
                 loss_rate=round(0.08 if fade else 0.002, 6),
             )
         )
-        t += step_s
+        t += 0.25
     return LinkTrace(f"cellular:{seed}", samples, end_policy="hold")
 
 
-def wifi_trace(
-    seed: int = 1,
-    duration_s: float = 16.0,
-    step_s: float = 0.25,
-    mean_bps: float = 3_000_000.0,
-    floor_bps: float = 250_000.0,
-    ceil_bps: float = 6_000_000.0,
-) -> LinkTrace:
-    """WiFi walk-test style capacity: rate steps as the MCS adapts."""
+def wifi_trace(seed: int = 1) -> LinkTrace:
+    """WiFi walk-test style capacity, sampled every 0.25 s: rate steps as
+    the MCS adapts, from 3 Mb/s on a ladder between 250 kb/s and 6 Mb/s."""
     rng = _stream("wifi", seed)
     # 802.11-ish rate ladder scaled into our bandwidth range.
-    ladder = [floor_bps, 0.6e6, 1.2e6, 2e6, 3e6, 4.5e6, ceil_bps]
+    ladder = [250_000.0, 0.6e6, 1.2e6, 2e6, 3e6, 4.5e6, 6_000_000.0]
     rung = ladder.index(3e6)
     samples: List[TraceSample] = []
     t = 0.0
-    while t <= duration_s:
+    while t <= DURATION_S:
         rung += rng.choice((-1, 0, 0, 1))
         rung = min(max(rung, 0), len(ladder) - 1)
         samples.append(
@@ -210,7 +167,7 @@ def wifi_trace(
                 loss_rate=round(0.12 if rung == 0 else 0.005, 6),
             )
         )
-        t += step_s
+        t += 0.25
     return LinkTrace(f"wifi:{seed}", samples, end_policy="hold")
 
 
@@ -251,7 +208,7 @@ def load_bundled_trace(name: str) -> LinkTrace:
     return parse_trace_csv(text, name=name)
 
 
-def regenerate_bundled_assets(directory: Optional[str] = None) -> List[str]:
+def regenerate_bundled_assets() -> List[str]:
     """Rewrite the bundled CSV assets from their recipes; returns paths.
 
     Run via ``python -m repro.traces.generators`` after changing a
@@ -259,8 +216,7 @@ def regenerate_bundled_assets(directory: Optional[str] = None) -> List[str]:
     """
     import os
 
-    if directory is None:
-        directory = os.path.join(os.path.dirname(__file__), "data")
+    directory = os.path.join(os.path.dirname(__file__), "data")
     os.makedirs(directory, exist_ok=True)
     paths = []
     for name, recipe in _BUNDLE_RECIPES.items():

@@ -126,10 +126,6 @@ class LinkTrace:
         """Time of the last sample (0.0 for a single-sample trace)."""
         return self.samples[-1].time_s
 
-    def ended(self, t: float) -> bool:
-        """Whether trace time ``t`` is past the last sample (policy territory)."""
-        return t > self.duration_s
-
     def sample_at(self, t: float) -> Optional[TraceSample]:
         """Channel conditions at trace time ``t``.
 
@@ -218,13 +214,9 @@ def _parse_cell(
         ) from None
 
 
-def parse_trace_csv(
-    text: str,
-    name: str = "trace",
-    end_policy: str = "hold",
-    interpolate: bool = False,
-) -> LinkTrace:
-    """Parse the canonical CSV schema into a :class:`LinkTrace`.
+def parse_trace_csv(text: str, name: str = "trace") -> LinkTrace:
+    """Parse the canonical CSV schema into a stepped, ``hold``-policy
+    :class:`LinkTrace`.
 
     Raises :class:`TraceFormatError` (a ``ValueError``) with a line
     number on any schema violation: wrong header, wrong column count,
@@ -262,29 +254,21 @@ def parse_trace_csv(
             )
         except TraceFormatError as error:
             raise TraceFormatError(f"line {line_number}: {error}") from None
-    return LinkTrace(name, samples, end_policy=end_policy, interpolate=interpolate)
+    return LinkTrace(name, samples)
 
 
-def load_trace_csv(
-    path: str,
-    name: Optional[str] = None,
-    end_policy: str = "hold",
-    interpolate: bool = False,
-) -> LinkTrace:
-    """Read and parse a trace CSV file.
+def load_trace_csv(path: str) -> LinkTrace:
+    """Read and parse a trace CSV file, named after its file name.
 
     Unreadable files raise :class:`TraceFormatError` too, so callers
     (the ``repro faults`` CLI) have a single diagnostic error type.
     """
     import os
 
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as error:
         raise TraceFormatError(f"cannot read trace file {path!r}: {error}") from None
-    return parse_trace_csv(
-        text, name=name, end_policy=end_policy, interpolate=interpolate
-    )
+    return parse_trace_csv(text, name=name)

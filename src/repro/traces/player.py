@@ -39,24 +39,23 @@ class _LinkBaseline:
 
 
 class TracePlayer:
-    """Drives one trace onto a set of links until stopped or ended."""
+    """Drives one trace onto a set of links until stopped or ended,
+    sampling it every ``STEP_S`` seconds."""
+
+    STEP_S = 0.1
 
     def __init__(
         self,
         sim: Simulator,
         links: Sequence,
         trace: LinkTrace,
-        step_s: float = 0.1,
         bus: Optional[TraceBus] = None,
     ):
         if not links:
             raise ValueError("TracePlayer needs at least one link")
-        if step_s <= 0:
-            raise ValueError(f"step must be positive, got {step_s}")
         self.sim = sim
         self.links = list(links)
         self.trace = trace
-        self.step_s = step_s
         self.bus = bus
         self.ticks_applied = 0
         # Exists only while playing: its callback is this player's bound
@@ -88,7 +87,7 @@ class TracePlayer:
             for link in self.links
         }
         self._timer = PeriodicTimer(
-            self.sim, self.step_s, self._tick, name=f"trace:{self.trace.name}"
+            self.sim, self.STEP_S, self._tick, name=f"trace:{self.trace.name}"
         )
         self._timer.start(fire_now=True)
 
@@ -97,10 +96,10 @@ class TracePlayer:
             self._timer.stop()
             self._timer = None
 
-    def stop(self, restore: bool = True) -> None:
-        """End playback; by default return the links to their baselines."""
+    def stop(self) -> None:
+        """End playback and return the links to their baselines."""
         self._drop_timer()
-        if restore and self._baselines:
+        if self._baselines:
             for link in self.links:
                 baseline = self._baselines[id(link)]
                 link.set_bandwidth(baseline.bandwidth_bps)
@@ -119,7 +118,7 @@ class TracePlayer:
         if sample is None:
             # "clear" policy past the end: restore and retire.
             self._finished = True
-            self.stop(restore=True)
+            self.stop()
             return
         self._apply(sample)
         self.ticks_applied += 1

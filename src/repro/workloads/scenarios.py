@@ -62,15 +62,15 @@ def table1_path_configs(
 
 def surge_path_configs(
     surge_loss_rate: float,
-    base_loss_rate: float = 0.01,
     surge_start_s: float = 50.0,
     surge_end_s: float = 200.0,
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-    delay_s: float = 0.100,
 ) -> List[PathConfig]:
-    """Fig. 4's scenario: subflow 2's loss surges and later recovers."""
+    """Fig. 4's scenario: two 100 ms paths at 1 % loss, where subflow 2's
+    loss surges and later recovers."""
     if not 0.0 <= surge_loss_rate < 1.0:
         raise ValueError("surge_loss_rate must be in [0, 1)")
+    base_loss_rate, delay_s = 0.01, 0.100
     schedule = ScheduledLoss(
         [
             (0.0, base_loss_rate),

@@ -161,27 +161,20 @@ class ReplayableSource:
 class CbrSource:
     """Constant-bit-rate source (the paper's multimedia-streaming workload).
 
-    Credit accrues continuously at ``rate_bps``; ``pull`` grants at most
-    the accrued credit. Because a CBR source can go from empty to ready
-    while the transport is idle, it must be attached to the connection so
-    it can re-offer transmission opportunities periodically.
+    Credit accrues continuously at ``rate_bps`` from t = 0 and never runs
+    out; ``pull`` grants at most the accrued credit. Because a CBR source
+    can go from empty to ready while the transport is idle, it must be
+    attached to the connection so it can re-offer transmission
+    opportunities every ``WAKE_INTERVAL_S``.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rate_bps: float,
-        start_time: float = 0.0,
-        wake_interval: float = 0.01,
-        total_bytes: Optional[int] = None,
-    ):
+    WAKE_INTERVAL_S = 0.01
+
+    def __init__(self, sim: Simulator, rate_bps: float):
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
         self.sim = sim
         self.rate_bps = rate_bps
-        self.start_time = start_time
-        self.wake_interval = wake_interval
-        self.total_bytes = total_bytes
         self.pulled_bytes = 0
         self._connection = None
         self._wakeup_scheduled = False
@@ -195,30 +188,18 @@ class CbrSource:
         if self._wakeup_scheduled or self._connection is None:
             return
         self._wakeup_scheduled = True
-        self.sim.schedule(self.wake_interval, self._wake)
+        self.sim.schedule(self.WAKE_INTERVAL_S, self._wake)
 
     def _wake(self) -> None:
         self._wakeup_scheduled = False
         if self._connection is not None:
             self._connection.pump()
-        if self.total_bytes is None or self.pulled_bytes < self.total_bytes:
-            self._schedule_wakeup()
-
-    def _accrued(self) -> int:
-        elapsed = max(0.0, self.sim.now - self.start_time)
-        produced = int(elapsed * self.rate_bps / 8.0)
-        if self.total_bytes is not None:
-            produced = min(produced, self.total_bytes)
-        return produced
-
-    @property
-    def exhausted(self) -> bool:
-        return self.total_bytes is not None and self.pulled_bytes >= self.total_bytes
+        self._schedule_wakeup()
 
     def pull(self, max_bytes: int) -> PullResult:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        available = self._accrued() - self.pulled_bytes
+        available = int(self.sim.now * self.rate_bps / 8.0) - self.pulled_bytes
         if available <= 0:
             return 0
         granted = min(max_bytes, available)
@@ -227,4 +208,4 @@ class CbrSource:
 
     def creation_time_of(self, offset: int) -> float:
         """When the byte at stream ``offset`` was produced by the encoder."""
-        return self.start_time + (offset + 1) * 8.0 / self.rate_bps
+        return (offset + 1) * 8.0 / self.rate_bps

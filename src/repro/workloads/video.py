@@ -12,7 +12,7 @@ buffer exactly like :class:`~repro.workloads.sources.CbrSource`.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.sim.engine import Simulator
 
@@ -20,40 +20,34 @@ PullResult = Union[int, bytes, None]
 
 
 class VbrVideoSource:
-    """GOP-structured variable-bit-rate traffic.
+    """GOP-structured variable-bit-rate traffic, one frame every
+    ``1 / fps`` seconds for as long as the run lasts.
 
-    ``gop_pattern`` is a string of frame types, e.g. ``"IPPPPPPPPPPP"``
-    (one I-frame per 12); sizes derive from the target mean bit rate and
-    the I/P/B weight ratios.
+    ``GOP_PATTERN`` is the string of frame types, one I-frame per 12;
+    sizes derive from the target mean bit rate and the I/P/B weight
+    ratios, each jittered uniformly by up to ``JITTER_FRACTION``.
     """
 
     FRAME_WEIGHTS = {"I": 5.0, "P": 1.0, "B": 0.6}
+    GOP_PATTERN = "IPPBPPBPPBPP"
+    JITTER_FRACTION = 0.2
 
     def __init__(
         self,
         sim: Simulator,
         mean_rate_bps: float = 2.4e6,
         fps: float = 25.0,
-        gop_pattern: str = "IPPBPPBPPBPP",
-        jitter_fraction: float = 0.2,
         seed: int = 0,
-        total_frames: Optional[int] = None,
     ):
         if mean_rate_bps <= 0 or fps <= 0:
             raise ValueError("mean_rate_bps and fps must be positive")
-        if not gop_pattern or any(c not in "IPB" for c in gop_pattern):
-            raise ValueError("gop_pattern must be a non-empty string over {I, P, B}")
-        if not 0.0 <= jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1)")
         self.sim = sim
         self.fps = fps
-        self.gop_pattern = gop_pattern
-        self.jitter_fraction = jitter_fraction
-        self.total_frames = total_frames
         self._rng = random.Random(seed)
 
         # Scale weights so the long-run average hits mean_rate_bps.
-        mean_weight = sum(self.FRAME_WEIGHTS[c] for c in gop_pattern) / len(gop_pattern)
+        pattern = self.GOP_PATTERN
+        mean_weight = sum(self.FRAME_WEIGHTS[c] for c in pattern) / len(pattern)
         bytes_per_frame_mean = mean_rate_bps / 8.0 / fps
         self._unit_bytes = bytes_per_frame_mean / mean_weight
 
@@ -74,17 +68,15 @@ class VbrVideoSource:
         self.sim.schedule(1.0 / self.fps, self._emit_frame)
 
     def _frame_type(self, index: int) -> str:
-        return self.gop_pattern[index % len(self.gop_pattern)]
+        return self.GOP_PATTERN[index % len(self.GOP_PATTERN)]
 
     def _frame_size(self, index: int) -> int:
         base = self._unit_bytes * self.FRAME_WEIGHTS[self._frame_type(index)]
-        if self.jitter_fraction > 0.0:
-            base *= 1.0 + self._rng.uniform(-self.jitter_fraction, self.jitter_fraction)
+        jitter = self.JITTER_FRACTION
+        base *= 1.0 + self._rng.uniform(-jitter, jitter)
         return max(1, int(base))
 
     def _emit_frame(self) -> None:
-        if self.total_frames is not None and self._frames_emitted >= self.total_frames:
-            return
         size = self._frame_size(self._frames_emitted)
         self._frames_emitted += 1
         self.frame_sizes.append(size)
@@ -93,20 +85,11 @@ class VbrVideoSource:
         self._buffered_bytes += size
         if self._connection is not None:
             self._connection.pump()
-        if self.total_frames is None or self._frames_emitted < self.total_frames:
-            self.sim.schedule(1.0 / self.fps, self._emit_frame)
+        self.sim.schedule(1.0 / self.fps, self._emit_frame)
 
     # ------------------------------------------------------------------
     # Transport pull interface.
     # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        return (
-            self.total_frames is not None
-            and self._frames_emitted >= self.total_frames
-            and self._buffered_bytes == 0
-        )
-
     def pull(self, max_bytes: int) -> PullResult:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")

@@ -13,6 +13,9 @@ from repro.net.topology import Network, PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
+from repro.tcp.congestion import RenoController
+from repro.tcp.rto import RtoEstimator
+from repro.tcp.subflow import Subflow
 
 
 def soak_seeds() -> range:
@@ -69,6 +72,12 @@ def make_single_path(
         configs, rng=RngStreams(seed), trace=trace
     )
     return network, paths[0], trace
+
+
+def make_subflow(sim, path, owner, congestion=None, **options) -> Subflow:
+    """A bare :class:`Subflow` on Reno (or ``congestion``) and a fresh
+    RTO estimator, as ``MultipathConnection._attach`` builds one."""
+    return Subflow(sim, path, owner, congestion or RenoController(), RtoEstimator(), **options)
 
 
 def bursty_loss(

@@ -97,7 +97,7 @@ class ShadowSender(FmtcpSender):
             return
         paths = state.paths
         losses, loss_rate_of = self._scratch()
-        fresh = self.path_estimates(losses=losses)
+        fresh = self.path_estimates()
         public = [
             PathEstimate(
                 subflow.subflow_id, subflow.srtt, subflow.rto_value,
@@ -137,7 +137,7 @@ class ShadowSender(FmtcpSender):
         losses, loss_rate_of = self._scratch()
         want = allocate_packet_reference(
             pending_subflow_id=subflow.subflow_id,
-            estimates=self.path_estimates(losses=losses),
+            estimates=self.path_estimates(),
             blocks=pending,
             loss_rate_of=loss_rate_of,
             mss=self.config.mss,

@@ -204,9 +204,9 @@ SHARED_DEFAULTS = {
     "mss": 1400, "congestion": "reno", "failover_rto_threshold": 3,
     "flow_control": False, "recv_drain_rate_bps": None,
 }
-#: Shared fields the traffic census found nothing set; their readers'
-#: own defaults (``make_controller``, ``RtoEstimator``, ``Subflow``) hold
-#: the values they had.
+#: Shared fields the traffic census found nothing set; the constants
+#: their readers use (``congestion.INITIAL_CWND``, ``rto.MIN_RTO``,
+#: ``subflow.DUP_ACK_THRESHOLD``) hold the values they had.
 DELETED_SHARED_FIELDS = ("initial_cwnd", "min_rto", "dup_ack_threshold")
 
 
@@ -250,7 +250,7 @@ DELETED_SHARED_FIELDS = ("initial_cwnd", "min_rto", "dup_ack_threshold")
             {
                 "symbols_per_block": 256, "symbol_size": 32,
                 "max_pending_blocks": 16, "estimated_loss": 0.05,
-                "repair": "gbn", **FIXEDRATE_PINNED,
+                **FIXEDRATE_PINNED,
             },
         ),
     ],
@@ -266,7 +266,7 @@ def test_config_surface_is_the_pre_skeleton_one(config_class, own_defaults):
     fields = {f.name: f.default for f in dataclasses.fields(config_class)}
     assert fields == {**shared, **own_defaults}
     assert len(fields) == {
-        FmtcpConfig: 14, MptcpConfig: 10, FixedRateConfig: 10, PathConfig: 5,
+        FmtcpConfig: 14, MptcpConfig: 10, FixedRateConfig: 9, PathConfig: 5,
         WatchdogConfig: 1, TelemetryConfig: 4,
     }[config_class]
     for name in DELETED_SHARED_FIELDS if shared else ():

@@ -135,7 +135,7 @@ def test_bernoulli_validates_arguments():
 
 def test_gilbert_elliott_state_machine_bursts():
     model = GilbertElliottCorruption(
-        p_gb=1.0, p_bg=0.0, corrupt_good=0.0, corrupt_bad=1.0
+        p_gb=1.0, p_bg=0.0, corrupt_bad=1.0
     )
     rng = random.Random(1)
     assert model.state == model.GOOD
@@ -150,7 +150,7 @@ def test_gilbert_elliott_state_machine_bursts():
 
 def test_gilbert_elliott_stationary_rate():
     model = GilbertElliottCorruption(
-        p_gb=0.1, p_bg=0.3, corrupt_good=0.0, corrupt_bad=0.4
+        p_gb=0.1, p_bg=0.3, corrupt_bad=0.4
     )
     assert model.stationary_bad_fraction() == pytest.approx(0.25)
     assert model.rate_at(0.0) == pytest.approx(0.1)
@@ -171,8 +171,8 @@ def test_link_counts_and_delivers_corrupted_packets():
         bandwidth_bps=8e6,
         delay_s=0.001,
         rng=random.Random(7),
-        corruption_model=BernoulliCorruption(1.0, effect="duplicate"),
     )
+    link.set_corruption_model(BernoulliCorruption(1.0, effect="duplicate"))
     packet = _sealed()
     packet.route = (link,)
     packet.next_link().send(packet)
@@ -207,7 +207,7 @@ def test_link_without_model_leaves_packets_alone():
 def _gated_models():
     yield lambda **kw: BernoulliCorruption(0.5, **kw)
     yield lambda **kw: GilbertElliottCorruption(
-        p_gb=0.3, p_bg=0.3, corrupt_good=0.1, corrupt_bad=0.8, **kw
+        p_gb=0.3, p_bg=0.3, corrupt_bad=0.8, **kw
     )
 
 

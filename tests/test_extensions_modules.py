@@ -235,9 +235,7 @@ def test_bar_chart_alignment_and_scale():
 
 
 def test_series_plot_contains_all_series():
-    lines = series_plot(
-        {"x": [(0.0, 1.0), (10.0, 2.0)], "y": [(5.0, 0.5)]}, height=6, width=30
-    )
+    lines = series_plot({"x": [(0.0, 1.0), (10.0, 2.0)], "y": [(5.0, 0.5)]})
     body = "\n".join(lines)
     assert "o" in body and "x=x" in body.replace(" ", "").lower() or "o=x" in body
     assert len(lines) >= 6

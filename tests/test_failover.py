@@ -132,7 +132,7 @@ def test_fmtcp_allocator_excludes_suspect_path():
     assert sender.failover_probes_sent >= 1
     live_estimates = sender.path_estimates()
     assert [estimate.subflow_id for estimate in live_estimates] == [0]
-    everything = sender.path_estimates(include_suspect=True)
+    everything = sender.path_table(include_suspect=True).estimates()
     assert [estimate.subflow_id for estimate in everything] == [0, 1]
 
 

@@ -133,24 +133,20 @@ def test_uniform_reordering_validation():
     with pytest.raises(ValueError):
         UniformReordering(1.5)
     with pytest.raises(ValueError):
-        UniformReordering(0.5, min_extra_s=0.2, max_extra_s=0.1)
+        UniformReordering(0.5, max_extra_s=-0.1)
 
 
 def test_uniform_reordering_counts_and_bounds():
-    model = UniformReordering(1.0, min_extra_s=0.05, max_extra_s=0.2)
+    model = UniformReordering(1.0, max_extra_s=0.2)
     rng = random.Random(3)
     delays = [model.extra_delay(0.0, rng) for __ in range(200)]
     assert model.packets_reordered == 200
-    assert all(0.05 <= delay <= 0.2 for delay in delays)
+    assert all(0.0 <= delay <= 0.2 for delay in delays)
 
 
 def test_reordering_model_reorders_packets_on_a_link(sim):
-    link, node = make_link(
-        sim,
-        bandwidth_bps=8e8,  # negligible serialisation
-        delay_s=0.001,
-        reordering_model=UniformReordering(0.5, min_extra_s=0.05, max_extra_s=0.1),
-    )
+    link, node = make_link(sim, bandwidth_bps=8e8, delay_s=0.001)  # negligible serialisation
+    link.set_reordering_model(UniformReordering(0.5, max_extra_s=0.1))
     for seq in range(100):
         sim.schedule(seq * 1e-4, link.send, packet(seq))
     sim.run()
@@ -239,7 +235,7 @@ def test_random_scenario_is_deterministic_per_seed():
 
 def test_random_scenario_always_heals_in_window():
     for seed in range(20):
-        scenario = FaultScenario.random(seed, heal_time=18.0)
+        scenario = FaultScenario.random(seed)
         assert scenario.events
         assert scenario.heal_time <= 18.0
         # Every fault kind that sets state also has a restoring event at

@@ -23,13 +23,6 @@ def test_ring_keeps_only_last_capacity_records(trace):
     assert [record["seq"] for record in flight.records()] == list(range(15, 25))
 
 
-def test_kind_filter(trace):
-    flight = FlightRecorder(trace, capacity=8, kinds=["wanted"])
-    trace.emit(0.0, "wanted")
-    trace.emit(1.0, "ignored")
-    assert [record.kind for record in flight.records()] == ["wanted"]
-
-
 def test_clear_resets_ring_but_not_counter(trace):
     flight = FlightRecorder(trace, capacity=4)
     trace.emit(0.0, "k")

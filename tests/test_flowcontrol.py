@@ -55,10 +55,6 @@ class TestWindowGate:
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             WindowGate(0)
-        with pytest.raises(ValueError):
-            WindowGate(8, high_watermark=0.5, low_watermark=0.75)
-        with pytest.raises(ValueError):
-            WindowGate(8, high_watermark=1.5)
 
     def test_limit_is_monotone_under_stale_feedback(self):
         gate = WindowGate(8)
@@ -69,7 +65,8 @@ class TestWindowGate:
         assert gate.limit == 18
 
     def test_pause_resume_hysteresis(self):
-        gate = WindowGate(8, high_watermark=0.75, low_watermark=0.5)
+        gate = WindowGate(8)
+        assert (gate.HIGH_WATERMARK, gate.LOW_WATERMARK) == (0.75, 0.5)
         gate.advertise(0, 2)  # backlog 6 >= 6: pause
         assert gate.paused and gate.pauses == 1
         gate.advertise(0, 3)  # backlog 5, still above low watermark
@@ -93,20 +90,11 @@ class TestWindowGate:
 
 
 class TestZeroWindowProber:
-    def test_validates_intervals(self):
-        with pytest.raises(ValueError):
-            ZeroWindowProber(Simulator(), lambda: True, initial_s=0.0)
-        with pytest.raises(ValueError):
-            ZeroWindowProber(
-                Simulator(), lambda: True, initial_s=2.0, max_s=1.0
-            )
-
     def test_exponential_backoff_while_blocked(self):
         sim = Simulator()
         fired = []
-        prober = ZeroWindowProber(
-            sim, lambda: fired.append(sim.now) or True, initial_s=0.5, max_s=4.0
-        )
+        prober = ZeroWindowProber(sim, lambda: fired.append(sim.now) or True)
+        assert (prober.INITIAL_S, prober.MAX_S) == (0.5, 4.0)
         prober.arm()
         prober.arm()  # idempotent: still one pending probe
         sim.run(until=20.0)
@@ -120,7 +108,7 @@ class TestZeroWindowProber:
 
     def test_fire_returning_false_stops_and_resets(self):
         sim = Simulator()
-        prober = ZeroWindowProber(sim, lambda: False, initial_s=0.5, max_s=4.0)
+        prober = ZeroWindowProber(sim, lambda: False)
         prober.arm()
         sim.run(until=10.0)
         assert prober.probes_fired == 1
@@ -132,7 +120,7 @@ class TestZeroWindowProber:
 
     def test_disarm_cancels_and_resets(self):
         sim = Simulator()
-        prober = ZeroWindowProber(sim, lambda: True, initial_s=0.5, max_s=4.0)
+        prober = ZeroWindowProber(sim, lambda: True)
         prober.arm()
         prober.disarm()
         sim.run(until=5.0)
@@ -153,9 +141,10 @@ class FlowControlMachine(RuleBasedStateMachine):
     def setup(self, capacity, high, low_frac):
         self.capacity = capacity
         self.window = ReceiveWindow(capacity)
-        self.gate = WindowGate(
-            capacity, high_watermark=high, low_watermark=high * low_frac
-        )
+        self.gate = WindowGate(capacity)
+        # Any watermark pair, on this instance only.
+        self.gate.HIGH_WATERMARK = high
+        self.gate.LOW_WATERMARK = high * low_frac
         self.next_seq = 0  # sender's next fresh unit id
         self.held = 0  # receiver-held (undrained) units
         self.feedback_log = []  # every (acked, window) ever generated

@@ -38,13 +38,6 @@ def test_robust_soliton_boosts_low_degrees():
     assert robust[0] > ideal[0]  # degree-1 spike keeps the ripple alive
 
 
-def test_robust_soliton_validation():
-    with pytest.raises(ValueError):
-        robust_soliton(10, delta=0.0)
-    with pytest.raises(ValueError):
-        robust_soliton(10, c=-1.0)
-
-
 def test_degree_sampler_range_and_bias():
     rng = random.Random(0)
     sampler = DegreeSampler(ideal_soliton(16), rng)
@@ -126,7 +119,7 @@ def test_lt_ge_fallback_solves_stalled_residual():
 
 
 def test_lt_decode_incomplete_raises():
-    decoder = LtDecoder(k=4, part_size=1, ge_fallback=False)
+    decoder = LtDecoder(k=4, part_size=1)
     decoder.add_symbol(LtSymbol(frozenset({0}), 1))
     with pytest.raises(ValueError):
         decoder.decode()

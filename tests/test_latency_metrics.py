@@ -24,9 +24,10 @@ def test_cbr_creation_time_is_linear_in_offset():
     assert source.creation_time_of(499) == pytest.approx(0.5)
 
 
-def test_vbr_creation_time_steps_at_frame_boundaries():
+def test_vbr_creation_time_steps_at_frame_boundaries(monkeypatch):
     sim = Simulator()
-    source = VbrVideoSource(sim, fps=10.0, jitter_fraction=0.0, seed=1)
+    monkeypatch.setattr(VbrVideoSource, "JITTER_FRACTION", 0.0)
+    source = VbrVideoSource(sim, fps=10.0, seed=1)
 
     class Nop:
         def pump(self):

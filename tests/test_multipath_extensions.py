@@ -11,7 +11,7 @@ from repro.core.config import FmtcpConfig
 from repro.core.connection import FmtcpConnection
 from repro.metrics.collectors import MetricsSuite
 from repro.mptcp.connection import MptcpConfig, MptcpConnection
-from repro.net.topology import PathConfig, build_two_path_network
+from repro.net.topology import Network, PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
 from repro.workloads.sources import BulkSource
@@ -20,9 +20,27 @@ from tests.conftest import bursty_loss
 
 def build(configs, seed=11, with_edge_routers=False):
     trace = TraceBus()
-    network, paths = build_two_path_network(
-        configs, rng=RngStreams(seed), trace=trace, with_edge_routers=with_edge_routers
-    )
+    if not with_edge_routers:
+        network, paths = build_two_path_network(configs, rng=RngStreams(seed), trace=trace)
+        return network, paths, trace
+    # Each path runs src -> router_i -> dst: a fast lossless edge hop, then
+    # the configured bottleneck hop.
+    network = Network(rng=RngStreams(seed), trace=trace)
+    network.add_node("src")
+    network.add_node("dst")
+    paths = []
+    for index, config in enumerate(configs):
+        router = f"r{index}"
+        network.add_node(router)
+        network.add_duplex_link(
+            "src", router, bandwidth_bps=1e9, delay_s=0.0001, queue_capacity=1000
+        )
+        bottleneck, __ = network.add_duplex_link(
+            router, "dst", bandwidth_bps=config.bandwidth_bps, delay_s=config.delay_s,
+            queue_capacity=config.queue_capacity,
+        )
+        bottleneck.set_loss_model(config.make_loss_model())
+        paths.append(network.make_path(f"path{index}", ["src", router, "dst"]))
     return network, paths, trace
 
 

@@ -99,12 +99,12 @@ def test_gilbert_elliott_stationary_fraction():
 
 
 def test_gilbert_elliott_marginal_rate():
-    model = GilbertElliottCorruption(p_gb=0.1, p_bg=0.3, corrupt_good=0.0, corrupt_bad=0.4)
+    model = GilbertElliottCorruption(p_gb=0.1, p_bg=0.3, corrupt_bad=0.4)
     assert abs(model.rate_at(0.0) - 0.25 * 0.4) < 1e-12
 
 
 def test_gilbert_elliott_empirical_rate():
-    model = GilbertElliottCorruption(p_gb=0.05, p_bg=0.2, corrupt_good=0.01, corrupt_bad=0.5)
+    model = GilbertElliottCorruption(p_gb=0.05, p_bg=0.2, corrupt_bad=0.5)
     rng = random.Random(11)
     trials = 50_000
     hits = sum(_hit(model, rng) for __ in range(trials))
@@ -113,7 +113,7 @@ def test_gilbert_elliott_empirical_rate():
 
 def test_gilbert_elliott_produces_bursts():
     """Hits should cluster more than under Bernoulli at equal rate."""
-    model = GilbertElliottCorruption(p_gb=0.02, p_bg=0.1, corrupt_good=0.0, corrupt_bad=0.8)
+    model = GilbertElliottCorruption(p_gb=0.02, p_bg=0.1, corrupt_bad=0.8)
     rng = random.Random(5)
     outcomes = [_hit(model, rng) for __ in range(50_000)]
     rate = sum(outcomes) / len(outcomes)

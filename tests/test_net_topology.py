@@ -70,18 +70,9 @@ def test_two_path_builder_shapes():
     assert paths[0].one_way_delay_s == pytest.approx(0.1)
     assert paths[1].one_way_delay_s == pytest.approx(0.05)
     assert paths[1].bottleneck_bandwidth_bps == pytest.approx(2e6)
-    assert paths[0].forward_loss_rate() == pytest.approx(0.0)
-    assert paths[1].forward_loss_rate() == pytest.approx(0.1)
-
-
-def test_two_path_builder_with_edge_routers():
-    configs = [PathConfig(delay_s=0.05, loss_rate=0.02)] * 2
-    network, paths = build_two_path_network(configs, with_edge_routers=True)
-    assert len(paths[0].forward_links) == 2
-    # Loss lives on the bottleneck hop only.
-    assert paths[0].forward_loss_rate() == pytest.approx(0.02)
-    # Delay = edge (0.1ms) + bottleneck (50ms).
-    assert paths[0].one_way_delay_s == pytest.approx(0.0501)
+    assert [len(path.forward_links) for path in paths] == [1, 1]
+    assert paths[0].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.0)
+    assert paths[1].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.1)
 
 
 def test_two_path_builder_end_to_end_delivery():

@@ -171,6 +171,28 @@ class _Call(NamedTuple):
     qualifier: Optional[str]
     keywords: frozenset
     positional: int
+    #: The ``def`` the call runs in (``"Class.method"``, ``"outer.inner"``;
+    #: ``""`` at module level) and the class that ``def`` sits in.
+    caller: str
+    owner: Optional[str]
+    #: The keywords whose value is the caller's own parameter of the same
+    #: name, and per positional argument that parameter's name (else None).
+    forwarded: frozenset
+    positional_names: tuple
+
+
+class _Def(NamedTuple):
+    """One ``def``: what a call can bind to it and which of its parameters
+    have defaults."""
+
+    qualname: str
+    name: str
+    #: The class it is a method of, or None.
+    owner: Optional[str]
+    #: The parameters a call binds by position (``self`` / ``cls`` dropped).
+    positional: tuple
+    #: The defaulted parameters, by position or keyword-only.
+    knobs: tuple
 
 
 class _FileIndex(NamedTuple):
@@ -190,6 +212,7 @@ class _FileIndex(NamedTuple):
     #: Top-level ``NAME = [...]`` / ``(...)`` → its strings, a ``*OTHER``
     #: item as ``("*", "OTHER")``.
     sequences: dict
+    defs: list
 
 
 #: The head of a ``"module:Qualname"`` string (benchmarks/perf/tracer.py's
@@ -197,10 +220,49 @@ class _FileIndex(NamedTuple):
 _QUALNAME = re.compile(r"repro(?:\.\w+)*:(\w+)")
 
 
+def _scoped(node, qualname="", owner=None, parameters=frozenset()):
+    """``(child, parent, qualname, owner, parameters)`` for every node under
+    ``node``: the ``def`` it runs in, that ``def``'s class and its
+    parameter names."""
+    for child in ast.iter_child_nodes(node):
+        yield child, node, qualname, owner, parameters
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{qualname}.{child.name}" if qualname else child.name
+        if isinstance(child, ast.ClassDef):
+            yield from _scoped(child, inner, child.name, parameters)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = child.args
+            names = frozenset(
+                argument.arg for argument in
+                (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)
+            )
+            yield from _scoped(child, inner, owner, names)
+        else:
+            yield from _scoped(child, qualname, owner, parameters)
+
+
+def _def(node, parent, qualname: str) -> _Def:
+    arguments = node.args
+    bound = [argument.arg for argument in (*arguments.posonlyargs, *arguments.args)]
+    method = isinstance(parent, ast.ClassDef) and not any(
+        getattr(decorator, "id", None) == "staticmethod" for decorator in node.decorator_list
+    )
+    knobs = bound[len(bound) - len(arguments.defaults):] if arguments.defaults else []
+    knobs += [
+        argument.arg for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    return _Def(
+        f"{qualname}.{node.name}" if qualname else node.name, node.name,
+        parent.name if isinstance(parent, ast.ClassDef) else None,
+        tuple(bound[1:] if method else bound), tuple(knobs),
+    )
+
+
 def _file_index(tree: ast.Module) -> _FileIndex:
     """Read one parsed file into a :class:`_FileIndex`."""
-    calls, bases, used = [], {}, set()
-    for node in ast.walk(tree):
+    calls, bases, used, defs = [], {}, set(), []
+    for node, parent, caller, owner, parameters in _scoped(tree):
         if isinstance(node, ast.Call):
             callee = node.func
             if isinstance(callee, ast.Attribute):
@@ -209,12 +271,24 @@ def _file_index(tree: ast.Module) -> _FileIndex:
                 name, qualifier = getattr(callee, "id", None), None
             calls.append(_Call(
                 name, qualifier, frozenset(keyword.arg for keyword in node.keywords),
-                len(node.args),
+                len(node.args), caller, owner,
+                frozenset(
+                    keyword.arg for keyword in node.keywords
+                    if keyword.arg in parameters
+                    and getattr(keyword.value, "id", None) == keyword.arg
+                ),
+                tuple(
+                    argument.id if isinstance(argument, ast.Name)
+                    and argument.id in parameters else None
+                    for argument in node.args
+                ),
             ))
         elif isinstance(node, ast.ClassDef):
             bases[node.name] = {
                 getattr(base, "id", getattr(base, "attr", None)) for base in node.bases
             }
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append(_def(node, parent, caller))
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -245,7 +319,7 @@ def _file_index(tree: ast.Module) -> _FileIndex:
                 ]
                 sequences.update(dict.fromkeys(names, items))
     return _FileIndex(
-        calls, bases, frozenset(used), frozenset(defined), imported_from, sequences
+        calls, bases, frozenset(used), frozenset(defined), imported_from, sequences, defs
     )
 
 
@@ -261,15 +335,19 @@ def _index() -> dict:
     }
 
 
-@functools.cache
-def _bases_of() -> dict:
+def _src_bases(index: dict) -> dict:
     """Class name → the names of its bases, for every class under ``src/``."""
     return {
         name: bases
-        for path, entry in _index().items()
+        for path, entry in index.items()
         if path.is_relative_to(SRC)
         for name, bases in entry.bases.items()
     }
+
+
+@functools.cache
+def _bases_of() -> dict:
+    return _src_bases(_index())
 
 
 def _subclass_names(config_class) -> set:
@@ -302,6 +380,7 @@ def test_every_config_field_has_traffic():
     re-export and a docs line are not traffic; a knob with one value in
     use is a constant."""
     from repro.core.config import FmtcpConfig
+    from repro.fixedrate.connection import FixedRateConfig
     from repro.mptcp.connection import MptcpConfig
     from repro.net.topology import PathConfig
     from repro.robustness.watchdog import WatchdogConfig
@@ -311,9 +390,12 @@ def test_every_config_field_has_traffic():
     index = _index()
     unset = set()
     for config_class in (
-        FmtcpConfig, MptcpConfig, PathConfig, WatchdogConfig, TelemetryConfig
+        FmtcpConfig, MptcpConfig, FixedRateConfig, PathConfig, WatchdogConfig,
+        TelemetryConfig,
     ):
         for field in dataclasses.fields(config_class):
+            if not field.init:
+                continue  # pinned by the class, not a keyword
             owner = next(
                 cls for cls in config_class.__mro__
                 if field.name in vars(cls).get("__annotations__", ())
@@ -336,46 +418,172 @@ def test_every_config_field_has_traffic():
     )
 
 
-def test_every_soak_and_probe_knob_has_traffic():
-    """The soak kernel's, the transfer builder's and the ``measure_*``
-    probes' keyword parameters are each passed — by keyword or by
-    position — by a call to that function outside its own module. A knob
-    nothing passes is a constant of the step, invariant or probe that
-    reads it."""
-    from repro import soak
-    from repro.experiments.runner import build_connection
-    from repro.faults.chaos import measure_fault_response
-    from repro.faults.corruption import measure_corruption_goodput
-    from repro.recovery.harness import measure_recovery
-    from repro.robustness.exhaustion import measure_bufferblock
-    from repro.traces.harness import measure_trace_goodput
+# ----------------------------------------------------------------------
+# The parameter census: the same rule for keywords. A defaulted parameter
+# of a ``src/repro`` function is passed by something that runs, or it is a
+# constant where it is read.
+# ----------------------------------------------------------------------
+#: Knobs passed only by a call static analysis cannot name (a registry
+#: lookup, a callable held in a variable): the file and the text of that
+#: call. An entry whose call is gone, or that gains a nameable caller,
+#: must leave (the test says so).
+UNNAMED_CALLS = {
+    "Grid.__call__(reduction)": ("src/repro/cli.py", "grid(scale, reduction=summarise)"),
+    "_transfer(mptcp_config)": (
+        "src/repro/experiments/catalog.py", 'options = {f"{protocol}_config": point["config"]}'
+    ),
+    "incast_trace(seed)": (
+        "src/repro/traces/generators.py", "TRACE_GENERATORS[family](seed=seed)"
+    ),
+    "leo_trace(seed)": ("src/repro/traces/generators.py", "TRACE_GENERATORS[family](seed=seed)"),
+}
 
-    index = _index()
-    unpassed = []
-    for function in (
-        soak.run_soak, build_connection, measure_fault_response,
-        measure_corruption_goodput, measure_trace_goodput, measure_recovery,
-        measure_bufferblock,
-    ):
-        parameters = list(inspect.signature(function).parameters.values())
-        knobs = [
-            parameter.name for parameter in parameters
-            if parameter.default is not inspect.Parameter.empty
-        ]
-        home = Path(inspect.getsourcefile(function))
-        passed = set()
-        for path, entry in index.items():
-            if path == home:
-                continue
-            for call in entry.calls:
-                if call.name != function.__name__:
-                    continue
-                passed.update(call.keywords)
-                passed.update(parameter.name for parameter in parameters[: call.positional])
-        unpassed.extend(
-            f"{function.__name__}({knob})" for knob in knobs if knob not in passed
+#: Knobs nothing passes, kept for the reason given. Only safety code and
+#: knobs ``benchmarks/perf/`` pins belong here; the list only shrinks.
+UNPASSED_KNOBS_KEPT = {
+    "Simulator.run(max_events)": (
+        "safety valve: stops a runaway event loop after N callbacks"
+    ),
+    "read_trace_file(strict)": (
+        "safety: rejects a torn trailing line instead of dropping it"
+    ),
+}
+
+
+def _knob_name(definition: _Def, knob: str) -> str:
+    return f"{definition.qualname.removesuffix('.__init__')}({knob})"
+
+
+def _knob_hits(index: dict, kept=()) -> dict:
+    """``"Qualname(knob)"`` → where it is defined, for every defaulted
+    parameter of a ``src/`` function that no call outside that function
+    passes, by keyword or by position, in ``src/``, ``benchmarks/`` or
+    ``examples/``. An argument whose value is the caller's own parameter
+    of the same name (a pass-through) counts only once that parameter has
+    traffic; a knob named in ``kept`` has traffic. Calls are matched by
+    name: ``Cls(…)`` and ``cls(…)`` bind to the ``__init__`` ``Cls``
+    inherits, ``super().__init__(…)`` to the bases', anything else to
+    every ``def`` of that name."""
+    definitions = {
+        (path, definition.qualname): definition
+        for path, entry in index.items() if path.is_relative_to(SRC)
+        for definition in entry.defs
+    }
+    by_name, inits = {}, {}
+    for key, definition in definitions.items():
+        by_name.setdefault(definition.name, []).append(key)
+        if definition.name == "__init__" and definition.owner:
+            inits.setdefault(definition.owner, key)
+    bases_of = _src_bases(index)
+
+    def init_of(cls, seen=frozenset()):
+        if cls in inits:
+            return [inits[cls]]
+        return next(
+            (found for base in bases_of.get(cls, ()) if base not in seen
+             for found in [init_of(base, seen | {cls})] if found),
+            [],
         )
-    assert not unpassed, f"knobs no caller outside their module passes: {unpassed}"
+
+    def targets(path, call):
+        if call.name == "__init__" and call.qualifier == "":
+            return [key for base in bases_of.get(call.owner, ()) for key in init_of(base)]
+        name = call.owner if call.name == "cls" else call.name
+        if name in bases_of:
+            return init_of(name)
+        return [key for key in by_name.get(name, ()) if key != (path, call.caller)]
+
+    bindings = []
+    for path, entry in index.items():
+        if path.is_relative_to(REPO / "tests"):
+            continue
+        for call in entry.calls:
+            for key in targets(path, call):
+                positional = definitions[key].positional[: call.positional]
+                bound = {keyword: keyword in call.forwarded for keyword in call.keywords}
+                bound.update(
+                    (name, call.positional_names[i] == name)
+                    for i, name in enumerate(positional)
+                )
+                bindings.extend(
+                    (key, name, (path, call.caller) if forwarded else None)
+                    for name, forwarded in bound.items()
+                )
+    knobs = {
+        (key, knob) for key, definition in definitions.items() for knob in definition.knobs
+    }
+    passed = {
+        (key, knob) for key, knob in knobs
+        if _knob_name(definitions[key], knob) in kept
+    }
+    while True:
+        grown = passed | {
+            (key, name) for key, name, via in bindings
+            if (key, name) in knobs and (
+                via is None or (via, name) not in knobs or (via, name) in passed
+            )
+        }
+        if grown == passed:
+            break
+        passed = grown
+    return {
+        _knob_name(definitions[key], knob): f"{key[0].relative_to(REPO)} ({key[1]})"
+        for key, knob in knobs - passed
+    }
+
+
+def test_every_knob_has_traffic():
+    """A defaulted parameter of a ``src/repro`` function or method is
+    passed by a benchmark, example, experiment, harness or CLI verb — or
+    it is listed above with the call that passes it or the reason it
+    stays. Its own function, ``tests/`` and a pass-through of an unpassed
+    knob are not traffic; a knob with one value in use is a constant."""
+    assert all(reason.strip() for reason in UNPASSED_KNOBS_KEPT.values())
+    for knob, (path, text) in UNNAMED_CALLS.items():
+        assert text in read(path), f"{knob}: {text!r} is not in {path}"
+    assert not set(UNNAMED_CALLS) & set(UNPASSED_KNOBS_KEPT)
+    listed = {*UNNAMED_CALLS, *UNPASSED_KNOBS_KEPT}
+    index = _index()
+    hits = _knob_hits(index, listed)
+    assert not hits, "knobs no caller outside tests passes:\n  " + "\n  ".join(
+        f"{knob}: {where}" for knob, where in sorted(hits.items())
+    )
+    # Each entry is still needed: without the lists it would be a hit.
+    gone = listed - set(_knob_hits(index))
+    assert not gone, f"listed but passed or gone: {sorted(gone)}"
+
+
+def test_knob_census_catches_each_rule():
+    """Seeded cases: a knob nothing passes, a knob only a test passes, and
+    a pass-through chain whose head nothing passes are hits; a caller that
+    passes the head clears the whole chain."""
+    index = dict(_index())
+    package = SRC / "repro" / "seeded"
+    for path, source in (
+        (package / "knobs.py",
+         "def seeded_unpassed(value, knob=1):\n    return value + knob\n\n"
+         "def seeded_test_only(knob=2):\n    return knob\n\n"
+         "def seeded_inner(width=3):\n    return width\n\n"
+         "class SeededOuter:\n    def __init__(self, width=4):\n"
+         "        self.width = seeded_inner(width=width)\n\n"
+         "VALUES = [seeded_unpassed(0), SeededOuter()]\n"),
+        (REPO / "tests" / "test_seeded_knobs.py",
+         "from repro.seeded.knobs import seeded_test_only\n"
+         "assert seeded_test_only(knob=5) == 5\n"),
+    ):
+        index[path] = _file_index(ast.parse(source))
+    hits = _knob_hits(index)
+    assert {knob for knob in hits if "seeded" in knob.lower()} == {
+        "seeded_unpassed(knob)", "seeded_test_only(knob)",
+        "seeded_inner(width)", "SeededOuter(width)",
+    }
+    assert hits["SeededOuter(width)"] == "src/repro/seeded/knobs.py (SeededOuter.__init__)"
+    index[REPO / "examples" / "seeded.py"] = _file_index(ast.parse(
+        "from repro.seeded.knobs import SeededOuter\nSeededOuter(width=8)\n"
+    ))
+    assert {knob for knob in _knob_hits(index) if "seeded" in knob.lower()} == {
+        "seeded_unpassed(knob)", "seeded_test_only(knob)",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +625,19 @@ DELETED_NAMES = (
     "load_golden",
     "seal_deferred",
 )
+
+#: Keywords the parameter census deleted: no ``src/`` function takes them
+#: any more, so no doc may show one as ``name=``.
+DELETED_KEYWORDS = (
+    "acked_per_window", "bottleneck_bps", "bottleneck_delay_s", "bottleneck_queue",
+    "corrupt_good", "dup_ack_threshold", "edge_bps", "edge_delay_s", "fault_window",
+    "flush_every", "ge_fallback", "gop_pattern", "heal_time", "high_watermark",
+    "initial_cwnd", "initial_rto", "initial_s", "initial_ssthresh", "join_handshake_s",
+    "loss_ewma_gain", "loss_forward", "loss_reverse", "low_watermark", "max_cwnd",
+    "max_faults", "max_pending", "max_rto", "min_extra_s", "min_faults", "min_rto",
+    "redundancy_ratio", "repair", "total_frames", "wake_interval", "with_edge_routers",
+)
+
 
 def _exports(index: dict) -> list:
     """``(package __init__, name, defining file)`` for every ``__all__``
@@ -526,11 +747,25 @@ def test_api_doc_covers_the_exports_and_no_deleted_name():
         entry.defined for path, entry in _index().items() if path.is_relative_to(SRC)
     ))
     assert not defined & set(DELETED_NAMES), "a deleted name is defined again"
+    docs = ("docs/api.md", "docs/tuning.md", "docs/robustness.md",
+            "docs/paper-mapping.md", "docs/observability.md", "DESIGN.md", "README.md")
     stale = [
         (doc, name)
-        for doc in ("docs/api.md", "docs/tuning.md", "docs/robustness.md",
-                    "docs/paper-mapping.md", "DESIGN.md")
+        for doc in docs
         for name in DELETED_NAMES
         if re.search(rf"\b{name}\b", read(doc))
     ]
     assert not stale, f"deleted names still in the docs: {stale}"
+    parameters = set().union(*(
+        {*definition.positional, *definition.knobs}
+        for path, entry in _index().items() if path.is_relative_to(SRC)
+        for definition in entry.defs
+    ))
+    assert not parameters & set(DELETED_KEYWORDS), "a deleted keyword is a parameter again"
+    stale = [
+        (doc, f"{name}=")
+        for doc in docs
+        for name in DELETED_KEYWORDS
+        if re.search(rf"\b{name}=", read(doc))
+    ]
+    assert not stale, f"deleted keywords still in the docs: {stale}"

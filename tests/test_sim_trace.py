@@ -1,7 +1,5 @@
 """Unit tests for the trace bus."""
 
-import pytest
-
 from repro.sim.trace import TraceBus, TraceRecord
 
 
@@ -175,15 +173,11 @@ def test_reentrant_emit_is_deferred_in_causal_order(trace):
     assert trace.records_dropped == 0
 
 
-def test_max_pending_validation():
-    with pytest.raises(ValueError):
-        TraceBus(max_pending=0)
-
-
 def test_pending_queue_cap_counts_drops():
     """A pathological feedback loop degrades to counted drops instead of
     unbounded queue growth."""
-    trace = TraceBus(max_pending=4)
+    trace = TraceBus()
+    trace.MAX_PENDING = 4
     dispatched = []
 
     def burst(record):

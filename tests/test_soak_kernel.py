@@ -221,8 +221,7 @@ def test_each_shared_thing_exists_once():
         for module in harness_modules
     ) == 0
     # One builder for every transfer: outside its own module a transport
-    # is constructed only by runner.build_connection (and by the fairness
-    # experiment's N flows on a shared bottleneck).
+    # is constructed only by runner.build_connection.
     sites = set()
     for path in SRC.rglob("*.py"):
         module = path.relative_to(SRC).as_posix()
@@ -230,7 +229,7 @@ def test_each_shared_thing_exists_once():
             (module, owner) for owner, callee in _calls(path)
             if TRANSPORT_CONSTRUCTORS.get(callee, module) != module
         )
-    assert {site for site in sites if site[0] != "experiments/fairness.py"} == {
+    assert sites == {
         ("experiments/runner.py", "build_connection")
     }
     assert not any(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.tcp.congestion import RenoController
-from repro.tcp.subflow import Subflow, SubflowAck, SubflowSink
-from tests.conftest import make_single_path
+from repro.tcp.subflow import SubflowAck, SubflowSink
+from tests.conftest import make_single_path, make_subflow
 from tests.test_tcp_subflow import ScriptedOwner, build
 
 
@@ -81,7 +81,7 @@ def test_tau_uses_oldest_packet():
 def test_sink_counts_received_packets():
     network, path, trace = make_single_path()
     owner = ScriptedOwner(7)
-    subflow = Subflow(network.sim, path, owner)
+    subflow = make_subflow(network.sim, path, owner)
     sink = SubflowSink(network.sim, path, subflow, on_segment=lambda sf, seg: None)
     subflow.pump()
     network.sim.run()
@@ -116,7 +116,8 @@ def test_outstanding_payloads_sorted_by_seq():
 
 
 def test_custom_initial_ssthresh():
-    cc = RenoController(initial_cwnd=2.0, initial_ssthresh=4.0)
+    cc = RenoController()
+    cc.ssthresh = 4.0
     cc.on_ack()
     cc.on_ack()  # cwnd 4 -> leaves slow start
     assert not cc.in_slow_start()

@@ -19,9 +19,9 @@ from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowSink
+from repro.tcp.subflow import SubflowOwner, SubflowSink
 from repro.workloads.sources import BulkSource
-from tests.conftest import make_single_path
+from tests.conftest import make_single_path, make_subflow
 
 
 class RecordingOwner(SubflowOwner):
@@ -79,7 +79,7 @@ def build_connection(protocol, paths, network, trace, total_bytes=400_000,
 # ----------------------------------------------------------------------
 def test_default_subflow_is_born_active():
     network, path, __ = make_single_path()
-    subflow = Subflow(network.sim, path, RecordingOwner())
+    subflow = make_subflow(network.sim, path, RecordingOwner())
     assert subflow.state == "active"
     assert subflow.usable
     assert not subflow.is_joining and not subflow.is_closed
@@ -88,7 +88,7 @@ def test_default_subflow_is_born_active():
 def test_join_delay_validation():
     network, path, __ = make_single_path()
     with pytest.raises(ValueError):
-        Subflow(network.sim, path, RecordingOwner(), join_delay_s=-0.1)
+        make_subflow(network.sim, path, RecordingOwner(), join_delay_s=-0.1)
 
 
 def test_joining_subflow_holds_fire_until_handshake_completes():
@@ -97,7 +97,7 @@ def test_joining_subflow_holds_fire_until_handshake_completes():
     trace.subscribe("subflow.join", records.append)
     trace.subscribe("subflow.active", records.append)
     owner = RecordingOwner(supply=5)
-    subflow = Subflow(
+    subflow = make_subflow(
         network.sim, path, owner, subflow_id=7, join_delay_s=0.5, trace=trace
     )
     SubflowSink(network.sim, path, subflow, on_segment=lambda sf, seg: None)
@@ -119,7 +119,7 @@ def test_joining_subflow_holds_fire_until_handshake_completes():
 def test_close_cancels_pending_join():
     network, path, __ = make_single_path()
     owner = RecordingOwner(supply=5)
-    subflow = Subflow(network.sim, path, owner, join_delay_s=0.5)
+    subflow = make_subflow(network.sim, path, owner, join_delay_s=0.5)
     subflow.close()
     assert subflow.state == "closed"
     network.sim.run()
@@ -133,7 +133,7 @@ def test_shutdown_drains_outstanding_in_sequence_order():
     closed = []
     trace.subscribe("subflow.closed", closed.append)
     owner = RecordingOwner(supply=4)
-    subflow = Subflow(network.sim, path, owner, subflow_id=3, trace=trace)
+    subflow = make_subflow(network.sim, path, owner, subflow_id=3, trace=trace)
     SubflowSink(network.sim, path, subflow, on_segment=lambda sf, seg: None)
     subflow.pump()
     assert subflow.in_flight > 0
@@ -156,7 +156,7 @@ def test_state_vocabulary_is_stable():
     from repro.faults.scenario import FaultEvent, FaultScenario
 
     network, path, __ = make_single_path()
-    subflow = Subflow(
+    subflow = make_subflow(
         network.sim, path, RecordingOwner(supply=10**6), join_delay_s=0.1,
         failed_rto_threshold=1,
     )
@@ -234,7 +234,7 @@ def test_subflow_ids_are_never_reused(protocol):
     network, paths = build_network()
     connection, __ = build_connection(protocol, paths, network, TraceBus())
     connection.remove_subflow(1)
-    replacement = connection.add_subflow(paths[1], join_delay_s=0.0)
+    replacement = connection.add_subflow(paths[1])
     # A re-associated path gets a fresh identity and congestion state.
     assert replacement.subflow_id == 2
     assert {s.subflow_id for s in connection.subflows} == {0, 2}
@@ -287,7 +287,7 @@ def test_mptcp_total_blackout_orphans_then_recovers():
     owed = connection.remove_subflow(0)
     assert owed > 0
     assert len(connection._orphan_chunks) == owed
-    connection.add_subflow(paths[1], join_delay_s=0.05)
+    connection.add_subflow(paths[1])
     network.sim.run()
     assert not connection._orphan_chunks
     assert connection.delivered_bytes == 400_000
@@ -382,8 +382,7 @@ def test_removing_hol_blocking_subflow_unblocks_recv_buffer():
 # (repro.tcp.multipath): what a shared implementation must keep apart.
 # ----------------------------------------------------------------------
 def lia_connection(protocol):
-    """Both subflow-coupled transports with LIA; fixed-rate's config pins
-    plain Reno, so it gets no group."""
+    """A subflow-coupled transport with LIA."""
     network, paths = build_network()
     connection, __ = build_connection(
         protocol, paths, network, TraceBus(),
@@ -397,41 +396,11 @@ def lia_members(connection):
     return connection._lia_group._members
 
 
-def skeleton_state(connection):
-    """The skeleton's registries, and the LIA group's members and alpha."""
-    group = connection._lia_group
-    return (
-        [s.subflow_id for s in connection.subflows],
-        sorted(connection._subflow_by_id),
-        sorted(connection._sinks),
-        None if group is None else (list(group._members), group.alpha()),
-    )
-
-
-@pytest.mark.parametrize("bad_delay", [-1.0, float("nan")])
-@pytest.mark.parametrize("protocol", ["fmtcp", "mptcp", "fixedrate"])
-def test_rejected_add_subflow_leaks_no_state(protocol, bad_delay):
-    """A bad join delay used to raise from inside Subflow.__init__, after
-    the id counter advanced and the new controller joined the LIA group:
-    the ghost's RTT of 0 blew alpha() up and the coupled increase
-    silently degenerated to uncoupled Reno."""
-    network, paths, connection = lia_connection(protocol)
-    connection.start()
-    network.sim.run(until=0.5)
-    before = skeleton_state(connection)
-    with pytest.raises(ValueError, match="join_delay_s"):
-        connection.add_subflow(paths[1], join_delay_s=bad_delay)
-    assert skeleton_state(connection) == before
-    # The next valid join gets the id the rejected one would have had.
-    assert connection.add_subflow(paths[1], join_delay_s=0.0).subflow_id == 2
-    connection.close()
-
-
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
 def test_lia_group_tracks_exactly_the_live_subflows(protocol):
     __, paths, connection = lia_connection(protocol)
     connection.remove_subflow(0)
-    connection.add_subflow(paths[0], join_delay_s=0.0)
+    connection.add_subflow(paths[0])
     assert lia_members(connection) == [s.cc for s in connection.subflows]
     assert [s.subflow_id for s in connection.subflows] == [1, 2]
     connection.close()

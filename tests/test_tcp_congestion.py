@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tcp import congestion
 from repro.tcp.congestion import (
     LiaCoupledController,
     LiaGroup,
@@ -10,18 +11,26 @@ from repro.tcp.congestion import (
 )
 
 
+def with_window(cc, cwnd, ssthresh=congestion.INITIAL_SSTHRESH):
+    """``cc`` with its window and ssthresh set as a test starts it."""
+    cc.cwnd = cwnd
+    cc.ssthresh = ssthresh
+    return cc
+
+
 # ----------------------------------------------------------------------
 # Reno.
 # ----------------------------------------------------------------------
 def test_slow_start_doubles_per_window():
-    cc = RenoController(initial_cwnd=2.0)
+    cc = RenoController()
+    assert cc.cwnd == congestion.INITIAL_CWND == 2.0
     for __ in range(2):
         cc.on_ack()
     assert cc.cwnd == pytest.approx(4.0)
 
 
 def test_congestion_avoidance_linear_growth():
-    cc = RenoController(initial_cwnd=10.0, initial_ssthresh=10.0)
+    cc = with_window(RenoController(), 10.0, 10.0)
     assert not cc.in_slow_start()
     start = cc.cwnd
     for __ in range(10):  # one full window of ACKs -> +~1 packet
@@ -30,7 +39,7 @@ def test_congestion_avoidance_linear_growth():
 
 
 def test_fast_loss_halves_window():
-    cc = RenoController(initial_cwnd=16.0, initial_ssthresh=8.0)
+    cc = with_window(RenoController(), 16.0, 8.0)
     cc.cwnd = 20.0
     cc.on_fast_loss()
     assert cc.cwnd == pytest.approx(10.0)
@@ -39,7 +48,7 @@ def test_fast_loss_halves_window():
 
 
 def test_timeout_collapses_to_one():
-    cc = RenoController(initial_cwnd=16.0)
+    cc = with_window(RenoController(), 16.0)
     cc.cwnd = 20.0
     cc.on_timeout()
     assert cc.cwnd == pytest.approx(1.0)
@@ -48,7 +57,7 @@ def test_timeout_collapses_to_one():
 
 
 def test_window_floor_is_one_packet():
-    cc = RenoController(initial_cwnd=1.0)
+    cc = with_window(RenoController(), 1.0)
     cc.on_timeout()
     assert cc.window == 1
     assert cc.can_send(0)
@@ -56,20 +65,21 @@ def test_window_floor_is_one_packet():
 
 
 def test_ssthresh_floor_is_two():
-    cc = RenoController(initial_cwnd=1.0)
+    cc = with_window(RenoController(), 1.0)
     cc.on_fast_loss()
     assert cc.ssthresh == pytest.approx(2.0)
 
 
-def test_max_cwnd_cap():
-    cc = RenoController(initial_cwnd=2.0, max_cwnd=5.0, initial_ssthresh=100.0)
+def test_max_cwnd_cap(monkeypatch):
+    monkeypatch.setattr(congestion, "MAX_CWND", 5.0)
+    cc = with_window(RenoController(), 2.0, 100.0)
     for __ in range(20):
         cc.on_ack()
     assert cc.cwnd == pytest.approx(5.0)
 
 
 def test_slow_start_exits_at_ssthresh():
-    cc = RenoController(initial_cwnd=2.0, initial_ssthresh=4.0)
+    cc = with_window(RenoController(), 2.0, 4.0)
     assert cc.in_slow_start()
     cc.on_ack()
     cc.on_ack()
@@ -81,8 +91,8 @@ def test_slow_start_exits_at_ssthresh():
 # ----------------------------------------------------------------------
 def make_lia_pair(rtt_a=0.1, rtt_b=0.1):
     group = LiaGroup()
-    a = LiaCoupledController(group, lambda: rtt_a, initial_cwnd=10.0)
-    b = LiaCoupledController(group, lambda: rtt_b, initial_cwnd=10.0)
+    a = with_window(LiaCoupledController(group, lambda: rtt_a), 10.0)
+    b = with_window(LiaCoupledController(group, lambda: rtt_b), 10.0)
     a.ssthresh = b.ssthresh = 1.0  # force congestion avoidance
     return group, a, b
 
@@ -107,7 +117,7 @@ def test_lia_total_less_aggressive_than_two_renos():
         a.on_ack()
         b.on_ack()
     lia_growth = (a.cwnd - 10.0) + (b.cwnd - 10.0)
-    reno = RenoController(initial_cwnd=10.0, initial_ssthresh=1.0)
+    reno = with_window(RenoController(), 10.0, 1.0)
     for __ in range(100):
         reno.on_ack()
     assert lia_growth < 2 * (reno.cwnd - 10.0)
@@ -124,7 +134,7 @@ def test_lia_loss_reactions_match_reno_shape():
 
 def test_lia_slow_start_like_reno():
     group = LiaGroup()
-    cc = LiaCoupledController(group, lambda: 0.1, initial_cwnd=2.0)
+    cc = with_window(LiaCoupledController(group, lambda: 0.1), 2.0)
     cc.on_ack()
     assert cc.cwnd == pytest.approx(3.0)
 

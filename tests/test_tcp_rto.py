@@ -2,25 +2,32 @@
 
 import pytest
 
+from repro.tcp import rto
 from repro.tcp.rto import RtoEstimator
 
 
+@pytest.fixture
+def no_floor(monkeypatch):
+    """The RTO floor out of the way, so the RFC 6298 recursion shows."""
+    monkeypatch.setattr(rto, "MIN_RTO", 1e-9)
+
+
 def test_initial_rto_before_any_sample():
-    estimator = RtoEstimator(initial_rto=1.0)
-    assert estimator.rto == pytest.approx(1.0)
+    estimator = RtoEstimator()
+    assert estimator.rto == pytest.approx(rto.INITIAL_RTO) == pytest.approx(1.0)
     assert estimator.srtt is None
 
 
-def test_first_sample_initialises_srtt_and_rttvar():
-    estimator = RtoEstimator(min_rto=1e-9)
+def test_first_sample_initialises_srtt_and_rttvar(no_floor):
+    estimator = RtoEstimator()
     estimator.on_measurement(0.2)
     assert estimator.srtt == pytest.approx(0.2)
     assert estimator.rttvar == pytest.approx(0.1)
     assert estimator.rto == pytest.approx(0.2 + 4 * 0.1)
 
 
-def test_ewma_recursion_matches_rfc():
-    estimator = RtoEstimator(min_rto=1e-9)
+def test_ewma_recursion_matches_rfc(no_floor):
+    estimator = RtoEstimator()
     estimator.on_measurement(0.2)
     estimator.on_measurement(0.3)
     # RFC 6298: rttvar' = 3/4*0.1 + 1/4*|0.2-0.3|; srtt' = 7/8*0.2 + 1/8*0.3
@@ -29,15 +36,16 @@ def test_ewma_recursion_matches_rfc():
 
 
 def test_constant_rtt_converges_to_min_rto_floor():
-    estimator = RtoEstimator(min_rto=0.2)
+    estimator = RtoEstimator()
     for __ in range(200):
         estimator.on_measurement(0.05)
     # rttvar decays toward 0 -> rto would go to ~srtt, clamped to min.
     assert estimator.rto == pytest.approx(0.2)
 
 
-def test_backoff_doubles_and_clamps():
-    estimator = RtoEstimator(min_rto=0.2, max_rto=2.0)
+def test_backoff_doubles_and_clamps(monkeypatch):
+    monkeypatch.setattr(rto, "MAX_RTO", 2.0)
+    estimator = RtoEstimator()
     estimator.on_measurement(0.1)
     base = estimator.rto
     estimator.on_timeout()
@@ -48,7 +56,7 @@ def test_backoff_doubles_and_clamps():
 
 
 def test_measurement_resets_backoff():
-    estimator = RtoEstimator(min_rto=0.2, max_rto=60.0)
+    estimator = RtoEstimator()
     estimator.on_measurement(0.3)
     before = estimator.rto
     estimator.on_timeout()
@@ -71,13 +79,6 @@ def test_non_positive_rtt_rejected():
     estimator = RtoEstimator()
     with pytest.raises(ValueError):
         estimator.on_measurement(0.0)
-
-
-def test_invalid_bounds_rejected():
-    with pytest.raises(ValueError):
-        RtoEstimator(min_rto=0.0)
-    with pytest.raises(ValueError):
-        RtoEstimator(min_rto=1.0, max_rto=0.5)
 
 
 def test_sample_counter():

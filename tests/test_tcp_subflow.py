@@ -5,8 +5,8 @@ import cProfile
 import pytest
 
 from repro.tcp.congestion import RenoController
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowSink
-from tests.conftest import make_single_path
+from repro.tcp.subflow import SubflowOwner, SubflowSink
+from tests.conftest import make_single_path, make_subflow
 
 
 class ScriptedOwner(SubflowOwner):
@@ -44,7 +44,7 @@ class ScriptedOwner(SubflowOwner):
 def build(loss=0.0, supply=10, delay=0.010, resend_lost=False, feedback=None):
     network, path, trace = make_single_path(loss=loss, delay=delay)
     owner = ScriptedOwner(supply, resend_lost=resend_lost)
-    subflow = Subflow(network.sim, path, owner, subflow_id=0)
+    subflow = make_subflow(network.sim, path, owner, subflow_id=0)
     sink = SubflowSink(
         network.sim,
         path,
@@ -116,7 +116,7 @@ def test_loss_estimate_converges_to_path_rate():
 def test_feedback_piggybacked_on_acks():
     network, path, trace = make_single_path()
     owner = ScriptedOwner(5)
-    subflow = Subflow(network.sim, path, owner, subflow_id=0)
+    subflow = make_subflow(network.sim, path, owner, subflow_id=0)
     SubflowSink(
         network.sim,
         path,
@@ -196,7 +196,7 @@ class QuietOwner(SubflowOwner):
 
 def _run_profiled(owner):
     network, path, __ = make_single_path()
-    subflow = Subflow(network.sim, path, owner)
+    subflow = make_subflow(network.sim, path, owner)
     SubflowSink(network.sim, path, subflow, on_segment=lambda sf, segment: None)
     subflow.pump()
     profile = cProfile.Profile()
@@ -226,9 +226,10 @@ def test_delivered_hook_is_called_only_for_an_owner_that_overrides_it():
 
 def test_custom_congestion_controller_used():
     network, path, trace = make_single_path()
-    cc = RenoController(initial_cwnd=1.0)
+    cc = RenoController()
+    cc.cwnd = 1.0
     owner = ScriptedOwner(10)
-    subflow = Subflow(network.sim, path, owner, congestion=cc)
+    subflow = make_subflow(network.sim, path, owner, congestion=cc)
     SubflowSink(network.sim, path, subflow, on_segment=lambda sf, segment: None)
     subflow.pump()
     assert subflow.in_flight == 1  # initial cwnd of exactly one packet

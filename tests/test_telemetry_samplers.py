@@ -66,7 +66,7 @@ def test_sampled_eats_are_the_allocators_eat_table():
     checked, suspect_rows = [], []
 
     def check(record):
-        want = eat_table(sender.path_estimates(include_suspect=True))
+        want = eat_table(sender.path_table(include_suspect=True).estimates())
         assert record["eat"] == want.get(record["subflow"]), record
         checked.append(record)
         if record["suspect"]:

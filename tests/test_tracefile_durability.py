@@ -30,7 +30,7 @@ def test_close_is_idempotent(tmp_path):
 def test_flush_makes_lines_visible_before_close(tmp_path):
     trace = TraceBus()
     path = tmp_path / "t.jsonl"
-    writer = TraceFileWriter(trace, str(path), flush_every=None)
+    writer = TraceFileWriter(trace, str(path))
     trace.emit(0.0, "k", n=1)
     writer.flush()
     # Readable mid-run: the writer is still attached.
@@ -38,21 +38,17 @@ def test_flush_makes_lines_visible_before_close(tmp_path):
     writer.close()
 
 
-def test_flush_every_n_records(tmp_path):
+def test_flush_every_n_records(tmp_path, monkeypatch):
+    monkeypatch.setattr(TraceFileWriter, "FLUSH_EVERY", 3)
     trace = TraceBus()
     path = tmp_path / "t.jsonl"
-    writer = TraceFileWriter(trace, str(path), flush_every=3)
+    writer = TraceFileWriter(trace, str(path))
     for index in range(7):
         trace.emit(float(index), "k")
     # Two automatic flushes at records 3 and 6; at least 6 lines on disk.
     assert len(read_trace_file(str(path))) >= 6
     writer.close()
     assert len(read_trace_file(str(path))) == 7
-
-
-def test_flush_every_validation(tmp_path):
-    with pytest.raises(ValueError):
-        TraceFileWriter(TraceBus(), str(tmp_path / "t.jsonl"), flush_every=0)
 
 
 def test_torn_trailing_line_is_dropped(tmp_path):
@@ -86,12 +82,13 @@ def test_mid_file_corruption_still_raises(tmp_path):
         read_trace_file(str(path))
 
 
-def test_crashed_writer_leaves_parseable_file(tmp_path):
+def test_crashed_writer_leaves_parseable_file(tmp_path, monkeypatch):
     """Simulated crash: the writer is abandoned without close(); whatever
     was flushed must read back cleanly."""
     trace = TraceBus()
     path = tmp_path / "abandoned.jsonl"
-    writer = TraceFileWriter(trace, str(path), flush_every=2)
+    monkeypatch.setattr(TraceFileWriter, "FLUSH_EVERY", 2)
+    writer = TraceFileWriter(trace, str(path))
     for index in range(5):
         trace.emit(float(index), "k", seq=index)
     # No close() — only force the OS view like a dying process would.
@@ -148,7 +145,8 @@ def test_nonscalar_fields_roundtrip_through_file(tmp_path):
 
 
 def test_close_writes_terminal_dropped_record(tmp_path):
-    trace = TraceBus(max_pending=2)
+    trace = TraceBus()
+    trace.MAX_PENDING = 2
     path = tmp_path / "t.jsonl"
 
     def burst(record):

@@ -79,7 +79,7 @@ def traces(draw):
 @given(trace=traces())
 def test_csv_round_trip_is_identity(trace):
     text = trace.to_csv()
-    parsed = parse_trace_csv(text, name=trace.name, end_policy=trace.end_policy)
+    parsed = parse_trace_csv(text, name=trace.name)
     assert len(parsed.samples) == len(trace.samples)
     for original, reparsed in zip(trace.samples, parsed.samples):
         # repr() serialisation preserves floats exactly — equality, not
@@ -332,7 +332,7 @@ def test_player_applies_and_restores_baselines():
             TraceSample(1.0, bandwidth_bps=2e5, delay_s=0.05, loss_rate=0.0),
         ],
     )
-    player = TracePlayer(network.sim, links, trace, step_s=0.5)
+    player = TracePlayer(network.sim, links, trace)
     player.start()
     network.sim.run(until=0.6)
     assert links[0].bandwidth_bps == 5e4
@@ -353,9 +353,9 @@ def test_player_clear_policy_restores_on_its_own():
     trace = LinkTrace(
         "c", [TraceSample(0.0, bandwidth_bps=5e4)], end_policy="clear"
     )
-    player = TracePlayer(network.sim, links, trace, step_s=0.25)
+    player = TracePlayer(network.sim, links, trace)
     player.start()
-    network.sim.run(until=0.1)
+    network.sim.run(until=0.05)  # before the second tick, at STEP_S
     assert links[0].bandwidth_bps == 5e4
     network.sim.run(until=1.0)
     assert player.finished
@@ -371,7 +371,7 @@ def test_player_none_fields_mean_baseline():
     links = paths[1].forward_links
     baseline_delay = links[0].delay_s
     trace = LinkTrace("bwonly", [TraceSample(0.0, bandwidth_bps=7e4)])
-    player = TracePlayer(network.sim, links, trace, step_s=0.5)
+    player = TracePlayer(network.sim, links, trace)
     player.start()
     network.sim.run(until=0.1)
     assert links[0].bandwidth_bps == 7e4
@@ -384,8 +384,6 @@ def test_player_rejects_bad_inputs():
     trace = LinkTrace("t", [TraceSample(0.0, bandwidth_bps=1e5)])
     with pytest.raises(ValueError, match="at least one link"):
         TracePlayer(network.sim, [], trace)
-    with pytest.raises(ValueError, match="positive"):
-        TracePlayer(network.sim, paths[1].forward_links, trace, step_s=0.0)
     player = TracePlayer(network.sim, paths[1].forward_links, trace)
     player.start()
     with pytest.raises(RuntimeError, match="already playing"):

@@ -360,7 +360,7 @@ def test_a_drain_closed_by_sever_receiver_never_reads_again():
     connection, sim = _mid_transfer("fmtcp", "flow")
     connection.sever_receiver()
     drained = connection.receiver.drained_blocks
-    connection.add_subflow(connection.subflows[0].path, join_delay_s=0.0)
+    connection.add_subflow(connection.subflows[0].path)
     sim.run(until=8.0)
     assert connection.receiver.app_queue_blocks > 0
     assert connection.receiver.drained_blocks == drained
