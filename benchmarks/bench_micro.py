@@ -76,7 +76,7 @@ def test_rank_model_throughput(benchmark):
     def absorb_block():
         model = RankEvolutionModel(K, rng=random.Random(2))
         while not model.is_complete:
-            model.add_symbol()
+            model.add_symbol(None)
         return model.symbols_received
 
     received = benchmark(absorb_block)

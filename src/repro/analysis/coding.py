@@ -38,16 +38,6 @@ def fixed_rate_packets_to_send(block_packets: int, estimated_loss: float) -> flo
     return expected_packets_delivered(block_packets, estimated_loss)
 
 
-def expected_actual_delivered(
-    block_packets: int, estimated_loss: float, actual_loss: float
-) -> float:
-    """Eq. (5): E(X_R) = (1 − p₂)·a = (1 − p₂)/(1 − p₁)·A."""
-    _check_loss(actual_loss)
-    return (1.0 - actual_loss) * fixed_rate_packets_to_send(
-        block_packets, estimated_loss
-    )
-
-
 def chernoff_no_retransmission_bound(
     block_packets: int, estimated_loss: float, actual_loss: float
 ) -> float:
@@ -123,7 +113,7 @@ def simulate_fountain_delivery(
         while not model.is_complete:
             sent += 1
             if rng.random() >= loss_rate:
-                model.add_symbol()
+                model.add_symbol(None)
         total_sent += sent
     return total_sent / trials
 

@@ -580,6 +580,17 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _output_file(text: str) -> str:
+    """argparse ``type=`` of ``--csv`` and the two ``trace`` ``--output`` options:
+    a file in a directory that exists (else the write dies after the run)."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    return text
+
+
 def _instant(text: str) -> float:
     """argparse ``type=`` of ``--start`` / ``--end``: finite seconds."""
     value = float(text)
@@ -631,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--csv", type=str, default=None,
+        "--csv", type=_output_file, default=None,
         help="export rows to CSV (a verb with several tables writes "
         "STEM.LEDGER.csv per table)",
     )
@@ -689,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
     record.add_argument("--protocol", choices=PROTOCOLS, default="fmtcp")
-    record.add_argument("--output", type=str, default="trace.jsonl")
+    record.add_argument("--output", type=_output_file, default="trace.jsonl")
     record.add_argument(
         "--sample-period",
         type=_finite_positive,
@@ -727,7 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     export_p = trace_sub.add_parser("export-csv", help="flatten records to CSV")
     export_p.add_argument("file")
     export_p.add_argument("--kind", type=str, default=None, help="only this kind")
-    export_p.add_argument("--output", type=str, default=None, help="write here (default stdout)")
+    export_p.add_argument(
+        "--output", type=_output_file, default=None, help="write here (default stdout)"
+    )
     export_p.set_defaults(fn=cmd_trace_export_csv)
     spans_p = trace_sub.add_parser(
         "spans", help="per-stage block-delay decomposition (P50/P95/P99)"

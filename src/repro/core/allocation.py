@@ -52,10 +52,6 @@ class AllocationResult:
     iterations: int = 0
     virtual_packets: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def total_symbols(self) -> int:
-        return sum(count for __, count in self.vector)
-
     def is_empty(self) -> bool:
         return not self.vector
 

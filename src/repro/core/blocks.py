@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.config import FmtcpConfig
 from repro.fountain.codec import BlockEncoder, SystematicBlockEncoder
-from repro.fountain.rank_model import decoding_failure_probability
 
 
 class PendingBlock:
@@ -64,9 +63,6 @@ class PendingBlock:
         self.decoded = False
         self.symbols_generated = 0
 
-    def in_flight_total(self) -> int:
-        return sum(self.in_flight.values())
-
     def k_tilde(self, loss_rate_of: Callable[[int], float]) -> float:
         """Eq. (8): expected symbols the receiver will end up holding."""
         expected = float(self.k_bar)
@@ -74,16 +70,6 @@ class PendingBlock:
             if count:
                 expected += count * (1.0 - loss_rate_of(subflow_id))
         return expected
-
-    def expected_failure(self, loss_rate_of: Callable[[int], float]) -> float:
-        """Definition 3: δ̃_b = δ_b(k̃_b)."""
-        return decoding_failure_probability(self.k, self.k_tilde(loss_rate_of))
-
-    def is_delta_complete(
-        self, loss_rate_of: Callable[[int], float], margin: float
-    ) -> bool:
-        """Definition 4 via the margin form k̃ ≥ k̂ + log₂(1/δ̂)."""
-        return self.k_tilde(loss_rate_of) >= self.k + margin
 
     def record_sent(self, subflow_id: int, count: int, now: float) -> None:
         self.in_flight[subflow_id] = self.in_flight.get(subflow_id, 0) + count
@@ -95,12 +81,6 @@ class PendingBlock:
         """Symbols left the congestion window (acknowledged or lost)."""
         current = self.in_flight.get(subflow_id, 0)
         self.in_flight[subflow_id] = max(0, current - count)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PendingBlock {self.block_id} k={self.k} k̄={self.k_bar} "
-            f"inflight={self.in_flight_total()} decoded={self.decoded}>"
-        )
 
 
 class BlockManager:
@@ -231,9 +211,3 @@ class BlockManager:
             block.k_bar = k_bar
         elif epoch == block.quarantine_epoch and k_bar > block.k_bar:
             block.k_bar = k_bar
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<BlockManager pending={len(self.pending_blocks)} "
-            f"created={self.blocks_created} done={self.blocks_completed}>"
-        )

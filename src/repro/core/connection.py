@@ -115,12 +115,7 @@ class FmtcpConnection(MultipathConnection):
 
     def close(self) -> None:
         self.sender.close()
-        self.receiver.close()
         super().close()
-
-    def sever_receiver(self) -> int:
-        self.receiver.close()
-        return super().sever_receiver()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -128,10 +123,6 @@ class FmtcpConnection(MultipathConnection):
     @property
     def delivered_bytes(self) -> int:
         return self.receiver.delivered_bytes
-
-    @property
-    def delivered_blocks(self) -> int:
-        return self.receiver.delivered_blocks
 
     def corruption_stats(self) -> dict:
         """Integrity-layer counters, aggregated for telemetry and soaks."""
@@ -177,9 +168,3 @@ class FmtcpConnection(MultipathConnection):
         if needed == 0:
             return 0.0
         return self.sender.symbols_sent / needed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FmtcpConnection subflows={len(self.subflows)} "
-            f"delivered_blocks={self.delivered_blocks}>"
-        )

@@ -57,9 +57,6 @@ class SymbolGroup:
             parts.extend(symbol.integrity_digest() for symbol in self.symbols)
         return b"|".join(parts)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SymbolGroup block={self.block_id} count={self.count}>"
-
 
 class FmtcpSegmentPayload:
     """The transport payload of one FMTCP data packet."""
@@ -105,10 +102,6 @@ class FmtcpSegmentPayload:
         groups = list(self.groups)
         groups[target] = mutated_group
         return FmtcpSegmentPayload(groups)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(repr(group) for group in self.groups)
-        return f"<FmtcpPayload [{inner}]>"
 
 
 class FmtcpFeedback:
@@ -160,9 +153,3 @@ class FmtcpFeedback:
         if self.advertised_window is not None:
             digest += f":aw{self.advertised_window}"
         return digest.encode()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FmtcpFeedback frontier={self.decoded_in_order} "
-            f"k_bar={self.k_bar}>"
-        )

@@ -17,7 +17,7 @@ from repro.core.config import FmtcpConfig
 from repro.core.packets import FmtcpFeedback, FmtcpSegmentPayload
 from repro.fountain.codec import BlockDecoder
 from repro.fountain.rank_model import RankEvolutionModel
-from repro.robustness.flowcontrol import AppDrain, ReceiveWindow
+from repro.robustness.flowcontrol import ReceiveWindow
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
@@ -102,8 +102,10 @@ class FmtcpReceiver:
             # definition (delivery *is* the durable commit), so the
             # licensed limit restarts at frontier + capacity.
             self.window.on_drained(resume_frontier)
-        # Blocks decoded in order, awaiting the app.
-        self._drain = AppDrain.modelled_by(sim, config, self._deliver_to_app)
+        # An application that stopped reading (drain rate 0.0) leaves each
+        # in-order block in its queue, still occupying the receive window.
+        self._app_stopped = config.flow_control and config.recv_drain_rate_bps is not None
+        self.app_queue_blocks = 0
         self.drained_blocks = int(resume_frontier)
         self.symbols_window_discarded = 0
         self.peak_buffered_blocks = 0
@@ -251,18 +253,13 @@ class FmtcpReceiver:
     def _deliver_in_order(self) -> None:
         while self._deliver_next in self._decoded_waiting:
             block_bytes, data = self._decoded_waiting.pop(self._deliver_next)
-            if self._drain is not None:
-                # A modelled application reads at a finite rate: the
-                # block stays in the app queue (still occupying the
-                # receive window) until the drain timer consumes it.
-                self._drain.push(block_bytes, self._deliver_next, block_bytes, data)
+            if self._app_stopped:
+                self.app_queue_blocks += 1
             else:
                 self._deliver_to_app(self._deliver_next, block_bytes, data)
             self._deliver_next += 1
         if self._decode_frontier < self._deliver_next:
             self._decode_frontier = self._deliver_next
-        if self._drain is not None:
-            self._drain.schedule()
 
     def _deliver_to_app(
         self, block_id: int, block_bytes: int, data: Optional[bytes]
@@ -351,20 +348,5 @@ class FmtcpReceiver:
         return len(self._decoded_waiting)
 
     @property
-    def app_queue_blocks(self) -> int:
-        return self._drain.queued if self._drain is not None else 0
-
-    @property
     def delivered_blocks(self) -> int:
         return self._deliver_next
-
-    def close(self) -> None:
-        """Cancel the app-drain timer (event-queue drain invariant)."""
-        if self._drain is not None:
-            self._drain.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FmtcpReceiver delivered={self._deliver_next} "
-            f"active={len(self._active)} waiting={len(self._decoded_waiting)}>"
-        )

@@ -831,9 +831,3 @@ class FmtcpSender(SubflowOwner):
         """Stop the zero-window prober (event-queue drain invariant)."""
         if self._flow is not None:
             self._flow.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FmtcpSender pending={len(self.blocks.pending_blocks)} "
-            f"symbols_sent={self.symbols_sent} lost={self.symbols_lost}>"
-        )

@@ -1444,7 +1444,7 @@ def _stream(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Di
     seed += 8  # the ledger's seed 9 at the default seed 1
     paths = table1_path_configs(TABLE1_CASES[3], scale.bandwidth_bps)
     trace, network, built = build_topology(paths, seed)
-    source = VbrVideoSource(network.sim, mean_rate_bps=VIDEO_RATE_BPS, fps=25.0, seed=seed)
+    source = VbrVideoSource(network.sim, mean_rate_bps=VIDEO_RATE_BPS, seed=seed)
     collector = AppLatencyCollector(trace, source)
     # Every transport on its own default config, except MPTCP matched to
     # FMTCP's blocks; TCP rides path 0.

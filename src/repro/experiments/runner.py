@@ -64,8 +64,6 @@ def default_mptcp_config(fmtcp: FmtcpConfig) -> MptcpConfig:
     """
     buffer_bytes = fmtcp.block_bytes * fmtcp.max_pending_blocks
     return MptcpConfig(
-        mss=fmtcp.mss,
-        block_bytes=fmtcp.block_bytes,
         recv_buffer_chunks=max(16, buffer_bytes // fmtcp.mss),
     )
 
@@ -76,7 +74,6 @@ def default_fixedrate_config(fmtcp: FmtcpConfig) -> FixedRateConfig:
     return FixedRateConfig(
         symbols_per_block=fmtcp.symbols_per_block,
         symbol_size=fmtcp.symbol_size,
-        mss=fmtcp.mss,
         max_pending_blocks=fmtcp.max_pending_blocks,
     )
 
@@ -121,7 +118,8 @@ def build_connection(
     """The one place a transfer's connection is built, for any of
     :data:`PROTOCOLS`; ``config=None`` is the protocol's own default.
 
-    ``"tcp"`` is conventional TCP over exactly one path. ``epoch`` /
+    ``"tcp"`` is conventional TCP over exactly one path. ``sink`` (the
+    soaks' delivery check) reaches FMTCP and MPTCP only. ``epoch`` /
     ``resume`` are the recovery harness's: epoch 0 draws the seed's own
     RNG streams, later epochs disjoint ones.
     """
@@ -135,15 +133,11 @@ def build_connection(
             sim, paths, source, config=config, trace=trace, sink=sink, resume=resume
         )
     if protocol == "fixedrate":
-        return FixedRateConnection(
-            sim, paths, source, config=config, trace=trace, sink=sink
-        )
+        return FixedRateConnection(sim, paths, source, config=config, trace=trace)
     if protocol == "tcp":
         if len(paths) != 1:
             raise ValueError(f"tcp runs over exactly one path, got {len(paths)}")
-        return conventional_tcp(
-            sim, paths[0], source, config=config, trace=trace, sink=sink
-        )
+        return conventional_tcp(sim, paths[0], source, config=config, trace=trace)
     raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
 
 

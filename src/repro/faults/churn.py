@@ -72,10 +72,6 @@ class PathChurnController:
         self.path_ups = 0
         self.handovers = 0
 
-    def subflow_on(self, path_index: int) -> Optional[int]:
-        """Id of the subflow currently riding ``path_index`` (or None)."""
-        return self._subflow_of_path.get(path_index)
-
     def rebind(self, connection, active_paths: Sequence[int]) -> None:
         """Point the controller at a rebuilt connection (crash recovery).
 

@@ -33,13 +33,12 @@ plus four groups the transport does not merely suffer:
   :class:`~repro.net.corruption.CorruptionModel` on the path's links —
   ``corrupt`` takes ``rate`` or ``(rate[, effect[, evade_crc]])`` (a
   :class:`BernoulliCorruption`), ``corrupt_ge`` takes
-  ``(p_gb, p_bg, corrupt_bad[, effect[, evade_crc]])`` (a bursty
+  ``(p_gb, p_bg, corrupt_bad[, evade_crc])`` (a bursty, bit-flipping
   :class:`GilbertElliottCorruption`), ``None`` restores the baseline;
 * endpoint crashes, which mutate an *endpoint*, not the network —
   ``crash_sender`` / ``crash_receiver`` kill it (only its last durable
-  checkpoint survives), ``restart`` brings a crashed endpoint back up
-  (value ``None`` = whichever is down, or ``"sender"`` /
-  ``"receiver"``); they need an endpoints handler (see
+  checkpoint survives), ``restart`` brings every crashed endpoint back
+  up; none takes a value. They need an endpoints handler (see
   :class:`repro.recovery.manager.RecoveryManager`) and ignore ``path``;
 * trace replay — ``trace`` arms a
   :class:`~repro.traces.player.TracePlayer` replaying a channel time
@@ -116,13 +115,14 @@ def _make_ge_corruption(value: Any) -> GilbertElliottCorruption:
         p_gb, p_bg, corrupt_bad, *rest = value
     except (TypeError, ValueError):
         raise ValueError(
-            f"corrupt_ge value must be (p_gb, p_bg, corrupt_bad"
-            f"[, effect[, evade_crc]]), got {value!r}"
+            f"corrupt_ge value must be (p_gb, p_bg, corrupt_bad[, evade_crc]), "
+            f"got {value!r}"
         ) from None
-    effect, evade_crc = _effect_and_evasion("corrupt_ge", value, rest)
+    if len(rest) > 1:
+        raise ValueError(f"bad corrupt_ge value {value!r}")
     return GilbertElliottCorruption(
         float(p_gb), float(p_bg), corrupt_bad=float(corrupt_bad),
-        effect=effect, evade_crc=evade_crc,
+        evade_crc=float(rest[0]) if rest else 0.0,
     )
 
 
@@ -177,13 +177,6 @@ def _check_handover(event: "FaultEvent") -> None:
     if int(to_path) < 0 or float(break_s) < 0:
         raise ValueError(
             f"handover needs to_path >= 0 and break_s >= 0, got {event.value!r}"
-        )
-
-
-def _check_restart(event: "FaultEvent") -> None:
-    if event.value not in (None, "sender", "receiver"):
-        raise ValueError(
-            f"restart value must be None, 'sender' or 'receiver', got {event.value!r}"
         )
 
 
@@ -357,8 +350,8 @@ FAULT_TABLE: Dict[str, FaultKind] = {
         lambda injector, event: injector.endpoints.crash_receiver(),
     ),
     "restart": FaultKind(
-        "recovery", _check_restart, _never, None,
-        lambda injector, event: injector.endpoints.restart(event.value),
+        "recovery", _no_value, _never, None,
+        lambda injector, event: injector.endpoints.restart(),
     ),
     "trace": FaultKind(
         "traces", _or_none(resolve_trace), _none_value, "trace", _replay
@@ -426,15 +419,16 @@ def _has(group: str, doc: str) -> property:
 class FaultScenario:
     """A named, sorted fault timeline over an ``n_paths``-path topology."""
 
+    #: Every timeline runs on the two-path topology of the paper's setup.
+    n_paths = 2
+
     def __init__(
         self,
         name: str,
         events: Sequence[FaultEvent],
-        n_paths: int = 2,
         active_paths: Optional[Sequence[int]] = None,
     ):
-        if n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        n_paths = self.n_paths
         for event in events:
             if event.path >= n_paths:
                 raise ValueError(
@@ -458,7 +452,6 @@ class FaultScenario:
                     f"0..{n_paths - 1}, got {active_paths!r}"
                 )
         self.name = name
-        self.n_paths = n_paths
         # Stable sort: simultaneous events apply in listed order.
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda event: event.time)
@@ -584,13 +577,7 @@ class FaultScenario:
             end = min(start + rng.uniform(0.5, 4.0), _RANDOM_HEAL_S)
             events.append(FaultEvent(start, kind, path, draw_value(rng)))
             events.append(FaultEvent(end, restore_kind, path, restore_value))
-        return cls(f"random:{seed}", events, n_paths=2)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FaultScenario {self.name!r} events={len(self.events)} "
-            f"heal={self.heal_time:.1f}s>"
-        )
+        return cls(f"random:{seed}", events)
 
 
 #: Where the random generator's faults start, and when all have cleared.
@@ -831,7 +818,6 @@ def _wifi_to_lte_handover() -> FaultScenario:
     return FaultScenario(
         "wifi_to_lte_handover",
         [FaultEvent(8.0, "handover", 0, (1, 0.3))],
-        n_paths=2,
         active_paths=(0,),
     )
 
@@ -877,7 +863,7 @@ def _corruption_burst() -> FaultScenario:
     return FaultScenario(
         "corruption_burst",
         [
-            FaultEvent(8.0, "corrupt_ge", 1, (0.02, 0.25, 0.5, "bitflip", 0.2)),
+            FaultEvent(8.0, "corrupt_ge", 1, (0.02, 0.25, 0.5, 0.2)),
             FaultEvent(18.0, "corrupt_ge", 1, None),
         ],
     )
@@ -961,7 +947,6 @@ def _crash_during_handover() -> FaultScenario:
             FaultEvent(8.5, "crash_receiver", 0),
             FaultEvent(10.5, "restart", 0),
         ],
-        n_paths=2,
         active_paths=(0,),
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import CodedConfig
 from repro.net.topology import Path
@@ -51,11 +51,6 @@ class FixedRateConfig(CodedConfig):
             raise ValueError(
                 f"estimated_loss must be in [0, 1), got {self.estimated_loss}"
             )
-
-    @property
-    def code_symbols(self) -> int:
-        """n = ⌈k̂/(1−p̂)⌉: the fixed number of coded symbols per block."""
-        return int(math.ceil(self.symbols_per_block / (1.0 - self.estimated_loss)))
 
 
 class _FixedBlock:
@@ -105,10 +100,8 @@ class FixedRateConnection(MultipathConnection, SubflowOwner):
         source,
         config: Optional[FixedRateConfig] = None,
         trace: Optional[TraceBus] = None,
-        sink: Optional[Callable[[int], None]] = None,
     ):
         self.source = source
-        self.sink = sink
         self._retx_queues: Dict[int, Deque[Tuple[int, int]]] = {}
         super().__init__(
             sim,
@@ -146,17 +139,6 @@ class FixedRateConnection(MultipathConnection, SubflowOwner):
     # ------------------------------------------------------------------
     def _subflow_attached(self, subflow: Subflow) -> None:
         self._retx_queues[subflow.subflow_id] = deque()
-
-    def _settle_removed(self, subflow: Subflow, infos: List[SubflowPacketInfo]) -> int:
-        """Write the removed subflow's in-flight symbols off, and its queued
-        repairs with them: the strawman binds each repair to the path that
-        first carried it, so no survivor takes them over. Returns the
-        packets written off."""
-        del self._retx_queues[subflow.subflow_id]
-        return len(infos)
-
-    def _flow_counters(self) -> Tuple[Any, Any, int, int, int]:
-        return None, None, 0, 0, 0
 
     # ------------------------------------------------------------------
     # Sender side.
@@ -292,8 +274,6 @@ class FixedRateConnection(MultipathConnection, SubflowOwner):
         while self._deliver_next in self._decoded_waiting:
             delivered_bytes = self._decoded_waiting.pop(self._deliver_next)
             self.delivered_bytes += delivered_bytes
-            if self.sink is not None:
-                self.sink(self._deliver_next)
             if self.trace is not None and "conn.delivered" in self.trace.live:
                 self.trace.emit(
                     self.sim.now,
@@ -318,18 +298,9 @@ class FixedRateConnection(MultipathConnection, SubflowOwner):
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    @property
-    def delivered_blocks(self) -> int:
-        return self._deliver_next
 
     def redundancy_ratio(self) -> float:
         needed = self.blocks_decoded * self.config.symbols_per_block
         if needed == 0:
             return 0.0
         return self.symbols_sent / needed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FixedRateConnection pending={len(self._pending)} "
-            f"delivered={self._deliver_next} retx={self.symbols_retransmitted}>"
-        )

@@ -23,7 +23,6 @@ from repro.fountain.gf2 import Gf2Eliminator
 from repro.fountain.lt import LtDecoder, LtEncoder
 from repro.fountain.rank_model import (
     RankEvolutionModel,
-    decoding_failure_probability,
     expected_overhead_symbols,
 )
 from repro.fountain.soliton import robust_soliton
@@ -37,7 +36,6 @@ __all__ = [
     "RankEvolutionModel",
     "Symbol",
     "SystematicBlockEncoder",
-    "decoding_failure_probability",
     "expected_overhead_symbols",
     "robust_soliton",
 ]

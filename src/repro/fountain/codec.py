@@ -40,10 +40,6 @@ class Symbol:
         self.coeff = coeff
         self.data = data
 
-    def degree(self) -> int:
-        """Number of source parts XOR-ed into this symbol."""
-        return bin(self.coeff).count("1")
-
     def integrity_digest(self) -> bytes:
         return f"sym:{self.coeff:x}:{self.data:x}".encode()
 
@@ -56,9 +52,6 @@ class Symbol:
         """
         span = max(1, self.data.bit_length())
         return Symbol(self.coeff, self.data ^ (1 << rng.randrange(span)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Symbol coeff={self.coeff:#x} degree={self.degree()}>"
 
 
 def split_into_parts(data: bytes, k: int, part_size: int) -> List[int]:
@@ -119,16 +112,6 @@ class BlockEncoder:
             coeff = self._rng.getrandbits(self.k)
         self.symbols_emitted += 1
         return Symbol(coeff, self._combine(coeff))
-
-    def symbol_for_coeff(self, coeff: int) -> Symbol:
-        """Encode a caller-chosen coefficient row (used for systematic tests)."""
-        if not 0 < coeff < (1 << self.k):
-            raise ValueError("coefficient row out of range")
-        return Symbol(coeff, self._combine(coeff))
-
-    def systematic_symbols(self) -> List[Symbol]:
-        """The k unit-coefficient symbols (the source parts themselves)."""
-        return [Symbol(1 << index, self._parts[index]) for index in range(self.k)]
 
 
 class SystematicBlockEncoder(BlockEncoder):
@@ -191,9 +174,3 @@ class BlockDecoder:
         """Return the original block bytes (requires :attr:`is_complete`)."""
         parts = self._eliminator.solve()
         return join_parts(parts, self.part_size, self.data_length)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<BlockDecoder k={self.k} rank={self.independent_symbols} "
-            f"received={self.symbols_received}>"
-        )

@@ -147,10 +147,6 @@ class Gf2Eliminator:
             self.inconsistent_rows += 1
         return False
 
-    def would_be_independent(self, coeff: int) -> bool:
-        """Check independence without inserting."""
-        return self._reduced(coeff, 0).bit_length() > self.payload_bits
-
     def basis(self) -> List[Tuple[int, int]]:
         """The ``(coeff, payload)`` of the row with pivot bit 0, 1, …,
         ``k - 1``; ``(0, 0)`` where no row has that pivot yet."""
@@ -187,6 +183,3 @@ class Gf2Eliminator:
                 solved.append(payload)
             fill_xor_group(table, group_start, solved[group_start:])
         return solved
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gf2Eliminator k={self.k} rank={self.rank}>"

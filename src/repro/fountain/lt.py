@@ -33,15 +33,6 @@ class LtSymbol:
     def degree(self) -> int:
         return len(self.neighbours)
 
-    def integrity_digest(self) -> bytes:
-        return f"lts:{sorted(self.neighbours)}:{self.data:x}".encode()
-
-    def integrity_mutate(self, rng) -> "LtSymbol":
-        """A copy with one data bit flipped (bounded by the current data
-        width so a corrupted part can never outgrow the part size)."""
-        span = max(1, self.data.bit_length())
-        return LtSymbol(self.neighbours, self.data ^ (1 << rng.randrange(span)))
-
 
 class LtEncoder:
     """Emits LT symbols for one block of bytes."""
@@ -84,10 +75,6 @@ class LtDecoder:
         # part index -> indices into _pending that still cover it
         self._coverage: Dict[int, Set[int]] = {}
         self.symbols_received = 0
-
-    @property
-    def recovered_parts(self) -> int:
-        return len(self._recovered)
 
     @property
     def is_complete(self) -> bool:
@@ -175,7 +162,7 @@ class LtDecoder:
     def decode(self) -> bytes:
         if not self.is_complete and not self.try_ge_completion():
             raise ValueError(
-                f"cannot decode: {self.k - self.recovered_parts} parts missing"
+                f"cannot decode: {self.k - len(self._recovered)} parts missing"
             )
         parts = [self._recovered[index] for index in range(self.k)]
         return join_parts(parts, self.part_size, self.data_length)

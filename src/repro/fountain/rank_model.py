@@ -97,8 +97,9 @@ class RankEvolutionModel:
     def is_complete(self) -> bool:
         return self._rank >= self.k
 
-    def add_symbol(self, symbol=None) -> bool:
-        """Sample whether a fresh random symbol increases the rank."""
+    def add_symbol(self, symbol) -> bool:
+        """Sample whether a fresh random symbol increases the rank
+        (``symbol`` is ignored: the real decoder's signature)."""
         self.symbols_received += 1
         if self._rank >= self.k:
             self.symbols_redundant += 1
@@ -156,6 +157,3 @@ class RankEvolutionModel:
         self.symbols_received += count
         self.symbols_redundant += count - independent
         return independent
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RankEvolutionModel k={self.k} rank={self._rank}>"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.metrics.stats import mean, percentile
+from repro.metrics.stats import percentile
 from repro.sim.trace import TraceBus, TraceRecord
 
 
@@ -42,9 +42,6 @@ class AppLatencyCollector:
 
     def latencies(self) -> List[float]:
         return [latency for __, latency in self.samples]
-
-    def mean_latency_s(self) -> float:
-        return mean(self.latencies())
 
     def percentile_latency_s(self, q: float) -> float:
         return percentile(self.latencies(), q)

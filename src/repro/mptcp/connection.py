@@ -19,7 +19,7 @@ protocol-agnostic):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import (
     Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -29,7 +29,7 @@ import zlib
 
 from repro.net.integrity import payload_digest
 from repro.net.topology import Path
-from repro.robustness.flowcontrol import AppDrain, ProbedGate, ReceiveWindow, WindowGate
+from repro.robustness.flowcontrol import ProbedGate, ReceiveWindow, WindowGate
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.tcp.multipath import MultipathConfig, MultipathConnection
@@ -50,7 +50,8 @@ class MptcpConfig(MultipathConfig):
     # (capacity minus unacknowledged chunks), so flow control changes
     # nothing until a drain model is set.
     recv_buffer_chunks: int = 64
-    block_bytes: int = 8192
+    # Delay and jitter are measured on FMTCP's default block length.
+    block_bytes: int = field(default=8192, init=False)
     # "minrtt" or "roundrobin" (repro.mptcp.scheduler).
     scheduler: str = "minrtt"
     # After this many timeouts of one chunk, reinject it on the currently
@@ -69,8 +70,6 @@ class MptcpConfig(MultipathConfig):
         super().__post_init__()
         if self.recv_buffer_chunks < 1:
             raise ValueError("recv_buffer_chunks must be >= 1")
-        if self.block_bytes < 1:
-            raise ValueError(f"block_bytes must be >= 1, got {self.block_bytes}")
         if self.scheduler not in ("minrtt", "roundrobin"):
             raise ValueError(f"unknown scheduler kind {self.scheduler!r}")
 
@@ -224,8 +223,10 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
                 sim, config.recv_buffer_chunks, self._flow_blocked, self.pump
             )
             self.flow_gate = self._flow.gate
-        # In-order chunks awaiting a finite-rate application.
-        self._drain = AppDrain.modelled_by(sim, config, self._deliver_chunk)
+        # An application that stopped reading (drain rate 0.0) leaves each
+        # in-order chunk in its queue, still occupying the receive window.
+        self._app_stopped = config.flow_control and config.recv_drain_rate_bps is not None
+        self.app_queue_chunks = 0
         self._last_chunk: Optional[Chunk] = None
         self.drained_chunks = 0
         self.chunks_window_discarded = 0
@@ -280,14 +281,7 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
     def close(self) -> None:
         if self._flow is not None:
             self._flow.close()
-        if self._drain is not None:
-            self._drain.close()
         super().close()
-
-    def sever_receiver(self) -> int:
-        if self._drain is not None:
-            self._drain.close()
-        return super().sever_receiver()
 
     # ------------------------------------------------------------------
     # Skeleton hooks: what MPTCP does when the subflow set changes.
@@ -624,17 +618,12 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
                 dsn=chunk.dsn,
                 subflow=subflow_id,
             )
-        drain = self._drain
+        stopped = self._app_stopped
         for __, delivered in self._reorder.insert(chunk.dsn, chunk):
-            if drain is not None:
-                # A modelled application reads at a finite rate: the
-                # chunk keeps occupying the receive window until the
-                # drain timer consumes it.
-                drain.push(delivered.size, delivered)
+            if stopped:
+                self.app_queue_chunks += 1
             else:
                 self._deliver_chunk(delivered)
-        if drain is not None:
-            drain.schedule()
 
     def _deliver_chunk(self, delivered: Chunk) -> None:
         """Hand one in-order chunk to the application (= drain it)."""
@@ -700,11 +689,6 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
         acknowledged (a read-only view)."""
         return MappingProxyType(self._chunk_sizes)
 
-    @property
-    def app_queue_chunks(self) -> int:
-        """In-order chunks the modelled application has not read yet."""
-        return self._drain.queued if self._drain is not None else 0
-
     def memory_stats(self) -> Dict[str, int]:
         """Live buffer occupancy per category (units: chunks/packets).
 
@@ -749,12 +733,6 @@ class MptcpConnection(MultipathConnection, SubflowOwner):
             "chunks_discarded_checksum": self.chunks_discarded_checksum,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MptcpConnection subflows={len(self.subflows)} "
-            f"dsn={self._next_dsn} acked={self._data_acked}>"
-        )
-
 
 def conventional_tcp(
     sim: Simulator,
@@ -762,7 +740,6 @@ def conventional_tcp(
     source,
     config: Optional[MptcpConfig] = None,
     trace: Optional[TraceBus] = None,
-    sink: Optional[Callable[[Chunk], None]] = None,
 ) -> MptcpConnection:
     """Conventional TCP — the paper's Section I comparator — is the
     baseline over one path with dead-path detection off.
@@ -773,4 +750,4 @@ def conventional_tcp(
     one path and adds another, and there failover must stay armed.
     """
     config = replace(config or MptcpConfig(), failover_rto_threshold=None)
-    return MptcpConnection(sim, [path], source, config=config, trace=trace, sink=sink)
+    return MptcpConnection(sim, [path], source, config=config, trace=trace)

@@ -113,9 +113,3 @@ class ReorderBuffer:
         if len(self._buffered) > self.high_watermark:
             self.high_watermark = len(self._buffered)
         return []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ReorderBuffer next={self.next_expected} "
-            f"buffered={len(self._buffered)}/{self.capacity}>"
-        )

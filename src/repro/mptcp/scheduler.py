@@ -15,40 +15,18 @@ from repro.tcp.subflow import Subflow
 
 
 class SubflowScheduler:
-    """Interface: order subflows by transmission preference."""
+    """Interface: ``reserved_ahead(subflow, subflows)`` is the window space
+    of the usable subflows preferred over ``subflow``: the send credit
+    they have first claim on (the MPTCP waterfall). Suspect subflows
+    reserve nothing."""
 
     #: Whether consulting the scheduler moves its state, so that the same
     #: question asked twice can be answered differently.
     stateful = False
 
-    def preference_order(self, subflows: Sequence[Subflow]) -> List[Subflow]:
-        raise NotImplementedError
-
-    def reserved_ahead(self, subflow: Subflow, subflows: Sequence[Subflow]) -> int:
-        """Window space of the usable subflows preferred over ``subflow``:
-        the send credit they have first claim on (the MPTCP waterfall).
-        Suspect subflows reserve nothing."""
-        reserved = 0
-        for candidate in self.preference_order(subflows):
-            if candidate is subflow:
-                break
-            if candidate.usable:
-                reserved += candidate.window_space
-        return reserved
-
-    def prefers(self, subflow: Subflow, subflows: Sequence[Subflow]) -> bool:
-        """Whether ``subflow`` is the most-preferred one with window space."""
-        with_space = [candidate for candidate in subflows if candidate.window_space > 0]
-        if not with_space:
-            return False
-        return self.preference_order(with_space)[0] is subflow
-
 
 class MinRttScheduler(SubflowScheduler):
     """Prefer the subflow with the smallest smoothed RTT (Linux default)."""
-
-    def preference_order(self, subflows: Sequence[Subflow]) -> List[Subflow]:
-        return sorted(subflows, key=lambda subflow: (subflow.srtt, subflow.subflow_id))
 
     def reserved_ahead(self, subflow: Subflow, subflows: Sequence[Subflow]) -> int:
         # The subflows sorted ahead of ``subflow`` are those with a smaller
@@ -86,6 +64,15 @@ class RoundRobinScheduler(SubflowScheduler):
         pivot = self._turn % len(ordered)
         self._turn += 1
         return ordered[pivot:] + ordered[:pivot]
+
+    def reserved_ahead(self, subflow: Subflow, subflows: Sequence[Subflow]) -> int:
+        reserved = 0
+        for candidate in self.preference_order(subflows):
+            if candidate is subflow:
+                break
+            if candidate.usable:
+                reserved += candidate.window_space
+        return reserved
 
 
 def make_scheduler(kind: str) -> SubflowScheduler:

@@ -71,9 +71,6 @@ class CorruptedPayload:
             + payload_digest(self.inner)
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CorruptedPayload {self.effect} of {self.inner!r}>"
-
 
 def _mutate_packet(packet: Packet, effect: str, rng: random.Random, evade_crc: float):
     """One damaged copy/wrap of ``packet`` (never the original object)."""
@@ -119,10 +116,6 @@ class CorruptionModel:
     ) -> Optional[Tuple[Packet, ...]]:
         raise NotImplementedError
 
-    def rate_at(self, now: float) -> float:
-        """The (marginal) corruption probability at ``now``."""
-        raise NotImplementedError
-
 
 def _validated(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
@@ -147,15 +140,6 @@ class BernoulliCorruption(CorruptionModel):
             return None
         return corrupt_packet(packet, self.effect, rng, self.evade_crc)
 
-    def rate_at(self, now: float) -> float:
-        return self.rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BernoulliCorruption({self.rate}, effect={self.effect!r}, "
-            f"evade_crc={self.evade_crc})"
-        )
-
 
 class GilbertElliottCorruption(CorruptionModel):
     """Two-state Markov (Gilbert–Elliott) bursty corruption.
@@ -163,28 +147,25 @@ class GilbertElliottCorruption(CorruptionModel):
     The chain steps once per observed packet: GOOD→BAD with probability
     ``p_gb``, BAD→GOOD with ``p_bg``; a packet in the BAD state is then
     corrupted with probability ``corrupt_bad``, one in the GOOD state
-    never.
+    never. A burst flips bits.
     """
 
     GOOD = 0
     BAD = 1
+    effect = "bitflip"
 
     def __init__(
         self,
         p_gb: float,
         p_bg: float,
         corrupt_bad: float = 0.3,
-        effect: str = "bitflip",
         evade_crc: float = 0.0,
     ):
         for name, value in (("p_gb", p_gb), ("p_bg", p_bg), ("corrupt_bad", corrupt_bad)):
             _validated(name, value)
-        if effect not in CORRUPTION_EFFECTS:
-            raise ValueError(f"unknown corruption effect {effect!r}")
         self.p_gb = float(p_gb)
         self.p_bg = float(p_bg)
         self.corrupt_bad = float(corrupt_bad)
-        self.effect = effect
         self.evade_crc = _validated("evade_crc", evade_crc)
         self.state = self.GOOD
 
@@ -208,10 +189,3 @@ class GilbertElliottCorruption(CorruptionModel):
         if self.state == self.GOOD or rate <= 0.0 or rng.random() >= rate:
             return None
         return corrupt_packet(packet, self.effect, rng, self.evade_crc)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GilbertElliottCorruption(p_gb={self.p_gb}, p_bg={self.p_bg}, "
-            f"corrupt_bad={self.corrupt_bad}, "
-            f"effect={self.effect!r})"
-        )

@@ -222,10 +222,3 @@ class Link:
         if self.trace is not None and "link.deliver" in self.trace.live:
             self.trace.emit(self.sim.now, "link.deliver", link=self.name, packet=packet)
         self.dst_node.receive(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " DOWN" if self._down else ""
-        return (
-            f"<Link {self.name} {self.bandwidth_bps / 1e6:.1f}Mbps "
-            f"{self.delay_s * 1e3:.1f}ms loss={self.loss_model!r}{state}>"
-        )

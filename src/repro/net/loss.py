@@ -28,19 +28,9 @@ class LossModel:
     def should_drop(self, now: float, rng: random.Random) -> bool:
         raise NotImplementedError
 
-    def rate_at(self, now: float) -> float:
-        """The (marginal) loss probability at time ``now``; for estimators/tests."""
-        raise NotImplementedError
-
 
 class NoLoss(LossModel):
     """A lossless link."""
-
-    def should_drop(self, now: float, rng: random.Random) -> bool:
-        return False
-
-    def rate_at(self, now: float) -> float:
-        return 0.0
 
 
 class BernoulliLoss(LossModel):
@@ -53,12 +43,6 @@ class BernoulliLoss(LossModel):
 
     def should_drop(self, now: float, rng: random.Random) -> bool:
         return self.rate > 0.0 and rng.random() < self.rate
-
-    def rate_at(self, now: float) -> float:
-        return self.rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BernoulliLoss({self.rate})"
 
 
 class ScheduledLoss(LossModel):
@@ -90,7 +74,3 @@ class ScheduledLoss(LossModel):
     def should_drop(self, now: float, rng: random.Random) -> bool:
         rate = self.rate_at(now)
         return rate > 0.0 and rng.random() < rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        segments = list(zip(self._starts, self._rates))
-        return f"ScheduledLoss({segments})"

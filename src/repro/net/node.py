@@ -60,6 +60,3 @@ class Node:
             self.packets_undeliverable += 1
             return
         handler(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.name} ports={sorted(self._ports)}>"

@@ -86,14 +86,6 @@ class Packet:
         copy.checksum = self.checksum
         return copy
 
-    def next_link(self):
-        """Pop the next hop off the source route; ``None`` at the endpoint."""
-        if self.route_index >= len(self.route):
-            return None
-        link = self.route[self.route_index]
-        self.route_index += 1
-        return link
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Packet #{self.uid} {self.src}:{self.src_port}->"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -29,10 +28,6 @@ class DropTailQueue(deque):
         self.enqueues = 0
         self.high_watermark = 0
 
-    @property
-    def occupancy_bytes(self) -> int:
-        return sum(packet.size for packet in self)
-
     def try_enqueue(self, packet: Packet) -> bool:
         """Append ``packet``; returns False (a tail drop) when full."""
         depth = len(self)
@@ -44,7 +39,3 @@ class DropTailQueue(deque):
         if depth >= self.high_watermark:
             self.high_watermark = depth + 1
         return True
-
-    def dequeue(self) -> Optional[Packet]:
-        """Pop the head packet, or ``None`` when empty."""
-        return self.popleft() if self else None

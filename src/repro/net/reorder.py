@@ -46,9 +46,3 @@ class UniformReordering(ReorderingModel):
             return 0.0
         self.packets_reordered += 1
         return rng.uniform(0.0, self.max_extra_s)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"UniformReordering(p={self.probability}, "
-            f"extra=[0, {self.max_extra_s}]s)"
-        )

@@ -9,7 +9,7 @@ with independently configurable bandwidth, one-way delay and loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.link import Link
@@ -34,7 +34,8 @@ class PathConfig:
     delay_s: float = 0.100
     loss_rate: float = 0.0
     loss_model: Optional[LossModel] = None
-    queue_capacity: int = 100
+    # The drop-tail depth, in packets: the same on every path.
+    queue_capacity: int = field(default=100, init=False)
 
     def make_queue(self) -> DropTailQueue:
         return DropTailQueue(self.queue_capacity)
@@ -76,10 +77,6 @@ class Path:
         """Sum of propagation delays along the forward direction."""
         return sum(link.delay_s for link in self.forward_links)
 
-    @property
-    def bottleneck_bandwidth_bps(self) -> float:
-        return min(link.bandwidth_bps for link in self.forward_links)
-
     def send_forward(self, packet: Packet) -> None:
         packet.route = links = self.forward_links
         packet.route_index = 1
@@ -89,12 +86,6 @@ class Path:
         packet.route = links = self.reverse_links
         packet.route_index = 1
         links[0].send(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Path {self.name} {self.src_node.name}->{self.dst_node.name} "
-            f"{len(self.forward_links)} hop(s)>"
-        )
 
 
 class Network:
@@ -120,9 +111,6 @@ class Network:
         self.nodes[name] = node
         self._adjacency[name] = {}
         return node
-
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
 
     def add_link(
         self,

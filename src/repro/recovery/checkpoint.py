@@ -21,9 +21,7 @@ the lost blocks; its checkpoint is O(1). MPTCP must reconstruct exact
 chunk-level sequencing, so its sender checkpoint carries the chunk map
 — O(window) state the fountain code makes unnecessary.
 
-Checkpoints are frozen dataclasses with a schema ``version`` and strict
-``to_dict``/``from_dict`` round-trips, so a future layout change fails
-loudly instead of resuming from misread state.
+Checkpoints are frozen dataclasses stamped with a schema ``version``.
 """
 
 from __future__ import annotations
@@ -32,18 +30,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-#: Schema version stamped into every checkpoint; ``from_dict`` refuses
-#: to restore any other version.
+#: Schema version stamped into every checkpoint.
 CHECKPOINT_VERSION = 1
-
-
-def _require_version(data: dict, what: str) -> None:
-    version = data.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"cannot restore {what} checkpoint version {version!r} "
-            f"(supported: {CHECKPOINT_VERSION})"
-        )
 
 
 @dataclass(frozen=True)
@@ -80,19 +68,6 @@ class SenderCheckpoint:
             "chunk_map": [list(pair) for pair in self.chunk_map],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SenderCheckpoint":
-        _require_version(data, "sender")
-        return cls(
-            protocol=data["protocol"],
-            frontier=int(data["frontier"]),
-            byte_offset=int(data["byte_offset"]),
-            margin=data.get("margin"),
-            chunk_map=tuple(
-                (int(dsn), int(size)) for dsn, size in data.get("chunk_map", ())
-            ),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
@@ -127,30 +102,6 @@ class ReceiverCheckpoint:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.frontier < 0 or self.delivered_bytes < 0:
             raise ValueError("checkpoint frontier/delivered_bytes must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "protocol": self.protocol,
-            "frontier": self.frontier,
-            "delivered_bytes": self.delivered_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReceiverCheckpoint":
-        _require_version(data, "receiver")
-        return cls(
-            protocol=data["protocol"],
-            frontier=int(data["frontier"]),
-            delivered_bytes=int(data["delivered_bytes"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.to_json().encode())
 
 
 def _protocol_of(connection) -> str:

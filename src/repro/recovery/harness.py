@@ -16,8 +16,7 @@ interrupted the transfer. The harness's own invariants are
 :func:`no_wedged_timers_on_live_epoch`.
 
 Seeded determinism across restart epochs is asserted by the soak test
-(two runs of the same seed must produce identical
-:meth:`~repro.soak.SoakReport.fingerprint` values).
+(two runs of the same seed must produce identical reports).
 
 :func:`measure_recovery` is the benchmark probe behind the
 ``recovery_response`` catalog entry: the same transfer with and without
@@ -109,7 +108,6 @@ def recovery_manager(run: soak.Run) -> None:
         policy=_POLICY,
         trace=run.trace,
         watchdog=run.watchdog,
-        hello_rtt_s=2.0 * _DELAY_S,
     )
 
     def collect() -> None:
@@ -236,10 +234,7 @@ def measure_recovery(
     )
     # The one empty timeline a non-chaos harness admits (FaultScenario.route).
     baseline_scenario = FaultScenario(
-        f"baseline:{scenario.name}",
-        [],
-        n_paths=scenario.n_paths,
-        active_paths=scenario.active_paths,
+        f"baseline:{scenario.name}", [], active_paths=scenario.active_paths
     )
     baseline = soak.run_soak(
         RECOVERY, protocol, baseline_scenario, seed=seed, duration_s=duration_s

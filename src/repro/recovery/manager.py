@@ -112,6 +112,10 @@ class RecoveryManager:
     un-started (the manager calls ``start()``).
     """
 
+    #: One hello round trip before a reconnect resumes: 2 x the recovery
+    #: harness's 30 ms one-way delay.
+    hello_rtt_s = 0.06
+
     def __init__(
         self,
         sim: Any,
@@ -121,7 +125,6 @@ class RecoveryManager:
         policy: Optional[ReconnectPolicy] = None,
         trace: Optional[Any] = None,
         watchdog: Optional[Any] = None,
-        hello_rtt_s: float = 0.06,
     ):
         self.sim = sim
         self.connection = connection
@@ -130,7 +133,6 @@ class RecoveryManager:
         self.policy = policy or ReconnectPolicy()
         self.trace = trace
         self.watchdog = watchdog
-        self.hello_rtt_s = hello_rtt_s
 
         # Session token minted at connection setup; every reconnect
         # attempt must present it. 64 bits from the seeded stream keeps
@@ -172,8 +174,10 @@ class RecoveryManager:
             )
 
     def close(self) -> None:
-        """Cancel every pending timer (event-queue drain hygiene)."""
+        """Cancel every pending timer (event-queue drain hygiene) and drop
+        the epoch builder, whose closure holds the soak run holding this."""
         self.closed = True
+        self.rebuild = None
         for attr in ("_ckpt_event", "_poll_event", "_attempt_event", "_resume_event"):
             event = getattr(self, attr)
             if event is not None:
@@ -250,21 +254,19 @@ class RecoveryManager:
             self.policy.halfopen_poll_s, self._poll_halfopen
         )
 
-    def restart(self, which: Optional[str] = None) -> None:
-        """A crashed endpoint's host came back up.
-
-        ``which`` is ``"sender"``, ``"receiver"`` or ``None`` (= every
-        endpoint currently down). Restarting the sender from the *down*
-        state begins reconnection; a receiver restart merely makes
-        future attempts succeed (the sender drives the handshake).
+    def restart(self) -> None:
+        """Every crashed endpoint's host came back up. Restarting the
+        sender from the *down* state begins reconnection; a receiver
+        restart merely makes future attempts succeed (the sender drives
+        the handshake).
         """
         if self.closed or self.state in ("failed",):
             return
         revived = []
-        if which in (None, "sender") and not self.sender_up:
+        if not self.sender_up:
             self.sender_up = True
             revived.append("sender")
-        if which in (None, "receiver") and not self.receiver_up:
+        if not self.receiver_up:
             self.receiver_up = True
             revived.append("receiver")
         if not revived:
@@ -425,9 +427,3 @@ class RecoveryManager:
             "outages": list(self.outages),
             "checkpoint_bytes": self._sender_ckpt.size_bytes,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RecoveryManager state={self.state} epoch={self.epoch} "
-            f"crashes={self.crashes} resumes={self.resumes}>"
-        )

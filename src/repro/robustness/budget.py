@@ -47,16 +47,6 @@ class MemoryBudget:
                 )
         return over
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations()
-
     def summary(self) -> Dict[str, Number]:
         """Peaks dict for reports (a copy; safe to serialise)."""
         return dict(self.peaks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MemoryBudget {len(self.peaks)} categories, "
-            f"{self.observations} observations>"
-        )

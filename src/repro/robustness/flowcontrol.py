@@ -18,8 +18,7 @@ which is why the knob-off golden traces stay byte-identical.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Optional
 
 
 class ReceiveWindow:
@@ -48,7 +47,7 @@ class ReceiveWindow:
         """Whether a *new* unit with this id fits in the licensed range."""
         return seq < self.limit
 
-    def on_drained(self, units: int = 1) -> None:
+    def on_drained(self, units: int) -> None:
         """The application consumed ``units`` more in-order units."""
         self.drained += units
 
@@ -125,10 +124,6 @@ class WindowGate:
         """True when no new unit may be introduced (probe territory)."""
         return self.credit(next_seq) <= 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "paused" if self.paused else "open"
-        return f"<WindowGate limit={self.limit} {state}>"
-
 
 class ZeroWindowProber:
     """Exponential-backoff pacing for probing a closed receive window.
@@ -153,10 +148,6 @@ class ZeroWindowProber:
         self._interval = self.INITIAL_S
         self._event: Optional[Any] = None
         self.probes_fired = 0
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None
 
     def arm(self) -> None:
         """Start the probe countdown; a no-op if already armed."""
@@ -241,68 +232,3 @@ class ProbedGate:
         self._prober.close()
         self._blocked = self._pump = None
 
-
-class AppDrain:
-    """The receiver half both stacks run: an application that reads at a
-    finite rate.
-
-    In-order units queue here — still occupying the receive window —
-    until a timer paced at ``rate_bps`` hands each to ``deliver``. A
-    rate of 0.0 models an application that stopped reading: the queue
-    only grows.
-    """
-
-    def __init__(self, sim: Any, rate_bps: float, deliver: Callable[..., None]):
-        self._sim = sim
-        self._rate_bps = rate_bps
-        self._deliver = deliver
-        self._queue: Deque[Tuple[int, tuple]] = deque()
-        self._event: Optional[Any] = None
-
-    @classmethod
-    def modelled_by(
-        cls, sim: Any, config: Any, deliver: Callable[..., None]
-    ) -> Optional["AppDrain"]:
-        """The drain ``config`` asks for; ``None`` when the application
-        consumes instantly (flow control off, or no drain rate set)."""
-        if not config.flow_control or config.recv_drain_rate_bps is None:
-            return None
-        return cls(sim, config.recv_drain_rate_bps, deliver)
-
-    @property
-    def queued(self) -> int:
-        """Units the application has not read yet."""
-        return len(self._queue)
-
-    def push(self, size_bytes: int, *unit: Any) -> None:
-        """Queue one unit; ``deliver(*unit)`` runs when the app reads it."""
-        self._queue.append((size_bytes, unit))
-
-    def schedule(self) -> None:
-        """Arm the timer for the queue head (rate 0 or closed = never)."""
-        if (
-            self._event is not None
-            or not self._queue
-            or not self._rate_bps
-            or self._deliver is None
-        ):
-            return
-        self._event = self._sim.schedule(
-            self._queue[0][0] / self._rate_bps, self._tick
-        )
-
-    def _tick(self) -> None:
-        self._event = None
-        if not self._queue:
-            return
-        self._deliver(*self._queue.popleft()[1])
-        self.schedule()
-
-    def close(self) -> None:
-        """Cancel the timer (event-queue drain invariant) and drop the
-        delivery callback, which points back at the receiver holding this
-        drain: a closed drain never ticks again. The queue stays readable."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        self._deliver = None

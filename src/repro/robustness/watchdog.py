@@ -235,7 +235,3 @@ class Watchdog:
     def _emit(self, kind: str, **fields: Any) -> None:
         if self.trace is not None:
             self.trace.emit(self.sim.now, kind, **fields)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "failed" if self.failed else f"escalation={self.escalation}"
-        return f"<Watchdog {self.label} {state}>"

@@ -32,21 +32,9 @@ class Event(list):
 
     __slots__ = ()
 
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it."""
         self[2] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self[0]:.6f} seq={self[1]} fn={self[2]!r}{state}>"
 
 
 class Simulator:
@@ -115,11 +103,6 @@ class Simulator:
         event = Event((time, seq, fn, args))
         heapq.heappush(self._heap, event)
         return event
-
-    def stop(self) -> None:
-        """Stop the run loop after the current callback returns."""
-        self._stopped = True
-        self._halt_at = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Execute events in timestamp order.

@@ -70,9 +70,3 @@ class RngStreams:
     def fork(self, name: str) -> "RngStreams":
         """Derive a child registry (e.g. one per simulation replication)."""
         return RngStreams(self._derive_seed(f"fork:{name}"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RngStreams(master_seed={self.master_seed}, epoch={self.epoch}, "
-            f"streams={sorted(self._streams)})"
-        )

@@ -92,10 +92,6 @@ class Timer:
         self.expiry = None
         self._callback()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"expires={self.expiry:.6f}" if self.armed else "idle"
-        return f"<Timer {self.name} {state}>"
-
 
 class PeriodicTimer:
     """A repeating timer whose ticks stay aligned to an epoch.
@@ -124,24 +120,12 @@ class PeriodicTimer:
         self._epoch: Optional[float] = None
         self._tick = 0
 
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and self._event[2] is not None
-
-    @property
-    def elapsed_s(self) -> float:
-        """Trace time of the most recently scheduled tick."""
-        return self._tick * self.period_s
-
-    def start(self, fire_now: bool = True) -> None:
-        """Anchor the epoch at the current simulated time and begin ticking.
-
-        With ``fire_now`` the first tick (elapsed 0.0) runs at the epoch
-        itself; otherwise the first tick is one period in.
-        """
+    def start(self) -> None:
+        """Anchor the epoch at the current simulated time and begin ticking;
+        the first tick (elapsed 0.0) runs at the epoch itself."""
         self.stop()
         self._epoch = self._sim.now
-        self._tick = 0 if fire_now else 1
+        self._tick = 0
         self._schedule_next()
 
     def stop(self) -> None:
@@ -164,7 +148,3 @@ class PeriodicTimer:
         self._tick += 1
         self._schedule_next()
         self._callback(elapsed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"tick={self._tick}" if self.armed else "idle"
-        return f"<PeriodicTimer {self.name} period={self.period_s:g}s {state}>"

@@ -27,14 +27,8 @@ class TraceRecord:
         self.kind = kind
         self.fields: Dict[str, Any] = {} if fields is None else fields
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceRecord({self.time!r}, {self.kind!r}, {self.fields!r})"
-
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
 
 
 Subscriber = Callable[[TraceRecord], None]
@@ -47,9 +41,6 @@ class _EveryKind:
 
     def __contains__(self, kind: object) -> bool:
         return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<every kind>"
 
 
 _EVERY_KIND = _EveryKind()

@@ -65,11 +65,6 @@ class TraceFileWriter:
         if self.records_written % self.FLUSH_EVERY == 0:
             self._handle.flush()
 
-    def flush(self) -> None:
-        """Push buffered lines to the OS without detaching from the bus."""
-        if not self.closed:
-            self._handle.flush()
-
     def close(self) -> None:
         """Detach from the bus and close the file (if we opened it).
 

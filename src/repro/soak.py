@@ -140,19 +140,6 @@ class SoakReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def fingerprint(self) -> Dict[str, Any]:
-        """Determinism probe: two same-seed runs must match exactly."""
-        return {
-            "payload_crc32": self.payload_crc32,
-            "delivered_bytes": self.delivered_bytes,
-            "delivered_units": self.delivered_units,
-            "completion_time_s": self.completion_time_s,
-            "crashes": self.crashes,
-            "resumes": self.resumes,
-            "attempts": self.attempts,
-            "recovery_state": self.recovery_state,
-        }
-
 
 @dataclass
 class Run:
@@ -332,14 +319,17 @@ def run_soak(
         source=harness.source(expected_bytes, seed),
         flight=flight, profiler=profiler, flight_dump_dir=flight_dump_dir,
     )
+    # The sink holds the lists, not the run: the receiver holding a run
+    # that holds the receiver would be a cycle.
+    delivered_ids, delivered_chunks = run.delivered_ids, run.delivered_chunks
     if protocol == "fmtcp":
         def sink(block_id, data):
-            run.delivered_ids.append(block_id)
-            run.delivered_chunks.append(data or b"")
+            delivered_ids.append(block_id)
+            delivered_chunks.append(data or b"")
     else:
         def sink(chunk):
-            run.delivered_ids.append(chunk.dsn)
-            run.delivered_chunks.append(chunk.payload_bytes or b"")
+            delivered_ids.append(chunk.dsn)
+            delivered_chunks.append(chunk.payload_bytes or b"")
     run.sink = sink
     active_paths = size.active_paths
     if active_paths is None:
@@ -371,6 +361,7 @@ def run_soak(
         start()
     run.connection.start()
     sim.run(until=duration_s)
+    del poll  # its closure cell held ``poll`` itself: a cycle
 
     report.delivered_bytes = int(run.connection.delivered_bytes)
     report.delivered_units = len(run.delivered_ids)
@@ -393,6 +384,10 @@ def run_soak(
 
     for close in run.closers:
         close()
+    # The hooks are spent; dropping them cuts each closure's edge back to
+    # the run.
+    for hooks in (run.starters, run.collectors, run.closers):
+        hooks.clear()
     run.connection.close()
     sim.drain_cancelled()
     # Every harness: once the transfer is done and closed the simulator's

@@ -47,13 +47,11 @@ class CongestionController:
         # attribute, read on every pump and allocation round.
         self.window = max(1, int(value))
 
-    def can_send(self, in_flight: int) -> bool:
-        return in_flight < self.window
-
     def in_slow_start(self) -> bool:
         return self.cwnd < self.ssthresh
 
-    def on_ack(self, newly_acked: int = 1) -> None:
+    def on_ack(self) -> None:
+        """One new packet acknowledged."""
         raise NotImplementedError
 
     def on_fast_loss(self) -> None:
@@ -72,15 +70,12 @@ class CongestionController:
 class RenoController(CongestionController):
     """Slow start + AIMD, NewReno-flavoured."""
 
-    def on_ack(self, newly_acked: int = 1) -> None:
+    def on_ack(self) -> None:
         cwnd = self._cwnd
-        ssthresh = self.ssthresh
-        while newly_acked > 0:
-            if cwnd < ssthresh:
-                cwnd += 1.0
-            else:
-                cwnd += 1.0 / cwnd
-            newly_acked -= 1
+        if cwnd < self.ssthresh:
+            cwnd += 1.0
+        else:
+            cwnd += 1.0 / cwnd
         # The cwnd setter's two assignments, without its frame (per ACK).
         self._cwnd = cwnd = min(cwnd, MAX_CWND)
         self.window = max(1, int(cwnd))
@@ -151,14 +146,13 @@ class LiaCoupledController(CongestionController):
         self.rtt_provider = rtt_provider
         group.register(self)
 
-    def on_ack(self, newly_acked: int = 1) -> None:
-        for __ in range(newly_acked):
-            if self.in_slow_start():
-                self.cwnd += 1.0
-            else:
-                total = max(self.group.total_cwnd(), 1e-9)
-                increase = min(self.group.alpha() / total, 1.0 / self.cwnd)
-                self.cwnd += increase
+    def on_ack(self) -> None:
+        if self.in_slow_start():
+            self.cwnd += 1.0
+        else:
+            total = max(self.group.total_cwnd(), 1e-9)
+            increase = min(self.group.alpha() / total, 1.0 / self.cwnd)
+            self.cwnd += increase
         self.cwnd = min(self.cwnd, MAX_CWND)
 
     def on_fast_loss(self) -> None:

@@ -21,7 +21,7 @@ packet takes a hop through this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.topology import Path
@@ -29,15 +29,15 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.tcp.congestion import LiaGroup, make_controller
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.subflow import Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
+from repro.tcp.subflow import MSS, Subflow, SubflowOwner, SubflowPacketInfo, SubflowSink
 
 
 @dataclass
 class MultipathConfig:
     """Tunables every transport shares (each adds its own beside them)."""
 
-    # Subflow machinery.
-    mss: int = 1400
+    # Subflow machinery (the segment size is one constant, not a knob).
+    mss: int = field(default=MSS, init=False)
     congestion: str = "reno"
 
     # Dead-path failover: after this many consecutive RTO firings with no
@@ -55,13 +55,11 @@ class MultipathConfig:
     # units only below the licensed limit.
     flow_control: bool = False
     # Application drain model: None = the app consumes instantly (the
-    # pre-flow-control behaviour); a rate in bytes/s models a slow
-    # reader; 0.0 models an app that stopped reading entirely.
+    # pre-flow-control behaviour); 0.0 models an app that stopped reading
+    # entirely (its queue only grows). No run reads at a finite rate.
     recv_drain_rate_bps: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.mss < 1:
-            raise ValueError(f"mss must be >= 1, got {self.mss}")
         if self.congestion not in ("reno", "lia"):
             raise ValueError(
                 f"congestion must be 'reno' or 'lia', got {self.congestion!r}"
@@ -71,8 +69,11 @@ class MultipathConfig:
                 f"failover_rto_threshold must be >= 1 or None, "
                 f"got {self.failover_rto_threshold}"
             )
-        if self.recv_drain_rate_bps is not None and self.recv_drain_rate_bps < 0:
-            raise ValueError("recv_drain_rate_bps must be >= 0 or None")
+        if self.recv_drain_rate_bps not in (None, 0.0):
+            raise ValueError(
+                "recv_drain_rate_bps must be None (the application reads at once) "
+                f"or 0.0 (it stopped reading), got {self.recv_drain_rate_bps!r}"
+            )
 
 
 class MultipathConnection:
@@ -134,7 +135,6 @@ class MultipathConnection:
             subflow_id=subflow_id,
             congestion=controller,
             rto=RtoEstimator(),
-            mss=config.mss,
             trace=self.trace,
             failed_rto_threshold=config.failover_rto_threshold,
             join_delay_s=join_delay_s,

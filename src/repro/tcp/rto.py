@@ -58,10 +58,3 @@ class RtoEstimator:
         """Double the timeout (Karn back-off), clamped at ``MAX_RTO``."""
         self._backoff_factor = min(self._backoff_factor * 2.0, MAX_RTO / MIN_RTO)
         self.rto = self._derive_rto()
-
-    def reset_backoff(self) -> None:
-        self._backoff_factor = 1.0
-        self.rto = self._derive_rto()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RtoEstimator(srtt={self.srtt}, rttvar={self.rttvar}, rto={self.rto:.3f})"

@@ -39,7 +39,8 @@ ACK_BYTES = 40
 DUP_ACK_THRESHOLD = 3
 #: The per-packet gain of the loss-rate EWMA.
 LOSS_EWMA_GAIN = 0.05
-
+#: Maximum segment size (bytes of payload per packet), every transport's.
+MSS = 1400
 
 class SubflowSegment:
     """Wire payload of a data packet."""
@@ -61,9 +62,6 @@ class SubflowSegment:
             return None
         return SubflowSegment(self.seq, mutated)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Seg seq={self.seq}>"
-
 
 class SubflowAck:
     """Wire payload of an ACK packet: which seq, plus owner feedback."""
@@ -79,9 +77,6 @@ class SubflowAck:
             b"ack:" + str(self.echo_seq).encode() + b":"
             + payload_digest(self.feedback)
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Ack echo={self.echo_seq}>"
 
 
 class SubflowPacketInfo:
@@ -158,17 +153,10 @@ class Subflow:
         congestion: CongestionController,
         rto: RtoEstimator,
         subflow_id: int = 0,
-        mss: int = 1400,
         trace: Optional[TraceBus] = None,
         failed_rto_threshold: Optional[int] = None,
         join_delay_s: Optional[float] = None,
     ):
-        if failed_rto_threshold is not None and failed_rto_threshold < 1:
-            raise ValueError(
-                f"failed_rto_threshold must be >= 1, got {failed_rto_threshold}"
-            )
-        if join_delay_s is not None and join_delay_s < 0:
-            raise ValueError(f"join_delay_s must be >= 0, got {join_delay_s}")
         self.sim = sim
         self.path = path
         self.owner = owner
@@ -181,7 +169,6 @@ class Subflow:
         self.subflow_id = subflow_id
         self.cc = congestion
         self.rto = rto
-        self.mss = mss
         self.failed_rto_threshold = failed_rto_threshold
         self.trace = trace
 
@@ -268,10 +255,6 @@ class Subflow:
         return 0.0
 
     @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
     def consecutive_timeouts(self) -> int:
         """RTO firings since the last ACK."""
         return self._consecutive_timeouts
@@ -306,10 +289,6 @@ class Subflow:
     @property
     def is_joining(self) -> bool:
         return self._join_event is not None
-
-    @property
-    def is_closed(self) -> bool:
-        return self._closed
 
     @property
     def usable(self) -> bool:
@@ -370,8 +349,8 @@ class Subflow:
         self.pump()
 
     def _transmit(self, payload: Any, size: int) -> None:
-        if size <= 0 or size > self.mss:
-            raise ValueError(f"payload size {size} outside (0, mss={self.mss}]")
+        if size <= 0 or size > MSS:
+            raise ValueError(f"payload size {size} outside (0, mss={MSS}]")
         self.owner.supply_epoch += 1
         now = self.sim.now
         seq = self._next_seq
@@ -434,7 +413,7 @@ class Subflow:
             else:
                 self.loss_rate_estimate = 0.0
                 self._loss_estimate_primed = True
-            self.cc.on_ack(1)
+            self.cc.on_ack()
             if self._notify_delivered:
                 self.owner.on_payload_delivered(self, info)
             self._detect_dupack_losses(seq)
@@ -600,12 +579,6 @@ class Subflow:
                 drained=len(infos),
             )
         return infos
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Subflow {self.subflow_id} cwnd={self.cc.cwnd:.1f} "
-            f"inflight={self.in_flight} p={self.loss_rate_estimate:.3f}>"
-        )
 
 
 class SubflowSink:

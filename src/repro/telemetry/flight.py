@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.sim.trace import TraceBus, TraceRecord
 from repro.sim.tracefile import _jsonable
@@ -44,13 +44,6 @@ class FlightRecorder:
     def dropped(self) -> int:
         """Records that fell off the front of the ring."""
         return self.records_seen - len(self._ring)
-
-    def records(self) -> List[TraceRecord]:
-        """Retained records, oldest first."""
-        return list(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     def close(self) -> None:
         """Detach from the bus (the retained records stay readable)."""
@@ -88,9 +81,3 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FlightRecorder {len(self._ring)}/{self.capacity} "
-            f"seen={self.records_seen}>"
-        )

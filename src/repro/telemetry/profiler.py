@@ -146,6 +146,3 @@ class SimProfiler:
             "max_heap_depth": self.max_heap_depth,
             "by_kind": kinds,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimProfiler events={self.events} wall={self.wall_s:.3f}s>"

@@ -133,9 +133,3 @@ class TelemetrySession:
             ),
             spans=self.spans.summary() if self.spans is not None else None,
         )
-
-    def __enter__(self) -> "TelemetrySession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.finish()

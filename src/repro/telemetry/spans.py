@@ -77,10 +77,6 @@ SPAN_KINDS = (
     "conn.delivered",
 )
 
-FMTCP_STAGES = ("sched_wait", "transmit", "decode_wait", "reorder_wait")
-MPTCP_STAGES = ("transmit", "fill_wait", "reorder_wait")
-
-
 def _new_leg() -> Dict[str, int]:
     return {"tx": 0, "rx": 0, "lost": 0}
 
@@ -119,10 +115,6 @@ class BlockSpan:
         return leg
 
     @property
-    def stages(self) -> Tuple[str, ...]:
-        return FMTCP_STAGES if self.protocol == "fmtcp" else MPTCP_STAGES
-
-    @property
     def is_complete(self) -> bool:
         return None not in (
             self.open_t,
@@ -130,17 +122,6 @@ class BlockSpan:
             self.first_rx_t,
             self.complete_t,
             self.delivered_t,
-        )
-
-    def edges(self) -> "OrderedDict[str, Optional[float]]":
-        return OrderedDict(
-            (
-                ("open", self.open_t),
-                ("first_tx", self.first_tx_t),
-                ("first_rx", self.first_rx_t),
-                ("complete", self.complete_t),
-                ("delivered", self.delivered_t),
-            )
         )
 
     def stage_durations(self) -> "OrderedDict[str, float]":
@@ -176,10 +157,6 @@ class BlockSpan:
     def conservation_error(self) -> float:
         """|sum of stages - total delay| — zero up to float rounding."""
         return abs(sum(self.stage_durations().values()) - self.total_delay)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "complete" if self.is_complete else "open"
-        return f"<BlockSpan {self.protocol}/{self.block_id} {state}>"
 
 
 class _MptcpBlockChunks:
@@ -464,10 +441,6 @@ class SpanCollector:
     # ------------------------------------------------------------------
     # Aggregation.
     # ------------------------------------------------------------------
-    @property
-    def open_spans(self) -> List[BlockSpan]:
-        """Spans still in flight (e.g. the tail block at simulation end)."""
-        return list(self._open.values())
 
     def stage_delays_ms(self) -> Dict[str, Dict[str, List[float]]]:
         """Per-protocol, per-stage delays of the finished spans (ms)."""

@@ -41,7 +41,7 @@ def _stream(family: str, seed: int) -> random.Random:
 DURATION_S = 16.0
 
 
-def gprs_trace(seed: int = 1, duration_s: float = DURATION_S) -> LinkTrace:
+def gprs_trace(seed: int, duration_s: float = DURATION_S) -> LinkTrace:
     """GPRS-like slow bursty channel, sampled every 0.5 s: a two-state
     fade process (fade with p 0.15 per step, recover with p 0.4) between
     ~170 kb/s at 1 % loss and ~30 kb/s at 25 % loss, with ~450 ms of
@@ -65,7 +65,7 @@ def gprs_trace(seed: int = 1, duration_s: float = DURATION_S) -> LinkTrace:
     return LinkTrace(f"gprs:{seed}", samples, end_policy="hold")
 
 
-def leo_trace(seed: int = 1) -> LinkTrace:
+def leo_trace(seed: int) -> LinkTrace:
     """LEO handover: periodic RTT sawtooth with an outage at each switch,
     sampled every 0.25 s.
 
@@ -97,7 +97,7 @@ def leo_trace(seed: int = 1) -> LinkTrace:
     return LinkTrace(f"leo:{seed}", samples, end_policy="hold")
 
 
-def incast_trace(seed: int = 1) -> LinkTrace:
+def incast_trace(seed: int) -> LinkTrace:
     """Datacenter incast: synchronized cross-traffic bursts.
 
     Every ~1.5 s (±15 % seeded jitter) a fan-in burst crushes the
@@ -123,7 +123,7 @@ def incast_trace(seed: int = 1) -> LinkTrace:
     return LinkTrace(f"incast:{seed}", samples, end_policy="hold")
 
 
-def cellular_trace(seed: int = 1) -> LinkTrace:
+def cellular_trace(seed: int) -> LinkTrace:
     """Cellular drive-test style capacity, sampled every 0.25 s: a random
     walk from 900 kb/s bounded to [120 kb/s, 2.5 Mb/s], plus deep fades
     to 60 kb/s (p 0.04 per step)."""
@@ -147,7 +147,7 @@ def cellular_trace(seed: int = 1) -> LinkTrace:
     return LinkTrace(f"cellular:{seed}", samples, end_policy="hold")
 
 
-def wifi_trace(seed: int = 1) -> LinkTrace:
+def wifi_trace(seed: int) -> LinkTrace:
     """WiFi walk-test style capacity, sampled every 0.25 s: rate steps as
     the MCS adapts, from 3 Mb/s on a ladder between 250 kb/s and 6 Mb/s."""
     rng = _stream("wifi", seed)

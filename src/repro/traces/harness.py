@@ -133,10 +133,7 @@ def measure_trace_goodput(
         # "loop" so short traces keep shaping the channel all run long.
         replay = resolve_trace(trace_spec)
         if replay.end_policy != "loop":
-            replay = LinkTrace(
-                replay.name, replay.samples, end_policy="loop",
-                interpolate=replay.interpolate,
-            )
+            replay = LinkTrace(replay.name, replay.samples, end_policy="loop")
         player = TracePlayer(sim, paths[1].forward_links, replay, bus=trace)
         player.start()
     connection.start()

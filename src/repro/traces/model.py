@@ -27,11 +27,9 @@ End-of-trace policies (what happens after the last sample):
 ========  ==========================================================
 hold      keep the last sample's conditions until stopped (default)
 loop      wrap around — sample ``k`` at trace time ``t mod duration``
-clear     restore the link's baseline settings
 ========  ==========================================================
 
-``interpolate=True`` linearly interpolates bandwidth and delay between
-samples (loss always steps: it is a probability regime, not a level).
+Between samples the channel steps: each sample holds until the next.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 #: Valid end-of-trace policies (see module docstring).
-END_POLICIES = ("hold", "loop", "clear")
+END_POLICIES = ("hold", "loop")
 
 #: The CSV header every trace file starts with.
 CSV_HEADER = ("time_s", "bandwidth_bps", "delay_s", "loss_rate")
@@ -89,10 +87,6 @@ class TraceSample:
             )
 
 
-def _lerp(a: float, b: float, frac: float) -> float:
-    return a + (b - a) * frac
-
-
 class LinkTrace:
     """A named, validated channel time series with an end-of-trace policy."""
 
@@ -101,7 +95,6 @@ class LinkTrace:
         name: str,
         samples: Sequence[TraceSample],
         end_policy: str = "hold",
-        interpolate: bool = False,
     ):
         if not samples:
             raise TraceFormatError(f"trace {name!r} is empty: need >= 1 sample")
@@ -119,56 +112,26 @@ class LinkTrace:
         self.samples: Tuple[TraceSample, ...] = tuple(samples)
         self._times = tuple(sample.time_s for sample in self.samples)
         self.end_policy = end_policy
-        self.interpolate = interpolate
 
     @property
     def duration_s(self) -> float:
         """Time of the last sample (0.0 for a single-sample trace)."""
         return self.samples[-1].time_s
 
-    def sample_at(self, t: float) -> Optional[TraceSample]:
-        """Channel conditions at trace time ``t``.
-
-        Returns ``None`` when the trace is over and the policy is
-        ``clear`` (the caller restores baselines), otherwise a
-        :class:`TraceSample` whose ``None`` fields mean "baseline".
-        Before the first sample the first sample's conditions apply
-        (a trace is a regime description, not a delta log).
+    def sample_at(self, t: float) -> TraceSample:
+        """Channel conditions at trace time ``t``: a :class:`TraceSample`
+        whose ``None`` fields mean "baseline". Before the first sample the
+        first sample's conditions apply (a trace is a regime description,
+        not a delta log).
         """
         if t > self.duration_s:
-            if self.end_policy == "clear":
-                return None
             if self.end_policy == "hold" or self.duration_s == 0.0:
                 return self.samples[-1]
             t = t % self.duration_s
         if t <= self.samples[0].time_s:
             return self.samples[0]
-        # The sample pair bracketing t: the first sample later than t and
-        # the one before it.
-        index = bisect_right(self._times, t)
-        if index == len(self.samples):
-            return self.samples[-1]
-        previous, sample = self.samples[index - 1], self.samples[index]
-        if not self.interpolate:
-            return previous
-        frac = (t - previous.time_s) / (sample.time_s - previous.time_s)
-        bandwidth = (
-            None
-            if previous.bandwidth_bps is None or sample.bandwidth_bps is None
-            else _lerp(previous.bandwidth_bps, sample.bandwidth_bps, frac)
-        )
-        delay = (
-            None
-            if previous.delay_s is None or sample.delay_s is None
-            else _lerp(previous.delay_s, sample.delay_s, frac)
-        )
-        # Loss always steps: it is a regime probability.
-        return TraceSample(
-            time_s=t,
-            bandwidth_bps=bandwidth,
-            delay_s=delay,
-            loss_rate=previous.loss_rate,
-        )
+        # The sample in force at t: the last one not later than t.
+        return self.samples[bisect_right(self._times, t) - 1]
 
     # ------------------------------------------------------------------
     # CSV round-trip.
@@ -192,12 +155,6 @@ class LinkTrace:
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
             handle.write(self.to_csv())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LinkTrace {self.name!r} {len(self.samples)} samples "
-            f"{self.duration_s:.2f}s {self.end_policy}>"
-        )
 
 
 def _parse_cell(

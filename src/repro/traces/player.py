@@ -4,9 +4,9 @@ The player is the bridge between a recorded (or generated) channel time
 series and the runtime-mutation API of :class:`~repro.net.link.Link`:
 on every tick it evaluates the trace at the aligned trace time and
 drives ``set_bandwidth`` / ``set_delay`` / ``set_loss_model`` on its
-links. Baselines are captured at :meth:`start`, so ``stop`` (or the
-``clear`` end policy) returns every link to exactly its pre-trace
-settings — the same contract the fault injector keeps.
+links. Baselines are captured at :meth:`start`, so ``stop`` returns
+every link to exactly its pre-trace settings — the same contract the
+fault injector keeps.
 
 Clock alignment: trace time 0 is the simulated instant :meth:`start`
 runs, and ticks ride a :class:`~repro.sim.timers.PeriodicTimer`, whose
@@ -62,22 +62,15 @@ class TracePlayer:
         # method, so a kept timer would hold a stopped player in a cycle.
         self._timer: Optional[PeriodicTimer] = None
         self._baselines: Dict[int, _LinkBaseline] = {}
-        self._finished = False
 
     @property
     def playing(self) -> bool:
-        return self._timer is not None and self._timer.armed
-
-    @property
-    def finished(self) -> bool:
-        """Whether playback ran off the end of a ``clear``-policy trace."""
-        return self._finished
+        return self._timer is not None
 
     def start(self) -> None:
         """Capture baselines, anchor trace time 0 at ``sim.now``, begin."""
         if self.playing:
             raise RuntimeError(f"trace {self.trace.name!r} is already playing")
-        self._finished = False
         self._baselines = {
             id(link): _LinkBaseline(
                 bandwidth_bps=link.bandwidth_bps,
@@ -89,7 +82,7 @@ class TracePlayer:
         self._timer = PeriodicTimer(
             self.sim, self.STEP_S, self._tick, name=f"trace:{self.trace.name}"
         )
-        self._timer.start(fire_now=True)
+        self._timer.start()
 
     def _drop_timer(self) -> None:
         if self._timer is not None:
@@ -114,13 +107,7 @@ class TracePlayer:
                 )
 
     def _tick(self, elapsed_s: float) -> None:
-        sample = self.trace.sample_at(elapsed_s)
-        if sample is None:
-            # "clear" policy past the end: restore and retire.
-            self._finished = True
-            self.stop()
-            return
-        self._apply(sample)
+        self._apply(self.trace.sample_at(elapsed_s))
         self.ticks_applied += 1
         if self.trace.end_policy == "hold" and elapsed_s >= self.trace.duration_s:
             # Holding the last sample needs no further ticks.
@@ -152,10 +139,3 @@ class TracePlayer:
                 delay_s=sample.delay_s,
                 loss_rate=sample.loss_rate,
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "playing" if self.playing else "idle"
-        return (
-            f"<TracePlayer {self.trace.name!r} over {len(self.links)} "
-            f"link(s) {state}>"
-        )

@@ -26,10 +26,6 @@ class BulkSource:
         self.total_bytes = total_bytes
         self.pulled_bytes = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self.total_bytes is not None and self.pulled_bytes >= self.total_bytes
-
     def pull(self, max_bytes: int) -> PullResult:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -58,10 +54,6 @@ class RandomPayloadSource:
         self.total_bytes = total_bytes
         self.pulled_bytes = 0
         self.transcript = bytearray()
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pulled_bytes >= self.total_bytes
 
     def pull(self, max_bytes: int) -> PullResult:
         if max_bytes < 0:
@@ -112,12 +104,6 @@ class ReplayableSource:
     def transcript(self):
         """The inner source's transcript, if it keeps one."""
         return getattr(self.inner, "transcript", None)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._position >= self.granted_bytes and bool(
-            getattr(self.inner, "exhausted", False)
-        )
 
     def pull(self, max_bytes: int) -> PullResult:
         if max_bytes < 0:
@@ -205,7 +191,3 @@ class CbrSource:
         granted = min(max_bytes, available)
         self.pulled_bytes += granted
         return granted
-
-    def creation_time_of(self, offset: int) -> float:
-        """When the byte at stream ``offset`` was produced by the encoder."""
-        return (offset + 1) * 8.0 / self.rate_bps

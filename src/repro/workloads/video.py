@@ -31,24 +31,24 @@ class VbrVideoSource:
     FRAME_WEIGHTS = {"I": 5.0, "P": 1.0, "B": 0.6}
     GOP_PATTERN = "IPPBPPBPPBPP"
     JITTER_FRACTION = 0.2
+    #: Frames per second.
+    fps = 25.0
 
     def __init__(
         self,
         sim: Simulator,
         mean_rate_bps: float = 2.4e6,
-        fps: float = 25.0,
         seed: int = 0,
     ):
-        if mean_rate_bps <= 0 or fps <= 0:
-            raise ValueError("mean_rate_bps and fps must be positive")
+        if mean_rate_bps <= 0:
+            raise ValueError("mean_rate_bps must be positive")
         self.sim = sim
-        self.fps = fps
         self._rng = random.Random(seed)
 
         # Scale weights so the long-run average hits mean_rate_bps.
         pattern = self.GOP_PATTERN
         mean_weight = sum(self.FRAME_WEIGHTS[c] for c in pattern) / len(pattern)
-        bytes_per_frame_mean = mean_rate_bps / 8.0 / fps
+        bytes_per_frame_mean = mean_rate_bps / 8.0 / self.fps
         self._unit_bytes = bytes_per_frame_mean / mean_weight
 
         self._frames_emitted = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 
@@ -96,6 +97,12 @@ def bursty_loss(
         segments.append((now, loss_bad))
         now += draws.expovariate(1.0 / bad_s)
     return ScheduledLoss(segments)
+
+
+def independent_of(eliminator, coeff: int) -> bool:
+    """Whether ``coeff`` would raise the eliminator's rank: a copy takes
+    the row, the eliminator itself is left as it was."""
+    return copy.deepcopy(eliminator).add_row(coeff, 0)
 
 
 #: The short run the catalog's tier-1 tests share.

@@ -19,6 +19,7 @@ from tests.test_core_allocation import (
     allocate,
     make_blocks,
     make_estimates,
+    total_symbols,
 )
 
 
@@ -43,7 +44,7 @@ def test_tiny_mss_one_symbol_packets():
         symbol_wire_size=WIRE,
         margin=MARGIN,
     )
-    assert result.total_symbols == 1
+    assert total_symbols(result) == 1
     assert result.vector[0][0] == 0
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.coding import (
     chernoff_no_retransmission_bound,
-    expected_actual_delivered,
     expected_packets_delivered,
     fixed_rate_packets_to_send,
     fountain_expected_symbols_bound,
@@ -28,13 +27,14 @@ def test_fixed_rate_budget_eq4():
 
 def test_expected_actual_delivered_eq5():
     # a = A/(1-p1); E = (1-p2) a = (1-p2)/(1-p1) A
-    assert expected_actual_delivered(100, 0.1, 0.2) == pytest.approx(
+    # E(X_R) = (1 - p2) a, a the packets the sender sends for A.
+    assert (1.0 - 0.2) * fixed_rate_packets_to_send(100, 0.1) == pytest.approx(
         (0.8 / 0.9) * 100
     )
 
 
 def test_underestimated_loss_delivers_fewer_than_needed():
-    assert expected_actual_delivered(100, 0.05, 0.20) < 100
+    assert (1.0 - 0.20) * fixed_rate_packets_to_send(100, 0.05) < 100
 
 
 # ----------------------------------------------------------------------

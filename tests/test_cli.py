@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.experiments import catalog
 
@@ -98,6 +99,29 @@ def test_a_count_or_case_out_of_range_exits_2_naming_it(argv, message, capsys):
     a NaN window bound was ignored, ``--top 0`` showed one block)."""
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["--csv", "{missing}/x.csv", "table1"], "{missing}/x.csv"),
+        (["--csv", "{dir}", "table1"], "{dir}"),
+        (["trace", "record", "--output", "{missing}/t.jsonl"], "{missing}/t.jsonl"),
+        (["trace", "export-csv", "--output", "{missing}/x.csv", "t.jsonl"], "{missing}/x.csv"),
+        (["trace", "export-csv", "--output", "{dir}", "t.jsonl"], "{dir}"),
+    ],
+)
+def test_an_output_path_that_cannot_be_written_exits_2_before_any_run(
+    argv, target, tmp_path, monkeypatch, capsys
+):
+    """A missing directory or a directory given as the file died in a
+    ``FileNotFoundError`` / ``IsADirectoryError`` traceback, ``--csv`` only
+    after the whole experiment had run."""
+    for command in ("cmd_experiment", "cmd_trace_record", "cmd_trace_export_csv"):
+        monkeypatch.setattr(cli, command, lambda args: pytest.fail("ran"))
+    names = {"missing": str(tmp_path / "no" / "such"), "dir": str(tmp_path)}
+    assert main([item.format(**names) for item in argv]) == 2
+    assert repr(target.format(**names)) in capsys.readouterr().err
 
 
 def test_csv_writes_one_file_per_table_of_a_multi_table_verb(tmp_path, capsys):

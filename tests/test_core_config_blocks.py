@@ -8,10 +8,12 @@ import pytest
 from repro.core.blocks import BlockManager, PendingBlock
 from repro.core.config import SYMBOL_HEADER_BYTES, FmtcpConfig
 from repro.fixedrate import FixedRateConfig
+from repro.fountain.rank_model import decoding_failure_probability
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
 from repro.robustness.watchdog import WatchdogConfig
 from repro.tcp.multipath import MultipathConfig
+from repro.tcp.subflow import MSS
 from repro.telemetry.session import TelemetryConfig
 from repro.workloads.sources import BulkSource
 
@@ -41,7 +43,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FmtcpConfig(allocation="magic")
     with pytest.raises(ValueError):
-        FmtcpConfig(symbol_size=2000, mss=1400)
+        FmtcpConfig(symbol_size=2000)
 
 
 def test_statistical_coding_rejects_blocks_past_the_rank_model_limit():
@@ -95,6 +97,11 @@ CODED_CONFIGS = pytest.mark.parametrize("config_class", [FmtcpConfig, FixedRateC
     ],
 )
 def test_block_geometry_is_rejected_with_field_and_value(config_class, field, bad_values):
+    if field in pinned_fields(config_class):
+        # Not a keyword at all (the segment size is one constant).
+        with pytest.raises(TypeError, match=field):
+            config_class(**{field: bad_values[0]})
+        return
     for value in bad_values:
         with pytest.raises(ValueError, match=field) as raised:
             config_class(**{field: value})
@@ -103,11 +110,9 @@ def test_block_geometry_is_rejected_with_field_and_value(config_class, field, ba
 
 @CODED_CONFIGS
 def test_block_geometry_accepts_its_boundary_values(config_class):
-    config = config_class(
-        mss=SYMBOL_HEADER_BYTES + 1, symbols_per_block=1, symbol_size=1,
-        max_pending_blocks=1,
-    )
-    assert config.symbols_per_packet == 1 and config.block_bytes == 1
+    config = config_class(symbols_per_block=1, symbol_size=1, max_pending_blocks=1)
+    assert config.block_bytes == 1
+    assert config.symbols_per_packet == config.mss // (SYMBOL_HEADER_BYTES + 1)
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +126,7 @@ ALL_CONFIGS = pytest.mark.parametrize(
 #: The multipath policy FixedRateConfig fixes with ``init=False``: plain
 #: Reno, no failover, no flow control (the strawman serves none of it).
 FIXEDRATE_PINNED = {
-    "congestion": "reno", "failover_rto_threshold": None,
+    "mss": MSS, "congestion": "reno", "failover_rto_threshold": None,
     "flow_control": False, "recv_drain_rate_bps": None,
 }
 
@@ -165,16 +170,17 @@ def test_shared_flow_control_fields_are_rejected(config_class, overrides):
 @BOTH_CONFIGS
 def test_shared_fields_accept_their_boundary_values(config_class):
     config = config_class(
-        mss=34, congestion="lia", failover_rto_threshold=None, recv_drain_rate_bps=0.0,
+        congestion="lia", failover_rto_threshold=None, recv_drain_rate_bps=0.0,
     )
-    assert config.congestion == "lia" and config.mss == 34
+    assert config.congestion == "lia" and config.mss == MSS
 
 
 def test_fixedrate_config_pins_the_multipath_policy():
     """The strawman runs plain Reno with no failover and no flow control;
     the config states that instead of accepting values it ignores."""
     assert pinned_fields(FixedRateConfig) == FIXEDRATE_PINNED
-    assert all(not pinned_fields(c) for c in (FmtcpConfig, MptcpConfig))
+    assert pinned_fields(FmtcpConfig) == {"mss": MSS}
+    assert pinned_fields(MptcpConfig) == {"mss": MSS, "block_bytes": 8192}
     for field, value in [
         ("congestion", "lia"), ("failover_rto_threshold", 3),
         ("flow_control", True), ("recv_drain_rate_bps", 0.0),
@@ -184,11 +190,12 @@ def test_fixedrate_config_pins_the_multipath_policy():
 
 
 def test_mptcp_block_bytes_is_rejected_at_the_boundary():
-    # Was a ZeroDivisionError inside next_payload, mid-run.
+    # Was a ZeroDivisionError inside next_payload, mid-run; now FMTCP's
+    # default block is a constant, so no value reaches it.
     for value in (0, -8192):
-        with pytest.raises(ValueError, match="block_bytes"):
+        with pytest.raises(TypeError, match="block_bytes"):
             MptcpConfig(block_bytes=value)
-    assert MptcpConfig(block_bytes=1).block_bytes == 1
+    assert MptcpConfig().block_bytes == 8192
 
 
 def test_mptcp_scheduler_is_rejected_at_the_boundary():
@@ -294,25 +301,27 @@ def test_k_tilde_counts_acked_and_inflight():
 def test_expected_failure_uses_eq2():
     block = PendingBlock(block_id=0, k=4, data_bytes=16)
     block.k_bar = 4
-    assert block.expected_failure(loss_zero) == 1.0  # exactly k
+    # Definition 3: the expected failure is Eq. (2) at k̃.
+    assert decoding_failure_probability(4, block.k_tilde(loss_zero)) == 1.0  # exactly k
     block.k_bar = 6
-    assert block.expected_failure(loss_zero) == pytest.approx(0.25)
+    assert decoding_failure_probability(4, block.k_tilde(loss_zero)) == pytest.approx(0.25)
 
 
 def test_delta_completeness_margin_form():
     block = PendingBlock(block_id=0, k=10, data_bytes=100)
     margin = math.log2(100)  # delta_hat = 0.01
+    # Definition 4 via the margin form k̃ ≥ k̂ + log₂(1/δ̂).
     block.k_bar = 10 + 7
-    assert block.is_delta_complete(loss_zero, margin)
+    assert block.k_tilde(loss_zero) >= block.k + margin
     block.k_bar = 10 + 6
-    assert not block.is_delta_complete(loss_zero, margin)
+    assert not block.k_tilde(loss_zero) >= block.k + margin
 
 
 def test_record_resolved_never_goes_negative():
     block = PendingBlock(block_id=0, k=4, data_bytes=16)
     block.record_sent(0, 3, now=0.0)
     block.record_resolved(0, 5)
-    assert block.in_flight_total() == 0
+    assert sum(block.in_flight.values()) == 0
 
 
 def test_first_tx_timestamp_set_once():

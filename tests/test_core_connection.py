@@ -83,7 +83,7 @@ def test_no_content_retransmission_fresh_symbols_cover_losses():
     assert sender.symbols_lost > 0
     assert receiver.blocks_decoded > 10
     in_flight = sum(
-        block.in_flight_total() for block in connection.block_manager.pending_blocks
+        sum(block.in_flight.values()) for block in connection.block_manager.pending_blocks
     )
     # Conservation: every sent symbol is received, lost, or still in flight.
     # Two small, legitimate discrepancies are allowed for: symbols of
@@ -141,20 +141,20 @@ def test_finite_source_completes_and_idles():
     config = FmtcpConfig(max_pending_blocks=4)
     source = BulkSource(total_bytes=10 * config.block_bytes)
     __, connection, __ = run_fmtcp(source, duration=30.0, config=config)
-    assert connection.delivered_blocks == 10
+    assert connection.receiver.delivered_blocks == 10
     assert not connection.block_manager.pending_blocks
 
 
 def test_greedy_allocation_mode_runs():
     config = FmtcpConfig(allocation="greedy")
     __, connection, __ = run_fmtcp(BulkSource(), duration=5.0, config=config)
-    assert connection.delivered_blocks > 0
+    assert connection.receiver.delivered_blocks > 0
 
 
 def test_lia_congestion_mode_runs():
     config = FmtcpConfig(congestion="lia")
     __, connection, __ = run_fmtcp(BulkSource(), duration=5.0, config=config)
-    assert connection.delivered_blocks > 0
+    assert connection.receiver.delivered_blocks > 0
 
 
 def test_receiver_buffer_bounded_by_pending_limit():
@@ -175,7 +175,7 @@ def test_determinism_same_seed_same_outcome():
     for __ in range(2):
         __, connection, metrics = run_fmtcp(BulkSource(), loss2=0.1, duration=5.0, seed=99)
         results.append(
-            (connection.delivered_blocks, connection.sender.symbols_sent)
+            (connection.receiver.delivered_blocks, connection.sender.symbols_sent)
         )
     assert results[0] == results[1]
 

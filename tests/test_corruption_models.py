@@ -119,7 +119,7 @@ def test_bernoulli_rate_zero_draws_no_randomness():
 
 def test_bernoulli_rate_one_corrupts_everything():
     model = BernoulliCorruption(1.0, effect="bitflip")
-    assert model.rate_at(5.0) == 1.0
+    assert model.rate == 1.0
     result = model.apply(_sealed(), 0.0, random.Random(1))
     assert result is not None and not verify(result[0])
 
@@ -174,8 +174,8 @@ def test_link_counts_and_delivers_corrupted_packets():
     )
     link.set_corruption_model(BernoulliCorruption(1.0, effect="duplicate"))
     packet = _sealed()
-    packet.route = (link,)
-    packet.next_link().send(packet)
+    packet.route, packet.route_index = (link,), 1
+    link.send(packet)
     sim.run(until=1.0)
     assert link.packets_corrupted == 1
     # duplicate: the clean original plus one damaged twin arrive.
@@ -193,8 +193,8 @@ def test_link_without_model_leaves_packets_alone():
     )
     assert link.corruption_model is None
     packet = _sealed()
-    packet.route = (link,)
-    packet.next_link().send(packet)
+    packet.route, packet.route_index = (link,), 1
+    link.send(packet)
     sim.run(until=1.0)
     assert link.packets_corrupted == 0
     assert received == [packet]
@@ -204,11 +204,17 @@ def test_link_without_model_leaves_packets_alone():
 # Deferred sealing: what the transports use must be indistinguishable
 # from an eager CRC wherever a corruption model can look.
 # ----------------------------------------------------------------------
+def _bursty(effect, evade_crc):
+    """A Gilbert–Elliott model whose bursts do ``effect`` (production
+    bursts only flip bits: the class constant, set here per test)."""
+    model = GilbertElliottCorruption(p_gb=0.3, p_bg=0.3, corrupt_bad=0.8, evade_crc=evade_crc)
+    model.effect = effect
+    return model
+
+
 def _gated_models():
     yield lambda **kw: BernoulliCorruption(0.5, **kw)
-    yield lambda **kw: GilbertElliottCorruption(
-        p_gb=0.3, p_bg=0.3, corrupt_bad=0.8, **kw
-    )
+    yield _bursty
 
 
 @pytest.mark.parametrize("make_model", _gated_models(), ids=["bernoulli", "ge"])

@@ -135,7 +135,7 @@ def test_fmtcp_timers_quiet_after_finite_transfer():
     )
     connection.start()
     network.sim.run(until=30.0)
-    assert connection.delivered_blocks == 6
+    assert connection.receiver.delivered_blocks == 6
     # Every live timer belongs to the connection; closing it cancels them.
     connection.close()
     network.sim.drain_cancelled()

@@ -15,7 +15,9 @@ from tests.test_failure_injection import blackout_configs
 
 
 def run_fixed(configs=None, loss2=0.0, duration=20.0, config=None, seed=7,
-              sink=None):
+              delivered=None):
+    """Run one fixed-rate transfer; ``delivered`` collects the in-order
+    block ids the trace reports."""
     if configs is not None:
         trace = TraceBus()
         network, paths = build_two_path_network(
@@ -24,9 +26,10 @@ def run_fixed(configs=None, loss2=0.0, duration=20.0, config=None, seed=7,
     else:
         network, paths, trace = make_two_path(loss2=loss2, seed=seed)
     metrics = MetricsSuite(trace, bin_width_s=1.0)
+    if delivered is not None:
+        trace.subscribe("conn.delivered", lambda record: delivered.append(record["block_id"]))
     connection = FixedRateConnection(
-        network.sim, paths, BulkSource(),
-        config=config or FixedRateConfig(), trace=trace, sink=sink,
+        network.sim, paths, BulkSource(), config=config or FixedRateConfig(), trace=trace,
     )
     connection.start()
     network.sim.run(until=duration)
@@ -37,8 +40,13 @@ def run_fixed(configs=None, loss2=0.0, duration=20.0, config=None, seed=7,
 # Config.
 # ----------------------------------------------------------------------
 def test_code_symbols_follows_eq4():
+    network, paths, trace = make_two_path()
     config = FixedRateConfig(symbols_per_block=100, estimated_loss=0.2)
-    assert config.code_symbols == 125  # ceil(100 / 0.8)
+    connection = FixedRateConnection(
+        network.sim, paths, BulkSource(), config=config, trace=trace
+    )
+    connection._replenish()
+    assert connection._pending[0].n == 125  # ceil(100 / 0.8)
 
 
 def test_config_validation():
@@ -54,7 +62,7 @@ def test_config_validation():
 def test_clean_paths_deliver_blocks_in_order():
     delivered = []
     connection, metrics = run_fixed(
-        duration=10.0, sink=lambda block_id: delivered.append(block_id)
+        duration=10.0, delivered=delivered
     )
     assert delivered == list(range(len(delivered)))
     assert len(delivered) > 50
@@ -64,7 +72,7 @@ def test_clean_paths_deliver_blocks_in_order():
 def test_lossy_path_triggers_retransmissions_and_still_completes():
     connection, metrics = run_fixed(loss2=0.15, duration=20.0)
     assert connection.symbols_retransmitted > 0
-    assert connection.delivered_blocks > 100
+    assert connection._deliver_next > 100
 
 
 def test_redundancy_grows_with_estimated_loss():

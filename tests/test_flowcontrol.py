@@ -112,7 +112,7 @@ class TestZeroWindowProber:
         prober.arm()
         sim.run(until=10.0)
         assert prober.probes_fired == 1
-        assert not prober.armed
+        assert prober._event is None
         # Re-arming starts from the initial interval again.
         prober.arm()
         sim.run(until=10.6)
@@ -125,7 +125,7 @@ class TestZeroWindowProber:
         prober.disarm()
         sim.run(until=5.0)
         assert prober.probes_fired == 0
-        assert not prober.armed
+        assert prober._event is None
 
 
 class FlowControlMachine(RuleBasedStateMachine):

@@ -68,14 +68,6 @@ def test_solve_recovers_payloads_from_dense_rows():
     assert eliminator.solve() == parts
 
 
-def test_would_be_independent_does_not_mutate():
-    eliminator = Gf2Eliminator(4, payload_bits=8)
-    eliminator.add_row(0b0011, 1)
-    assert eliminator.would_be_independent(0b0100)
-    assert not eliminator.would_be_independent(0b0011)
-    assert eliminator.rank == 1
-
-
 def test_coefficient_out_of_range_rejected():
     eliminator = Gf2Eliminator(3)
     with pytest.raises(ValueError):
@@ -84,15 +76,6 @@ def test_coefficient_out_of_range_rejected():
         eliminator.add_row(-1, 0)
 
 
-def test_would_be_independent_rejects_what_add_row_rejects():
-    eliminator = Gf2Eliminator(4)
-    for coeff in (1 << 10, 1 << 4, -3):
-        with pytest.raises(ValueError, match="out of range for k=4"):
-            eliminator.would_be_independent(coeff)
-        with pytest.raises(ValueError, match="out of range for k=4"):
-            eliminator.add_row(coeff, 0)
-    assert eliminator.would_be_independent(0b1111)
-    assert eliminator.rows_seen == 0
 
 
 def test_k_validation():

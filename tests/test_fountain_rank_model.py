@@ -14,6 +14,7 @@ from repro.fountain.rank_model import (
     decoding_failure_probability,
     expected_overhead_symbols,
 )
+from tests.conftest import independent_of
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +60,7 @@ def test_rank_monotone_and_completes():
     model = RankEvolutionModel(32, rng=random.Random(0))
     previous = 0
     while not model.is_complete:
-        model.add_symbol()
+        model.add_symbol(None)
         assert model.independent_symbols >= previous
         previous = model.independent_symbols
     assert model.independent_symbols == 32
@@ -68,15 +69,15 @@ def test_rank_monotone_and_completes():
 def test_symbols_after_completion_are_redundant():
     model = RankEvolutionModel(4, rng=random.Random(1))
     while not model.is_complete:
-        model.add_symbol()
+        model.add_symbol(None)
     before = model.symbols_redundant
-    assert not model.add_symbol()
+    assert not model.add_symbol(None)
     assert model.symbols_redundant == before + 1
 
 
 def test_k1_first_symbol_always_completes():
     model = RankEvolutionModel(1, rng=random.Random(2))
-    assert model.add_symbol()
+    assert model.add_symbol(None)
     assert model.is_complete
 
 
@@ -121,7 +122,7 @@ def test_model_matches_real_decoder_overhead_distribution():
         model = RankEvolutionModel(k, rng=rng)
         count = 0
         while not model.is_complete:
-            model.add_symbol()
+            model.add_symbol(None)
             count += 1
         return count
 
@@ -153,7 +154,7 @@ def test_model_matches_real_decoder_dependence_rate_at_partial_rank():
         coeff = 0
         while coeff == 0:
             coeff = rng.getrandbits(k)
-        if not eliminator.would_be_independent(coeff):
+        if not independent_of(eliminator, coeff):
             dependent += 1
 
     p_dep = (2.0**r - 1.0) / (2.0**k - 1.0)
@@ -174,7 +175,7 @@ def test_add_symbols_equals_repeated_add_symbol(k):
         sizes = random.Random(seed + 1000)
         while batched.symbols_received < 2 * k + 8:
             count = sizes.randint(0, k // 2 + 3)
-            independent = sum(single.add_symbol() for __ in range(count))
+            independent = sum(single.add_symbol(None) for __ in range(count))
             assert batched.add_symbols(count) == independent
             assert batched.independent_symbols == single.independent_symbols
             assert batched.symbols_received == single.symbols_received
@@ -196,7 +197,7 @@ def test_add_symbols_equals_add_symbol_over_300_seeds():
         batched = RankEvolutionModel(k, rng=many)
         while batched.symbols_received < k + 12:
             count = sizes.randint(0, 45)
-            independent = sum(single.add_symbol() for __ in range(count))
+            independent = sum(single.add_symbol(None) for __ in range(count))
             assert batched.add_symbols(count) == independent, (seed, k)
             assert batched.independent_symbols == single.independent_symbols
             assert batched.symbols_redundant == single.symbols_redundant
@@ -266,7 +267,7 @@ def test_add_symbols_replays_the_draws_a_batch_cannot_accept():
 
     single = RankEvolutionModel(k, rng=ScriptedWords(words))
     for __ in range(44):
-        single.add_symbol()
+        single.add_symbol(None)
     assert single.symbols_redundant == 2 + 2  # Two dependent, two past k.
     assert single._rng.taken == len(words)
     for groups in ([44], [20, 24], [1, 13, 30], [3] * 14 + [2]):

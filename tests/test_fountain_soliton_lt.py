@@ -100,7 +100,7 @@ def test_lt_peeling_cascade_from_degree_one():
     parts = [5, 9, 12]
     decoder.add_symbol(LtSymbol(frozenset({0, 1}), parts[0] ^ parts[1]))
     decoder.add_symbol(LtSymbol(frozenset({1, 2}), parts[1] ^ parts[2]))
-    assert decoder.recovered_parts == 0
+    assert not decoder._recovered
     decoder.add_symbol(LtSymbol(frozenset({0}), parts[0]))  # the spark
     assert decoder.is_complete
     assert list(decoder.decode()) == parts

@@ -74,7 +74,7 @@ def test_churn_knobs_default_off():
 
     # Scenarios without an explicit active_paths use every path, exactly
     # as before the churn extension.
-    assert FaultScenario("x", [], n_paths=2).active_paths == (0, 1)
+    assert FaultScenario("x", []).active_paths == (0, 1)
 
 
 def test_corruption_knobs_default_off():

@@ -2,7 +2,7 @@
 
 * The event engine against a reference that keeps every queued entry and
   sorts the live ``(time, seq)`` pairs: random programs of ``schedule_at``,
-  ``cancel``, ``stop``, ``max_events``, ``until`` and ``drain_cancelled``.
+  ``cancel``, ``max_events``, ``until`` and ``drain_cancelled``.
 * The MPTCP waterfall: ``MinRttScheduler.reserved_ahead`` (no sort) against
   the sum over the sorted preference order, ties on ``srtt`` included, and
   the round-robin turn advancing once per decision.
@@ -29,11 +29,10 @@ from repro.workloads.sources import BulkSource
 # ----------------------------------------------------------------------
 # The engine against a sorted reference.
 # ----------------------------------------------------------------------
-# A scheduled entry's action when it runs: nothing, stop the run, schedule
-# a child ``delay`` later, or cancel the entry scheduled ``index``-th.
+# A scheduled entry's action when it runs: nothing, schedule a child
+# ``delay`` later, or cancel the entry scheduled ``index``-th.
 _actions = st.one_of(
     st.just(("none",)),
-    st.just(("stop",)),
     st.tuples(st.just("spawn"), st.integers(0, 3).map(lambda n: n * 0.5)),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
 )
@@ -73,7 +72,6 @@ class _Reference:
     queued: List[_Entry] = field(default_factory=list)
     entries: List[_Entry] = field(default_factory=list)
     order: List[int] = field(default_factory=list)
-    stopped: bool = False
 
     def schedule_at(self, time: float, action: tuple) -> None:
         entry = _Entry(time, self.seq, action)
@@ -86,7 +84,6 @@ class _Reference:
             self.entries[index % len(self.entries)].cancelled = True
 
     def run(self, until: Optional[float], max_events: Optional[int]) -> None:
-        self.stopped = False
         executed = 0
         while self.queued:
             front = min(self.queued, key=lambda entry: (entry.time, entry.seq))
@@ -101,15 +98,13 @@ class _Reference:
             self._act(front.action)
             self.processed += 1
             executed += 1
-            if self.stopped or (max_events is not None and executed >= max_events):
+            if max_events is not None and executed >= max_events:
                 break
-        if until is not None and self.now < until and not self.stopped:
+        if until is not None and self.now < until:
             self.now = until
 
     def _act(self, action: tuple) -> None:
-        if action[0] == "stop":
-            self.stopped = True
-        elif action[0] == "spawn":
+        if action[0] == "spawn":
             self.schedule_at(self.now + action[1], ("none",))
         elif action[0] == "cancel":
             self.cancel(action[1])
@@ -138,9 +133,7 @@ class _Engine:
 
     def _fire(self, seq: int, action: tuple) -> None:
         self.order.append(seq)
-        if action[0] == "stop":
-            self.sim.stop()
-        elif action[0] == "spawn":
+        if action[0] == "spawn":
             self.schedule_at(self.sim.now + action[1], ("none",))
         elif action[0] == "cancel":
             self.cancel(action[1])
@@ -166,7 +159,7 @@ def test_engine_matches_a_sorted_reference(program):
         assert engine.sim.now == reference.now
         assert engine.sim.events_processed == reference.processed
         assert engine.sim.pending_events == len(reference.queued)
-        assert [event.cancelled for event in engine.events] == [
+        assert [event[2] is None for event in engine.events] == [
             entry.cancelled for entry in reference.entries
         ]
 

@@ -14,32 +14,30 @@ class FakeSubflow:
         self.subflow_id = subflow_id
         self.srtt = srtt
         self.window_space = window_space
+        self.usable = True
+
+
+def reserved(scheduler, flows):
+    """Subflow id → the window space preferred subflows claim first."""
+    return {flow.subflow_id: scheduler.reserved_ahead(flow, flows) for flow in flows}
 
 
 def test_minrtt_orders_by_srtt():
     flows = [FakeSubflow(0, 0.3), FakeSubflow(1, 0.1), FakeSubflow(2, 0.2)]
-    order = MinRttScheduler().preference_order(flows)
-    assert [flow.subflow_id for flow in order] == [1, 2, 0]
+    # One unit each: a subflow's reservation counts the faster ones.
+    assert reserved(MinRttScheduler(), flows) == {1: 0, 2: 1, 0: 2}
 
 
 def test_minrtt_tie_breaks_by_id():
     flows = [FakeSubflow(1, 0.1), FakeSubflow(0, 0.1)]
-    order = MinRttScheduler().preference_order(flows)
-    assert [flow.subflow_id for flow in order] == [0, 1]
+    assert reserved(MinRttScheduler(), flows) == {0: 0, 1: 1}
 
 
 def test_minrtt_prefers_best_flow_with_space():
     fast = FakeSubflow(0, 0.1, window_space=0)
     slow = FakeSubflow(1, 0.5, window_space=2)
-    scheduler = MinRttScheduler()
-    # Fast flow has no space, so the slow one is the preferred sender.
-    assert scheduler.prefers(slow, [fast, slow])
-    assert not scheduler.prefers(fast, [fast, slow])
-
-
-def test_prefers_false_when_nobody_has_space():
-    flows = [FakeSubflow(0, 0.1, 0), FakeSubflow(1, 0.2, 0)]
-    assert not MinRttScheduler().prefers(flows[0], flows)
+    # Fast flow has no space, so it reserves nothing ahead of the slow one.
+    assert reserved(MinRttScheduler(), [fast, slow]) == {0: 0, 1: 0}
 
 
 def test_roundrobin_rotates():

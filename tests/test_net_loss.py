@@ -5,15 +5,24 @@ import random
 import pytest
 
 from repro.net.corruption import GilbertElliottCorruption
+from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, NoLoss, ScheduledLoss
+from repro.net.node import Node
 from repro.net.packet import Packet
+from repro.sim.engine import Simulator
 
 
 def test_no_loss_never_drops():
-    model = NoLoss()
-    rng = random.Random(0)
-    assert not any(model.should_drop(float(t), rng) for t in range(1000))
-    assert model.rate_at(0.0) == 0.0
+    # A link on NoLoss delivers every packet (it never asks the model).
+    sim = Simulator()
+    node, delivered = Node("dst"), []
+    node.bind(2, delivered.append)
+    link = Link(sim, "l", node, 1e6, 0.001, loss_model=NoLoss())
+    packets = [Packet(100, "a", "b", 1, 2) for __ in range(50)]
+    for packet in packets:
+        link.send(packet)
+    sim.run()
+    assert delivered == packets and link.packets_dropped_loss == 0
 
 
 def test_bernoulli_rate_validation():

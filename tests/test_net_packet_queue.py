@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 
@@ -23,17 +24,32 @@ def test_packet_size_validation():
         Packet(size=0, src="a", dst="b", src_port=1, dst_port=2)
 
 
+class Hop:
+    """A link stand-in: records what a node hands it."""
+
+    def __init__(self, name, sent):
+        self.name, self.sent = name, sent
+
+    def send(self, packet):
+        self.sent.append(self.name)
+
+
 def test_packet_route_consumed_in_order():
     packet = make_packet()
-    packet.route = ("link0", "link1")
-    assert packet.next_link() == "link0"
-    assert packet.next_link() == "link1"
-    assert packet.next_link() is None
+    sent, node, delivered = [], Node("n"), []
+    node.bind(2, delivered.append)
+    packet.route = (Hop("link0", sent), Hop("link1", sent))
+    for __ in range(3):
+        node.receive(packet)
+    assert sent == ["link0", "link1"] and delivered == [packet]
 
 
 def test_packet_empty_route_delivers_immediately():
     packet = make_packet()
-    assert packet.next_link() is None
+    node, delivered = Node("n"), []
+    node.bind(2, delivered.append)
+    node.receive(packet)
+    assert delivered == [packet]
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +60,7 @@ def test_queue_fifo_order():
     packets = [make_packet() for __ in range(3)]
     for packet in packets:
         assert queue.try_enqueue(packet)
-    assert [queue.dequeue() for __ in range(3)] == packets
+    assert [queue.popleft() for __ in range(3)] == packets
 
 
 def test_queue_capacity_enforced():
@@ -56,24 +72,13 @@ def test_queue_capacity_enforced():
     assert len(queue) == 2
 
 
-def test_queue_dequeue_empty_returns_none():
-    assert DropTailQueue().dequeue() is None
-
-
 def test_queue_high_watermark_tracks_peak():
     queue = DropTailQueue(capacity=10)
     for __ in range(5):
         queue.try_enqueue(make_packet())
     for __ in range(5):
-        queue.dequeue()
+        queue.popleft()
     assert queue.high_watermark == 5
-
-
-def test_queue_occupancy_bytes():
-    queue = DropTailQueue()
-    queue.try_enqueue(make_packet(size=100))
-    queue.try_enqueue(make_packet(size=250))
-    assert queue.occupancy_bytes == 350
 
 
 def test_queue_clear():

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.net.loss import NoLoss
 from repro.net.packet import Packet
 from repro.net.topology import Network, PathConfig, build_two_path_network
+
+
+def loss_rate(model) -> float:
+    """The drop probability a link's loss model states."""
+    return 0.0 if isinstance(model, NoLoss) else model.rate
 
 
 def test_add_node_and_duplicate_rejected():
@@ -30,7 +36,7 @@ def test_make_path_multi_hop_delivery():
     assert path.one_way_delay_s == pytest.approx(0.010)
 
     seen = []
-    network.node("dst").bind(9, lambda packet: seen.append(network.sim.now))
+    network.nodes["dst"].bind(9, lambda packet: seen.append(network.sim.now))
     packet = Packet(size=1000, src="src", dst="dst", src_port=1, dst_port=9)
     path.send_forward(packet)
     network.sim.run()
@@ -46,7 +52,7 @@ def test_make_path_reverse_direction():
     network.add_duplex_link("src", "dst", 8e6, 0.005)
     path = network.make_path("p", ["src", "dst"])
     seen = []
-    network.node("src").bind(4, lambda packet: seen.append(packet))
+    network.nodes["src"].bind(4, lambda packet: seen.append(packet))
     packet = Packet(size=100, src="dst", dst="src", src_port=9, dst_port=4)
     path.send_reverse(packet)
     network.sim.run()
@@ -69,17 +75,17 @@ def test_two_path_builder_shapes():
     assert len(paths) == 2
     assert paths[0].one_way_delay_s == pytest.approx(0.1)
     assert paths[1].one_way_delay_s == pytest.approx(0.05)
-    assert paths[1].bottleneck_bandwidth_bps == pytest.approx(2e6)
+    assert min(link.bandwidth_bps for link in paths[1].forward_links) == pytest.approx(2e6)
     assert [len(path.forward_links) for path in paths] == [1, 1]
-    assert paths[0].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.0)
-    assert paths[1].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.1)
+    assert loss_rate(paths[0].forward_links[0].loss_model) == pytest.approx(0.0)
+    assert loss_rate(paths[1].forward_links[0].loss_model) == pytest.approx(0.1)
 
 
 def test_two_path_builder_end_to_end_delivery():
     configs = [PathConfig(bandwidth_bps=8e6, delay_s=0.01)]
     network, paths = build_two_path_network(configs)
     seen = []
-    network.node("dst").bind(3, lambda packet: seen.append(packet))
+    network.nodes["dst"].bind(3, lambda packet: seen.append(packet))
     packet = Packet(size=1000, src="src", dst="dst", src_port=2, dst_port=3)
     paths[0].send_forward(packet)
     network.sim.run()
@@ -94,5 +100,5 @@ def test_two_path_builder_empty_rejected():
 def test_path_config_reverse_lossless_by_default():
     config = PathConfig(loss_rate=0.3)
     network, paths = build_two_path_network([config])
-    assert paths[0].forward_links[0].loss_model.rate_at(0.0) == pytest.approx(0.3)
-    assert paths[0].reverse_links[0].loss_model.rate_at(0.0) == 0.0
+    assert loss_rate(paths[0].forward_links[0].loss_model) == pytest.approx(0.3)
+    assert loss_rate(paths[0].reverse_links[0].loss_model) == 0.0

@@ -14,12 +14,13 @@ Every run must satisfy the invariants checked by
 
 Seeded and fully deterministic: a failure reproduces exactly from the
 seed named in the assertion message, and same-seed runs are asserted to
-produce identical fingerprints across restart epochs. Set
+produce identical reports across restart epochs. Set
 ``REPRO_FLIGHT_DIR`` for flight-recorder dumps of failing runs (CI
 uploads them as artifacts); ``REPRO_FAST=1`` runs a single seed per
 preset.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -98,7 +99,7 @@ def test_recovery_is_deterministic_across_restart_epochs(name):
     first = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
     second = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
     assert first.ok and second.ok
-    assert first.fingerprint() == second.fingerprint()
+    assert dataclasses.asdict(first) == dataclasses.asdict(second)
     assert first.outages == second.outages
 
 

@@ -5,13 +5,13 @@ example, benchmark and CLI command mentioned must actually exist.
 """
 
 import ast
-import dataclasses
 import functools
 import importlib.util
-import inspect
+import json
 import re
+import sys
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import pytest
 
@@ -140,57 +140,102 @@ def test_code_line_counting_rule(source, expected):
 
 
 # ----------------------------------------------------------------------
-# The traffic census (ROADMAP item 6): a config field is set by something
-# that runs, or it is not a field.
+# The traffic census (ROADMAP item 6): what no production driver runs is
+# not code. ``benchmarks/traffic.py`` runs every driver under a recorder
+# and writes ``benchmarks/results/traffic.json``; these tests read it.
 # ----------------------------------------------------------------------
-#: Fields nothing outside ``tests/`` sets, kept for the reason given. An
-#: entry that gains traffic must leave (the test says so), so the list
-#: only shrinks.
-UNSET_FIELDS_KEPT = {
-    "systematic": (
-        "benchmarks/perf/tracer.py resolves SystematicBlockEncoder.next_symbol "
-        "with vars(owner)[attr]; needs a benchmark-only PR first"
-    ),
-    "loss_estimate_half_life_s": (
-        "benchmarks/perf/tracer.py resolves Subflow.aged_loss_estimate the "
-        "same way; needs a benchmark-only PR first"
-    ),
-    "queue_capacity": (
-        "PathConfig's queue size; the same-named keywords go to "
-        "Network.add_link and the fault baseline; left for the next census"
-    ),
+LEDGER = REPO / "benchmarks" / "results" / "traffic.json"
+
+#: The reasons a row may keep no traffic; nothing else is one.
+ORACLE = "oracle: a test compares production code against it"
+SAFETY = "safety code: a boundary check or an error path"
+BASE_DEFAULT = "base-class default that every production subclass overrides"
+PERF_PINNED = "pinned by benchmarks/perf/ (tracer.BOUNDARIES, child.py or a workload import)"
+GENERATOR = "generator of committed data; a tier-1 test pins the data to it"
+REASONS = (ORACLE, SAFETY, BASE_DEFAULT, PERF_PINNED, GENERATOR)
+
+#: Ledger rows without traffic, each kept for one of :data:`REASONS`. An
+#: entry that gains traffic, or whose code is gone, must leave (the tests
+#: say so), so the list only shrinks.
+NO_TRAFFIC_KEPT = {
+    # Algorithm 1 transcribed literally, the allocator's oracle.
+    "repro.core.allocation:allocate_packet_reference": ORACLE,
+    "repro.core.allocation:_estimates_by_id": ORACLE,
+    "repro.core.allocation:_fill_packet_literal": ORACLE,
+    # Eqs. (10)-(12) and Theorem 2 over PathEstimate rows: what the path
+    # table and the shadow sender are checked against.
+    "repro.core.estimators:PathTable.estimates": ORACLE,
+    "repro.core.estimators:eat": ORACLE,
+    "repro.core.estimators:eat(virtual_queue)": ORACLE,
+    "repro.core.estimators:eat_table": ORACLE,
+    "repro.core.estimators:edt_for_flows": ORACLE,
+    "repro.core.estimators:expected_rt": ORACLE,
+    "repro.core.estimators:rank_paths_by_sedt": ORACLE,
+    # The public Subflow reads the shadow sender rebuilds each row from.
+    "repro.tcp.subflow:Subflow.tau": ORACLE,
+    "repro.tcp.subflow:Subflow.is_joining": ORACLE,
+    # The paper's closed forms: Lemma 1's two-path bound (mapped in
+    # docs/paper-mapping.md), and the ones the rank model's sampled
+    # redundancy and the Gilbert-Elliott chain's hit rate are held to.
+    "repro.analysis.allocation:lemma1_min_r2": ORACLE,
+    "repro.fountain.rank_model:decoding_failure_probability": ORACLE,
+    "repro.net.corruption:GilbertElliottCorruption.rate_at": ORACLE,
+    "repro.net.corruption:GilbertElliottCorruption.stationary_bad_fraction": ORACLE,
+    # Boundary checks and error paths.
+    "repro.cli:_MenuParser.error": SAFETY,
+    "repro.cli:_print_trace_menu": SAFETY,
+    "repro.core.estimators:PathEstimate._make": SAFETY,
+    "repro.core.sender:_Keeps.__missing__": SAFETY,
+    "repro.core.sender:_Losses.__missing__": SAFETY,
+    "repro.mptcp.recv_buffer:BufferOverflowError.__init__": SAFETY,
+    "repro.sim.engine:Simulator.run(max_events)": SAFETY,
+    "repro.sim.tracefile:read_trace_file(strict)": SAFETY,
+    # Interfaces whose every production implementation overrides them.
+    "repro.net.corruption:CorruptionModel.apply": BASE_DEFAULT,
+    "repro.net.loss:LossModel.should_drop": BASE_DEFAULT,
+    "repro.net.reorder:ReorderingModel.extra_delay": BASE_DEFAULT,
+    "repro.tcp.congestion:CongestionController.on_ack": BASE_DEFAULT,
+    "repro.tcp.congestion:CongestionController.on_fast_loss": BASE_DEFAULT,
+    "repro.tcp.congestion:CongestionController.on_timeout": BASE_DEFAULT,
+    "repro.tcp.multipath:MultipathConnection._flow_counters": BASE_DEFAULT,
+    "repro.tcp.multipath:MultipathConnection._settle_removed": BASE_DEFAULT,
+    "repro.tcp.multipath:MultipathConnection._subflow_attached": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.next_payload": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_ack_feedback": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_payload_delivered": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_payload_lost": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_subflow_ready": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_subflow_recovered": BASE_DEFAULT,
+    "repro.tcp.subflow:SubflowOwner.on_subflow_suspect": BASE_DEFAULT,
+    "repro.telemetry.samplers:PeriodicSampler.sample": BASE_DEFAULT,
+    # benchmarks/perf/tracer.py's BOUNDARIES name these (the two fields
+    # feed SystematicBlockEncoder.next_symbol and the half_life_s of
+    # Subflow.aged_loss_estimate); a benchmark-only change must retire
+    # them first.
+    "repro.core.blocks:PendingBlock.k_tilde": PERF_PINNED,
+    "repro.core.sender:FmtcpSender.path_estimates": PERF_PINNED,
+    "repro.fountain.codec:SystematicBlockEncoder.next_symbol": PERF_PINNED,
+    "repro.core.config:FmtcpConfig(systematic)": PERF_PINNED,
+    "repro.core.config:FmtcpConfig(loss_estimate_half_life_s)": PERF_PINNED,
+    # experiments/golden.json (test_golden_regression regenerates it) and
+    # the bundled trace CSVs (test_bundled_assets_load_and_match_recipes).
+    "repro.experiments.golden:_case": GENERATOR,
+    "repro.experiments.golden:measure_all": GENERATOR,
+    "repro.experiments.golden:measure_anchor": GENERATOR,
+    "repro.experiments.golden:write_golden": GENERATOR,
+    "repro.traces.generators:cellular_trace": GENERATOR,
+    "repro.traces.generators:regenerate_bundled_assets": GENERATOR,
+    "repro.traces.generators:wifi_trace": GENERATOR,
+    "repro.traces.model:LinkTrace.save": GENERATOR,
+    "repro.traces.model:LinkTrace.to_csv": GENERATOR,
 }
 
 
-class _Call(NamedTuple):
-    """One call as the censuses read it: ``qualifier.name(…)``, or
-    ``name(…)`` with ``qualifier`` None (``""`` when the qualifier is not
-    a plain name)."""
-
-    name: Optional[str]
-    qualifier: Optional[str]
-    keywords: frozenset
-    positional: int
-    #: The ``def`` the call runs in (``"Class.method"``, ``"outer.inner"``;
-    #: ``""`` at module level) and the class that ``def`` sits in.
-    caller: str
-    owner: Optional[str]
-    #: The keywords whose value is the caller's own parameter of the same
-    #: name, and per positional argument that parameter's name (else None).
-    forwarded: frozenset
-    positional_names: tuple
-
-
 class _Def(NamedTuple):
-    """One ``def``: what a call can bind to it and which of its parameters
-    have defaults."""
+    """One ``def``: its ``module:qualname`` row and parameters."""
 
-    qualname: str
-    name: str
-    #: The class it is a method of, or None.
-    owner: Optional[str]
-    #: The parameters a call binds by position (``self`` / ``cls`` dropped).
-    positional: tuple
+    row: str
+    parameters: frozenset
     #: The defaulted parameters, by position or keyword-only.
     knobs: tuple
 
@@ -199,9 +244,6 @@ class _FileIndex(NamedTuple):
     """What the censuses read of one file. Plain data only: a syntax tree
     kept for the session would slow every later garbage collection."""
 
-    calls: list
-    #: Class name → the names of its bases.
-    bases: dict
     #: Every name the file reads, every attribute, every ``from … import``
     #: and the head of every ``"module:Qualname"`` string.
     used: frozenset
@@ -213,6 +255,8 @@ class _FileIndex(NamedTuple):
     #: item as ``("*", "OTHER")``.
     sequences: dict
     defs: list
+    #: ``(module:Qualname, field)`` per dataclass init field.
+    fields: list
 
 
 #: The head of a ``"module:Qualname"`` string (benchmarks/perf/tracer.py's
@@ -220,75 +264,54 @@ class _FileIndex(NamedTuple):
 _QUALNAME = re.compile(r"repro(?:\.\w+)*:(\w+)")
 
 
-def _scoped(node, qualname="", owner=None, parameters=frozenset()):
-    """``(child, parent, qualname, owner, parameters)`` for every node under
-    ``node``: the ``def`` it runs in, that ``def``'s class and its
-    parameter names."""
+def _scoped(node, prefix=""):
+    """``(def or class node, qualname)`` for every definition under
+    ``node``, named the way ``__qualname__`` names it."""
     for child in ast.iter_child_nodes(node):
-        yield child, node, qualname, owner, parameters
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = f"{qualname}.{child.name}" if qualname else child.name
-        if isinstance(child, ast.ClassDef):
-            yield from _scoped(child, inner, child.name, parameters)
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            arguments = child.args
-            names = frozenset(
-                argument.arg for argument in
-                (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)
-            )
-            yield from _scoped(child, inner, owner, names)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + child.name
+            yield child, qualname
+            inner = "." if isinstance(child, ast.ClassDef) else ".<locals>."
+            yield from _scoped(child, qualname + inner)
         else:
-            yield from _scoped(child, qualname, owner, parameters)
+            yield from _scoped(child, prefix)
 
 
-def _def(node, parent, qualname: str) -> _Def:
+def _def(node, row: str) -> _Def:
     arguments = node.args
     bound = [argument.arg for argument in (*arguments.posonlyargs, *arguments.args)]
-    method = isinstance(parent, ast.ClassDef) and not any(
-        getattr(decorator, "id", None) == "staticmethod" for decorator in node.decorator_list
-    )
     knobs = bound[len(bound) - len(arguments.defaults):] if arguments.defaults else []
     knobs += [
         argument.arg for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
         if default is not None
     ]
-    return _Def(
-        f"{qualname}.{node.name}" if qualname else node.name, node.name,
-        parent.name if isinstance(parent, ast.ClassDef) else None,
-        tuple(bound[1:] if method else bound), tuple(knobs),
-    )
+    return _Def(row, frozenset(bound + [a.arg for a in arguments.kwonlyargs]), tuple(knobs))
 
 
-def _file_index(tree: ast.Module) -> _FileIndex:
-    """Read one parsed file into a :class:`_FileIndex`."""
-    calls, bases, used, defs = [], {}, set(), []
-    for node, parent, caller, owner, parameters in _scoped(tree):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            if isinstance(callee, ast.Attribute):
-                name, qualifier = callee.attr, getattr(callee.value, "id", "")
-            else:
-                name, qualifier = getattr(callee, "id", None), None
-            calls.append(_Call(
-                name, qualifier, frozenset(keyword.arg for keyword in node.keywords),
-                len(node.args), caller, owner,
-                frozenset(
-                    keyword.arg for keyword in node.keywords
-                    if keyword.arg in parameters
-                    and getattr(keyword.value, "id", None) == keyword.arg
-                ),
-                tuple(
-                    argument.id if isinstance(argument, ast.Name)
-                    and argument.id in parameters else None
-                    for argument in node.args
-                ),
-            ))
-        elif isinstance(node, ast.ClassDef):
-            bases[node.name] = {
-                getattr(base, "id", getattr(base, "attr", None)) for base in node.bases
-            }
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs.append(_def(node, parent, caller))
+def _dataclass_fields(node) -> Iterator[str]:
+    """The init fields a ``@dataclass`` declares."""
+    if not any(
+        getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+        or getattr(getattr(decorator, "func", None), "id", None) == "dataclass"
+        for decorator in node.decorator_list
+    ):
+        return
+    for statement in node.body:
+        if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
+            continue
+        value = statement.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {keyword.arg: keyword.value for keyword in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+        yield statement.target.id
+
+
+def _file_index(tree: ast.Module, module: str = "") -> _FileIndex:
+    """Read one parsed file (``module`` is its dotted name) into a
+    :class:`_FileIndex`."""
+    used, defs, fields = set(), [], []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -297,6 +320,11 @@ def _file_index(tree: ast.Module) -> _FileIndex:
             used.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.update(_QUALNAME.findall(node.value))
+    for node, qualname in _scoped(tree):
+        if isinstance(node, ast.ClassDef):
+            fields.extend((f"{module}:{qualname}", name) for name in _dataclass_fields(node))
+        else:
+            defs.append(_def(node, f"{module}:{qualname}"))
     defined, imported_from, sequences = set(), {}, {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -318,9 +346,12 @@ def _file_index(tree: ast.Module) -> _FileIndex:
                     for item in node.value.elts
                 ]
                 sequences.update(dict.fromkeys(names, items))
-    return _FileIndex(
-        calls, bases, frozenset(used), frozenset(defined), imported_from, sequences, defs
-    )
+    return _FileIndex(frozenset(used), frozenset(defined), imported_from, sequences, defs, fields)
+
+
+def _module_name(path: Path, root: Path = SRC) -> str:
+    parts = path.relative_to(root).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 @functools.cache
@@ -329,260 +360,186 @@ def _index() -> dict:
     and ``src/``: the one parse every census reads (once per session;
     callers only read it)."""
     return {
-        path: _file_index(ast.parse(path.read_text()))
+        path: _file_index(
+            ast.parse(path.read_text()),
+            _module_name(path) if path.is_relative_to(SRC) else "",
+        )
         for root in ("benchmarks", "examples", "src")
         for path in (REPO / root).rglob("*.py")
     }
 
 
-def _src_bases(index: dict) -> dict:
-    """Class name → the names of its bases, for every class under ``src/``."""
-    return {
-        name: bases
-        for path, entry in index.items()
-        if path.is_relative_to(SRC)
-        for name, bases in entry.bases.items()
-    }
+def _rows(entries, config_classes) -> dict:
+    """The ledger rows a tree must have, per section: every ``def``; every
+    defaulted parameter; every init field of a config class."""
+    rows = {"functions": set(), "knobs": set(), "fields": set()}
+    for entry in entries:
+        for definition in entry.defs:
+            rows["functions"].add(definition.row)
+            head = definition.row.removesuffix(".__init__")
+            rows["knobs"].update(f"{head}({knob})" for knob in definition.knobs)
+        rows["fields"].update(
+            f"{owner}({name})" for owner, name in entry.fields if owner in config_classes
+        )
+    return rows
+
+
+def _ledger_hits(ledger: dict, rows: dict, kept: dict) -> dict:
+    """Section → {row → what is wrong with it}: missing from the ledger,
+    naming code that is gone, without traffic and not kept, or kept with
+    traffic."""
+    hits = {}
+    for section, expected in rows.items():
+        recorded = ledger[section]
+        found = hits[section] = dict.fromkeys(expected - set(recorded), "no ledger row")
+        found.update(dict.fromkeys(set(recorded) - expected, "a ledger row for code that is gone"))
+        for row, traffic in recorded.items():
+            if row in found:
+                continue
+            if not traffic and row not in kept:
+                found[row] = (
+                    "never ran" if section == "functions"
+                    else "never given a value other than its default"
+                )
+            elif traffic and row in kept:
+                found[row] = "kept without traffic, but it has traffic"
+    return hits
 
 
 @functools.cache
-def _bases_of() -> dict:
-    return _src_bases(_index())
+def _src_hits() -> dict:
+    rows = _rows(
+        (entry for path, entry in _index().items() if path.is_relative_to(SRC)),
+        load_script("benchmarks/traffic.py").CONFIG_CLASSES,
+    )
+    return _ledger_hits(json.loads(LEDGER.read_text()), rows, NO_TRAFFIC_KEPT)
 
 
-def _subclass_names(config_class) -> set:
-    """``config_class``'s name and every class under ``src/`` that
-    derives from it, by ``ast`` (a subclass need not be imported)."""
-    bases_of = _bases_of()
-    names = {config_class.__name__}
-    while True:
-        grown = names | {name for name, bases in bases_of.items() if bases & names}
-        if grown == names:
-            return names
-        names = grown
-
-
-def _fields_set(call: _Call, class_names: set, positional: list) -> set:
-    """The config fields one call sets: ``Cls(field=…)`` (or by position)
-    for ``Cls`` in ``class_names``, and ``dataclasses.replace(…, field=…)``."""
-    if call.name in class_names:
-        return call.keywords | set(positional[: call.positional])
-    if call.name == "replace" and call.qualifier in (None, "dataclasses"):
-        return call.keywords
-    return set()
-
-
-def test_every_config_field_has_traffic():
-    """A benchmark, example, experiment, harness or CLI verb constructs the
-    config class (or a subclass) with each field set, or ``replace``s it
-    in, or the field is listed above with the reason it stays. Its own
-    module, its own tests, a pass-through keyword of the same name, a
-    re-export and a docs line are not traffic; a knob with one value in
-    use is a constant."""
-    from repro.core.config import FmtcpConfig
-    from repro.fixedrate.connection import FixedRateConfig
-    from repro.mptcp.connection import MptcpConfig
-    from repro.net.topology import PathConfig
-    from repro.robustness.watchdog import WatchdogConfig
-    from repro.telemetry.session import TelemetryConfig
-
-    assert all(reason.strip() for reason in UNSET_FIELDS_KEPT.values())
-    index = _index()
-    unset = set()
-    for config_class in (
-        FmtcpConfig, MptcpConfig, FixedRateConfig, PathConfig, WatchdogConfig,
-        TelemetryConfig,
-    ):
-        for field in dataclasses.fields(config_class):
-            if not field.init:
-                continue  # pinned by the class, not a keyword
-            owner = next(
-                cls for cls in config_class.__mro__
-                if field.name in vars(cls).get("__annotations__", ())
-            )
-            class_names = _subclass_names(owner)
-            # A subclass's own fields follow its base's, so the owner's
-            # order is every subclass's positional order for them.
-            positional = [f.name for f in dataclasses.fields(owner)]
-            defining_module = Path(inspect.getsourcefile(owner))
-            if not any(
-                field.name in _fields_set(call, class_names, positional)
-                for path, entry in index.items()
-                if path != defining_module
-                for call in entry.calls
-            ):
-                unset.add(field.name)
-    assert unset == set(UNSET_FIELDS_KEPT), (
-        f"no traffic and no recorded reason: {sorted(unset - set(UNSET_FIELDS_KEPT))}; "
-        f"listed but set or gone: {sorted(set(UNSET_FIELDS_KEPT) - unset)}"
+def _listed(section: str) -> str:
+    return f"{section}:\n  " + "\n  ".join(
+        f"{row}: {hit}" for row, hit in sorted(_src_hits()[section].items())
     )
 
 
-# ----------------------------------------------------------------------
-# The parameter census: the same rule for keywords. A defaulted parameter
-# of a ``src/repro`` function is passed by something that runs, or it is a
-# constant where it is read.
-# ----------------------------------------------------------------------
-#: Knobs passed only by a call static analysis cannot name (a registry
-#: lookup, a callable held in a variable): the file and the text of that
-#: call. An entry whose call is gone, or that gains a nameable caller,
-#: must leave (the test says so).
-UNNAMED_CALLS = {
-    "Grid.__call__(reduction)": ("src/repro/cli.py", "grid(scale, reduction=summarise)"),
-    "_transfer(mptcp_config)": (
-        "src/repro/experiments/catalog.py", 'options = {f"{protocol}_config": point["config"]}'
-    ),
-    "incast_trace(seed)": (
-        "src/repro/traces/generators.py", "TRACE_GENERATORS[family](seed=seed)"
-    ),
-    "leo_trace(seed)": ("src/repro/traces/generators.py", "TRACE_GENERATORS[family](seed=seed)"),
-}
-
-#: Knobs nothing passes, kept for the reason given. Only safety code and
-#: knobs ``benchmarks/perf/`` pins belong here; the list only shrinks.
-UNPASSED_KNOBS_KEPT = {
-    "Simulator.run(max_events)": (
-        "safety valve: stops a runaway event loop after N callbacks"
-    ),
-    "read_trace_file(strict)": (
-        "safety: rejects a torn trailing line instead of dropping it"
-    ),
-}
+def test_no_traffic_allowlist_gives_a_known_reason():
+    assert set(NO_TRAFFIC_KEPT.values()) <= set(REASONS)
+    unknown = set(NO_TRAFFIC_KEPT) - set().union(*json.loads(LEDGER.read_text()).values())
+    assert not unknown, f"kept rows with no ledger row: {sorted(unknown)}"
 
 
-def _knob_name(definition: _Def, knob: str) -> str:
-    return f"{definition.qualname.removesuffix('.__init__')}({knob})"
-
-
-def _knob_hits(index: dict, kept=()) -> dict:
-    """``"Qualname(knob)"`` → where it is defined, for every defaulted
-    parameter of a ``src/`` function that no call outside that function
-    passes, by keyword or by position, in ``src/``, ``benchmarks/`` or
-    ``examples/``. An argument whose value is the caller's own parameter
-    of the same name (a pass-through) counts only once that parameter has
-    traffic; a knob named in ``kept`` has traffic. Calls are matched by
-    name: ``Cls(…)`` and ``cls(…)`` bind to the ``__init__`` ``Cls``
-    inherits, ``super().__init__(…)`` to the bases', anything else to
-    every ``def`` of that name."""
-    definitions = {
-        (path, definition.qualname): definition
-        for path, entry in index.items() if path.is_relative_to(SRC)
-        for definition in entry.defs
-    }
-    by_name, inits = {}, {}
-    for key, definition in definitions.items():
-        by_name.setdefault(definition.name, []).append(key)
-        if definition.name == "__init__" and definition.owner:
-            inits.setdefault(definition.owner, key)
-    bases_of = _src_bases(index)
-
-    def init_of(cls, seen=frozenset()):
-        if cls in inits:
-            return [inits[cls]]
-        return next(
-            (found for base in bases_of.get(cls, ()) if base not in seen
-             for found in [init_of(base, seen | {cls})] if found),
-            [],
-        )
-
-    def targets(path, call):
-        if call.name == "__init__" and call.qualifier == "":
-            return [key for base in bases_of.get(call.owner, ()) for key in init_of(base)]
-        name = call.owner if call.name == "cls" else call.name
-        if name in bases_of:
-            return init_of(name)
-        return [key for key in by_name.get(name, ()) if key != (path, call.caller)]
-
-    bindings = []
-    for path, entry in index.items():
-        if path.is_relative_to(REPO / "tests"):
-            continue
-        for call in entry.calls:
-            for key in targets(path, call):
-                positional = definitions[key].positional[: call.positional]
-                bound = {keyword: keyword in call.forwarded for keyword in call.keywords}
-                bound.update(
-                    (name, call.positional_names[i] == name)
-                    for i, name in enumerate(positional)
-                )
-                bindings.extend(
-                    (key, name, (path, call.caller) if forwarded else None)
-                    for name, forwarded in bound.items()
-                )
-    knobs = {
-        (key, knob) for key, definition in definitions.items() for knob in definition.knobs
-    }
-    passed = {
-        (key, knob) for key, knob in knobs
-        if _knob_name(definitions[key], knob) in kept
-    }
-    while True:
-        grown = passed | {
-            (key, name) for key, name, via in bindings
-            if (key, name) in knobs and (
-                via is None or (via, name) not in knobs or (via, name) in passed
-            )
-        }
-        if grown == passed:
-            break
-        passed = grown
-    return {
-        _knob_name(definitions[key], knob): f"{key[0].relative_to(REPO)} ({key[1]})"
-        for key, knob in knobs - passed
-    }
+def test_every_function_has_traffic():
+    """Every ``def`` under ``src/repro`` has a ledger row, and a driver ran
+    it — or it is kept above with its reason. What only tests run is
+    deleted, with the tests that only checked it."""
+    assert not _src_hits()["functions"], _listed("functions")
 
 
 def test_every_knob_has_traffic():
-    """A defaulted parameter of a ``src/repro`` function or method is
-    passed by a benchmark, example, experiment, harness or CLI verb — or
-    it is listed above with the call that passes it or the reason it
-    stays. Its own function, ``tests/`` and a pass-through of an unpassed
-    knob are not traffic; a knob with one value in use is a constant."""
-    assert all(reason.strip() for reason in UNPASSED_KNOBS_KEPT.values())
-    for knob, (path, text) in UNNAMED_CALLS.items():
-        assert text in read(path), f"{knob}: {text!r} is not in {path}"
-    assert not set(UNNAMED_CALLS) & set(UNPASSED_KNOBS_KEPT)
-    listed = {*UNNAMED_CALLS, *UNPASSED_KNOBS_KEPT}
-    index = _index()
-    hits = _knob_hits(index, listed)
-    assert not hits, "knobs no caller outside tests passes:\n  " + "\n  ".join(
-        f"{knob}: {where}" for knob, where in sorted(hits.items())
-    )
-    # Each entry is still needed: without the lists it would be a hit.
-    gone = listed - set(_knob_hits(index))
-    assert not gone, f"listed but passed or gone: {sorted(gone)}"
+    """Every defaulted parameter (and defaulted dataclass init field) has a
+    ledger row, and a driver gave it a value other than its default — or
+    it is kept above with its reason. A knob with one value in use is a
+    constant where it is read."""
+    assert not _src_hits()["knobs"], _listed("knobs")
 
 
-def test_knob_census_catches_each_rule():
-    """Seeded cases: a knob nothing passes, a knob only a test passes, and
-    a pass-through chain whose head nothing passes are hits; a caller that
-    passes the head clears the whole chain."""
-    index = dict(_index())
-    package = SRC / "repro" / "seeded"
-    for path, source in (
-        (package / "knobs.py",
-         "def seeded_unpassed(value, knob=1):\n    return value + knob\n\n"
-         "def seeded_test_only(knob=2):\n    return knob\n\n"
-         "def seeded_inner(width=3):\n    return width\n\n"
-         "class SeededOuter:\n    def __init__(self, width=4):\n"
-         "        self.width = seeded_inner(width=width)\n\n"
-         "VALUES = [seeded_unpassed(0), SeededOuter()]\n"),
-        (REPO / "tests" / "test_seeded_knobs.py",
-         "from repro.seeded.knobs import seeded_test_only\n"
-         "assert seeded_test_only(knob=5) == 5\n"),
-    ):
-        index[path] = _file_index(ast.parse(source))
-    hits = _knob_hits(index)
-    assert {knob for knob in hits if "seeded" in knob.lower()} == {
-        "seeded_unpassed(knob)", "seeded_test_only(knob)",
-        "seeded_inner(width)", "SeededOuter(width)",
+def test_every_config_field_has_traffic():
+    """Every init field of a config class has a ledger row, and a driver
+    constructed the config with a value other than the field's default —
+    or it is kept above with its reason."""
+    assert not _src_hits()["fields"], _listed("fields")
+
+
+def _merged(hits: dict) -> dict:
+    return {row: hit for section in hits.values() for row, hit in section.items()}
+
+
+_TOY = """\
+import dataclasses
+
+
+def never_called():
+    return 0
+
+
+def only_default(value, knob=1):
+    return value + knob
+
+
+def varied(value, knob=1):
+    return value + knob
+
+
+class Record:
+    def get(self, key, default=None):
+        return default
+
+
+class Other:
+    def get(self, key, default=None):
+        return key
+
+
+@dataclasses.dataclass
+class ToyConfig:
+    left_alone: int = 1
+    varied: int = 2
+
+
+def drive():
+    only_default(1)
+    only_default(1, knob=1)
+    varied(1, knob=2)
+    Record().get("key")
+    Other().get("key", default=5)
+    ToyConfig(varied=3)
+"""
+
+
+def test_traffic_census_catches_each_rule(tmp_path, monkeypatch):
+    """Seeded cases on a toy package and driver: a function never called,
+    a knob only ever passed its default, a config field left at its
+    default, a same-named method of an unrelated class passing the knob
+    (which must not count) and a ``def`` with no ledger row."""
+    traffic = load_script("benchmarks/traffic.py")
+    package = tmp_path / "seededtraffic"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "toy.py").write_text(_TOY)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    config = ("seededtraffic.toy:ToyConfig",)
+    recorder = traffic.Recorder("seededtraffic", tmp_path, config)
+    recorder.start()
+    try:
+        import seededtraffic.toy
+
+        seededtraffic.toy.drive()
+        recorder.scan()
+    finally:
+        recorder.stop()
+        for name in ("seededtraffic.toy", "seededtraffic"):
+            sys.modules.pop(name, None)
+    ledger = recorder.ledger()
+    # A def added after the census has no row.
+    source = _TOY + "\n\ndef added_later(knob=0):\n    return knob\n"
+    rows = _rows([_file_index(ast.parse(source), "seededtraffic.toy")], config)
+    hits = _merged(_ledger_hits(ledger, rows, {}))
+    assert hits == {
+        "seededtraffic.toy:never_called": "never ran",
+        "seededtraffic.toy:only_default(knob)": "never given a value other than its default",
+        "seededtraffic.toy:ToyConfig(left_alone)": "never given a value other than its default",
+        "seededtraffic.toy:Record.get(default)": "never given a value other than its default",
+        "seededtraffic.toy:added_later": "no ledger row",
+        "seededtraffic.toy:added_later(knob)": "no ledger row",
     }
-    assert hits["SeededOuter(width)"] == "src/repro/seeded/knobs.py (SeededOuter.__init__)"
-    index[REPO / "examples" / "seeded.py"] = _file_index(ast.parse(
-        "from repro.seeded.knobs import SeededOuter\nSeededOuter(width=8)\n"
-    ))
-    assert {knob for knob in _knob_hits(index) if "seeded" in knob.lower()} == {
-        "seeded_unpassed(knob)", "seeded_test_only(knob)",
+    assert ledger["functions"]["seededtraffic.toy:Other.get"]
+    assert ledger["fields"]["seededtraffic.toy:ToyConfig(varied)"]
+    # Kept rows clear their hits; a kept row with traffic is a hit.
+    kept = dict.fromkeys(hits, SAFETY)
+    kept["seededtraffic.toy:varied(knob)"] = SAFETY
+    assert _merged(_ledger_hits(ledger, rows, kept)) == {
+        "seededtraffic.toy:added_later": "no ledger row",
+        "seededtraffic.toy:added_later(knob)": "no ledger row",
+        "seededtraffic.toy:varied(knob)": "kept without traffic, but it has traffic",
     }
 
 
@@ -602,7 +559,9 @@ UNUSED_NAMES_KEPT = {
         "Algorithm 1 transcribed literally: the oracle allocate_packet is "
         "tested against"
     ),
-    "expected_actual_delivered": "Eq. (5), mapped in docs/paper-mapping.md",
+    "decoding_failure_probability": (
+        "Eq. (2), the oracle the rank model's sampled redundancy is tested against"
+    ),
     "lemma1_min_r2": "Lemma 1 / Eq. (16), mapped in docs/paper-mapping.md",
     "rank_paths_by_sedt": "Theorem 2's path order, mapped in docs/paper-mapping.md",
 }
@@ -622,19 +581,21 @@ DELETED_NAMES = (
     "SUBFLOW_STATES",
     "TRACE_KINDS",
     "TimestampedSource",
+    "expected_actual_delivered",
     "load_golden",
     "seal_deferred",
 )
 
-#: Keywords the parameter census deleted: no ``src/`` function takes them
-#: any more, so no doc may show one as ``name=``.
+#: Keywords the parameter and traffic censuses deleted: no ``src/``
+#: function takes them any more, so no doc may show one as ``name=``.
 DELETED_KEYWORDS = (
     "acked_per_window", "bottleneck_bps", "bottleneck_delay_s", "bottleneck_queue",
     "corrupt_good", "dup_ack_threshold", "edge_bps", "edge_delay_s", "fault_window",
-    "flush_every", "ge_fallback", "gop_pattern", "heal_time", "high_watermark",
-    "initial_cwnd", "initial_rto", "initial_s", "initial_ssthresh", "join_handshake_s",
-    "loss_ewma_gain", "loss_forward", "loss_reverse", "low_watermark", "max_cwnd",
-    "max_faults", "max_pending", "max_rto", "min_extra_s", "min_faults", "min_rto",
+    "fire_now", "flush_every", "fps", "ge_fallback", "gop_pattern", "heal_time",
+    "hello_rtt_s", "high_watermark", "initial_cwnd", "initial_rto", "initial_s",
+    "initial_ssthresh", "interpolate", "join_handshake_s", "loss_ewma_gain",
+    "loss_forward", "loss_reverse", "low_watermark", "max_cwnd", "max_faults",
+    "max_pending", "max_rto", "min_extra_s", "min_faults", "min_rto", "newly_acked",
     "redundancy_ratio", "repair", "total_frames", "wake_interval", "with_edge_routers",
 )
 
@@ -757,7 +718,7 @@ def test_api_doc_covers_the_exports_and_no_deleted_name():
     ]
     assert not stale, f"deleted names still in the docs: {stale}"
     parameters = set().union(*(
-        {*definition.positional, *definition.knobs}
+        definition.parameters
         for path, entry in _index().items() if path.is_relative_to(SRC)
         for definition in entry.defs
     ))

@@ -95,16 +95,6 @@ def test_events_scheduled_during_run_execute(sim):
     assert sim.now == 3.0
 
 
-def test_stop_halts_processing(sim):
-    ran = []
-    sim.schedule(1.0, lambda: (ran.append(1), sim.stop()))
-    sim.schedule(2.0, ran.append, 2)
-    sim.run()
-    assert ran == [1]
-    sim.run()
-    assert ran == [1, 2]
-
-
 def test_max_events_limits_execution(sim):
     ran = []
     for index in range(10):

@@ -93,7 +93,7 @@ class _CancelAndPushTimer:
 
     @property
     def armed(self):
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None and self._event[2] is not None
 
     @property
     def expiry(self):
@@ -111,7 +111,7 @@ class _CancelAndPushTimer:
         self._expiry = None
 
     def _fire(self):
-        if self._event is None or self._event.cancelled:
+        if self._event is None or self._event[2] is None:
             return
         self._event = None
         self._expiry = None
@@ -119,7 +119,7 @@ class _CancelAndPushTimer:
 
 
 def _live_entries(sim):
-    return sum(1 for event in sim._heap if not event.cancelled)
+    return sum(1 for event in sim._heap if event[2] is not None)
 
 
 # Delays on a coarse grid so that deadlines collide, move earlier, move

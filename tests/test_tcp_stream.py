@@ -16,9 +16,8 @@ from tests.conftest import make_single_path
 def run_tcp(source, loss=0.0, duration=30.0, config=None, sink=None, seed=7):
     network, path, trace = make_single_path(loss=loss, seed=seed)
     metrics = MetricsSuite(trace)
-    connection = conventional_tcp(
-        network.sim, path, source, config=config, trace=trace, sink=sink
-    )
+    connection = conventional_tcp(network.sim, path, source, config=config, trace=trace)
+    connection.sink = sink  # the delivery check reads the stream it hands on
     connection.start()
     network.sim.run(until=duration)
     return connection, metrics

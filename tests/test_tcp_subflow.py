@@ -5,7 +5,7 @@ import cProfile
 import pytest
 
 from repro.tcp.congestion import RenoController
-from repro.tcp.subflow import SubflowOwner, SubflowSink
+from repro.tcp.subflow import MSS, SubflowOwner, SubflowSink
 from tests.conftest import make_single_path, make_subflow
 
 
@@ -156,7 +156,7 @@ def test_sequence_numbers_never_reused():
     original = subflow._transmit
 
     def spy(payload, size):
-        seen.append(subflow.next_seq)
+        seen.append(subflow._next_seq)
         original(payload, size)
 
     subflow._transmit = spy
@@ -168,7 +168,7 @@ def test_sequence_numbers_never_reused():
 def test_oversized_payload_rejected():
     network, subflow, owner, __ = build()
     with pytest.raises(ValueError):
-        subflow._transmit("too-big", subflow.mss + 1)
+        subflow._transmit("too-big", MSS + 1)
 
 
 def test_close_unbinds_and_stops_timer():

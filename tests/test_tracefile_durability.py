@@ -27,12 +27,12 @@ def test_close_is_idempotent(tmp_path):
         writer.close()  # explicit close inside the with block is fine
 
 
-def test_flush_makes_lines_visible_before_close(tmp_path):
+def test_flush_makes_lines_visible_before_close(tmp_path, monkeypatch):
+    monkeypatch.setattr(TraceFileWriter, "FLUSH_EVERY", 1)
     trace = TraceBus()
     path = tmp_path / "t.jsonl"
     writer = TraceFileWriter(trace, str(path))
     trace.emit(0.0, "k", n=1)
-    writer.flush()
     # Readable mid-run: the writer is still attached.
     assert read_trace_file(str(path)) == [{"t": 0.0, "kind": "k", "n": 1}]
     writer.close()

@@ -3,7 +3,7 @@
 Covers the CSV schema (Hypothesis round-trip: parse -> serialise ->
 parse is the identity), the edge cases the schema must reject (empty
 traces, non-monotonic timestamps, NaN/inf, out-of-range values), the
-end-of-trace policies and interpolation semantics, the seeded
+end-of-trace policies and stepping semantics, the seeded
 generators' determinism, the bundled package-data assets, and the
 player's apply/restore contract against live links.
 """
@@ -71,7 +71,7 @@ def traces(draw):
         )
         for t in times
     ]
-    end_policy = draw(st.sampled_from(("hold", "loop", "clear")))
+    end_policy = draw(st.sampled_from(("hold", "loop")))
     return LinkTrace("prop", samples, end_policy=end_policy)
 
 
@@ -179,19 +179,12 @@ def test_end_policy_semantics():
     assert hold.sample_at(25.0).bandwidth_bps == 3000.0
     loop = LinkTrace("l", _two_step(), end_policy="loop")
     assert loop.sample_at(12.0).bandwidth_bps == 1000.0  # 12 mod 10 = 2
-    clear = LinkTrace("c", _two_step(), end_policy="clear")
-    assert clear.sample_at(10.0) is not None
-    assert clear.sample_at(10.1) is None
 
 
-def test_interpolation_lerps_bandwidth_and_delay_but_steps_loss():
-    trace = LinkTrace("i", _two_step(), interpolate=True)
-    mid = trace.sample_at(5.0)
-    assert mid.bandwidth_bps == pytest.approx(2000.0)
-    assert mid.delay_s == pytest.approx(0.2)
-    assert mid.loss_rate == 0.2  # steps: previous sample's regime
-    stepped = LinkTrace("s", _two_step(), interpolate=False)
-    assert stepped.sample_at(5.0).bandwidth_bps == 1000.0
+def test_between_samples_the_channel_steps():
+    trace = LinkTrace("s", _two_step())
+    assert trace.sample_at(5.0) is trace.samples[0]
+    assert trace.sample_at(10.0) is trace.samples[1]
 
 
 def test_sample_before_first_uses_first():
@@ -209,8 +202,6 @@ def _sample_at_by_linear_scan(trace: LinkTrace, t: float):
     samples = trace.samples
     duration = samples[-1].time_s
     if t > duration:
-        if trace.end_policy == "clear":
-            return None
         if trace.end_policy == "hold" or duration == 0.0:
             return samples[-1]
         t = t % duration
@@ -218,19 +209,7 @@ def _sample_at_by_linear_scan(trace: LinkTrace, t: float):
         return samples[0]
     for previous, sample in zip(samples, samples[1:]):
         if t < sample.time_s:
-            if not trace.interpolate:
-                return previous
-            frac = (t - previous.time_s) / (sample.time_s - previous.time_s)
-
-            def lerp(a, b):
-                return None if a is None or b is None else a + (b - a) * frac
-
-            return TraceSample(
-                time_s=t,
-                bandwidth_bps=lerp(previous.bandwidth_bps, sample.bandwidth_bps),
-                delay_s=lerp(previous.delay_s, sample.delay_s),
-                loss_rate=previous.loss_rate,
-            )
+            return previous
     return samples[-1]
 
 
@@ -238,19 +217,18 @@ def _sample_at_by_linear_scan(trace: LinkTrace, t: float):
 @given(
     times=_times,
     data=st.data(),
-    end_policy=st.sampled_from(["hold", "loop", "clear"]),
-    interpolate=st.booleans(),
+    end_policy=st.sampled_from(["hold", "loop"]),
 )
-def test_sample_at_matches_a_linear_scan(times, data, end_policy, interpolate):
-    """Every policy, interpolation on and off, and the boundary times: on
-    a sample, before the first, past the last, between two."""
+def test_sample_at_matches_a_linear_scan(times, data, end_policy):
+    """Every policy and the boundary times: on a sample, before the first,
+    past the last, between two."""
     samples = [
         TraceSample(
             time_s, data.draw(_bandwidth), data.draw(_delay), data.draw(_loss)
         )
         for time_s in times
     ]
-    trace = LinkTrace("t", samples, end_policy=end_policy, interpolate=interpolate)
+    trace = LinkTrace("t", samples, end_policy=end_policy)
     probes = list(times)
     probes += [times[0] / 2.0, times[-1] + 1.0, times[-1] * 2.5 + 0.125]
     probes += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
@@ -346,22 +324,19 @@ def test_player_applies_and_restores_baselines():
     assert not player.playing
 
 
-def test_player_clear_policy_restores_on_its_own():
+def test_a_hold_player_past_the_end_leaves_nothing_queued():
     network, paths = _network()
     links = paths[1].forward_links
-    baseline_bw = links[0].bandwidth_bps
-    trace = LinkTrace(
-        "c", [TraceSample(0.0, bandwidth_bps=5e4)], end_policy="clear"
-    )
+    trace = LinkTrace("h", [TraceSample(0.0, bandwidth_bps=5e4)])
     player = TracePlayer(network.sim, links, trace)
     player.start()
     network.sim.run(until=0.05)  # before the second tick, at STEP_S
     assert links[0].bandwidth_bps == 5e4
     network.sim.run(until=1.0)
-    assert player.finished
-    assert links[0].bandwidth_bps == baseline_bw
-    # Hold-policy players stop ticking past the end, so a finished
-    # player leaves nothing live in the event queue.
+    # Holding the last sample needs no ticks: the timer retired and the
+    # link keeps the sample's conditions.
+    assert not player.playing
+    assert links[0].bandwidth_bps == 5e4
     network.sim.drain_cancelled()
     assert network.sim.pending_events == 0
 

@@ -16,22 +16,33 @@ holds the simulator. Every cut is shown able to fail: skipping it leaves
 a cycle, named by its types.
 """
 
+import dataclasses
 import gc
+import json
+import os
 
 import pytest
 
 from repro.core.config import FmtcpConfig
 from repro.experiments.runner import _subflow_stats, build_connection, build_topology
+from repro.faults import resolve_scenario
+from repro.faults.chaos import CHAOS
+from repro.faults.churn import CHURN
+from repro.faults.corruption import CORRUPTION
 from repro.fixedrate.connection import FixedRateConfig
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
-from repro.robustness.flowcontrol import AppDrain, ProbedGate, ZeroWindowProber
+from repro.recovery.harness import RECOVERY
+from repro.robustness.exhaustion import EXHAUSTION
+from repro.robustness.flowcontrol import ProbedGate, ZeroWindowProber
 from repro.sim.timers import Timer
+from repro.soak import run_soak
 from repro.tcp.congestion import LiaCoupledController
 from repro.tcp.multipath import MultipathConnection
 from repro.tcp.subflow import Subflow, SubflowSink
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
 from repro.traces.generators import gprs_trace
+from repro.traces.harness import TRACES
 from repro.traces.player import TracePlayer
 from repro.workloads.sources import BulkSource
 
@@ -49,7 +60,7 @@ CONFIGS = {
 VARIANTS = {
     "default": {},
     "lia": {"congestion": "lia"},
-    "flow": {"flow_control": True, "recv_drain_rate_bps": 200e3},
+    "flow": {"flow_control": True},
     "telemetry": {},
     "trace": {},
 }
@@ -62,6 +73,7 @@ CASES = [
     if (protocol != "fixedrate" or variant in ("default", "telemetry"))
     and (variant != "trace" or protocol == "mptcp")
 ]
+SOAK_PINS = os.path.join(os.path.dirname(__file__), "fixtures", "soak_pins.json")
 #: What the simulator heap's cycle may hold when a run ends mid-flight.
 HEAP_COMPONENT_TYPES = {"DropTailQueue", "Event", "Link", "Packet", "Simulator"}
 
@@ -186,6 +198,36 @@ def test_a_deadline_cut_transfer_leaves_only_the_heap_cycle(protocol, variant):
 
 
 # ----------------------------------------------------------------------
+# A finished soak: the kernel's hooks, the sink, the completion poll and
+# the recovery manager's epoch builder all hold the run; none may outlive
+# it in a cycle.
+# ----------------------------------------------------------------------
+SOAKS = [
+    (CHAOS, "link_flap"),
+    (CHURN, "flaky_path_churn"),
+    (CORRUPTION, "bit_rot"),
+    (EXHAUSTION, "tiny_receive_buffer"),
+    (RECOVERY, "receiver_crash"),
+    (TRACES, "gprs_bursty"),
+]
+
+
+@pytest.mark.parametrize("protocol", ("fmtcp", "mptcp"))
+@pytest.mark.parametrize("harness,preset", SOAKS, ids=[preset for __, preset in SOAKS])
+def test_a_completed_soak_leaves_nothing_for_the_collector(harness, preset, protocol):
+    report, garbage = _left_behind(
+        lambda: run_soak(harness, protocol, resolve_scenario(preset), seed=1)
+    )
+    assert report.completed and report.ok
+    assert not garbage, f"left in cycles: {_cycles(garbage)}"
+    # Every report field reads what the soak pins recorded.
+    with open(SOAK_PINS) as handle:
+        pinned = json.load(handle)[f"{preset}/{protocol}"]
+    got = json.loads(json.dumps(dataclasses.asdict(report)))
+    assert {key: got.get(key, "<missing>") for key in pinned} == pinned
+
+
+# ----------------------------------------------------------------------
 # Seeded defects: each cut skipped in turn leaves a named cycle.
 # ----------------------------------------------------------------------
 def _keep_attributes(cls, method, *names):
@@ -245,10 +287,6 @@ DEFECTS = {
         "mptcp", "flow", ZeroWindowProber, "close", ZeroWindowProber.disarm, None,
         {"ProbedGate", "ZeroWindowProber"},
     ),
-    "app drain callback": (
-        "fmtcp", "flow", AppDrain, "close", ("_deliver",), None,
-        {"AppDrain", "FmtcpReceiver"},
-    ),
     "trace player timer": (
         "mptcp", "trace", TracePlayer, "_drop_timer",
         lambda self: self._timer.stop(), None,
@@ -285,11 +323,11 @@ def _readings(connection):
     readings = {
         "subflows": [_subflow_stats(subflow) for subflow in connection.subflows],
         "corruption": connection.corruption_stats(),
-        "flow": connection.flow_stats(),
         "delivered_bytes": connection.delivered_bytes,
     }
-    if hasattr(connection, "memory_stats"):
+    if hasattr(connection, "memory_stats"):  # the flow-control transports
         readings["memory"] = connection.memory_stats()
+        readings["flow"] = connection.flow_stats()
     if hasattr(connection, "symbols_retransmitted"):
         readings["fixedrate"] = (
             connection.symbols_sent,
@@ -354,14 +392,3 @@ def test_every_reading_survives_sever_receiver_then_close(protocol, variant):
     assert sim.pending_events == 0
 
 
-def test_a_drain_closed_by_sever_receiver_never_reads_again():
-    """A subflow added after the receiver was severed still feeds it; the
-    blocks it decodes queue for the crashed application, which reads none."""
-    connection, sim = _mid_transfer("fmtcp", "flow")
-    connection.sever_receiver()
-    drained = connection.receiver.drained_blocks
-    connection.add_subflow(connection.subflows[0].path)
-    sim.run(until=8.0)
-    assert connection.receiver.app_queue_blocks > 0
-    assert connection.receiver.drained_blocks == drained
-    connection.close()

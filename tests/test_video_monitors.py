@@ -28,7 +28,7 @@ class PumpCounter:
 
 def test_vbr_mean_rate_matches_target():
     sim = Simulator()
-    source = VbrVideoSource(sim, mean_rate_bps=2.4e6, fps=25.0, seed=1)
+    source = VbrVideoSource(sim, mean_rate_bps=2.4e6, seed=1)
     source.attach(PumpCounter())
     sim.run(until=20.0)
     produced_bits = sum(source.frame_sizes) * 8
@@ -39,7 +39,7 @@ def test_vbr_iframes_are_larger(monkeypatch):
     monkeypatch.setattr(VbrVideoSource, "GOP_PATTERN", "IPPP")
     monkeypatch.setattr(VbrVideoSource, "JITTER_FRACTION", 0.0)
     sim = Simulator()
-    source = VbrVideoSource(sim, fps=25.0, seed=2)
+    source = VbrVideoSource(sim, seed=2)
     source.attach(PumpCounter())
     sim.run(until=4.0)
     i_frames = source.frame_sizes[0::4]
@@ -47,9 +47,10 @@ def test_vbr_iframes_are_larger(monkeypatch):
     assert min(i_frames) > max(p_frames)
 
 
-def test_vbr_pull_respects_buffer():
+def test_vbr_pull_respects_buffer(monkeypatch):
+    monkeypatch.setattr(VbrVideoSource, "fps", 10.0)
     sim = Simulator()
-    source = VbrVideoSource(sim, mean_rate_bps=8e5, fps=10.0, seed=3)
+    source = VbrVideoSource(sim, mean_rate_bps=8e5, seed=3)
     assert source.pull(1000) == 0  # nothing emitted yet
     source.attach(PumpCounter())
     sim.run(until=0.5)
@@ -65,18 +66,16 @@ def test_vbr_pull_respects_buffer():
 def test_vbr_wakes_connection_per_frame():
     sim = Simulator()
     counter = PumpCounter()
-    source = VbrVideoSource(sim, fps=20.0, seed=5)
+    source = VbrVideoSource(sim, seed=5)
     source.attach(counter)
     sim.run(until=1.0)
-    assert 19 <= counter.pumps <= 21
+    assert 24 <= counter.pumps <= 26  # one per frame at 25 fps
 
 
 def test_vbr_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         VbrVideoSource(sim, mean_rate_bps=0.0)
-    with pytest.raises(ValueError):
-        VbrVideoSource(sim, fps=0.0)
 
 
 def test_vbr_streams_over_fmtcp():
@@ -90,7 +89,7 @@ def test_vbr_streams_over_fmtcp():
         trace=trace,
     )
     metrics = MetricsSuite(trace)
-    source = VbrVideoSource(network.sim, mean_rate_bps=2e6, fps=25.0, seed=6)
+    source = VbrVideoSource(network.sim, mean_rate_bps=2e6, seed=6)
     connection = FmtcpConnection(
         network.sim, paths, source, config=FmtcpConfig(), trace=trace,
         rng=RngStreams(6),
@@ -124,7 +123,7 @@ def test_reno_keeps_a_standing_droptail_queue():
     depths = []
     PeriodicTimer(
         network.sim, 0.1, lambda __: depths.append(len(link.queue))
-    ).start(fire_now=False)
+    ).start()
     connection.start()
     network.sim.run(until=20.0)
     # Reno fills the drop-tail queue: a standing queue tens deep.

@@ -60,7 +60,7 @@ def test_every_source_rejects_a_negative_request(kind):
 def test_bulk_infinite_always_grants():
     source = BulkSource()
     assert source.pull(1400) == 1400
-    assert not source.exhausted
+    assert source.pull(10**9) == 10**9
 
 
 def test_bulk_finite_grants_until_total():
@@ -69,7 +69,7 @@ def test_bulk_finite_grants_until_total():
     assert source.pull(1400) == 1400
     assert source.pull(1400) == 200
     assert source.pull(1400) == 0
-    assert source.exhausted
+    assert source.pulled_bytes == source.total_bytes
 
 
 def test_bulk_negative_total_rejected():
@@ -90,7 +90,7 @@ def test_random_payload_transcript_matches_grants():
         chunks.append(chunk)
     assert [len(chunk) for chunk in chunks] == [100, 100, 50]
     assert b"".join(chunks) == bytes(source.transcript)
-    assert source.exhausted
+    assert source.pulled_bytes == source.total_bytes
 
 
 def test_random_payload_returns_bytes():
