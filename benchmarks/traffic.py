@@ -17,13 +17,17 @@ catalog builds configs at import time), and writes the ledger
 
 Rows are keyed ``module:qualname`` from the function objects (and
 ``module:Qualname(parameter)``), never by line, so an unrelated edit moves
-no row. The drivers are what a user or the benchmark runs; tests are not
-drivers: every CLI verb through ``cli.main`` at full scale and every option
-of every verb at least once (checked against ``cli.build_parser()``),
-every ``faults`` preset, ``random:SEED``, ``trace:FILE`` and each group's
-``--bench``, ``report`` writing a temporary copy of EXPERIMENTS.md, every
-example, the five ``benchmarks/perf`` workloads (``run_rep(quick=True)``)
-and ``bench_micro.py`` / ``bench_telemetry.py`` under pytest with
+no row. A property's setter and deleter share the getter's qualname, so
+they get rows of their own, ``Cls.prop.setter`` / ``Cls.prop.deleter``.
+Lambdas stay unkeyed: every lambda is named ``<lambda>``, and without a
+line number nothing tells two apart. The drivers are what a user or the
+benchmark runs; tests are not drivers: every CLI verb through ``cli.main``
+at full scale and every option of every verb at least once (checked
+against ``cli.build_parser()``), every ``faults`` preset, ``random:SEED``,
+``trace:FILE`` and each group's ``--bench``, ``report`` writing a
+temporary copy of EXPERIMENTS.md, every example, the five
+``benchmarks/perf`` workloads (``run_rep(quick=True)``) and
+``bench_micro.py`` / ``bench_telemetry.py`` under pytest with
 ``--benchmark-disable``. ``tests/test_repo_consistency.py`` reads the
 ledger: a row without traffic is deleted code or an allowlisted reason.
 """
@@ -166,12 +170,12 @@ class Recorder:
             if value.__module__ == module and value.__qualname__.startswith(within):
                 self._register_class(value)
             return
-        for function in _functions_of(value):
+        for function, suffix in _functions_of(value):
             if (
                 function.__module__ == module
                 and function.__code__.co_filename.startswith(self._prefix)
             ):
-                self._register_function(function)
+                self._register_function(function, function.__qualname__ + suffix)
 
     def _register_class(self, cls: type) -> None:
         for value in list(vars(cls).values()):
@@ -181,11 +185,11 @@ class Recorder:
             if init.__code__.co_filename == "<string>":
                 self._register_dataclass_init(cls, init)
 
-    def _register_function(self, function) -> None:
+    def _register_function(self, function, qualname: str) -> None:
         code = function.__code__
         if code in self._known or code.co_name.startswith("<"):  # a lambda
             return
-        row = f"{function.__module__}:{function.__qualname__}"
+        row = f"{function.__module__}:{qualname}"
         self.functions.setdefault(row, False)
         head = row.removesuffix(".__init__")
         knobs = [
@@ -195,7 +199,7 @@ class Recorder:
         for *__, key in knobs:
             self.knobs.setdefault(key, False)
         self._known[code] = (row, knobs)
-        self._register_nested(code, function.__qualname__, function.__module__)
+        self._register_nested(code, qualname, function.__module__)
 
     def _register_nested(self, code, qualname: str, module: str, scope=".<locals>.") -> None:
         """Closures: a ``def`` (or a class body) inside a function is a code
@@ -251,20 +255,25 @@ def _defaults(function) -> Dict[str, object]:
 
 
 def _functions_of(value) -> Iterable:
-    """The plain functions behind a class attribute or module global:
-    through ``staticmethod`` / ``classmethod``, ``property`` accessors and
-    ``functools`` wrappers."""
+    """``(function, row suffix)`` for the plain functions behind a class
+    attribute or module global: through ``staticmethod`` /
+    ``classmethod``, ``property`` accessors (a setter or deleter keyed
+    apart from its getter) and ``functools`` wrappers."""
     if isinstance(value, (staticmethod, classmethod)):
         value = value.__func__
     if isinstance(value, property):
         return [
-            function for accessor in (value.fget, value.fset, value.fdel)
-            if accessor is not None for function in _functions_of(accessor)
+            (function, suffix)
+            for accessor, suffix in ((value.fget, ""), (value.fset, ".setter"),
+                                     (value.fdel, ".deleter"))
+            if accessor is not None for function, __ in _functions_of(accessor)
         ]
     value = getattr(value, "func", value)  # functools.cached_property / partial
     while hasattr(value, "__wrapped__"):
         value = value.__wrapped__
-    return [value] if hasattr(value, "__code__") and hasattr(value, "__qualname__") else []
+    if hasattr(value, "__code__") and hasattr(value, "__qualname__"):
+        return [(value, "")]
+    return []
 
 
 def import_all(package: str = "repro") -> None:

@@ -204,9 +204,12 @@ def _print_table(title: str, columns, rows) -> None:
 
 def _bench_goodput_response(protocols, scenario, seed, duration) -> None:
     from repro.faults import measure_fault_response
+    from repro.faults.chaos import PROBE_BANDWIDTH_BPS, PROBE_DELAY_S
 
+    # Clean 4 Mb/s paths at 1 % loss: the preset's faults come on top.
+    paths = soak.uniform_paths(scenario.n_paths, PROBE_BANDWIDTH_BPS, PROBE_DELAY_S, 0.01)
     benches = [
-        measure_fault_response(protocol, scenario, seed=seed, duration_s=duration)
+        measure_fault_response(protocol, scenario, paths, seed=seed, duration_s=duration)
         for protocol in protocols
     ]
     _print_table(
@@ -262,7 +265,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
     from repro.faults.churn import CHURN
     from repro.faults.corruption import CORRUPTION
     from repro.recovery.harness import RECOVERY
-    from repro.robustness.exhaustion import EXHAUSTION
+    from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
     from repro.traces.harness import TRACES
 
     return {
@@ -295,7 +298,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "exhaustion": _FaultGroup(
             "Exhaustion presets (receiver memory budget, flow control on):",
-            faults.EXHAUSTION_SCENARIOS,
+            EXHAUSTION_SCENARIOS,
             lambda scenario: (
                 f"{scenario.recv_budget_bytes // 1024} KiB budget — "
                 f"{scenario.description}"

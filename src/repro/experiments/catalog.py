@@ -31,6 +31,7 @@ import random
 from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import soak
 from repro.analysis.allocation import (
     fmtcp_beats_mptcp_condition,
     mptcp_delivery_ratio,
@@ -59,13 +60,9 @@ from repro.experiments.runner import (
     run_transfer,
     transfer_configs,
 )
-from repro.faults import (
-    MOBILITY_SCENARIOS,
-    SCENARIOS,
-    FaultScenario,
-    measure_corruption_goodput,
-    measure_fault_response,
-)
+from repro.faults import MOBILITY_SCENARIOS, SCENARIOS, FaultScenario, measure_fault_response
+from repro.faults.chaos import PROBE_BANDWIDTH_BPS, PROBE_DELAY_S
+from repro.faults.scenario import FaultEvent
 from repro.fixedrate import FixedRateConfig
 from repro.metrics.latency import AppLatencyCollector
 from repro.metrics.stats import mean, percentile, stdev
@@ -74,8 +71,8 @@ from repro.net.loss import ScheduledLoss
 from repro.net.packet import Packet
 from repro.net.topology import PathConfig
 from repro.recovery import measure_recovery
-from repro.robustness.exhaustion import BUFFERBLOCK_PATHS, measure_bufferblock
-from repro.traces import measure_trace_goodput
+from repro.traces.generators import resolve_trace
+from repro.traces.model import LinkTrace
 from repro.workloads.scenarios import (
     DEFAULT_BANDWIDTH_BPS,
     TABLE1_CASES,
@@ -1497,7 +1494,9 @@ STREAMING_QOE = Experiment(
 
 # ----------------------------------------------------------------------
 # Robustness probes (ours): every point is the mean of three seeds from
-# ``scale.seed`` on, measured by the probes the soak harnesses export.
+# ``scale.seed`` on. Fault, corruption and trace points are timelines
+# measured by ``measure_fault_response``, crash points by
+# ``measure_recovery``, and the buffer sweep is plain transfers.
 # ----------------------------------------------------------------------
 BASE_LOSS = 0.05
 ROBUSTNESS_SEEDS = 3
@@ -1519,8 +1518,9 @@ def _fault_response(protocol: str, point: Dict[str, Any], scale: Scale, seed: in
     time to recover. No run ends before :meth:`FaultScenario.run_length`."""
     scenario = FaultScenario.named(point["scenario"])
     run = measure_fault_response(
-        protocol, scenario, seed=seed, base_loss=BASE_LOSS,
-        duration_s=scenario.run_length(scale.duration_s),
+        protocol, scenario,
+        soak.uniform_paths(scenario.n_paths, PROBE_BANDWIDTH_BPS, PROBE_DELAY_S, BASE_LOSS),
+        seed=seed, duration_s=scenario.run_length(scale.duration_s),
     )
     return {
         "retention": run.retention,
@@ -1590,13 +1590,36 @@ CHURN_RESPONSE = _robustness(
     duration_s=40.0,
 )
 
+
+def _whole_run(
+    protocol: str, scenario: FaultScenario, paths: List[PathConfig], scale: Scale, seed: int
+) -> Dict:
+    """Goodput (Mb/s) of an open-ended run under a timeline that starts at
+    t = 0; an empty timeline is the clean baseline and draws no extra
+    randomness."""
+    run = measure_fault_response(
+        protocol, scenario, paths, seed=seed, duration_s=scale.duration_s
+    )
+    return {"goodput": run.goodput_mbps}
+
+
+def _corruption(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Every forward link of two clean 4 Mb/s paths flipping bits at
+    ``point["rate"]`` for the whole run (none evading the link CRC)."""
+    rate = point["rate"]
+    events = [] if rate == 0.0 else [
+        FaultEvent(0.0, "corrupt", path, rate, "forward") for path in (0, 1)
+    ]
+    return _whole_run(
+        protocol, FaultScenario("corruption", events),
+        soak.uniform_paths(2, PROBE_BANDWIDTH_BPS, PROBE_DELAY_S), scale, seed,
+    )
+
+
 CORRUPTION_GOODPUT = _robustness(
     "Goodput (Mb/s) vs per-link corruption rate",
     Grid(
-        tuple({"rate": rate} for rate in (0.0, 0.01, 0.02, 0.05)), PAIR,
-        lambda protocol, point, scale, seed: {"goodput": measure_corruption_goodput(
-            protocol, point["rate"], seed=seed, duration_s=scale.duration_s
-        )},
+        tuple({"rate": rate} for rate in (0.0, 0.01, 0.02, 0.05)), PAIR, _corruption,
         seeds=ROBUSTNESS_SEEDS,
     ),
     ledger="corruption_goodput",
@@ -1619,11 +1642,58 @@ CORRUPTION_GOODPUT = _robustness(
 )
 
 
+# The bench topology: equal-bandwidth paths, one with 10x the RTT and
+# more loss. Both paths must carry real traffic (equal bandwidth), so a
+# slow-path loss stalls MPTCP's in-order frontier while the buffered
+# fast-path data pins the tiny window — the "receive buffer blocking"
+# of Iyengar et al. that the paper's Section II argues coding sidesteps.
+BUFFERBLOCK_PATHS: Tuple[Tuple[float, float, float], ...] = (
+    (1.5e6, 0.03, 0.04),
+    (1.5e6, 0.3, 0.08),
+)
+
+
+def _bufferblock_config(protocol: str, budget_bytes: int):
+    """Each stack configured for one shared receive-buffer byte budget,
+    flow control on.
+
+    MPTCP's unit is fixed (one MSS chunk), so its budget is just a chunk
+    count. FMTCP's block size k̂ is a *design parameter chosen against
+    the buffer* (paper Section III-B), so the bench does what a deployer
+    would: shrink the block so roughly eight fit in the budget, floored
+    at 64 symbols (2 KiB) where the completeness margin starts to
+    dominate, capped at the default 256 (8 KiB).
+    """
+    if protocol == "fmtcp":
+        base = FmtcpConfig()
+        symbols = min(256, max(64, budget_bytes // (8 * base.symbol_size)))
+        block_bytes = symbols * base.symbol_size
+        return FmtcpConfig(
+            flow_control=True,
+            symbols_per_block=symbols,
+            recv_window_blocks=max(2, budget_bytes // block_bytes),
+        )
+    return MptcpConfig(
+        flow_control=True,
+        recv_buffer_chunks=soak.receive_units("mptcp", budget_bytes),
+    )
+
+
 def _bufferblock(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
-    run = measure_bufferblock(protocol, point["budget"], seed=seed, duration_s=scale.duration_s)
+    """Goodput (MB/s, rounded to four places per seed, before the seed
+    mean) under one receive-buffer byte budget, and whether the receiver
+    stayed within the units it licensed."""
+    config = _bufferblock_config(protocol, point["budget"])
+    paths = [
+        PathConfig(bandwidth_bps=bandwidth, delay_s=delay, loss_rate=loss)
+        for bandwidth, delay, loss in BUFFERBLOCK_PATHS
+    ]
+    run = _transfer(protocol, paths, scale, seed, **{f"{protocol}_config": config})
     return {
-        "goodput": run["goodput_mbytes_per_s"],
-        "within_budget": run["peak_occupancy"] <= run["budget_units"],
+        "goodput": round(run.summary["goodput_mbytes_per_s"], 4),
+        "within_budget": (
+            run.extras["recv_peak_occupancy"] <= soak.window_units(protocol, config)
+        ),
     }
 
 
@@ -1723,6 +1793,24 @@ TRACE_FAMILIES = {
     "baseline": None, "gprs": "gprs:1", "leo": "leo:1", "incast": "incast:1",
     "cellular": "cellular_drive", "wifi": "wifi_walk",
 }
+#: The trace entry's clean paths, slow enough for the traces' absolute regimes.
+TRACE_BANDWIDTH_BPS = 6e5
+
+
+def _trace(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> Dict:
+    """Two clean 0.6 Mb/s paths, path 1's forward links replaying the
+    family's trace for the whole run."""
+    spec, events = TRACE_FAMILIES[point["family"]], []
+    if spec:
+        # "loop" so short traces keep shaping the channel all run long.
+        replay = resolve_trace(spec)
+        if replay.end_policy != "loop":
+            replay = LinkTrace(replay.name, replay.samples, end_policy="loop")
+        events = [FaultEvent(0.0, "trace", 1, replay, "forward")]
+    return _whole_run(
+        protocol, FaultScenario("trace", events),
+        soak.uniform_paths(2, TRACE_BANDWIDTH_BPS, PROBE_DELAY_S), scale, seed,
+    )
 
 
 def _trace_rows(rows: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
@@ -1736,10 +1824,7 @@ def _trace_rows(rows: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
 TRACE_RESPONSE = _robustness(
     "Goodput (Mb/s) with the trace riding path 1",
     Grid(
-        tuple({"family": family} for family in TRACE_FAMILIES), PAIR,
-        lambda protocol, point, scale, seed: {"goodput": measure_trace_goodput(
-            protocol, TRACE_FAMILIES[point["family"]], seed=seed, duration_s=scale.duration_s
-        )},
+        tuple({"family": family} for family in TRACE_FAMILIES), PAIR, _trace,
         seeds=ROBUSTNESS_SEEDS, then=_trace_rows,
     ),
     ledger="trace_response",

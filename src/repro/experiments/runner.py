@@ -7,7 +7,8 @@ the three paper metrics plus protocol-internal statistics.
 
 :func:`build_topology` and :func:`build_connection` are the one way a
 transfer's network and transport are built: :func:`run_transfer`, the
-soak kernel, its ``measure_*`` probes and the benchmarks all call them.
+soak kernel, the fault-response and recovery probes and the benchmarks
+all call them.
 """
 
 from __future__ import annotations
@@ -219,12 +220,14 @@ def run_transfer(
             "symbols_redundant": connection.receiver.symbols_redundant,
             "blocks_decoded": connection.receiver.blocks_decoded,
             "redundancy_ratio": connection.redundancy_ratio(),
+            "recv_peak_occupancy": connection.memory_stats()["recv_peak_occupancy"],
         }
     else:
         result.extras = {
             "chunks_retransmitted": connection.chunks_retransmitted,
             "chunks_reinjected": connection.chunks_reinjected,
             "reorder_high_watermark": connection.reorder_buffer.high_watermark,
+            "recv_peak_occupancy": connection.memory_stats()["recv_peak_occupancy"],
         }
     connection.close()
     if session is not None:

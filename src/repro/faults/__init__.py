@@ -24,7 +24,6 @@ one, so nothing of it is imported here) and the exhaustion presets to
 """
 
 from repro.faults.chaos import measure_fault_response
-from repro.faults.corruption import measure_corruption_goodput
 from repro.faults.scenario import (
     CORRUPTION_SCENARIOS,
     MOBILITY_SCENARIOS,
@@ -34,27 +33,14 @@ from repro.faults.scenario import (
     FaultScenario,
     resolve_scenario,
 )
-from repro.robustness.exhaustion import (
-    EXHAUSTION_SCENARIOS,
-    ExhaustionScenario,
-    measure_bufferblock,
-)
-from repro.soak import PROTOCOLS
-from repro.traces.harness import measure_trace_goodput
 
 __all__ = [
     "CORRUPTION_SCENARIOS",
-    "EXHAUSTION_SCENARIOS",
     "MOBILITY_SCENARIOS",
     "RECOVERY_SCENARIOS",
     "SCENARIOS",
     "TRACE_SCENARIOS",
-    "PROTOCOLS",
-    "ExhaustionScenario",
     "FaultScenario",
-    "measure_bufferblock",
-    "measure_corruption_goodput",
     "measure_fault_response",
-    "measure_trace_goodput",
     "resolve_scenario",
 ]

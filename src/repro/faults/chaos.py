@@ -12,20 +12,22 @@ Two ways in:
 
 * :func:`measure_fault_response` — an *open-ended* transfer for the
   benchmark: per-phase goodput (before / during / after the faults),
-  goodput retention, and time-to-recover after the last fault settles.
+  goodput retention, time-to-recover after the last fault settles and
+  the whole run's goodput. Every fault, corruption and trace goodput
+  ledger of the catalog is measured by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import soak
 from repro.experiments.runner import build_connection, build_topology
-from repro.faults.churn import RECOVERY_FRACTION, wire_churn
+from repro.faults.churn import phase_mean, recovery, wire_churn
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
-from repro.metrics.stats import mean
+from repro.net.topology import PathConfig
 from repro.workloads.sources import BulkSource
 
 
@@ -55,8 +57,8 @@ CHAOS = soak.Harness(
 
 #: The open-ended probe's clean paths: fast enough that a phase's mean
 #: goodput is many packets per one-second bin.
-_PROBE_BANDWIDTH_BPS = 4e6
-_PROBE_DELAY_S = 0.03
+PROBE_BANDWIDTH_BPS = 4e6
+PROBE_DELAY_S = 0.03
 
 
 @dataclass
@@ -71,26 +73,31 @@ class FaultBenchResult:
     post_mbps: float
     retention: float  # during / pre
     recovery_s: Optional[float]  # None = never reached 80 % of pre
+    goodput_mbps: float  # whole run, Mb/s
 
 
 def measure_fault_response(
     protocol: str,
     scenario: FaultScenario,
+    paths: Sequence[PathConfig],
     seed: int = 1,
     duration_s: float = 40.0,
-    base_loss: float = 0.01,
 ) -> FaultBenchResult:
-    """Goodput retention and recovery time for an open-ended transfer.
+    """Goodput retention and recovery time for an open-ended transfer
+    over ``paths`` (one per scenario path).
 
     Phases: *pre* is [1 s, first event) — the first second of slow-start
     is skipped when judging the baseline — *during* is [first event,
     settle), including handover blackouts, and *post* runs from settle
-    to the end. A lifecycle scenario gets its churn controller. For a
-    permanent removal (no re-add) the during window is empty and
-    retention reads 0 by convention; *post* then shows the surviving-path
-    capacity, and ``recovery_s`` stays ``None`` whenever the survivors
-    cannot reach :data:`~repro.faults.churn.RECOVERY_FRACTION` of the
-    multi-path baseline — a real capacity loss, not a bug.
+    to the end (:func:`~repro.faults.churn.recovery` is the rule). A
+    lifecycle scenario gets its churn controller. For a permanent
+    removal (no re-add) the during window is empty and retention reads 0
+    by convention; *post* then shows the surviving-path capacity, and
+    ``recovery_s`` stays ``None`` whenever the survivors cannot reach
+    :data:`~repro.faults.churn.RECOVERY_FRACTION` of the multi-path
+    baseline — a real capacity loss, not a bug. A timeline whose first
+    event is at t = 0 shapes the whole run: pre and retention read 0, and
+    ``goodput_mbps`` (delivered bytes over the run) is its measure.
     """
     settle = scenario.settle_time
     if duration_s <= settle:
@@ -98,39 +105,25 @@ def measure_fault_response(
             f"duration {duration_s}s leaves no recovery window after the "
             f"last event settles at {settle}s"
         )
-    trace, network, paths = build_topology(
-        soak.uniform_paths(
-            scenario.n_paths, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S, base_loss
-        ),
-        seed,
-    )
+    trace, network, built = build_topology(paths, seed)
     sim = network.sim
     metrics = MetricsSuite(trace, bin_width_s=1.0)
     connection = build_connection(
-        protocol, sim, [paths[index] for index in scenario.active_paths],
+        protocol, sim, [built[index] for index in scenario.active_paths],
         BulkSource(), seed, trace,
     )
     controller = None
     if scenario.has_churn:
-        controller = wire_churn(sim, network, paths, connection, scenario, trace)
-    scenario.apply(sim, paths, trace=trace, lifecycle=controller)
+        controller = wire_churn(sim, network, built, connection, scenario, trace)
+    injector = scenario.apply(sim, built, trace=trace, lifecycle=controller)
     connection.start()
     sim.run(until=duration_s)
 
     series = metrics.goodput.series(duration_s)  # (midpoint, MB/s) per 1 s bin
-    fault_start = scenario.fault_start
-
-    def phase_mean(lo: float, hi: float) -> float:
-        rates = [rate for t, rate in series if lo <= t < hi]
-        return mean(rates) if rates else 0.0
-
-    pre = phase_mean(1.0, fault_start)
-    during = phase_mean(fault_start, settle)
-    recovery: Optional[float] = None
-    for t, rate in series:
-        if t >= settle and rate >= RECOVERY_FRACTION * pre:
-            recovery = t - settle
-            break
+    pre, recovered_at = recovery(series, scenario)
+    during = phase_mean(series, scenario.fault_start, settle)
+    goodput = connection.delivered_bytes * 8.0 / duration_s / 1e6
+    injector.stop_players()  # a looped replay must not outlive the run
     connection.close()
     return FaultBenchResult(
         protocol=protocol,
@@ -138,7 +131,8 @@ def measure_fault_response(
         duration_s=duration_s,
         pre_mbps=pre,
         during_mbps=during,
-        post_mbps=phase_mean(settle, duration_s),
+        post_mbps=phase_mean(series, settle, duration_s),
         retention=during / pre if pre > 0 else 0.0,
-        recovery_s=recovery,
+        recovery_s=None if recovered_at is None else recovered_at - settle,
+        goodput_mbps=goodput,
     )

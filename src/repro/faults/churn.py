@@ -22,7 +22,7 @@ controller itself when the scenario has lifecycle events.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import soak
 from repro.faults.scenario import FaultScenario
@@ -36,6 +36,29 @@ from repro.sim.trace import TraceBus
 RECOVERY_FRACTION = 0.8
 #: ... and :func:`bounded_readd` wants it within this long of the last re-add.
 _READD_WINDOW_S = 5.0
+
+
+def phase_mean(series: List[Tuple[float, float]], lo: float, hi: float) -> float:
+    """Mean of the goodput bins whose midpoint lies in ``[lo, hi)`` (0
+    for none)."""
+    rates = [rate for t, rate in series if lo <= t < hi]
+    return mean(rates) if rates else 0.0
+
+
+def recovery(
+    series: List[Tuple[float, float]], scenario: FaultScenario
+) -> Tuple[float, Optional[float]]:
+    """The one "recovered" rule over a 1 s goodput ``series``: the
+    pre-fault goodput, the mean over [1 s, first event) that skips the
+    first second of slow-start, and the midpoint of the first bin after
+    the timeline settles at :data:`RECOVERY_FRACTION` of it (``None``:
+    never)."""
+    pre = phase_mean(series, 1.0, scenario.fault_start)
+    threshold = RECOVERY_FRACTION * pre
+    recovered = next(
+        (t for t, rate in series if t >= scenario.settle_time and rate >= threshold), None
+    )
+    return pre, recovered
 
 
 class PathChurnController:
@@ -200,18 +223,8 @@ def readd_meter(run: soak.Run) -> None:
     def collect() -> None:
         if not _readds(scenario):
             return
-        series = metrics.goodput.series(report.duration_s)
-        report.pre_churn_mbps = mean(
-            [rate for t, rate in series if 1.0 <= t < scenario.fault_start] or [0.0]
-        )
-        threshold = RECOVERY_FRACTION * report.pre_churn_mbps
-        report.recovered_at_s = next(
-            (
-                t
-                for t, rate in series
-                if t >= scenario.settle_time and rate >= threshold
-            ),
-            None,
+        report.pre_churn_mbps, report.recovered_at_s = recovery(
+            metrics.goodput.series(report.duration_s), scenario
         )
 
     run.collectors.append(collect)

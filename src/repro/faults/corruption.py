@@ -12,8 +12,9 @@ the chaos invariants, :func:`~repro.soak.byte_identical` — even when
 mutations evade the link CRC and must be caught by the DSS checksum, the
 block CRC or GF(2) inconsistency — and :func:`defense_fired`.
 
-:func:`measure_corruption_goodput` is the benchmark probe: steady-state
-goodput of an open-ended transfer at a fixed per-link corruption rate.
+The ``corruption_goodput`` catalog entry measures goodput at a fixed
+per-link corruption rate as a timeline that corrupts from t = 0, through
+:func:`repro.faults.chaos.measure_fault_response`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from typing import Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.experiments.runner import build_connection, build_topology
 from repro.faults.scenario import FaultScenario
-from repro.net.corruption import BernoulliCorruption
-from repro.workloads.sources import BulkSource
 
 
 def defense_fired(run: soak.Run) -> Iterator[str]:
@@ -69,36 +67,3 @@ CORRUPTION = soak.Harness(
     ),
     size=_size,
 )
-
-#: The goodput probe: clean 2 x 4 Mb/s paths for 20 s, every forward link
-#: flipping bits at the swept rate (none evading the link CRC).
-_PROBE_BANDWIDTH_BPS = 4e6
-_PROBE_DELAY_S = 0.03
-_PROBE_DURATION_S = 20.0
-
-
-def measure_corruption_goodput(
-    protocol: str,
-    rate: float,
-    seed: int = 1,
-    duration_s: float = _PROBE_DURATION_S,
-) -> float:
-    """Steady-state goodput (Mb/s) with every forward link corrupting at
-    ``rate`` for the whole run. ``rate=0`` leaves the links pristine (no
-    model installed, so the clean baseline draws no extra randomness)."""
-    trace, network, paths = build_topology(
-        soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
-    )
-    connection = build_connection(
-        protocol, network.sim, paths, BulkSource(), seed, trace
-    )
-    if rate > 0.0:
-        for path in paths:
-            for link in path.forward_links:
-                # Fresh model per link: realisations stay independent.
-                link.set_corruption_model(BernoulliCorruption(rate))
-    connection.start()
-    network.sim.run(until=duration_s)
-    goodput = connection.delivered_bytes * 8.0 / duration_s / 1e6
-    connection.close()
-    return goodput

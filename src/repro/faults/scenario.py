@@ -634,6 +634,12 @@ class FaultInjector:
     records each such pair in :attr:`overlaps` and emits a
     ``fault.overlap`` trace record so the timeline shows where a fault
     silently clobbered an earlier one.
+
+    An event whose time has already come when the injector is armed (a
+    timeline that starts at ``t = 0``, armed before the run) applies at
+    once, before the constructor returns, instead of being scheduled: it
+    shapes the links before the transport's first send. Later events are
+    scheduled at their time.
     """
 
     def __init__(
@@ -686,7 +692,10 @@ class FaultInjector:
                     corruption_model=link.corruption_model,
                 )
         for event in scenario.events:
-            sim.schedule_at(event.time, self._apply, event)
+            if event.time <= sim.now:
+                self._apply(event)
+            else:
+                sim.schedule_at(event.time, self._apply, event)
 
     def _links_of(self, event: FaultEvent):
         path = self.paths[event.path]

@@ -10,7 +10,7 @@ Split in two halves with different import weight:
   imports ``repro.core``/``repro.mptcp``; loading it eagerly would make
   the import graph circular (core → robustness → exhaustion → core).
   Its symbols resolve lazily via module ``__getattr__`` instead, so
-  ``from repro.robustness import measure_bufferblock`` still works.
+  ``from repro.robustness import EXHAUSTION_SCENARIOS`` still works.
 """
 
 from repro.robustness.budget import MemoryBudget
@@ -18,10 +18,8 @@ from repro.robustness.flowcontrol import ReceiveWindow, WindowGate
 from repro.robustness.watchdog import Watchdog, WatchdogConfig
 
 _EXHAUSTION_SYMBOLS = (
-    "BUFFERBLOCK_PATHS",
     "EXHAUSTION_SCENARIOS",
     "ExhaustionScenario",
-    "measure_bufferblock",
 )
 
 __all__ = [

@@ -14,23 +14,20 @@ accountant riding the run and a
 degrades and fails cleanly instead of hanging (the kernel's
 :func:`~repro.soak.guard` step).
 
-:func:`measure_bufferblock` is the open-ended companion behind the
-``bufferblock_sweep`` catalog entry: goodput as a function of the
-receive-buffer budget on an RTT-mismatched path pair, the paper's
-receive-buffer-blocking story in one sweep.
+The open-ended companion, goodput as a function of the receive-buffer
+budget on an RTT-mismatched path pair, is the ``bufferblock_sweep``
+catalog entry (:mod:`repro.experiments.catalog`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.experiments.runner import build_connection, build_topology
 from repro.mptcp.connection import MptcpConfig
 from repro.net.topology import PathConfig
-from repro.workloads.sources import BulkSource
 
 
 @dataclass(frozen=True)
@@ -165,82 +162,3 @@ EXHAUSTION = soak.Harness(
     ),
     size=_size,
 )
-
-
-# ----------------------------------------------------------------------
-# Buffer-blocking benchmark backend.
-# ----------------------------------------------------------------------
-
-# The bench topology: equal-bandwidth paths, one with 10x the RTT and
-# more loss. Both paths must carry real traffic (equal bandwidth), so a
-# slow-path loss stalls MPTCP's in-order frontier while the buffered
-# fast-path data pins the tiny window — the "receive buffer blocking"
-# of Iyengar et al. that the paper's Section II argues coding sidesteps.
-BUFFERBLOCK_PATHS: Tuple[Tuple[float, float, float], ...] = (
-    (1.5e6, 0.03, 0.04),
-    (1.5e6, 0.3, 0.08),
-)
-
-
-def _bufferblock_config(protocol: str, budget_bytes: int):
-    """Each stack configured for one shared receive-buffer byte budget.
-
-    MPTCP's unit is fixed (one MSS chunk), so its budget is just a chunk
-    count. FMTCP's block size k̂ is a *design parameter chosen against
-    the buffer* (paper Section III-B), so the bench does what a deployer
-    would: shrink the block so roughly eight fit in the budget, floored
-    at 64 symbols (2 KiB) where the completeness margin starts to
-    dominate, capped at the default 256 (8 KiB).
-    """
-    if protocol == "fmtcp":
-        base = FmtcpConfig()
-        symbols = min(256, max(64, budget_bytes // (8 * base.symbol_size)))
-        block_bytes = symbols * base.symbol_size
-        return FmtcpConfig(
-            flow_control=True,
-            symbols_per_block=symbols,
-            recv_window_blocks=max(2, budget_bytes // block_bytes),
-        )
-    if protocol == "mptcp":
-        return MptcpConfig(
-            flow_control=True,
-            recv_buffer_chunks=soak.receive_units("mptcp", budget_bytes),
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def measure_bufferblock(
-    protocol: str,
-    budget_bytes: int,
-    seed: int = 1,
-    duration_s: float = 40.0,
-) -> Dict[str, Any]:
-    """Open-ended goodput under one receive-buffer byte budget.
-
-    Flow control is on for both stacks; the budget is converted to each
-    protocol's unit granularity by :func:`_bufferblock_config`, so FMTCP
-    and MPTCP face the same byte allowance.
-    """
-    config = _bufferblock_config(protocol, budget_bytes)
-    trace, network, paths = build_topology(
-        [
-            PathConfig(bandwidth_bps=bw, delay_s=delay, loss_rate=loss)
-            for bw, delay, loss in BUFFERBLOCK_PATHS
-        ],
-        seed,
-    )
-    connection = build_connection(
-        protocol, network.sim, paths, BulkSource(), seed, trace, config=config
-    )
-    connection.start()
-    network.sim.run(until=duration_s)
-    delivered = connection.delivered_bytes
-    peak = connection.memory_stats()["recv_peak_occupancy"]
-    connection.close()
-    return {
-        "protocol": protocol,
-        "budget_bytes": budget_bytes,
-        "budget_units": soak.window_units(protocol, config),
-        "peak_occupancy": peak,
-        "goodput_mbytes_per_s": round(delivered / duration_s / 1e6, 4),
-    }

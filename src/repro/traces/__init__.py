@@ -15,7 +15,6 @@ from repro.traces.generators import (
     gprs_trace,
     resolve_trace,
 )
-from repro.traces.harness import measure_trace_goodput
 from repro.traces.model import (
     LinkTrace,
     TraceSample,
@@ -30,7 +29,6 @@ __all__ = [
     "TraceSample",
     "gprs_trace",
     "load_trace_csv",
-    "measure_trace_goodput",
     "parse_trace_csv",
     "resolve_trace",
 ]

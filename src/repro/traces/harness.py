@@ -15,24 +15,19 @@ harness's post-heal completion (presets restore the channel at
 ``scenario.heal_time``), plus its own :func:`trace_played` and
 :func:`no_false_clean_fail`.
 
-:func:`measure_trace_goodput` is the benchmark probe: steady-state
-goodput of an open-ended transfer with a trace riding path 1 for the
-whole run, which the ``trace_response`` catalog entry sweeps across
-trace families (:mod:`repro.experiments.catalog`).
+The ``trace_response`` catalog entry (:mod:`repro.experiments.catalog`)
+sweeps trace families riding path 1 for a whole open-ended run, each a
+timeline that starts the replay at t = 0, through
+:func:`repro.faults.chaos.measure_fault_response`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro import soak
 from repro.core.config import FmtcpConfig
-from repro.experiments.runner import build_connection, build_topology
 from repro.mptcp.connection import MptcpConfig
-from repro.traces.generators import resolve_trace
-from repro.traces.model import LinkTrace
-from repro.traces.player import TracePlayer
-from repro.workloads.sources import BulkSource
 
 
 def count_trace_ticks(run: soak.Run) -> None:
@@ -107,39 +102,3 @@ TRACES = soak.Harness(
     ),
     size=_size,
 )
-
-#: The goodput probe's clean paths; the trace rides path 1.
-_PROBE_BANDWIDTH_BPS = 6e5
-_PROBE_DELAY_S = 0.03
-
-
-def measure_trace_goodput(
-    protocol: str,
-    trace_spec,
-    seed: int = 1,
-    duration_s: float = 20.0,
-) -> float:
-    """Steady-state goodput (Mb/s) with ``trace_spec`` riding path 1's
-    forward links for the whole run (path 0 stays at the clean baseline).
-    A ``None``/empty spec leaves both paths pristine — the no-trace
-    baseline draws no extra randomness."""
-    trace, network, paths = build_topology(
-        soak.uniform_paths(2, _PROBE_BANDWIDTH_BPS, _PROBE_DELAY_S), seed
-    )
-    sim = network.sim
-    connection = build_connection(protocol, sim, paths, BulkSource(), seed, trace)
-    player: Optional[TracePlayer] = None
-    if trace_spec:
-        # "loop" so short traces keep shaping the channel all run long.
-        replay = resolve_trace(trace_spec)
-        if replay.end_policy != "loop":
-            replay = LinkTrace(replay.name, replay.samples, end_policy="loop")
-        player = TracePlayer(sim, paths[1].forward_links, replay, bus=trace)
-        player.start()
-    connection.start()
-    sim.run(until=duration_s)
-    goodput = connection.delivered_bytes * 8.0 / duration_s / 1e6
-    if player is not None:
-        player.stop()
-    connection.close()
-    return goodput

@@ -307,6 +307,25 @@ def test_injector_applies_and_restores_bandwidth():
     assert len(injector.applied) == 2
 
 
+def test_injector_applies_a_due_event_when_armed():
+    """An event whose time has come when the injector is armed applies at
+    once, before any ``sim.run``: a t = 0 timeline shapes the links the
+    transport's first send meets. Later events wait for their time."""
+    network, paths = build_network()
+    link = paths[1].forward_links[0]
+    baseline = link.bandwidth_bps
+    scenario = FaultScenario(
+        "due",
+        [FaultEvent(0.0, "bandwidth", 1, 0.5), FaultEvent(1.0, "bandwidth", 1, 1.0)],
+    )
+    injector = scenario.apply(network.sim, paths)
+    assert link.bandwidth_bps == baseline * 0.5
+    assert injector.applied == [scenario.events[0]]
+    network.sim.run(until=2.0)
+    assert link.bandwidth_bps == baseline
+    assert injector.applied == list(scenario.events)
+
+
 def test_injector_restores_loss_reorder_and_queue_baselines():
     network, paths = build_network()
     link = paths[1].forward_links[0]

@@ -108,7 +108,7 @@ def _violating_runs():
     needs sanitising (``:`` and ``/``)."""
     import dataclasses
 
-    from repro.faults import EXHAUSTION_SCENARIOS
+    from repro.robustness import EXHAUSTION_SCENARIOS
     from repro.faults.scenario import FaultEvent, trace_replay_scenario
     from repro.faults.churn import CHURN
     from repro.faults.corruption import CORRUPTION

@@ -264,12 +264,22 @@ class _FileIndex(NamedTuple):
 _QUALNAME = re.compile(r"repro(?:\.\w+)*:(\w+)")
 
 
+def _accessor(node) -> str:
+    """``.setter`` / ``.deleter`` for a property's setter or deleter, which
+    share the getter's ``__qualname__`` but not its ledger row."""
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Attribute) and decorator.attr in ("setter", "deleter"):
+            return "." + decorator.attr
+    return ""
+
+
 def _scoped(node, prefix=""):
     """``(def or class node, qualname)`` for every definition under
-    ``node``, named the way ``__qualname__`` names it."""
+    ``node``, named the way ``__qualname__`` names it (a property's setter
+    and deleter as the traffic ledger keys them)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qualname = prefix + child.name
+            qualname = prefix + child.name + _accessor(child)
             yield child, qualname
             inner = "." if isinstance(child, ast.ClassDef) else ".<locals>."
             yield from _scoped(child, qualname + inner)
@@ -479,6 +489,16 @@ class Other:
         return key
 
 
+class Box:
+    @property
+    def size(self):
+        return 1
+
+    @size.setter
+    def size(self, value):
+        pass
+
+
 @dataclasses.dataclass
 class ToyConfig:
     left_alone: int = 1
@@ -492,6 +512,7 @@ def drive():
     Record().get("key")
     Other().get("key", default=5)
     ToyConfig(varied=3)
+    return Box().size
 """
 
 
@@ -499,7 +520,9 @@ def test_traffic_census_catches_each_rule(tmp_path, monkeypatch):
     """Seeded cases on a toy package and driver: a function never called,
     a knob only ever passed its default, a config field left at its
     default, a same-named method of an unrelated class passing the knob
-    (which must not count) and a ``def`` with no ledger row."""
+    (which must not count), a property setter only a test would call
+    (its getter running must not count) and a ``def`` with no ledger
+    row."""
     traffic = load_script("benchmarks/traffic.py")
     package = tmp_path / "seededtraffic"
     package.mkdir()
@@ -528,10 +551,12 @@ def test_traffic_census_catches_each_rule(tmp_path, monkeypatch):
         "seededtraffic.toy:only_default(knob)": "never given a value other than its default",
         "seededtraffic.toy:ToyConfig(left_alone)": "never given a value other than its default",
         "seededtraffic.toy:Record.get(default)": "never given a value other than its default",
+        "seededtraffic.toy:Box.size.setter": "never ran",
         "seededtraffic.toy:added_later": "no ledger row",
         "seededtraffic.toy:added_later(knob)": "no ledger row",
     }
     assert ledger["functions"]["seededtraffic.toy:Other.get"]
+    assert ledger["functions"]["seededtraffic.toy:Box.size"]
     assert ledger["fields"]["seededtraffic.toy:ToyConfig(varied)"]
     # Kept rows clear their hits; a kept row with traffic is a hit.
     kept = dict.fromkeys(hits, SAFETY)
@@ -583,13 +608,16 @@ DELETED_NAMES = (
     "TimestampedSource",
     "expected_actual_delivered",
     "load_golden",
+    "measure_bufferblock",
+    "measure_corruption_goodput",
+    "measure_trace_goodput",
     "seal_deferred",
 )
 
 #: Keywords the parameter and traffic censuses deleted: no ``src/``
 #: function takes them any more, so no doc may show one as ``name=``.
 DELETED_KEYWORDS = (
-    "acked_per_window", "bottleneck_bps", "bottleneck_delay_s", "bottleneck_queue",
+    "acked_per_window", "base_loss", "bottleneck_bps", "bottleneck_delay_s", "bottleneck_queue",
     "corrupt_good", "dup_ack_threshold", "edge_bps", "edge_delay_s", "fault_window",
     "fire_now", "flush_every", "fps", "ge_fallback", "gop_pattern", "heal_time",
     "hello_rtt_s", "high_watermark", "initial_cwnd", "initial_rto", "initial_s",
@@ -647,11 +675,13 @@ def _surface_hits(index: dict) -> dict:
             if not name.startswith("_") and not any(name in used for used in users.values()):
                 hits[name] = f"referenced nowhere but tests ({path.relative_to(REPO)})"
     for init, name, home in _exports(index):
-        if name not in hits and not any(
-            name in used for path, used in users.items() if path != home
-        ):
-            package = ".".join(init.parent.relative_to(SRC).parts)
+        if name in hits:
+            continue
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        if not any(name in used for path, used in users.items() if path != home):
             hits[name] = f"in {package}.__all__ but used only in {home.relative_to(REPO)}"
+        elif package != "repro" and not home.is_relative_to(init.parent):
+            hits[name] = f"in {package}.__all__ but defined in {home.relative_to(REPO)}"
     return hits
 
 
@@ -660,8 +690,10 @@ def test_every_public_name_has_traffic():
     its definition, the package ``__init__``s and ``tests/``. Rule 2: an
     ``__all__`` name is used outside its defining module, by another
     ``src/`` module, a benchmark (``benchmarks/perf/tracer.py``'s
-    ``"module:Qualname"`` strings count) or an example. What breaks
-    either is deleted or un-exported, or kept above with its reason."""
+    ``"module:Qualname"`` strings count) or an example. Rule 3: a
+    subpackage's ``__all__`` holds only names defined under it (the
+    top-level ``repro`` re-exports by design). What breaks one is
+    deleted or un-exported, or kept above with its reason."""
     assert all(reason.strip() for reason in UNUSED_NAMES_KEPT.values())
     hits = _surface_hits(_index())
     unlisted = {name: rule for name, rule in hits.items() if name not in UNUSED_NAMES_KEPT}
@@ -674,14 +706,16 @@ def test_every_public_name_has_traffic():
 
 def test_public_surface_census_catches_each_rule():
     """Seeded cases: a dead name breaks rule 1, an export that only its
-    own module uses breaks rule 2."""
+    own module uses breaks rule 2, a re-export of another package's name
+    breaks rule 3."""
     index = dict(_index())
     package = SRC / "repro" / "seeded"
     for name, source in (
         ("dead.py", "def seeded_dead_name():\n    pass\n"),
         ("lonely.py", "def seeded_lonely_export():\n    pass\n\nVALUE = seeded_lonely_export()\n"),
         ("__init__.py", "from repro.seeded.lonely import VALUE, seeded_lonely_export\n"
-                        "__all__ = ['VALUE', 'seeded_lonely_export']\n"),
+                        "from repro.soak import run_soak\n"
+                        "__all__ = ['VALUE', 'run_soak', 'seeded_lonely_export']\n"),
     ):
         index[package / name] = _file_index(ast.parse(source))
     hits = _surface_hits(index)
@@ -692,6 +726,7 @@ def test_public_surface_census_catches_each_rule():
     # VALUE is used by nothing either: a name exported and never read
     # breaks rule 1 first.
     assert hits["VALUE"].startswith("referenced nowhere but tests")
+    assert hits["run_soak"] == "in repro.seeded.__all__ but defined in src/repro/soak.py"
 
 
 def test_api_doc_covers_the_exports_and_no_deleted_name():

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro import soak
-from repro.faults import EXHAUSTION_SCENARIOS, FaultScenario
+from repro.faults import FaultScenario
 from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
 from repro.recovery.harness import RECOVERY
-from repro.robustness.exhaustion import EXHAUSTION
+from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 
@@ -168,7 +168,7 @@ def test_packages_import_in_any_order(first):
         "from repro.traces.harness import TRACES\n"
         "from repro.recovery import measure_recovery\n"
         "from repro.recovery.harness import RECOVERY\n"
-        "from repro.robustness import measure_bufferblock\n"
+        "from repro.robustness import EXHAUSTION_SCENARIOS\n"
         "from repro.robustness.exhaustion import EXHAUSTION\n"
     )
     _fresh_interpreter(code)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.faults import (
     CORRUPTION_SCENARIOS,
-    EXHAUSTION_SCENARIOS,
     MOBILITY_SCENARIOS,
     RECOVERY_SCENARIOS,
     SCENARIOS,
@@ -31,7 +30,7 @@ from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
 from repro.recovery.harness import RECOVERY
-from repro.robustness.exhaustion import EXHAUSTION
+from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 
