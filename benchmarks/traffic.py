@@ -316,14 +316,14 @@ def cli_runs(work: Path) -> List[List[str]]:
         ["faults", "--scenario", "list"],
     ]
     from repro.cli import _fault_groups
+    from repro.faults import presets
 
     for route, group in _fault_groups().items():
-        for name in sorted(group.presets):
+        names = sorted(presets(route))
+        for name in names:
             runs.append(["faults", "--scenario", name])
         if group.bench is not None:
-            runs.append(
-                ["--duration", "30", "faults", "--scenario", sorted(group.presets)[0], "--bench"]
-            )
+            runs.append(["--duration", "30", "faults", "--scenario", names[0], "--bench"])
     runs += [
         ["faults", "--scenario", "random:7", "--protocol", "fmtcp"],
         ["faults", "--scenario", "trace:" + str(

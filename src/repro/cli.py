@@ -21,9 +21,9 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro import soak
+from repro import soak, telemetry
 from repro.experiments import catalog
 from repro.experiments.replication import summarise
 from repro.experiments.reporting import write_csv
@@ -130,10 +130,10 @@ def cmd_replicate(args: argparse.Namespace) -> None:
 class _FaultGroup:
     """One row of the ``repro faults`` table: how a scenario group is
     listed, run, summarised and benchmarked. ``cmd_faults`` looks the row
-    up by ``scenario.route()`` and asks nothing else about the group."""
+    up by ``scenario.route()`` and asks nothing else about the group; the
+    group's presets are ``repro.faults.presets(route)``."""
 
     header: str  # listing header
-    presets: Dict[str, Callable[[], Any]]
     describe: Callable[[Any], str]  # a preset's line in the listing
     harness: Any  # the repro.soak.Harness the group's scenarios run under
     progress: Callable[[Any], str]  # the group's counters in a report
@@ -260,18 +260,16 @@ def _bench_recovery_response(protocols, scenario, seed, duration) -> None:
 
 def _fault_groups() -> Dict[str, _FaultGroup]:
     """The ``repro faults`` table, keyed by routing group, in listing order."""
-    from repro import faults
     from repro.faults.chaos import CHAOS
     from repro.faults.churn import CHURN
     from repro.faults.corruption import CORRUPTION
     from repro.recovery.harness import RECOVERY
-    from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
+    from repro.robustness.exhaustion import EXHAUSTION
     from repro.traces.harness import TRACES
 
     return {
         "chaos": _FaultGroup(
             "Preset fault scenarios (also accepts random:SEED and trace:FILE.csv):",
-            faults.SCENARIOS,
             _window("faults"),
             CHAOS,
             lambda report: f"{report.bytes_at_heal}/{report.expected_bytes} B by heal",
@@ -279,7 +277,6 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "churn": _FaultGroup(
             "Mobility presets (subflow lifecycle churn):",
-            faults.MOBILITY_SCENARIOS,
             _window("churn", settle=True),
             CHURN,
             lambda report: (
@@ -290,7 +287,6 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "corruption": _FaultGroup(
             "Corruption presets (data integrity, byte-verified delivery):",
-            faults.CORRUPTION_SCENARIOS,
             _window("corruption"),
             CORRUPTION,
             _progress_corruption,
@@ -298,7 +294,6 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "exhaustion": _FaultGroup(
             "Exhaustion presets (receiver memory budget, flow control on):",
-            EXHAUSTION_SCENARIOS,
             lambda scenario: (
                 f"{scenario.recv_budget_bytes // 1024} KiB budget — "
                 f"{scenario.description}"
@@ -313,7 +308,6 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "recovery": _FaultGroup(
             "Recovery presets (endpoint crash/restart, byte-verified delivery):",
-            faults.RECOVERY_SCENARIOS,
             _describe_crashes,
             RECOVERY,
             _progress_recovery,
@@ -321,7 +315,6 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
         ),
         "traces": _FaultGroup(
             "Trace presets (replayed channel dynamics, byte-verified delivery):",
-            faults.TRACE_SCENARIOS,
             _window("replay"),
             TRACES,
             lambda report: (
@@ -334,10 +327,12 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
 
 
 def _print_fault_scenarios(groups: Dict[str, _FaultGroup]) -> None:
-    for group in groups.values():
+    from repro.faults import presets
+
+    for route, group in groups.items():
         print(group.header)
-        for name in sorted(group.presets):
-            print(f"  {name:>23}: {group.describe(group.presets[name]())}")
+        for name, factory in sorted(presets(route).items()):
+            print(f"  {name:>23}: {group.describe(factory())}")
 
 
 def cmd_faults(args: argparse.Namespace) -> Optional[int]:
@@ -402,11 +397,10 @@ def cmd_faults(args: argparse.Namespace) -> Optional[int]:
 
 def cmd_trace_record(args: argparse.Namespace) -> None:
     from repro.experiments.runner import run_transfer
-    from repro.telemetry import TelemetryConfig
 
     case = TABLE1_CASES[args.case - 1]
     duration = args.duration or 30.0
-    config = TelemetryConfig(
+    config = telemetry.TelemetryConfig(
         sample_period_s=args.sample_period,
         trace_path=args.output,
         profile_sim=args.profile,
@@ -442,15 +436,43 @@ def cmd_trace_record(args: argparse.Namespace) -> None:
     print(f"Inspect with: python -m repro trace summarize {args.output}")
 
 
+#: The ``repro trace`` subcommands in menu order: name -> (the line the
+#: menu and ``--help`` show, the view printing a loaded trace's lines, or
+#: ``None`` for ``record`` and ``export-csv``, which have commands of
+#: their own).
+_TRACE_COMMANDS: Dict[str, Tuple[str, Optional[Callable[[list, Any], Iterable[str]]]]] = {
+    "record": ("run one Table I transfer with telemetry -> JSONL", None),
+    "summarize": (
+        "totals, kinds, goodput, block-delay histogram",
+        lambda records, args: telemetry.summarize(records),
+    ),
+    "subflows": (
+        "per-subflow cwnd/srtt/eat series",
+        lambda records, args: telemetry.subflow_report(records),
+    ),
+    "timeline": (
+        "chronological event listing (filterable)",
+        lambda records, args: telemetry.timeline(
+            records, kinds=args.kind or None, start=args.start, end=args.end,
+            limit=args.limit,
+        ),
+    ),
+    "export-csv": ("flatten records to CSV (union-of-keys header)", None),
+    "spans": (
+        "per-stage block-delay decomposition (P50/P95/P99)",
+        lambda records, args: telemetry.spans_report(records),
+    ),
+    "critical-path": (
+        "slowest blocks with their dominant stage",
+        lambda records, args: telemetry.critical_path_report(records, top=args.top),
+    ),
+}
+
+
 def _print_trace_menu() -> None:
     print("trace subcommands:")
-    print("  record         run one Table I transfer with telemetry -> JSONL")
-    print("  summarize      totals, kinds, goodput, block-delay histogram")
-    print("  subflows       per-subflow cwnd/srtt/eat series")
-    print("  timeline       chronological event listing (filterable)")
-    print("  export-csv     flatten records to CSV (union-of-keys header)")
-    print("  spans          per-stage block-delay decomposition (P50/P95/P99)")
-    print("  critical-path  slowest blocks with their dominant stage")
+    for name, (line, __) in _TRACE_COMMANDS.items():
+        print(f"  {name:<14} {line}")
     print("Record a trace first: python -m repro trace record --output trace.jsonl")
 
 
@@ -469,80 +491,27 @@ def _load_trace(path: str) -> Optional[list]:
     return None
 
 
-def cmd_trace_summarize(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import summarize
-
+def cmd_trace_view(args: argparse.Namespace) -> Optional[int]:
+    """Print one of :data:`_TRACE_COMMANDS`' views of a JSONL trace."""
     records = _load_trace(args.file)
     if records is None:
         return 2
-    for line in summarize(records):
-        print(line)
-    return None
-
-
-def cmd_trace_subflows(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import subflow_report
-
-    records = _load_trace(args.file)
-    if records is None:
-        return 2
-    for line in subflow_report(records):
-        print(line)
-    return None
-
-
-def cmd_trace_timeline(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import timeline
-
-    records = _load_trace(args.file)
-    if records is None:
-        return 2
-    for line in timeline(
-        records,
-        kinds=args.kind or None,
-        start=args.start,
-        end=args.end,
-        limit=args.limit,
-    ):
+    for line in _TRACE_COMMANDS[args.trace_command][1](records, args):
         print(line)
     return None
 
 
 def cmd_trace_export_csv(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import export_csv
-
     records = _load_trace(args.file)
     if records is None:
         return 2
-    text = export_csv(records, kind=args.kind)
+    text = telemetry.export_csv(records, kind=args.kind)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    return None
-
-
-def cmd_trace_spans(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import spans_report
-
-    records = _load_trace(args.file)
-    if records is None:
-        return 2
-    for line in spans_report(records):
-        print(line)
-    return None
-
-
-def cmd_trace_critical_path(args: argparse.Namespace) -> Optional[int]:
-    from repro.telemetry import critical_path_report
-
-    records = _load_trace(args.file)
-    if records is None:
-        return 2
-    for line in critical_path_report(records, top=args.top):
-        print(line)
     return None
 
 
@@ -698,9 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace.menu = _print_trace_menu
     trace.set_defaults(fn=lambda args: trace.print_help())
     trace_sub = trace.add_subparsers(dest="trace_command")
-    record = trace_sub.add_parser(
-        "record", help="run one Table I transfer with telemetry -> JSONL"
-    )
+    commands = {}
+    for name, (line, view) in _TRACE_COMMANDS.items():
+        command = commands[name] = trace_sub.add_parser(name, help=line)
+        if view is not None:
+            command.add_argument("file")
+            command.set_defaults(fn=cmd_trace_view)
+    record = commands["record"]
     record.add_argument("--case", type=_table1_case, default=4, help="Table I case id")
     record.add_argument("--protocol", choices=PROTOCOLS, default="fmtcp")
     record.add_argument("--output", type=_output_file, default="trace.jsonl")
@@ -719,45 +692,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="also decompose block delay live (summary line at the end)",
     )
     record.set_defaults(fn=cmd_trace_record)
-    summarize_p = trace_sub.add_parser("summarize", help="totals, kinds, goodput")
-    summarize_p.add_argument("file")
-    summarize_p.set_defaults(fn=cmd_trace_summarize)
-    subflows_p = trace_sub.add_parser(
-        "subflows", help="per-subflow cwnd/srtt/eat series"
-    )
-    subflows_p.add_argument("file")
-    subflows_p.set_defaults(fn=cmd_trace_subflows)
-    timeline_p = trace_sub.add_parser("timeline", help="chronological event listing")
-    timeline_p.add_argument("file")
-    timeline_p.add_argument(
+    timeline = commands["timeline"]
+    timeline.add_argument(
         "--kind", action="append", help="only these kinds (repeatable)"
     )
-    timeline_p.add_argument("--start", type=_instant, default=None, help="window start (s)")
-    timeline_p.add_argument("--end", type=_instant, default=None, help="window end (s)")
-    timeline_p.add_argument(
+    timeline.add_argument("--start", type=_instant, default=None, help="window start (s)")
+    timeline.add_argument("--end", type=_instant, default=None, help="window end (s)")
+    timeline.add_argument(
         "--limit", type=_at_least_one, default=40, help="show last N records"
     )
-    timeline_p.set_defaults(fn=cmd_trace_timeline)
-    export_p = trace_sub.add_parser("export-csv", help="flatten records to CSV")
-    export_p.add_argument("file")
-    export_p.add_argument("--kind", type=str, default=None, help="only this kind")
-    export_p.add_argument(
+    export = commands["export-csv"]
+    export.add_argument("file")
+    export.add_argument("--kind", type=str, default=None, help="only this kind")
+    export.add_argument(
         "--output", type=_output_file, default=None, help="write here (default stdout)"
     )
-    export_p.set_defaults(fn=cmd_trace_export_csv)
-    spans_p = trace_sub.add_parser(
-        "spans", help="per-stage block-delay decomposition (P50/P95/P99)"
-    )
-    spans_p.add_argument("file")
-    spans_p.set_defaults(fn=cmd_trace_spans)
-    critical_p = trace_sub.add_parser(
-        "critical-path", help="slowest blocks with their dominant stage"
-    )
-    critical_p.add_argument("file")
-    critical_p.add_argument(
+    export.set_defaults(fn=cmd_trace_export_csv)
+    commands["critical-path"].add_argument(
         "--top", type=_at_least_one, default=5, help="how many slowest blocks to show"
     )
-    critical_p.set_defaults(fn=cmd_trace_critical_path)
     sub.add_parser("all", help="run every catalogued experiment").set_defaults(
         fn=cmd_experiment
     )

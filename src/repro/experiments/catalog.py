@@ -60,7 +60,7 @@ from repro.experiments.runner import (
     run_transfer,
     transfer_configs,
 )
-from repro.faults import MOBILITY_SCENARIOS, SCENARIOS, FaultScenario, measure_fault_response
+from repro.faults import FaultScenario, measure_fault_response, presets, resolve_scenario
 from repro.faults.chaos import PROBE_BANDWIDTH_BPS, PROBE_DELAY_S
 from repro.faults.scenario import FaultEvent
 from repro.fixedrate import FixedRateConfig
@@ -1516,7 +1516,7 @@ def _fault_response(protocol: str, point: Dict[str, Any], scale: Scale, seed: in
     """Through scenario ``point["scenario"]`` on 5 %-loss paths: goodput
     retention through the fault window, goodput after it settles and the
     time to recover. No run ends before :meth:`FaultScenario.run_length`."""
-    scenario = FaultScenario.named(point["scenario"])
+    scenario = resolve_scenario(point["scenario"])
     run = measure_fault_response(
         protocol, scenario,
         soak.uniform_paths(scenario.n_paths, PROBE_BANDWIDTH_BPS, PROBE_DELAY_S, BASE_LOSS),
@@ -1559,7 +1559,7 @@ def _delivers_after(what: str) -> Check:
 
 FAULT_RESPONSE = _robustness(
     f"Goodput through a 10 s fault window, {BASE_LOSS:.0%} base loss",
-    _fault_grid(SCENARIOS),
+    _fault_grid(presets("chaos")),
     ledger="fault_response",
     title="Robustness — goodput retention and recovery through link faults",
     columns=_retention_columns(20) + (
@@ -1577,7 +1577,7 @@ FAULT_RESPONSE = _robustness(
 
 CHURN_RESPONSE = _robustness(
     f"Goodput through subflow churn, {BASE_LOSS:.0%} base loss",
-    _fault_grid(MOBILITY_SCENARIOS),
+    _fault_grid(presets("churn")),
     ledger="churn_response",
     title="Robustness — goodput through subflow churn (handover, flap, permanent loss)",
     columns=_retention_columns(24) + (
@@ -1742,7 +1742,7 @@ def _recovery(protocol: str, point: Dict[str, Any], scale: Scale, seed: int) -> 
     crashed completion time), the longest outage and the sender checkpoint
     size."""
     run = measure_recovery(
-        protocol, FaultScenario.named(point["preset"]), seed=seed, duration_s=scale.duration_s
+        protocol, resolve_scenario(point["preset"]), seed=seed, duration_s=scale.duration_s
     )
     return {
         "retention": run["goodput_retention"],

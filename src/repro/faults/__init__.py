@@ -21,26 +21,19 @@ byte-verified), channel *traces* to :data:`repro.traces.harness.TRACES`
 :data:`repro.recovery.harness.RECOVERY` (that package builds on this
 one, so nothing of it is imported here) and the exhaustion presets to
 :data:`repro.robustness.exhaustion.EXHAUSTION`.
+
+Every named preset, whichever harness it routes to, is one row of
+:data:`repro.faults.scenario.PRESETS`: :func:`presets` lists a group's
+presets and :func:`resolve_scenario` turns a name, ``random:SEED`` or
+``trace:FILE.csv`` into a scenario.
 """
 
 from repro.faults.chaos import measure_fault_response
-from repro.faults.scenario import (
-    CORRUPTION_SCENARIOS,
-    MOBILITY_SCENARIOS,
-    RECOVERY_SCENARIOS,
-    SCENARIOS,
-    TRACE_SCENARIOS,
-    FaultScenario,
-    resolve_scenario,
-)
+from repro.faults.scenario import FaultScenario, presets, resolve_scenario
 
 __all__ = [
-    "CORRUPTION_SCENARIOS",
-    "MOBILITY_SCENARIOS",
-    "RECOVERY_SCENARIOS",
-    "SCENARIOS",
-    "TRACE_SCENARIOS",
     "FaultScenario",
     "measure_fault_response",
+    "presets",
     "resolve_scenario",
 ]

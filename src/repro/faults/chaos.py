@@ -24,23 +24,11 @@ from typing import Optional, Sequence
 
 from repro import soak
 from repro.experiments.runner import build_connection, build_topology
-from repro.faults.churn import phase_mean, recovery, wire_churn
+from repro.faults.churn import phase_mean, recovery, timeline_size, wire_churn
 from repro.faults.scenario import FaultScenario
 from repro.metrics.collectors import MetricsSuite
 from repro.net.topology import PathConfig
 from repro.workloads.sources import BulkSource
-
-
-def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
-    """At 2 x 0.6 Mb/s a 2 MB transfer needs ~13 s clean, so it is still
-    mid-flight throughout the preset fault window ([8, 18) s) and must
-    *survive* the faults — yet finishes with ample slack inside the 40 s
-    run once the network heals."""
-    return soak.Sizing(
-        soak.uniform_paths(scenario.n_paths, 6e5, 0.03),
-        total_bytes=2_000_000,
-        duration_s=40.0,
-    )
 
 
 CHAOS = soak.Harness(
@@ -52,7 +40,7 @@ CHAOS = soak.Harness(
         soak.no_wedged_timers,
         soak.completes_after_heal,
     ),
-    size=_size,
+    size=timeline_size,
 )
 
 #: The open-ended probe's clean paths: fast enough that a phase's mean

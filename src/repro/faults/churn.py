@@ -265,11 +265,14 @@ def bounded_readd(run: soak.Run) -> Iterator[str]:
         )
 
 
-def _size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
-    """The chaos harness's sizing — the transfer is mid-flight through
-    the whole churn window — started on ``scenario.active_paths`` only:
-    a removed subflow must not corrupt or duplicate the decoded stream,
-    nor leak timers."""
+def timeline_size(protocol: str, scenario: FaultScenario) -> soak.Sizing:
+    """The sizing of the chaos and churn harnesses. At 2 x 0.6 Mb/s a
+    2 MB transfer needs ~13 s clean, so it is still mid-flight throughout
+    the preset fault and churn windows ([8, 18) s) and must *survive*
+    them — yet finishes with ample slack inside the 40 s run once the
+    network heals. The run starts on ``scenario.active_paths`` (every
+    path unless a mobility preset starts on fewer): a removed subflow
+    must not corrupt or duplicate the decoded stream, nor leak timers."""
     return soak.Sizing(
         soak.uniform_paths(scenario.n_paths, 6e5, 0.03),
         total_bytes=2_000_000,
@@ -288,5 +291,5 @@ CHURN = soak.Harness(
         survivors_complete,
         bounded_readd,
     ),
-    size=_size,
+    size=timeline_size,
 )

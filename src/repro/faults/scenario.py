@@ -61,6 +61,11 @@ chaos-soak recovery invariants and the benchmark's recovery-time metric.
 Randomised scenarios (:meth:`FaultScenario.random`) draw from a named
 stream of :class:`~repro.sim.rng.RngStreams`, so a seed fully determines
 the timeline across runs and platforms.
+
+Every named preset is one row of :data:`PRESETS`, grouped by the harness
+it routes to: the timelines, and the three :class:`ExhaustionScenario`
+receiver memory budgets, which have no events. :func:`presets` lists a
+group and :func:`resolve_scenario` looks a name up.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ from repro.net.corruption import (
 from repro.net.loss import BernoulliLoss
 from repro.net.reorder import UniformReordering
 from repro.net.topology import Path
-from repro.robustness.exhaustion import EXHAUSTION_SCENARIOS, ExhaustionScenario
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceBus
@@ -363,8 +367,8 @@ FAULT_TABLE: Dict[str, FaultKind] = {
 #: the harness of that name is the one whose invariants can check it. Each
 #: row is ``(groups it may also carry, its events, what its harness adds)``
 #: — a mix outside the first column has no harness and is rejected. The
-#: exhaustion presets are not timelines; they route by preset name (an
-#: :class:`~repro.robustness.exhaustion.ExhaustionScenario`).
+#: exhaustion presets are not timelines; an :class:`ExhaustionScenario`
+#: has no events and routes by what it is.
 ROUTES: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
     "recovery": (
         ("traces", "corruption", "churn", "chaos"),
@@ -545,18 +549,6 @@ class FaultScenario:
     # ------------------------------------------------------------------
     # Constructors.
     # ------------------------------------------------------------------
-    @classmethod
-    def named(cls, name: str) -> "FaultScenario":
-        """Build one of the :data:`PRESETS` (:data:`SCENARIOS` link
-        faults, :data:`MOBILITY_SCENARIOS` subflow churn,
-        :data:`CORRUPTION_SCENARIOS` data corruption,
-        :data:`RECOVERY_SCENARIOS` endpoint crashes or
-        :data:`TRACE_SCENARIOS` replayed channel dynamics)."""
-        if name not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
-            raise ValueError(f"unknown scenario {name!r} (known: {known})")
-        return PRESETS[name][1]()
-
     @classmethod
     def random(cls, seed: int) -> "FaultScenario":
         """A seeded random fault sequence over two paths, fully healed by
@@ -1019,11 +1011,97 @@ def _wifi_replay() -> FaultScenario:
     return trace_replay_scenario("wifi_walk", name="wifi_replay")
 
 
-#: The one preset registry, name -> (group, factory): ``FaultScenario.named``
-#: and the per-group ``*_SCENARIOS`` views all read it. A preset's group is
-#: the one :meth:`FaultScenario.route` computes for its timeline (pinned
-#: by tests/test_faults_scenario.py).
-PRESETS: Dict[str, Tuple[str, Callable[[], FaultScenario]]] = {
+# Exhaustion presets: not timelines but receiver memory budgets. Each
+# fixes a receive budget (bytes, converted to blocks or chunks per
+# protocol by repro.robustness.exhaustion.EXHAUSTION's sizing) and an
+# application drain model, and runs under flow control and the watchdog.
+@dataclass(frozen=True)
+class ExhaustionScenario:
+    """One resource-exhaustion preset: a memory budget plus a drain model.
+
+    ``recv_budget_bytes`` is the receiver's whole memory allowance, so both
+    stacks face the *same* byte budget rather than the same unit count.
+    ``drain_rate_bps`` follows the config convention: ``None`` = instant
+    application, ``0.0`` = an application that stopped reading.
+    """
+
+    name: str
+    description: str
+    recv_budget_bytes: int
+    drain_rate_bps: Optional[float]
+    # One dict of PathConfig kwargs per path.
+    path_params: Tuple[Dict[str, float], ...]
+    total_bytes: int
+    duration_s: float
+    expect_complete: bool = True
+
+    def route(self, harness: Optional[str] = None) -> str:
+        """Exhaustion presets route by what they are, not by events (see
+        :data:`ROUTES`)."""
+        if harness not in (None, "exhaustion"):
+            raise ValueError(
+                f"scenario {self.name!r} is an exhaustion preset, which the "
+                f"{harness} harness cannot check; it routes to the exhaustion "
+                "harness"
+            )
+        return "exhaustion"
+
+
+def _tiny_receive_buffer() -> ExhaustionScenario:
+    # A 32 KiB receiver: four FMTCP blocks of head-room, lossy paths.
+    return ExhaustionScenario(
+        name="tiny_receive_buffer",
+        description="32 KiB receive budget, 1% loss on both paths",
+        recv_budget_bytes=32_768,
+        drain_rate_bps=None,
+        path_params=(
+            {"bandwidth_bps": 1.5e6, "delay_s": 0.03, "loss_rate": 0.01},
+            {"bandwidth_bps": 1.5e6, "delay_s": 0.03, "loss_rate": 0.01},
+        ),
+        total_bytes=600_000,
+        duration_s=30.0,
+        expect_complete=True,
+    )
+
+
+def _slow_drain_receiver() -> ExhaustionScenario:
+    # The application stops reading: unrecoverable, must fail cleanly.
+    return ExhaustionScenario(
+        name="slow_drain_receiver",
+        description="application stops reading (drain rate 0); clean fail",
+        recv_budget_bytes=98_304,
+        drain_rate_bps=0.0,
+        path_params=(
+            {"bandwidth_bps": 2e6, "delay_s": 0.02, "loss_rate": 0.0},
+            {"bandwidth_bps": 2e6, "delay_s": 0.02, "loss_rate": 0.0},
+        ),
+        total_bytes=800_000,
+        duration_s=25.0,
+        expect_complete=False,
+    )
+
+
+def _rtt_mismatch_blocking() -> ExhaustionScenario:
+    # Fast/slow path pair: classic receive-buffer blocking pressure.
+    return ExhaustionScenario(
+        name="rtt_mismatch_blocking",
+        description="30x RTT mismatch + loss on the slow path, 32 KiB budget",
+        recv_budget_bytes=32_768,
+        drain_rate_bps=None,
+        path_params=(
+            {"bandwidth_bps": 4e6, "delay_s": 0.01, "loss_rate": 0.0},
+            {"bandwidth_bps": 1e6, "delay_s": 0.3, "loss_rate": 0.03},
+        ),
+        total_bytes=800_000,
+        duration_s=30.0,
+        expect_complete=True,
+    )
+
+
+#: The one preset registry, name -> (group, factory): :func:`resolve_scenario`
+#: and :func:`presets` read it. A preset's group is the one its ``route()``
+#: computes (pinned by tests/test_faults_scenario.py).
+PRESETS: Dict[str, Tuple[str, Callable[[], FaultScenario | ExhaustionScenario]]] = {
     factory.__name__.lstrip("_"): (group, factory)
     for group, factories in (
         (
@@ -1040,6 +1118,10 @@ PRESETS: Dict[str, Tuple[str, Callable[[], FaultScenario]]] = {
             (_bit_rot, _corruption_burst, _truncation_storm, _duplicate_mutation),
         ),
         (
+            "exhaustion",
+            (_tiny_receive_buffer, _slow_drain_receiver, _rtt_mismatch_blocking),
+        ),
+        (
             "recovery",
             (_receiver_crash, _sender_crash, _crash_storm, _crash_during_handover,
              _reconnect_exhaustion),
@@ -1053,25 +1135,25 @@ PRESETS: Dict[str, Tuple[str, Callable[[], FaultScenario]]] = {
 }
 
 
-def _presets(group: str) -> Dict[str, Callable[[], FaultScenario]]:
+def presets(group: str) -> Dict[str, Callable[[], FaultScenario | ExhaustionScenario]]:
+    """The presets of one routing group, name -> factory."""
     return {name: factory for name, (g, factory) in PRESETS.items() if g == group}
 
 
-SCENARIOS = _presets("chaos")
-MOBILITY_SCENARIOS = _presets("churn")
-CORRUPTION_SCENARIOS = _presets("corruption")
-RECOVERY_SCENARIOS = _presets("recovery")
-TRACE_SCENARIOS = _presets("traces")
-
-
 def resolve_scenario(spec: str) -> FaultScenario | ExhaustionScenario:
-    """Turn a CLI spec — a preset name (exhaustion presets included),
-    ``random:SEED`` or ``trace:PATH`` (a trace CSV file replayed in the
-    canonical window) — into a scenario."""
-    if spec in EXHAUSTION_SCENARIOS:
-        return EXHAUSTION_SCENARIOS[spec]()
+    """Turn a CLI spec — a preset name, ``random:SEED`` or ``trace:PATH``
+    (a trace CSV file replayed in the canonical window) — into a
+    scenario; raises ``ValueError`` naming what is wrong."""
     if spec.startswith("random:"):
-        return FaultScenario.random(int(spec.split(":", 1)[1]))
+        text = spec.split(":", 1)[1]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"random:SEED needs an integer seed, got {text!r}") from None
+        return FaultScenario.random(seed)
     if spec.startswith("trace:"):
         return trace_replay_scenario(spec.split(":", 1)[1])
-    return FaultScenario.named(spec)
+    if spec not in PRESETS:
+        known = ", ".join(sorted(PRESETS))
+        raise ValueError(f"unknown scenario {spec!r} (known: {known})")
+    return PRESETS[spec][1]()

@@ -3,8 +3,9 @@
 Checkpointable endpoint state (:mod:`repro.recovery.checkpoint`), the
 crash/reconnect/resume state machine (:mod:`repro.recovery.manager`)
 and the soak + benchmark harness (:mod:`repro.recovery.harness`).
-Crash timelines live with the other fault presets in
-:data:`repro.faults.RECOVERY_SCENARIOS`.
+Crash timelines live with the other fault presets, as group
+``"recovery"`` of :data:`repro.faults.scenario.PRESETS`
+(``repro.faults.presets("recovery")``).
 """
 
 from repro.recovery.checkpoint import (

@@ -3,7 +3,7 @@
 The :data:`RECOVERY` harness of the soak kernel (:mod:`repro.soak`)
 drives one finite transfer with **real payload** through an endpoint
 crash/restart timeline
-(:data:`~repro.faults.scenario.RECOVERY_SCENARIOS`), a
+(group ``"recovery"`` of :data:`~repro.faults.scenario.PRESETS`), a
 :class:`~repro.recovery.manager.RecoveryManager` handling the crashes
 and a :class:`~repro.robustness.watchdog.Watchdog` guaranteeing clean
 failure. The source is wrapped in a

@@ -33,18 +33,12 @@ from repro.core.connection import FmtcpConnection
 from repro.core.estimators import PathEstimate, PathTable, eat_table, edt_for_flows
 from repro.core.sender import _MAX_LOSS, FmtcpSender, _RoundState
 from repro.experiments.runner import run_transfer
-from repro.faults import (
-    CORRUPTION_SCENARIOS,
-    MOBILITY_SCENARIOS,
-    RECOVERY_SCENARIOS,
-    SCENARIOS,
-    TRACE_SCENARIOS,
-)
+from repro.faults import presets
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
 from repro.recovery.harness import RECOVERY
-from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
+from repro.robustness.exhaustion import EXHAUSTION
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 from repro.workloads.scenarios import TABLE1_CASES, table1_path_configs
@@ -238,21 +232,21 @@ def test_shadow_agrees_on_a_paced_stream_with_aging_on(shadow):
 
 SOAKS = {
     # fault group: (harness, preset registry, preset)
-    "chaos outage": (CHAOS, SCENARIOS, "path_death"),
+    "chaos outage": (CHAOS, presets("chaos"), "path_death"),
     "churn handover (add_subflow / remove_subflow)": (
-        CHURN, MOBILITY_SCENARIOS, "wifi_to_lte_handover",
+        CHURN, presets("churn"), "wifi_to_lte_handover",
     ),
     "corruption (quarantine-epoch k̄ reset)": (
-        CORRUPTION, CORRUPTION_SCENARIOS, "bit_rot",
+        CORRUPTION, presets("corruption"), "bit_rot",
     ),
     "exhaustion (flow_control)": (
-        EXHAUSTION, EXHAUSTION_SCENARIOS, "tiny_receive_buffer",
+        EXHAUSTION, presets("exhaustion"), "tiny_receive_buffer",
     ),
     "exhaustion (watchdog margin boost)": (
-        EXHAUSTION, EXHAUSTION_SCENARIOS, "slow_drain_receiver",
+        EXHAUSTION, presets("exhaustion"), "slow_drain_receiver",
     ),
-    "receiver crash": (RECOVERY, RECOVERY_SCENARIOS, "receiver_crash"),
-    "gprs_bursty trace": (TRACES, TRACE_SCENARIOS, "gprs_bursty"),
+    "receiver crash": (RECOVERY, presets("recovery"), "receiver_crash"),
+    "gprs_bursty trace": (TRACES, presets("traces"), "gprs_bursty"),
 }
 
 

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.faults import SCENARIOS, FaultScenario
+from repro.faults import FaultScenario, presets, resolve_scenario
 from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.soak import run_soak
@@ -47,11 +47,11 @@ def test_chaos_soak_randomized_scenarios(protocol):
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("chaos")))
 def test_chaos_preset_scenarios(protocol, name):
     report = run_soak(
         CHAOS,
-        protocol, FaultScenario.named(name), flight_dump_dir=FLIGHT_DIR
+        protocol, resolve_scenario(name), flight_dump_dir=FLIGHT_DIR
     )
     assert report.ok, f"{name}/{protocol}: {report.violations}"
     assert report.completed
@@ -65,7 +65,7 @@ def test_chaos_preset_scenarios(protocol, name):
 
 
 def test_chaos_report_shape():
-    report = run_soak(CHAOS, "fmtcp", FaultScenario.named("path_death"))
+    report = run_soak(CHAOS, "fmtcp", resolve_scenario("path_death"))
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "path_death"
     assert report.expected_bytes > 0

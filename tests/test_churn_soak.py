@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.faults import MOBILITY_SCENARIOS, FaultScenario
+from repro.faults import presets, resolve_scenario
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.soak import run_soak
@@ -33,7 +33,7 @@ FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(MOBILITY_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("churn")))
 def test_churn_soak_mobility_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
@@ -41,7 +41,7 @@ def test_churn_soak_mobility_presets(protocol, name):
         report = run_soak(
             CHURN,
             protocol,
-            FaultScenario.named(name),
+            resolve_scenario(name),
             seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
@@ -54,7 +54,7 @@ def test_churn_soak_mobility_presets(protocol, name):
 
 
 def test_churn_report_shape():
-    report = run_soak(CHURN, "mptcp", FaultScenario.named("wifi_to_lte_handover"))
+    report = run_soak(CHURN, "mptcp", resolve_scenario("wifi_to_lte_handover"))
     assert report.protocol == "mptcp"
     assert report.scenario_name == "wifi_to_lte_handover"
     assert report.completed and report.completion_time_s is not None
@@ -65,7 +65,7 @@ def test_churn_report_shape():
 
 
 def test_permanent_removal_counts_no_readds():
-    report = run_soak(CHURN, "fmtcp", FaultScenario.named("single_path_degradation"))
+    report = run_soak(CHURN, "fmtcp", resolve_scenario("single_path_degradation"))
     assert report.ok
     assert report.path_downs == 1
     assert report.path_ups == 0 and report.handovers == 0
@@ -74,8 +74,8 @@ def test_permanent_removal_counts_no_readds():
 def test_harness_routing_is_enforced():
     """Churn scenarios cannot run through the link-fault harness and
     vice versa — silently using the wrong invariants would mask bugs."""
-    churn = FaultScenario.named("flaky_path_churn")
+    churn = resolve_scenario("flaky_path_churn")
     with pytest.raises(ValueError):
         run_soak(CHAOS, "fmtcp", churn)
     with pytest.raises(ValueError):
-        run_soak(CHURN, "fmtcp", FaultScenario.named("path_death"))
+        run_soak(CHURN, "fmtcp", resolve_scenario("path_death"))

@@ -288,6 +288,19 @@ def test_faults_unknown_scenario_exits_2_with_preset_list(capsys):
     # The user gets the full menu instead of a traceback.
     assert "path_death" in captured.out
     assert "wifi_to_lte_handover" in captured.out
+    # The error's own list names every preset, exhaustion ones included.
+    assert "tiny_receive_buffer" in captured.err
+    assert "rtt_mismatch_blocking" in captured.err
+
+
+def test_faults_random_spec_with_a_non_integer_seed_exits_2_with_menu(capsys):
+    """``int()``'s own message for ``random:x`` would name neither the
+    spec nor what it wants."""
+    assert main(["faults", "--scenario", "random:x"]) == 2
+    captured = capsys.readouterr()
+    assert "random:SEED needs an integer seed, got 'x'" in captured.err
+    assert "invalid literal" not in captured.err
+    assert "path_death" in captured.out
 
 
 def test_faults_churn_scenario_command(capsys):

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.faults import CORRUPTION_SCENARIOS, FaultScenario
+from repro.faults import presets, resolve_scenario
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
@@ -39,7 +39,7 @@ def test_corruption_soak(protocol, name):
     for seed in SOAK_SEEDS:
         report = run_soak(
             CORRUPTION,
-            protocol, FaultScenario.named(name), seed=seed,
+            protocol, resolve_scenario(name), seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
         if not report.ok:
@@ -53,24 +53,24 @@ def test_corruption_soak(protocol, name):
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(CORRUPTION_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("corruption")))
 def test_corruption_presets_complete_with_defenses_firing(protocol, name):
     report = run_soak(
         CORRUPTION,
-        protocol, FaultScenario.named(name), seed=2, flight_dump_dir=FLIGHT_DIR
+        protocol, resolve_scenario(name), seed=2, flight_dump_dir=FLIGHT_DIR
     )
     assert report.ok, f"{name}/{protocol}: {report.violations}"
     assert report.completed
     # The transfer was still running when corruption began and the wire
     # actually damaged packets, so the run was not vacuous.
-    scenario = CORRUPTION_SCENARIOS[name]()
+    scenario = presets("corruption")[name]()
     assert report.completion_time_s > scenario.fault_start
     assert report.packets_corrupted > 0
     assert sum(report.corruption_stats.values()) > 0
 
 
 def test_corruption_report_shape():
-    report = run_soak(CORRUPTION, "fmtcp", FaultScenario.named("bit_rot"))
+    report = run_soak(CORRUPTION, "fmtcp", resolve_scenario("bit_rot"))
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "bit_rot"
     assert report.expected_bytes > 0
@@ -88,19 +88,19 @@ def test_corruption_report_shape():
 # ----------------------------------------------------------------------
 def test_run_chaos_rejects_corruption_scenarios():
     with pytest.raises(ValueError, match="corruption"):
-        run_soak(CHAOS, "fmtcp", FaultScenario.named("bit_rot"))
+        run_soak(CHAOS, "fmtcp", resolve_scenario("bit_rot"))
 
 
 def test_run_churn_rejects_corruption_free_routing():
     with pytest.raises(ValueError):
-        run_soak(CHURN, "fmtcp", FaultScenario.named("bit_rot"))
+        run_soak(CHURN, "fmtcp", resolve_scenario("bit_rot"))
 
 
 def test_run_corruption_rejects_plain_fault_scenarios():
     with pytest.raises(ValueError, match="no corruption"):
-        run_soak(CORRUPTION, "fmtcp", FaultScenario.named("path_death"))
+        run_soak(CORRUPTION, "fmtcp", resolve_scenario("path_death"))
 
 
 def test_run_corruption_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="protocol"):
-        run_soak(CORRUPTION, "sctp", FaultScenario.named("bit_rot"))
+        run_soak(CORRUPTION, "sctp", resolve_scenario("bit_rot"))

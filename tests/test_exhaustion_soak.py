@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.robustness import EXHAUSTION_SCENARIOS
+from repro.faults import presets
 from repro.robustness.exhaustion import EXHAUSTION
 from repro.soak import run_soak
 from tests.conftest import soak_seeds
@@ -33,7 +33,7 @@ FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(EXHAUSTION_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("exhaustion")))
 def test_exhaustion_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
@@ -41,7 +41,7 @@ def test_exhaustion_soak_presets(protocol, name):
         report = run_soak(
             EXHAUSTION,
             protocol,
-            EXHAUSTION_SCENARIOS[name](),
+            presets("exhaustion")[name](),
             seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
@@ -58,7 +58,7 @@ def test_exhaustion_soak_presets(protocol, name):
 def test_exhaustion_report_shape():
     report = run_soak(
         EXHAUSTION,
-        "fmtcp", EXHAUSTION_SCENARIOS["tiny_receive_buffer"]()
+        "fmtcp", presets("exhaustion")["tiny_receive_buffer"]()
     )
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "tiny_receive_buffer"
@@ -75,7 +75,7 @@ def test_slow_drain_fails_cleanly_with_diagnosis(protocol):
     """An app that stops reading ends in a watchdog failure, not a hang."""
     report = run_soak(
         EXHAUSTION,
-        protocol, EXHAUSTION_SCENARIOS["slow_drain_receiver"]()
+        protocol, presets("exhaustion")["slow_drain_receiver"]()
     )
     assert report.ok, report.violations
     assert not report.completed
@@ -96,7 +96,7 @@ def test_watchdog_post_mortem_dump(tmp_path):
     report = run_soak(
         EXHAUSTION,
         "mptcp",
-        EXHAUSTION_SCENARIOS["slow_drain_receiver"](),
+        presets("exhaustion")["slow_drain_receiver"](),
         flight_dump_dir=str(tmp_path),
     )
     assert report.ok, report.violations
@@ -110,4 +110,4 @@ def test_watchdog_post_mortem_dump(tmp_path):
 
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        run_soak(EXHAUSTION, "sctp", EXHAUSTION_SCENARIOS["tiny_receive_buffer"]())
+        run_soak(EXHAUSTION, "sctp", presets("exhaustion")["tiny_receive_buffer"]())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import MOBILITY_SCENARIOS, SCENARIOS, FaultScenario, resolve_scenario
+from repro.faults import FaultScenario, presets, resolve_scenario
 from repro.faults.scenario import FAULT_TABLE, FaultEvent
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, NoLoss
@@ -217,12 +217,12 @@ def test_scenario_rejects_out_of_range_path():
 
 
 def test_named_scenarios_and_unknown_name():
-    for name in SCENARIOS:
-        scenario = FaultScenario.named(name)
+    for name in presets("chaos"):
+        scenario = resolve_scenario(name)
         assert scenario.name == name
         assert scenario.events
     with pytest.raises(ValueError):
-        FaultScenario.named("no_such_scenario")
+        resolve_scenario("no_such_scenario")
 
 
 def test_random_scenario_is_deterministic_per_seed():
@@ -256,11 +256,17 @@ def test_resolve_scenario_specs():
         resolve_scenario("bogus")
 
 
-def test_trace_presets_registered_and_resolvable(tmp_path):
-    from repro.faults import TRACE_SCENARIOS
+@pytest.mark.parametrize("seed", ["x", "", "1.5"])
+def test_random_spec_with_a_non_integer_seed_names_the_spec(seed):
+    with pytest.raises(
+        ValueError, match=f"random:SEED needs an integer seed, got {seed!r}"
+    ):
+        resolve_scenario(f"random:{seed}")
 
-    for name in TRACE_SCENARIOS:
-        scenario = FaultScenario.named(name)
+
+def test_trace_presets_registered_and_resolvable(tmp_path):
+    for name in presets("traces"):
+        scenario = resolve_scenario(name)
         assert scenario.name == name
         assert scenario.has_trace
         assert not scenario.has_churn
@@ -438,7 +444,7 @@ def test_handover_target_checked_against_n_paths():
 
 
 def test_has_churn_and_settle_time():
-    plain = FaultScenario.named("path_death")
+    plain = resolve_scenario("path_death")
     assert not plain.has_churn
     assert plain.settle_time == plain.heal_time
     churn = FaultScenario(
@@ -470,12 +476,12 @@ def test_churn_scenario_requires_lifecycle_handler():
 
 
 def test_mobility_presets_are_churn_only():
-    for name in MOBILITY_SCENARIOS:
-        scenario = FaultScenario.named(name)
+    for name in presets("churn"):
+        scenario = resolve_scenario(name)
         assert scenario.has_churn, name
         assert all(FAULT_TABLE[event.kind].group == "churn" for event in scenario.events), name
     # The two registries stay disjoint: a preset belongs to one harness.
-    assert not set(MOBILITY_SCENARIOS) & set(SCENARIOS)
+    assert not set(presets("churn")) & set(presets("chaos"))
 
 
 # ----------------------------------------------------------------------
@@ -707,21 +713,20 @@ def test_bad_values_of_the_delegated_kinds_still_raise_at_construction():
 
 
 def test_one_preset_registry_behind_named_and_the_group_views():
-    from repro.faults import CORRUPTION_SCENARIOS, RECOVERY_SCENARIOS, TRACE_SCENARIOS
-    from repro.faults.scenario import PRESETS
+    """All 27 presets, the exhaustion budgets included, sit in one
+    registry: each resolves by name, routes to its registry group and is
+    the factory its group's view lists, and an unknown name's message
+    names every one of them."""
+    from repro.faults.scenario import PRESETS, ROUTES
 
-    views = {
-        "chaos": SCENARIOS,
-        "churn": MOBILITY_SCENARIOS,
-        "corruption": CORRUPTION_SCENARIOS,
-        "recovery": RECOVERY_SCENARIOS,
-        "traces": TRACE_SCENARIOS,
-    }
-    assert len(PRESETS) == 24 == sum(len(view) for view in views.values())
+    groups = (*ROUTES, "exhaustion")
+    assert len(PRESETS) == 27 == sum(len(presets(group)) for group in groups)
     for name, (group, factory) in PRESETS.items():
-        assert views[group][name] is factory
-        scenario = FaultScenario.named(name)
+        assert presets(group)[name] is factory
+        scenario = resolve_scenario(name)
         assert scenario.name == name
         assert scenario.route() == group  # the registry's group is the route
-    with pytest.raises(ValueError, match="known: bandwidth_collapse, bit_rot, "):
-        FaultScenario.named("nope")
+    with pytest.raises(ValueError, match="known: bandwidth_collapse, bit_rot, ") as error:
+        resolve_scenario("nope")
+    listed = str(error.value).split("(known: ", 1)[1].rstrip(")").split(", ")
+    assert listed == sorted(PRESETS)

@@ -81,7 +81,7 @@ def test_chaos_clean_run_leaves_no_dump(tmp_path):
     report = run_soak(
         CHAOS,
         "fmtcp",
-        FaultScenario.named("path_death"),
+        resolve_scenario("path_death"),
         flight_dump_dir=str(tmp_path),
     )
     assert report.ok
@@ -108,7 +108,7 @@ def _violating_runs():
     needs sanitising (``:`` and ``/``)."""
     import dataclasses
 
-    from repro.robustness import EXHAUSTION_SCENARIOS
+    from repro.faults import presets
     from repro.faults.scenario import FaultEvent, trace_replay_scenario
     from repro.faults.churn import CHURN
     from repro.faults.corruption import CORRUPTION
@@ -130,7 +130,7 @@ def _violating_runs():
         "exhaustion": (
             EXHAUSTION,
             dataclasses.replace(
-                EXHAUSTION_SCENARIOS["tiny_receive_buffer"](),
+                presets("exhaustion")["tiny_receive_buffer"](),
                 name="tiny:buffer/32k",
                 duration_s=2.0,
             ),

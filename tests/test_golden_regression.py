@@ -285,7 +285,7 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
 
     from repro.core.config import FmtcpConfig
     from repro.core.connection import FmtcpConnection
-    from repro.faults import CORRUPTION_SCENARIOS
+    from repro.faults import presets
     from repro.faults.corruption import CORRUPTION
     from repro.net import integrity
     from repro.net.topology import Path, PathConfig, build_two_path_network
@@ -375,9 +375,9 @@ def test_deferred_seal_is_free_when_clean_and_invisible_when_damaged(monkeypatch
             "acks_discarded_corrupt": 3, "chunks_discarded_checksum": 1,
         }),
     }
-    assert {name for name, __ in parent} == set(CORRUPTION_SCENARIOS)
+    assert {name for name, __ in parent} == set(presets("corruption"))
     for (name, protocol), (corrupted, stats) in parent.items():
-        report = run_soak(CORRUPTION, protocol, CORRUPTION_SCENARIOS[name](), seed=3)
+        report = run_soak(CORRUPTION, protocol, presets("corruption")[name](), seed=3)
         assert report.ok, report.violations
         assert report.packets_corrupted == corrupted, (name, protocol)
         assert report.corruption_stats == stats, (name, protocol)

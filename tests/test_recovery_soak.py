@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.faults import RECOVERY_SCENARIOS, FaultScenario
+from repro.faults import presets, resolve_scenario
 from repro.recovery.harness import RECOVERY
 from repro.soak import run_soak
 from tests.conftest import soak_seeds
@@ -35,7 +35,7 @@ FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(RECOVERY_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("recovery")))
 def test_recovery_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
@@ -43,7 +43,7 @@ def test_recovery_soak_presets(protocol, name):
         report = run_soak(
             RECOVERY,
             protocol,
-            RECOVERY_SCENARIOS[name](),
+            presets("recovery")[name](),
             seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
@@ -58,7 +58,7 @@ def test_recovery_soak_presets(protocol, name):
 
 
 def test_recovery_report_shape():
-    report = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS["receiver_crash"]())
+    report = run_soak(RECOVERY, "fmtcp", presets("recovery")["receiver_crash"]())
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "receiver_crash"
     assert report.completed and report.completion_time_s is not None
@@ -80,7 +80,7 @@ def test_recovery_report_shape():
 def test_reconnect_exhaustion_fails_cleanly(protocol):
     """A receiver that never restarts ends in a clean watchdog failure
     carrying the manager's reason — not a hang, not a quiet success."""
-    report = run_soak(RECOVERY, protocol, RECOVERY_SCENARIOS["reconnect_exhaustion"]())
+    report = run_soak(RECOVERY, protocol, presets("recovery")["reconnect_exhaustion"]())
     assert report.ok, report.violations
     assert not report.completed and not report.expect_complete
     assert report.recovery_state == "failed"
@@ -96,15 +96,15 @@ def test_reconnect_exhaustion_fails_cleanly(protocol):
 def test_recovery_is_deterministic_across_restart_epochs(name):
     """Same seed -> identical payload CRC, timings and attempt counts,
     even through multiple crash/restart epochs (per-epoch RNG streams)."""
-    first = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
-    second = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS[name](), seed=11)
+    first = run_soak(RECOVERY, "fmtcp", presets("recovery")[name](), seed=11)
+    second = run_soak(RECOVERY, "fmtcp", presets("recovery")[name](), seed=11)
     assert first.ok and second.ok
     assert dataclasses.asdict(first) == dataclasses.asdict(second)
     assert first.outages == second.outages
 
 
 def test_crash_storm_survives_repeated_crashes():
-    report = run_soak(RECOVERY, "fmtcp", RECOVERY_SCENARIOS["crash_storm"]())
+    report = run_soak(RECOVERY, "fmtcp", presets("recovery")["crash_storm"]())
     assert report.ok, report.violations
     assert report.completed
     assert report.crashes == 3 and report.resumes == 3 and report.epochs == 3
@@ -119,7 +119,7 @@ def test_recovery_post_mortem_dump(tmp_path):
     report = run_soak(
         RECOVERY,
         "mptcp",
-        RECOVERY_SCENARIOS["receiver_crash"](),
+        presets("recovery")["receiver_crash"](),
         duration_s=9.0,
         flight_dump_dir=str(tmp_path),
     )
@@ -132,6 +132,6 @@ def test_recovery_post_mortem_dump(tmp_path):
 
 def test_rejects_unknown_protocol_and_non_crash_scenarios():
     with pytest.raises(ValueError):
-        run_soak(RECOVERY, "sctp", RECOVERY_SCENARIOS["receiver_crash"]())
+        run_soak(RECOVERY, "sctp", presets("recovery")["receiver_crash"]())
     with pytest.raises(ValueError, match="endpoint"):
-        run_soak(RECOVERY, "fmtcp", FaultScenario.named("link_flap"))
+        run_soak(RECOVERY, "fmtcp", resolve_scenario("link_flap"))

@@ -596,15 +596,21 @@ UNUSED_NAMES_KEPT = {
 DELETED_NAMES = (
     "CHURN_KINDS",
     "CORRUPTION_KINDS",
+    "CORRUPTION_SCENARIOS",
     "CRASH_KINDS",
+    "EXHAUSTION_SCENARIOS",
     "FAULT_KINDS",
     "GilbertElliottLoss",
+    "MOBILITY_SCENARIOS",
     "NoCorruption",
     "NoReordering",
+    "RECOVERY_SCENARIOS",
     "RELATIVE_TOLERANCE",
+    "SCENARIOS",
     "SUBFLOW1_CONFIG",
     "SUBFLOW_STATES",
     "TRACE_KINDS",
+    "TRACE_SCENARIOS",
     "TimestampedSource",
     "expected_actual_delivered",
     "load_golden",

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro import soak
-from repro.faults import FaultScenario
+from repro.faults import FaultScenario, presets
 from repro.faults.scenario import FaultEvent
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
 from repro.recovery.harness import RECOVERY
-from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
+from repro.robustness.exhaustion import EXHAUSTION
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 
@@ -67,7 +67,7 @@ def test_entry_points_accept_exactly_what_route_sends_them(mix, entry):
 
 @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"exhaustion"}))
 def test_exhaustion_presets_run_only_through_run_exhaustion(entry):
-    scenario = EXHAUSTION_SCENARIOS["tiny_receive_buffer"]()
+    scenario = presets("exhaustion")["tiny_receive_buffer"]()
     assert scenario.route() == "exhaustion"
     with pytest.raises(ValueError, match="routes to the exhaustion harness"):
         scenario.route(entry)
@@ -78,7 +78,7 @@ def test_exhaustion_presets_run_only_through_run_exhaustion(entry):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_unknown_protocol_rejected_everywhere(entry):
     scenario = (
-        EXHAUSTION_SCENARIOS["tiny_receive_buffer"]()
+        presets("exhaustion")["tiny_receive_buffer"]()
         if entry == "exhaustion"
         else FaultScenario("x", {"churn": DOWN, "corruption": CORRUPT,
                                  "recovery": CRASH, "traces": REPLAY}.get(entry, FLAP))
@@ -168,7 +168,6 @@ def test_packages_import_in_any_order(first):
         "from repro.traces.harness import TRACES\n"
         "from repro.recovery import measure_recovery\n"
         "from repro.recovery.harness import RECOVERY\n"
-        "from repro.robustness import EXHAUSTION_SCENARIOS\n"
         "from repro.robustness.exhaustion import EXHAUSTION\n"
     )
     _fresh_interpreter(code)

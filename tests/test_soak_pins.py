@@ -18,31 +18,24 @@ import os
 
 import pytest
 
-from repro.faults import (
-    CORRUPTION_SCENARIOS,
-    MOBILITY_SCENARIOS,
-    RECOVERY_SCENARIOS,
-    SCENARIOS,
-    TRACE_SCENARIOS,
-    FaultScenario,
-)
+from repro.faults import FaultScenario, presets
 from repro.faults.chaos import CHAOS
 from repro.faults.churn import CHURN
 from repro.faults.corruption import CORRUPTION
 from repro.recovery.harness import RECOVERY
-from repro.robustness.exhaustion import EXHAUSTION, EXHAUSTION_SCENARIOS
+from repro.robustness.exhaustion import EXHAUSTION
 from repro.soak import run_soak
 from repro.traces.harness import TRACES
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "soak_pins.json")
 DUMP_PATHS = ("flight_dump_path", "profile_dump_path", "watchdog_dump_path")
 GROUPS = (
-    (SCENARIOS, CHAOS),
-    (MOBILITY_SCENARIOS, CHURN),
-    (CORRUPTION_SCENARIOS, CORRUPTION),
-    (EXHAUSTION_SCENARIOS, EXHAUSTION),
-    (RECOVERY_SCENARIOS, RECOVERY),
-    (TRACE_SCENARIOS, TRACES),
+    (presets("chaos"), CHAOS),
+    (presets("churn"), CHURN),
+    (presets("corruption"), CORRUPTION),
+    (presets("exhaustion"), EXHAUSTION),
+    (presets("recovery"), RECOVERY),
+    (presets("traces"), TRACES),
 )
 
 

@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.faults import TRACE_SCENARIOS, FaultScenario
+from repro.faults import presets, resolve_scenario
 from repro.soak import SoakReport
 from repro.faults.scenario import trace_replay_scenario
 from repro.soak import run_soak
@@ -36,7 +36,7 @@ FLIGHT_DIR = os.environ.get("REPRO_FLIGHT_DIR") or None
 
 
 @pytest.mark.parametrize("protocol", ["fmtcp", "mptcp"])
-@pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(presets("traces")))
 def test_trace_soak_presets(protocol, name):
     """30 seeds per preset per protocol, zero violations."""
     failures = []
@@ -44,7 +44,7 @@ def test_trace_soak_presets(protocol, name):
         report = run_soak(
             TRACES,
             protocol,
-            TRACE_SCENARIOS[name](),
+            presets("traces")[name](),
             seed=seed,
             flight_dump_dir=FLIGHT_DIR,
         )
@@ -59,7 +59,7 @@ def test_trace_soak_presets(protocol, name):
 
 
 def test_trace_report_shape():
-    report = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["gprs_bursty"]())
+    report = run_soak(TRACES, "fmtcp", presets("traces")["gprs_bursty"]())
     assert isinstance(report, SoakReport)
     assert report.protocol == "fmtcp"
     assert report.scenario_name == "gprs_bursty"
@@ -72,8 +72,8 @@ def test_trace_report_shape():
 
 
 def test_trace_runs_deterministic():
-    a = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
-    b = run_soak(TRACES, "fmtcp", TRACE_SCENARIOS["leo_handover"](), seed=5)
+    a = run_soak(TRACES, "fmtcp", presets("traces")["leo_handover"](), seed=5)
+    b = run_soak(TRACES, "fmtcp", presets("traces")["leo_handover"](), seed=5)
     assert a.completion_time_s == b.completion_time_s
     assert a.delivered_bytes == b.delivered_bytes
     assert a.trace_ticks == b.trace_ticks
@@ -92,7 +92,7 @@ def test_trace_scenarios_rejected_by_other_harnesses(protocol):
     from repro.faults.chaos import CHAOS
     from repro.faults.corruption import CORRUPTION
 
-    scenario = TRACE_SCENARIOS["gprs_bursty"]()
+    scenario = presets("traces")["gprs_bursty"]()
     with pytest.raises(ValueError, match="replays channel traces"):
         run_soak(CHAOS, protocol, scenario, seed=1)
     with pytest.raises(ValueError, match="no corruption events"):
@@ -101,4 +101,4 @@ def test_trace_scenarios_rejected_by_other_harnesses(protocol):
 
 def test_non_trace_scenario_rejected_by_run_traces():
     with pytest.raises(ValueError, match="no trace events"):
-        run_soak(TRACES, "fmtcp", FaultScenario.named("path_death"), seed=1)
+        run_soak(TRACES, "fmtcp", resolve_scenario("path_death"), seed=1)
