@@ -6,7 +6,7 @@ hot paths: the GF(2) codec that bounds FMTCP's CPU cost (Section III-B's
 allocation cost — the bare allocator and the three kinds of round the
 sender's round state makes of it — the two ``sim`` mechanisms every
 packet of either protocol crosses (the heap loop and the RTO timer
-restart), and the trace lookup behind every ``TracePlayer`` tick.
+restart), and one trace replay through ``TracePlayer``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from repro.core.estimators import PathEstimate, PathTable
 from repro.core.sender import FmtcpSender
 from repro.fountain.codec import BlockDecoder, BlockEncoder
 from repro.fountain.rank_model import RankEvolutionModel
+from repro.net.topology import PathConfig, build_two_path_network
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 from repro.sim.timers import Timer
-from repro.traces.model import LinkTrace, TraceSample
+from repro.traces.generators import gprs_trace
+from repro.traces.player import TracePlayer
 from repro.workloads.sources import BulkSource, RandomPayloadSource
 
 K = 256
@@ -254,25 +257,32 @@ def test_allocation_round_after_a_send(benchmark):
     assert all(carried)
 
 
-TRACE_SAMPLES = 8_000
+#: ``mptcp_gprs``'s run length: it replays one trace this long per rep.
+REPLAY_S = 800.0
 
 
-def test_trace_sample_at_lookup(benchmark):
-    """One replay's worth of ``TracePlayer`` ticks against a trace of
-    8 000 samples (10 ticks a second, as ``mptcp_gprs`` replays)."""
-    trace = LinkTrace(
-        "bench",
-        [
-            TraceSample(index * 0.1, bandwidth_bps=1e5 + index, loss_rate=0.01)
-            for index in range(TRACE_SAMPLES)
-        ],
+def test_trace_replay(benchmark):
+    """One ``mptcp_gprs`` replay: an 800 s ``gprs_trace`` played through
+    ``TracePlayer`` onto path 1's links on a simulator with no traffic;
+    the events it takes go to ``extra_info``."""
+    __, paths = build_two_path_network(
+        [PathConfig(bandwidth_bps=1e6, delay_s=0.01)] * 2, rng=RngStreams(1)
     )
-    ticks = [index * 0.1 + 0.05 for index in range(TRACE_SAMPLES + 1)]
+    links = paths[1].forward_links
+    trace = gprs_trace(seed=3000, duration_s=REPLAY_S)
 
     def replay():
-        return sum(trace.sample_at(t).bandwidth_bps for t in ticks)
+        sim = Simulator()
+        player = TracePlayer(sim, links, trace)
+        player.start()
+        sim.run(until=REPLAY_S)
+        player.stop()
+        return sim.events_processed
 
-    assert benchmark(replay) > 0
+    events = benchmark(replay)
+    benchmark.extra_info["sim_events"] = events
+    # One event per sample: the player wakes only where the channel changes.
+    assert events == len(trace.samples)
 
 
 EVENTS = 20_000

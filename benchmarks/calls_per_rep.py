@@ -16,9 +16,11 @@ as long as a plain one). All of these
 repeat exactly from run to run on one interpreter version (the call count includes builtins, so it differs
 between minor versions: compare two checkouts with the same interpreter,
 ``--root`` naming the other one), except ``fmtcp_instrumented``'s
-bytecodes, which move by a few dozen: its ``SimProfiler`` records a new
-per-kind maximum wall time whenever the host produces one. A digest that moves is a behaviour
-change; a call count that moves without it is work a change added or
+bytecodes, which move by a few dozen: ``SimProfiler.on_event`` takes its
+``elapsed_s > stats.max_s`` branch whenever the host's clock produces a
+new per-kind maximum (with ``elapsed_s`` held at 0.0 three traced reps
+count the same), so ``--compare`` labels that delta host-dependent. A
+digest that moves is a behaviour change; a call count that moves without it is work a change added or
 removed, free of host noise (ROADMAP ``one-gate``).
 
 ``--compare PARENT_ROOT`` counts PARENT_ROOT and ``--root`` (each in its
@@ -48,6 +50,8 @@ from pathlib import Path
 from typing import Dict, List
 
 REP_SEED = 3000
+#: Workloads whose bytecode count follows the host's clock (see above).
+HOST_TIMED_BYTECODES = ("fmtcp_instrumented",)
 
 
 def main() -> None:
@@ -146,9 +150,11 @@ def compare(parent: Path, root: Path, names, bytecodes: bool) -> int:
         moved |= not (same_events and same_digest)
         print(f"{name}")
         for measure in measures:
+            host = measure == "bytecodes" and name in HOST_TIMED_BYTECODES
             print(
                 f"  {measure:<11} {old[measure]:>11} -> {new[measure]:>11}  "
                 f"{_delta(old[measure], new[measure])}"
+                f"{'  (host-dependent)' if host else ''}"
             )
         print(
             f"  {'sim.events':<11} {old['events']:>11} -> {new['events']:>11}  "

@@ -318,7 +318,7 @@ def _fault_groups() -> Dict[str, _FaultGroup]:
             _window("replay"),
             TRACES,
             lambda report: (
-                f"{report.trace_ticks} trace ticks, peak occupancy "
+                f"{report.trace_ticks} trace ticks (samples applied), peak occupancy "
                 f"{report.peak_occupancy}/{report.budget_units} units"
             ),
             _bench_goodput_response,

@@ -13,11 +13,13 @@ it re-queues itself for the deadline. Only a deadline that moves *earlier*
 re-armed this way to deadline D therefore runs after any event that was
 queued for exactly D before the superseded event came up.
 
-:class:`PeriodicTimer` adds drift-free repetition for clock-aligned
-replay (the trace player): the k-th tick fires at exactly
-``epoch + k * period`` via absolute scheduling, so accumulated float
-error never skews a long trace against the simulated clock the way a
-``now + period`` chain would.
+:class:`PeriodicTimer` is a drift-free grid clock for clock-aligned
+replay (the trace player): tick k fires at exactly ``epoch + k * period``
+via absolute scheduling, so accumulated float error never skews a long
+trace against the simulated clock the way a ``now + period`` chain
+would. Each tick names the next grid index it needs, so a replay whose
+channel holds still skips the grid points between two changes without
+scheduling them.
 """
 
 from __future__ import annotations
@@ -94,20 +96,22 @@ class Timer:
 
 
 class PeriodicTimer:
-    """A repeating timer whose ticks stay aligned to an epoch.
+    """A timer on a grid of ticks aligned to an epoch.
 
-    Tick ``k`` fires at ``epoch + k * period`` (absolute scheduling), and
-    the callback receives the *elapsed trace time* ``k * period`` — so a
+    Tick ``k`` fires at ``epoch + k * period`` (absolute scheduling), so a
     replayed time series indexes itself by exact multiples of its step,
-    immune to float drift over thousands of ticks. ``stop`` disarms it;
-    the callback may call ``stop`` to end the series from inside a tick.
+    immune to float drift over thousands of ticks. The callback receives
+    ``k`` and returns the index of the next tick it needs, any later one;
+    the grid points in between are never scheduled. ``stop`` disarms it;
+    a callback that calls ``stop`` ends the series (and may return
+    ``None``).
     """
 
     def __init__(
         self,
         sim: Simulator,
         period_s: float,
-        callback: Callable[[float], Any],
+        callback: Callable[[int], Optional[int]],
         name: str = "periodic",
     ):
         if period_s <= 0:
@@ -118,33 +122,27 @@ class PeriodicTimer:
         self.name = name
         self._event: Optional[Event] = None
         self._epoch: Optional[float] = None
-        self._tick = 0
 
     def start(self) -> None:
         """Anchor the epoch at the current simulated time and begin ticking;
-        the first tick (elapsed 0.0) runs at the epoch itself."""
+        tick 0 runs at the epoch itself."""
         self.stop()
         self._epoch = self._sim.now
-        self._tick = 0
-        self._schedule_next()
+        self._schedule(0)
 
     def stop(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
         self._epoch = None
-        self._tick = 0
 
-    def _schedule_next(self) -> None:
-        assert self._epoch is not None
+    def _schedule(self, tick: int) -> None:
         self._event = self._sim.schedule_at(
-            self._epoch + self._tick * self.period_s, self._fire
+            self._epoch + tick * self.period_s, self._fire, tick
         )
 
-    def _fire(self) -> None:
-        if self._event is None or self._event[2] is None:
-            return
-        elapsed = self._tick * self.period_s
-        self._tick += 1
-        self._schedule_next()
-        self._callback(elapsed)
+    def _fire(self, tick: int) -> None:
+        self._event = None
+        next_tick = self._callback(tick)
+        if self._epoch is not None:  # the callback did not stop the series
+            self._schedule(next_tick)

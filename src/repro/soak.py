@@ -120,7 +120,7 @@ class SoakReport:
     watchdog_escalation: int = 0
     fail_reason: Optional[str] = None
     diagnosis: Optional[Dict[str, Any]] = None
-    # traces
+    # traces: samples the player applied, one per change of the sample in force
     trace_ticks: int = 0
     # recovery
     crashes: int = 0

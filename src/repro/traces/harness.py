@@ -31,7 +31,8 @@ from repro.mptcp.connection import MptcpConfig
 
 
 def count_trace_ticks(run: soak.Run) -> None:
-    """Step: count ``trace.sample`` records. Declared before
+    """Step: count ``trace.sample`` records, one per sample the player
+    applied (a change of the sample in force). Declared before
     :func:`~repro.soak.arm_timeline` so the player's ``live``
     guard sees a listener."""
     def on_tick(record) -> None:

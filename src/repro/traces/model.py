@@ -133,6 +133,24 @@ class LinkTrace:
         # The sample in force at t: the last one not later than t.
         return self.samples[bisect_right(self._times, t) - 1]
 
+    def next_change_s(self, t: float) -> Optional[float]:
+        """Trace time at which the sample in force at ``t`` gives way, or
+        ``None`` if it holds for good (``hold`` past the last sample, or a
+        one-sample trace). Under ``loop`` the period start is rebuilt from
+        ``t``, so the answer can be a few ulps off the exact boundary."""
+        times = self._times
+        start = 0.0
+        if t > self.duration_s:
+            if self.end_policy == "hold" or len(times) == 1:
+                return None
+            phase = t % self.duration_s  # as sample_at wraps it
+            start, t = t - phase, phase
+        following = max(bisect_right(times, t), 1)
+        if following < len(times):
+            return start + times[following]
+        # Only ``t == duration_s`` exactly gets here: loop wraps right after.
+        return None if self.end_policy == "hold" else self.duration_s
+
     # ------------------------------------------------------------------
     # CSV round-trip.
     # ------------------------------------------------------------------

@@ -5,7 +5,10 @@ minus the dump paths for every preset x protocol (seed 1) and
 ``random:1..5`` x protocol (seed = N): 64 runs recorded at commit
 1c0b514, the last one with six hand-copied harness skeletons. Every
 field recorded there must compare ``==`` today, so "the kernel behaves
-like the six copies did" is a check rather than a belief.
+like the six copies did" is a check rather than a belief. One field was
+re-pinned since, on purpose: ``trace_ticks`` on the ten trace rows, once
+the trace player stopped re-applying the sample in force on every 0.1 s
+grid tick and began counting only the samples it applies.
 
 Regenerate only with a stated reason (a deliberate behaviour change)::
 

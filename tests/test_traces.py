@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro.net.loss import BernoulliLoss
 from repro.net.topology import PathConfig, build_two_path_network
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 from repro.traces import (
     LinkTrace,
     TracePlayer,
@@ -364,3 +366,184 @@ def test_player_rejects_bad_inputs():
     with pytest.raises(RuntimeError, match="already playing"):
         player.start()
     player.stop()
+
+
+def test_a_restarted_hold_player_still_restores_the_pre_trace_link():
+    network, paths = _network()
+    links = paths[1].forward_links
+    trace = LinkTrace("h", [TraceSample(0.0, bandwidth_bps=5e4)])
+    player = TracePlayer(network.sim, links, trace)
+    player.start()
+    network.sim.run(until=0.5)
+    assert not player.playing  # the hold retired its timer
+    player.start()  # the play goes on: the held sample is no baseline
+    network.sim.run(until=1.0)
+    player.stop()
+    assert links[0].bandwidth_bps == 1e6
+
+
+def test_a_second_stop_changes_nothing():
+    network, paths = _network()
+    links = paths[1].forward_links
+    bus = TraceBus()
+    restores = []
+    bus.subscribe("trace.restore", restores.append)
+    trace = LinkTrace("h", [TraceSample(0.0, bandwidth_bps=5e4)])
+    player = TracePlayer(network.sim, links, trace, bus=bus)
+    player.start()
+    network.sim.run(until=0.5)
+    player.stop()
+    links[0].set_bandwidth(3e5)  # a fault's mutation after the replay
+    network.sim.run(until=0.7)
+    player.stop()
+    assert links[0].bandwidth_bps == 3e5
+    assert [record.time for record in restores] == [0.5]
+
+
+# ----------------------------------------------------------------------
+# Oracle: the player applies exactly what a 0.1 s poll that re-applied
+# the sample in force on every grid tick changed, at the same instants.
+# ----------------------------------------------------------------------
+_BASELINE = (1e6, 0.01, 0.0)
+
+
+class _RecordingLink:
+    """A link that logs (sim time, bandwidth, delay, loss rate) after each
+    complete ``set_*`` round (the loss model is set last)."""
+
+    name = "recording"
+
+    def __init__(self, sim, log):
+        self.sim = sim
+        self.log = log
+        self.bandwidth_bps, self.delay_s, __ = _BASELINE
+        self.loss_model = None
+
+    def set_bandwidth(self, bandwidth_bps):
+        self.bandwidth_bps = bandwidth_bps
+
+    def set_delay(self, delay_s):
+        self.delay_s = delay_s
+
+    def set_loss_model(self, model):
+        self.loss_model = model
+        loss = model.rate if isinstance(model, BernoulliLoss) else 0.0
+        self.log.append((self.sim.now, self.bandwidth_bps, self.delay_s, loss))
+
+
+def _polled(trace, epoch, horizon_s):
+    """The reference: the fixed-grid poll, filtered to the ticks whose
+    sample differs from the previous tick's."""
+    log, in_force = [], None
+    tick = 0
+    while epoch + tick * TracePlayer.STEP_S <= epoch + horizon_s:
+        sample = trace.sample_at(tick * TracePlayer.STEP_S)
+        if sample is not in_force:
+            in_force = sample
+            bandwidth, delay, loss = _BASELINE
+            log.append(
+                (
+                    epoch + tick * TracePlayer.STEP_S,
+                    bandwidth if sample.bandwidth_bps is None else sample.bandwidth_bps,
+                    delay if sample.delay_s is None else sample.delay_s,
+                    loss if sample.loss_rate is None else sample.loss_rate,
+                )
+            )
+        tick += 1
+    return log
+
+
+def _played(trace, epoch, horizon_s, player_class=TracePlayer):
+    sim = Simulator()
+    log = []
+    player = player_class(sim, [_RecordingLink(sim, log)], trace)
+    sim.run(until=epoch)
+    player.start()
+    sim.run(until=epoch + horizon_s)
+    return log, player
+
+
+def _looped(trace):
+    return LinkTrace(f"{trace.name}:loop", trace.samples, end_policy="loop")
+
+
+#: Sample times on the float edges of the 0.1 s grid, each following a
+#: sample that is in force one tick earlier: decimal times whose grid
+#: product rounds up (0.3, 0.7, 2.3) or lands exactly (1.5, 3.0), grid
+#: products themselves and their neighbours, and two samples within one
+#: step (0.31, 0.32: the grid applies only the second).
+_EDGE_TIMES = (
+    0.0, 0.15, 3 * 0.1, 0.31, 0.32, 0.55, 6 * 0.1, 0.65, 0.7, 0.75,
+    12 * 0.1, 1.25, math.nextafter(1.3, 0.0), 1.45, 1.5, math.nextafter(1.5, 2.0),
+    2.15, 2.3, 2.35, 24 * 0.1, 2.85, math.nextafter(3.0, 0.0), 3.15, 3.5, 4.45,
+)
+_EDGE = LinkTrace(
+    "edges",
+    [
+        TraceSample(t, bandwidth_bps=1e5 + index, loss_rate=0.01 * (index % 3))
+        for index, t in enumerate(_EDGE_TIMES)
+    ],
+)
+#: A loop period of one grid step: the grid lands on its samples only
+#: through rounding, so most ticks find the sample already in force.
+_ALIASED = LinkTrace(
+    "aliased",
+    [TraceSample(0.0, bandwidth_bps=1e5), TraceSample(0.05, bandwidth_bps=2e5),
+     TraceSample(0.1, bandwidth_bps=3e5)],
+    end_policy="loop",
+)
+#: Under ``loop`` the last sample is in force only at the instant the
+#: trace ends (20 * 0.1 is exactly 2.0): each period after it wakes the
+#: player once, to find the first sample still in force.
+_WRAP = LinkTrace(
+    "wrap", [TraceSample(0.0, bandwidth_bps=1e5), TraceSample(2.0, bandwidth_bps=2e5)]
+)
+_ORACLE_TRACES = {
+    **{family: TRACE_GENERATORS[family](seed=5) for family in TRACE_GENERATORS},
+    **{name: load_bundled_trace(name) for name in BUNDLED_TRACES},
+    "edges": _EDGE,
+    "aliased": _ALIASED,
+    "wrap": _WRAP,
+}
+
+
+@pytest.mark.parametrize("policy", ("hold", "loop"))
+@pytest.mark.parametrize("name", sorted(_ORACLE_TRACES))
+def test_player_applies_what_the_poll_changed(name, policy):
+    trace = _ORACLE_TRACES[name]
+    if policy == "loop":
+        trace = _looped(trace)
+    horizon_s = 2.5 * trace.duration_s + 3.0
+    for epoch in (0.0, 1.234):
+        log, player = _played(trace, epoch, horizon_s)
+        assert log == _polled(trace, epoch, horizon_s)
+        assert player.ticks_applied == len(log)
+
+
+def test_player_wakes_only_where_the_sample_changes():
+    trace = gprs_trace(seed=3000, duration_s=800.0)
+    sim = Simulator()
+    log = []
+    player = TracePlayer(sim, [_RecordingLink(sim, log)], trace)
+    player.start()
+    sim.run(until=800.0)
+    # One event per 0.5 s sample instead of one per 0.1 s grid point.
+    assert sim.events_processed == player.ticks_applied == len(trace.samples) == 1601
+    assert not player.playing
+
+
+class _AtSampleTime(TracePlayer):
+    """Seeded defect: each sample takes effect at its own trace time
+    instead of at the first grid tick at or after it."""
+
+    def start(self):
+        super().start()
+        self._drop_timer()
+        for sample in self.trace.samples:
+            self.sim.schedule(sample.time_s, self._apply, sample)
+
+
+def test_the_oracle_catches_a_player_off_the_grid():
+    horizon_s = _EDGE.duration_s + 1.0
+    log, __ = _played(_EDGE, 0.0, horizon_s, player_class=_AtSampleTime)
+    assert log != _polled(_EDGE, 0.0, horizon_s)

@@ -122,7 +122,7 @@ def test_reno_keeps_a_standing_droptail_queue():
     network, link, connection = saturated_link_network()
     depths = []
     PeriodicTimer(
-        network.sim, 0.1, lambda __: depths.append(len(link.queue))
+        network.sim, 0.1, lambda tick: depths.append(len(link.queue)) or tick + 1
     ).start()
     connection.start()
     network.sim.run(until=20.0)
@@ -135,7 +135,7 @@ def test_saturating_fmtcp_flow_keeps_the_link_utilised():
     network, link, connection = saturated_link_network()
     delivered = []
     PeriodicTimer(
-        network.sim, 1.0, lambda __: delivered.append(link.bytes_delivered)
+        network.sim, 1.0, lambda tick: delivered.append(link.bytes_delivered) or tick + 1
     ).start()
     connection.start()
     network.sim.run(until=10.0)
